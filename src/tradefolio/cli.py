@@ -12,6 +12,7 @@ import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 
 import click
 
@@ -21,14 +22,22 @@ from .agents.harness import Agent, AgentDecision, ExecutionPricedAgent, LLMAgent
 from .agents.memory import MemoryWindow
 from .agents.parsing import parse_allocation_response
 from .config import ModelEntry, RunConfig, load_config
-from .domain import AllocationVector, MarketKind, MarketSpec, NewsItem, Observation, PriceVector
+from .domain import (
+    AllocationVector,
+    MarketKind,
+    MarketSpec,
+    NewsItem,
+    Observation,
+    PricePoint,
+    PriceVector,
+)
 from .environment import SessionStatus, run_episode
 from .errors import ConfigError, LagTooLarge, TradefolioError
 from .ingestion.equities import fetch_equity_history
 from .ingestion.feeds import LiveFeed, ReplayFeed
 from .ingestion.news import COMPANY_NAMES, fetch_news
 from .ingestion.predictions import discover_markets, fetch_prediction_history
-from .ingestion.snapshots import SnapshotStore
+from .ingestion.snapshots import FetchBatch, NewsRow, PriceRow, SnapshotStore, record_snapshot
 from .reporting import (
     build_delta_table,
     build_report_rows,
@@ -134,8 +143,19 @@ def _asset_keys(spec: MarketSpec, store: SnapshotStore) -> dict[str, str]:
     return keys
 
 
-def _bucket_news(items: list[NewsItem], start: dt.date, end: dt.date) -> dict[dt.date, list[NewsItem]]:
-    """One bucket per day in [start, end]; empty days stay present so
+def _load_series(store: SnapshotStore, spec: MarketSpec, asset_keys: dict[str, str]) -> None:
+    """Load every series the sessions read, so threads sharing the store
+    only read it and never build an index concurrently."""
+    assets = [a for a in spec.assets if a != spec.cash]
+    for asset in assets:
+        store.price_series(spec.kind.value, asset_keys.get(asset, asset))
+    for tag in spec.questions or assets:
+        store.has_news(tag, dt.date.min)
+
+
+def _news_rows(tag: str, items: list[NewsItem], start: dt.date,
+               end: dt.date) -> tuple[NewsRow, ...]:
+    """One row per day in [start, end]; empty days stay present so
     the store records that the day was covered."""
     days = (end - start).days + 1
     buckets: dict[dt.date, list[NewsItem]] = {
@@ -145,7 +165,11 @@ def _bucket_news(items: list[NewsItem], start: dt.date, end: dt.date) -> dict[dt
         day = dt.datetime.fromtimestamp(item.published_at, dt.timezone.utc).date()
         if day in buckets:
             buckets[day].append(item)
-    return buckets
+    return tuple(NewsRow(tag, day, tuple(day_items)) for day, day_items in buckets.items())
+
+
+def _price_rows(market: str, key: str, points: Iterable[PricePoint]) -> tuple[PriceRow, ...]:
+    return tuple(PriceRow(market, key, p.date, p.price, p.volume) for p in points)
 
 
 @dataclass
@@ -227,14 +251,12 @@ def fetch(config_path: str) -> None:
         if cfg.market is MarketKind.STOCK:
             for ticker in cfg.universe:
                 points = fetch_equity_history(ticker, price_start, end, policy)
-                for p in points:
-                    store.upsert_price("stock", ticker, p.date, p.price, p.volume)
+                record_snapshot(store, FetchBatch(prices=_price_rows("stock", ticker, points)))
                 click.echo(f"{ticker}: {len(points)} bars")
             for ticker in cfg.universe:
                 items = fetch_news(ticker, MarketKind.STOCK, news_start, end, policy,
                                    company_names=COMPANY_NAMES)
-                for day, day_items in _bucket_news(items, news_start, end).items():
-                    store.upsert_news(ticker, day, day_items)
+                record_snapshot(store, FetchBatch(news=_news_rows(ticker, items, news_start, end)))
                 click.echo(f"{ticker}: {len(items)} news items")
             return
 
@@ -243,13 +265,12 @@ def fetch(config_path: str) -> None:
                                       flat_threshold=cfg.flat_market_threshold)
         fetched = set()
         for market in discovered:
-            store.upsert_market(market.entry)
-            for token, history in ((market.entry.yes_token, market.yes_history),
-                                   (market.entry.no_token, market.no_history)):
-                for p in history:
-                    store.upsert_price("prediction", token, p.date, p.price, p.volume)
-            fetched.add(market.entry.question)
-            click.echo(f"{market.entry.slug}: {len(market.yes_history)} bars")
+            entry = market.entry
+            prices = (_price_rows("prediction", entry.yes_token, market.yes_history)
+                      + _price_rows("prediction", entry.no_token, market.no_history))
+            record_snapshot(store, FetchBatch(prices=prices, markets=(entry,)))
+            fetched.add(entry.question)
+            click.echo(f"{entry.slug}: {len(market.yes_history)} bars")
         catalog = {e.question: e for e in store.markets()}
         questions = cfg.questions or tuple(m.entry.question for m in discovered)
         for question in questions:
@@ -258,11 +279,11 @@ def fetch(config_path: str) -> None:
                 raise ConfigError(f"question not in the market catalog: {question!r}")
             if question not in fetched:
                 for token in (entry.yes_token, entry.no_token):
-                    for p in fetch_prediction_history(token, price_start, end, policy):
-                        store.upsert_price("prediction", token, p.date, p.price, p.volume)
+                    history = fetch_prediction_history(token, price_start, end, policy)
+                    record_snapshot(store, FetchBatch(
+                        prices=_price_rows("prediction", token, history)))
             items = fetch_news(question, MarketKind.PREDICTION, news_start, end, policy)
-            for day, day_items in _bucket_news(items, news_start, end).items():
-                store.upsert_news(question, day, day_items)
+            record_snapshot(store, FetchBatch(news=_news_rows(question, items, news_start, end)))
             click.echo(f"{question}: {len(items)} news items")
     except TradefolioError as exc:
         raise click.ClickException(str(exc)) from exc
@@ -312,6 +333,7 @@ def run(config_path: str) -> None:
         if workers <= 1 or len(cfg.models) == 1:
             outcomes = [job(entry) for entry in cfg.models]
         else:
+            _load_series(store, spec, asset_keys)
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 outcomes = list(pool.map(job, cfg.models))
 

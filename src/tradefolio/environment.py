@@ -228,8 +228,22 @@ def build_observation(
     news spans the trailing window ending the day before as well, so
     the decision date itself never leaks through side channels.
     """
+    return _observe(state, feed, date, resolve_prices(feed, state.spec, date),
+                    lookback_days, news_window_days)
+
+
+def _observe(
+    state: SessionState,
+    feed: Feed,
+    date: dt.date,
+    priced: tuple[PriceVector, frozenset[str]],
+    lookback_days: int,
+    news_window_days: int,
+) -> Observation:
+    """``build_observation`` with the date's ``resolve_prices`` result
+    already in hand."""
     spec = state.spec
-    prices, stale = resolve_prices(feed, spec, date)
+    prices, stale = priced
     history = {
         a: tuple(feed.price_window(a, date - dt.timedelta(days=lookback_days),
                                    date - dt.timedelta(days=1)))
@@ -401,13 +415,16 @@ def run_episode(
         memory = MemoryWindow(memory_horizon)
         last_validated = None
 
+    # One step's execution prices are the next step's observation
+    # prices, so each date is resolved once and carried forward.
+    priced: tuple[PriceVector, frozenset[str]] | None = None
     try:
         for i in range(len(dates) - 1):
             date, exec_date = dates[i], dates[i + 1]
-            obs = build_observation(state, feed, date,
-                                    lookback_days=lookback_days,
-                                    news_window_days=news_window_days)
-            exec_prices, _ = resolve_prices(feed, spec, exec_date)
+            obs = _observe(state, feed, date, priced or resolve_prices(feed, spec, date),
+                           lookback_days, news_window_days)
+            priced = resolve_prices(feed, spec, exec_date)
+            exec_prices = priced[0]
             trace = _obtain_decision(agent, spec, obs, memory, exec_prices,
                                      max_retries, band)
             if trace.allocation is not None:

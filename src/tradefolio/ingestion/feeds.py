@@ -17,7 +17,7 @@ from ..domain import MarketKind, MarketSpec, NewsItem, PricePoint
 from ..errors import FeedUnavailable, ProviderError
 from . import equities, news, predictions
 from .policy import FetchPolicy
-from .snapshots import SnapshotStore
+from .snapshots import FetchBatch, NewsRow, PriceRow, SnapshotStore, record_snapshot
 
 __all__ = ["Feed", "ReplayFeed", "LiveFeed"]
 
@@ -97,9 +97,9 @@ class LiveFeed:
             points = equities.fetch_equity_history(key, start, end, self.policy)
         else:
             points = predictions.fetch_prediction_history(key, start, end, self.policy)
-        for point in points:
-            self.store.upsert_price(self.spec.kind.value, key, point.date,
-                                    point.price, point.volume)
+        rows = tuple(PriceRow(self.spec.kind.value, key, p.date, p.price, p.volume)
+                     for p in points)
+        record_snapshot(self.store, FetchBatch(prices=rows))
 
     def _fetch_quote(self, asset: str, date: dt.date) -> None:
         key = self._keys.get(asset, asset)
@@ -148,8 +148,8 @@ class LiveFeed:
                     day = dt.datetime.fromtimestamp(item.published_at, dt.timezone.utc).date()
                     if day in by_day:
                         by_day[day].append(item)
-                for day, day_items in by_day.items():
-                    self.store.upsert_news(tag, day, day_items)
+                record_snapshot(self.store, FetchBatch(news=tuple(
+                    NewsRow(tag, day, tuple(day_items)) for day, day_items in by_day.items())))
         except ProviderError as exc:
             raise FeedUnavailable(f"live data unavailable for {date}: {exc}") from exc
         self._covered.add(date)

@@ -2,9 +2,19 @@
 
 Each (series kind, key) pair owns one JSONL file: a header line naming
 the format version and key, then one row per date in strictly
-increasing order. Upserts are idempotent; changing an already-recorded
-value is refused, never silently applied. Files are rewritten
-atomically so a crash can't leave a half-written series.
+increasing order. Writes arrive in batches (``record_snapshot``; an
+``upsert_*`` call is a batch of one). Every row of a batch is checked
+against what is already stored before its series changes: re-recording
+identical data is a no-op, and changing an already-recorded value is
+refused, never silently applied. The new rows are then merged in and
+the series file is rewritten atomically, once per batch, so a crash
+can't leave a half-written series.
+
+Reads are served from a sorted in-memory index built when a series is
+first loaded: its dates in order beside one parsed value per date (a
+``PricePoint``, or a day's tuple of ``NewsItem``). A point lookup is a
+binary search and a window is a slice. A write swaps in a whole new
+index, so a reader never sees half of one.
 """
 
 from __future__ import annotations
@@ -14,9 +24,11 @@ import hashlib
 import json
 import os
 import re
-from dataclasses import dataclass, field
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, replace
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 from ..domain import NewsItem, PricePoint
 from ..errors import ConflictingValue, IngestionError
@@ -91,12 +103,45 @@ def _atomic_write(path: Path, lines: Iterable[str]) -> None:
     os.replace(tmp, path)
 
 
-@dataclass
+def _encode(kind: str, date: dt.date, value: Any) -> dict:
+    """The stored row for one indexed value."""
+    if kind == "news":
+        return {
+            "date": date.isoformat(),
+            "items": [
+                {"title": i.title, "snippet": i.snippet, "source": i.source,
+                 "url": i.url, "published_at": i.published_at}
+                for i in value
+            ],
+        }
+    return {"date": date.isoformat(), "price": value.price, "volume": value.volume}
+
+
+def _decode(kind: str, key: str, date: dt.date, row: dict) -> Any:
+    """The indexed value for one stored row; news items are tagged with
+    the series key, which the rows don't carry."""
+    if kind == "news":
+        return tuple(NewsItem(tagged_asset=key, **raw) for raw in row["items"])
+    return PricePoint(date, row["price"], row["volume"])
+
+
+@dataclass(frozen=True)
 class _Series:
+    """One loaded series, never mutated: ``values[i]`` is the row for
+    ``dates[i]`` and dates strictly increase."""
+
     kind: str
     key: str
     path: Path
-    rows: dict[str, dict] = field(default_factory=dict)  # iso date -> row, sorted
+    dates: tuple[dt.date, ...] = ()
+    values: tuple[Any, ...] = ()
+
+    def find(self, date: dt.date) -> Any | None:
+        i = bisect_left(self.dates, date)
+        return self.values[i] if i < len(self.dates) and self.dates[i] == date else None
+
+    def window(self, start: dt.date, end: dt.date) -> tuple[Any, ...]:
+        return self.values[bisect_left(self.dates, start):bisect_right(self.dates, end)]
 
 
 class SnapshotStore:
@@ -122,7 +167,8 @@ class SnapshotStore:
         if cached is not None:
             return cached
         path = self._dir_for(kind) / _filename(key)
-        series = _Series(kind, key, path)
+        dates: list[dt.date] = []
+        values: list[Any] = []
         if path.exists():
             with open(path, encoding="utf-8") as fh:
                 header_line = fh.readline()
@@ -137,79 +183,73 @@ class SnapshotStore:
                     or header.get("key") != key
                 ):
                     raise IngestionError(f"{path}: header does not match series ({kind}, {key!r})")
-                previous = None
                 for n, line in enumerate(fh, start=2):
                     if not line.strip():
                         continue
                     try:
                         row = json.loads(line)
-                    except json.JSONDecodeError as exc:
+                        date = dt.date.fromisoformat(row["date"])
+                        value = _decode(kind, key, date, row)
+                    except (KeyError, TypeError, ValueError) as exc:
                         raise IngestionError(f"{path}:{n}: unreadable row") from exc
-                    date = row.get("date")
-                    if previous is not None and date <= previous:
+                    if dates and date <= dates[-1]:
                         raise IngestionError(f"{path}:{n}: dates must be strictly increasing")
-                    previous = date
-                    series.rows[date] = row
+                    dates.append(date)
+                    values.append(value)
+        series = _Series(kind, key, path, tuple(dates), tuple(values))
         self._series[(kind, key)] = series
         return series
 
-    def _flush(self, series: _Series) -> None:
+    def _write(self, kind: str, key: str, rows: Iterable[tuple[dt.date, Any]]) -> int:
+        """Record a batch of (date, value) rows for one series; returns
+        how many were new.
+
+        Every row is checked against the stored ones and the batch's
+        earlier ones before anything changes, then the file is rewritten
+        once and the new index swapped in.
+        """
+        series = self._load(kind, key)
+        fresh: dict[dt.date, Any] = {}
+        for date, value in rows:
+            known = series.find(date)
+            if known is None:
+                known = fresh.setdefault(date, value)
+            if known != value:
+                raise ConflictingValue(
+                    f"({kind}, {key!r}, {date.isoformat()}) already recorded with a different value"
+                )
+        if not fresh:
+            return 0
+        merged = sorted([*zip(series.dates, series.values), *fresh.items()], key=itemgetter(0))
+        updated = replace(series, dates=tuple(d for d, _ in merged),
+                          values=tuple(v for _, v in merged))
         header = json.dumps(
-            {"format": SERIES_FORMAT, "version": SERIES_VERSION,
-             "series": series.kind, "key": series.key},
+            {"format": SERIES_FORMAT, "version": SERIES_VERSION, "series": kind, "key": key},
             ensure_ascii=False,
         )
-        body = (
-            json.dumps(series.rows[d], ensure_ascii=False)
-            for d in sorted(series.rows)
-        )
+        body = (json.dumps(_encode(kind, d, v), ensure_ascii=False) for d, v in merged)
         _atomic_write(series.path, [header, *body])
-
-    def _upsert(self, kind: str, key: str, date: dt.date, row: dict) -> bool:
-        series = self._load(kind, key)
-        iso = date.isoformat()
-        existing = series.rows.get(iso)
-        if existing is not None:
-            if existing == row:
-                return False
-            raise ConflictingValue(
-                f"({kind}, {key!r}, {iso}) already recorded with a different value"
-            )
-        series.rows[iso] = row
-        self._flush(series)
-        return True
+        self._series[(kind, key)] = updated
+        return len(fresh)
 
     # -- prices ------------------------------------------------------------
 
     def upsert_price(self, market: str, key: str, date: dt.date,
                      price: float, volume: float | None = None) -> bool:
-        if market not in _PRICE_SERIES:
-            raise IngestionError(f"unknown market {market!r}")
-        if not price > 0:
-            raise IngestionError(f"price must be positive, got {price}")
-        row = {"date": date.isoformat(), "price": float(price),
-               "volume": None if volume is None else float(volume)}
-        return self._upsert(_PRICE_SERIES[market], key, date, row)
+        row = PriceRow(market, key, date, price, volume)
+        return record_snapshot(self, FetchBatch(prices=(row,))) > 0
 
     def price_series(self, market: str, key: str) -> tuple[PricePoint, ...]:
-        series = self._load(_PRICE_SERIES[market], key)
-        return tuple(
-            PricePoint(dt.date.fromisoformat(d), series.rows[d]["price"], series.rows[d]["volume"])
-            for d in sorted(series.rows)
-        )
+        return self._load(_PRICE_SERIES[market], key).values
 
     def latest_price(self, market: str, key: str, on_or_before: dt.date) -> PricePoint | None:
-        best = None
-        for point in self.price_series(market, key):
-            if point.date <= on_or_before:
-                best = point
-        return best
+        series = self._load(_PRICE_SERIES[market], key)
+        i = bisect_right(series.dates, on_or_before)
+        return series.values[i - 1] if i else None
 
     def price_window(self, market: str, key: str,
                      start: dt.date, end: dt.date) -> tuple[PricePoint, ...]:
-        return tuple(
-            p for p in self.price_series(market, key) if start <= p.date <= end
-        )
+        return self._load(_PRICE_SERIES[market], key).window(start, end)
 
     def price_keys(self, market: str) -> tuple[str, ...]:
         keys = []
@@ -222,81 +262,87 @@ class SnapshotStore:
     # -- news ----------------------------------------------------------------
 
     def upsert_news(self, tag: str, date: dt.date, items: Sequence[NewsItem]) -> bool:
-        row = {
-            "date": date.isoformat(),
-            "items": [
-                {"title": i.title, "snippet": i.snippet, "source": i.source,
-                 "url": i.url, "published_at": i.published_at}
-                for i in items
-            ],
-        }
-        return self._upsert("news", tag, date, row)
+        return record_snapshot(self, FetchBatch(news=(NewsRow(tag, date, tuple(items)),))) > 0
 
     def has_news(self, tag: str, date: dt.date) -> bool:
-        return date.isoformat() in self._load("news", tag).rows
+        return self._load("news", tag).find(date) is not None
 
     def news_window(self, tag: str, start: dt.date, end: dt.date) -> tuple[NewsItem, ...]:
-        series = self._load("news", tag)
-        items = []
-        for iso in sorted(series.rows):
-            date = dt.date.fromisoformat(iso)
-            if start <= date <= end:
-                for raw in series.rows[iso]["items"]:
-                    items.append(NewsItem(tagged_asset=tag, **raw))
-        return tuple(items)
+        return tuple(item for day in self._load("news", tag).window(start, end) for item in day)
 
     # -- market catalog ---------------------------------------------------
 
     def _load_markets(self) -> dict[str, MarketCatalogEntry]:
         if self._markets is not None:
             return self._markets
-        self._markets = {}
+        markets = {}
         path = self.root / "markets.jsonl"
         if path.exists():
             with open(path, encoding="utf-8") as fh:
                 for line in fh:
                     if line.strip():
                         row = json.loads(line)
-                        self._markets[row["slug"]] = MarketCatalogEntry(**row)
-        return self._markets
+                        markets[row["slug"]] = MarketCatalogEntry(**row)
+        self._markets = markets
+        return markets
 
-    def upsert_market(self, entry: MarketCatalogEntry) -> bool:
+    def _write_markets(self, entries: Iterable[MarketCatalogEntry]) -> int:
+        """The catalog's counterpart of ``_write``."""
         markets = self._load_markets()
-        existing = markets.get(entry.slug)
-        if existing is not None:
-            if existing == entry:
-                return False
-            raise ConflictingValue(f"market {entry.slug!r} already catalogued differently")
-        markets[entry.slug] = entry
+        fresh: dict[str, MarketCatalogEntry] = {}
+        for entry in entries:
+            known = markets.get(entry.slug)
+            if known is None:
+                known = fresh.setdefault(entry.slug, entry)
+            if known != entry:
+                raise ConflictingValue(f"market {entry.slug!r} already catalogued differently")
+        if not fresh:
+            return 0
+        merged = {**markets, **fresh}
         _atomic_write(
             self.root / "markets.jsonl",
-            [
-                json.dumps(vars(markets[slug]), ensure_ascii=False)
-                for slug in sorted(markets)
-            ],
+            [json.dumps(vars(merged[slug]), ensure_ascii=False) for slug in sorted(merged)],
         )
-        return True
+        self._markets = merged
+        return len(fresh)
+
+    def upsert_market(self, entry: MarketCatalogEntry) -> bool:
+        return record_snapshot(self, FetchBatch(markets=(entry,))) > 0
 
     def markets(self) -> tuple[MarketCatalogEntry, ...]:
         markets = self._load_markets()
         return tuple(markets[slug] for slug in sorted(markets))
 
 
+def _price_point(row: PriceRow) -> PricePoint:
+    if row.market not in _PRICE_SERIES:
+        raise IngestionError(f"unknown market {row.market!r}")
+    if not row.price > 0:
+        raise IngestionError(f"price must be positive, got {row.price}")
+    return PricePoint(row.date, float(row.price),
+                      None if row.volume is None else float(row.volume))
+
+
 def record_snapshot(store: SnapshotStore, batch: FetchBatch) -> int:
     """Persist one fetch pass; returns how many rows were new.
 
+    Rows are grouped by series and each series file is rewritten once.
     Re-recording identical data is a no-op; a changed value for an
-    already-stored key raises ``ConflictingValue`` before anything else
-    from the batch is half-applied for that series.
+    already-stored key raises ``ConflictingValue`` before that series
+    changes at all (series written earlier in the batch stay written).
+    An invalid price rejects the whole batch before anything is written.
     """
-    changed = 0
-    for price in batch.prices:
-        if store.upsert_price(price.market, price.key, price.date, price.price, price.volume):
-            changed += 1
-    for news in batch.news:
-        if store.upsert_news(news.tag, news.date, news.items):
-            changed += 1
-    for market in batch.markets:
-        if store.upsert_market(market):
-            changed += 1
+    prices: dict[tuple[str, str], list[tuple[dt.date, PricePoint]]] = {}
+    for row in batch.prices:
+        point = _price_point(row)
+        prices.setdefault((_PRICE_SERIES[row.market], row.key), []).append((row.date, point))
+    news: dict[str, list[tuple[dt.date, tuple[NewsItem, ...]]]] = {}
+    for row in batch.news:
+        items = tuple(replace(i, tagged_asset=row.tag) for i in row.items)
+        news.setdefault(row.tag, []).append((row.date, items))
+
+    changed = sum(store._write(kind, key, rows) for (kind, key), rows in prices.items())
+    changed += sum(store._write("news", tag, rows) for tag, rows in news.items())
+    if batch.markets:
+        changed += store._write_markets(batch.markets)
     return changed

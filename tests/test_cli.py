@@ -2,6 +2,7 @@
 
 import datetime as dt
 import json
+import threading
 
 import pytest
 from click.testing import CliRunner
@@ -131,6 +132,24 @@ def test_run_isolates_per_model_failures(runner, tmp_path):
     # the healthy session's log still landed
     header, records = read_session_log(tmp_path / "runs" / "stock-baseline-all-cash.jsonl")
     assert len(records) == 3
+
+
+def test_worker_threads_only_read_a_loaded_store(runner, stock_setup, monkeypatch):
+    tmp_path, config, dates = stock_setup
+    config.write_text(config.read_text() + "concurrency: 2\n", encoding="utf-8")
+    builds = []
+    real_load = SnapshotStore._load
+
+    def spying_load(self, kind, key):
+        if (kind, key) not in self._series:
+            builds.append(threading.current_thread() is threading.main_thread())
+        return real_load(self, kind, key)
+
+    monkeypatch.setattr(SnapshotStore, "_load", spying_load)
+    result = runner.invoke(main, ["run", "--config", str(config)])
+    assert result.exit_code == 0, result.output
+    # three price and three news series, each built once, before the pool
+    assert builds == [True] * 6
 
 
 def test_rebalance_interval_freezes_between_decisions(runner, tmp_path):

@@ -3,6 +3,7 @@ fallback, halting, and a full-episode oracle recomputation."""
 
 import datetime as dt
 import json
+from collections import Counter
 
 import pytest
 
@@ -342,6 +343,37 @@ def test_stale_assets_are_recorded(tmp_path):
     state, records = run_episode(spec, EqualWeightAgent(), feed, days[1:], 1000.0)
     assert records[0].stale == ("MSFT",)
     assert records[0].prices["MSFT"] == 400.0  # carried forward, not invented
+
+
+class _CountingFeed:
+    """Replay feed that counts price lookups per (asset, date)."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.lookups = Counter()
+
+    def latest_price(self, asset, on_or_before):
+        self.lookups[asset, on_or_before] += 1
+        return self.inner.latest_price(asset, on_or_before)
+
+    def price_window(self, asset, start, end):
+        return self.inner.price_window(asset, start, end)
+
+    def news_window(self, tag, start, end, target=None):
+        return self.inner.news_window(tag, start, end, target)
+
+
+def test_each_date_is_priced_once(stock_world):
+    spec, store, feed, dates = stock_world
+    counting = _CountingFeed(feed)
+    state, records = run_episode(spec, EqualWeightAgent(), counting, dates, 1000.0)
+
+    # a step's execution prices are reused as the next step's observation
+    assert counting.lookups == Counter(
+        {(a, d): 1 for a in spec.assets if a != spec.cash for d in dates})
+    _, plain = run_episode(spec, EqualWeightAgent(), feed, dates, 1000.0)
+    assert records == plain
+    assert [r.prices for r in records[1:]] == [r.prices_after for r in records[:-1]]
 
 
 # -- memory -----------------------------------------------------------------------

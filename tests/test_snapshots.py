@@ -1,12 +1,20 @@
 """Snapshot store: idempotent upserts, ordering, and file integrity."""
 
 import datetime as dt
+import importlib.util
 import json
+import sys
+import tempfile
+import threading
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tradefolio.errors import ConflictingValue, IngestionError
 from tradefolio.domain import NewsItem
+from tradefolio.ingestion import snapshots
 from tradefolio.ingestion.snapshots import (
     FetchBatch,
     MarketCatalogEntry,
@@ -16,8 +24,10 @@ from tradefolio.ingestion.snapshots import (
     _filename,
     record_snapshot,
 )
+from tradefolio.synthetic import seed_prediction_store, seed_stock_store
 
 D = dt.date
+REPO = Path(__file__).resolve().parent.parent
 
 
 def test_price_round_trip(tmp_path):
@@ -217,3 +227,206 @@ def test_record_snapshot_counts_new_rows(tmp_path):
     )
     assert record_snapshot(store, batch) == 4
     assert record_snapshot(store, batch) == 0
+
+    overlapping = FetchBatch(prices=(
+        PriceRow("stock", "AAPL", D(2025, 3, 4), 241.0),  # already stored
+        PriceRow("stock", "AAPL", D(2025, 3, 5), 242.0),
+        PriceRow("stock", "AAPL", D(2025, 3, 5), 242.0),  # repeated within the batch
+        PriceRow("stock", "MSFT", D(2025, 3, 5), 400.0),
+    ))
+    assert record_snapshot(store, overlapping) == 2
+    assert [p.price for p in store.price_series("stock", "AAPL")] == [240.0, 241.0, 242.0]
+
+
+def _series_bytes(root):
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*.jsonl"))}
+
+
+@pytest.mark.parametrize("conflict", [
+    PriceRow("stock", "AAPL", D(2025, 3, 4), 999.0),  # against a stored row
+    PriceRow("stock", "AAPL", D(2025, 3, 6), 999.0),  # against the batch's own row
+])
+def test_conflicting_batch_leaves_series_untouched(tmp_path, conflict):
+    store = SnapshotStore(tmp_path)
+    store.upsert_price("stock", "AAPL", D(2025, 3, 3), 240.0)
+    store.upsert_price("stock", "AAPL", D(2025, 3, 4), 241.0)
+    before = _series_bytes(tmp_path)
+    batch = FetchBatch(prices=(
+        PriceRow("stock", "AAPL", D(2025, 3, 5), 242.0),
+        PriceRow("stock", "AAPL", D(2025, 3, 6), 243.0),
+        conflict,
+    ))
+    with pytest.raises(ConflictingValue):
+        record_snapshot(store, batch)
+
+    assert _series_bytes(tmp_path) == before
+    for reader in (store, SnapshotStore(tmp_path)):
+        assert [p.price for p in reader.price_series("stock", "AAPL")] == [240.0, 241.0]
+        assert reader.latest_price("stock", "AAPL", D(2025, 3, 6)).date == D(2025, 3, 4)
+
+
+def test_invalid_row_rejects_the_whole_batch(tmp_path):
+    store = SnapshotStore(tmp_path)
+    batch = FetchBatch(prices=(
+        PriceRow("stock", "AAPL", D(2025, 3, 3), 240.0),
+        PriceRow("stock", "MSFT", D(2025, 3, 3), -1.0),
+    ))
+    with pytest.raises(IngestionError, match="positive"):
+        record_snapshot(store, batch)
+    assert _series_bytes(tmp_path) == {}
+    assert store.price_series("stock", "AAPL") == ()
+
+
+def test_each_series_is_written_once_per_batch(tmp_path, monkeypatch):
+    writes = []
+    real_write = snapshots._atomic_write
+
+    def counting_write(path, lines):
+        writes.append(path.relative_to(tmp_path).as_posix())
+        real_write(path, lines)
+
+    monkeypatch.setattr(snapshots, "_atomic_write", counting_write)
+    seed_stock_store(tmp_path, ("AAPL", "MSFT"), D(2025, 3, 3), 20)
+    assert sorted(writes) == [
+        "news/AAPL.jsonl", "news/MSFT.jsonl",
+        "prices/stock/AAPL.jsonl", "prices/stock/MSFT.jsonl",
+    ]
+
+
+def test_seeding_reproduces_committed_fixtures(tmp_path):
+    script = REPO / "scripts" / "make_fixtures.py"
+    spec = importlib.util.spec_from_file_location("make_fixtures", script)
+    params = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(params)
+
+    seed_stock_store(tmp_path / "stock-50d", params.STOCK_TICKERS,
+                     params.STOCK_START, params.STOCK_DAYS)
+    seed_prediction_store(tmp_path / "prediction-12d", params.QUESTIONS,
+                          params.PREDICTION_START, params.PREDICTION_DAYS)
+    for name in ("stock-50d", "prediction-12d"):
+        assert _series_bytes(tmp_path / name) == _series_bytes(REPO / "fixtures" / name)
+
+
+# -- the index against a naive scan ----------------------------------------------
+
+DAY0 = D(2025, 3, 3)
+
+
+def _day(offset: int) -> dt.date:
+    return DAY0 + dt.timedelta(days=offset)
+
+
+def _close(offset: int) -> float:
+    # one fixed close per date, so a row read from the wrong date shows
+    return 100.0 + offset / 4
+
+
+def _day_news(offset: int) -> tuple[NewsItem, ...]:
+    # zero to two items, fixed per date like the close
+    return tuple(_item(100 * offset + n, "AAPL") for n in range(offset % 3))
+
+
+def _stored_rows(path):
+    if not path.exists():
+        return []
+    return [json.loads(line) for line in path.read_text().splitlines()[1:]]
+
+
+_writes = st.lists(st.integers(0, 30), max_size=6)
+_reads = st.tuples(st.integers(-3, 33), st.integers(-3, 33))
+_ops = st.lists(st.one_of(st.tuples(st.just("write"), _writes),
+                          st.tuples(st.just("read"), _reads)), max_size=20)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ops=_ops)
+def test_index_matches_naive_scan(ops):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        store = SnapshotStore(root)
+        written: set[int] = set()  # the model: day offsets recorded so far
+
+        def check(reader, lo, hi):
+            start, end = _day(lo), _day(hi)
+            scan = reader.price_series("stock", "AAPL")
+            assert [(p.date, p.price) for p in scan] == [
+                (_day(o), _close(o)) for o in sorted(written)]
+            before = [p for p in scan if p.date <= start]
+            assert reader.latest_price("stock", "AAPL", start) == (before[-1] if before else None)
+            assert reader.price_window("stock", "AAPL", start, end) == tuple(
+                p for p in scan if start <= p.date <= end)
+            assert reader.news_window("AAPL", start, end) == tuple(
+                item for o in sorted(written) if lo <= o <= hi for item in _day_news(o))
+            assert reader.has_news("AAPL", start) == (lo in written)
+
+        for op, arg in ops:
+            if op == "write":
+                # one batch in arbitrary date order, repeats included, as a backfill sends
+                batch = FetchBatch(
+                    prices=tuple(PriceRow("stock", "AAPL", _day(o), _close(o)) for o in arg),
+                    news=tuple(NewsRow("AAPL", _day(o), _day_news(o)) for o in arg),
+                )
+                assert record_snapshot(store, batch) == 2 * len(set(arg) - written)
+                written |= set(arg)
+            else:
+                check(store, *arg)  # a read right after a write sees it
+
+        for lo, hi in ((-3, 33), (0, 0), (33, 40), (5, 2)):
+            check(store, lo, hi)
+            check(SnapshotStore(root), lo, hi)
+        rows = _stored_rows(root / "prices" / "stock" / "AAPL.jsonl")
+        assert [(r["date"], r["price"]) for r in rows] == [
+            (_day(o).isoformat(), _close(o)) for o in sorted(written)]
+        rows = _stored_rows(root / "news" / "AAPL.jsonl")
+        assert [(r["date"], len(r["items"])) for r in rows] == [
+            (_day(o).isoformat(), o % 3) for o in sorted(written)]
+
+
+def test_readers_never_see_a_half_written_series(tmp_path):
+    """Reader threads share the store with a writer appending one row per
+    batch: every read must show a consistent, fully merged series."""
+    store = SnapshotStore(tmp_path)
+    store.upsert_price("stock", "AAPL", _day(0), _close(0))
+    days = 200
+    errors: list[str] = []
+    done = threading.Event()
+
+    def write():
+        try:
+            for offset in range(1, days):
+                store.upsert_price("stock", "AAPL", _day(offset), _close(offset))
+        finally:
+            done.set()
+
+    def read():
+        seen = 0
+        while not done.is_set():
+            try:
+                series = store.price_series("stock", "AAPL")
+                latest = store.latest_price("stock", "AAPL", _day(days))
+                window = store.price_window("stock", "AAPL", _day(0), _day(days))
+            except Exception as exc:  # a torn index can fail a read outright
+                errors.append(repr(exc))
+                return
+            if len(series) < seen or len(window) < len(series):
+                errors.append("a read went back in time")
+            if any(p.price != _close((p.date - DAY0).days) for p in (*series, latest, *window)):
+                errors.append("a row was paired with the wrong date")
+            if [p.date for p in window] != sorted({p.date for p in window}):
+                errors.append("a window was out of order")
+            seen = len(series)
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=read, daemon=True) for _ in range(4)]
+        threads.append(threading.Thread(target=write, daemon=True))
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(store.price_series("stock", "AAPL")) == days
