@@ -19,7 +19,7 @@ from .clients import (
     resolve_provider,
 )
 from .features import AssetSummary, FeatureBundle, PriceChange, extract_features, format_change
-from .harness import AgentDecision, DecisionOutcome, LLMAgent, agent_decide
+from .harness import AgentDecision, LLMAgent
 from .memory import MemoryEntry, MemoryWindow, observation_digest
 from .parsing import extract_json_object, parse_allocation_response, render_allocation_response
 from .prompts import build_context_prompt, build_decision_prompt
@@ -29,7 +29,6 @@ __all__ = [
     "AllCashAgent",
     "AssetSummary",
     "BuyAndHoldAgent",
-    "DecisionOutcome",
     "DEFAULT_PROVIDER",
     "EqualWeightAgent",
     "FeatureBundle",
@@ -43,7 +42,6 @@ __all__ = [
     "ProviderRoute",
     "ScriptedAgent",
     "ScriptedClient",
-    "agent_decide",
     "all_cash_allocation",
     "build_context_prompt",
     "build_decision_prompt",

@@ -75,19 +75,13 @@ class AllCashAgent:
 
 
 class BuyAndHoldAgent:
-    """Freezes the current book: weights are taken at execution prices,
-    so the implied trades are exactly zero every step."""
+    """Freezes the current book: the environment takes the weights at
+    execution prices, so the implied trades are exactly zero every step."""
 
     name = "baseline:buy-and-hold"
 
-    def allocation_at(
-        self,
-        spec: MarketSpec,
-        obs: Observation,
-        memory: MemoryWindow,
-        exec_prices: PriceVector,
-    ) -> tuple[str, AllocationVector]:
-        return "hold current positions", hold_allocation(spec, obs.positions, exec_prices)
+    def decide(self, spec: MarketSpec, obs: Observation, memory: MemoryWindow) -> AgentDecision:
+        return AgentDecision.hold("hold current positions")
 
 
 class ScriptedAgent:

@@ -2,28 +2,34 @@
 
 from __future__ import annotations
 
-import datetime as dt
 from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
-from ..domain import AllocationVector, MarketSpec, Observation, PriceVector
-from ..errors import ParseError, AllocationError
+from ..domain import MarketSpec, Observation
 from .clients import ChatClient, ModelClientConfig
 from .memory import MemoryWindow
-from .parsing import parse_allocation_response
 from .prompts import build_context_prompt, build_decision_prompt
 
-__all__ = ["AgentDecision", "DecisionOutcome", "Agent", "ExecutionPricedAgent",
-           "LLMAgent", "agent_decide"]
+__all__ = ["AgentDecision", "Agent", "LLMAgent"]
 
 
 @dataclass(frozen=True)
 class AgentDecision:
     """What an agent hands back: the prompt it saw (None for scripted
-    agents that see none) and its raw response text."""
+    agents that see none) and its raw response text.
+
+    A decision that ``holds`` asks the environment to keep the current
+    book at execution prices; its ``raw_response`` is only the
+    reasoning, and the environment renders the held weights.
+    """
 
     prompt: str | None
     raw_response: str
+    holds: bool = False
+
+    @classmethod
+    def hold(cls, reasoning: str) -> "AgentDecision":
+        return cls(prompt=None, raw_response=reasoning, holds=True)
 
 
 @runtime_checkable
@@ -31,26 +37,6 @@ class Agent(Protocol):
     name: str
 
     def decide(self, spec: MarketSpec, obs: Observation, memory: MemoryWindow) -> AgentDecision: ...
-
-
-@runtime_checkable
-class ExecutionPricedAgent(Protocol):
-    """Idealized agents whose target is a function of execution prices.
-
-    Used by test oracles that must freeze positions exactly (a target
-    expressed at any other price level would drift). The environment
-    calls ``allocation_at`` once the execution-date prices are known.
-    """
-
-    name: str
-
-    def allocation_at(
-        self,
-        spec: MarketSpec,
-        obs: Observation,
-        memory: MemoryWindow,
-        exec_prices: PriceVector,
-    ) -> tuple[str, AllocationVector]: ...
 
 
 class LLMAgent:
@@ -67,37 +53,3 @@ class LLMAgent:
         raw = self.client.complete(prompt, self.config)
         return AgentDecision(prompt=prompt, raw_response=raw)
 
-
-@dataclass(frozen=True)
-class DecisionOutcome:
-    """One decision attempt, parsed: raw text always present, parsed
-    fields only on success, the typed error message otherwise."""
-
-    prompt: str
-    raw_response: str
-    reasoning: str | None
-    allocation: AllocationVector | None
-    error: str | None
-
-
-def agent_decide(
-    client: ChatClient,
-    config: ModelClientConfig,
-    spec: MarketSpec,
-    obs: Observation,
-    memory: MemoryWindow,
-) -> DecisionOutcome:
-    """One model request for one decision, response parsed but never lost.
-
-    Client errors propagate (the caller owns retry policy); parse and
-    validation failures are captured in the outcome so the raw response
-    can still be logged.
-    """
-    context = build_context_prompt(spec, obs, memory)
-    prompt = build_decision_prompt(context, spec, obs.date)
-    raw = client.complete(prompt, config)
-    try:
-        reasoning, allocation = parse_allocation_response(raw, spec)
-    except (ParseError, AllocationError) as exc:
-        return DecisionOutcome(prompt, raw, None, None, f"{type(exc).__name__}: {exc}")
-    return DecisionOutcome(prompt, raw, reasoning, allocation, None)

@@ -16,28 +16,18 @@ from typing import Iterable
 
 import click
 
-from .agents.baselines import AllCashAgent, BuyAndHoldAgent, EqualWeightAgent, hold_allocation
+from .agents.baselines import AllCashAgent, BuyAndHoldAgent, EqualWeightAgent
 from .agents.clients import HttpChatClient, ModelClientConfig
-from .agents.harness import Agent, AgentDecision, ExecutionPricedAgent, LLMAgent
-from .agents.memory import MemoryWindow
-from .agents.parsing import parse_allocation_response
+from .agents.harness import Agent, LLMAgent
 from .config import ModelEntry, RunConfig, load_config
-from .domain import (
-    AllocationVector,
-    MarketKind,
-    MarketSpec,
-    NewsItem,
-    Observation,
-    PricePoint,
-    PriceVector,
-)
+from .domain import MarketKind, MarketSpec, PricePoint
 from .environment import SessionStatus, run_episode
 from .errors import ConfigError, LagTooLarge, TradefolioError
 from .ingestion.equities import fetch_equity_history
 from .ingestion.feeds import LiveFeed, ReplayFeed
-from .ingestion.news import COMPANY_NAMES, fetch_news
+from .ingestion.news import COMPANY_NAMES, fetch_news, news_rows
 from .ingestion.predictions import discover_markets, fetch_prediction_history
-from .ingestion.snapshots import FetchBatch, NewsRow, PriceRow, SnapshotStore, record_snapshot
+from .ingestion.snapshots import FetchBatch, PriceRow, SnapshotStore, record_snapshot
 from .reporting import (
     build_delta_table,
     build_report_rows,
@@ -60,52 +50,21 @@ def _slug(name: str) -> str:
     return out or "model"
 
 
-class IntervalGatedAgent:
-    """Lets the wrapped agent decide only every ``interval``-th step and
-    holds the current positions in between."""
-
-    def __init__(self, inner: Agent | ExecutionPricedAgent, interval: int, band: float) -> None:
-        if interval < 1:
-            raise ValueError(f"interval must be >= 1, got {interval}")
-        self.inner = inner
-        self.interval = interval
-        self.band = band
-        self.name = inner.name
-
-    def allocation_at(
-        self,
-        spec: MarketSpec,
-        obs: Observation,
-        memory: MemoryWindow,
-        exec_prices: PriceVector,
-    ) -> tuple[str, AllocationVector]:
-        if obs.step % self.interval != 0:
-            return "hold until next rebalance date", hold_allocation(spec, obs.positions, exec_prices)
-        if isinstance(self.inner, ExecutionPricedAgent) and hasattr(self.inner, "allocation_at"):
-            return self.inner.allocation_at(spec, obs, memory, exec_prices)
-        decision: AgentDecision = self.inner.decide(spec, obs, memory)
-        return parse_allocation_response(decision.raw_response, spec, band=self.band)
-
-
-def _make_agent(entry: ModelEntry, cfg: RunConfig) -> Agent | ExecutionPricedAgent:
+def _make_agent(entry: ModelEntry) -> Agent:
     if entry.is_baseline:
         kind = entry.model.split(":", 1)[1]
         factory = _BASELINES.get(kind)
         if factory is None:
             known = ", ".join(sorted(_BASELINES))
             raise ConfigError(f"unknown baseline {kind!r}; known: {known}")
-        agent: Agent | ExecutionPricedAgent = factory()
-    else:
-        client_config = ModelClientConfig(
-            model=entry.model,
-            temperature=entry.temperature,
-            max_tokens=entry.max_tokens,
-            style=entry.style,
-        )
-        agent = LLMAgent(HttpChatClient(), client_config)
-    if cfg.rebalance_interval > 1:
-        return IntervalGatedAgent(agent, cfg.rebalance_interval, cfg.renormalize_band)
-    return agent
+        return factory()
+    client_config = ModelClientConfig(
+        model=entry.model,
+        temperature=entry.temperature,
+        max_tokens=entry.max_tokens,
+        style=entry.style,
+    )
+    return LLMAgent(HttpChatClient(), client_config)
 
 
 def _prediction_questions(cfg: RunConfig, store: SnapshotStore) -> tuple[str, ...]:
@@ -153,21 +112,6 @@ def _load_series(store: SnapshotStore, spec: MarketSpec, asset_keys: dict[str, s
         store.has_news(tag, dt.date.min)
 
 
-def _news_rows(tag: str, items: list[NewsItem], start: dt.date,
-               end: dt.date) -> tuple[NewsRow, ...]:
-    """One row per day in [start, end]; empty days stay present so
-    the store records that the day was covered."""
-    days = (end - start).days + 1
-    buckets: dict[dt.date, list[NewsItem]] = {
-        start + dt.timedelta(days=i): [] for i in range(days)
-    }
-    for item in items:
-        day = dt.datetime.fromtimestamp(item.published_at, dt.timezone.utc).date()
-        if day in buckets:
-            buckets[day].append(item)
-    return tuple(NewsRow(tag, day, tuple(day_items)) for day, day_items in buckets.items())
-
-
 def _price_rows(market: str, key: str, points: Iterable[PricePoint]) -> tuple[PriceRow, ...]:
     return tuple(PriceRow(market, key, p.date, p.price, p.volume) for p in points)
 
@@ -208,10 +152,9 @@ def _run_one(entry: ModelEntry, cfg: RunConfig, spec: MarketSpec,
 
     writer = SessionLogWriter(log_path, header)
     feed = ReplayFeed(store, cfg.market, asset_keys)
-    agent = _make_agent(entry, cfg)
     state, _ = run_episode(
         spec,
-        agent,
+        _make_agent(entry),
         feed,
         remaining,
         cfg.initial_capital,
@@ -222,6 +165,7 @@ def _run_one(entry: ModelEntry, cfg: RunConfig, spec: MarketSpec,
         band=cfg.renormalize_band,
         resume=resume,
         on_record=writer.append,
+        rebalance_interval=cfg.rebalance_interval,
     )
     new_steps = state.step - (resume.state.step if resume else 0)
     status = state.status.value
@@ -246,6 +190,8 @@ def fetch(config_path: str) -> None:
         start, end = cfg.dates[0], cfg.dates[-1]
         price_start = start - dt.timedelta(days=cfg.lookback_days)
         news_start = start - dt.timedelta(days=cfg.news_window_days)
+        news_days = [news_start + dt.timedelta(days=i)
+                     for i in range((end - news_start).days + 1)]
         policy = cfg.fetch_policy
 
         if cfg.market is MarketKind.STOCK:
@@ -256,7 +202,7 @@ def fetch(config_path: str) -> None:
             for ticker in cfg.universe:
                 items = fetch_news(ticker, MarketKind.STOCK, news_start, end, policy,
                                    company_names=COMPANY_NAMES)
-                record_snapshot(store, FetchBatch(news=_news_rows(ticker, items, news_start, end)))
+                record_snapshot(store, FetchBatch(news=news_rows(ticker, items, news_days)))
                 click.echo(f"{ticker}: {len(items)} news items")
             return
 
@@ -283,7 +229,7 @@ def fetch(config_path: str) -> None:
                     record_snapshot(store, FetchBatch(
                         prices=_price_rows("prediction", token, history)))
             items = fetch_news(question, MarketKind.PREDICTION, news_start, end, policy)
-            record_snapshot(store, FetchBatch(news=_news_rows(question, items, news_start, end)))
+            record_snapshot(store, FetchBatch(news=news_rows(question, items, news_days)))
             click.echo(f"{question}: {len(items)} news items")
     except TradefolioError as exc:
         raise click.ClickException(str(exc)) from exc

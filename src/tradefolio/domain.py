@@ -141,7 +141,6 @@ class PriceVector:
 
     date: dt.date
     prices: Mapping[str, float]
-    timezone: str = "UTC"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "prices", dict(self.prices))

@@ -16,9 +16,9 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Any, Callable, Sequence
 
-from .accounting import RENORMALIZE_BAND, portfolio_value, rebalance, validate_allocation
-from .agents.baselines import all_cash_allocation
-from .agents.harness import Agent, AgentDecision, ExecutionPricedAgent
+from .accounting import RENORMALIZE_BAND, portfolio_value, rebalance
+from .agents.baselines import all_cash_allocation, hold_allocation
+from .agents.harness import Agent
 from .agents.memory import DEFAULT_MEMORY_HORIZON, MemoryEntry, MemoryWindow, observation_digest
 from .agents.parsing import parse_allocation_response, render_allocation_response
 from .domain import (
@@ -59,10 +59,7 @@ DEFAULT_RETRIES = 2
 HISTORY_LOOKBACK_DAYS = 10
 NEWS_WINDOW_DAYS = 3
 
-_SESSION_TZ_NAME = {
-    MarketKind.STOCK: "America/New_York",
-    MarketKind.PREDICTION: "UTC",
-}
+_OFF_CADENCE_REASONING = "hold until next rebalance date"
 
 
 class SessionStatus(Enum):
@@ -155,7 +152,6 @@ class SessionState:
     step: int
     holdings: Holdings
     value_series: tuple[float, ...]
-    allocation_history: tuple[tuple[dt.date, AllocationVector, float], ...]
     status: SessionStatus
     records: tuple[SessionRecord, ...] = ()
     halt_reason: str | None = None
@@ -170,7 +166,6 @@ class SessionState:
             step=0,
             holdings=Holdings(units),
             value_series=(float(initial_capital),),
-            allocation_history=(),
             status=SessionStatus.RUNNING,
         )
 
@@ -211,8 +206,7 @@ def resolve_prices(feed: Feed, spec: MarketSpec, date: dt.date) -> tuple[PriceVe
         prices[asset] = point.price
         if point.date < date:
             stale.add(asset)
-    vector = PriceVector(date, prices, timezone=_SESSION_TZ_NAME[spec.kind])
-    return vector, frozenset(stale)
+    return PriceVector(date, prices), frozenset(stale)
 
 
 def build_observation(
@@ -293,7 +287,6 @@ def apply_action(
     value_prev = state.value_series[-1]
     value_next = result.pre_trade_value
     step_return = (value_next - value_prev) / value_prev
-    cumulative = (value_next - state.initial_capital) / state.initial_capital
     decision_date = date or next_prices.date
 
     if observation is not None:
@@ -334,24 +327,24 @@ def apply_action(
         step=state.step + 1,
         holdings=result.new_holdings,
         value_series=state.value_series + (value_next,),
-        allocation_history=state.allocation_history + ((decision_date, action, cumulative),),
         records=state.records + (record,),
     )
 
 
 def _obtain_decision(
-    agent: Agent | ExecutionPricedAgent,
+    agent: Agent,
     spec: MarketSpec,
     obs: Observation,
     memory: MemoryWindow,
-    exec_prices: PriceVector,
     max_retries: int,
     band: float,
-) -> DecisionTrace:
-    """Ask until the response validates or retries run out.
+) -> DecisionTrace | str:
+    """Ask until the response validates, the agent holds, or retries
+    run out.
 
     Every attempt is a fresh agent call; the trace keeps the last raw
-    response either way.
+    response either way. An agent that holds gets back only its
+    reasoning, for ``_hold_trace`` to price.
     """
     attempts = 0
     prompt: str | None = None
@@ -359,14 +352,11 @@ def _obtain_decision(
     error: str | None = None
     while attempts <= max_retries:
         attempts += 1
-        if isinstance(agent, ExecutionPricedAgent) and hasattr(agent, "allocation_at"):
-            reasoning, proposed = agent.allocation_at(spec, obs, memory, exec_prices)
-            raw = render_allocation_response(reasoning, proposed)
-            prompt = None
-        else:
-            decision: AgentDecision = agent.decide(spec, obs, memory)
-            raw = decision.raw_response
-            prompt = decision.prompt
+        decision = agent.decide(spec, obs, memory)
+        raw = decision.raw_response
+        prompt = decision.prompt
+        if decision.holds:
+            return raw
         try:
             _, allocation = parse_allocation_response(raw, spec, band=band)
         except (ParseError, AllocationError) as exc:
@@ -376,9 +366,20 @@ def _obtain_decision(
     return DecisionTrace(prompt, raw, error, None, attempts)
 
 
+def _hold_trace(
+    reasoning: str,
+    spec: MarketSpec,
+    holdings: Holdings,
+    exec_prices: PriceVector,
+) -> DecisionTrace:
+    """Keep the current book: its weights at execution prices."""
+    held = hold_allocation(spec, holdings, exec_prices)
+    return DecisionTrace(None, render_allocation_response(reasoning, held), None, held, 1)
+
+
 def run_episode(
     spec: MarketSpec,
-    agent: Agent | ExecutionPricedAgent,
+    agent: Agent,
     feed: Feed,
     dates: Sequence[dt.date],
     initial_capital: float,
@@ -389,16 +390,21 @@ def run_episode(
     band: float = RENORMALIZE_BAND,
     resume: ResumePoint | None = None,
     on_record: Callable[[SessionRecord], None] | None = None,
+    rebalance_interval: int = 1,
 ) -> tuple[SessionState, list[SessionRecord]]:
     """Drive one session across consecutive dates.
 
     A decision is made at every date except the last, and executes at
     the following date's prices; the final date only revalues the book.
-    Unusable responses are retried ``max_retries`` times, then the
-    last validated allocation (initially all cash) is re-applied. The
-    session halts, never crashes, when live data or a model provider
-    gives out.
+    Only every ``rebalance_interval``-th step asks the agent; the steps
+    in between hold the current book at execution prices, as does an
+    agent that decides to hold. Unusable responses are retried
+    ``max_retries`` times, then the last validated allocation
+    (initially all cash) is re-applied. The session halts, never
+    crashes, when live data or a model provider gives out.
     """
+    if rebalance_interval < 1:
+        raise ValueError(f"rebalance_interval must be >= 1, got {rebalance_interval}")
     dates = list(dates)
     if not dates:
         raise ValueError("need at least one date")
@@ -425,8 +431,12 @@ def run_episode(
                            lookback_days, news_window_days)
             priced = resolve_prices(feed, spec, exec_date)
             exec_prices = priced[0]
-            trace = _obtain_decision(agent, spec, obs, memory, exec_prices,
-                                     max_retries, band)
+            if state.step % rebalance_interval:
+                trace = _OFF_CADENCE_REASONING
+            else:
+                trace = _obtain_decision(agent, spec, obs, memory, max_retries, band)
+            if isinstance(trace, str):
+                trace = _hold_trace(trace, spec, state.holdings, exec_prices)
             if trace.allocation is not None:
                 action = trace.allocation
                 last_validated = action

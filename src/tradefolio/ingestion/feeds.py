@@ -17,7 +17,7 @@ from ..domain import MarketKind, MarketSpec, NewsItem, PricePoint
 from ..errors import FeedUnavailable, ProviderError
 from . import equities, news, predictions
 from .policy import FetchPolicy
-from .snapshots import FetchBatch, NewsRow, PriceRow, SnapshotStore, record_snapshot
+from .snapshots import FetchBatch, PriceRow, SnapshotStore, record_snapshot
 
 __all__ = ["Feed", "ReplayFeed", "LiveFeed"]
 
@@ -143,13 +143,7 @@ class LiveFeed:
                     tag, self.spec.kind, news_start, news_end, self.policy,
                     target=date, company_names=self.company_names,
                 )
-                by_day: dict[dt.date, list[NewsItem]] = {d: [] for d in missing}
-                for item in items:
-                    day = dt.datetime.fromtimestamp(item.published_at, dt.timezone.utc).date()
-                    if day in by_day:
-                        by_day[day].append(item)
-                record_snapshot(self.store, FetchBatch(news=tuple(
-                    NewsRow(tag, day, tuple(day_items)) for day, day_items in by_day.items())))
+                record_snapshot(self.store, FetchBatch(news=news.news_rows(tag, items, missing)))
         except ProviderError as exc:
             raise FeedUnavailable(f"live data unavailable for {date}: {exc}") from exc
         self._covered.add(date)

@@ -15,6 +15,7 @@ from ..domain import MarketKind, NewsItem
 from ..errors import ProviderError
 from .normalize import clean_link, parse_news_timestamp
 from .policy import FetchPolicy, fetch_with_policy
+from .snapshots import NewsRow
 
 __all__ = [
     "RSS_URL",
@@ -23,6 +24,7 @@ __all__ = [
     "build_news_query",
     "parse_news_rss",
     "filter_news_window",
+    "news_rows",
     "rank_news",
     "fetch_news",
 ]
@@ -126,6 +128,20 @@ def _published_date(item: NewsItem) -> dt.date:
 def filter_news_window(items: Iterable[NewsItem], start: dt.date, end: dt.date) -> list[NewsItem]:
     """Keep items whose UTC publication date lies in [start, end]."""
     return [i for i in items if start <= _published_date(i) <= end]
+
+
+def news_rows(tag: str, items: Iterable[NewsItem],
+              days: Iterable[dt.date]) -> tuple[NewsRow, ...]:
+    """Store rows for fetched items: one per listed day, holding the
+    items whose UTC publication date is that day. Empty days keep their
+    row, so the store records that the day was covered; items from
+    unlisted days are dropped."""
+    buckets: dict[dt.date, list[NewsItem]] = {day: [] for day in days}
+    for item in items:
+        bucket = buckets.get(_published_date(item))
+        if bucket is not None:
+            bucket.append(item)
+    return tuple(NewsRow(tag, day, tuple(day_items)) for day, day_items in buckets.items())
 
 
 def rank_news(items: Sequence[NewsItem], target: dt.date | None = None) -> list[NewsItem]:

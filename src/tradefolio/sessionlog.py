@@ -196,10 +196,6 @@ def resume_point(
     state = SessionState.initial(spec, header.initial_capital)
     effective = effective_allocations(header, records)
     values = value_series(header, records)
-    alloc_history = tuple(
-        (r.date, effective[i], (r.value - header.initial_capital) / header.initial_capital)
-        for i, r in enumerate(records)
-    )
     if records:
         holdings = Holdings(records[-1].holdings_after)
     else:
@@ -209,7 +205,6 @@ def resume_point(
         step=len(records),
         holdings=holdings,
         value_series=tuple(values),
-        allocation_history=alloc_history,
         status=SessionStatus.RUNNING,
         records=tuple(records),
     )

@@ -319,6 +319,45 @@ def test_fetch_stock_snapshots_store(runner, tmp_path, monkeypatch):
     assert store.news_window("AAPL", dates[0], dates[0])[0].title == "AAPL item"
 
 
+def test_fetch_and_live_feed_bucket_news_on_the_same_utc_day(runner, tmp_path, monkeypatch):
+    from tradefolio.domain import MarketSpec, NewsItem
+    from tradefolio.ingestion import equities, news as news_mod
+    from tradefolio.ingestion.feeds import LiveFeed
+    from tradefolio.ingestion.policy import FetchPolicy
+
+    utc = dt.timezone.utc
+    stamps = {
+        "last second": dt.datetime(2025, 3, 4, 23, 59, 59, tzinfo=utc),
+        "midnight": dt.datetime(2025, 3, 5, 0, 0, 0, tzinfo=utc),
+    }
+
+    def fake_news(tag, kind, start, end, policy, **kwargs):
+        return [NewsItem(title=title, snippet="", source="wire", url="https://example.com",
+                         published_at=int(when.timestamp()), tagged_asset=tag)
+                for title, when in stamps.items()]
+
+    def fake_history(ticker, start, end, policy, **kwargs):
+        return [PricePoint(start + dt.timedelta(days=i), 100.0)
+                for i in range((end - start).days + 1)]
+
+    date = D(2025, 3, 6)
+    config = _write_config(tmp_path / "run.yaml", tmp_path / "fetched", tmp_path / "runs",
+                           [date, date + dt.timedelta(days=1)], ["baseline:all-cash"])
+    monkeypatch.setattr(cli, "fetch_news", fake_news)
+    monkeypatch.setattr(cli, "fetch_equity_history", fake_history)
+    assert runner.invoke(main, ["fetch", "--config", str(config)]).exit_code == 0
+
+    monkeypatch.setattr(news_mod, "fetch_news", fake_news)
+    monkeypatch.setattr(equities, "fetch_equity_history", fake_history)
+    LiveFeed(SnapshotStore(tmp_path / "live"), MarketSpec.stock(("AAPL", "MSFT", "NVDA")),
+             FetchPolicy(max_retries=1)).ensure_date(date)
+
+    fetched, live = SnapshotStore(tmp_path / "fetched"), SnapshotStore(tmp_path / "live")
+    for day, titles in ((D(2025, 3, 4), ["last second"]), (D(2025, 3, 5), ["midnight"])):
+        assert [i.title for i in fetched.news_window("AAPL", day, day)] == titles
+        assert [i.title for i in live.news_window("AAPL", day, day)] == titles
+
+
 def test_fetch_prediction_discovers_markets(runner, tmp_path, monkeypatch):
     dates = [D(2025, 3, 3) + dt.timedelta(days=i) for i in range(3)]
     config = _write_config(tmp_path / "run.yaml", tmp_path / "store", tmp_path / "runs",

@@ -2,6 +2,7 @@
 fallback, halting, and a full-episode oracle recomputation."""
 
 import datetime as dt
+import hashlib
 import json
 from collections import Counter
 
@@ -14,6 +15,8 @@ from tradefolio.agents.baselines import (
     ScriptedAgent,
     equal_weight_allocation,
 )
+from tradefolio.agents.clients import ModelClientConfig, ScriptedClient
+from tradefolio.agents.harness import LLMAgent
 from tradefolio.agents.memory import MemoryWindow, observation_digest
 from tradefolio.domain import AllocationVector, MarketKind, MarketSpec
 from tradefolio.environment import (
@@ -28,6 +31,7 @@ from tradefolio.environment import (
 from tradefolio.errors import ClientError, FeedUnavailable, NoPriceEverSeen, SessionEnded
 from tradefolio.ingestion.feeds import ReplayFeed
 from tradefolio.ingestion.snapshots import SnapshotStore
+from tradefolio.sessionlog import SessionLogHeader, effective_allocations
 from tradefolio.synthetic import seed_stock_store
 
 D = dt.date
@@ -69,7 +73,6 @@ def test_resolve_prices_flags_stale_and_prices_cash(tmp_path):
     vector, stale = resolve_prices(feed, spec, D(2025, 3, 4))
     assert vector.prices == {"AAPL": 101.0, "MSFT": 400.0, "CASH": 1.0}
     assert stale == frozenset({"MSFT"})
-    assert vector.timezone == "America/New_York"
 
     with pytest.raises(NoPriceEverSeen):
         resolve_prices(feed, spec, D(2025, 3, 2))
@@ -118,7 +121,7 @@ def test_apply_action_marks_then_redivides(stock_world):
     assert record.prices_after == p
     assert record.step_return == pytest.approx(0.0, abs=TOL)
     assert after.step == 1
-    assert after.allocation_history[-1][0] == dates[0]
+    assert after.records == (record,)
 
     ended = SessionState.initial(spec, 1000.0)
     ended = apply_action(ended, action, exec_prices)
@@ -244,7 +247,8 @@ def test_exhausted_retries_fall_back_to_cash_then_last_validated(stock_world):
     assert no_prior.parse_error is not None
     assert no_prior.allocation is None
     assert no_prior.holdings_after[spec.cash] == pytest.approx(1000.0, rel=TOL)
-    assert state.allocation_history[0][1].weights[spec.cash] == 1.0
+    executed = effective_allocations(SessionLogHeader.for_run(spec, agent.name, 1000.0), records)
+    assert executed[0].weights[spec.cash] == 1.0
 
     assert records[1].allocation == good
 
@@ -252,10 +256,68 @@ def test_exhausted_retries_fall_back_to_cash_then_last_validated(stock_world):
     assert with_prior.parse_error is not None
     assert with_prior.allocation is None
     # the last validated allocation is re-applied, not cash
-    assert state.allocation_history[2][1] == state.allocation_history[1][1]
+    assert executed[2] == executed[1]
     value = with_prior.value
     assert with_prior.holdings_after["AAPL"] == pytest.approx(
         value * 0.5 / with_prior.prices_after["AAPL"], rel=TOL)
+
+
+# -- rebalance interval -----------------------------------------------------------
+
+
+def _gated_llm(responses):
+    client = ScriptedClient(responses)
+    return client, LLMAgent(client, ModelClientConfig(model="test/scripted"))
+
+
+def test_gated_llm_retries_junk_on_decision_steps(stock_world):
+    spec, store, feed, dates = stock_world
+    good = {"AAPL": 0.5, "MSFT": 0.0, "NVDA": 0.0, "CASH": 0.5}
+    client, agent = _gated_llm(["not json at all", _render(good)])
+    state, records = run_episode(spec, agent, feed, dates[:4], 1000.0,
+                                 max_retries=2, rebalance_interval=2)
+
+    assert state.status is SessionStatus.ENDED
+    assert records[0].attempts == 2
+    assert records[0].parse_error is None
+    assert records[0].allocation == good
+    # the off-cadence step holds without asking the model
+    held = records[1]
+    assert "hold until next rebalance date" in held.raw_response
+    assert held.attempts == 1
+    assert held.prompt_sha256 is None
+    for asset, units in records[0].holdings_after.items():
+        assert held.holdings_after[asset] == pytest.approx(units, rel=TOL)
+    assert len(client.prompts) == 3  # two tries at step 0, one at step 2
+
+
+def test_gated_llm_all_junk_falls_back(stock_world):
+    spec, store, feed, dates = stock_world
+    client, agent = _gated_llm(["junk"])
+    state, records = run_episode(spec, agent, feed, dates[:4], 1000.0,
+                                 max_retries=2, rebalance_interval=2)
+
+    assert state.status is SessionStatus.ENDED
+    first = records[0]
+    assert first.attempts == 3
+    assert first.parse_error.startswith("NoObjectFound:")
+    assert first.allocation is None
+    assert first.holdings_after[spec.cash] == pytest.approx(1000.0, rel=TOL)
+    assert records[2].parse_error is not None
+
+
+def test_gated_llm_logs_the_model_exchange(stock_world):
+    spec, store, feed, dates = stock_world
+    text = "Rotating into AAPL.\n" + _render({"AAPL": 0.7, "MSFT": 0.0, "NVDA": 0.0,
+                                               "CASH": 0.3})
+    client, agent = _gated_llm([text])
+    state, records = run_episode(spec, agent, feed, dates[:4], 1000.0, rebalance_interval=2)
+
+    decisions = [records[0], records[2]]
+    assert len(client.prompts) == len(decisions)
+    for record, prompt in zip(decisions, client.prompts):
+        assert record.raw_response == text
+        assert record.prompt_sha256 == hashlib.sha256(prompt.encode("utf-8")).hexdigest()
 
 
 # -- halting ----------------------------------------------------------------------
@@ -326,6 +388,8 @@ def test_date_list_validation(stock_world):
         run_episode(spec, AllCashAgent(), feed, [dates[1], dates[0]], 1000.0)
     with pytest.raises(ValueError, match="strictly increasing"):
         run_episode(spec, AllCashAgent(), feed, [dates[0], dates[0]], 1000.0)
+    with pytest.raises(ValueError, match="rebalance_interval"):
+        run_episode(spec, AllCashAgent(), feed, dates, 1000.0, rebalance_interval=0)
 
 
 def test_stale_assets_are_recorded(tmp_path):

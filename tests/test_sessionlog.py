@@ -222,6 +222,34 @@ def test_resume_equals_uninterrupted_run(tmp_path, stock_world):
     assert resumed_client.prompts == full_client.prompts[3:]
 
 
+def test_gated_resume_from_hold_step_equals_uninterrupted_run(tmp_path, stock_world):
+    """A gated session cut off after an odd number of steps resumes on a
+    hold step and still reproduces the uninterrupted bytes."""
+    spec, feed, dates = stock_world
+    responses = _varied_responses(len(dates) - 1)
+    config = ModelClientConfig(model="test/scripted")
+
+    def logged(path, dates, client, resume=None):
+        writer = SessionLogWriter(path, SessionLogHeader.for_run(spec, "test/scripted", 1000.0))
+        return run_episode(spec, LLMAgent(client, config), feed, dates, 1000.0,
+                           resume=resume, on_record=writer.append, rebalance_interval=2)
+
+    full_client = ScriptedClient(responses)
+    logged(tmp_path / "full.jsonl", dates, full_client)
+
+    part = tmp_path / "part.jsonl"
+    logged(part, dates[:4], ScriptedClient(responses))
+    header, done = read_session_log(part)
+    assert len(done) == 3
+    resume = resume_point(header, done, spec, memory_horizon=10)
+    resumed_client = ScriptedClient(responses[2:])
+    state, _ = logged(part, dates[3:], resumed_client, resume=resume)
+
+    assert state.status is SessionStatus.ENDED
+    assert part.read_bytes() == (tmp_path / "full.jsonl").read_bytes()
+    assert resumed_client.prompts == full_client.prompts[2:]
+
+
 def test_resume_restores_last_validated_fallback(tmp_path, stock_world):
     spec, feed, dates = stock_world
     good = {"AAPL": 0.4, "MSFT": 0.0, "NVDA": 0.0, "CASH": 0.6}
@@ -240,7 +268,11 @@ def test_resume_restores_last_validated_fallback(tmp_path, stock_world):
     # a failing continuation re-applies that allocation, as the live run would
     state, records = run_episode(spec, ScriptedAgent(["junk"]), feed, dates[2:4],
                                  1000.0, resume=resume)
-    assert state.allocation_history[-1][1] == resume.last_validated
+    last = records[-1]
+    assert last.parse_error is not None
+    assert last.holdings_after["AAPL"] == pytest.approx(
+        last.value * 0.4 / last.prices_after["AAPL"])
+    assert last.holdings_after["CASH"] == pytest.approx(last.value * 0.6)
 
 
 def test_resume_point_on_header_only_log(tmp_path, stock_world):
