@@ -1,7 +1,7 @@
 """Portfolio sessions over stock and prediction markets, driven by
 language-model agents or scripted baselines, with replayable logs."""
 
-from .accounting import rebalance, trade_delta, validate_allocation
+from .accounting import rebalance, validate_allocation
 from .domain import (
     CASH,
     AllocationVector,
@@ -33,7 +33,6 @@ __all__ = [
     "rebalance",
     "rolling_k_delta",
     "run_episode",
-    "trade_delta",
     "validate_allocation",
     "__version__",
 ]

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .domain import AllocationVector, Holdings, MarketKind, MarketSpec, TradeDelta
+from .domain import AllocationVector, Holdings, MarketKind, MarketSpec
 from .errors import (
     BothSidesSet,
     KeyMismatch,
@@ -29,7 +29,6 @@ __all__ = [
     "portfolio_value",
     "rebalance",
     "validate_allocation",
-    "trade_delta",
     "net_exposure",
 ]
 
@@ -44,11 +43,10 @@ _EXACT_SUM_TOL = 1e-12
 
 @dataclass(frozen=True)
 class RebalanceResult:
-    """Outcome of one rebalance: mark-to-market value, new book, trades."""
+    """Outcome of one rebalance: mark-to-market value and new book."""
 
     pre_trade_value: float
     new_holdings: Holdings
-    trades: TradeDelta
 
 
 def _require_same_keys(label_a: str, a: Mapping[str, float],
@@ -86,8 +84,7 @@ def rebalance(
     if value == 0.0 and any(w > 0 for a, w in target.weights.items() if a != cash):
         raise ZeroValuePortfolio("no capital to allocate to non-cash assets")
     new_units = {a: value * target.weights[a] / new_prices[a] for a in holdings.units}
-    deltas = {a: new_units[a] - holdings.units[a] for a in holdings.units}
-    return RebalanceResult(value, Holdings(new_units), TradeDelta(deltas))
+    return RebalanceResult(value, Holdings(new_units))
 
 
 def validate_allocation(
@@ -122,12 +119,6 @@ def validate_allocation(
     if abs(total - 1.0) > _EXACT_SUM_TOL:
         weights = {a: w / total for a, w in weights.items()}
     return AllocationVector(weights)
-
-
-def trade_delta(old: Holdings, new: Holdings) -> TradeDelta:
-    """Signed unit changes from old to new book."""
-    _require_same_keys("old holdings", old.units, "new holdings", new.units)
-    return TradeDelta({a: new.units[a] - old.units[a] for a in old.units})
 
 
 def net_exposure(allocation: AllocationVector, spec: MarketSpec) -> dict[str, float]:

@@ -105,10 +105,10 @@ def _asset_keys(spec: MarketSpec, store: SnapshotStore) -> dict[str, str]:
 def _load_series(store: SnapshotStore, spec: MarketSpec, asset_keys: dict[str, str]) -> None:
     """Load every series the sessions read, so threads sharing the store
     only read it and never build an index concurrently."""
-    assets = [a for a in spec.assets if a != spec.cash]
-    for asset in assets:
-        store.price_series(spec.kind.value, asset_keys.get(asset, asset))
-    for tag in spec.questions or assets:
+    for asset in spec.assets:
+        if asset != spec.cash:
+            store.price_series(spec.kind.value, asset_keys.get(asset, asset))
+    for tag in spec.news_tags:
         store.has_news(tag, dt.date.min)
 
 

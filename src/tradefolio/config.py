@@ -16,8 +16,12 @@ from typing import Any
 import yaml
 
 from .accounting import RENORMALIZE_BAND
+from .agents.memory import DEFAULT_MEMORY_HORIZON
 from .domain import DEFAULT_STOCK_TICKERS, MarketKind, MarketSpec
+from .environment import DEFAULT_RETRIES
 from .errors import ConfigError
+from .ingestion.feeds import HISTORY_LOOKBACK_DAYS
+from .ingestion.news import NEWS_WINDOW_DAYS
 from .ingestion.policy import FetchPolicy
 from .ingestion.predictions import FLAT_SERIES_THRESHOLD
 
@@ -65,11 +69,11 @@ class RunConfig:
     questions: tuple[str, ...]
     initial_capital: float
     risk_free_rate: float  # per step
-    memory_horizon: int = 10
-    retries: int = 2
+    memory_horizon: int = DEFAULT_MEMORY_HORIZON
+    retries: int = DEFAULT_RETRIES
     rebalance_interval: int = 1
-    lookback_days: int = 10
-    news_window_days: int = 3
+    lookback_days: int = HISTORY_LOOKBACK_DAYS
+    news_window_days: int = NEWS_WINDOW_DAYS
     renormalize_band: float = RENORMALIZE_BAND
     flat_market_threshold: float = FLAT_SERIES_THRESHOLD
     concurrency: int | None = None
@@ -245,11 +249,11 @@ def load_config(path: str | Path) -> RunConfig:
         questions=questions,
         initial_capital=float(raw.get("initial_capital", default_capital)),
         risk_free_rate=risk_free,
-        memory_horizon=int(raw.get("memory_horizon", 10)),
-        retries=int(raw.get("retries", 2)),
+        memory_horizon=int(raw.get("memory_horizon", DEFAULT_MEMORY_HORIZON)),
+        retries=int(raw.get("retries", DEFAULT_RETRIES)),
         rebalance_interval=int(raw.get("rebalance_interval", 1)),
-        lookback_days=int(raw.get("lookback_days", 10)),
-        news_window_days=int(raw.get("news_window_days", 3)),
+        lookback_days=int(raw.get("lookback_days", HISTORY_LOOKBACK_DAYS)),
+        news_window_days=int(raw.get("news_window_days", NEWS_WINDOW_DAYS)),
         renormalize_band=float(raw.get("renormalize_band", RENORMALIZE_BAND)),
         flat_market_threshold=float(raw.get("flat_market_threshold", FLAT_SERIES_THRESHOLD)),
         concurrency=None if raw.get("concurrency") is None else int(raw["concurrency"]),
@@ -264,7 +268,4 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError("retries must be non-negative")
     if config.rebalance_interval < 1:
         raise ConfigError("rebalance_interval must be at least 1")
-    if market is MarketKind.PREDICTION and config.mode == "replay" and not questions:
-        # Questions may also come from the store catalog at run time.
-        pass
     return config

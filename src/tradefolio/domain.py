@@ -24,7 +24,6 @@ __all__ = [
     "PriceVector",
     "Holdings",
     "AllocationVector",
-    "TradeDelta",
     "NewsItem",
     "Observation",
 ]
@@ -113,6 +112,14 @@ class MarketSpec:
     def questions(self) -> tuple[str, ...]:
         return tuple(p.question for p in self.pairs)
 
+    @property
+    def news_tags(self) -> tuple[str, ...]:
+        """What news is kept under: each question on a prediction
+        market, each non-cash asset on a stock market."""
+        if self.kind is MarketKind.PREDICTION:
+            return self.questions
+        return tuple(a for a in self.assets if a != self.cash)
+
     def pair_for(self, question: str) -> PredictionPair:
         if self.kind is not MarketKind.PREDICTION:
             raise WrongMarketKind("outcome pairs only exist on prediction markets")
@@ -192,27 +199,6 @@ class AllocationVector:
 
     def __getitem__(self, asset: str) -> float:
         return self.weights[asset]
-
-
-@dataclass(frozen=True)
-class TradeDelta:
-    """Signed unit changes implied by one rebalance: q_next - q_prev."""
-
-    deltas: Mapping[str, float]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "deltas", dict(self.deltas))
-
-    def __getitem__(self, asset: str) -> float:
-        return self.deltas[asset]
-
-    def side(self, asset: str) -> str:
-        d = self.deltas[asset]
-        if d > 0:
-            return "BUY"
-        if d < 0:
-            return "SELL"
-        return "HOLD"
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,6 @@ from .agents.parsing import parse_allocation_response, render_allocation_respons
 from .domain import (
     AllocationVector,
     Holdings,
-    MarketKind,
     MarketSpec,
     NewsItem,
     Observation,
@@ -38,7 +37,8 @@ from .errors import (
     ParseError,
     SessionEnded,
 )
-from .ingestion.feeds import Feed
+from .ingestion.feeds import HISTORY_LOOKBACK_DAYS, Feed
+from .ingestion.news import NEWS_WINDOW_DAYS
 
 __all__ = [
     "DEFAULT_RETRIES",
@@ -49,6 +49,7 @@ __all__ = [
     "SessionRecord",
     "SessionState",
     "ResumePoint",
+    "memory_entry",
     "resolve_prices",
     "build_observation",
     "apply_action",
@@ -56,8 +57,6 @@ __all__ = [
 ]
 
 DEFAULT_RETRIES = 2
-HISTORY_LOOKBACK_DAYS = 10
-NEWS_WINDOW_DAYS = 3
 
 _OFF_CADENCE_REASONING = "hold until next rebalance date"
 
@@ -146,45 +145,68 @@ class SessionRecord:
 
 @dataclass(frozen=True)
 class SessionState:
-    """Complete session state after some number of executed steps."""
+    """A session after some number of executed steps.
+
+    The records are its whole history, the same records its log holds;
+    the step count, the book and the value series are derived from
+    them, so a state rebuilt from a log equals the live one.
+    """
 
     spec: MarketSpec
-    step: int
-    holdings: Holdings
-    value_series: tuple[float, ...]
-    status: SessionStatus
+    initial_capital: float
     records: tuple[SessionRecord, ...] = ()
+    status: SessionStatus = SessionStatus.RUNNING
     halt_reason: str | None = None
 
     @classmethod
     def initial(cls, spec: MarketSpec, initial_capital: float) -> "SessionState":
         if not initial_capital > 0:
             raise ValueError(f"initial capital must be positive, got {initial_capital}")
-        units = {a: (initial_capital if a == spec.cash else 0.0) for a in spec.assets}
-        return cls(
-            spec=spec,
-            step=0,
-            holdings=Holdings(units),
-            value_series=(float(initial_capital),),
-            status=SessionStatus.RUNNING,
-        )
+        return cls(spec, float(initial_capital))
+
+    @property
+    def step(self) -> int:
+        return len(self.records)
+
+    @property
+    def holdings(self) -> Holdings:
+        if self.records:
+            return Holdings(self.records[-1].holdings_after)
+        return Holdings({a: (self.initial_capital if a == self.spec.cash else 0.0)
+                         for a in self.spec.assets})
 
     @property
     def value(self) -> float:
-        return self.value_series[-1]
+        return self.records[-1].value if self.records else self.initial_capital
 
     @property
-    def initial_capital(self) -> float:
-        return self.value_series[0]
+    def value_series(self) -> tuple[float, ...]:
+        return (self.initial_capital,) + tuple(r.value for r in self.records)
 
 
 @dataclass(frozen=True)
 class ResumePoint:
-    """Mid-session state reconstructed from a log, ready to continue."""
+    """Mid-session state rebuilt from a log, ready to continue.
+
+    ``memory`` holds the entries built from the logged records. Its last
+    entry's allocation is the previous step's executed one, which a step
+    whose response never validates re-applies (all cash while it is
+    empty).
+    """
 
     state: SessionState
     memory: MemoryWindow
-    last_validated: AllocationVector | None
+
+
+def memory_entry(record: SessionRecord, allocation: AllocationVector,
+                 initial_capital: float) -> MemoryEntry:
+    """What the agent remembers of one executed step."""
+    return MemoryEntry(
+        date=record.date,
+        allocation=allocation,
+        cumulative_return=(record.value - initial_capital) / initial_capital,
+        digest=observation_digest(record.prices, record.holdings_before, record.news_count),
+    )
 
 
 def resolve_prices(feed: Feed, spec: MarketSpec, date: dt.date) -> tuple[PriceVector, frozenset[str]]:
@@ -244,12 +266,8 @@ def _observe(
         for a in spec.assets
         if a != spec.cash
     }
-    if spec.kind is MarketKind.PREDICTION:
-        tags = list(spec.questions)
-    else:
-        tags = [a for a in spec.assets if a != spec.cash]
     news: list[NewsItem] = []
-    for tag in tags:
+    for tag in spec.news_tags:
         news.extend(
             feed.news_window(tag, date - dt.timedelta(days=news_window_days),
                              date - dt.timedelta(days=1), target=date)
@@ -284,7 +302,7 @@ def apply_action(
     if state.status is not SessionStatus.RUNNING:
         raise SessionEnded(f"session is {state.status.value}")
     result = rebalance(state.holdings, next_prices.prices, action, cash=state.spec.cash)
-    value_prev = state.value_series[-1]
+    value_prev = state.value
     value_next = result.pre_trade_value
     step_return = (value_next - value_prev) / value_prev
     decision_date = date or next_prices.date
@@ -322,13 +340,7 @@ def apply_action(
         value=value_next,
         step_return=step_return,
     )
-    return replace(
-        state,
-        step=state.step + 1,
-        holdings=result.new_holdings,
-        value_series=state.value_series + (value_next,),
-        records=state.records + (record,),
-    )
+    return replace(state, records=state.records + (record,))
 
 
 def _obtain_decision(
@@ -399,9 +411,10 @@ def run_episode(
     Only every ``rebalance_interval``-th step asks the agent; the steps
     in between hold the current book at execution prices, as does an
     agent that decides to hold. Unusable responses are retried
-    ``max_retries`` times, then the last validated allocation
-    (initially all cash) is re-applied. The session halts, never
-    crashes, when live data or a model provider gives out.
+    ``max_retries`` times, then the previous step's executed allocation
+    (the last memory entry's; all cash before any) is re-applied. The
+    session halts, never crashes, when live data or a model provider
+    gives out.
     """
     if rebalance_interval < 1:
         raise ValueError(f"rebalance_interval must be >= 1, got {rebalance_interval}")
@@ -415,11 +428,9 @@ def run_episode(
     if resume is not None:
         state = resume.state
         memory = resume.memory
-        last_validated = resume.last_validated
     else:
         state = SessionState.initial(spec, initial_capital)
         memory = MemoryWindow(memory_horizon)
-        last_validated = None
 
     # One step's execution prices are the next step's observation
     # prices, so each date is resolved once and carried forward.
@@ -439,21 +450,17 @@ def run_episode(
                 trace = _hold_trace(trace, spec, state.holdings, exec_prices)
             if trace.allocation is not None:
                 action = trace.allocation
-                last_validated = action
-            elif last_validated is not None:
-                action = last_validated
+            elif memory:
+                # the previous step's allocation, so the last validated or held one
+                action = memory.entries[-1].allocation
             else:
                 action = all_cash_allocation(spec)
             state = apply_action(state, action, exec_prices,
                                  date=date, observation=obs, trace=trace)
-            memory.remember(MemoryEntry(
-                date=date,
-                allocation=action,
-                cumulative_return=(state.value - state.initial_capital) / state.initial_capital,
-                digest=observation_digest(obs.prices.prices, obs.positions.units, len(obs.news)),
-            ))
+            record = state.records[-1]
+            memory.remember(memory_entry(record, action, state.initial_capital))
             if on_record is not None:
-                on_record(state.records[-1])
+                on_record(record)
     except (FeedUnavailable, ClientError) as exc:
         state = replace(state, status=SessionStatus.HALTED,
                         halt_reason=f"{type(exc).__name__}: {exc}")

@@ -86,11 +86,6 @@ class LiveFeed:
         self._keys = dict(asset_keys or {})
         self._covered: set[dt.date] = set()
 
-    def _tags(self) -> list[str]:
-        if self.spec.kind is MarketKind.PREDICTION:
-            return list(self.spec.questions)
-        return [a for a in self.spec.assets if a != self.spec.cash]
-
     def _fetch_prices(self, asset: str, start: dt.date, end: dt.date) -> None:
         key = self._keys.get(asset, asset)
         if self.spec.kind is MarketKind.STOCK:
@@ -131,7 +126,7 @@ class LiveFeed:
                     self._fetch_quote(asset, date)
             news_start = date - dt.timedelta(days=self.news_window_days)
             news_end = date - dt.timedelta(days=1)
-            for tag in self._tags():
+            for tag in self.spec.news_tags:
                 missing = [
                     news_start + dt.timedelta(days=i)
                     for i in range((news_end - news_start).days + 1)

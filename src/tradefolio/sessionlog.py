@@ -15,10 +15,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable
 
-from .agents.baselines import all_cash_allocation
-from .agents.memory import MemoryEntry, MemoryWindow, observation_digest
+from .agents.memory import MemoryWindow
 from .domain import AllocationVector, Holdings, MarketKind, MarketSpec, PriceVector
-from .environment import ResumePoint, SessionRecord, SessionState, SessionStatus
+from .environment import ResumePoint, SessionRecord, SessionState, memory_entry
 from .errors import ConfigError, CorruptLog
 
 __all__ = [
@@ -87,7 +86,7 @@ class SessionLogWriter:
         self.path = Path(path)
         self.header = header
         if self.path.exists() and self.path.stat().st_size > 0:
-            existing, _ = read_session_log(self.path)
+            existing = _read_header(self.path)
             if existing != header:
                 raise ConfigError(
                     f"{self.path} belongs to a different run "
@@ -103,16 +102,29 @@ class SessionLogWriter:
             fh.write(_dumps(record.to_json_dict()) + "\n")
 
 
+def _parse_header(path: Path, line: str) -> SessionLogHeader:
+    try:
+        return SessionLogHeader.from_json_dict(json.loads(line))
+    except (json.JSONDecodeError, KeyError, ValueError) as exc:
+        raise CorruptLog(f"{path}:1: bad header: {exc}") from exc
+
+
+def _read_header(path: Path) -> SessionLogHeader:
+    """The header alone: the first non-blank line, nothing after it."""
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            if line.strip():
+                return _parse_header(path, line)
+    raise CorruptLog(f"{path}: empty file")
+
+
 def read_session_log(path: str | Path) -> tuple[SessionLogHeader, list[SessionRecord]]:
     path = Path(path)
     with open(path, encoding="utf-8") as fh:
         lines = [line for line in fh.read().splitlines() if line.strip()]
     if not lines:
         raise CorruptLog(f"{path}: empty file")
-    try:
-        header = SessionLogHeader.from_json_dict(json.loads(lines[0]))
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
-        raise CorruptLog(f"{path}:1: bad header: {exc}") from exc
+    header = _parse_header(path, lines[0])
     records = []
     previous: dt.date | None = None
     for n, line in enumerate(lines[1:], start=2):
@@ -193,33 +205,9 @@ def resume_point(
     """Rebuild mid-session state exactly as the interrupted run left it."""
     if tuple(header.assets) != spec.assets or header.cash != spec.cash:
         raise ConfigError("log universe does not match the configured market")
-    state = SessionState.initial(spec, header.initial_capital)
-    effective = effective_allocations(header, records)
-    values = value_series(header, records)
-    if records:
-        holdings = Holdings(records[-1].holdings_after)
-    else:
-        holdings = state.holdings
-    state = SessionState(
-        spec=spec,
-        step=len(records),
-        holdings=holdings,
-        value_series=tuple(values),
-        status=SessionStatus.RUNNING,
-        records=tuple(records),
-    )
-    memory = MemoryWindow(memory_horizon)
-    for i, r in enumerate(records):
-        memory.remember(MemoryEntry(
-            date=r.date,
-            allocation=effective[i],
-            cumulative_return=(r.value - header.initial_capital) / header.initial_capital,
-            digest=observation_digest(r.prices, r.holdings_before, r.news_count),
-        ))
-    last_validated = None
-    for r in records:
-        if r.allocation is not None:
-            last_validated = AllocationVector(
-                {a: r.allocation.get(a, 0.0) for a in header.assets}
-            )
-    return ResumePoint(state=state, memory=memory, last_validated=last_validated)
+    state = SessionState(spec, header.initial_capital, tuple(records))
+    memory = MemoryWindow(memory_horizon, (
+        memory_entry(r, allocation, header.initial_capital)
+        for r, allocation in zip(records, effective_allocations(header, records))
+    ))
+    return ResumePoint(state, memory)

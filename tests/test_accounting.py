@@ -9,7 +9,6 @@ from tradefolio.accounting import (
     net_exposure,
     portfolio_value,
     rebalance,
-    trade_delta,
     validate_allocation,
 )
 from tradefolio.domain import AllocationVector, Holdings, MarketSpec
@@ -47,9 +46,9 @@ class TestRebalance:
         result = rebalance(holdings, {"NVDA": 2.5, "CASH": 1.0}, target)
         assert result.pre_trade_value == 30.0
         assert result.new_holdings.units == {"NVDA": 6.0, "CASH": 15.0}
-        assert result.trades.deltas == {"NVDA": -4.0, "CASH": 10.0}
-        assert result.trades.side("NVDA") == "SELL"
-        assert result.trades.side("CASH") == "BUY"
+        # 4 NVDA units sold, 10 cash units bought
+        assert result.new_holdings["NVDA"] - holdings["NVDA"] == -4.0
+        assert result.new_holdings["CASH"] - holdings["CASH"] == 10.0
 
     def test_zero_value_book_cannot_buy(self):
         empty = Holdings({"NVDA": 0.0, "CASH": 0.0})
@@ -191,11 +190,6 @@ class TestValidateAllocation:
 
 
 class TestTradeDeltaAndExposure:
-    def test_trade_delta(self):
-        old = Holdings({"NVDA": 1.0, "CASH": 3.0})
-        new = Holdings({"NVDA": 4.0, "CASH": 0.0})
-        assert trade_delta(old, new).deltas == {"NVDA": 3.0, "CASH": -3.0}
-
     def test_net_exposure(self):
         alloc = AllocationVector({
             "Will it rain?_Yes": 0.7, "Will it rain?_No": 0.0, "CASH": 0.3,

@@ -7,7 +7,7 @@ import threading
 import pytest
 from click.testing import CliRunner
 
-from tradefolio import cli
+from tradefolio import cli, sessionlog
 from tradefolio.cli import _slug, main
 from tradefolio.domain import PricePoint
 from tradefolio.ingestion.predictions import DiscoveredMarket
@@ -103,6 +103,30 @@ def test_run_resumes_and_matches_single_pass(runner, tmp_path):
     resumed = (tmp_path / "runs" / "stock-baseline-equal-weight.jsonl").read_bytes()
     single = (tmp_path / "once" / "stock-baseline-equal-weight.jsonl").read_bytes()
     assert resumed == single
+
+
+def test_resumed_run_parses_each_log_once(runner, stock_setup, monkeypatch):
+    tmp_path, config, dates = stock_setup
+    assert runner.invoke(main, ["run", "--config", str(config)]).exit_code == 0
+    logs = sorted((tmp_path / "runs").glob("*.jsonl"))
+    uninterrupted = {log.name: log.read_bytes() for log in logs}
+    for log in logs:  # cut each log back five records
+        log.write_bytes(b"".join(log.read_bytes().splitlines(keepends=True)[:-5]))
+
+    parsed = []
+    real_read = sessionlog.read_session_log
+
+    def counting_read(path):
+        parsed.append(path.name)
+        return real_read(path)
+
+    monkeypatch.setattr(sessionlog, "read_session_log", counting_read)
+    monkeypatch.setattr(cli, "read_session_log", counting_read)
+    result = runner.invoke(main, ["run", "--config", str(config)])
+    assert result.exit_code == 0, result.output
+    assert result.output.count("ended, +5 steps") == 3
+    assert sorted(parsed) == sorted(uninterrupted)
+    assert {log.name: log.read_bytes() for log in logs} == uninterrupted
 
 
 def test_run_rejects_date_mismatch(runner, tmp_path):

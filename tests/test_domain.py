@@ -11,7 +11,6 @@ from tradefolio.domain import (
     MarketSpec,
     PricePoint,
     PriceVector,
-    TradeDelta,
 )
 from tradefolio.errors import WrongMarketKind
 
@@ -47,6 +46,11 @@ class TestMarketSpec:
         assert (pair.yes, pair.no) == ("Will it snow?_Yes", "Will it snow?_No")
         with pytest.raises(KeyError):
             spec.pair_for("Will it hail?")
+
+    def test_news_tags(self):
+        assert MarketSpec.stock(("AAPL", "MSFT")).news_tags == ("AAPL", "MSFT")
+        spec = MarketSpec.prediction(("Will it rain?", "Will it snow?"))
+        assert spec.news_tags == ("Will it rain?", "Will it snow?")
 
     def test_duplicate_assets_rejected(self):
         with pytest.raises(ValueError, match="unique"):
@@ -95,9 +99,3 @@ class TestValueTypes:
             AllocationVector({"AAPL": 0.5, "CASH": 0.499})
         with pytest.raises(ValueError, match="negative"):
             AllocationVector({"AAPL": -0.5, "CASH": 1.5})
-
-    def test_trade_delta_sides(self):
-        delta = TradeDelta({"A": 2.0, "B": -1.0, "C": 0.0})
-        assert delta.side("A") == "BUY"
-        assert delta.side("B") == "SELL"
-        assert delta.side("C") == "HOLD"

@@ -198,7 +198,7 @@ def test_buy_and_hold_freezes_units(stock_world):
     state = apply_action(state, equal_weight_allocation(spec), exec_prices, date=dates[0])
     seeded_units = dict(state.holdings.units)
 
-    resume = ResumePoint(state, MemoryWindow(10), None)
+    resume = ResumePoint(state, MemoryWindow(10))
     final, records = run_episode(spec, BuyAndHoldAgent(), feed, dates[1:], 1000.0, resume=resume)
 
     assert final.status is SessionStatus.ENDED

@@ -2,8 +2,12 @@
 
 ``goldens/session_log_sha256.json`` holds the sha256 of every log that
 ``tradefolio run`` writes for the fixture configs, plus the stock config
-gated to ``rebalance_interval: 2``. Set UPDATE_GOLDENS=1 to rewrite it
-after an intentional change to the log bytes.
+gated to ``rebalance_interval: 2``, and of model-backed sessions over
+the stock fixture store whose scripted replies exercise retries and
+both fallbacks (all cash before any valid reply, the previous step's
+allocation after one), fresh and resumed from a cut at an odd step.
+Set UPDATE_GOLDENS=1 to rewrite it after an intentional change to the
+log bytes.
 """
 
 from __future__ import annotations
@@ -14,7 +18,14 @@ import json
 import yaml
 from click.testing import CliRunner
 
+from tradefolio.agents.clients import ModelClientConfig, ScriptedClient
+from tradefolio.agents.harness import LLMAgent
 from tradefolio.cli import main
+from tradefolio.config import load_config
+from tradefolio.environment import run_episode
+from tradefolio.ingestion.feeds import ReplayFeed
+from tradefolio.ingestion.snapshots import SnapshotStore
+from tradefolio.sessionlog import SessionLogHeader, SessionLogWriter, read_session_log, resume_point
 
 from conftest import FIXTURES, assert_golden
 
@@ -23,6 +34,17 @@ VARIANTS = {
     "stock-replay-interval-2": ("stock-replay.yaml", {"rebalance_interval": 2}),
     "prediction-replay": ("prediction-replay.yaml", {}),
 }
+
+# (rebalance_interval, records written before the cut, or None for an
+# uninterrupted session)
+MODEL_VARIANTS = {
+    "model-interval-1": (1, None),
+    "model-interval-1-resumed-at-5": (1, 5),
+    "model-interval-2": (2, None),
+    "model-interval-2-resumed-at-7": (2, 7),
+}
+
+_MODEL = "test/scripted"
 
 
 def _log_hashes(workdir, config_name: str, overrides: dict) -> dict[str, str]:
@@ -41,10 +63,70 @@ def _log_hashes(workdir, config_name: str, overrides: dict) -> dict[str, str]:
     }
 
 
+def _reply(weights: dict[str, float]) -> str:
+    return json.dumps({"reasoning": "scripted", "allocations": weights})
+
+
+def _script(decisions: int) -> list[str]:
+    """The client's replies, decision by decision, cycling through junk
+    before any valid reply, a retry, an out-of-band sum, a partial reply
+    renormalised within the band, and runs of fallbacks."""
+    junk = "no allocation here"
+    out_of_band = _reply({"AAPL": 0.7, "MSFT": 0.7, "NVDA": 0.0, "CASH": 0.0})
+    replies: list[str] = []
+    for i in range(decisions):
+        aapl = round(0.05 * (i % 9), 2)
+        valid = _reply({"AAPL": aapl, "MSFT": 0.2, "NVDA": 0.1, "CASH": round(0.7 - aapl, 2)})
+        replies += [
+            [junk] * 3,                                   # falls back
+            [junk, valid],                                # one retry
+            [valid],
+            [junk] * 3,                                   # falls back
+            [out_of_band] * 3,                            # falls back again
+            [junk] * 3,                                   # and again
+            [_reply({"AAPL": 0.5, "CASH": 0.51})],        # renormalised
+            [junk, out_of_band, valid],                   # two retries
+            [out_of_band, valid],
+            [junk] * 3,
+        ][i % 10]
+    return replies
+
+
+def _model_log_hashes(workdir, interval: int, cut: int | None) -> dict[str, str]:
+    workdir.mkdir()
+    cfg = load_config(FIXTURES / "stock-replay.yaml")
+    spec = cfg.spec()
+    dates = list(cfg.dates)
+    feed = ReplayFeed(SnapshotStore(cfg.store), cfg.market)
+    config = ModelClientConfig(model=_MODEL)
+    responses = _script(len(dates))
+    path = workdir / "stock-test-scripted.jsonl"
+    header = SessionLogHeader.for_run(spec, _MODEL, cfg.initial_capital)
+
+    def session(dates, client, resume=None):
+        writer = SessionLogWriter(path, header)
+        return run_episode(spec, LLMAgent(client, config), feed, dates, cfg.initial_capital,
+                           resume=resume, on_record=writer.append, rebalance_interval=interval)
+
+    if cut is None:
+        session(dates, ScriptedClient(responses))
+    else:
+        first = ScriptedClient(responses)
+        session(dates[:cut + 1], first)
+        loaded, records = read_session_log(path)
+        assert len(records) == cut
+        resume = resume_point(loaded, records, spec, cfg.memory_horizon)
+        state, _ = session(dates[cut:], ScriptedClient(responses[len(first.prompts):]), resume)
+        assert state.step == len(dates) - 1
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()}
+
+
 def test_replay_logs_match_golden_hashes(tmp_path):
     hashes = {
         variant: _log_hashes(tmp_path / variant, config_name, overrides)
         for variant, (config_name, overrides) in VARIANTS.items()
     }
+    for variant, (interval, cut) in MODEL_VARIANTS.items():
+        hashes[variant] = _model_log_hashes(tmp_path / variant, interval, cut)
     assert_golden("session_log_sha256.json",
                   json.dumps(hashes, indent=2, sort_keys=True) + "\n")

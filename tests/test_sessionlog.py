@@ -4,12 +4,16 @@ byte."""
 
 import datetime as dt
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tradefolio.agents.baselines import ScriptedAgent
 from tradefolio.agents.clients import ModelClientConfig, ScriptedClient
-from tradefolio.agents.harness import LLMAgent
+from tradefolio.agents.harness import AgentDecision, LLMAgent
 from tradefolio.domain import MarketKind, MarketSpec
 from tradefolio.environment import SessionStatus, run_episode
 from tradefolio.errors import ConfigError, CorruptLog
@@ -85,6 +89,23 @@ def test_writer_refuses_foreign_log(tmp_path, stock_world):
                          SessionLogHeader.for_run(spec, "test/other", 1000.0))
     # reopening with the matching header is how resume appends
     SessionLogWriter(tmp_path / "run.jsonl", header)
+
+
+def test_writer_checks_only_the_header(tmp_path):
+    spec = MarketSpec.stock(("AAPL", "MSFT", "NVDA"))
+    header = SessionLogHeader.for_run(spec, "test/scripted", 1000.0)
+    path = tmp_path / "run.jsonl"
+    SessionLogWriter(path, header)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("{not json\n")
+    SessionLogWriter(path, header)  # records are read_session_log's to check
+
+    path.write_text("\n{not json\n", encoding="utf-8")
+    with pytest.raises(CorruptLog, match=r":1: bad header"):
+        SessionLogWriter(path, header)
+    path.write_text("\n\n", encoding="utf-8")
+    with pytest.raises(CorruptLog, match="empty"):
+        SessionLogWriter(path, header)
 
 
 def test_corrupt_logs_are_typed(tmp_path):
@@ -259,9 +280,9 @@ def test_resume_restores_last_validated_fallback(tmp_path, stock_world):
     header, done = read_session_log(tmp_path / "run.jsonl")
     resume = resume_point(header, done, spec, memory_horizon=10)
 
-    assert resume.last_validated is not None
-    assert resume.last_validated.weights == pytest.approx(good)
+    # the junk step re-applied the valid one, and memory remembers both
     assert len(resume.memory.entries) == 2
+    assert resume.memory.entries[-1].allocation.weights == pytest.approx(good)
     assert resume.state.step == 2
     assert resume.state.value == done[-1].value
 
@@ -286,7 +307,6 @@ def test_resume_point_on_header_only_log(tmp_path, stock_world):
     assert resume.state.step == 0
     assert resume.state.value == 1000.0
     assert resume.memory.entries == ()
-    assert resume.last_validated is None
 
 
 def test_resume_rejects_universe_mismatch(tmp_path, stock_world):
@@ -295,3 +315,67 @@ def test_resume_rejects_universe_mismatch(tmp_path, stock_world):
     other = MarketSpec.stock(("AAPL", "MSFT"))
     with pytest.raises(ConfigError, match="universe"):
         resume_point(header, [], other, memory_horizon=10)
+
+
+# -- derived state ---------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def shared_world(tmp_path_factory):
+    root = tmp_path_factory.mktemp("store")
+    spec = MarketSpec.stock(("AAPL", "MSFT", "NVDA"))
+    dates = seed_stock_store(root, spec.assets[:-1], D(2025, 3, 3), 9, seed=7)
+    return spec, ReplayFeed(SnapshotStore(root), MarketKind.STOCK), dates
+
+
+class _MemorySpy:
+    """An LLM agent that notes the memory and book it is shown at the
+    first call of each step: the live session's state at that step."""
+
+    name = "test/scripted"
+
+    def __init__(self, client):
+        self.agent = LLMAgent(client, ModelClientConfig(model=self.name))
+        self.seen = {}
+
+    def decide(self, spec, obs, memory) -> AgentDecision:
+        self.seen.setdefault(obs.step, (memory.entries, obs.positions))
+        return self.agent.decide(spec, obs, memory)
+
+
+_weights = st.lists(st.integers(0, 6), min_size=4, max_size=4).filter(any)
+_response = st.one_of(
+    st.builds(lambda w: _render(dict(zip(("AAPL", "MSFT", "NVDA", "CASH"),
+                                         (k / sum(w) for k in w)))), _weights),
+    st.just("junk"),
+    st.builds(lambda w: _render(dict(zip(("AAPL", "MSFT", "NVDA", "CASH"), w))),
+              _weights.filter(lambda w: sum(w) != 1)),  # out of band
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(responses=st.lists(_response, min_size=1, max_size=30), cut=st.integers(1, 7))
+def test_resume_point_equals_live_state_at_every_cut(shared_world, responses, cut):
+    spec, feed, dates = shared_world
+    with tempfile.TemporaryDirectory() as tmp:
+        full, part = Path(tmp) / "full.jsonl", Path(tmp) / "part.jsonl"
+        spy = _MemorySpy(ScriptedClient(responses))
+        _run_logged(full, spec, feed, dates, spy)
+        head = ScriptedClient(responses)
+        live, _ = _run_logged(part, spec, feed, dates[:cut + 1], LLMAgent(
+            head, ModelClientConfig(model="test/scripted")))
+
+        header, done = read_session_log(part)
+        resume = resume_point(header, done, spec, memory_horizon=10)
+        assert resume.state.step == live.step == cut
+        assert resume.state.holdings == live.holdings == spy.seen[cut][1]
+        assert resume.state.value_series == live.value_series
+        assert resume.memory.entries == spy.seen[cut][0]
+
+        tail = ScriptedClient(responses[min(len(head.prompts), len(responses) - 1):])
+        writer = SessionLogWriter(part, header)
+        state, _ = run_episode(spec, LLMAgent(tail, ModelClientConfig(model="test/scripted")),
+                               feed, dates[cut:], 1000.0, resume=resume,
+                               on_record=writer.append)
+        assert state.status is SessionStatus.ENDED
+        assert part.read_bytes() == full.read_bytes()
