@@ -1,4 +1,4 @@
-"""Agent-side plumbing: features, memory, prompts, parsing, clients."""
+"""Agent-side plumbing: memory, prompts, parsing, clients."""
 
 from .baselines import (
     AllCashAgent,
@@ -18,26 +18,22 @@ from .clients import (
     ScriptedClient,
     resolve_provider,
 )
-from .features import AssetSummary, FeatureBundle, PriceChange, extract_features, format_change
 from .harness import AgentDecision, LLMAgent
-from .memory import MemoryEntry, MemoryWindow, observation_digest
+from .memory import MemoryEntry, MemoryWindow
 from .parsing import extract_json_object, parse_allocation_response, render_allocation_response
 from .prompts import build_context_prompt, build_decision_prompt
 
 __all__ = [
     "AgentDecision",
     "AllCashAgent",
-    "AssetSummary",
     "BuyAndHoldAgent",
     "DEFAULT_PROVIDER",
     "EqualWeightAgent",
-    "FeatureBundle",
     "HttpChatClient",
     "LLMAgent",
     "MemoryEntry",
     "MemoryWindow",
     "ModelClientConfig",
-    "PriceChange",
     "PROVIDER_ROUTES",
     "ProviderRoute",
     "ScriptedAgent",
@@ -46,11 +42,8 @@ __all__ = [
     "build_context_prompt",
     "build_decision_prompt",
     "equal_weight_allocation",
-    "extract_features",
     "extract_json_object",
-    "format_change",
     "hold_allocation",
-    "observation_digest",
     "parse_allocation_response",
     "render_allocation_response",
     "resolve_provider",

@@ -3,30 +3,15 @@
 from __future__ import annotations
 
 import datetime as dt
-import hashlib
-import json
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from ..domain import AllocationVector
 
-__all__ = ["MemoryEntry", "MemoryWindow", "observation_digest"]
+__all__ = ["MemoryEntry", "MemoryWindow"]
 
 DEFAULT_MEMORY_HORIZON = 10
-
-
-def observation_digest(
-    prices: Mapping[str, float],
-    holdings: Mapping[str, float],
-    news_count: int,
-) -> str:
-    """Short stable fingerprint of what the agent saw."""
-    payload = json.dumps(
-        {"prices": dict(prices), "holdings": dict(holdings), "news": news_count},
-        sort_keys=True,
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
 @dataclass(frozen=True)
@@ -34,7 +19,6 @@ class MemoryEntry:
     date: dt.date
     allocation: AllocationVector
     cumulative_return: float
-    digest: str
 
 
 class MemoryWindow:

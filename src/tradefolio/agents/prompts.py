@@ -11,8 +11,7 @@ from __future__ import annotations
 import datetime as dt
 from zoneinfo import ZoneInfo
 
-from ..domain import MarketKind, MarketSpec, Observation
-from .features import extract_features, format_change
+from ..domain import MarketKind, MarketSpec, NewsItem, Observation
 from .memory import MemoryWindow
 
 __all__ = [
@@ -143,14 +142,14 @@ def _prediction_market_lines(spec: MarketSpec, obs: Observation) -> list[str]:
 
 
 def _news_lines(spec: MarketSpec, obs: Observation, tz: ZoneInfo) -> list[str]:
-    features = extract_features(spec, obs)
+    """News grouped under each tag in universe order; tags without items
+    get no header, and items tagged outside the universe are left out."""
+    by_tag: dict[str, list[NewsItem]] = {}
+    for item in obs.news:
+        by_tag.setdefault(item.tagged_asset, []).append(item)
     lines = []
-    if spec.kind is MarketKind.PREDICTION:
-        tags = list(spec.questions)
-    else:
-        tags = [a for a in spec.assets if a != spec.cash]
-    for tag in tags:
-        items = features.news_by_tag.get(tag, ())
+    for tag in spec.news_tags:
+        items = by_tag.get(tag)
         if not items:
             continue
         lines.append(f"• {tag}:")

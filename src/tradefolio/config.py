@@ -16,6 +16,7 @@ from typing import Any
 import yaml
 
 from .accounting import RENORMALIZE_BAND
+from .agents.clients import DEFAULT_MAX_TOKENS, DEFAULT_TEMPERATURE, STANDARD_STYLE
 from .agents.memory import DEFAULT_MEMORY_HORIZON
 from .domain import DEFAULT_STOCK_TICKERS, MarketKind, MarketSpec
 from .environment import DEFAULT_RETRIES
@@ -23,7 +24,7 @@ from .errors import ConfigError
 from .ingestion.feeds import HISTORY_LOOKBACK_DAYS
 from .ingestion.news import NEWS_WINDOW_DAYS
 from .ingestion.policy import FetchPolicy
-from .ingestion.predictions import FLAT_SERIES_THRESHOLD
+from .ingestion.predictions import DISCOVERY_LIMIT, FLAT_SERIES_THRESHOLD
 
 __all__ = [
     "TRADING_DAYS_PER_YEAR",
@@ -48,9 +49,9 @@ class ModelEntry:
     """One session to run: a model id or a baseline agent name."""
 
     model: str
-    temperature: float | None = 0.3
-    max_tokens: int | None = 16000
-    style: str = "standard"
+    temperature: float | None = DEFAULT_TEMPERATURE
+    max_tokens: int | None = DEFAULT_MAX_TOKENS
+    style: str = STANDARD_STYLE
 
     @property
     def is_baseline(self) -> bool:
@@ -77,7 +78,7 @@ class RunConfig:
     renormalize_band: float = RENORMALIZE_BAND
     flat_market_threshold: float = FLAT_SERIES_THRESHOLD
     concurrency: int | None = None
-    discovery_limit: int = 20
+    discovery_limit: int = DISCOVERY_LIMIT
     fetch_policy: FetchPolicy = field(default_factory=FetchPolicy)
 
     def spec(self) -> MarketSpec:
@@ -136,9 +137,9 @@ def _models(raw: Any) -> tuple[ModelEntry, ...]:
             raise ConfigError(f"unknown model entry keys: {sorted(extra)}")
         entries.append(ModelEntry(
             model=item["model"],
-            temperature=item.get("temperature", 0.3),
-            max_tokens=item.get("max_tokens", 16000),
-            style=item.get("style", "standard"),
+            temperature=item.get("temperature", DEFAULT_TEMPERATURE),
+            max_tokens=item.get("max_tokens", DEFAULT_MAX_TOKENS),
+            style=item.get("style", STANDARD_STYLE),
         ))
     names = [e.model for e in entries]
     if len(set(names)) != len(names):
@@ -257,7 +258,7 @@ def load_config(path: str | Path) -> RunConfig:
         renormalize_band=float(raw.get("renormalize_band", RENORMALIZE_BAND)),
         flat_market_threshold=float(raw.get("flat_market_threshold", FLAT_SERIES_THRESHOLD)),
         concurrency=None if raw.get("concurrency") is None else int(raw["concurrency"]),
-        discovery_limit=int(raw.get("discovery_limit", 20)),
+        discovery_limit=int(raw.get("discovery_limit", DISCOVERY_LIMIT)),
         fetch_policy=_fetch_policy(raw.get("fetch")),
     )
     if not config.initial_capital > 0:

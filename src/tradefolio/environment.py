@@ -19,7 +19,7 @@ from typing import Any, Callable, Sequence
 from .accounting import RENORMALIZE_BAND, portfolio_value, rebalance
 from .agents.baselines import all_cash_allocation, hold_allocation
 from .agents.harness import Agent
-from .agents.memory import DEFAULT_MEMORY_HORIZON, MemoryEntry, MemoryWindow, observation_digest
+from .agents.memory import DEFAULT_MEMORY_HORIZON, MemoryEntry, MemoryWindow
 from .agents.parsing import parse_allocation_response, render_allocation_response
 from .domain import (
     AllocationVector,
@@ -86,7 +86,8 @@ class DecisionTrace:
 
 @dataclass(frozen=True)
 class SessionRecord:
-    """One executed step: the observation digest, the raw model
+    """One executed step: what the agent observed (prices, holdings
+    before, how many news items, which prices were stale), the raw model
     exchange, and the accounting outcome. Field order is the log's wire
     order and must stay stable."""
 
@@ -205,7 +206,6 @@ def memory_entry(record: SessionRecord, allocation: AllocationVector,
         date=record.date,
         allocation=allocation,
         cumulative_return=(record.value - initial_capital) / initial_capital,
-        digest=observation_digest(record.prices, record.holdings_before, record.news_count),
     )
 
 

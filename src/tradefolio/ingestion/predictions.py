@@ -28,6 +28,7 @@ __all__ = [
     "HISTORY_URL",
     "EVENT_URL_TEMPLATE",
     "FLAT_SERIES_THRESHOLD",
+    "DISCOVERY_LIMIT",
     "DiscoveredMarket",
     "is_flat_series",
     "parse_market_listing",
@@ -42,6 +43,10 @@ EVENT_URL_TEMPLATE = "https://polymarket.com/event/{slug}"
 
 # Series whose total range is below this carry no tradable signal.
 FLAT_SERIES_THRESHOLD = 0.01
+
+# How many markets discovery keeps, and a prediction run trades when it
+# lists no questions.
+DISCOVERY_LIMIT = 20
 
 HttpGet = Callable[[str, dict[str, Any], dict[str, str], float], Any]
 
@@ -162,7 +167,7 @@ def discover_markets(
     policy: FetchPolicy,
     history_start: dt.date,
     history_end: dt.date,
-    limit: int = 20,
+    limit: int = DISCOVERY_LIMIT,
     flat_threshold: float = FLAT_SERIES_THRESHOLD,
     http: HttpGet = _requests_get,
     rng: random.Random | None = None,

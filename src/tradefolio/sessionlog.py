@@ -104,8 +104,11 @@ class SessionLogWriter:
 
 def _parse_header(path: Path, line: str) -> SessionLogHeader:
     try:
-        return SessionLogHeader.from_json_dict(json.loads(line))
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
+        row = json.loads(line)
+        if not isinstance(row, dict):
+            raise TypeError(f"expected a JSON object, got {type(row).__name__}")
+        return SessionLogHeader.from_json_dict(row)
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise CorruptLog(f"{path}:1: bad header: {exc}") from exc
 
 
@@ -206,8 +209,11 @@ def resume_point(
     if tuple(header.assets) != spec.assets or header.cash != spec.cash:
         raise ConfigError("log universe does not match the configured market")
     state = SessionState(spec, header.initial_capital, tuple(records))
-    memory = MemoryWindow(memory_horizon, (
-        memory_entry(r, allocation, header.initial_capital)
-        for r, allocation in zip(records, effective_allocations(header, records))
-    ))
+    memory = MemoryWindow(memory_horizon)
+    # The allocation walk needs the whole log; the window keeps only
+    # the last ``memory_horizon`` entries, so only those are built.
+    first = max(len(records) - memory_horizon, 0)
+    allocations = effective_allocations(header, records)
+    for r, allocation in zip(records[first:], allocations[first:]):
+        memory.remember(memory_entry(r, allocation, header.initial_capital))
     return ResumePoint(state, memory)

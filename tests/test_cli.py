@@ -158,6 +158,27 @@ def test_run_isolates_per_model_failures(runner, tmp_path):
     assert len(records) == 3
 
 
+def test_log_with_a_non_object_header_fails_only_its_model(runner, stock_setup):
+    tmp_path, config, dates = stock_setup
+    bad = tmp_path / "runs" / "stock-baseline-all-cash.jsonl"
+    bad.parent.mkdir()
+    bad.write_text("[]\n", encoding="utf-8")
+
+    result = runner.invoke(main, ["run", "--config", str(config)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert "baseline:all-cash: failed:" in result.output
+    assert ":1: bad header" in result.output
+    assert "baseline:equal-weight: ended" in result.output
+    assert "baseline:buy-and-hold: ended" in result.output
+    assert "Error: one or more sessions failed" in result.output
+
+    reported = runner.invoke(main, ["report", "--config", str(config)])
+    assert reported.exit_code == 1
+    assert isinstance(reported.exception, SystemExit), reported.exception
+    assert ":1: bad header" in reported.output
+
+
 def test_worker_threads_only_read_a_loaded_store(runner, stock_setup, monkeypatch):
     tmp_path, config, dates = stock_setup
     config.write_text(config.read_text() + "concurrency: 2\n", encoding="utf-8")

@@ -17,7 +17,7 @@ from tradefolio.agents.baselines import (
 )
 from tradefolio.agents.clients import ModelClientConfig, ScriptedClient
 from tradefolio.agents.harness import LLMAgent
-from tradefolio.agents.memory import MemoryWindow, observation_digest
+from tradefolio.agents.memory import MemoryWindow
 from tradefolio.domain import AllocationVector, MarketKind, MarketSpec
 from tradefolio.environment import (
     ResumePoint,
@@ -471,8 +471,6 @@ def test_memory_carries_prior_decisions(stock_world):
     assert entry.allocation == equal_weight_allocation(spec)
     assert entry.cumulative_return == pytest.approx(
         (records[0].value - 1000.0) / 1000.0, abs=TOL)
-    assert entry.digest == observation_digest(
-        first_obs.prices.prices, first_obs.positions.units, len(first_obs.news))
 
 
 def test_memory_horizon_bounds_entries(stock_world):

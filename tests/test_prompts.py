@@ -1,4 +1,5 @@
 import datetime as dt
+from dataclasses import replace
 
 from conftest import assert_golden, make_observation
 
@@ -66,13 +67,11 @@ def _stock_inputs():
         date=dt.date(2025, 10, 22),
         allocation=AllocationVector({"AAPL": 0.30, "MSFT": 0.20, "NVDA": 0.0, "CASH": 0.50}),
         cumulative_return=0.012,
-        digest="d1",
     ))
     memory.remember(MemoryEntry(
         date=dt.date(2025, 10, 23),
         allocation=AllocationVector({"AAPL": 0.25, "MSFT": 0.25, "NVDA": 0.14, "CASH": 0.36}),
         cumulative_return=0.036,
-        digest="d2",
     ))
     return date, obs, memory
 
@@ -109,7 +108,6 @@ def _prediction_inputs():
             f"{q2}_Yes": 0.0, f"{q2}_No": 0.0, "CASH": 0.60,
         }),
         cumulative_return=-0.025,
-        digest="d3",
     ))
     return date, obs, memory
 
@@ -164,6 +162,20 @@ class TestStockPrompt:
                 break
         else:
             raise AssertionError("long snippet not found")
+
+    def test_news_follows_universe_order_not_arrival_order(self):
+        _, obs, memory = _stock_inputs()
+        aapl_1, aapl_2, nvda = obs.news
+        foreign = replace(nvda, title="Carmaker recalls a model line", tagged_asset="TSLA")
+        shuffled = replace(obs, news=(nvda, aapl_1, foreign, aapl_2))
+        context = build_context_prompt(STOCK, shuffled, memory)
+        news = context[context.index("RECENT NEWS:"):context.index("ACCOUNT INFO:")]
+        assert news.index("• AAPL:") < news.index("• NVDA:")
+        assert news.index("Apple suppliers") < news.index("iPhone lead times")
+        assert "• MSFT:" not in news
+        assert "TSLA" not in context
+        assert "Carmaker" not in context
+        assert context == build_context_prompt(STOCK, obs, memory)
 
     def test_account_section(self):
         _, obs, memory = _stock_inputs()

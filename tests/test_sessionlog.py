@@ -128,6 +128,26 @@ def test_corrupt_logs_are_typed(tmp_path):
         read_session_log(empty)
 
 
+_HEADER = SessionLogHeader.for_run(MarketSpec.stock(("AAPL", "MSFT", "NVDA")),
+                                   "test/scripted", 1000.0)
+
+
+@pytest.mark.parametrize("first_line", [
+    "[]",
+    "null",
+    '"x"',
+    json.dumps({**_HEADER.to_json_dict(), "assets": 5}),
+    json.dumps({**_HEADER.to_json_dict(), "initial_capital": None}),
+], ids=["list", "null", "string", "assets-number", "capital-null"])
+def test_header_of_the_wrong_shape_is_a_corrupt_log(tmp_path, first_line):
+    path = tmp_path / "run.jsonl"
+    path.write_text(first_line + "\n", encoding="utf-8")
+    with pytest.raises(CorruptLog, match=r":1: bad header"):
+        read_session_log(path)
+    with pytest.raises(CorruptLog, match=r":1: bad header"):
+        SessionLogWriter(path, _HEADER)
+
+
 def test_corrupt_record_reports_line_number(tmp_path, stock_world):
     spec, feed, dates = stock_world
     path = tmp_path / "run.jsonl"
@@ -379,3 +399,23 @@ def test_resume_point_equals_live_state_at_every_cut(shared_world, responses, cu
                                on_record=writer.append)
         assert state.status is SessionStatus.ENDED
         assert part.read_bytes() == full.read_bytes()
+
+
+def test_resume_point_rebuilds_only_the_memory_window(tmp_path, shared_world):
+    """A log longer than the memory horizon resumes with the same window
+    the live session showed the agent at that step."""
+    spec, feed, dates = shared_world
+    responses = _varied_responses(len(dates) - 1)
+    spy = _MemorySpy(ScriptedClient(responses))
+    run_episode(spec, spy, feed, dates, 1000.0, memory_horizon=3)
+
+    cut = 6
+    part = tmp_path / "part.jsonl"
+    writer = SessionLogWriter(part, SessionLogHeader.for_run(spec, "test/scripted", 1000.0))
+    run_episode(spec, LLMAgent(ScriptedClient(responses), ModelClientConfig(model="test/scripted")),
+                feed, dates[:cut + 1], 1000.0, memory_horizon=3, on_record=writer.append)
+    header, done = read_session_log(part)
+    resume = resume_point(header, done, spec, memory_horizon=3)
+    assert len(done) == cut
+    assert len(resume.memory) == 3
+    assert resume.memory.entries == spy.seen[cut][0]
