@@ -19,7 +19,6 @@ from .errors import (
     NegativeWeight,
     SumOutOfBand,
     UnknownAsset,
-    WrongMarketKind,
     ZeroValuePortfolio,
 )
 
@@ -29,7 +28,6 @@ __all__ = [
     "portfolio_value",
     "rebalance",
     "validate_allocation",
-    "net_exposure",
 ]
 
 # Allocations whose sum misses 1.0 by more than this are rejected rather
@@ -119,13 +117,3 @@ def validate_allocation(
     if abs(total - 1.0) > _EXACT_SUM_TOL:
         weights = {a: w / total for a, w in weights.items()}
     return AllocationVector(weights)
-
-
-def net_exposure(allocation: AllocationVector, spec: MarketSpec) -> dict[str, float]:
-    """Per-question signed exposure: yes weight minus no weight."""
-    if spec.kind is not MarketKind.PREDICTION:
-        raise WrongMarketKind("net exposure is only defined for prediction markets")
-    return {
-        p.question: allocation.weights.get(p.yes, 0.0) - allocation.weights.get(p.no, 0.0)
-        for p in spec.pairs
-    }

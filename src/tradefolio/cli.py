@@ -22,10 +22,10 @@ from .agents.harness import Agent, LLMAgent
 from .config import ModelEntry, RunConfig, load_config
 from .domain import MarketKind, MarketSpec, PricePoint
 from .environment import SessionStatus, run_episode
-from .errors import ConfigError, LagTooLarge, TradefolioError
+from .errors import ConfigError, FeedUnavailable, LagTooLarge, TradefolioError
 from .ingestion.equities import fetch_equity_history
-from .ingestion.feeds import LiveFeed, ReplayFeed
-from .ingestion.news import COMPANY_NAMES, fetch_news, news_rows
+from .ingestion.feeds import ReplayFeed, ensure_date
+from .ingestion.news import fetch_news, news_rows
 from .ingestion.predictions import discover_markets, fetch_prediction_history
 from .ingestion.snapshots import FetchBatch, PriceRow, SnapshotStore, record_snapshot
 from .reporting import (
@@ -116,6 +116,26 @@ def _price_rows(market: str, key: str, points: Iterable[PricePoint]) -> tuple[Pr
     return tuple(PriceRow(market, key, p.date, p.price, p.volume) for p in points)
 
 
+def _backfill(cfg: RunConfig, store: SnapshotStore, spec: MarketSpec,
+              asset_keys: dict[str, str]) -> list[dt.date]:
+    """The configured dates that have happened, backfilled in order.
+
+    A provider outage at one date ends the list before that date, so
+    the sessions still run over every date the store now covers.
+    """
+    dates = [d for d in cfg.dates if d <= dt.date.today()]
+    if len(dates) < 2:
+        return dates
+    for i, date in enumerate(dates):
+        try:
+            ensure_date(store, spec, date, cfg.fetch_policy, asset_keys,
+                        cfg.lookback_days, cfg.news_window_days)
+        except FeedUnavailable as exc:
+            click.echo(f"{exc}; the backfill stops there")
+            return dates[:i]
+    return dates
+
+
 @dataclass
 class RunOutcome:
     model: str
@@ -200,8 +220,7 @@ def fetch(config_path: str) -> None:
                 record_snapshot(store, FetchBatch(prices=_price_rows("stock", ticker, points)))
                 click.echo(f"{ticker}: {len(points)} bars")
             for ticker in cfg.universe:
-                items = fetch_news(ticker, MarketKind.STOCK, news_start, end, policy,
-                                   company_names=COMPANY_NAMES)
+                items = fetch_news(ticker, MarketKind.STOCK, news_start, end, policy)
                 record_snapshot(store, FetchBatch(news=news_rows(ticker, items, news_days)))
                 click.echo(f"{ticker}: {len(items)} news items")
             return
@@ -243,7 +262,8 @@ def run(config_path: str) -> None:
 
     An existing log resumes where it stopped; replaying a finished log
     is a no-op. In live mode the dates that have already happened are
-    fetched first, so a daily invocation extends each log by one step.
+    backfilled first, so a daily invocation extends each log by one
+    step; a provider outage ends the run's dates before the failing one.
     """
     try:
         cfg = load_config(config_path)
@@ -253,17 +273,10 @@ def run(config_path: str) -> None:
         dates = list(cfg.dates)
 
         if cfg.mode == "live":
-            today = dt.date.today()
-            dates = [d for d in dates if d <= today]
+            dates = _backfill(cfg, store, spec, asset_keys)
             if len(dates) < 2:
-                click.echo("fewer than two configured dates have happened; nothing to run yet")
+                click.echo("fewer than two configured dates are ready; nothing to run yet")
                 return
-            live = LiveFeed(store, spec, cfg.fetch_policy, asset_keys,
-                            company_names=COMPANY_NAMES if cfg.market is MarketKind.STOCK else None,
-                            lookback_days=cfg.lookback_days,
-                            news_window_days=cfg.news_window_days)
-            for date in dates:
-                live.ensure_date(date)
 
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
         outcomes: list[RunOutcome] = []

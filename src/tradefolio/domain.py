@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping
 
-from .errors import WrongMarketKind
-
 __all__ = [
     "CASH",
     "MarketKind",
@@ -59,15 +57,13 @@ class MarketSpec:
 
     Cash is a first-class asset: it appears in ``assets``, carries price
     1.0 forever, and absorbs unallocated weight. For prediction markets
-    every non-cash asset belongs to exactly one yes/no pair and the
-    per-step risk-free rate is zero by construction.
+    every non-cash asset belongs to exactly one yes/no pair.
     """
 
     kind: MarketKind
     assets: tuple[str, ...]
     cash: str = CASH
     pairs: tuple[PredictionPair, ...] = ()
-    risk_free_rate: float = 0.0
 
     def __post_init__(self) -> None:
         if not self.assets:
@@ -79,8 +75,6 @@ class MarketSpec:
         if self.cash not in self.assets:
             raise ValueError(f"cash asset {self.cash!r} missing from universe")
         if self.kind is MarketKind.PREDICTION:
-            if self.risk_free_rate != 0.0:
-                raise ValueError("prediction markets have zero risk-free rate")
             outcomes = [a for a in self.assets if a != self.cash]
             paired = [a for p in self.pairs for a in (p.yes, p.no)]
             if sorted(outcomes) != sorted(paired):
@@ -95,10 +89,8 @@ class MarketSpec:
         cls,
         tickers: tuple[str, ...] | list[str] = DEFAULT_STOCK_TICKERS,
         cash: str = CASH,
-        risk_free_rate: float = 0.0,
     ) -> "MarketSpec":
-        return cls(MarketKind.STOCK, tuple(tickers) + (cash,), cash=cash,
-                   risk_free_rate=risk_free_rate)
+        return cls(MarketKind.STOCK, tuple(tickers) + (cash,), cash=cash)
 
     @classmethod
     def prediction(cls, questions: tuple[str, ...] | list[str], cash: str = CASH) -> "MarketSpec":
@@ -119,14 +111,6 @@ class MarketSpec:
         if self.kind is MarketKind.PREDICTION:
             return self.questions
         return tuple(a for a in self.assets if a != self.cash)
-
-    def pair_for(self, question: str) -> PredictionPair:
-        if self.kind is not MarketKind.PREDICTION:
-            raise WrongMarketKind("outcome pairs only exist on prediction markets")
-        for p in self.pairs:
-            if p.question == question:
-                return p
-        raise KeyError(question)
 
 
 @dataclass(frozen=True)

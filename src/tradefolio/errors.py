@@ -16,7 +16,6 @@ __all__ = [
     "NegativeWeight",
     "SumOutOfBand",
     "BothSidesSet",
-    "WrongMarketKind",
     "ParseError",
     "NoObjectFound",
     "SchemaMismatch",
@@ -74,10 +73,6 @@ class SumOutOfBand(AllocationError):
 
 class BothSidesSet(AllocationError):
     """Both outcome sides of one prediction question carry weight."""
-
-
-class WrongMarketKind(TradefolioError):
-    """Operation only defined for the other market kind."""
 
 
 # -- response protocol --------------------------------------------------

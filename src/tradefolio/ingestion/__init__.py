@@ -1,6 +1,6 @@
 """Market data acquisition, normalization, and file-backed snapshots."""
 
-from .feeds import Feed, LiveFeed, ReplayFeed
+from .feeds import Feed, ReplayFeed
 from .normalize import clean_link, normalize_prediction_quote, parse_news_timestamp
 from .policy import FetchPolicy, backoff_delay, fetch_with_policy
 from .snapshots import FetchBatch, MarketCatalogEntry, PriceRow, SnapshotStore, record_snapshot
@@ -9,7 +9,6 @@ __all__ = [
     "Feed",
     "FetchBatch",
     "FetchPolicy",
-    "LiveFeed",
     "MarketCatalogEntry",
     "PriceRow",
     "ReplayFeed",

@@ -8,15 +8,12 @@ split out so payload handling is testable without a network.
 from __future__ import annotations
 
 import datetime as dt
-import random
-from typing import Any, Callable
+from typing import Any
 from zoneinfo import ZoneInfo
-
-import requests
 
 from ..domain import PricePoint
 from ..errors import ProviderError
-from .policy import FetchPolicy, fetch_with_policy
+from .policy import FetchPolicy, HttpGet, fetch_with_policy, requests_get_json
 
 __all__ = [
     "CHART_URL",
@@ -29,17 +26,6 @@ __all__ = [
 CHART_URL = "https://query1.finance.yahoo.com/v8/finance/chart/{symbol}"
 
 _DEFAULT_TZ = ZoneInfo("America/New_York")
-
-# http(url, params, headers, timeout) -> parsed JSON body
-HttpGet = Callable[[str, dict[str, Any], dict[str, str], float], Any]
-
-
-def _requests_get(url: str, params: dict[str, Any],
-                  headers: dict[str, str], timeout: float) -> Any:
-    response = requests.get(url, params=params, headers=headers, timeout=timeout)
-    response.raise_for_status()
-    return response.json()
-
 
 def _chart_result(payload: Any) -> dict:
     try:
@@ -97,9 +83,7 @@ def fetch_equity_history(
     start: dt.date,
     end: dt.date,
     policy: FetchPolicy,
-    http: HttpGet = _requests_get,
-    rng: random.Random | None = None,
-    sleep: Callable[[float], None] | None = None,
+    http: HttpGet = requests_get_json,
 ) -> list[PricePoint]:
     """Daily bars with dates in [start, end], inclusive."""
     period1 = int(dt.datetime.combine(start, dt.time(), tzinfo=dt.timezone.utc).timestamp())
@@ -113,21 +97,14 @@ def fetch_equity_history(
         payload = http(CHART_URL.format(symbol=ticker), params, headers, policy.timeout)
         return parse_chart_payload(payload)
 
-    kwargs: dict[str, Any] = {}
-    if rng is not None:
-        kwargs["rng"] = rng
-    if sleep is not None:
-        kwargs["sleep"] = sleep
-    points = fetch_with_policy(policy, request, **kwargs)
+    points = fetch_with_policy(policy, request)
     return [p for p in points if start <= p.date <= end]
 
 
 def fetch_equity_quote(
     ticker: str,
     policy: FetchPolicy,
-    http: HttpGet = _requests_get,
-    rng: random.Random | None = None,
-    sleep: Callable[[float], None] | None = None,
+    http: HttpGet = requests_get_json,
 ) -> PricePoint:
     """Latest available trade for the ticker."""
     params = {"interval": "1d", "range": "1d"}
@@ -137,9 +114,4 @@ def fetch_equity_quote(
         payload = http(CHART_URL.format(symbol=ticker), params, headers, policy.timeout)
         return parse_quote_payload(payload)
 
-    kwargs: dict[str, Any] = {}
-    if rng is not None:
-        kwargs["rng"] = rng
-    if sleep is not None:
-        kwargs["sleep"] = sleep
-    return fetch_with_policy(policy, request, **kwargs)
+    return fetch_with_policy(policy, request)

@@ -3,9 +3,10 @@
 A feed answers three questions for the environment: the latest price
 at or before a date, the stored closes inside a lookback window, and
 the ranked news for a tag window. ``ReplayFeed`` answers purely from
-the snapshot store; ``LiveFeed`` tops the store up from providers
-first, so a live session leaves behind exactly the store a replay
-needs.
+the snapshot store, and every session reads through it, live ones
+included. Live data is a backfill: ``ensure_date`` tops the store up
+from providers for one decision date before any session runs, so a
+live session replays exactly the store it leaves behind.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from . import equities, news, predictions
 from .policy import FetchPolicy
 from .snapshots import FetchBatch, PriceRow, SnapshotStore, record_snapshot
 
-__all__ = ["Feed", "ReplayFeed", "LiveFeed"]
+__all__ = ["Feed", "ReplayFeed", "ensure_date"]
 
 HISTORY_LOOKBACK_DAYS = 10
 
@@ -58,100 +59,63 @@ class ReplayFeed:
         return tuple(news.rank_news(items, target))
 
 
-class LiveFeed:
-    """Fetches on demand, records everything, then reads like a replay.
+def ensure_date(
+    store: SnapshotStore,
+    spec: MarketSpec,
+    date: dt.date,
+    policy: FetchPolicy,
+    asset_keys: Mapping[str, str] | None = None,
+    lookback_days: int = HISTORY_LOOKBACK_DAYS,
+    news_window_days: int = news.NEWS_WINDOW_DAYS,
+) -> None:
+    """Backfill the store for one decision date: lookback bars, a price
+    for the date itself, and the trailing news window for every tag.
 
-    Provider failures that survive the retry policy surface as
-    ``FeedUnavailable``: a live session must halt rather than invent
-    data.
+    A date counts as priced once the series holds a bar on or after it,
+    since a weekday holiday never gets a bar of its own. History is
+    fetched for an asset whose date isn't priced or whose lookback
+    window holds fewer than two bars, then a quote for a stock whose
+    date is still not priced. Only dates a series lacks are written, so
+    a stored bar (a quote, or a close the provider has since adjusted)
+    is never re-recorded. A provider failure that survives the retry
+    policy raises ``FeedUnavailable``.
     """
+    keys = asset_keys or {}
+    market = spec.kind.value
+    start = date - dt.timedelta(days=lookback_days)
 
-    def __init__(
-        self,
-        store: SnapshotStore,
-        spec: MarketSpec,
-        policy: FetchPolicy | None = None,
-        asset_keys: Mapping[str, str] | None = None,
-        company_names: Mapping[str, str] | None = None,
-        lookback_days: int = HISTORY_LOOKBACK_DAYS,
-        news_window_days: int = news.NEWS_WINDOW_DAYS,
-    ) -> None:
-        self.store = store
-        self.spec = spec
-        self.policy = policy or FetchPolicy()
-        self.company_names = company_names
-        self.lookback_days = lookback_days
-        self.news_window_days = news_window_days
-        self._replay = ReplayFeed(store, spec.kind, asset_keys)
-        self._keys = dict(asset_keys or {})
-        self._covered: set[dt.date] = set()
+    def priced(key: str) -> bool:
+        series = store.price_series(market, key)
+        return bool(series) and series[-1].date >= date
 
-    def _fetch_prices(self, asset: str, start: dt.date, end: dt.date) -> None:
-        key = self._keys.get(asset, asset)
-        if self.spec.kind is MarketKind.STOCK:
-            points = equities.fetch_equity_history(key, start, end, self.policy)
-        else:
-            points = predictions.fetch_prediction_history(key, start, end, self.policy)
-        rows = tuple(PriceRow(self.spec.kind.value, key, p.date, p.price, p.volume)
-                     for p in points)
-        record_snapshot(self.store, FetchBatch(prices=rows))
+    def record_missing(key: str, points: list[PricePoint]) -> None:
+        have = {p.date for p in store.price_series(market, key)}
+        rows = tuple(PriceRow(market, key, p.date, p.price, p.volume)
+                     for p in points if p.date not in have)
+        record_snapshot(store, FetchBatch(prices=rows))
 
-    def _fetch_quote(self, asset: str, date: dt.date) -> None:
-        key = self._keys.get(asset, asset)
-        if self.spec.kind is not MarketKind.STOCK:
-            return
-        point = equities.fetch_equity_quote(key, self.policy)
-        if point.date <= date:
-            self.store.upsert_price("stock", key, point.date, point.price, point.volume)
-
-    def ensure_date(self, date: dt.date) -> None:
-        """Make the store cover one decision date: lookback bars, a
-        price for the date itself when the market printed one, and the
-        trailing news window for every tag."""
-        if date in self._covered:
-            return
-        start = date - dt.timedelta(days=self.lookback_days)
-        try:
-            for asset in self.spec.assets:
-                if asset == self.spec.cash:
-                    continue
-                key = self._keys.get(asset, asset)
-                have = self.store.price_window(self.spec.kind.value, key, start, date)
-                have_dates = {p.date for p in have}
-                if not have_dates.issuperset({date}) or len(have_dates) < 2:
-                    self._fetch_prices(asset, start, date)
-                have_dates = {p.date for p in
-                              self.store.price_window(self.spec.kind.value, key, start, date)}
-                if date not in have_dates:
-                    self._fetch_quote(asset, date)
-            news_start = date - dt.timedelta(days=self.news_window_days)
-            news_end = date - dt.timedelta(days=1)
-            for tag in self.spec.news_tags:
-                missing = [
-                    news_start + dt.timedelta(days=i)
-                    for i in range((news_end - news_start).days + 1)
-                    if not self.store.has_news(tag, news_start + dt.timedelta(days=i))
-                ]
-                if not missing:
-                    continue
-                items = news.fetch_news(
-                    tag, self.spec.kind, news_start, news_end, self.policy,
-                    target=date, company_names=self.company_names,
-                )
-                record_snapshot(self.store, FetchBatch(news=news.news_rows(tag, items, missing)))
-        except ProviderError as exc:
-            raise FeedUnavailable(f"live data unavailable for {date}: {exc}") from exc
-        self._covered.add(date)
-
-    # -- read side: identical to replay once coverage is ensured ----------
-
-    def latest_price(self, asset: str, on_or_before: dt.date) -> PricePoint | None:
-        self.ensure_date(on_or_before)
-        return self._replay.latest_price(asset, on_or_before)
-
-    def price_window(self, asset: str, start: dt.date, end: dt.date) -> tuple[PricePoint, ...]:
-        return self._replay.price_window(asset, start, end)
-
-    def news_window(self, tag: str, start: dt.date, end: dt.date,
-                    target: dt.date | None = None) -> tuple[NewsItem, ...]:
-        return self._replay.news_window(tag, start, end, target)
+    try:
+        for asset in spec.assets:
+            if asset == spec.cash:
+                continue
+            key = keys.get(asset, asset)
+            if priced(key) and len(store.price_window(market, key, start, date)) >= 2:
+                continue
+            if spec.kind is MarketKind.STOCK:
+                record_missing(key, equities.fetch_equity_history(key, start, date, policy))
+                if not priced(key):
+                    quote = equities.fetch_equity_quote(key, policy)
+                    if quote.date <= date:
+                        record_missing(key, [quote])
+            else:
+                record_missing(key, predictions.fetch_prediction_history(key, start, date, policy))
+        news_start = date - dt.timedelta(days=news_window_days)
+        news_days = [news_start + dt.timedelta(days=i) for i in range(news_window_days)]
+        for tag in spec.news_tags:
+            missing = [day for day in news_days if not store.has_news(tag, day)]
+            if missing:
+                items = news.fetch_news(tag, spec.kind, news_start, news_days[-1], policy,
+                                        target=date)
+                record_snapshot(store, FetchBatch(news=news.news_rows(tag, items, missing)))
+    except ProviderError as exc:
+        raise FeedUnavailable(f"live data unavailable for {date}: {exc}") from exc

@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import datetime as dt
 import html
-import random
 import re
 import xml.etree.ElementTree as ET
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import requests
 
@@ -63,8 +62,7 @@ def _requests_get_text(url: str, params: dict[str, Any],
     return response.text
 
 
-def build_news_query(tag: str, kind: MarketKind,
-                     company_names: Mapping[str, str] | None = None) -> str:
+def build_news_query(tag: str, kind: MarketKind) -> str:
     """Search text for one tag.
 
     Stock tags pair the ticker with the company name; prediction tags
@@ -72,8 +70,7 @@ def build_news_query(tag: str, kind: MarketKind,
     """
     if kind is MarketKind.PREDICTION:
         return tag
-    names = COMPANY_NAMES if company_names is None else company_names
-    company = names.get(tag)
+    company = COMPANY_NAMES.get(tag)
     if company:
         return f"{tag} stock news OR {company}"
     return f"{tag} stock news"
@@ -160,14 +157,11 @@ def fetch_news(
     policy: FetchPolicy,
     reference: dt.datetime | None = None,
     target: dt.date | None = None,
-    company_names: Mapping[str, str] | None = None,
     http: HttpGetText = _requests_get_text,
-    rng: random.Random | None = None,
-    sleep: Callable[[float], None] | None = None,
 ) -> list[NewsItem]:
     """Ranked items for one tag, publication dates within [start, end]."""
     reference = reference or dt.datetime.now(dt.timezone.utc)
-    query = build_news_query(tag, kind, company_names)
+    query = build_news_query(tag, kind)
     # Provider-side date operators are exclusive on both edges.
     q = (
         f"{query} after:{(start - dt.timedelta(days=1)).isoformat()}"
@@ -179,10 +173,5 @@ def fetch_news(
     def request() -> list[NewsItem]:
         return parse_news_rss(http(RSS_URL, params, headers, policy.timeout), tag, reference)
 
-    kwargs: dict[str, Any] = {}
-    if rng is not None:
-        kwargs["rng"] = rng
-    if sleep is not None:
-        kwargs["sleep"] = sleep
-    items = fetch_with_policy(policy, request, **kwargs)
+    items = fetch_with_policy(policy, request)
     return rank_news(filter_news_window(items, start, end), target)

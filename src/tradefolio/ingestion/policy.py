@@ -5,13 +5,26 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from typing import Callable, TypeVar
+from typing import Any, Callable, TypeVar
+
+import requests
 
 from ..errors import ProviderError
 
-__all__ = ["FetchPolicy", "backoff_delay", "fetch_with_policy"]
+__all__ = ["FetchPolicy", "HttpGet", "backoff_delay", "fetch_with_policy", "requests_get_json"]
 
 T = TypeVar("T")
+
+# http(url, params, headers, timeout) -> parsed JSON body
+HttpGet = Callable[[str, dict[str, Any], dict[str, str], float], Any]
+
+
+def requests_get_json(url: str, params: dict[str, Any],
+                      headers: dict[str, str], timeout: float) -> Any:
+    """The JSON providers' default ``HttpGet``."""
+    response = requests.get(url, params=params, headers=headers, timeout=timeout)
+    response.raise_for_status()
+    return response.json()
 
 
 @dataclass(frozen=True)

@@ -11,16 +11,13 @@ from __future__ import annotations
 
 import datetime as dt
 import json
-import random
 from dataclasses import dataclass
-from typing import Any, Callable
-
-import requests
+from typing import Any
 
 from ..domain import PricePoint
 from ..errors import ProviderError
 from .normalize import normalize_prediction_quote
-from .policy import FetchPolicy, fetch_with_policy
+from .policy import FetchPolicy, HttpGet, fetch_with_policy, requests_get_json
 from .snapshots import MarketCatalogEntry
 
 __all__ = [
@@ -47,16 +44,6 @@ FLAT_SERIES_THRESHOLD = 0.01
 # How many markets discovery keeps, and a prediction run trades when it
 # lists no questions.
 DISCOVERY_LIMIT = 20
-
-HttpGet = Callable[[str, dict[str, Any], dict[str, str], float], Any]
-
-
-def _requests_get(url: str, params: dict[str, Any],
-                  headers: dict[str, str], timeout: float) -> Any:
-    response = requests.get(url, params=params, headers=headers, timeout=timeout)
-    response.raise_for_status()
-    return response.json()
-
 
 @dataclass(frozen=True)
 class DiscoveredMarket:
@@ -139,9 +126,7 @@ def fetch_prediction_history(
     start: dt.date,
     end: dt.date,
     policy: FetchPolicy,
-    http: HttpGet = _requests_get,
-    rng: random.Random | None = None,
-    sleep: Callable[[float], None] | None = None,
+    http: HttpGet = requests_get_json,
 ) -> list[PricePoint]:
     """Daily closes for one outcome token, dates in [start, end]."""
     start_ts = int(dt.datetime.combine(start, dt.time(), tzinfo=dt.timezone.utc).timestamp())
@@ -154,12 +139,7 @@ def fetch_prediction_history(
     def request() -> list[PricePoint]:
         return parse_price_history(http(HISTORY_URL, params, headers, policy.timeout))
 
-    kwargs: dict[str, Any] = {}
-    if rng is not None:
-        kwargs["rng"] = rng
-    if sleep is not None:
-        kwargs["sleep"] = sleep
-    points = fetch_with_policy(policy, request, **kwargs)
+    points = fetch_with_policy(policy, request)
     return [p for p in points if start <= p.date <= end]
 
 
@@ -169,9 +149,7 @@ def discover_markets(
     history_end: dt.date,
     limit: int = DISCOVERY_LIMIT,
     flat_threshold: float = FLAT_SERIES_THRESHOLD,
-    http: HttpGet = _requests_get,
-    rng: random.Random | None = None,
-    sleep: Callable[[float], None] | None = None,
+    http: HttpGet = requests_get_json,
 ) -> list[DiscoveredMarket]:
     """Active markets worth trading, with their price histories.
 
@@ -190,22 +168,17 @@ def discover_markets(
     def request() -> list[MarketCatalogEntry]:
         return parse_market_listing(http(MARKETS_URL, params, headers, policy.timeout))
 
-    kwargs: dict[str, Any] = {}
-    if rng is not None:
-        kwargs["rng"] = rng
-    if sleep is not None:
-        kwargs["sleep"] = sleep
-    candidates = fetch_with_policy(policy, request, **kwargs)
+    candidates = fetch_with_policy(policy, request)
 
     kept: list[DiscoveredMarket] = []
     for entry in candidates:
         if len(kept) >= limit:
             break
         yes = fetch_prediction_history(entry.yes_token, history_start, history_end,
-                                       policy, http, rng, sleep)
+                                       policy, http)
         if is_flat_series(yes, flat_threshold):
             continue
         no = fetch_prediction_history(entry.no_token, history_start, history_end,
-                                      policy, http, rng, sleep)
+                                      policy, http)
         kept.append(DiscoveredMarket(entry, tuple(yes), tuple(no)))
     return kept

@@ -2,13 +2,13 @@
 
 Each (series kind, key) pair owns one JSONL file: a header line naming
 the format version and key, then one row per date in strictly
-increasing order. Writes arrive in batches (``record_snapshot``; an
-``upsert_*`` call is a batch of one). Every row of a batch is checked
-against what is already stored before its series changes: re-recording
-identical data is a no-op, and changing an already-recorded value is
-refused, never silently applied. The new rows are then merged in and
-the series file is rewritten atomically, once per batch, so a crash
-can't leave a half-written series.
+increasing order. Writes arrive in batches (``record_snapshot``;
+``upsert_price`` and ``upsert_news`` write a batch of one). Every row
+of a batch is checked against what is already stored before its series
+changes: re-recording identical data is a no-op, and changing an
+already-recorded value is refused, never silently applied. The new
+rows are then merged in and the series file is rewritten atomically,
+once per batch, so a crash can't leave a half-written series.
 
 Reads are served from a sorted in-memory index built when a series is
 first loaded: its dates in order beside one parsed value per date (a
@@ -251,14 +251,6 @@ class SnapshotStore:
                      start: dt.date, end: dt.date) -> tuple[PricePoint, ...]:
         return self._load(_PRICE_SERIES[market], key).window(start, end)
 
-    def price_keys(self, market: str) -> tuple[str, ...]:
-        keys = []
-        for path in sorted((self.root / "prices" / market).glob("*.jsonl")):
-            with open(path, encoding="utf-8") as fh:
-                header = json.loads(fh.readline())
-            keys.append(header["key"])
-        return tuple(keys)
-
     # -- news ----------------------------------------------------------------
 
     def upsert_news(self, tag: str, date: dt.date, items: Sequence[NewsItem]) -> bool:
@@ -279,10 +271,14 @@ class SnapshotStore:
         path = self.root / "markets.jsonl"
         if path.exists():
             with open(path, encoding="utf-8") as fh:
-                for line in fh:
-                    if line.strip():
-                        row = json.loads(line)
-                        markets[row["slug"]] = MarketCatalogEntry(**row)
+                for n, line in enumerate(fh, start=1):
+                    if not line.strip():
+                        continue
+                    try:
+                        entry = MarketCatalogEntry(**json.loads(line))
+                    except (TypeError, ValueError) as exc:
+                        raise IngestionError(f"{path}:{n}: unreadable market entry") from exc
+                    markets[entry.slug] = entry
         self._markets = markets
         return markets
 
@@ -305,9 +301,6 @@ class SnapshotStore:
         )
         self._markets = merged
         return len(fresh)
-
-    def upsert_market(self, entry: MarketCatalogEntry) -> bool:
-        return record_snapshot(self, FetchBatch(markets=(entry,))) > 0
 
     def markets(self) -> tuple[MarketCatalogEntry, ...]:
         markets = self._load_markets()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import datetime as dt
 import os
+import socket
 from pathlib import Path
 
 import pytest
@@ -31,6 +32,22 @@ def assert_golden(name: str, text: str) -> None:
         f"output no longer matches goldens/{name}; "
         "if the change is intentional, regenerate with UPDATE_GOLDENS=1"
     )
+
+
+@pytest.fixture(autouse=True)
+def no_network(monkeypatch):
+    """Refuse every internet-family connect, so a provider call that
+    lost its injected fake fails here instead of reaching the network.
+    The socket is closed first, so no unclosed-socket warning follows."""
+    connect = socket.socket.connect
+
+    def refuse(sock: socket.socket, address) -> None:
+        if sock.family in (socket.AF_INET, socket.AF_INET6):
+            sock.close()
+            raise OSError(f"tests may not open network connections (connect to {address!r})")
+        connect(sock, address)
+
+    monkeypatch.setattr(socket.socket, "connect", refuse)
 
 
 @pytest.fixture

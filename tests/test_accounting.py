@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from tradefolio.accounting import (
     RENORMALIZE_BAND,
-    net_exposure,
     portfolio_value,
     rebalance,
     validate_allocation,
@@ -18,7 +17,6 @@ from tradefolio.errors import (
     NegativeWeight,
     SumOutOfBand,
     UnknownAsset,
-    WrongMarketKind,
     ZeroValuePortfolio,
 )
 
@@ -187,16 +185,3 @@ class TestValidateAllocation:
         # Idempotent: validating the result changes nothing.
         again = validate_allocation(dict(out.weights), STOCK)
         assert again.weights == out.weights
-
-
-class TestTradeDeltaAndExposure:
-    def test_net_exposure(self):
-        alloc = AllocationVector({
-            "Will it rain?_Yes": 0.7, "Will it rain?_No": 0.0, "CASH": 0.3,
-        })
-        assert net_exposure(alloc, PREDICTION) == {"Will it rain?": 0.7}
-
-    def test_net_exposure_wrong_market(self):
-        alloc = AllocationVector({"NVDA": 0.0, "MSFT": 0.0, "CASH": 1.0})
-        with pytest.raises(WrongMarketKind):
-            net_exposure(alloc, STOCK)

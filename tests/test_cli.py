@@ -284,6 +284,74 @@ def test_live_mode_over_covered_past_matches_replay(runner, tmp_path, monkeypatc
     assert live_log == replay_log
 
 
+def _fake_provider(monkeypatch, outage_from=None):
+    """Deterministic weekday bars and empty news; history requests that
+    reach ``outage_from`` fail the way an exhausted retry policy does."""
+    from tradefolio.errors import ProviderError
+    from tradefolio.ingestion import equities, news as news_mod
+
+    def fake_history(ticker, start, end, policy, **kwargs):
+        if outage_from is not None and end >= outage_from:
+            raise ProviderError("request failed after 2 attempts: 503 Service Unavailable")
+        days = (start + dt.timedelta(days=i) for i in range((end - start).days + 1))
+        return [PricePoint(d, 100.0 + 3 * len(ticker) + d.toordinal() % 7, 1e6)
+                for d in days if d.weekday() < 5]
+
+    monkeypatch.setattr(equities, "fetch_equity_history", fake_history)
+    monkeypatch.setattr(news_mod, "fetch_news", lambda *a, **k: [])
+
+
+def test_live_outage_runs_the_covered_prefix_then_resumes(runner, tmp_path, monkeypatch):
+    dates = [D(2025, 3, 10) + dt.timedelta(days=i) for i in range(9) if i % 7 < 5]
+    outage = dates[5]
+    models = ["baseline:equal-weight"]
+    log_name = "stock-baseline-equal-weight.jsonl"
+    live_cfg = _write_config(tmp_path / "live.yaml", tmp_path / "store", tmp_path / "runs",
+                             dates, models, extra="mode: live")
+
+    _fake_provider(monkeypatch, outage_from=outage)
+    result = runner.invoke(main, ["run", "--config", str(live_cfg)])
+    assert result.exit_code == 0, result.output
+    assert f"live data unavailable for {outage}: request failed after 2 attempts" in result.output
+    prefix_log = (tmp_path / "runs" / log_name).read_bytes()
+    replay_cfg = _write_config(tmp_path / "replay.yaml", tmp_path / "store",
+                               tmp_path / "replay", dates[:5], models)
+    assert runner.invoke(main, ["run", "--config", str(replay_cfg)]).exit_code == 0
+    assert prefix_log == (tmp_path / "replay" / log_name).read_bytes()
+
+    # once the provider recovers, the log resumes to the uninterrupted bytes
+    _fake_provider(monkeypatch)
+    assert runner.invoke(main, ["run", "--config", str(live_cfg)]).exit_code == 0
+    clean_cfg = _write_config(tmp_path / "clean.yaml", tmp_path / "clean-store",
+                              tmp_path / "clean", dates, models, extra="mode: live")
+    assert runner.invoke(main, ["run", "--config", str(clean_cfg)]).exit_code == 0
+    assert (tmp_path / "runs" / log_name).read_bytes() == (tmp_path / "clean" / log_name).read_bytes()
+
+    # an outage at the second date leaves nothing to run
+    _fake_provider(monkeypatch, outage_from=dates[1])
+    early_cfg = _write_config(tmp_path / "early.yaml", tmp_path / "early-store",
+                              tmp_path / "early", dates, models, extra="mode: live")
+    result = runner.invoke(main, ["run", "--config", str(early_cfg)])
+    assert result.exit_code == 0, result.output
+    assert "nothing to run yet" in result.output
+    assert not (tmp_path / "early").exists()
+
+
+def test_run_reports_an_unreadable_market_catalog(runner, tmp_path):
+    questions = ("Will the synthetic index close above its opening level?",
+                 "Will the sample reserve be drawn down this quarter?")
+    dates = seed_prediction_store(tmp_path / "store", questions, D(2025, 3, 3), 4, seed=4)
+    catalog = tmp_path / "store" / "markets.jsonl"
+    first, second = catalog.read_text(encoding="utf-8").splitlines()
+    catalog.write_text(f"{first}\n{second[:-20]}\n", encoding="utf-8")
+    config = _write_config(tmp_path / "run.yaml", tmp_path / "store", tmp_path / "runs",
+                           dates, ["baseline:all-cash"], market="prediction")
+
+    result = runner.invoke(main, ["run", "--config", str(config)])
+    assert result.exit_code == 1
+    assert f"{catalog}:2: unreadable market entry" in result.output
+
+
 def test_report_command(runner, stock_setup):
     tmp_path, config, dates = stock_setup
     assert runner.invoke(main, ["run", "--config", str(config)]).exit_code == 0
@@ -367,7 +435,7 @@ def test_fetch_stock_snapshots_store(runner, tmp_path, monkeypatch):
 def test_fetch_and_live_feed_bucket_news_on_the_same_utc_day(runner, tmp_path, monkeypatch):
     from tradefolio.domain import MarketSpec, NewsItem
     from tradefolio.ingestion import equities, news as news_mod
-    from tradefolio.ingestion.feeds import LiveFeed
+    from tradefolio.ingestion.feeds import ensure_date
     from tradefolio.ingestion.policy import FetchPolicy
 
     utc = dt.timezone.utc
@@ -394,8 +462,8 @@ def test_fetch_and_live_feed_bucket_news_on_the_same_utc_day(runner, tmp_path, m
 
     monkeypatch.setattr(news_mod, "fetch_news", fake_news)
     monkeypatch.setattr(equities, "fetch_equity_history", fake_history)
-    LiveFeed(SnapshotStore(tmp_path / "live"), MarketSpec.stock(("AAPL", "MSFT", "NVDA")),
-             FetchPolicy(max_retries=1)).ensure_date(date)
+    ensure_date(SnapshotStore(tmp_path / "live"), MarketSpec.stock(("AAPL", "MSFT", "NVDA")),
+                date, FetchPolicy(max_retries=1))
 
     fetched, live = SnapshotStore(tmp_path / "fetched"), SnapshotStore(tmp_path / "live")
     for day, titles in ((D(2025, 3, 4), ["last second"]), (D(2025, 3, 5), ["midnight"])):

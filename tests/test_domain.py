@@ -12,7 +12,6 @@ from tradefolio.domain import (
     PricePoint,
     PriceVector,
 )
-from tradefolio.errors import WrongMarketKind
 
 
 class TestMarketSpec:
@@ -29,8 +28,6 @@ class TestMarketSpec:
     def test_stock_spec_has_no_pairs(self):
         spec = MarketSpec.stock(("AAPL",))
         assert spec.pairs == ()
-        with pytest.raises(WrongMarketKind):
-            spec.pair_for("AAPL")
 
     def test_prediction_universe_shape(self):
         spec = MarketSpec.prediction(("Will it rain?", "Will it snow?"))
@@ -41,11 +38,9 @@ class TestMarketSpec:
         )
         assert len(spec.assets) == 2 * 2 + 1
         assert spec.questions == ("Will it rain?", "Will it snow?")
-        assert spec.risk_free_rate == 0.0
-        pair = spec.pair_for("Will it snow?")
-        assert (pair.yes, pair.no) == ("Will it snow?_Yes", "Will it snow?_No")
-        with pytest.raises(KeyError):
-            spec.pair_for("Will it hail?")
+        pair = spec.pairs[1]
+        assert (pair.question, pair.yes, pair.no) == (
+            "Will it snow?", "Will it snow?_Yes", "Will it snow?_No")
 
     def test_news_tags(self):
         assert MarketSpec.stock(("AAPL", "MSFT")).news_tags == ("AAPL", "MSFT")
@@ -59,12 +54,6 @@ class TestMarketSpec:
     def test_cash_must_be_in_universe(self):
         with pytest.raises(ValueError, match="cash"):
             MarketSpec(MarketKind.STOCK, ("AAPL", "MSFT"))
-
-    def test_prediction_rejects_nonzero_risk_free_rate(self):
-        base = MarketSpec.prediction(("Q?",))
-        with pytest.raises(ValueError, match="risk-free"):
-            MarketSpec(MarketKind.PREDICTION, base.assets, pairs=base.pairs,
-                       risk_free_rate=0.01)
 
     def test_prediction_rejects_unpaired_assets(self):
         with pytest.raises(ValueError, match="pair"):

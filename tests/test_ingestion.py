@@ -1,4 +1,4 @@
-"""Provider payload parsing, retry policy, and the two feeds.
+"""Provider payload parsing, retry policy, the replay feed and the live backfill.
 
 All network access goes through injectable http callables, so every
 test here runs against canned payloads.
@@ -13,7 +13,7 @@ import pytest
 from tradefolio.domain import MarketKind, MarketSpec, NewsItem, PricePoint
 from tradefolio.errors import FeedUnavailable, ProviderError
 from tradefolio.ingestion import equities, news, predictions
-from tradefolio.ingestion.feeds import LiveFeed, ReplayFeed
+from tradefolio.ingestion.feeds import ReplayFeed, ensure_date
 from tradefolio.ingestion.policy import FetchPolicy, backoff_delay, fetch_with_policy
 from tradefolio.ingestion.snapshots import SnapshotStore
 
@@ -246,10 +246,6 @@ def test_news_query_forms():
     assert news.build_news_query("ZZZQ", MarketKind.STOCK) == "ZZZQ stock news"
     question = "Will the launch happen this quarter?"
     assert news.build_news_query(question, MarketKind.PREDICTION) == question
-    assert (
-        news.build_news_query("AAPL", MarketKind.STOCK, company_names={"AAPL": "Apple Inc."})
-        == "AAPL stock news OR Apple Inc."
-    )
 
 
 RSS = """<?xml version="1.0"?>
@@ -448,9 +444,9 @@ def test_live_feed_backfills_then_reads(tmp_path, monkeypatch, stock_spec):
     monkeypatch.setattr(equities, "fetch_equity_history", fake_history)
     monkeypatch.setattr(news, "fetch_news", fake_news)
 
-    feed = LiveFeed(store, stock_spec, FetchPolicy(max_retries=1))
     date = D(2025, 3, 6)
-    point = feed.latest_price("AAPL", date)
+    ensure_date(store, stock_spec, date, FetchPolicy(max_retries=1))
+    point = ReplayFeed(store, MarketKind.STOCK).latest_price("AAPL", date)
     assert point.price == 101.0 and point.date == date
 
     assert [c[0] for c in history_calls] == ["AAPL", "MSFT", "NVDA"]
@@ -465,8 +461,8 @@ def test_live_feed_backfills_then_reads(tmp_path, monkeypatch, stock_spec):
         "day 3", "day 4",
     ]
 
-    # second read for the same date is served from the store
-    feed.latest_price("MSFT", date)
+    # a second pass over the same date is served from the store
+    ensure_date(store, stock_spec, date, FetchPolicy(max_retries=1))
     assert len(history_calls) == 3 and len(news_calls) == 3
 
 
@@ -491,8 +487,7 @@ def test_live_feed_skips_covered_assets_and_quotes_missing_date(tmp_path, monkey
     monkeypatch.setattr(equities, "fetch_equity_quote", fake_quote)
     monkeypatch.setattr(news, "fetch_news", lambda *a, **k: [])
 
-    feed = LiveFeed(store, spec, FetchPolicy(max_retries=1))
-    feed.ensure_date(date)
+    ensure_date(store, spec, date, FetchPolicy(max_retries=1))
 
     assert quote_calls == ["MSFT"]  # AAPL needed nothing
     assert store.latest_price("stock", "MSFT", date).price == 202.5
@@ -506,6 +501,76 @@ def test_live_feed_surfaces_provider_failure(tmp_path, monkeypatch):
         raise ProviderError("request failed after 3 attempts: refused")
 
     monkeypatch.setattr(equities, "fetch_equity_history", broken)
-    feed = LiveFeed(SnapshotStore(tmp_path), spec, FetchPolicy(max_retries=1))
     with pytest.raises(FeedUnavailable, match="2025-03-06"):
-        feed.ensure_date(D(2025, 3, 6))
+        ensure_date(SnapshotStore(tmp_path), spec, D(2025, 3, 6), FetchPolicy(max_retries=1))
+
+
+def test_live_backfill_never_rerecords_a_stored_bar(tmp_path, monkeypatch):
+    # AAPL's Friday bar came from the quote fallback (no volume); MSFT's
+    # Thursday close has since been adjusted by the provider
+    spec = MarketSpec.stock(("AAPL", "MSFT"))
+    store = SnapshotStore(tmp_path)
+    store.upsert_price("stock", "AAPL", D(2025, 3, 6), 100.0, 5e6)
+    store.upsert_price("stock", "AAPL", D(2025, 3, 7), 101.0)
+    store.upsert_price("stock", "MSFT", D(2025, 3, 6), 400.0, 2e6)
+    store.upsert_price("stock", "MSFT", D(2025, 3, 7), 402.0, 2e6)
+
+    def fake_history(ticker, start, end, policy, **kwargs):
+        if ticker == "AAPL":
+            return [PricePoint(D(2025, 3, 6), 100.0, 5e6), PricePoint(D(2025, 3, 7), 101.2, 6e6),
+                    PricePoint(D(2025, 3, 10), 103.0, 7e6)]
+        return [PricePoint(D(2025, 3, 6), 398.5, 2e6), PricePoint(D(2025, 3, 7), 402.0, 2e6),
+                PricePoint(D(2025, 3, 10), 405.0, 3e6)]
+
+    monkeypatch.setattr(equities, "fetch_equity_history", fake_history)
+    monkeypatch.setattr(news, "fetch_news", lambda *a, **k: [])
+    ensure_date(store, spec, D(2025, 3, 10), FetchPolicy(max_retries=1))
+
+    fresh = SnapshotStore(tmp_path)
+    assert fresh.price_series("stock", "AAPL") == (
+        PricePoint(D(2025, 3, 6), 100.0, 5e6), PricePoint(D(2025, 3, 7), 101.0),
+        PricePoint(D(2025, 3, 10), 103.0, 7e6),
+    )
+    assert [p.price for p in fresh.price_series("stock", "MSFT")] == [400.0, 402.0, 405.0]
+
+
+def test_live_backfill_over_a_holiday_is_fetched_once(tmp_path, monkeypatch):
+    # 2025-04-18 is a weekday market holiday: no provider ever has its bar
+    spec = MarketSpec.stock(("AAPL", "MSFT"))
+    store = SnapshotStore(tmp_path)
+    holiday = D(2025, 4, 18)
+    dates = [D(2025, 4, 16), D(2025, 4, 17), holiday, D(2025, 4, 21), D(2025, 4, 22)]
+    calls = []
+
+    def fake_history(ticker, start, end, policy, **kwargs):
+        calls.append(("history", ticker, end))
+        days = (start + dt.timedelta(days=i) for i in range((end - start).days + 1))
+        return [PricePoint(d, 100.0 + d.day) for d in days if d.weekday() < 5 and d != holiday]
+
+    def fake_quote(ticker, policy, **kwargs):
+        calls.append(("quote", ticker))
+        return PricePoint(dates[-1], 122.0)  # the latest trade, after the holiday
+
+    def fake_news(tag, kind, start, end, policy, **kwargs):
+        calls.append(("news", tag, end))
+        return []
+
+    monkeypatch.setattr(equities, "fetch_equity_history", fake_history)
+    monkeypatch.setattr(equities, "fetch_equity_quote", fake_quote)
+    monkeypatch.setattr(news, "fetch_news", fake_news)
+    for date in dates:
+        ensure_date(store, spec, date, FetchPolicy(max_retries=1))
+    assert ("history", "AAPL", holiday) in calls
+    assert store.latest_price("stock", "AAPL", holiday).date == D(2025, 4, 17)
+
+    calls.clear()
+    for date in dates:
+        ensure_date(SnapshotStore(tmp_path), spec, date, FetchPolicy(max_retries=1))
+    assert calls == []
+
+
+def test_tests_cannot_open_network_connections():
+    import requests
+
+    with pytest.raises(requests.ConnectionError, match=r"may not open network.*127\.0\.0\.1"):
+        requests.get("http://127.0.0.1:9/", timeout=1.0)

@@ -129,15 +129,6 @@ def test_latest_price_and_window(tmp_path):
     assert [p.price for p in window] == [101.0, 103.0]
 
 
-def test_price_keys_lists_headers(tmp_path):
-    store = SnapshotStore(tmp_path)
-    store.upsert_price("stock", "MSFT", D(2025, 3, 3), 400.0)
-    store.upsert_price("stock", "AAPL", D(2025, 3, 3), 240.0)
-    store.upsert_price("prediction", "tok-1", D(2025, 3, 3), 0.5)
-    assert store.price_keys("stock") == ("AAPL", "MSFT")
-    assert store.price_keys("prediction") == ("tok-1",)
-
-
 def _item(n: int, tag: str) -> NewsItem:
     return NewsItem(
         title=f"headline {n}",
@@ -189,13 +180,13 @@ def _entry(slug: str) -> MarketCatalogEntry:
 
 def test_market_catalog_sorted_and_guarded(tmp_path):
     store = SnapshotStore(tmp_path)
-    assert store.upsert_market(_entry("zeta"))
-    assert store.upsert_market(_entry("alpha"))
-    assert store.upsert_market(_entry("zeta")) is False
+    assert record_snapshot(store, FetchBatch(markets=(_entry("zeta"),))) == 1
+    assert record_snapshot(store, FetchBatch(markets=(_entry("alpha"), _entry("zeta")))) == 1
+    assert record_snapshot(store, FetchBatch(markets=(_entry("zeta"),))) == 0
     with pytest.raises(ConflictingValue):
-        store.upsert_market(
+        record_snapshot(store, FetchBatch(markets=(
             MarketCatalogEntry("zeta", "different?", "y", "n", "https://example.com"),
-        )
+        )))
 
     fresh = SnapshotStore(tmp_path)
     assert [e.slug for e in fresh.markets()] == ["alpha", "zeta"]
