@@ -1,6 +1,6 @@
 """Command-line entry points.
 
-Four subcommands cover the whole workflow: ``fetch`` snapshots market
+Four subcommands cover the whole workflow: ``fetch`` backfills market
 data into the store, ``run`` drives trading sessions over it, and
 ``report`` / ``delta`` turn the session logs into tables.
 """
@@ -12,7 +12,6 @@ import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
 
 import click
 
@@ -20,14 +19,12 @@ from .agents.baselines import AllCashAgent, BuyAndHoldAgent, EqualWeightAgent
 from .agents.clients import HttpChatClient, ModelClientConfig
 from .agents.harness import Agent, LLMAgent
 from .config import ModelEntry, RunConfig, load_config
-from .domain import MarketKind, MarketSpec, PricePoint
+from .domain import MarketKind, MarketSpec
 from .environment import SessionStatus, run_episode
 from .errors import ConfigError, FeedUnavailable, LagTooLarge, TradefolioError
-from .ingestion.equities import fetch_equity_history
-from .ingestion.feeds import ReplayFeed, ensure_date
-from .ingestion.news import fetch_news, news_rows
-from .ingestion.predictions import discover_markets, fetch_prediction_history
-from .ingestion.snapshots import FetchBatch, PriceRow, SnapshotStore, record_snapshot
+from .ingestion.feeds import ReplayFeed, ensure_dates, record_discovered
+from .ingestion.predictions import discover_markets
+from .ingestion.snapshots import SnapshotStore
 from .reporting import (
     build_delta_table,
     build_report_rows,
@@ -67,39 +64,24 @@ def _make_agent(entry: ModelEntry) -> Agent:
     return LLMAgent(HttpChatClient(), client_config)
 
 
-def _prediction_questions(cfg: RunConfig, store: SnapshotStore) -> tuple[str, ...]:
-    if cfg.questions:
-        return cfg.questions
-    questions = tuple(e.question for e in store.markets())[: cfg.discovery_limit]
+def _build_spec(cfg: RunConfig, store: SnapshotStore) -> tuple[MarketSpec, dict[str, str]]:
+    """The configured market, and the store keys prediction assets'
+    prices live under. A question with no catalog entry keeps its asset
+    names as keys, which is how synthetic fixtures are keyed."""
+    if cfg.market is MarketKind.STOCK:
+        return cfg.spec(), {}
+    catalog = {e.question: e for e in store.markets()}
+    questions = cfg.questions or tuple(catalog)[: cfg.discovery_limit]
     if not questions:
         raise ConfigError(
             "no questions configured and the store catalog is empty; run 'tradefolio fetch' first"
         )
-    return questions
-
-
-def _build_spec(cfg: RunConfig, store: SnapshotStore) -> MarketSpec:
-    if cfg.market is MarketKind.STOCK:
-        return cfg.spec()
-    return MarketSpec.prediction(_prediction_questions(cfg, store))
-
-
-def _asset_keys(spec: MarketSpec, store: SnapshotStore) -> dict[str, str]:
-    """Map prediction assets to the store keys their prices live under.
-
-    Questions with no catalog entry fall back to the asset name itself,
-    which is how synthetic fixtures are keyed.
-    """
-    if spec.kind is not MarketKind.PREDICTION:
-        return {}
-    by_question = {e.question: e for e in store.markets()}
     keys: dict[str, str] = {}
-    for question in spec.questions:
-        entry = by_question.get(question)
-        if entry is not None:
-            keys[f"{question}_Yes"] = entry.yes_token
-            keys[f"{question}_No"] = entry.no_token
-    return keys
+    for question in questions:
+        if question in catalog:
+            keys[f"{question}_Yes"] = catalog[question].yes_token
+            keys[f"{question}_No"] = catalog[question].no_token
+    return MarketSpec.prediction(questions), keys
 
 
 def _load_series(store: SnapshotStore, spec: MarketSpec, asset_keys: dict[str, str]) -> None:
@@ -112,27 +94,15 @@ def _load_series(store: SnapshotStore, spec: MarketSpec, asset_keys: dict[str, s
         store.has_news(tag, dt.date.min)
 
 
-def _price_rows(market: str, key: str, points: Iterable[PricePoint]) -> tuple[PriceRow, ...]:
-    return tuple(PriceRow(market, key, p.date, p.price, p.volume) for p in points)
-
-
 def _backfill(cfg: RunConfig, store: SnapshotStore, spec: MarketSpec,
               asset_keys: dict[str, str]) -> list[dt.date]:
-    """The configured dates that have happened, backfilled in order.
-
-    A provider outage at one date ends the list before that date, so
-    the sessions still run over every date the store now covers.
-    """
+    """The configured dates that have happened, backfilled into the
+    store once at least two have; ``FeedUnavailable`` names the first
+    date a provider failure left uncovered."""
     dates = [d for d in cfg.dates if d <= dt.date.today()]
-    if len(dates) < 2:
-        return dates
-    for i, date in enumerate(dates):
-        try:
-            ensure_date(store, spec, date, cfg.fetch_policy, asset_keys,
-                        cfg.lookback_days, cfg.news_window_days)
-        except FeedUnavailable as exc:
-            click.echo(f"{exc}; the backfill stops there")
-            return dates[:i]
+    if len(dates) >= 2:
+        ensure_dates(store, spec, dates, cfg.fetch_policy, asset_keys,
+                     cfg.lookback_days, cfg.news_window_days)
     return dates
 
 
@@ -203,53 +173,28 @@ def main() -> None:
 @click.option("--config", "config_path", required=True,
               type=click.Path(exists=True, dir_okay=False), help="Run configuration YAML.")
 def fetch(config_path: str) -> None:
-    """Snapshot price history, market listings, and news into the store."""
+    """Backfill the store for the configured dates that have happened.
+
+    Prediction markets are discovered first, and their catalog entries
+    recorded; questions the config lists must be in the catalog.
+    """
     try:
         cfg = load_config(config_path)
         store = SnapshotStore(cfg.store)
-        start, end = cfg.dates[0], cfg.dates[-1]
-        price_start = start - dt.timedelta(days=cfg.lookback_days)
-        news_start = start - dt.timedelta(days=cfg.news_window_days)
-        news_days = [news_start + dt.timedelta(days=i)
-                     for i in range((end - news_start).days + 1)]
-        policy = cfg.fetch_policy
-
-        if cfg.market is MarketKind.STOCK:
-            for ticker in cfg.universe:
-                points = fetch_equity_history(ticker, price_start, end, policy)
-                record_snapshot(store, FetchBatch(prices=_price_rows("stock", ticker, points)))
-                click.echo(f"{ticker}: {len(points)} bars")
-            for ticker in cfg.universe:
-                items = fetch_news(ticker, MarketKind.STOCK, news_start, end, policy)
-                record_snapshot(store, FetchBatch(news=news_rows(ticker, items, news_days)))
-                click.echo(f"{ticker}: {len(items)} news items")
-            return
-
-        discovered = discover_markets(policy, price_start, end,
-                                      limit=cfg.discovery_limit,
-                                      flat_threshold=cfg.flat_market_threshold)
-        fetched = set()
-        for market in discovered:
-            entry = market.entry
-            prices = (_price_rows("prediction", entry.yes_token, market.yes_history)
-                      + _price_rows("prediction", entry.no_token, market.no_history))
-            record_snapshot(store, FetchBatch(prices=prices, markets=(entry,)))
-            fetched.add(entry.question)
-            click.echo(f"{entry.slug}: {len(market.yes_history)} bars")
-        catalog = {e.question: e for e in store.markets()}
-        questions = cfg.questions or tuple(m.entry.question for m in discovered)
-        for question in questions:
-            entry = catalog.get(question)
-            if entry is None:
+        if cfg.market is MarketKind.PREDICTION:
+            record_discovered(store, discover_markets(
+                cfg.fetch_policy, cfg.dates[0] - dt.timedelta(days=cfg.lookback_days),
+                cfg.dates[-1], limit=cfg.discovery_limit,
+                flat_threshold=cfg.flat_market_threshold))
+        spec, asset_keys = _build_spec(cfg, store)
+        for question in spec.questions:
+            if f"{question}_Yes" not in asset_keys:
                 raise ConfigError(f"question not in the market catalog: {question!r}")
-            if question not in fetched:
-                for token in (entry.yes_token, entry.no_token):
-                    history = fetch_prediction_history(token, price_start, end, policy)
-                    record_snapshot(store, FetchBatch(
-                        prices=_price_rows("prediction", token, history)))
-            items = fetch_news(question, MarketKind.PREDICTION, news_start, end, policy)
-            record_snapshot(store, FetchBatch(news=news_rows(question, items, news_days)))
-            click.echo(f"{question}: {len(items)} news items")
+        dates = _backfill(cfg, store, spec, asset_keys)
+        if len(dates) < 2:
+            click.echo("fewer than two configured dates are ready; nothing to fetch yet")
+        else:
+            click.echo(f"{cfg.store}: backfilled {dates[0]} to {dates[-1]}")
     except TradefolioError as exc:
         raise click.ClickException(str(exc)) from exc
 
@@ -267,13 +212,19 @@ def run(config_path: str) -> None:
     """
     try:
         cfg = load_config(config_path)
+        if cfg.mode != "live" and not cfg.store.is_dir():
+            raise ConfigError(f"no store directory at {cfg.store.resolve()};"
+                              " run 'tradefolio fetch' first")
         store = SnapshotStore(cfg.store)
-        spec = _build_spec(cfg, store)
-        asset_keys = _asset_keys(spec, store)
+        spec, asset_keys = _build_spec(cfg, store)
         dates = list(cfg.dates)
 
         if cfg.mode == "live":
-            dates = _backfill(cfg, store, spec, asset_keys)
+            try:
+                dates = _backfill(cfg, store, spec, asset_keys)
+            except FeedUnavailable as exc:
+                click.echo(f"{exc}; the backfill stops there")
+                dates = [d for d in dates if d < exc.date]
             if len(dates) < 2:
                 click.echo("fewer than two configured dates are ready; nothing to run yet")
                 return

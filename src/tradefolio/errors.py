@@ -7,6 +7,8 @@ caller might want to catch.
 
 from __future__ import annotations
 
+import datetime as dt
+
 __all__ = [
     "TradefolioError",
     "KeyMismatch",
@@ -140,7 +142,12 @@ class FeedError(TradefolioError):
 
 
 class FeedUnavailable(FeedError):
-    """Live data source unreachable after retries; session must halt."""
+    """Live data source unreachable after retries; session must halt.
+    ``date`` is the first date a backfill left uncovered, when known."""
+
+    def __init__(self, message: str, date: dt.date | None = None) -> None:
+        super().__init__(message)
+        self.date = date
 
 
 class NoPriceEverSeen(FeedError):

@@ -4,15 +4,16 @@ A feed answers three questions for the environment: the latest price
 at or before a date, the stored closes inside a lookback window, and
 the ranked news for a tag window. ``ReplayFeed`` answers purely from
 the snapshot store, and every session reads through it, live ones
-included. Live data is a backfill: ``ensure_date`` tops the store up
-from providers for one decision date before any session runs, so a
-live session replays exactly the store it leaves behind.
+included. Live data is a backfill: ``ensure_dates`` tops the store up
+from providers for the decision dates before any session runs, so a
+live session replays exactly the store it leaves behind. ``tradefolio
+fetch`` and a live ``tradefolio run`` both go through it.
 """
 
 from __future__ import annotations
 
 import datetime as dt
-from typing import Mapping, Protocol
+from typing import Iterable, Mapping, Protocol, Sequence
 
 from ..domain import MarketKind, MarketSpec, NewsItem, PricePoint
 from ..errors import FeedUnavailable, ProviderError
@@ -20,7 +21,7 @@ from . import equities, news, predictions
 from .policy import FetchPolicy
 from .snapshots import FetchBatch, PriceRow, SnapshotStore, record_snapshot
 
-__all__ = ["Feed", "ReplayFeed", "ensure_date"]
+__all__ = ["Feed", "ReplayFeed", "ensure_dates", "record_discovered"]
 
 HISTORY_LOOKBACK_DAYS = 10
 
@@ -59,63 +60,91 @@ class ReplayFeed:
         return tuple(news.rank_news(items, target))
 
 
-def ensure_date(
+def _record_new_prices(store: SnapshotStore, market: str, key: str,
+                      points: Iterable[PricePoint]) -> None:
+    """Record the fetched bars whose dates the series lacks. A stored
+    bar (a quote, or a close the provider has since adjusted) is never
+    re-recorded."""
+    have = {p.date for p in store.price_series(market, key)}
+    rows = tuple(PriceRow(market, key, p.date, p.price, p.volume)
+                 for p in points if p.date not in have)
+    record_snapshot(store, FetchBatch(prices=rows))
+
+
+def record_discovered(store: SnapshotStore,
+                      discovered: Sequence[predictions.DiscoveredMarket]) -> None:
+    """Catalog discovered markets and record the new dates of the
+    histories that justified keeping them."""
+    record_snapshot(store, FetchBatch(markets=tuple(m.entry for m in discovered)))
+    for market in discovered:
+        _record_new_prices(store, "prediction", market.entry.yes_token, market.yes_history)
+        _record_new_prices(store, "prediction", market.entry.no_token, market.no_history)
+
+
+def ensure_dates(
     store: SnapshotStore,
     spec: MarketSpec,
-    date: dt.date,
+    dates: Sequence[dt.date],
     policy: FetchPolicy,
     asset_keys: Mapping[str, str] | None = None,
     lookback_days: int = HISTORY_LOOKBACK_DAYS,
     news_window_days: int = news.NEWS_WINDOW_DAYS,
 ) -> None:
-    """Backfill the store for one decision date: lookback bars, a price
-    for the date itself, and the trailing news window for every tag.
+    """Backfill the store for sorted decision dates: each date's
+    lookback bars and price, and every tag's trailing news window.
 
     A date counts as priced once the series holds a bar on or after it,
-    since a weekday holiday never gets a bar of its own. History is
-    fetched for an asset whose date isn't priced or whose lookback
-    window holds fewer than two bars, then a quote for a stock whose
-    date is still not priced. Only dates a series lacks are written, so
-    a stored bar (a quote, or a close the provider has since adjusted)
-    is never re-recorded. A provider failure that survives the retry
-    policy raises ``FeedUnavailable``.
+    since a weekday holiday never gets a bar of its own. A date needs
+    history when it isn't priced or its lookback window holds fewer
+    than two bars; each asset gets one history request, from the first
+    such date minus the lookback to the last date, then a stock whose
+    last date is still unpriced gets one quote. A tag gets one news
+    request over the windows of the dates missing a news day, ranked for
+    the last date, and every missing day is recorded, empty ones too.
+    Only dates a series lacks are written. A provider failure that
+    survives the retry policy raises ``FeedUnavailable`` naming the
+    first date that needed a request.
     """
     keys = asset_keys or {}
     market = spec.kind.value
-    start = date - dt.timedelta(days=lookback_days)
+    lookback = dt.timedelta(days=lookback_days)
+    window = [dt.timedelta(days=i) for i in range(news_window_days, 0, -1)]
 
-    def priced(key: str) -> bool:
+    def priced(key: str, date: dt.date) -> bool:
         series = store.price_series(market, key)
         return bool(series) and series[-1].date >= date
 
-    def record_missing(key: str, points: list[PricePoint]) -> None:
-        have = {p.date for p in store.price_series(market, key)}
-        rows = tuple(PriceRow(market, key, p.date, p.price, p.volume)
-                     for p in points if p.date not in have)
-        record_snapshot(store, FetchBatch(prices=rows))
+    def lacks_news(tag: str, date: dt.date) -> list[dt.date]:
+        return [date - back for back in window if not store.has_news(tag, date - back)]
 
+    history = {}
+    for key in (keys.get(a, a) for a in spec.assets if a != spec.cash):
+        history[key] = next((d for d in dates if not priced(key, d)
+                             or len(store.price_window(market, key, d - lookback, d)) < 2), None)
+    needy = {tag: [d for d in dates if lacks_news(tag, d)] for tag in spec.news_tags}
+    starts = [d for d in history.values() if d] + [n[0] for n in needy.values() if n]
+    if not starts:
+        return
+    first, last = min(starts), dates[-1]
     try:
-        for asset in spec.assets:
-            if asset == spec.cash:
-                continue
-            key = keys.get(asset, asset)
-            if priced(key) and len(store.price_window(market, key, start, date)) >= 2:
+        for key, need in history.items():
+            if need is None:
                 continue
             if spec.kind is MarketKind.STOCK:
-                record_missing(key, equities.fetch_equity_history(key, start, date, policy))
-                if not priced(key):
+                _record_new_prices(store, market, key, equities.fetch_equity_history(
+                    key, need - lookback, last, policy))
+                if not priced(key, last):
                     quote = equities.fetch_equity_quote(key, policy)
-                    if quote.date <= date:
-                        record_missing(key, [quote])
+                    if quote.date <= last:
+                        _record_new_prices(store, market, key, [quote])
             else:
-                record_missing(key, predictions.fetch_prediction_history(key, start, date, policy))
-        news_start = date - dt.timedelta(days=news_window_days)
-        news_days = [news_start + dt.timedelta(days=i) for i in range(news_window_days)]
-        for tag in spec.news_tags:
-            missing = [day for day in news_days if not store.has_news(tag, day)]
-            if missing:
-                items = news.fetch_news(tag, spec.kind, news_start, news_days[-1], policy,
-                                        target=date)
+                _record_new_prices(store, market, key, predictions.fetch_prediction_history(
+                    key, need - lookback, last, policy))
+        for tag, tag_dates in needy.items():
+            if tag_dates:
+                missing = sorted({day for d in tag_dates for day in lacks_news(tag, d)})
+                items = news.fetch_news(tag, spec.kind, tag_dates[0] - window[0],
+                                        tag_dates[-1] - window[-1], policy, target=last)
                 record_snapshot(store, FetchBatch(news=news.news_rows(tag, items, missing)))
     except ProviderError as exc:
-        raise FeedUnavailable(f"live data unavailable for {date}: {exc}") from exc
+        raise FeedUnavailable(f"live data unavailable for {first}: {exc}", first) from exc

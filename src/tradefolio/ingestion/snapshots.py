@@ -8,7 +8,8 @@ of a batch is checked against what is already stored before its series
 changes: re-recording identical data is a no-op, and changing an
 already-recorded value is refused, never silently applied. The new
 rows are then merged in and the series file is rewritten atomically,
-once per batch, so a crash can't leave a half-written series.
+once per batch, so a crash can't leave a half-written series. Reads
+create nothing on disk; a directory is made on its first write.
 
 Reads are served from a sorted in-memory index built when a series is
 first loaded: its dates in order beside one parsed value per date (a
@@ -147,8 +148,6 @@ class _Series:
 class SnapshotStore:
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
-        for sub in ("prices/stock", "prices/prediction", "news"):
-            (self.root / sub).mkdir(parents=True, exist_ok=True)
         self._series: dict[tuple[str, str], _Series] = {}
         self._markets: dict[str, MarketCatalogEntry] | None = None
 
@@ -228,6 +227,7 @@ class SnapshotStore:
             ensure_ascii=False,
         )
         body = (json.dumps(_encode(kind, d, v), ensure_ascii=False) for d, v in merged)
+        series.path.parent.mkdir(parents=True, exist_ok=True)
         _atomic_write(series.path, [header, *body])
         self._series[(kind, key)] = updated
         return len(fresh)
@@ -295,6 +295,7 @@ class SnapshotStore:
         if not fresh:
             return 0
         merged = {**markets, **fresh}
+        self.root.mkdir(parents=True, exist_ok=True)
         _atomic_write(
             self.root / "markets.jsonl",
             [json.dumps(vars(merged[slug]), ensure_ascii=False) for slug in sorted(merged)],

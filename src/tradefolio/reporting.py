@@ -13,6 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import CorruptLog, SeriesTooShort
 from .metrics import MetricsReport, rolling_k_delta
 from .sessionlog import (
     SessionLogHeader,
@@ -48,14 +49,20 @@ class ReportRow:
 
 def _row_from_log(path: Path, risk_free_rate: float) -> ReportRow:
     header, records = read_session_log(path)
+    if not records:
+        raise CorruptLog(f"{path}: log has no records")
     values = value_series(header, records)
     rate = risk_free_rate if header.market.value == "stock" else 0.0
+    try:
+        metrics = MetricsReport.from_values(values, rate)
+    except SeriesTooShort as exc:
+        raise SeriesTooShort(f"{path}: {exc}") from exc
     dates = [records[0].date.isoformat()] + [r.date.isoformat() for r in records]
     return ReportRow(
         market=header.market.value,
         model=header.model,
         steps=len(records),
-        metrics=MetricsReport.from_values(values, rate),
+        metrics=metrics,
         values=values,
         cash_ratio=cash_ratio_series(header, records),
         dates=dates,

@@ -36,10 +36,17 @@ def assert_golden(name: str, text: str) -> None:
 
 @pytest.fixture(autouse=True)
 def no_network(monkeypatch):
-    """Refuse every internet-family connect, so a provider call that
-    lost its injected fake fails here instead of reaching the network.
-    The socket is closed first, so no unclosed-socket warning follows."""
+    """Refuse every internet-family connect, and every host name lookup
+    but localhost's, so a provider call that lost its injected fake
+    fails here instead of reaching the network or a name server. The
+    socket is closed first, so no unclosed-socket warning follows."""
     connect = socket.socket.connect
+    getaddrinfo = socket.getaddrinfo
+
+    def refuse_lookup(host, *args, **kwargs):
+        if host not in (None, "localhost", "127.0.0.1", "::1"):
+            raise OSError(f"tests may not look up host names ({host!r})")
+        return getaddrinfo(host, *args, **kwargs)
 
     def refuse(sock: socket.socket, address) -> None:
         if sock.family in (socket.AF_INET, socket.AF_INET6):
@@ -48,6 +55,7 @@ def no_network(monkeypatch):
         connect(sock, address)
 
     monkeypatch.setattr(socket.socket, "connect", refuse)
+    monkeypatch.setattr(socket, "getaddrinfo", refuse_lookup)
 
 
 @pytest.fixture

@@ -249,6 +249,25 @@ def test_prediction_run_without_catalog_says_fetch_first(runner, tmp_path):
     assert "run 'tradefolio fetch' first" in result.output
 
 
+def test_replay_run_refuses_a_missing_store(runner, tmp_path, monkeypatch):
+    dates = [D(2025, 3, 3) + dt.timedelta(days=i) for i in range(3)]
+    config = _write_config(tmp_path / "run.yaml", "store", "runs", dates,
+                           ["baseline:all-cash"])
+    result = runner.invoke(main, ["run", "--config", str(config)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert f"no store directory at {tmp_path / 'store'}" in result.output
+    assert "run 'tradefolio fetch' first" in result.output
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.yaml"]
+
+    # fetch creates the store, after which the replay runs
+    _fake_provider(monkeypatch)
+    assert runner.invoke(main, ["fetch", "--config", str(config)]).exit_code == 0
+    result = runner.invoke(main, ["run", "--config", str(config)])
+    assert result.exit_code == 0, result.output
+    assert "baseline:all-cash: ended, +2 steps" in result.output
+
+
 def test_live_mode_waits_for_dates(runner, tmp_path):
     seed_stock_store(tmp_path / "store", ("AAPL", "MSFT", "NVDA"), D(2099, 1, 4), 4)
     future = [D(2099, 1, 4 + i) for i in range(4)]
@@ -284,35 +303,61 @@ def test_live_mode_over_covered_past_matches_replay(runner, tmp_path, monkeypatc
     assert live_log == replay_log
 
 
-def _fake_provider(monkeypatch, outage_from=None):
-    """Deterministic weekday bars and empty news; history requests that
-    reach ``outage_from`` fail the way an exhausted retry policy does."""
+def _fake_provider(monkeypatch, down=False):
+    """Deterministic weekday bars (stock prices, or probabilities for
+    prediction tokens) and empty news; with ``down`` every request fails
+    the way an exhausted retry policy does. Returns the list every
+    request is appended to."""
     from tradefolio.errors import ProviderError
-    from tradefolio.ingestion import equities, news as news_mod
+    from tradefolio.ingestion import equities, news as news_mod, predictions
 
-    def fake_history(ticker, start, end, policy, **kwargs):
-        if outage_from is not None and end >= outage_from:
-            raise ProviderError("request failed after 2 attempts: 503 Service Unavailable")
-        days = (start + dt.timedelta(days=i) for i in range((end - start).days + 1))
-        return [PricePoint(d, 100.0 + 3 * len(ticker) + d.toordinal() % 7, 1e6)
-                for d in days if d.weekday() < 5]
+    calls = []
+    outage = ProviderError("request failed after 2 attempts: 503 Service Unavailable")
 
-    monkeypatch.setattr(equities, "fetch_equity_history", fake_history)
-    monkeypatch.setattr(news_mod, "fetch_news", lambda *a, **k: [])
+    def history(scale):
+        def fake(key, start, end, policy, **kwargs):
+            calls.append(("history", key, start, end))
+            if down:
+                raise outage
+            days = (start + dt.timedelta(days=i) for i in range((end - start).days + 1))
+            return [PricePoint(d, scale * (100.0 + 3 * len(key) + d.toordinal() % 7), 1e6)
+                    for d in days if d.weekday() < 5]
+        return fake
+
+    def fake_quote(ticker, policy, **kwargs):
+        calls.append(("quote", ticker))
+        raise outage
+
+    def fake_news(tag, kind, start, end, policy, **kwargs):
+        calls.append(("news", tag, start, end))
+        if down:
+            raise outage
+        return []
+
+    monkeypatch.setattr(equities, "fetch_equity_history", history(1.0))
+    monkeypatch.setattr(equities, "fetch_equity_quote", fake_quote)
+    monkeypatch.setattr(predictions, "fetch_prediction_history", history(0.004))
+    monkeypatch.setattr(news_mod, "fetch_news", fake_news)
+    return calls
 
 
 def test_live_outage_runs_the_covered_prefix_then_resumes(runner, tmp_path, monkeypatch):
     dates = [D(2025, 3, 10) + dt.timedelta(days=i) for i in range(9) if i % 7 < 5]
-    outage = dates[5]
     models = ["baseline:equal-weight"]
     log_name = "stock-baseline-equal-weight.jsonl"
     live_cfg = _write_config(tmp_path / "live.yaml", tmp_path / "store", tmp_path / "runs",
                              dates, models, extra="mode: live")
 
-    _fake_provider(monkeypatch, outage_from=outage)
+    # a healthy run covers the first five dates, then every request fails
+    warm_cfg = _write_config(tmp_path / "warm.yaml", tmp_path / "store", tmp_path / "warm",
+                             dates[:5], models, extra="mode: live")
+    _fake_provider(monkeypatch)
+    assert runner.invoke(main, ["run", "--config", str(warm_cfg)]).exit_code == 0
+    _fake_provider(monkeypatch, down=True)
     result = runner.invoke(main, ["run", "--config", str(live_cfg)])
     assert result.exit_code == 0, result.output
-    assert f"live data unavailable for {outage}: request failed after 2 attempts" in result.output
+    assert (f"live data unavailable for {dates[5]}: request failed after 2 attempts"
+            in result.output)
     prefix_log = (tmp_path / "runs" / log_name).read_bytes()
     replay_cfg = _write_config(tmp_path / "replay.yaml", tmp_path / "store",
                                tmp_path / "replay", dates[:5], models)
@@ -327,14 +372,30 @@ def test_live_outage_runs_the_covered_prefix_then_resumes(runner, tmp_path, monk
     assert runner.invoke(main, ["run", "--config", str(clean_cfg)]).exit_code == 0
     assert (tmp_path / "runs" / log_name).read_bytes() == (tmp_path / "clean" / log_name).read_bytes()
 
-    # an outage at the second date leaves nothing to run
-    _fake_provider(monkeypatch, outage_from=dates[1])
+    # an outage on a fresh store leaves nothing to run
+    _fake_provider(monkeypatch, down=True)
     early_cfg = _write_config(tmp_path / "early.yaml", tmp_path / "early-store",
                               tmp_path / "early", dates, models, extra="mode: live")
     result = runner.invoke(main, ["run", "--config", str(early_cfg)])
     assert result.exit_code == 0, result.output
     assert "nothing to run yet" in result.output
     assert not (tmp_path / "early").exists()
+
+
+def test_live_backfill_of_a_fresh_store_requests_each_series_once(runner, tmp_path,
+                                                                  monkeypatch):
+    dates = [D(2025, 3, 3) + dt.timedelta(days=i) for i in range(5)]
+    config = _write_config(tmp_path / "live.yaml", tmp_path / "store", tmp_path / "runs",
+                           dates, ["baseline:all-cash"], extra="mode: live")
+    config.write_text(config.read_text().replace("[AAPL, MSFT, NVDA]", "[AAPL, MSFT]"))
+    calls = _fake_provider(monkeypatch)
+    result = runner.invoke(main, ["run", "--config", str(config)])
+    assert result.exit_code == 0, result.output
+    lookback_start, news_start = D(2025, 2, 21), D(2025, 2, 28)
+    assert calls == [("history", "AAPL", lookback_start, dates[-1]),
+                     ("history", "MSFT", lookback_start, dates[-1]),
+                     ("news", "AAPL", news_start, dates[-2]),
+                     ("news", "MSFT", news_start, dates[-2])]
 
 
 def test_run_reports_an_unreadable_market_catalog(runner, tmp_path):
@@ -377,6 +438,25 @@ def test_report_command(runner, stock_setup):
     assert "pass session logs" in nothing.output
 
 
+def test_report_names_the_log_it_cannot_score(runner, stock_setup):
+    tmp_path, config, dates = stock_setup
+    assert runner.invoke(main, ["run", "--config", str(config)]).exit_code == 0
+    log = tmp_path / "runs" / "stock-baseline-equal-weight.jsonl"
+    lines = log.read_bytes().splitlines(keepends=True)
+
+    log.write_bytes(lines[0])  # a session that stopped before its first step
+    result = runner.invoke(main, ["report", str(log)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert f"Error: {log}: log has no records" in result.output
+
+    log.write_bytes(b"".join(lines[:2]))  # a live session's first daily run
+    result = runner.invoke(main, ["report", str(log)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert f"Error: {log}: need at least 2 returns, got 1" in result.output
+
+
 def test_delta_command(runner, stock_setup):
     tmp_path, config, dates = stock_setup
     assert runner.invoke(main, ["run", "--config", str(config)]).exit_code == 0
@@ -397,6 +477,9 @@ def test_delta_command(runner, stock_setup):
 
 
 def test_fetch_stock_snapshots_store(runner, tmp_path, monkeypatch):
+    from tradefolio.domain import NewsItem
+    from tradefolio.ingestion import equities, news as news_mod
+
     dates = [D(2025, 3, 3) + dt.timedelta(days=i) for i in range(3)]
     config = _write_config(tmp_path / "run.yaml", tmp_path / "store", tmp_path / "runs",
                            dates, ["baseline:all-cash"])
@@ -408,35 +491,31 @@ def test_fetch_stock_snapshots_store(runner, tmp_path, monkeypatch):
 
     def fake_news(tag, kind, start, end, policy, **kwargs):
         published = dt.datetime.combine(dates[0], dt.time(12), tzinfo=dt.timezone.utc)
-        from tradefolio.domain import NewsItem
         return [NewsItem(title=f"{tag} item", snippet="", source="wire",
                          url="https://example.com", published_at=int(published.timestamp()),
                          tagged_asset=tag)]
 
-    monkeypatch.setattr(cli, "fetch_equity_history", fake_history)
-    monkeypatch.setattr(cli, "fetch_news", fake_news)
+    monkeypatch.setattr(equities, "fetch_equity_history", fake_history)
+    monkeypatch.setattr(news_mod, "fetch_news", fake_news)
 
     result = runner.invoke(main, ["fetch", "--config", str(config)])
     assert result.exit_code == 0, result.output
-    assert "AAPL: 13 bars" in result.output  # [start - 10 lookback days, end] inclusive
-    assert "NVDA: 1 news items" in result.output
+    assert f"backfilled {dates[0]} to {dates[-1]}" in result.output
 
     store = SnapshotStore(tmp_path / "store")
-    assert len(store.price_series("stock", "MSFT")) == 13
-    # every day of the news window is marked covered, even without items
-    news_start = dates[0] - dt.timedelta(days=3)
-    day = news_start
-    while day <= dates[-1]:
+    assert len(store.price_series("stock", "MSFT")) == 13  # [start - 10 lookback days, end]
+    # every day of every news window is marked covered, even without items
+    day = dates[0] - dt.timedelta(days=3)
+    while day < dates[-1]:
         assert store.has_news("AAPL", day)
         day += dt.timedelta(days=1)
+    assert not store.has_news("AAPL", dates[-1])  # no session reads the last date's news
     assert store.news_window("AAPL", dates[0], dates[0])[0].title == "AAPL item"
 
 
-def test_fetch_and_live_feed_bucket_news_on_the_same_utc_day(runner, tmp_path, monkeypatch):
-    from tradefolio.domain import MarketSpec, NewsItem
+def test_backfill_buckets_news_by_utc_day(runner, tmp_path, monkeypatch):
+    from tradefolio.domain import NewsItem
     from tradefolio.ingestion import equities, news as news_mod
-    from tradefolio.ingestion.feeds import ensure_date
-    from tradefolio.ingestion.policy import FetchPolicy
 
     utc = dt.timezone.utc
     stamps = {
@@ -454,52 +533,108 @@ def test_fetch_and_live_feed_bucket_news_on_the_same_utc_day(runner, tmp_path, m
                 for i in range((end - start).days + 1)]
 
     date = D(2025, 3, 6)
-    config = _write_config(tmp_path / "run.yaml", tmp_path / "fetched", tmp_path / "runs",
+    config = _write_config(tmp_path / "run.yaml", tmp_path / "store", tmp_path / "runs",
                            [date, date + dt.timedelta(days=1)], ["baseline:all-cash"])
-    monkeypatch.setattr(cli, "fetch_news", fake_news)
-    monkeypatch.setattr(cli, "fetch_equity_history", fake_history)
-    assert runner.invoke(main, ["fetch", "--config", str(config)]).exit_code == 0
-
     monkeypatch.setattr(news_mod, "fetch_news", fake_news)
     monkeypatch.setattr(equities, "fetch_equity_history", fake_history)
-    ensure_date(SnapshotStore(tmp_path / "live"), MarketSpec.stock(("AAPL", "MSFT", "NVDA")),
-                date, FetchPolicy(max_retries=1))
+    assert runner.invoke(main, ["fetch", "--config", str(config)]).exit_code == 0
 
-    fetched, live = SnapshotStore(tmp_path / "fetched"), SnapshotStore(tmp_path / "live")
+    store = SnapshotStore(tmp_path / "store")
     for day, titles in ((D(2025, 3, 4), ["last second"]), (D(2025, 3, 5), ["midnight"])):
-        assert [i.title for i in fetched.news_window("AAPL", day, day)] == titles
-        assert [i.title for i in live.news_window("AAPL", day, day)] == titles
+        assert [i.title for i in store.news_window("AAPL", day, day)] == titles
+
+
+def test_fetch_twice_makes_no_second_request(runner, tmp_path, monkeypatch):
+    dates = [D(2025, 3, 3) + dt.timedelta(days=i) for i in range(5)]
+    config = _write_config(tmp_path / "run.yaml", tmp_path / "store", tmp_path / "runs",
+                           dates, ["baseline:all-cash"])
+    calls = _fake_provider(monkeypatch)
+    assert runner.invoke(main, ["fetch", "--config", str(config)]).exit_code == 0
+    assert len(calls) == 6  # one history and one news request per ticker
+
+    calls.clear()
+    result = runner.invoke(main, ["fetch", "--config", str(config)])
+    assert result.exit_code == 0, result.output
+    assert calls == []
+
+
+def test_refetch_over_revised_closes_keeps_the_stored_bars(runner, tmp_path, monkeypatch):
+    from tradefolio.ingestion import equities
+
+    dates = [D(2025, 3, 3) + dt.timedelta(days=i) for i in range(5)]
+    config = _write_config(tmp_path / "run.yaml", tmp_path / "store", tmp_path / "runs",
+                           dates[:4], ["baseline:all-cash"])
+    _fake_provider(monkeypatch)
+    assert runner.invoke(main, ["fetch", "--config", str(config)]).exit_code == 0
+    stored = SnapshotStore(tmp_path / "store").price_series("stock", "AAPL")
+
+    # the provider has since adjusted every close; the extended range re-requests them
+    revised = equities.fetch_equity_history
+    monkeypatch.setattr(equities, "fetch_equity_history", lambda *a, **k: [
+        PricePoint(p.date, p.price + 0.5, p.volume) for p in revised(*a, **k)])
+    _write_config(config, tmp_path / "store", tmp_path / "runs", dates, ["baseline:all-cash"])
+    result = runner.invoke(main, ["fetch", "--config", str(config)])
+    assert result.exit_code == 0, result.output
+
+    after = SnapshotStore(tmp_path / "store").price_series("stock", "AAPL")
+    assert after[:-1] == stored
+    assert after[-1].date == dates[-1]
+
+
+def test_fetch_then_live_run_makes_no_requests(runner, tmp_path, monkeypatch):
+    dates = [D(2025, 3, 3) + dt.timedelta(days=i) for i in range(5)]
+    config = _write_config(tmp_path / "live.yaml", tmp_path / "store", tmp_path / "runs",
+                           dates, ["baseline:equal-weight"], extra="mode: live")
+    calls = _fake_provider(monkeypatch)
+    assert runner.invoke(main, ["fetch", "--config", str(config)]).exit_code == 0
+    assert calls
+
+    calls.clear()
+    result = runner.invoke(main, ["run", "--config", str(config)])
+    assert result.exit_code == 0, result.output
+    assert "baseline:equal-weight: ended, +4 steps" in result.output
+    assert calls == []
+
+
+def _discovered(n, dates, lookback_days=10):
+    """A discovered market whose histories cover the lookback and every date."""
+    entry = MarketCatalogEntry(
+        slug=f"market-{n}", question=f"Will event {n} happen?",
+        yes_token=f"tok-{n}-yes", no_token=f"tok-{n}-no",
+        url=f"https://example.com/event/market-{n}")
+    start = dates[0] - dt.timedelta(days=lookback_days)
+    days = [start + dt.timedelta(days=i) for i in range((dates[-1] - start).days + 1)]
+    yes = tuple(PricePoint(d, round(0.2 * n + 0.01 * (i % 5), 3)) for i, d in enumerate(days))
+    return DiscoveredMarket(entry, yes, tuple(PricePoint(p.date, round(1 - p.price, 3))
+                                              for p in yes))
 
 
 def test_fetch_prediction_discovers_markets(runner, tmp_path, monkeypatch):
     dates = [D(2025, 3, 3) + dt.timedelta(days=i) for i in range(3)]
     config = _write_config(tmp_path / "run.yaml", tmp_path / "store", tmp_path / "runs",
-                           dates, ["baseline:all-cash"], market="prediction")
-
-    def entry(n):
-        return MarketCatalogEntry(
-            slug=f"market-{n}", question=f"Will event {n} happen?",
-            yes_token=f"tok-{n}-yes", no_token=f"tok-{n}-no",
-            url=f"https://example.com/event/market-{n}")
-
-    def history(base):
-        return tuple(PricePoint(d, round(base + 0.05 * i, 3))
-                     for i, d in enumerate(dates))
-
-    markets = [DiscoveredMarket(entry(1), history(0.4), history(0.55)),
-               DiscoveredMarket(entry(2), history(0.2), history(0.75))]
-
+                           dates, ["baseline:all-cash"], market="prediction",
+                           extra="mode: live")
+    markets = [_discovered(1, dates), _discovered(2, dates)]
     monkeypatch.setattr(cli, "discover_markets", lambda *a, **k: markets)
-    monkeypatch.setattr(cli, "fetch_news", lambda *a, **k: [])
+    calls = _fake_provider(monkeypatch)
 
     result = runner.invoke(main, ["fetch", "--config", str(config)])
     assert result.exit_code == 0, result.output
-    assert "market-1: 3 bars" in result.output
+    assert f"backfilled {dates[0]} to {dates[-1]}" in result.output
 
     store = SnapshotStore(tmp_path / "store")
     assert [e.slug for e in store.markets()] == ["market-1", "market-2"]
-    assert len(store.price_series("prediction", "tok-2-no")) == 3
+    assert store.price_series("prediction", "tok-2-no") == markets[1].no_history
     assert store.has_news("Will event 1 happen?", dates[0])
+    # the discovered histories cover every date, so only news was requested
+    assert [c[:2] for c in calls] == [("news", "Will event 1 happen?"),
+                                      ("news", "Will event 2 happen?")]
+
+    calls.clear()
+    result = runner.invoke(main, ["run", "--config", str(config)])
+    assert result.exit_code == 0, result.output
+    assert "baseline:all-cash: ended, +2 steps" in result.output
+    assert calls == []
 
 
 def test_fetch_prediction_rejects_unknown_question(runner, tmp_path, monkeypatch):

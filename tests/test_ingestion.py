@@ -13,7 +13,7 @@ import pytest
 from tradefolio.domain import MarketKind, MarketSpec, NewsItem, PricePoint
 from tradefolio.errors import FeedUnavailable, ProviderError
 from tradefolio.ingestion import equities, news, predictions
-from tradefolio.ingestion.feeds import ReplayFeed, ensure_date
+from tradefolio.ingestion.feeds import ReplayFeed, ensure_dates
 from tradefolio.ingestion.policy import FetchPolicy, backoff_delay, fetch_with_policy
 from tradefolio.ingestion.snapshots import SnapshotStore
 
@@ -445,7 +445,7 @@ def test_live_feed_backfills_then_reads(tmp_path, monkeypatch, stock_spec):
     monkeypatch.setattr(news, "fetch_news", fake_news)
 
     date = D(2025, 3, 6)
-    ensure_date(store, stock_spec, date, FetchPolicy(max_retries=1))
+    ensure_dates(store, stock_spec, [date], FetchPolicy(max_retries=1))
     point = ReplayFeed(store, MarketKind.STOCK).latest_price("AAPL", date)
     assert point.price == 101.0 and point.date == date
 
@@ -462,7 +462,7 @@ def test_live_feed_backfills_then_reads(tmp_path, monkeypatch, stock_spec):
     ]
 
     # a second pass over the same date is served from the store
-    ensure_date(store, stock_spec, date, FetchPolicy(max_retries=1))
+    ensure_dates(store, stock_spec, [date], FetchPolicy(max_retries=1))
     assert len(history_calls) == 3 and len(news_calls) == 3
 
 
@@ -487,7 +487,7 @@ def test_live_feed_skips_covered_assets_and_quotes_missing_date(tmp_path, monkey
     monkeypatch.setattr(equities, "fetch_equity_quote", fake_quote)
     monkeypatch.setattr(news, "fetch_news", lambda *a, **k: [])
 
-    ensure_date(store, spec, date, FetchPolicy(max_retries=1))
+    ensure_dates(store, spec, [date], FetchPolicy(max_retries=1))
 
     assert quote_calls == ["MSFT"]  # AAPL needed nothing
     assert store.latest_price("stock", "MSFT", date).price == 202.5
@@ -502,7 +502,7 @@ def test_live_feed_surfaces_provider_failure(tmp_path, monkeypatch):
 
     monkeypatch.setattr(equities, "fetch_equity_history", broken)
     with pytest.raises(FeedUnavailable, match="2025-03-06"):
-        ensure_date(SnapshotStore(tmp_path), spec, D(2025, 3, 6), FetchPolicy(max_retries=1))
+        ensure_dates(SnapshotStore(tmp_path), spec, [D(2025, 3, 6)], FetchPolicy(max_retries=1))
 
 
 def test_live_backfill_never_rerecords_a_stored_bar(tmp_path, monkeypatch):
@@ -524,7 +524,7 @@ def test_live_backfill_never_rerecords_a_stored_bar(tmp_path, monkeypatch):
 
     monkeypatch.setattr(equities, "fetch_equity_history", fake_history)
     monkeypatch.setattr(news, "fetch_news", lambda *a, **k: [])
-    ensure_date(store, spec, D(2025, 3, 10), FetchPolicy(max_retries=1))
+    ensure_dates(store, spec, [D(2025, 3, 10)], FetchPolicy(max_retries=1))
 
     fresh = SnapshotStore(tmp_path)
     assert fresh.price_series("stock", "AAPL") == (
@@ -559,14 +559,111 @@ def test_live_backfill_over_a_holiday_is_fetched_once(tmp_path, monkeypatch):
     monkeypatch.setattr(equities, "fetch_equity_quote", fake_quote)
     monkeypatch.setattr(news, "fetch_news", fake_news)
     for date in dates:
-        ensure_date(store, spec, date, FetchPolicy(max_retries=1))
+        ensure_dates(store, spec, [date], FetchPolicy(max_retries=1))
     assert ("history", "AAPL", holiday) in calls
     assert store.latest_price("stock", "AAPL", holiday).date == D(2025, 4, 17)
 
     calls.clear()
     for date in dates:
-        ensure_date(SnapshotStore(tmp_path), spec, date, FetchPolicy(max_retries=1))
+        ensure_dates(SnapshotStore(tmp_path), spec, [date], FetchPolicy(max_retries=1))
     assert calls == []
+
+
+def _counting_provider(monkeypatch, calls, last_bar=None, down=False):
+    """Weekday bars through ``last_bar`` (default: the request's end),
+    a quote for the request day after, and one news item per day; every
+    request is appended to ``calls``."""
+
+    def fake_history(ticker, start, end, policy, **kwargs):
+        calls.append(("history", ticker, start, end))
+        if down:
+            raise ProviderError("request failed after 2 attempts: refused")
+        stop = min(end, last_bar or end)
+        days = (start + dt.timedelta(days=i) for i in range((stop - start).days + 1))
+        return [PricePoint(d, 100.0 + d.day, 1e6) for d in days if d.weekday() < 5]
+
+    def fake_quote(ticker, policy, **kwargs):
+        calls.append(("quote", ticker))
+        return PricePoint(last_bar + dt.timedelta(days=1), 150.0)
+
+    def fake_news(tag, kind, start, end, policy, target=None, **kwargs):
+        calls.append(("news", tag, start, end, target))
+        days = (start + dt.timedelta(days=i) for i in range((end - start).days + 1))
+        return [NewsItem(title=f"{tag} {d}", snippet="", source="wire", url="https://example.com",
+                         published_at=_epoch(d.year, d.month, d.day), tagged_asset=tag)
+                for d in days]
+
+    monkeypatch.setattr(equities, "fetch_equity_history", fake_history)
+    monkeypatch.setattr(equities, "fetch_equity_quote", fake_quote)
+    monkeypatch.setattr(news, "fetch_news", fake_news)
+
+
+def test_backfill_of_many_dates_requests_each_asset_and_tag_once(tmp_path, monkeypatch):
+    spec = MarketSpec.stock(("AAPL", "MSFT"))
+    store = SnapshotStore(tmp_path)
+    dates = [D(2025, 3, 3) + dt.timedelta(days=i) for i in range(5)]  # Mon-Fri
+    calls = []
+    _counting_provider(monkeypatch, calls, last_bar=dates[-2])  # Friday's close isn't out yet
+    ensure_dates(store, spec, dates, FetchPolicy(max_retries=1))
+
+    first, last = dates[0], dates[-1]
+    assert calls == [
+        ("history", "AAPL", first - dt.timedelta(days=10), last), ("quote", "AAPL"),
+        ("history", "MSFT", first - dt.timedelta(days=10), last), ("quote", "MSFT"),
+        ("news", "AAPL", first - dt.timedelta(days=3), last - dt.timedelta(days=1), last),
+        ("news", "MSFT", first - dt.timedelta(days=3), last - dt.timedelta(days=1), last),
+    ]
+    assert store.latest_price("stock", "AAPL", last) == PricePoint(last, 150.0)
+    # every window day is stored, weekends included; the last date's own day isn't
+    day = first - dt.timedelta(days=3)
+    while day < last:
+        assert [i.title for i in store.news_window("MSFT", day, day)] == [f"MSFT {day}"]
+        day += dt.timedelta(days=1)
+    assert not store.has_news("MSFT", last)
+
+    calls.clear()
+    ensure_dates(SnapshotStore(tmp_path), spec, dates, FetchPolicy(max_retries=1))
+    assert calls == []
+
+
+def test_backfill_requests_start_at_the_first_date_that_needs_them(tmp_path, monkeypatch):
+    spec = MarketSpec.stock(("AAPL", "MSFT"))
+    dates = [D(2025, 3, 3) + dt.timedelta(days=i) for i in range(5)]
+    calls = []
+    _counting_provider(monkeypatch, calls)
+    ensure_dates(SnapshotStore(tmp_path), spec, dates[:3], FetchPolicy(max_retries=1))
+    store = SnapshotStore(tmp_path)
+    store.upsert_price("stock", "MSFT", dates[3], 99.0)  # MSFT is priced through Thursday
+    stored = store.news_window("AAPL", dates[0], dates[1])
+
+    calls.clear()
+    _counting_provider(monkeypatch, calls)
+    ensure_dates(store, spec, dates, FetchPolicy(max_retries=1))
+    assert calls == [
+        ("history", "AAPL", dates[3] - dt.timedelta(days=10), dates[4]),
+        ("history", "MSFT", dates[4] - dt.timedelta(days=10), dates[4]),
+        ("news", "AAPL", dates[3] - dt.timedelta(days=3), dates[4] - dt.timedelta(days=1),
+         dates[4]),
+        ("news", "MSFT", dates[3] - dt.timedelta(days=3), dates[4] - dt.timedelta(days=1),
+         dates[4]),
+    ]
+    # only the dates a series lacked were written
+    assert store.latest_price("stock", "MSFT", dates[3]).price == 99.0
+    assert store.news_window("AAPL", dates[0], dates[1]) == stored
+    assert store.has_news("AAPL", dates[3])
+
+
+def test_backfill_failure_names_the_first_date_that_needed_a_request(tmp_path, monkeypatch):
+    spec = MarketSpec.stock(("AAPL",))
+    dates = [D(2025, 3, 3) + dt.timedelta(days=i) for i in range(5)]
+    calls = []
+    _counting_provider(monkeypatch, calls)
+    ensure_dates(SnapshotStore(tmp_path), spec, dates[:2], FetchPolicy(max_retries=1))
+
+    _counting_provider(monkeypatch, calls, down=True)
+    with pytest.raises(FeedUnavailable, match="unavailable for 2025-03-05: request failed") as info:
+        ensure_dates(SnapshotStore(tmp_path), spec, dates, FetchPolicy(max_retries=1))
+    assert info.value.date == dates[2]
 
 
 def test_tests_cannot_open_network_connections():
@@ -574,3 +671,10 @@ def test_tests_cannot_open_network_connections():
 
     with pytest.raises(requests.ConnectionError, match=r"may not open network.*127\.0\.0\.1"):
         requests.get("http://127.0.0.1:9/", timeout=1.0)
+
+
+def test_tests_cannot_look_up_host_names():
+    import requests
+
+    with pytest.raises(requests.ConnectionError, match=r"may not look up.*provider\.example"):
+        requests.get("http://provider.example/", timeout=1.0)
