@@ -84,16 +84,6 @@ def _build_spec(cfg: RunConfig, store: SnapshotStore) -> tuple[MarketSpec, dict[
     return MarketSpec.prediction(questions), keys
 
 
-def _load_series(store: SnapshotStore, spec: MarketSpec, asset_keys: dict[str, str]) -> None:
-    """Load every series the sessions read, so threads sharing the store
-    only read it and never build an index concurrently."""
-    for asset in spec.assets:
-        if asset != spec.cash:
-            store.price_series(spec.kind.value, asset_keys.get(asset, asset))
-    for tag in spec.news_tags:
-        store.has_news(tag, dt.date.min)
-
-
 def _backfill(cfg: RunConfig, store: SnapshotStore, spec: MarketSpec,
               asset_keys: dict[str, str]) -> list[dt.date]:
     """The configured dates that have happened, backfilled into the
@@ -186,6 +176,9 @@ def fetch(config_path: str) -> None:
                 cfg.fetch_policy, cfg.dates[0] - dt.timedelta(days=cfg.lookback_days),
                 cfg.dates[-1], limit=cfg.discovery_limit,
                 flat_threshold=cfg.flat_market_threshold))
+            if not cfg.questions and not store.markets():
+                raise ConfigError("discovery found no markets for the configured dates"
+                                  " and the store catalog is empty")
         spec, asset_keys = _build_spec(cfg, store)
         for question in spec.questions:
             if f"{question}_Yes" not in asset_keys:
@@ -243,7 +236,6 @@ def run(config_path: str) -> None:
         if workers <= 1 or len(cfg.models) == 1:
             outcomes = [job(entry) for entry in cfg.models]
         else:
-            _load_series(store, spec, asset_keys)
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 outcomes = list(pool.map(job, cfg.models))
 

@@ -13,6 +13,7 @@ fetch`` and a live ``tradefolio run`` both go through it.
 from __future__ import annotations
 
 import datetime as dt
+from bisect import bisect_left, bisect_right
 from typing import Iterable, Mapping, Protocol, Sequence
 
 from ..domain import MarketKind, MarketSpec, NewsItem, PricePoint
@@ -65,7 +66,7 @@ def _record_new_prices(store: SnapshotStore, market: str, key: str,
     """Record the fetched bars whose dates the series lacks. A stored
     bar (a quote, or a close the provider has since adjusted) is never
     re-recorded."""
-    have = {p.date for p in store.price_series(market, key)}
+    have = set(store.price_dates(market, key))
     rows = tuple(PriceRow(market, key, p.date, p.price, p.volume)
                  for p in points if p.date not in have)
     record_snapshot(store, FetchBatch(prices=rows))
@@ -101,9 +102,10 @@ def ensure_dates(
     last date is still unpriced gets one quote. A tag gets one news
     request over the windows of the dates missing a news day, ranked for
     the last date, and every missing day is recorded, empty ones too.
-    Only dates a series lacks are written. A provider failure that
-    survives the retry policy raises ``FeedUnavailable`` naming the
-    first date that needed a request.
+    These checks read only the dates a series holds, so a covered store
+    decodes no row here. Only dates a series lacks are written. A
+    provider failure that survives the retry policy raises
+    ``FeedUnavailable`` naming the first date that needed a request.
     """
     keys = asset_keys or {}
     market = spec.kind.value
@@ -111,8 +113,12 @@ def ensure_dates(
     window = [dt.timedelta(days=i) for i in range(news_window_days, 0, -1)]
 
     def priced(key: str, date: dt.date) -> bool:
-        series = store.price_series(market, key)
-        return bool(series) and series[-1].date >= date
+        stored = store.price_dates(market, key)
+        return bool(stored) and stored[-1] >= date
+
+    def bars(key: str, start: dt.date, end: dt.date) -> int:
+        stored = store.price_dates(market, key)
+        return bisect_right(stored, end) - bisect_left(stored, start)
 
     def lacks_news(tag: str, date: dt.date) -> list[dt.date]:
         return [date - back for back in window if not store.has_news(tag, date - back)]
@@ -120,7 +126,7 @@ def ensure_dates(
     history = {}
     for key in (keys.get(a, a) for a in spec.assets if a != spec.cash):
         history[key] = next((d for d in dates if not priced(key, d)
-                             or len(store.price_window(market, key, d - lookback, d)) < 2), None)
+                             or bars(key, d - lookback, d) < 2), None)
     needy = {tag: [d for d in dates if lacks_news(tag, d)] for tag in spec.news_tags}
     starts = [d for d in history.values() if d] + [n[0] for n in needy.values() if n]
     if not starts:

@@ -12,10 +12,16 @@ once per batch, so a crash can't leave a half-written series. Reads
 create nothing on disk; a directory is made on its first write.
 
 Reads are served from a sorted in-memory index built when a series is
-first loaded: its dates in order beside one parsed value per date (a
-``PricePoint``, or a day's tuple of ``NewsItem``). A point lookup is a
-binary search and a window is a slice. A write swaps in a whole new
-index, so a reader never sees half of one.
+first loaded. Loading reads only each row's date, which ``_encode``
+always writes first, and checks that dates strictly increase; a row's
+value stays raw text until a read first needs it. The first read below
+what is already decoded decodes every row from there to the end of the
+series in one block, so a session, whose first read is its lowest,
+decodes each series once: all of it in a batch, only the window in a
+daily resume. A bad header or date fails at load; a bad value fails at
+its first read. A point lookup is a binary search and a window is a
+slice. A write decodes its own series and swaps in a whole new index,
+so a reader never sees half of one.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ import hashlib
 import json
 import os
 import re
+import threading
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from operator import itemgetter
@@ -126,23 +133,77 @@ def _decode(kind: str, key: str, date: dt.date, row: dict) -> Any:
     return PricePoint(date, row["price"], row["volume"])
 
 
-@dataclass(frozen=True)
-class _Series:
-    """One loaded series, never mutated: ``values[i]`` is the row for
-    ``dates[i]`` and dates strictly increase."""
+_DATE_PREFIX = '{"date": "'  # how ``_encode``'s rows start
+_DATE_TEXT = slice(len(_DATE_PREFIX), len(_DATE_PREFIX) + 10)  # the ISO date that follows
 
-    kind: str
-    key: str
-    path: Path
-    dates: tuple[dt.date, ...] = ()
-    values: tuple[Any, ...] = ()
+
+class _Series:
+    """One loaded series: ``dates`` strictly increase and never change,
+    and ``values[i]`` is the row for ``dates[i]``, its raw line below
+    ``lo`` and its decoded value from ``lo`` on. ``lo`` only falls, and
+    only once the rows it passes are decoded, so a reader that finds a
+    row at or above ``lo`` reads it without the lock."""
+
+    __slots__ = ("kind", "key", "path", "lock", "dates", "values", "lines", "lo")
+
+    def __init__(self, kind: str, key: str, path: Path, lock: threading.Lock,
+                 dates: tuple[dt.date, ...], values: list[Any],
+                 lines: Sequence[int], lo: int) -> None:
+        self.kind = kind
+        self.key = key
+        self.path = path
+        self.lock = lock
+        self.dates = dates
+        self.values = values
+        self.lines = lines  # each row's line number in the file
+        self.lo = lo
+
+    def decode_from(self, i: int) -> None:
+        """Decode the rows from ``i`` up to ``lo`` with one
+        ``json.loads`` call, or line by line when that fails, so the
+        error names the line."""
+        with self.lock:
+            lo = self.lo
+            if i >= lo:
+                return
+            raw = self.values[i:lo]
+            try:
+                rows = json.loads("[" + ",".join(raw) + "]")
+                if len(rows) != len(raw):  # a bad line held a comma-separated pair
+                    raise ValueError
+            except ValueError:
+                rows = []
+                for n, line in enumerate(raw, start=i):
+                    try:
+                        rows.append(json.loads(line))
+                    except ValueError as exc:
+                        raise IngestionError(f"{self.path}:{self.lines[n]}: unreadable row") from exc
+            decoded = []
+            for n, row in enumerate(rows, start=i):
+                date = self.dates[n]
+                try:
+                    if dt.date.fromisoformat(row["date"]) != date:
+                        raise ValueError("the row's date is not the indexed one")
+                    decoded.append(_decode(self.kind, self.key, date, row))
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise IngestionError(f"{self.path}:{self.lines[n]}: unreadable row") from exc
+            self.values[i:lo] = decoded
+            self.lo = i
 
     def find(self, date: dt.date) -> Any | None:
         i = bisect_left(self.dates, date)
-        return self.values[i] if i < len(self.dates) and self.dates[i] == date else None
+        if i == len(self.dates) or self.dates[i] != date:
+            return None
+        if i < self.lo:
+            self.decode_from(i)
+        return self.values[i]
 
-    def window(self, start: dt.date, end: dt.date) -> tuple[Any, ...]:
-        return self.values[bisect_left(self.dates, start):bisect_right(self.dates, end)]
+    def window(self, start: dt.date, end: dt.date) -> list[Any]:
+        i = bisect_left(self.dates, start)
+        j = bisect_right(self.dates, end)
+        if i < self.lo and i < j:
+            self.decode_from(i)
+        return self.values[i:j]
 
 
 class SnapshotStore:
@@ -150,6 +211,9 @@ class SnapshotStore:
         self.root = Path(root)
         self._series: dict[tuple[str, str], _Series] = {}
         self._markets: dict[str, MarketCatalogEntry] | None = None
+        # Guards building an index and decoding rows, so threads sharing
+        # the store never do either twice.
+        self._lock = threading.Lock()
 
     # -- series plumbing -------------------------------------------------
 
@@ -162,42 +226,51 @@ class SnapshotStore:
         raise IngestionError(f"unknown series kind {kind!r}")
 
     def _load(self, kind: str, key: str) -> _Series:
-        cached = self._series.get((kind, key))
-        if cached is not None:
-            return cached
+        series = self._series.get((kind, key))
+        if series is None:
+            with self._lock:
+                series = self._series.get((kind, key))
+                if series is None:
+                    series = self._series[(kind, key)] = self._index(kind, key)
+        return series
+
+    def _index(self, kind: str, key: str) -> _Series:
+        """Read a series file into an index of dates beside raw rows."""
         path = self._dir_for(kind) / _filename(key)
         dates: list[dt.date] = []
-        values: list[Any] = []
+        rows: list[str] = []
+        lines: list[int] = []
         if path.exists():
             with open(path, encoding="utf-8") as fh:
                 header_line = fh.readline()
+                body = fh.read()
+            try:
+                header = json.loads(header_line)
+            except json.JSONDecodeError as exc:
+                raise IngestionError(f"{path}: unreadable header") from exc
+            if (
+                header.get("format") != SERIES_FORMAT
+                or header.get("version") != SERIES_VERSION
+                or header.get("series") != kind
+                or header.get("key") != key
+            ):
+                raise IngestionError(f"{path}: header does not match series ({kind}, {key!r})")
+            for n, line in enumerate(body.split("\n"), start=2):
                 try:
-                    header = json.loads(header_line)
-                except json.JSONDecodeError as exc:
-                    raise IngestionError(f"{path}: unreadable header") from exc
-                if (
-                    header.get("format") != SERIES_FORMAT
-                    or header.get("version") != SERIES_VERSION
-                    or header.get("series") != kind
-                    or header.get("key") != key
-                ):
-                    raise IngestionError(f"{path}: header does not match series ({kind}, {key!r})")
-                for n, line in enumerate(fh, start=2):
-                    if not line.strip():
+                    if line.startswith(_DATE_PREFIX):
+                        date = dt.date.fromisoformat(line[_DATE_TEXT])
+                    elif line.strip():
+                        date = dt.date.fromisoformat(json.loads(line)["date"])
+                    else:
                         continue
-                    try:
-                        row = json.loads(line)
-                        date = dt.date.fromisoformat(row["date"])
-                        value = _decode(kind, key, date, row)
-                    except (KeyError, TypeError, ValueError) as exc:
-                        raise IngestionError(f"{path}:{n}: unreadable row") from exc
-                    if dates and date <= dates[-1]:
-                        raise IngestionError(f"{path}:{n}: dates must be strictly increasing")
-                    dates.append(date)
-                    values.append(value)
-        series = _Series(kind, key, path, tuple(dates), tuple(values))
-        self._series[(kind, key)] = series
-        return series
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise IngestionError(f"{path}:{n}: unreadable row") from exc
+                if dates and date <= dates[-1]:
+                    raise IngestionError(f"{path}:{n}: dates must be strictly increasing")
+                dates.append(date)
+                rows.append(line)
+                lines.append(n)
+        return _Series(kind, key, path, self._lock, tuple(dates), rows, lines, len(rows))
 
     def _write(self, kind: str, key: str, rows: Iterable[tuple[dt.date, Any]]) -> int:
         """Record a batch of (date, value) rows for one series; returns
@@ -208,6 +281,7 @@ class SnapshotStore:
         once and the new index swapped in.
         """
         series = self._load(kind, key)
+        series.decode_from(0)
         fresh: dict[dt.date, Any] = {}
         for date, value in rows:
             known = series.find(date)
@@ -220,8 +294,6 @@ class SnapshotStore:
         if not fresh:
             return 0
         merged = sorted([*zip(series.dates, series.values), *fresh.items()], key=itemgetter(0))
-        updated = replace(series, dates=tuple(d for d, _ in merged),
-                          values=tuple(v for _, v in merged))
         header = json.dumps(
             {"format": SERIES_FORMAT, "version": SERIES_VERSION, "series": kind, "key": key},
             ensure_ascii=False,
@@ -229,7 +301,9 @@ class SnapshotStore:
         body = (json.dumps(_encode(kind, d, v), ensure_ascii=False) for d, v in merged)
         series.path.parent.mkdir(parents=True, exist_ok=True)
         _atomic_write(series.path, [header, *body])
-        self._series[(kind, key)] = updated
+        self._series[(kind, key)] = _Series(
+            kind, key, series.path, self._lock, tuple(d for d, _ in merged),
+            [v for _, v in merged], range(2, len(merged) + 2), 0)
         return len(fresh)
 
     # -- prices ------------------------------------------------------------
@@ -240,16 +314,26 @@ class SnapshotStore:
         return record_snapshot(self, FetchBatch(prices=(row,))) > 0
 
     def price_series(self, market: str, key: str) -> tuple[PricePoint, ...]:
-        return self._load(_PRICE_SERIES[market], key).values
+        series = self._load(_PRICE_SERIES[market], key)
+        series.decode_from(0)
+        return tuple(series.values)
+
+    def price_dates(self, market: str, key: str) -> tuple[dt.date, ...]:
+        """The dates a price series holds, without decoding a row."""
+        return self._load(_PRICE_SERIES[market], key).dates
 
     def latest_price(self, market: str, key: str, on_or_before: dt.date) -> PricePoint | None:
         series = self._load(_PRICE_SERIES[market], key)
-        i = bisect_right(series.dates, on_or_before)
-        return series.values[i - 1] if i else None
+        i = bisect_right(series.dates, on_or_before) - 1
+        if i < 0:
+            return None
+        if i < series.lo:
+            series.decode_from(i)
+        return series.values[i]
 
     def price_window(self, market: str, key: str,
                      start: dt.date, end: dt.date) -> tuple[PricePoint, ...]:
-        return self._load(_PRICE_SERIES[market], key).window(start, end)
+        return tuple(self._load(_PRICE_SERIES[market], key).window(start, end))
 
     # -- news ----------------------------------------------------------------
 
@@ -257,7 +341,9 @@ class SnapshotStore:
         return record_snapshot(self, FetchBatch(news=(NewsRow(tag, date, tuple(items)),))) > 0
 
     def has_news(self, tag: str, date: dt.date) -> bool:
-        return self._load("news", tag).find(date) is not None
+        dates = self._load("news", tag).dates
+        i = bisect_left(dates, date)
+        return i < len(dates) and dates[i] == date
 
     def news_window(self, tag: str, start: dt.date, end: dt.date) -> tuple[NewsItem, ...]:
         return tuple(item for day in self._load("news", tag).window(start, end) for item in day)

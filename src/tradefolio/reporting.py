@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CorruptLog, SeriesTooShort
+from .errors import CorruptLog, LagTooLarge, SeriesTooShort
 from .metrics import MetricsReport, rolling_k_delta
 from .sessionlog import (
     SessionLogHeader,
@@ -169,8 +169,13 @@ def build_delta_table(paths: Sequence[str | Path], lags: Sequence[int]) -> Delta
     models = []
     for path in paths:
         header, records = read_session_log(Path(path))
+        if not records:
+            raise CorruptLog(f"{path}: log has no records")
         holdings, prices = position_histories(header, records)
-        row = {k: rolling_k_delta(holdings, prices, k) for k in lags}
+        try:
+            row = {k: rolling_k_delta(holdings, prices, k) for k in lags}
+        except LagTooLarge as exc:
+            raise LagTooLarge(f"{path}: {exc}") from exc
         model = header.model
         suffix = 2
         while model in cells:

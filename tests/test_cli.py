@@ -2,12 +2,12 @@
 
 import datetime as dt
 import json
-import threading
 
 import pytest
 from click.testing import CliRunner
 
 from tradefolio import cli, sessionlog
+from tradefolio.ingestion import snapshots
 from tradefolio.cli import _slug, main
 from tradefolio.domain import PricePoint
 from tradefolio.ingestion.predictions import DiscoveredMarket
@@ -179,22 +179,22 @@ def test_log_with_a_non_object_header_fails_only_its_model(runner, stock_setup):
     assert ":1: bad header" in reported.output
 
 
-def test_worker_threads_only_read_a_loaded_store(runner, stock_setup, monkeypatch):
+def test_worker_threads_build_each_series_once(runner, stock_setup, monkeypatch):
     tmp_path, config, dates = stock_setup
     config.write_text(config.read_text() + "concurrency: 2\n", encoding="utf-8")
     builds = []
-    real_load = SnapshotStore._load
+    real_index = SnapshotStore._index
 
-    def spying_load(self, kind, key):
-        if (kind, key) not in self._series:
-            builds.append(threading.current_thread() is threading.main_thread())
-        return real_load(self, kind, key)
+    def spying_index(self, kind, key):
+        builds.append((kind, key))
+        return real_index(self, kind, key)
 
-    monkeypatch.setattr(SnapshotStore, "_load", spying_load)
+    monkeypatch.setattr(SnapshotStore, "_index", spying_index)
     result = runner.invoke(main, ["run", "--config", str(config)])
     assert result.exit_code == 0, result.output
-    # three price and three news series, each built once, before the pool
-    assert builds == [True] * 6
+    # three price and three news series, each built once by whichever
+    # worker reads it first
+    assert sorted(builds) == sorted({*builds}) and len(builds) == 6
 
 
 def test_rebalance_interval_freezes_between_decisions(runner, tmp_path):
@@ -398,6 +398,41 @@ def test_live_backfill_of_a_fresh_store_requests_each_series_once(runner, tmp_pa
                      ("news", "MSFT", news_start, dates[-2])]
 
 
+def test_live_run_over_a_covered_store_decodes_only_its_windows(runner, tmp_path,
+                                                               monkeypatch):
+    seeded = seed_stock_store(tmp_path / "store", ("AAPL", "MSFT", "NVDA"),
+                              D(2025, 1, 6), 60, seed=13)
+    dates = seeded[-5:]
+    config = _write_config(tmp_path / "live.yaml", tmp_path / "store", tmp_path / "runs",
+                           dates, ["baseline:equal-weight"], extra="mode: live")
+    calls = _fake_provider(monkeypatch)
+    assert runner.invoke(main, ["fetch", "--config", str(config)]).exit_code == 0
+
+    calls.clear()
+    decoded = []
+    real_decode = snapshots._decode
+
+    def counting_decode(kind, key, date, row):
+        decoded.append((kind, key, date))
+        return real_decode(kind, key, date, row)
+
+    monkeypatch.setattr(snapshots, "_decode", counting_decode)
+    result = runner.invoke(main, ["run", "--config", str(config)])
+    assert result.exit_code == 0, result.output
+    assert "baseline:equal-weight: ended, +4 steps" in result.output
+    assert calls == []
+    # the backfill reads only dates, and each session decodes a row once,
+    # from its first lookback day on: 6 news and 3 price series
+    lookback_start = dates[0] - dt.timedelta(days=10)
+    assert len(decoded) == len(set(decoded))
+    assert {kind for kind, _, _ in decoded} == {"news", "stock-price"}
+    assert min(date for _, _, date in decoded) >= lookback_start
+    stored = SnapshotStore(tmp_path / "store")
+    assert len([row for row in decoded if row[0] == "stock-price"]) == sum(
+        len(stored.price_window("stock", t, lookback_start, dates[-1]))
+        for t in ("AAPL", "MSFT", "NVDA"))
+
+
 def test_run_reports_an_unreadable_market_catalog(runner, tmp_path):
     questions = ("Will the synthetic index close above its opening level?",
                  "Will the sample reserve be drawn down this quarter?")
@@ -474,6 +509,21 @@ def test_delta_command(runner, stock_setup):
     garbage = runner.invoke(main, ["delta", "--config", str(config), "--lags", "1,x"])
     assert garbage.exit_code == 2
     assert "comma-separated integers" in garbage.output
+
+
+@pytest.mark.parametrize("keep, error", [
+    (1, "log has no records"),  # a session that stopped before its first step
+    (2, "lag 1 leaves no window in 1 steps"),  # a live session's first daily run
+])
+def test_delta_names_the_log_it_cannot_score(runner, stock_setup, keep, error):
+    tmp_path, config, dates = stock_setup
+    assert runner.invoke(main, ["run", "--config", str(config)]).exit_code == 0
+    log = tmp_path / "runs" / "stock-baseline-equal-weight.jsonl"
+    log.write_bytes(b"".join(log.read_bytes().splitlines(keepends=True)[:keep]))
+    result = runner.invoke(main, ["delta", str(log), "--lags", "1"])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert f"Error: {log}: {error}" in result.output
 
 
 def test_fetch_stock_snapshots_store(runner, tmp_path, monkeypatch):
@@ -634,6 +684,20 @@ def test_fetch_prediction_discovers_markets(runner, tmp_path, monkeypatch):
     result = runner.invoke(main, ["run", "--config", str(config)])
     assert result.exit_code == 0, result.output
     assert "baseline:all-cash: ended, +2 steps" in result.output
+    assert calls == []
+
+
+def test_fetch_says_discovery_found_no_markets(runner, tmp_path, monkeypatch):
+    dates = [D(2025, 3, 3), D(2025, 3, 4)]
+    config = _write_config(tmp_path / "run.yaml", tmp_path / "store", tmp_path / "runs",
+                           dates, ["baseline:all-cash"], market="prediction")
+    monkeypatch.setattr(cli, "discover_markets", lambda *a, **k: [])
+    calls = _fake_provider(monkeypatch)
+    result = runner.invoke(main, ["fetch", "--config", str(config)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert "Error: discovery found no markets" in result.output
+    assert "tradefolio fetch" not in result.output
     assert calls == []
 
 

@@ -3,6 +3,7 @@
 import datetime as dt
 import importlib.util
 import json
+import re
 import sys
 import tempfile
 import threading
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tradefolio.errors import ConflictingValue, IngestionError
-from tradefolio.domain import NewsItem
+from tradefolio.domain import NewsItem, PricePoint
 from tradefolio.ingestion import snapshots
 from tradefolio.ingestion.snapshots import (
     FetchBatch,
@@ -106,6 +107,84 @@ def test_load_rejects_garbage_header(tmp_path):
     path.write_text("not json\n")
     with pytest.raises(IngestionError, match="header"):
         SnapshotStore(tmp_path).price_series("stock", "NVDA")
+
+
+def _write_rows(root, key, rows, kind="stock-price"):
+    """A hand-written series file: the header, then ``rows`` verbatim."""
+    folder = root / "news" if kind == "news" else root / "prices" / "stock"
+    folder.mkdir(parents=True, exist_ok=True)
+    header = {"format": "tradefolio-series", "version": 1, "series": kind, "key": key}
+    path = folder / f"{key}.jsonl"
+    path.write_text("\n".join([json.dumps(header), *rows]) + "\n", encoding="utf-8")
+    return path
+
+
+def _price_line(day: int, price: float = 110.0) -> str:
+    return json.dumps({"date": D(2025, 3, day).isoformat(), "price": price, "volume": None})
+
+
+@pytest.mark.parametrize("bad", [
+    '{"date": "2025-03-04", "price": "110", "volume": null}',
+    '{"date": "2025-03-04", "price": -1.0, "volume": null}',
+    '{"date": "2025-03-04", "volume": null}',
+    '{"date": "2025-03-04", "price": 110.0',
+    '{"date": "2025-03-04T09:30", "price": 110.0, "volume": null}',  # disagrees with its index
+    f"{_price_line(4)}, {_price_line(4)}",  # two rows on one line
+])
+def test_bad_price_value_loads_then_fails_at_its_first_read(tmp_path, bad):
+    path = _write_rows(tmp_path, "NVDA", [_price_line(3), bad, _price_line(5, 112.0)])
+    store = SnapshotStore(tmp_path)
+    assert store.price_dates("stock", "NVDA") == (D(2025, 3, 3), D(2025, 3, 4), D(2025, 3, 5))
+    assert store.latest_price("stock", "NVDA", D(2025, 3, 6)).price == 112.0
+    for _ in range(2):  # a failed decode leaves the row undecoded, so it fails again
+        with pytest.raises(IngestionError, match=re.escape(f"{path}:3: unreadable row")):
+            store.price_window("stock", "NVDA", D(2025, 3, 3), D(2025, 3, 5))
+    with pytest.raises(IngestionError, match=re.escape(f"{path}:3: unreadable row")):
+        SnapshotStore(tmp_path).price_series("stock", "NVDA")
+
+
+@pytest.mark.parametrize("bad", [
+    '{"date": "2025-03-04", "items": [{"title": "no other fields"}]}',
+    '{"date": "2025-03-04", "items": 7}',
+    '{"date": "2025-03-04"}',
+])
+def test_bad_news_value_loads_then_fails_at_its_first_read(tmp_path, bad):
+    good = json.dumps({"date": "2025-03-05", "items": []})
+    path = _write_rows(tmp_path, "NVDA", [bad, good], kind="news")
+    store = SnapshotStore(tmp_path)
+    assert store.has_news("NVDA", D(2025, 3, 4))
+    assert store.news_window("NVDA", D(2025, 3, 5), D(2025, 3, 5)) == ()
+    with pytest.raises(IngestionError, match=re.escape(f"{path}:2: unreadable row")):
+        store.news_window("NVDA", D(2025, 3, 4), D(2025, 3, 5))
+
+
+@pytest.mark.parametrize("bad", [
+    '{"date": "2025-3-4", "price": 110.0, "volume": null}',
+    '{"date": "2025-02-30", "price": 110.0, "volume": null}',
+    '{"date": 20250304, "price": 110.0, "volume": null}',
+    '{"price": 110.0, "volume": null}',
+    "not json",
+])
+def test_unreadable_date_fails_at_load(tmp_path, bad):
+    path = _write_rows(tmp_path, "NVDA", [_price_line(3), bad])
+    with pytest.raises(IngestionError, match=re.escape(f"{path}:3: unreadable row")):
+        SnapshotStore(tmp_path).price_dates("stock", "NVDA")
+
+
+def test_row_in_another_key_order_loads_through_the_fallback(tmp_path):
+    _write_rows(tmp_path, "NVDA", [
+        '{"price": 110.0, "volume": null, "date": "2025-03-03"}',
+        "",  # a blank line is skipped
+        '{"date":"2025-03-04","price":111.0,"volume":5.0}',
+        _price_line(5, 112.0),
+    ])
+    store = SnapshotStore(tmp_path)
+    assert store.latest_price("stock", "NVDA", D(2025, 3, 3)) == PricePoint(D(2025, 3, 3), 110.0)
+    assert store.price_series("stock", "NVDA") == (
+        PricePoint(D(2025, 3, 3), 110.0),
+        PricePoint(D(2025, 3, 4), 111.0, 5.0),
+        PricePoint(D(2025, 3, 5), 112.0),
+    )
 
 
 def test_nonpositive_price_rejected(tmp_path):
@@ -421,3 +500,85 @@ def test_readers_never_see_a_half_written_series(tmp_path):
     assert not any(t.is_alive() for t in threads)
     assert errors == []
     assert len(store.price_series("stock", "AAPL")) == days
+
+
+# -- lazy decoding against an eager one --------------------------------------------
+
+_lazy_reads = st.lists(st.tuples(st.sampled_from(["latest", "prices", "news", "has_news"]),
+                                 st.integers(-3, 33), st.integers(-3, 33)),
+                       min_size=1, max_size=12)
+
+
+def _read(store, op, lo, hi):
+    start, end = _day(lo), _day(hi)
+    if op == "latest":
+        return store.latest_price("stock", "AAPL", start)
+    if op == "prices":
+        return store.price_window("stock", "AAPL", start, end)
+    if op == "news":
+        return store.news_window("AAPL", start, end)
+    return store.has_news("AAPL", start)
+
+
+@settings(max_examples=80, deadline=None)
+@given(offsets=st.sets(st.integers(0, 30), max_size=25), reads=_lazy_reads)
+def test_any_read_order_matches_an_eager_decode(offsets, reads):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        record_snapshot(SnapshotStore(root), FetchBatch(
+            prices=tuple(PriceRow("stock", "AAPL", _day(o), _close(o)) for o in offsets),
+            news=tuple(NewsRow("AAPL", _day(o), _day_news(o)) for o in offsets),
+        ))
+        eager = SnapshotStore(root)
+        eager.price_series("stock", "AAPL")
+        eager.news_window("AAPL", dt.date.min, dt.date.max)
+
+        lazy = SnapshotStore(root)  # decodes as the reads below reach down
+        for op, lo, hi in reads:
+            assert _read(lazy, op, lo, hi) == _read(eager, op, lo, hi)
+        assert lazy.price_series("stock", "AAPL") == eager.price_series("stock", "AAPL")
+        assert lazy.price_series("stock", "AAPL") == tuple(
+            PricePoint(_day(o), _close(o)) for o in sorted(offsets))
+
+
+def test_threads_reading_a_fresh_store_agree(tmp_path):
+    tickers = ("AAPL", "MSFT")
+    dates = seed_stock_store(tmp_path, tickers, DAY0, 60)
+
+    def read(store, order):
+        return sorted(
+            (date, ticker,
+             store.latest_price("stock", ticker, date),
+             store.price_window("stock", ticker, date - dt.timedelta(days=10), date),
+             store.news_window(ticker, date - dt.timedelta(days=3), date))
+            for date in order for ticker in tickers)
+
+    expected = read(SnapshotStore(tmp_path), dates)
+    # each thread walks the dates downwards from its own start, so the
+    # threads keep reaching below what another has just decoded
+    orders = [dates[::-1][k:] + dates[::-1][:k] for k in (0, 15, 30, 45)]
+    errors: list[str] = []
+
+    def worker(store, order, start):
+        try:
+            start.wait(timeout=30)
+            if read(store, order) != expected:
+                errors.append("a read differed from a single-threaded one")
+        except Exception as exc:  # a torn decode can fail a read outright
+            errors.append(repr(exc))
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):  # each round shares one fresh store
+            store, start = SnapshotStore(tmp_path), threading.Barrier(len(orders))
+            threads = [threading.Thread(target=worker, args=(store, order, start), daemon=True)
+                       for order in orders]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert errors == []
