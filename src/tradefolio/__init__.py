@@ -12,7 +12,7 @@ from .domain import (
     PricePoint,
     PriceVector,
 )
-from .environment import SessionState, SessionStatus, apply_action, run_episode
+from .environment import SessionState, SessionStatus, run_episode
 from .metrics import MetricsReport, rolling_k_delta
 
 __version__ = "0.1.0"
@@ -29,7 +29,6 @@ __all__ = [
     "PriceVector",
     "SessionState",
     "SessionStatus",
-    "apply_action",
     "rebalance",
     "rolling_k_delta",
     "run_episode",

@@ -33,7 +33,13 @@ from .reporting import (
     write_delta_report,
     write_report,
 )
-from .sessionlog import SessionLogHeader, SessionLogWriter, read_session_log, resume_point
+from .sessionlog import (
+    SessionLogHeader,
+    SessionLogWriter,
+    check_header,
+    read_session_log,
+    resume_point,
+)
 
 _BASELINES = {
     "equal-weight": EqualWeightAgent,
@@ -116,8 +122,7 @@ def _run_one(entry: ModelEntry, cfg: RunConfig, spec: MarketSpec,
     remaining = dates
     if log_path.exists():
         existing, records = read_session_log(log_path)
-        if existing.model != entry.model:
-            raise ConfigError(f"{log_path} belongs to model {existing.model!r}")
+        check_header(log_path, existing, header)
         point = resume_point(existing, records, spec, cfg.memory_horizon)
         done = point.state.step
         logged = [r.date for r in records]

@@ -1,11 +1,13 @@
 """The trading session: observe, decide, rebalance, record.
 
-One session is single-threaded and owns its state exclusively. The
-decision made from the observation at date t executes at the next
-date's prices: the book is marked to those prices first, then redivided
-in the target proportions. Every step appends one record carrying the
-full audit trail, and a session driven twice over the same frozen data
-produces byte-identical records.
+``run_episode`` does all four for every step, in one loop. One session
+is single-threaded and owns its state exclusively. The decision made
+from the observation at date t executes at the next date's prices: the
+book is marked to those prices first, then redivided in the target
+proportions. Every step appends one record carrying the full audit
+trail, and a session driven twice over the same frozen data produces
+byte-identical records. A model-provider failure halts the session
+with the steps so far; any other error propagates.
 """
 
 from __future__ import annotations
@@ -29,14 +31,7 @@ from .domain import (
     Observation,
     PriceVector,
 )
-from .errors import (
-    AllocationError,
-    ClientError,
-    FeedUnavailable,
-    NoPriceEverSeen,
-    ParseError,
-    SessionEnded,
-)
+from .errors import AllocationError, ClientError, NoPriceEverSeen, ParseError
 from .ingestion.feeds import HISTORY_LOOKBACK_DAYS, Feed
 from .ingestion.news import NEWS_WINDOW_DAYS
 
@@ -52,7 +47,6 @@ __all__ = [
     "memory_entry",
     "resolve_prices",
     "build_observation",
-    "apply_action",
     "run_episode",
 ]
 
@@ -285,64 +279,6 @@ def _observe(
     )
 
 
-def apply_action(
-    state: SessionState,
-    action: AllocationVector,
-    next_prices: PriceVector,
-    date: dt.date | None = None,
-    observation: Observation | None = None,
-    trace: DecisionTrace | None = None,
-) -> SessionState:
-    """Execute one step: mark to the new prices, redivide, record.
-
-    ``date`` is the decision date for the record (defaults to the
-    execution date); ``observation`` and ``trace`` fill the audit
-    fields when the caller has them.
-    """
-    if state.status is not SessionStatus.RUNNING:
-        raise SessionEnded(f"session is {state.status.value}")
-    result = rebalance(state.holdings, next_prices.prices, action, cash=state.spec.cash)
-    value_prev = state.value
-    value_next = result.pre_trade_value
-    step_return = (value_next - value_prev) / value_prev
-    decision_date = date or next_prices.date
-
-    if observation is not None:
-        obs_prices = dict(observation.prices.prices)
-        holdings_before = dict(observation.positions.units)
-        news_count = len(observation.news)
-        stale = tuple(sorted(observation.stale))
-    else:
-        obs_prices = {}
-        holdings_before = dict(state.holdings.units)
-        news_count = 0
-        stale = ()
-    trace = trace or DecisionTrace(
-        prompt=None,
-        raw_response=render_allocation_response("direct action", action),
-        parse_error=None,
-        allocation=action,
-        attempts=1,
-    )
-    record = SessionRecord(
-        date=decision_date,
-        prices=obs_prices,
-        holdings_before=holdings_before,
-        news_count=news_count,
-        stale=stale,
-        prompt_sha256=trace.prompt_sha256,
-        raw_response=trace.raw_response,
-        parse_error=trace.parse_error,
-        attempts=trace.attempts,
-        allocation=None if trace.allocation is None else dict(trace.allocation.weights),
-        holdings_after=dict(result.new_holdings.units),
-        prices_after=dict(next_prices.prices),
-        value=value_next,
-        step_return=step_return,
-    )
-    return replace(state, records=state.records + (record,))
-
-
 def _obtain_decision(
     agent: Agent,
     spec: MarketSpec,
@@ -412,9 +348,11 @@ def run_episode(
     in between hold the current book at execution prices, as does an
     agent that decides to hold. Unusable responses are retried
     ``max_retries`` times, then the previous step's executed allocation
-    (the last memory entry's; all cash before any) is re-applied. The
-    session halts, never crashes, when live data or a model provider
-    gives out.
+    (the last memory entry's; all cash before any) is re-applied. Each
+    step's record is built here from the observation, the decision
+    trace and the rebalance at execution prices. The session halts,
+    never crashes, when a model provider gives out (``ClientError``);
+    the steps before it are kept.
     """
     if rebalance_interval < 1:
         raise ValueError(f"rebalance_interval must be >= 1, got {rebalance_interval}")
@@ -455,13 +393,29 @@ def run_episode(
                 action = memory.entries[-1].allocation
             else:
                 action = all_cash_allocation(spec)
-            state = apply_action(state, action, exec_prices,
-                                 date=date, observation=obs, trace=trace)
-            record = state.records[-1]
+            result = rebalance(state.holdings, exec_prices.prices, action, cash=spec.cash)
+            value = result.pre_trade_value
+            record = SessionRecord(
+                date=date,
+                prices=dict(obs.prices.prices),
+                holdings_before=dict(obs.positions.units),
+                news_count=len(obs.news),
+                stale=tuple(sorted(obs.stale)),
+                prompt_sha256=trace.prompt_sha256,
+                raw_response=trace.raw_response,
+                parse_error=trace.parse_error,
+                attempts=trace.attempts,
+                allocation=None if trace.allocation is None else dict(trace.allocation.weights),
+                holdings_after=dict(result.new_holdings.units),
+                prices_after=dict(exec_prices.prices),
+                value=value,
+                step_return=(value - state.value) / state.value,
+            )
+            state = replace(state, records=state.records + (record,))
             memory.remember(memory_entry(record, action, state.initial_capital))
             if on_record is not None:
                 on_record(record)
-    except (FeedUnavailable, ClientError) as exc:
+    except ClientError as exc:
         state = replace(state, status=SessionStatus.HALTED,
                         halt_reason=f"{type(exc).__name__}: {exc}")
         return state, list(state.records)

@@ -34,7 +34,6 @@ __all__ = [
     "FeedError",
     "FeedUnavailable",
     "NoPriceEverSeen",
-    "SessionEnded",
     "ClientError",
     "ClientTimeout",
     "ClientRejected",
@@ -152,10 +151,6 @@ class FeedUnavailable(FeedError):
 
 class NoPriceEverSeen(FeedError):
     """Asset has no price at or before the requested date."""
-
-
-class SessionEnded(TradefolioError):
-    """Action applied to a session that is no longer running."""
 
 
 # -- model clients ------------------------------------------------------

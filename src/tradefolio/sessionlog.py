@@ -25,6 +25,7 @@ __all__ = [
     "LOG_VERSION",
     "SessionLogHeader",
     "SessionLogWriter",
+    "check_header",
     "read_session_log",
     "value_series",
     "cash_ratio_series",
@@ -79,6 +80,16 @@ class SessionLogHeader:
         )
 
 
+def check_header(path: Path, logged: SessionLogHeader, header: SessionLogHeader) -> None:
+    """Refuse to extend a log whose header is not this run's, naming
+    each field that differs."""
+    if logged != header:
+        old, new = logged.to_json_dict(), header.to_json_dict()
+        raise ConfigError(f"{path} belongs to a different run: " + "; ".join(
+            f"{key} {old[key]!r} in the log, {new[key]!r} in the config"
+            for key in new if old[key] != new[key]))
+
+
 class SessionLogWriter:
     """Appends records as they happen; never rewrites prior lines."""
 
@@ -86,12 +97,7 @@ class SessionLogWriter:
         self.path = Path(path)
         self.header = header
         if self.path.exists() and self.path.stat().st_size > 0:
-            existing = _read_header(self.path)
-            if existing != header:
-                raise ConfigError(
-                    f"{self.path} belongs to a different run "
-                    f"({existing.model!r} on {existing.market.value})"
-                )
+            check_header(self.path, _read_header(self.path), header)
         else:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             with open(self.path, "w", encoding="utf-8") as fh:

@@ -7,9 +7,11 @@ import pytest
 from click.testing import CliRunner
 
 from tradefolio import cli, sessionlog
+from tradefolio.agents.baselines import EqualWeightAgent
 from tradefolio.ingestion import snapshots
 from tradefolio.cli import _slug, main
 from tradefolio.domain import PricePoint
+from tradefolio.errors import ClientTimeout
 from tradefolio.ingestion.predictions import DiscoveredMarket
 from tradefolio.ingestion.snapshots import MarketCatalogEntry, SnapshotStore
 from tradefolio.sessionlog import read_session_log
@@ -142,6 +144,65 @@ def test_run_rejects_date_mismatch(runner, tmp_path):
     result = runner.invoke(main, ["run", "--config", str(shifted)])
     assert result.exit_code == 1
     assert "different dates" in result.output
+
+
+class _TimingOutAgent(EqualWeightAgent):
+    """Equal weight until the provider times out on its n-th call."""
+
+    def __init__(self, fail_on):
+        self.calls = 0
+        self.fail_on = fail_on
+
+    def decide(self, spec, obs, memory):
+        self.calls += 1
+        if self.calls == self.fail_on:
+            raise ClientTimeout("provider timed out after 120.0s")
+        return super().decide(spec, obs, memory)
+
+
+def test_provider_failure_halts_and_the_next_run_resumes(runner, tmp_path, monkeypatch):
+    dates = seed_stock_store(tmp_path / "store", ("AAPL", "MSFT", "NVDA"),
+                             D(2025, 3, 3), 6, seed=13)
+    models = ["baseline:equal-weight"]
+    config = _write_config(tmp_path / "run.yaml", tmp_path / "store", tmp_path / "runs",
+                           dates, models)
+    once = _write_config(tmp_path / "once.yaml", tmp_path / "store", tmp_path / "once",
+                         dates, models)
+    assert runner.invoke(main, ["run", "--config", str(once)]).exit_code == 0
+
+    monkeypatch.setattr(cli, "_make_agent", lambda entry: _TimingOutAgent(fail_on=3))
+    result = runner.invoke(main, ["run", "--config", str(config)])
+    assert result.exit_code == 0, result.output
+    assert ("baseline:equal-weight: halted (ClientTimeout: provider timed out after 120.0s),"
+            " +2 steps") in result.output
+
+    monkeypatch.undo()
+    result = runner.invoke(main, ["run", "--config", str(config)])
+    assert result.exit_code == 0, result.output
+    assert "baseline:equal-weight: ended, +3 steps" in result.output
+    name = "stock-baseline-equal-weight.jsonl"
+    assert (tmp_path / "runs" / name).read_bytes() == (tmp_path / "once" / name).read_bytes()
+
+
+@pytest.mark.parametrize("cut", [0, 1], ids=["complete", "cut"])
+def test_run_rejects_a_log_with_a_different_header(runner, stock_setup, cut):
+    tmp_path, config, dates = stock_setup
+    assert runner.invoke(main, ["run", "--config", str(config)]).exit_code == 0
+    logs = sorted((tmp_path / "runs").glob("*.jsonl"))
+    for log in logs:
+        lines = log.read_bytes().splitlines(keepends=True)
+        log.write_bytes(b"".join(lines[:len(lines) - cut]))
+    before = {log: log.read_bytes() for log in logs}
+    config.write_text(config.read_text() + "initial_capital: 2000\n", encoding="utf-8")
+
+    # a finished log is checked too, not reported complete
+    result = runner.invoke(main, ["run", "--config", str(config)])
+    assert result.exit_code == 1
+    assert "complete" not in result.output
+    for log in logs:
+        assert (f"{log} belongs to a different run: initial_capital 1000.0 in the log,"
+                f" 2000.0 in the config") in result.output
+    assert {log: log.read_bytes() for log in logs} == before
 
 
 def test_run_isolates_per_model_failures(runner, tmp_path):

@@ -1,5 +1,6 @@
 """Session mechanics: observation windows, next-price execution, retries,
-fallback, halting, and a full-episode oracle recomputation."""
+fallback, halting, per-step replay from the log, and a full-episode
+oracle recomputation."""
 
 import datetime as dt
 import hashlib
@@ -8,6 +9,7 @@ from collections import Counter
 
 import pytest
 
+from tradefolio.accounting import rebalance
 from tradefolio.agents.baselines import (
     AllCashAgent,
     BuyAndHoldAgent,
@@ -16,22 +18,26 @@ from tradefolio.agents.baselines import (
     equal_weight_allocation,
 )
 from tradefolio.agents.clients import ModelClientConfig, ScriptedClient
-from tradefolio.agents.harness import LLMAgent
+from tradefolio.agents.harness import AgentDecision, LLMAgent
 from tradefolio.agents.memory import MemoryWindow
-from tradefolio.domain import AllocationVector, MarketKind, MarketSpec
+from tradefolio.domain import Holdings, MarketKind, MarketSpec
 from tradefolio.environment import (
     ResumePoint,
     SessionState,
     SessionStatus,
-    apply_action,
     build_observation,
     resolve_prices,
     run_episode,
 )
-from tradefolio.errors import ClientError, FeedUnavailable, NoPriceEverSeen, SessionEnded
+from tradefolio.errors import ClientError, NoPriceEverSeen
 from tradefolio.ingestion.feeds import ReplayFeed
 from tradefolio.ingestion.snapshots import SnapshotStore
-from tradefolio.sessionlog import SessionLogHeader, effective_allocations
+from tradefolio.sessionlog import (
+    SessionLogHeader,
+    SessionLogWriter,
+    effective_allocations,
+    read_session_log,
+)
 from tradefolio.synthetic import seed_stock_store
 
 D = dt.date
@@ -97,16 +103,15 @@ def test_observation_windows_exclude_decision_date(stock_world):
     assert obs.news
 
 
-# -- apply_action ---------------------------------------------------------------
+# -- one step ---------------------------------------------------------------------
 
 
-def test_apply_action_marks_then_redivides(stock_world):
+def test_step_marks_then_redivides(stock_world):
     spec, store, feed, dates = stock_world
-    state = SessionState.initial(spec, 1000.0)
     exec_prices, _ = resolve_prices(feed, spec, dates[1])
-    action = AllocationVector({"AAPL": 0.5, "MSFT": 0.3, "NVDA": 0.0, "CASH": 0.2})
+    target = {"AAPL": 0.5, "MSFT": 0.3, "NVDA": 0.0, "CASH": 0.2}
 
-    after = apply_action(state, action, exec_prices, date=dates[0])
+    after, _ = run_episode(spec, ScriptedAgent([_render(target)]), feed, dates[:2], 1000.0)
 
     # all cash marks to the same value, then splits at execution prices
     assert after.value == pytest.approx(1000.0, abs=TOL)
@@ -123,26 +128,51 @@ def test_apply_action_marks_then_redivides(stock_world):
     assert after.step == 1
     assert after.records == (record,)
 
-    ended = SessionState.initial(spec, 1000.0)
-    ended = apply_action(ended, action, exec_prices)
-    from dataclasses import replace
-    for status in (SessionStatus.ENDED, SessionStatus.HALTED):
-        with pytest.raises(SessionEnded):
-            apply_action(replace(ended, status=status), action, exec_prices)
+
+class _Decisions:
+    """Plays back fixed decisions in order, holds included."""
+
+    name = "decisions"
+
+    def __init__(self, decisions):
+        self.decisions = iter(decisions)
+
+    def decide(self, spec, obs, memory):
+        return next(self.decisions)
 
 
-def test_apply_action_value_identity(stock_world):
+def test_every_step_replays_from_its_record(tmp_path, stock_world):
+    """Each logged step's book and value follow from its own record and
+    the executed allocation, whatever produced that allocation."""
     spec, store, feed, dates = stock_world
-    state = SessionState.initial(spec, 1000.0)
-    action = equal_weight_allocation(spec)
-    for decision, execution in zip(dates, dates[1:]):
-        exec_prices, _ = resolve_prices(feed, spec, execution)
-        state = apply_action(state, action, exec_prices, date=decision)
-        record = state.records[-1]
+    junk = AgentDecision(None, "junk")
+    first = AgentDecision(None, _render({"AAPL": 0.5, "MSFT": 0.2, "NVDA": 0.1, "CASH": 0.2}))
+    last = AgentDecision(None, _render({"AAPL": 0.1, "MSFT": 0.4, "NVDA": 0.3, "CASH": 0.2}))
+    # step 0 is retried, 2 falls back, 4 holds, 6 validates; odd steps are off cadence
+    agent = _Decisions([junk, first, junk, junk, junk, AgentDecision.hold("sit tight"), last])
+    header = SessionLogHeader.for_run(spec, agent.name, 1000.0)
+    writer = SessionLogWriter(tmp_path / "run.jsonl", header)
+    _, records = run_episode(spec, agent, feed, dates, 1000.0, max_retries=2,
+                             on_record=writer.append, rebalance_interval=2)
+    header, loaded = read_session_log(tmp_path / "run.jsonl")
+    assert loaded == records and len(loaded) == 7
+
+    assert [r.attempts for r in loaded] == [2, 1, 3, 1, 1, 1, 1]
+    assert loaded[2].allocation is None and loaded[6].parse_error is None
+    assert "sit tight" in loaded[4].raw_response
+    assert all("hold until next rebalance date" in r.raw_response for r in loaded[1::2])
+
+    executed = effective_allocations(header, loaded)
+    previous = header.initial_capital
+    for record, allocation in zip(loaded, executed):
+        result = rebalance(Holdings(record.holdings_before), record.prices_after,
+                           allocation, cash=spec.cash)
+        assert result.new_holdings.units == record.holdings_after
+        assert result.pre_trade_value == record.value
         held = sum(record.holdings_after[a] * record.prices_after[a] for a in spec.assets)
         assert held == pytest.approx(record.value, rel=TOL)
-        assert record.value / state.value_series[-2] - 1.0 == pytest.approx(
-            record.step_return, abs=TOL)
+        assert record.step_return == (record.value - previous) / previous
+        previous = record.value
 
 
 # -- full episodes ---------------------------------------------------------------
@@ -193,9 +223,8 @@ def test_decision_executes_at_next_prices(stock_world):
 def test_buy_and_hold_freezes_units(stock_world):
     spec, store, feed, dates = stock_world
     # give the book risky positions first, then hand it to buy-and-hold
-    state = SessionState.initial(spec, 1000.0)
-    exec_prices, _ = resolve_prices(feed, spec, dates[1])
-    state = apply_action(state, equal_weight_allocation(spec), exec_prices, date=dates[0])
+    _, seeded = run_episode(spec, EqualWeightAgent(), feed, dates[:2], 1000.0)
+    state = SessionState(spec, 1000.0, tuple(seeded))
     seeded_units = dict(state.holdings.units)
 
     resume = ResumePoint(state, MemoryWindow(10))
@@ -321,38 +350,6 @@ def test_gated_llm_logs_the_model_exchange(stock_world):
 
 
 # -- halting ----------------------------------------------------------------------
-
-
-class _FailingFeed:
-    """Replay feed that dies when asked to price a configured date."""
-
-    def __init__(self, inner, fail_on):
-        self.inner = inner
-        self.fail_on = fail_on
-
-    def latest_price(self, asset, on_or_before):
-        if on_or_before == self.fail_on:
-            raise FeedUnavailable(f"live data unavailable for {on_or_before}")
-        return self.inner.latest_price(asset, on_or_before)
-
-    def price_window(self, asset, start, end):
-        return self.inner.price_window(asset, start, end)
-
-    def news_window(self, tag, start, end, target=None):
-        return self.inner.news_window(tag, start, end, target)
-
-
-def test_feed_outage_halts_cleanly(stock_world):
-    spec, store, feed, dates = stock_world
-    broken = _FailingFeed(feed, fail_on=dates[3])
-    state, records = run_episode(spec, EqualWeightAgent(), broken, dates, 1000.0)
-
-    assert state.status is SessionStatus.HALTED
-    assert state.halt_reason.startswith("FeedUnavailable:")
-    assert str(dates[3]) in state.halt_reason
-    # steps before the outage were executed and kept
-    assert len(records) == 2
-    assert state.value == records[-1].value
 
 
 class _DyingAgent:
