@@ -28,6 +28,7 @@ __all__ = [
     "ChatClient",
     "HttpChatClient",
     "ScriptedClient",
+    "api_key",
     "resolve_provider",
 ]
 
@@ -73,6 +74,15 @@ def resolve_provider(
     if default_provider not in table:
         raise ConfigError(f"unknown default provider {default_provider!r}")
     return table[default_provider], model
+
+
+def api_key(route: ProviderRoute) -> str:
+    """The route's API key, read from its environment variable;
+    ``ConfigError`` when that is unset or empty."""
+    key = os.environ.get(route.api_key_env, "")
+    if not key:
+        raise ConfigError(f"missing credential {route.api_key_env} for {route.name}")
+    return key
 
 
 @dataclass(frozen=True)
@@ -143,11 +153,12 @@ class HttpChatClient:
 
     def complete(self, prompt: str, config: ModelClientConfig) -> str:
         route, model = resolve_provider(config.model, self.routes, self.default_provider)
-        api_key = os.environ.get(route.api_key_env, "")
-        if not api_key:
-            raise ClientRejected(f"missing credential {route.api_key_env} for {route.name}")
+        try:
+            key = api_key(route)
+        except ConfigError as exc:
+            raise ClientRejected(str(exc)) from exc
         headers = {
-            "Authorization": f"Bearer {api_key}",
+            "Authorization": f"Bearer {key}",
             "Content-Type": "application/json",
         }
         url = f"{route.base_url}/chat/completions"

@@ -16,7 +16,7 @@ from pathlib import Path
 import click
 
 from .agents.baselines import AllCashAgent, BuyAndHoldAgent, EqualWeightAgent
-from .agents.clients import HttpChatClient, ModelClientConfig
+from .agents.clients import HttpChatClient, ModelClientConfig, api_key, resolve_provider
 from .agents.harness import Agent, LLMAgent
 from .config import ModelEntry, RunConfig, load_config
 from .domain import MarketKind, MarketSpec
@@ -61,6 +61,7 @@ def _make_agent(entry: ModelEntry) -> Agent:
             known = ", ".join(sorted(_BASELINES))
             raise ConfigError(f"unknown baseline {kind!r}; known: {known}")
         return factory()
+    api_key(resolve_provider(entry.model)[0])  # fail the model before its log exists
     client_config = ModelClientConfig(
         model=entry.model,
         temperature=entry.temperature,
@@ -135,11 +136,12 @@ def _run_one(entry: ModelEntry, cfg: RunConfig, spec: MarketSpec,
         remaining = dates[done:]
         resume = point
 
+    agent = _make_agent(entry)
     writer = SessionLogWriter(log_path, header)
     feed = ReplayFeed(store, cfg.market, asset_keys)
     state, _ = run_episode(
         spec,
-        _make_agent(entry),
+        agent,
         feed,
         remaining,
         cfg.initial_capital,

@@ -3,14 +3,12 @@
 from .feeds import Feed, ReplayFeed
 from .normalize import clean_link, normalize_prediction_quote, parse_news_timestamp
 from .policy import FetchPolicy, backoff_delay, fetch_with_policy
-from .snapshots import FetchBatch, MarketCatalogEntry, PriceRow, SnapshotStore, record_snapshot
+from .snapshots import MarketCatalogEntry, SnapshotStore
 
 __all__ = [
     "Feed",
-    "FetchBatch",
     "FetchPolicy",
     "MarketCatalogEntry",
-    "PriceRow",
     "ReplayFeed",
     "SnapshotStore",
     "backoff_delay",
@@ -18,5 +16,4 @@ __all__ = [
     "fetch_with_policy",
     "normalize_prediction_quote",
     "parse_news_timestamp",
-    "record_snapshot",
 ]

@@ -20,7 +20,7 @@ from ..domain import MarketKind, MarketSpec, NewsItem, PricePoint
 from ..errors import FeedUnavailable, ProviderError
 from . import equities, news, predictions
 from .policy import FetchPolicy
-from .snapshots import FetchBatch, PriceRow, SnapshotStore, record_snapshot
+from .snapshots import SnapshotStore
 
 __all__ = ["Feed", "ReplayFeed", "ensure_dates", "record_discovered"]
 
@@ -67,16 +67,14 @@ def _record_new_prices(store: SnapshotStore, market: str, key: str,
     bar (a quote, or a close the provider has since adjusted) is never
     re-recorded."""
     have = set(store.price_dates(market, key))
-    rows = tuple(PriceRow(market, key, p.date, p.price, p.volume)
-                 for p in points if p.date not in have)
-    record_snapshot(store, FetchBatch(prices=rows))
+    store.record_prices(market, key, (p for p in points if p.date not in have))
 
 
 def record_discovered(store: SnapshotStore,
                       discovered: Sequence[predictions.DiscoveredMarket]) -> None:
     """Catalog discovered markets and record the new dates of the
     histories that justified keeping them."""
-    record_snapshot(store, FetchBatch(markets=tuple(m.entry for m in discovered)))
+    store.record_markets(m.entry for m in discovered)
     for market in discovered:
         _record_new_prices(store, "prediction", market.entry.yes_token, market.yes_history)
         _record_new_prices(store, "prediction", market.entry.no_token, market.no_history)
@@ -151,6 +149,6 @@ def ensure_dates(
                 missing = sorted({day for d in tag_dates for day in lacks_news(tag, d)})
                 items = news.fetch_news(tag, spec.kind, tag_dates[0] - window[0],
                                         tag_dates[-1] - window[-1], policy, target=last)
-                record_snapshot(store, FetchBatch(news=news.news_rows(tag, items, missing)))
+                store.record_news(tag, news.news_days(items, missing))
     except ProviderError as exc:
         raise FeedUnavailable(f"live data unavailable for {first}: {exc}", first) from exc

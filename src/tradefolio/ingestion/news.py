@@ -14,7 +14,6 @@ from ..domain import MarketKind, NewsItem
 from ..errors import ProviderError
 from .normalize import clean_link, parse_news_timestamp
 from .policy import FetchPolicy, fetch_with_policy
-from .snapshots import NewsRow
 
 __all__ = [
     "RSS_URL",
@@ -23,7 +22,7 @@ __all__ = [
     "build_news_query",
     "parse_news_rss",
     "filter_news_window",
-    "news_rows",
+    "news_days",
     "rank_news",
     "fetch_news",
 ]
@@ -127,18 +126,18 @@ def filter_news_window(items: Iterable[NewsItem], start: dt.date, end: dt.date) 
     return [i for i in items if start <= _published_date(i) <= end]
 
 
-def news_rows(tag: str, items: Iterable[NewsItem],
-              days: Iterable[dt.date]) -> tuple[NewsRow, ...]:
-    """Store rows for fetched items: one per listed day, holding the
-    items whose UTC publication date is that day. Empty days keep their
-    row, so the store records that the day was covered; items from
-    unlisted days are dropped."""
+def news_days(items: Iterable[NewsItem],
+              days: Iterable[dt.date]) -> list[tuple[dt.date, list[NewsItem]]]:
+    """Fetched items bucketed for the store: one ``(day, items)`` pair
+    per listed day, holding the items whose UTC publication date is that
+    day. Empty days keep their pair, so the store records that the day
+    was covered; items from unlisted days are dropped."""
     buckets: dict[dt.date, list[NewsItem]] = {day: [] for day in days}
     for item in items:
         bucket = buckets.get(_published_date(item))
         if bucket is not None:
             bucket.append(item)
-    return tuple(NewsRow(tag, day, tuple(day_items)) for day, day_items in buckets.items())
+    return list(buckets.items())
 
 
 def rank_news(items: Sequence[NewsItem], target: dt.date | None = None) -> list[NewsItem]:

@@ -2,14 +2,19 @@
 
 Each (series kind, key) pair owns one JSONL file: a header line naming
 the format version and key, then one row per date in strictly
-increasing order. Writes arrive in batches (``record_snapshot``;
-``upsert_price`` and ``upsert_news`` write a batch of one). Every row
-of a batch is checked against what is already stored before its series
-changes: re-recording identical data is a no-op, and changing an
-already-recorded value is refused, never silently applied. The new
-rows are then merged in and the series file is rewritten atomically,
-once per batch, so a crash can't leave a half-written series. Reads
-create nothing on disk; a directory is made on its first write.
+increasing order. Only this module turns values into rows and back.
+
+A write is one call per series (``record_prices``, ``record_news``;
+``record_markets`` for the catalog). Every row of the call is checked
+against what is already stored before the series changes: re-recording
+identical data is a no-op, and changing an already-recorded value is
+refused with ``ConflictingValue``, never silently applied. A check
+decodes only the stored rows a read of its date would. The new rows are
+then merged in and the series file is rewritten once, through a temp
+file of its own, so a failed write leaves the old file as it was.
+Stored rows no read has decoded go back to the file as the lines they
+were read as; the rest are encoded again. Reads create nothing on disk;
+a directory is made on its first write.
 
 Reads are served from a sorted in-memory index built when a series is
 first loaded. Loading reads only each row's date, which ``_encode``
@@ -19,9 +24,10 @@ what is already decoded decodes every row from there to the end of the
 series in one block, so a session, whose first read is its lowest,
 decodes each series once: all of it in a batch, only the window in a
 daily resume. A bad header or date fails at load; a bad value fails at
-its first read. A point lookup is a binary search and a window is a
-slice. A write decodes its own series and swaps in a whole new index,
-so a reader never sees half of one.
+its first read, and a write that does not reach it carries it over
+byte for byte. A point lookup is a binary search and a window is a
+slice. A write swaps in a whole new index, so a reader never sees half
+of one.
 """
 
 from __future__ import annotations
@@ -45,11 +51,7 @@ __all__ = [
     "SERIES_FORMAT",
     "SERIES_VERSION",
     "MarketCatalogEntry",
-    "PriceRow",
-    "NewsRow",
-    "FetchBatch",
     "SnapshotStore",
-    "record_snapshot",
 ]
 
 SERIES_FORMAT = "tradefolio-series"
@@ -70,31 +72,6 @@ class MarketCatalogEntry:
     url: str
 
 
-@dataclass(frozen=True)
-class PriceRow:
-    market: str  # "stock" | "prediction"
-    key: str
-    date: dt.date
-    price: float
-    volume: float | None = None
-
-
-@dataclass(frozen=True)
-class NewsRow:
-    tag: str
-    date: dt.date
-    items: tuple[NewsItem, ...]
-
-
-@dataclass(frozen=True)
-class FetchBatch:
-    """Everything one fetch pass wants persisted."""
-
-    prices: tuple[PriceRow, ...] = ()
-    news: tuple[NewsRow, ...] = ()
-    markets: tuple[MarketCatalogEntry, ...] = ()
-
-
 def _filename(key: str) -> str:
     if _SAFE_KEY.fullmatch(key):
         return f"{key}.jsonl"
@@ -104,17 +81,26 @@ def _filename(key: str) -> str:
 
 
 def _atomic_write(path: Path, lines: Iterable[str]) -> None:
-    tmp = path.with_suffix(".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        for line in lines:
-            fh.write(line + "\n")
-    os.replace(tmp, path)
+    """Replace ``path`` with ``lines`` through a temp file no other
+    writer shares, created exclusively beside it with the mode a plain
+    ``open`` gives. On any failure the temp file is removed and ``path``
+    is left as it was. There is no fsync: a write survives a process
+    crash, not a power cut."""
+    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    try:
+        with open(tmp, "x", encoding="utf-8") as fh:
+            for line in lines:
+                fh.write(line + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
-def _encode(kind: str, date: dt.date, value: Any) -> dict:
-    """The stored row for one indexed value."""
+def _encode(kind: str, date: dt.date, value: Any) -> str:
+    """The stored line for one indexed value."""
     if kind == "news":
-        return {
+        row = {
             "date": date.isoformat(),
             "items": [
                 {"title": i.title, "snippet": i.snippet, "source": i.source,
@@ -122,7 +108,9 @@ def _encode(kind: str, date: dt.date, value: Any) -> dict:
                 for i in value
             ],
         }
-    return {"date": date.isoformat(), "price": value.price, "volume": value.volume}
+    else:
+        row = {"date": date.isoformat(), "price": value.price, "volume": value.volume}
+    return json.dumps(row, ensure_ascii=False)
 
 
 def _decode(kind: str, key: str, date: dt.date, row: dict) -> Any:
@@ -273,15 +261,14 @@ class SnapshotStore:
         return _Series(kind, key, path, self._lock, tuple(dates), rows, lines, len(rows))
 
     def _write(self, kind: str, key: str, rows: Iterable[tuple[dt.date, Any]]) -> int:
-        """Record a batch of (date, value) rows for one series; returns
-        how many were new.
+        """Record (date, value) rows for one series; returns how many
+        were new.
 
-        Every row is checked against the stored ones and the batch's
+        Every row is checked against the stored ones and the call's
         earlier ones before anything changes, then the file is rewritten
-        once and the new index swapped in.
+        once and a new index, every row raw, swapped in.
         """
         series = self._load(kind, key)
-        series.decode_from(0)
         fresh: dict[dt.date, Any] = {}
         for date, value in rows:
             known = series.find(date)
@@ -293,25 +280,40 @@ class SnapshotStore:
                 )
         if not fresh:
             return 0
-        merged = sorted([*zip(series.dates, series.values), *fresh.items()], key=itemgetter(0))
+        with series.lock:  # a reader may be decoding rows below ``lo``
+            lo, values = series.lo, series.values[:]
+        stored = [(d, v if i < lo else _encode(kind, d, v))
+                  for i, (d, v) in enumerate(zip(series.dates, values))]
+        merged = sorted([*stored, *((d, _encode(kind, d, v)) for d, v in fresh.items())],
+                        key=itemgetter(0))
         header = json.dumps(
             {"format": SERIES_FORMAT, "version": SERIES_VERSION, "series": kind, "key": key},
             ensure_ascii=False,
         )
-        body = (json.dumps(_encode(kind, d, v), ensure_ascii=False) for d, v in merged)
+        body = [line for _, line in merged]
         series.path.parent.mkdir(parents=True, exist_ok=True)
         _atomic_write(series.path, [header, *body])
         self._series[(kind, key)] = _Series(
             kind, key, series.path, self._lock, tuple(d for d, _ in merged),
-            [v for _, v in merged], range(2, len(merged) + 2), 0)
+            body, range(2, len(body) + 2), len(body))
         return len(fresh)
 
     # -- prices ------------------------------------------------------------
 
+    def record_prices(self, market: str, key: str, points: Iterable[PricePoint]) -> int:
+        """Record one price series' points; returns how many were new."""
+        kind = _PRICE_SERIES.get(market)
+        if kind is None:
+            raise IngestionError(f"unknown market {market!r}")
+        return self._write(kind, key, ((p.date, p) for p in points))
+
     def upsert_price(self, market: str, key: str, date: dt.date,
                      price: float, volume: float | None = None) -> bool:
-        row = PriceRow(market, key, date, price, volume)
-        return record_snapshot(self, FetchBatch(prices=(row,))) > 0
+        try:
+            point = PricePoint(date, float(price), None if volume is None else float(volume))
+        except ValueError as exc:
+            raise IngestionError(str(exc)) from exc
+        return self.record_prices(market, key, [point]) > 0
 
     def price_series(self, market: str, key: str) -> tuple[PricePoint, ...]:
         series = self._load(_PRICE_SERIES[market], key)
@@ -337,8 +339,15 @@ class SnapshotStore:
 
     # -- news ----------------------------------------------------------------
 
+    def record_news(self, tag: str,
+                    days: Iterable[tuple[dt.date, Sequence[NewsItem]]]) -> int:
+        """Record one tag's news days, each item tagged with ``tag``;
+        returns how many days were new."""
+        return self._write("news", tag, (
+            (day, tuple(replace(i, tagged_asset=tag) for i in items)) for day, items in days))
+
     def upsert_news(self, tag: str, date: dt.date, items: Sequence[NewsItem]) -> bool:
-        return record_snapshot(self, FetchBatch(news=(NewsRow(tag, date, tuple(items)),))) > 0
+        return self.record_news(tag, [(date, items)]) > 0
 
     def has_news(self, tag: str, date: dt.date) -> bool:
         dates = self._load("news", tag).dates
@@ -368,8 +377,9 @@ class SnapshotStore:
         self._markets = markets
         return markets
 
-    def _write_markets(self, entries: Iterable[MarketCatalogEntry]) -> int:
-        """The catalog's counterpart of ``_write``."""
+    def record_markets(self, entries: Iterable[MarketCatalogEntry]) -> int:
+        """Catalog markets, checked and written like a series; returns
+        how many were new."""
         markets = self._load_markets()
         fresh: dict[str, MarketCatalogEntry] = {}
         for entry in entries:
@@ -393,36 +403,3 @@ class SnapshotStore:
         markets = self._load_markets()
         return tuple(markets[slug] for slug in sorted(markets))
 
-
-def _price_point(row: PriceRow) -> PricePoint:
-    if row.market not in _PRICE_SERIES:
-        raise IngestionError(f"unknown market {row.market!r}")
-    if not row.price > 0:
-        raise IngestionError(f"price must be positive, got {row.price}")
-    return PricePoint(row.date, float(row.price),
-                      None if row.volume is None else float(row.volume))
-
-
-def record_snapshot(store: SnapshotStore, batch: FetchBatch) -> int:
-    """Persist one fetch pass; returns how many rows were new.
-
-    Rows are grouped by series and each series file is rewritten once.
-    Re-recording identical data is a no-op; a changed value for an
-    already-stored key raises ``ConflictingValue`` before that series
-    changes at all (series written earlier in the batch stay written).
-    An invalid price rejects the whole batch before anything is written.
-    """
-    prices: dict[tuple[str, str], list[tuple[dt.date, PricePoint]]] = {}
-    for row in batch.prices:
-        point = _price_point(row)
-        prices.setdefault((_PRICE_SERIES[row.market], row.key), []).append((row.date, point))
-    news: dict[str, list[tuple[dt.date, tuple[NewsItem, ...]]]] = {}
-    for row in batch.news:
-        items = tuple(replace(i, tagged_asset=row.tag) for i in row.items)
-        news.setdefault(row.tag, []).append((row.date, items))
-
-    changed = sum(store._write(kind, key, rows) for (kind, key), rows in prices.items())
-    changed += sum(store._write("news", tag, rows) for tag, rows in news.items())
-    if batch.markets:
-        changed += store._write_markets(batch.markets)
-    return changed

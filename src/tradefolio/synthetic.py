@@ -11,15 +11,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .domain import NewsItem
-from .ingestion.snapshots import (
-    FetchBatch,
-    MarketCatalogEntry,
-    NewsRow,
-    PriceRow,
-    SnapshotStore,
-    record_snapshot,
-)
+from .domain import NewsItem, PricePoint
+from .ingestion.snapshots import MarketCatalogEntry, SnapshotStore
 
 __all__ = [
     "business_days",
@@ -68,21 +61,17 @@ def seed_stock_store(
     rng = np.random.default_rng(seed)
     store = SnapshotStore(root)
     dates = business_days(start, days)
-    price_rows: list[PriceRow] = []
-    news_rows: list[NewsRow] = []
     for ticker in tickers:
         level = float(rng.uniform(40.0, 450.0))
         prices = level * np.exp(np.cumsum(rng.normal(0.0004, 0.018, size=days)))
         volumes = rng.integers(1_000_000, 80_000_000, size=days)
-        for day, price, volume in zip(dates, prices, volumes):
-            price_rows.append(PriceRow("stock", ticker, day, round(float(price), 2), float(volume)))
-        for i, day in enumerate(dates):
-            if i % news_every == 0:
-                items = (_news_item(ticker, day, 1), _news_item(ticker, day, 2))
-            else:
-                items = ()
-            news_rows.append(NewsRow(ticker, day, items))
-    record_snapshot(store, FetchBatch(prices=tuple(price_rows), news=tuple(news_rows)))
+        store.record_prices("stock", ticker, [
+            PricePoint(day, round(float(price), 2), float(volume))
+            for day, price, volume in zip(dates, prices, volumes)])
+        store.record_news(ticker, [
+            (day, (_news_item(ticker, day, 1), _news_item(ticker, day, 2))
+             if i % news_every == 0 else ())
+            for i, day in enumerate(dates)])
     return dates
 
 
@@ -105,8 +94,6 @@ def seed_prediction_store(
     store = SnapshotStore(root)
     dates = [start + dt.timedelta(days=i) for i in range(days)]
     markets: list[MarketCatalogEntry] = []
-    price_rows: list[PriceRow] = []
-    news_rows: list[NewsRow] = []
     for number, question in enumerate(questions, start=1):
         yes_token = f"tok-yes-{number:03d}"
         no_token = f"tok-no-{number:03d}"
@@ -119,14 +106,17 @@ def seed_prediction_store(
             url=f"https://example.com/event/{slug}",
         ))
         yes = float(rng.uniform(0.15, 0.85))
+        yes_points, no_points = [], []
         for day in dates:
             yes = float(np.clip(yes + rng.normal(0.0, 0.03), 0.02, 0.98))
             spread = float(rng.uniform(0.0, 0.02))
             no = float(np.clip(1.0 - yes + spread, 0.02, 0.98))
-            price_rows.append(PriceRow("prediction", yes_token, day, round(yes, 4)))
-            price_rows.append(PriceRow("prediction", no_token, day, round(no, 4)))
-        for i, day in enumerate(dates):
-            items = (_news_item(question, day, 1),) if i % news_every == 0 else ()
-            news_rows.append(NewsRow(question, day, items))
-    record_snapshot(store, FetchBatch(tuple(price_rows), tuple(news_rows), tuple(markets)))
+            yes_points.append(PricePoint(day, round(yes, 4)))
+            no_points.append(PricePoint(day, round(no, 4)))
+        store.record_prices("prediction", yes_token, yes_points)
+        store.record_prices("prediction", no_token, no_points)
+        store.record_news(question, [
+            (day, (_news_item(question, day, 1),) if i % news_every == 0 else ())
+            for i, day in enumerate(dates)])
+    store.record_markets(markets)
     return dates

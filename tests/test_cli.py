@@ -219,6 +219,19 @@ def test_run_isolates_per_model_failures(runner, tmp_path):
     assert len(records) == 3
 
 
+def test_a_missing_api_key_fails_its_model_before_its_log(runner, stock_setup, monkeypatch):
+    tmp_path, _, dates = stock_setup
+    monkeypatch.delenv("OPENAI_API_KEY", raising=False)
+    config = _write_config(tmp_path / "keyless.yaml", tmp_path / "store", tmp_path / "runs",
+                           dates, ["openai/gpt-5", "baseline:equal-weight"])
+    result = runner.invoke(main, ["run", "--config", str(config)])
+    assert result.exit_code == 1
+    assert "openai/gpt-5: failed: missing credential OPENAI_API_KEY for openai" in result.output
+    assert "baseline:equal-weight: ended, +8 steps" in result.output
+    assert [p.name for p in (tmp_path / "runs").glob("*.jsonl")] == [
+        "stock-baseline-equal-weight.jsonl"]
+
+
 def test_log_with_a_non_object_header_fails_only_its_model(runner, stock_setup):
     tmp_path, config, dates = stock_setup
     bad = tmp_path / "runs" / "stock-baseline-all-cash.jsonl"

@@ -16,15 +16,7 @@ from hypothesis import strategies as st
 from tradefolio.errors import ConflictingValue, IngestionError
 from tradefolio.domain import NewsItem, PricePoint
 from tradefolio.ingestion import snapshots
-from tradefolio.ingestion.snapshots import (
-    FetchBatch,
-    MarketCatalogEntry,
-    NewsRow,
-    PriceRow,
-    SnapshotStore,
-    _filename,
-    record_snapshot,
-)
+from tradefolio.ingestion.snapshots import MarketCatalogEntry, SnapshotStore, _filename
 from tradefolio.synthetic import seed_prediction_store, seed_stock_store
 
 D = dt.date
@@ -139,6 +131,11 @@ def test_bad_price_value_loads_then_fails_at_its_first_read(tmp_path, bad):
     for _ in range(2):  # a failed decode leaves the row undecoded, so it fails again
         with pytest.raises(IngestionError, match=re.escape(f"{path}:3: unreadable row")):
             store.price_window("stock", "NVDA", D(2025, 3, 3), D(2025, 3, 5))
+    with pytest.raises(IngestionError, match=re.escape(f"{path}:3: unreadable row")):
+        SnapshotStore(tmp_path).price_series("stock", "NVDA")
+    # a write that does not reach the bad row carries it over byte for byte
+    assert store.upsert_price("stock", "NVDA", D(2025, 3, 6), 113.0)
+    assert path.read_text().splitlines()[2] == bad
     with pytest.raises(IngestionError, match=re.escape(f"{path}:3: unreadable row")):
         SnapshotStore(tmp_path).price_series("stock", "NVDA")
 
@@ -259,13 +256,13 @@ def _entry(slug: str) -> MarketCatalogEntry:
 
 def test_market_catalog_sorted_and_guarded(tmp_path):
     store = SnapshotStore(tmp_path)
-    assert record_snapshot(store, FetchBatch(markets=(_entry("zeta"),))) == 1
-    assert record_snapshot(store, FetchBatch(markets=(_entry("alpha"), _entry("zeta")))) == 1
-    assert record_snapshot(store, FetchBatch(markets=(_entry("zeta"),))) == 0
+    assert store.record_markets([_entry("zeta")]) == 1
+    assert store.record_markets([_entry("alpha"), _entry("zeta")]) == 1
+    assert store.record_markets([_entry("zeta")]) == 0
     with pytest.raises(ConflictingValue):
-        record_snapshot(store, FetchBatch(markets=(
+        store.record_markets([
             MarketCatalogEntry("zeta", "different?", "y", "n", "https://example.com"),
-        )))
+        ])
 
     fresh = SnapshotStore(tmp_path)
     assert [e.slug for e in fresh.markets()] == ["alpha", "zeta"]
@@ -285,27 +282,25 @@ def test_filename_slugs_unsafe_keys():
     assert len(_filename("x" * 500 + "!")) == 48 + 1 + 10 + len(".jsonl")
 
 
-def test_record_snapshot_counts_new_rows(tmp_path):
+def test_record_calls_count_new_rows(tmp_path):
     store = SnapshotStore(tmp_path)
-    batch = FetchBatch(
-        prices=(
-            PriceRow("stock", "AAPL", D(2025, 3, 3), 240.0),
-            PriceRow("stock", "AAPL", D(2025, 3, 4), 241.0),
-        ),
-        news=(NewsRow("AAPL", D(2025, 3, 3), (_item(1, "AAPL"),)),),
-        markets=(_entry("alpha"),),
-    )
-    assert record_snapshot(store, batch) == 4
-    assert record_snapshot(store, batch) == 0
+    prices = [PricePoint(D(2025, 3, 3), 240.0), PricePoint(D(2025, 3, 4), 241.0)]
+    news = [(D(2025, 3, 3), [_item(1, "other")]), (D(2025, 3, 4), [])]
+    for fresh in (2, 0):  # the second pass re-records identical data
+        assert store.record_prices("stock", "AAPL", prices) == fresh
+        assert store.record_news("AAPL", news) == fresh
+    assert store.news_window("AAPL", D(2025, 3, 3), D(2025, 3, 4)) == (_item(1, "AAPL"),)
 
-    overlapping = FetchBatch(prices=(
-        PriceRow("stock", "AAPL", D(2025, 3, 4), 241.0),  # already stored
-        PriceRow("stock", "AAPL", D(2025, 3, 5), 242.0),
-        PriceRow("stock", "AAPL", D(2025, 3, 5), 242.0),  # repeated within the batch
-        PriceRow("stock", "MSFT", D(2025, 3, 5), 400.0),
-    ))
-    assert record_snapshot(store, overlapping) == 2
+    assert store.record_prices("stock", "AAPL", [
+        PricePoint(D(2025, 3, 4), 241.0),  # already stored
+        PricePoint(D(2025, 3, 5), 242.0),
+        PricePoint(D(2025, 3, 5), 242.0),  # repeated within the call
+    ]) == 1
+    assert store.record_prices("stock", "MSFT", iter([PricePoint(D(2025, 3, 5), 400.0)])) == 1
+    assert store.record_prices("stock", "MSFT", []) == 0
     assert [p.price for p in store.price_series("stock", "AAPL")] == [240.0, 241.0, 242.0]
+    with pytest.raises(IngestionError, match="unknown market"):
+        store.record_prices("bonds", "AAPL", prices)
 
 
 def _series_bytes(root):
@@ -313,21 +308,17 @@ def _series_bytes(root):
 
 
 @pytest.mark.parametrize("conflict", [
-    PriceRow("stock", "AAPL", D(2025, 3, 4), 999.0),  # against a stored row
-    PriceRow("stock", "AAPL", D(2025, 3, 6), 999.0),  # against the batch's own row
+    PricePoint(D(2025, 3, 4), 999.0),  # against a stored row
+    PricePoint(D(2025, 3, 6), 999.0),  # against the call's own row
 ])
 def test_conflicting_batch_leaves_series_untouched(tmp_path, conflict):
     store = SnapshotStore(tmp_path)
     store.upsert_price("stock", "AAPL", D(2025, 3, 3), 240.0)
     store.upsert_price("stock", "AAPL", D(2025, 3, 4), 241.0)
     before = _series_bytes(tmp_path)
-    batch = FetchBatch(prices=(
-        PriceRow("stock", "AAPL", D(2025, 3, 5), 242.0),
-        PriceRow("stock", "AAPL", D(2025, 3, 6), 243.0),
-        conflict,
-    ))
+    points = [PricePoint(D(2025, 3, 5), 242.0), PricePoint(D(2025, 3, 6), 243.0), conflict]
     with pytest.raises(ConflictingValue):
-        record_snapshot(store, batch)
+        store.record_prices("stock", "AAPL", points)
 
     assert _series_bytes(tmp_path) == before
     for reader in (store, SnapshotStore(tmp_path)):
@@ -335,19 +326,7 @@ def test_conflicting_batch_leaves_series_untouched(tmp_path, conflict):
         assert reader.latest_price("stock", "AAPL", D(2025, 3, 6)).date == D(2025, 3, 4)
 
 
-def test_invalid_row_rejects_the_whole_batch(tmp_path):
-    store = SnapshotStore(tmp_path)
-    batch = FetchBatch(prices=(
-        PriceRow("stock", "AAPL", D(2025, 3, 3), 240.0),
-        PriceRow("stock", "MSFT", D(2025, 3, 3), -1.0),
-    ))
-    with pytest.raises(IngestionError, match="positive"):
-        record_snapshot(store, batch)
-    assert _series_bytes(tmp_path) == {}
-    assert store.price_series("stock", "AAPL") == ()
-
-
-def test_each_series_is_written_once_per_batch(tmp_path, monkeypatch):
+def test_each_series_is_written_once_per_call(tmp_path, monkeypatch):
     writes = []
     real_write = snapshots._atomic_write
 
@@ -361,6 +340,62 @@ def test_each_series_is_written_once_per_batch(tmp_path, monkeypatch):
         "news/AAPL.jsonl", "news/MSFT.jsonl",
         "prices/stock/AAPL.jsonl", "prices/stock/MSFT.jsonl",
     ]
+
+
+def test_a_write_decodes_only_the_stored_rows_it_overlaps(tmp_path, monkeypatch):
+    tickers = ("AAPL", "MSFT", "NVDA")
+    dates = seed_stock_store(tmp_path, tickers, DAY0, 60)
+    before = _series_bytes(tmp_path)
+    decoded = []
+    real_decode = snapshots._decode
+
+    def counting_decode(kind, key, date, row):
+        decoded.append((kind, key, date))
+        return real_decode(kind, key, date, row)
+
+    monkeypatch.setattr(snapshots, "_decode", counting_decode)
+    store = SnapshotStore(tmp_path)
+    store.price_window("stock", "AAPL", dates[-5], dates[-1])  # the last five rows decoded
+    decoded.clear()
+    saturday = dates[30] + dt.timedelta(days=5 - dates[30].weekday())
+    new = [dates[-1] + dt.timedelta(days=3), dates[0] - dt.timedelta(days=3), saturday]
+    for ticker in tickers:  # at the end, at the start and in the middle
+        for day in new:
+            assert store.record_prices("stock", ticker, [PricePoint(day, 50.0)]) == 1
+        assert store.record_news(ticker, [(day, ()) for day in new]) == 3
+    assert decoded == []
+
+    # untouched rows keep their bytes, decoded or not, and the new ones
+    # land in date order
+    for name, stored in before.items():
+        lines = stored.decode().splitlines()
+        kind = "news" if name.parts[0] == "news" else "stock-price"
+        lines += [snapshots._encode(kind, day, () if kind == "news" else PricePoint(day, 50.0))
+                  for day in new]
+        expected = [lines[0], *sorted(lines[1:], key=lambda line: json.loads(line)["date"])]
+        assert (tmp_path / name).read_text().splitlines() == expected
+    assert [p.date for p in store.price_series("stock", "AAPL")] == sorted([*dates, *new])
+
+
+def test_a_failed_write_leaves_the_series_and_its_directory_as_they_were(tmp_path,
+                                                                        monkeypatch):
+    store = SnapshotStore(tmp_path)
+    store.upsert_price("stock", "AAPL", D(2025, 3, 3), 240.0)
+    folder = tmp_path / "prices" / "stock"
+    before, listing = _series_bytes(tmp_path), sorted(folder.iterdir())
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(snapshots.os, "replace", failing_replace)
+    with pytest.raises(OSError, match="disk full"):
+        store.upsert_price("stock", "AAPL", D(2025, 3, 4), 241.0)
+    monkeypatch.undo()
+    assert sorted(folder.iterdir()) == listing
+    assert _series_bytes(tmp_path) == before
+    assert store.price_dates("stock", "AAPL") == (D(2025, 3, 3),)
+    assert store.upsert_price("stock", "AAPL", D(2025, 3, 4), 241.0)
+    assert sorted(folder.iterdir()) == listing
 
 
 def test_seeding_reproduces_committed_fixtures(tmp_path):
@@ -431,12 +466,12 @@ def test_index_matches_naive_scan(ops):
 
         for op, arg in ops:
             if op == "write":
-                # one batch in arbitrary date order, repeats included, as a backfill sends
-                batch = FetchBatch(
-                    prices=tuple(PriceRow("stock", "AAPL", _day(o), _close(o)) for o in arg),
-                    news=tuple(NewsRow("AAPL", _day(o), _day_news(o)) for o in arg),
-                )
-                assert record_snapshot(store, batch) == 2 * len(set(arg) - written)
+                # one call per series in arbitrary date order, repeats
+                # included, as a backfill sends
+                new = len(set(arg) - written)
+                assert store.record_prices(
+                    "stock", "AAPL", [PricePoint(_day(o), _close(o)) for o in arg]) == new
+                assert store.record_news("AAPL", [(_day(o), _day_news(o)) for o in arg]) == new
                 written |= set(arg)
             else:
                 check(store, *arg)  # a read right after a write sees it
@@ -525,10 +560,9 @@ def _read(store, op, lo, hi):
 def test_any_read_order_matches_an_eager_decode(offsets, reads):
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
-        record_snapshot(SnapshotStore(root), FetchBatch(
-            prices=tuple(PriceRow("stock", "AAPL", _day(o), _close(o)) for o in offsets),
-            news=tuple(NewsRow("AAPL", _day(o), _day_news(o)) for o in offsets),
-        ))
+        store = SnapshotStore(root)
+        store.record_prices("stock", "AAPL", [PricePoint(_day(o), _close(o)) for o in offsets])
+        store.record_news("AAPL", [(_day(o), _day_news(o)) for o in offsets])
         eager = SnapshotStore(root)
         eager.price_series("stock", "AAPL")
         eager.news_window("AAPL", dt.date.min, dt.date.max)
