@@ -37,6 +37,7 @@ from .sessionlog import (
     SessionLogHeader,
     SessionLogWriter,
     check_header,
+    drop_torn_tail,
     read_session_log,
     resume_point,
 )
@@ -111,6 +112,7 @@ class RunOutcome:
     new_steps: int
     final_value: float | None
     error: str | None = None
+    dropped_line: int | None = None  # the torn final line cut off before resuming
 
 
 def _run_one(entry: ModelEntry, cfg: RunConfig, spec: MarketSpec,
@@ -121,18 +123,19 @@ def _run_one(entry: ModelEntry, cfg: RunConfig, spec: MarketSpec,
 
     resume = None
     remaining = dates
+    dropped = drop_torn_tail(log_path) if log_path.exists() else None
     if log_path.exists():
         existing, records = read_session_log(log_path)
         check_header(log_path, existing, header)
         point = resume_point(existing, records, spec, cfg.memory_horizon)
         done = point.state.step
-        logged = [r.date for r in records]
-        if logged != dates[:done]:
+        if records.dates != tuple(dates[:done]):
             raise ConfigError(
                 f"{log_path} was recorded over different dates than the config lists"
             )
         if done >= len(dates) - 1:
-            return RunOutcome(entry.model, log_path, "complete", 0, point.state.value)
+            return RunOutcome(entry.model, log_path, "complete", 0, point.state.value,
+                              dropped_line=dropped)
         remaining = dates[done:]
         resume = point
 
@@ -158,7 +161,8 @@ def _run_one(entry: ModelEntry, cfg: RunConfig, spec: MarketSpec,
     status = state.status.value
     if state.status is SessionStatus.HALTED:
         status = f"halted ({state.halt_reason})"
-    return RunOutcome(entry.model, log_path, status, new_steps, state.value)
+    return RunOutcome(entry.model, log_path, status, new_steps, state.value,
+                      dropped_line=dropped)
 
 
 @click.group()
@@ -206,9 +210,11 @@ def run(config_path: str) -> None:
     """Run one session per configured model over the configured dates.
 
     An existing log resumes where it stopped; replaying a finished log
-    is a no-op. In live mode the dates that have already happened are
-    backfilled first, so a daily invocation extends each log by one
-    step; a provider outage ends the run's dates before the failing one.
+    is a no-op. A log whose last line lacks its newline was cut off
+    mid-append: that line is dropped, named, and recomputed. In live
+    mode the dates that have already happened are backfilled first, so
+    a daily invocation extends each log by one step; a provider outage
+    ends the run's dates before the failing one.
     """
     try:
         cfg = load_config(config_path)
@@ -248,6 +254,9 @@ def run(config_path: str) -> None:
 
         failed = False
         for outcome in outcomes:
+            if outcome.dropped_line is not None:
+                click.echo(f"{outcome.log_path}:{outcome.dropped_line}: dropped an unfinished"
+                           " line, which this run recomputes")
             if outcome.error is not None:
                 failed = True
                 click.echo(f"{outcome.model}: failed: {outcome.error}")

@@ -144,12 +144,14 @@ class SessionState:
 
     The records are its whole history, the same records its log holds;
     the step count, the book and the value series are derived from
-    them, so a state rebuilt from a log equals the live one.
+    them, so a state rebuilt from a log equals the live one. They are a
+    tuple, or a resumed log's records, which decode on first read and,
+    like a tuple, give a new sequence when a record is added.
     """
 
     spec: MarketSpec
     initial_capital: float
-    records: tuple[SessionRecord, ...] = ()
+    records: Sequence[SessionRecord] = ()
     status: SessionStatus = SessionStatus.RUNNING
     halt_reason: str | None = None
 
@@ -339,7 +341,7 @@ def run_episode(
     resume: ResumePoint | None = None,
     on_record: Callable[[SessionRecord], None] | None = None,
     rebalance_interval: int = 1,
-) -> tuple[SessionState, list[SessionRecord]]:
+) -> tuple[SessionState, Sequence[SessionRecord]]:
     """Drive one session across consecutive dates.
 
     A decision is made at every date except the last, and executes at
@@ -352,7 +354,8 @@ def run_episode(
     step's record is built here from the observation, the decision
     trace and the rebalance at execution prices. The session halts,
     never crashes, when a model provider gives out (``ClientError``);
-    the steps before it are kept.
+    the steps before it are kept. Returns the final state and its
+    records.
     """
     if rebalance_interval < 1:
         raise ValueError(f"rebalance_interval must be >= 1, got {rebalance_interval}")
@@ -418,6 +421,6 @@ def run_episode(
     except ClientError as exc:
         state = replace(state, status=SessionStatus.HALTED,
                         halt_reason=f"{type(exc).__name__}: {exc}")
-        return state, list(state.records)
+        return state, state.records
     state = replace(state, status=SessionStatus.ENDED)
-    return state, list(state.records)
+    return state, state.records

@@ -28,6 +28,9 @@ its first read, and a write that does not reach it carries it over
 byte for byte. A point lookup is a binary search and a window is a
 slice. A write swaps in a whole new index, so a reader never sees half
 of one.
+
+A store has one writer at a time. Its first write into a directory
+removes the temp files that writers killed mid-write left there.
 """
 
 from __future__ import annotations
@@ -59,6 +62,7 @@ SERIES_VERSION = 1
 
 _PRICE_SERIES = {"stock": "stock-price", "prediction": "prediction-price"}
 _SAFE_KEY = re.compile(r"[A-Za-z0-9._-]{1,64}")
+_TEMP_NAME = re.compile(r"\..+\.[0-9a-f]{12}\.tmp")  # what ``_atomic_write`` names its temp files
 
 
 @dataclass(frozen=True)
@@ -85,7 +89,8 @@ def _atomic_write(path: Path, lines: Iterable[str]) -> None:
     writer shares, created exclusively beside it with the mode a plain
     ``open`` gives. On any failure the temp file is removed and ``path``
     is left as it was. There is no fsync: a write survives a process
-    crash, not a power cut."""
+    crash, not a power cut. A temp file a killed writer leaves behind is
+    swept by the next store to write into its directory."""
     tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
     try:
         with open(tmp, "x", encoding="utf-8") as fh:
@@ -199,8 +204,9 @@ class SnapshotStore:
         self.root = Path(root)
         self._series: dict[tuple[str, str], _Series] = {}
         self._markets: dict[str, MarketCatalogEntry] | None = None
-        # Guards building an index and decoding rows, so threads sharing
-        # the store never do either twice.
+        self._swept: set[Path] = set()  # directories already cleared of stray temp files
+        # Guards building an index, decoding rows and sweeping a
+        # directory, so threads sharing the store never do any twice.
         self._lock = threading.Lock()
 
     # -- series plumbing -------------------------------------------------
@@ -212,6 +218,19 @@ class SnapshotStore:
         if kind == "news":
             return self.root / "news"
         raise IngestionError(f"unknown series kind {kind!r}")
+
+    def _ready_dir(self, directory: Path) -> None:
+        """Make a directory for a write; on this store's first write into
+        it, first remove the temp files of writers killed mid-write. A
+        store has one writer at a time, so none of them is live."""
+        directory.mkdir(parents=True, exist_ok=True)
+        with self._lock:
+            if directory in self._swept:
+                return
+            for path in directory.iterdir():
+                if _TEMP_NAME.fullmatch(path.name):
+                    path.unlink(missing_ok=True)
+            self._swept.add(directory)
 
     def _load(self, kind: str, key: str) -> _Series:
         series = self._series.get((kind, key))
@@ -291,7 +310,7 @@ class SnapshotStore:
             ensure_ascii=False,
         )
         body = [line for _, line in merged]
-        series.path.parent.mkdir(parents=True, exist_ok=True)
+        self._ready_dir(series.path.parent)
         _atomic_write(series.path, [header, *body])
         self._series[(kind, key)] = _Series(
             kind, key, series.path, self._lock, tuple(d for d, _ in merged),
@@ -391,7 +410,7 @@ class SnapshotStore:
         if not fresh:
             return 0
         merged = {**markets, **fresh}
-        self.root.mkdir(parents=True, exist_ok=True)
+        self._ready_dir(self.root)
         _atomic_write(
             self.root / "markets.jsonl",
             [json.dumps(vars(merged[slug]), ensure_ascii=False) for slug in sorted(merged)],

@@ -5,15 +5,30 @@ and starting capital; every following line is one executed step in
 wire order. Nothing in a log depends on wall-clock time, so identical
 runs produce identical bytes and a resumed run extends the file
 without rewriting a single earlier byte.
+
+Reading a log parses its header and indexes its records by date, taken
+from a fixed offset since every record starts with its date; a record
+is decoded when it is first read. A bad header, an unreadable date or
+dates out of order fail the read; any other fault in a record fails the
+first read of that record, with an error naming the file and line. A
+resume reads only the memory window and, when the window opens on a
+fallback step, the records back to the last one that validated or
+held, so a bad record further back is caught by ``report`` and ``delta``, which
+read every record, and not by ``run``.
+
+An append killed mid-line leaves a final line without its newline.
+``drop_torn_tail`` cuts that line off so the resumed run recomputes it;
+any other damage stays a ``CorruptLog``.
 """
 
 from __future__ import annotations
 
 import datetime as dt
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator, Sequence, overload
 
 from .agents.memory import MemoryWindow
 from .domain import AllocationVector, Holdings, MarketKind, MarketSpec, PriceVector
@@ -26,7 +41,9 @@ __all__ = [
     "SessionLogHeader",
     "SessionLogWriter",
     "check_header",
+    "LoggedRecords",
     "read_session_log",
+    "drop_torn_tail",
     "value_series",
     "cash_ratio_series",
     "effective_allocations",
@@ -127,25 +144,151 @@ def _read_header(path: Path) -> SessionLogHeader:
     raise CorruptLog(f"{path}: empty file")
 
 
-def read_session_log(path: str | Path) -> tuple[SessionLogHeader, list[SessionRecord]]:
+_DATE_PREFIX = '{"date":"'  # how ``_dumps`` starts every record
+_DATE_TEXT = slice(len(_DATE_PREFIX), len(_DATE_PREFIX) + 10)  # the ISO date that follows
+
+
+class LoggedRecords(Sequence[SessionRecord]):
+    """A log's records, each decoded when it is first read.
+
+    ``dates`` come from the index built at read time. Element ``i`` is
+    held as its raw line below ``lo`` and as a decoded record from
+    ``lo`` on; reading an element below ``lo`` decodes every line from
+    it up to ``lo`` in one block, so a resume that reads the tail
+    decodes only the tail and iteration decodes the whole log at once.
+    A session's records are read by one thread only, so nothing is
+    locked. Adding records gives a new sequence and leaves this one as
+    it was, as a tuple would.
+    """
+
+    __slots__ = ("path", "dates", "_rows", "_lines", "_lo")
+
+    def __init__(self, path: Path, dates: tuple[dt.date, ...], rows: list[Any],
+                 lines: Sequence[int], lo: int) -> None:
+        self.path = path
+        self.dates = dates
+        self._rows = rows
+        self._lines = lines  # each raw row's line number in the file
+        self._lo = lo
+
+    def _decode_from(self, i: int) -> None:
+        """Decode rows ``[i, lo)``, if any, with one ``json.loads`` call,
+        or line by line when that fails, so the error names the line."""
+        lo = self._lo
+        if i >= lo:
+            return
+        raw = self._rows[i:lo]
+        try:
+            rows = json.loads("[" + ",".join(raw) + "]")
+            if len(rows) != len(raw):  # a bad line held a comma-separated pair
+                raise ValueError
+        except ValueError:
+            rows = []
+            for n, line in enumerate(raw, start=i):
+                try:
+                    rows.append(json.loads(line))
+                except ValueError as exc:
+                    raise CorruptLog(f"{self.path}:{self._lines[n]}: bad record: {exc}") from exc
+        decoded = []
+        for n, row in enumerate(rows, start=i):
+            try:
+                record = SessionRecord.from_json_dict(row)
+                if record.date != self.dates[n]:
+                    raise ValueError(f"date {record.date} is not the indexed {self.dates[n]}")
+            except (KeyError, TypeError, ValueError) as exc:
+                raise CorruptLog(f"{self.path}:{self._lines[n]}: bad record: {exc}") from exc
+            decoded.append(record)
+        self._rows[i:lo] = decoded
+        self._lo = i
+
+    def __len__(self) -> int:
+        return len(self.dates)
+
+    @overload
+    def __getitem__(self, i: int) -> SessionRecord: ...
+
+    @overload
+    def __getitem__(self, i: slice) -> list[SessionRecord]: ...
+
+    def __getitem__(self, i: int | slice) -> SessionRecord | list[SessionRecord]:
+        if isinstance(i, slice):
+            picked = range(len(self.dates))[i]
+            if picked:
+                self._decode_from(min(picked[0], picked[-1]))
+            return self._rows[i]
+        n = len(self.dates)
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError("record index out of range")
+        self._decode_from(i)
+        return self._rows[i]
+
+    def __iter__(self) -> Iterator[SessionRecord]:
+        self._decode_from(0)
+        return iter(self._rows)
+
+    def __add__(self, more: Sequence[SessionRecord]) -> "LoggedRecords":
+        return LoggedRecords(self.path, self.dates + tuple(r.date for r in more),
+                             self._rows + list(more), self._lines, self._lo)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (LoggedRecords, tuple, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+
+def read_session_log(path: str | Path) -> tuple[SessionLogHeader, LoggedRecords]:
+    """The header, parsed, and the records, indexed by date but not
+    decoded. An unreadable header, an unreadable record date or dates
+    out of order fail here; any other fault in a record fails the read
+    that first reaches it."""
     path = Path(path)
     with open(path, encoding="utf-8") as fh:
-        lines = [line for line in fh.read().splitlines() if line.strip()]
-    if not lines:
+        lines = fh.read().split("\n")
+    first = next((n for n, line in enumerate(lines) if line.strip()), None)
+    if first is None:
         raise CorruptLog(f"{path}: empty file")
-    header = _parse_header(path, lines[0])
-    records = []
-    previous: dt.date | None = None
-    for n, line in enumerate(lines[1:], start=2):
+    header = _parse_header(path, lines[first])
+    dates: list[dt.date] = []
+    rows: list[str] = []
+    numbers: list[int] = []
+    for n, line in enumerate(lines[first + 1:], start=first + 2):
         try:
-            record = SessionRecord.from_json_dict(json.loads(line))
-        except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
+            if line.startswith(_DATE_PREFIX):
+                date = dt.date.fromisoformat(line[_DATE_TEXT])
+            elif line.strip():
+                date = dt.date.fromisoformat(json.loads(line)["date"])
+            else:
+                continue
+        except (KeyError, TypeError, ValueError) as exc:
             raise CorruptLog(f"{path}:{n}: bad record: {exc}") from exc
-        if previous is not None and record.date <= previous:
+        if dates and date <= dates[-1]:
             raise CorruptLog(f"{path}:{n}: dates must be strictly increasing")
-        previous = record.date
-        records.append(record)
-    return header, records
+        dates.append(date)
+        rows.append(line)
+        numbers.append(n)
+    return header, LoggedRecords(path, tuple(dates), rows, numbers, len(rows))
+
+
+def drop_torn_tail(path: Path) -> int | None:
+    """Cut an interrupted append off a log: a final line that lacks its
+    newline. Returns that line's number, or None when the log ends on a
+    complete line. A log that was nothing but a torn header, or empty,
+    is removed, so the next run starts it afresh."""
+    with open(path, "rb+") as fh:
+        size = fh.seek(0, os.SEEK_END)
+        if size:
+            fh.seek(size - 1)
+            if fh.read(1) == b"\n":
+                return None
+        fh.seek(0)
+        data = fh.read()
+        keep = data.rfind(b"\n") + 1
+        fh.truncate(keep)
+    if keep == 0:
+        path.unlink()
+    return data.count(b"\n") + 1
 
 
 def value_series(header: SessionLogHeader, records: Iterable[SessionRecord]) -> list[float]:
@@ -207,19 +350,31 @@ def position_histories(
 
 def resume_point(
     header: SessionLogHeader,
-    records: list[SessionRecord],
+    records: Sequence[SessionRecord],
     spec: MarketSpec,
     memory_horizon: int,
 ) -> ResumePoint:
-    """Rebuild mid-session state exactly as the interrupted run left it."""
+    """Rebuild mid-session state exactly as the interrupted run left it.
+
+    Only the last ``memory_horizon`` records are read, plus, when the
+    window opens on a step whose response never validated, the records
+    back to the last one that validated or held: its allocation is what
+    that step re-applied. A log's ``LoggedRecords`` thus decode only
+    its tail.
+    """
     if tuple(header.assets) != spec.assets or header.cash != spec.cash:
         raise ConfigError("log universe does not match the configured market")
-    state = SessionState(spec, header.initial_capital, tuple(records))
+    if not isinstance(records, LoggedRecords):
+        records = tuple(records)
+    state = SessionState(spec, header.initial_capital, records)
     memory = MemoryWindow(memory_horizon)
-    # The allocation walk needs the whole log; the window keeps only
-    # the last ``memory_horizon`` entries, so only those are built.
     first = max(len(records) - memory_horizon, 0)
-    allocations = effective_allocations(header, records)
-    for r, allocation in zip(records[first:], allocations[first:]):
+    window = list(records[first:])
+    seed: list[SessionRecord] = []
+    if window and window[0].allocation is None:
+        seed = next(([records[i]] for i in range(first - 1, -1, -1)
+                     if records[i].allocation is not None), [])
+    allocations = effective_allocations(header, seed + window)[len(seed):]
+    for r, allocation in zip(window, allocations):
         memory.remember(memory_entry(r, allocation, header.initial_capital))
     return ResumePoint(state, memory)

@@ -5,11 +5,14 @@ import json
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tradefolio import cli, sessionlog
 from tradefolio.agents.baselines import EqualWeightAgent
 from tradefolio.ingestion import snapshots
 from tradefolio.cli import _slug, main
+from tradefolio.config import load_config
 from tradefolio.domain import PricePoint
 from tradefolio.errors import ClientTimeout
 from tradefolio.ingestion.predictions import DiscoveredMarket
@@ -129,6 +132,74 @@ def test_resumed_run_parses_each_log_once(runner, stock_setup, monkeypatch):
     assert result.output.count("ended, +5 steps") == 3
     assert sorted(parsed) == sorted(uninterrupted)
     assert {log.name: log.read_bytes() for log in logs} == uninterrupted
+
+
+@pytest.mark.parametrize("line", [-1, 0], ids=["record", "header"])
+def test_run_drops_a_line_cut_mid_append_and_recomputes_it(runner, stock_setup, line):
+    tmp_path, config, dates = stock_setup
+    assert runner.invoke(main, ["run", "--config", str(config)]).exit_code == 0
+    logs = sorted((tmp_path / "runs").glob("*.jsonl"))
+    uninterrupted = {log: log.read_bytes() for log in logs}
+    for log in logs:
+        lines = uninterrupted[log].splitlines(keepends=True)
+        n = line % len(lines)
+        log.write_bytes(b"".join(lines[:n]) + lines[n][:len(lines[n]) // 2])
+
+    result = runner.invoke(main, ["run", "--config", str(config)])
+    assert result.exit_code == 0, result.output
+    for log in logs:
+        number = line % len(uninterrupted[log].splitlines()) + 1
+        assert f"{log}:{number}: dropped an unfinished line" in result.output
+        assert log.read_bytes() == uninterrupted[log]
+
+
+@pytest.fixture(scope="module")
+def small_log(tmp_path_factory):
+    """A finished three-step, one-stock log, its bytes, and what
+    ``_run_one`` needs to resume it; a resume costs about a millisecond."""
+    root = tmp_path_factory.mktemp("cut")
+    dates = seed_stock_store(root / "store", ("AAPL",), D(2025, 3, 3), 4, seed=13)
+    config = _write_config(root / "run.yaml", root / "store", root / "runs", dates,
+                           ["baseline:equal-weight"])
+    config.write_text(config.read_text().replace("[AAPL, MSFT, NVDA]", "[AAPL]"))
+    cfg = load_config(config)
+    store = SnapshotStore(cfg.store)
+    spec, keys = cli._build_spec(cfg, store)
+
+    def resume():
+        return cli._run_one(cfg.models[0], cfg, spec, store, list(cfg.dates), keys)
+
+    assert resume().status == "ended"
+    log = root / "runs" / "stock-baseline-equal-weight.jsonl"
+    return resume, log, log.read_bytes()
+
+
+def _resume_cut_at(small_log, offset):
+    resume, log, full = small_log
+    log.write_bytes(full[:offset])
+    outcome = resume()
+    assert outcome.error is None and outcome.status == "ended", (offset, outcome)
+    assert log.read_bytes() == full, offset
+    torn = offset == 0 or full[offset - 1:offset] != b"\n"
+    assert outcome.dropped_line == (full[:offset].count(b"\n") + 1 if torn else None)
+
+
+def _last_two_records_start(full):
+    lines = full.splitlines(keepends=True)
+    return len(full) - len(lines[-1]) - len(lines[-2])
+
+
+def test_a_log_cut_at_any_byte_of_its_last_two_records_resumes(small_log):
+    full = small_log[2]
+    for offset in range(_last_two_records_start(full), len(full)):
+        _resume_cut_at(small_log, offset)
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_a_log_cut_at_any_earlier_byte_resumes(small_log, data):
+    full = small_log[2]
+    _resume_cut_at(small_log, data.draw(st.integers(0, _last_two_records_start(full) - 1)))
 
 
 def test_run_rejects_date_mismatch(runner, tmp_path):

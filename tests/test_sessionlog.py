@@ -5,17 +5,21 @@ byte."""
 import datetime as dt
 import json
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tradefolio.agents.baselines import ScriptedAgent
 from tradefolio.agents.clients import ModelClientConfig, ScriptedClient
 from tradefolio.agents.harness import AgentDecision, LLMAgent
+from tradefolio.agents.memory import DEFAULT_MEMORY_HORIZON
+from tradefolio.cli import main
 from tradefolio.domain import MarketKind, MarketSpec
-from tradefolio.environment import SessionStatus, run_episode
+from tradefolio.environment import SessionRecord, SessionStatus, run_episode
 from tradefolio.errors import ConfigError, CorruptLog
 from tradefolio.ingestion.feeds import ReplayFeed
 from tradefolio.ingestion.snapshots import SnapshotStore
@@ -55,10 +59,11 @@ def _varied_responses(n):
     return out
 
 
-def _run_logged(path, spec, feed, dates, agent, model="test/scripted"):
+def _run_logged(path, spec, feed, dates, agent, model="test/scripted", memory_horizon=10):
     header = SessionLogHeader.for_run(spec, model, 1000.0)
     writer = SessionLogWriter(path, header)
-    return run_episode(spec, agent, feed, dates, 1000.0, on_record=writer.append)
+    return run_episode(spec, agent, feed, dates, 1000.0, on_record=writer.append,
+                       memory_horizon=memory_horizon)
 
 
 # -- reading and writing ------------------------------------------------------
@@ -168,6 +173,141 @@ def test_non_increasing_dates_rejected(tmp_path, stock_world):
         fh.write(lines[-1] + "\n")  # replay the last step's date
     with pytest.raises(CorruptLog, match="strictly increasing"):
         read_session_log(path)
+
+
+def test_a_line_separator_inside_a_response_stays_in_its_record(tmp_path, stock_world):
+    spec, feed, dates = stock_world
+    response = json.dumps({"reasoning": "calm\u2028then\x1cnot",
+                           "allocations": {"AAPL": 0.5, "CASH": 0.5}}, ensure_ascii=False)
+    _, records = _run_logged(tmp_path / "run.jsonl", spec, feed, dates[:3],
+                             ScriptedAgent([response]))
+    _, loaded = read_session_log(tmp_path / "run.jsonl")
+    assert loaded == records and loaded[0].raw_response == response
+
+
+# -- decoding on first read ---------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def logged(tmp_path_factory, shared_world):
+    """A seven-step log with varied responses, and its eager decode."""
+    spec, feed, dates = shared_world
+    path = tmp_path_factory.mktemp("log") / "run.jsonl"
+    _run_logged(path, spec, feed, dates[:8], ScriptedAgent(["junk"] + _varied_responses(7)))
+    lines = path.read_text(encoding="utf-8").split("\n")[1:-1]
+    return path, [SessionRecord.from_json_dict(json.loads(line)) for line in lines]
+
+
+_bound = st.one_of(st.none(), st.integers(-9, 9))
+_record_reads = st.lists(st.one_of(
+    st.tuples(st.just("index"), st.integers(-9, 8)),
+    st.tuples(st.just("slice"), _bound, _bound, st.sampled_from([None, 1, 2, -1, -3])),
+    st.tuples(st.just("iter")),
+    st.tuples(st.just("add")),
+), max_size=8)
+
+
+@settings(max_examples=80, deadline=None)
+@given(reads=_record_reads)
+def test_any_read_order_matches_an_eager_decode(logged, reads):
+    path, eager = logged
+    _, records = read_session_log(path)
+    assert records.dates == tuple(r.date for r in eager)
+    for read in reads:
+        if read[0] == "index":
+            if -len(eager) <= read[1] < len(eager):
+                assert records[read[1]] == eager[read[1]]
+            else:
+                with pytest.raises(IndexError):
+                    records[read[1]]
+        elif read[0] == "slice":
+            assert records[slice(*read[1:])] == eager[slice(*read[1:])]
+        elif read[0] == "iter":
+            assert list(records) == eager
+        else:
+            more = replace(eager[-1], date=eager[-1].date + dt.timedelta(days=len(eager)))
+            longer = records + (more,)
+            assert len(records) == len(eager)  # the sequence added to is unchanged
+            records, eager = longer, eager + [more]
+            assert records.dates[-1] == more.date
+    assert records == eager and len(records) == len(eager)
+
+
+def _write_run_config(path, store, out_dir, dates, model):
+    path.write_text("\n".join([
+        "market: stock", f"store: {store}", f"out_dir: {out_dir}", "dates:",
+        *(f"  - {d.isoformat()}" for d in dates),
+        "models:", f"  - {model}", "universe: [AAPL, MSFT, NVDA]",
+    ]) + "\n", encoding="utf-8")
+    return path
+
+
+@pytest.fixture
+def daily_log(tmp_path):
+    """A finished 60-step equal-weight log, its config and its bytes."""
+    dates = seed_stock_store(tmp_path / "store", ("AAPL", "MSFT", "NVDA"), D(2025, 1, 6), 61,
+                             seed=3)
+    config = _write_run_config(tmp_path / "run.yaml", tmp_path / "store", tmp_path / "runs",
+                               dates, "baseline:equal-weight")
+    assert CliRunner().invoke(main, ["run", "--config", str(config)]).exit_code == 0
+    log = tmp_path / "runs" / "stock-baseline-equal-weight.jsonl"
+    return config, log, log.read_bytes()
+
+
+def test_a_daily_resume_decodes_only_the_memory_window(daily_log, monkeypatch):
+    config, log, full = daily_log
+    lines = full.splitlines(keepends=True)
+    assert len(lines) == 61
+    log.write_bytes(b"".join(lines[:-1]))
+
+    decoded = []
+    real = SessionRecord.from_json_dict
+
+    def counting(row):
+        decoded.append(row["date"])
+        return real(row)
+
+    monkeypatch.setattr(SessionRecord, "from_json_dict", counting)
+    result = CliRunner().invoke(main, ["run", "--config", str(config)])
+    assert result.exit_code == 0, result.output
+    assert "+1 steps" in result.output
+    assert len(decoded) <= DEFAULT_MEMORY_HORIZON + 1
+    assert log.read_bytes() == full
+
+
+def _garble_line(log, full, number, old, new):
+    lines = full.splitlines(keepends=True)
+    assert old in lines[number - 1]
+    lines[number - 1] = lines[number - 1].replace(old, new, 1)
+    log.write_bytes(b"".join(lines))
+    return lines
+
+
+def test_a_garbled_record_behind_the_tail_resumes_and_fails_report(daily_log):
+    """The trade-off of decoding on first read: ``run`` reads only the
+    tail, so a bad value further back is ``report``'s to catch."""
+    config, log, full = daily_log
+    lines = _garble_line(log, full, 5, b'"news_count":', b'"news_count":,')
+    log.write_bytes(b"".join(lines[:-1]))
+
+    result = CliRunner().invoke(main, ["run", "--config", str(config)])
+    assert result.exit_code == 0, result.output
+    assert log.read_bytes() == b"".join(lines)
+
+    for command in ("report", "delta"):
+        result = CliRunner().invoke(main, [command, str(log)])
+        assert result.exit_code == 1
+        assert f"{log}:5: bad record" in result.output
+
+
+def test_a_garbled_record_date_fails_at_read(daily_log):
+    config, log, full = daily_log
+    date = full.splitlines()[4][9:19]
+    _garble_line(log, full, 5, date, date[:5] + b"1x" + date[7:])
+    with pytest.raises(CorruptLog, match=r":5: bad record"):
+        read_session_log(log)
+    result = CliRunner().invoke(main, ["run", "--config", str(config)])
+    assert result.exit_code == 1 and f"{log}:5: bad record" in result.output
 
 
 # -- derived series -----------------------------------------------------------
@@ -374,19 +514,20 @@ _response = st.one_of(
 
 
 @settings(max_examples=40, deadline=None)
-@given(responses=st.lists(_response, min_size=1, max_size=30), cut=st.integers(1, 7))
-def test_resume_point_equals_live_state_at_every_cut(shared_world, responses, cut):
+@given(responses=st.lists(_response, min_size=1, max_size=30), cut=st.integers(1, 7),
+       horizon=st.integers(1, 10))
+def test_resume_point_equals_live_state_at_every_cut(shared_world, responses, cut, horizon):
     spec, feed, dates = shared_world
     with tempfile.TemporaryDirectory() as tmp:
         full, part = Path(tmp) / "full.jsonl", Path(tmp) / "part.jsonl"
         spy = _MemorySpy(ScriptedClient(responses))
-        _run_logged(full, spec, feed, dates, spy)
+        _run_logged(full, spec, feed, dates, spy, memory_horizon=horizon)
         head = ScriptedClient(responses)
         live, _ = _run_logged(part, spec, feed, dates[:cut + 1], LLMAgent(
-            head, ModelClientConfig(model="test/scripted")))
+            head, ModelClientConfig(model="test/scripted")), memory_horizon=horizon)
 
         header, done = read_session_log(part)
-        resume = resume_point(header, done, spec, memory_horizon=10)
+        resume = resume_point(header, done, spec, memory_horizon=horizon)
         assert resume.state.step == live.step == cut
         assert resume.state.holdings == live.holdings == spy.seen[cut][1]
         assert resume.state.value_series == live.value_series
@@ -395,8 +536,8 @@ def test_resume_point_equals_live_state_at_every_cut(shared_world, responses, cu
         tail = ScriptedClient(responses[min(len(head.prompts), len(responses) - 1):])
         writer = SessionLogWriter(part, header)
         state, _ = run_episode(spec, LLMAgent(tail, ModelClientConfig(model="test/scripted")),
-                               feed, dates[cut:], 1000.0, resume=resume,
-                               on_record=writer.append)
+                               feed, dates[cut:], 1000.0, memory_horizon=horizon,
+                               resume=resume, on_record=writer.append)
         assert state.status is SessionStatus.ENDED
         assert part.read_bytes() == full.read_bytes()
 

@@ -398,6 +398,39 @@ def test_a_failed_write_leaves_the_series_and_its_directory_as_they_were(tmp_pat
     assert sorted(folder.iterdir()) == listing
 
 
+def test_stray_temp_files_go_at_the_first_write_into_their_directory(tmp_path):
+    """A writer killed before its rename leaves a temp file; the next
+    store to write into that directory removes it, once per store."""
+    a, b = tmp_path / "a", tmp_path / "b"
+    for root in (a, b):
+        SnapshotStore(root).upsert_price("stock", "AAPL", D(2025, 3, 3), 240.0)
+        SnapshotStore(root).record_markets([MarketCatalogEntry("s", "q", "y", "n", "u")])
+    folder = a / "prices" / "stock"
+    strays = [folder / ".AAPL.jsonl.0123456789ab.tmp", folder / ".MSFT.jsonl.ba9876543210.tmp",
+              a / ".markets.jsonl.00112233aabb.tmp"]
+    for stray in strays:
+        stray.write_text('{"date": "2025-03-04", "pri', encoding="utf-8")
+    kept = folder / "notes.tmp"  # not a name the store writes
+    kept.write_text("mine", encoding="utf-8")
+
+    store = SnapshotStore(a)
+    store.upsert_price("stock", "AAPL", D(2025, 3, 4), 241.0)
+    assert [p for p in strays if p.exists()] == [strays[2]]  # only the written directory
+    store.record_markets([MarketCatalogEntry("t", "q2", "y2", "n2", "u2")])
+    assert not any(p.exists() for p in strays) and kept.exists()
+    SnapshotStore(b).upsert_price("stock", "AAPL", D(2025, 3, 4), 241.0)
+    SnapshotStore(b).record_markets([MarketCatalogEntry("t", "q2", "y2", "n2", "u2")])
+    assert _series_bytes(a) == _series_bytes(b)
+
+    # each directory is scanned once per store, not at every write
+    late = folder / ".AAPL.jsonl.cafecafecafe.tmp"
+    late.write_text("", encoding="utf-8")
+    store.upsert_price("stock", "AAPL", D(2025, 3, 5), 242.0)
+    assert late.exists()
+    SnapshotStore(a).upsert_price("stock", "AAPL", D(2025, 3, 6), 243.0)
+    assert not late.exists()
+
+
 def test_seeding_reproduces_committed_fixtures(tmp_path):
     script = REPO / "scripts" / "make_fixtures.py"
     spec = importlib.util.spec_from_file_location("make_fixtures", script)
