@@ -98,46 +98,58 @@ def _render_snippet(snippet: str) -> str:
     return text + "..."
 
 
-def _history_lines(dates_prices: list[tuple[dt.date, float]],
-                   price_format: str, prefix: str) -> list[str]:
-    """Newest first; each change is measured against the line below it."""
+def _history_lines(series: list[tuple[dt.date, float]], label: str, spec: str,
+                   iso: dict[dt.date, str]) -> list[str]:
+    """Newest first; each change is measured against the line below it.
+
+    ``iso`` caches each date's ISO text across the assets of one prompt,
+    which all share the same dates.
+    """
     lines = []
-    for i in range(len(dates_prices) - 1, -1, -1):
-        date, price = dates_prices[i]
-        if i == 0:
+    prev = None
+    for date, price in series:
+        text = iso.get(date)
+        if text is None:
+            text = iso[date] = date.isoformat()
+        if prev is None:
             change = "N/A"
         else:
-            prev = dates_prices[i - 1][1]
             diff = price - prev
             change = f"{diff:+.2f} ({diff / prev * 100.0:+.2f}%)"
-        lines.append(f"{prefix}- {date.isoformat()}: {price_format.format(price)} (Change: {change})")
+        lines.append(f"  - {text}: {label}{price:{spec}} (Change: {change})")
+        prev = price
+    lines.reverse()
     return lines
+
+
+def _series(obs: Observation, asset: str) -> list[tuple[dt.date, float]]:
+    """An asset's stored closes, oldest first, then today's price."""
+    series = [(pt.date, pt.price) for pt in obs.price_history.get(asset, ())]
+    series.append((obs.date, obs.prices[asset]))
+    return series
 
 
 def _stock_market_lines(spec: MarketSpec, obs: Observation) -> list[str]:
     lines = []
+    iso: dict[dt.date, str] = {}
     for asset in spec.assets:
         if asset == spec.cash:
             continue
-        current = obs.prices[asset]
-        series = [(pt.date, pt.price) for pt in obs.price_history.get(asset, ())]
-        series.append((obs.date, current))
-        lines.append(f"{asset}: Current price is ${current:.2f}")
-        lines.extend(_history_lines(series, "close price ${:.2f}", "  "))
+        lines.append(f"{asset}: Current price is ${obs.prices[asset]:.2f}")
+        lines.extend(_history_lines(_series(obs, asset), "close price $", ".2f", iso))
     return lines
 
 
 def _prediction_market_lines(spec: MarketSpec, obs: Observation) -> list[str]:
     lines = []
+    iso: dict[dt.date, str] = {}
     for pair in spec.pairs:
         lines.append(f"Question: {pair.question}")
         lines.append(f"  - Betting YES current price: {obs.prices[pair.yes]:.3f}")
         lines.append(f"  - Betting NO current price: {obs.prices[pair.no]:.3f}")
         for label, asset in (("YES", pair.yes), ("NO", pair.no)):
             lines.append(f"  - Betting {label} History:")
-            series = [(pt.date, pt.price) for pt in obs.price_history.get(asset, ())]
-            series.append((obs.date, obs.prices[asset]))
-            lines.extend(_history_lines(series, "{:.4f}", "  "))
+            lines.extend(_history_lines(_series(obs, asset), "", ".4f", iso))
     return lines
 
 

@@ -292,9 +292,12 @@ def _obtain_decision(
     """Ask until the response validates, the agent holds, or retries
     run out.
 
-    Every attempt is a fresh agent call; the trace keeps the last raw
-    response either way. An agent that holds gets back only its
-    reasoning, for ``_hold_trace`` to price.
+    Every attempt is a fresh agent call with the same observation and
+    memory, so an ``LLMAgent`` retry sends the prompt already rendered
+    for this step, and the trace's prompt is the prompt of every
+    attempt. The trace keeps the last raw response either way. An agent
+    that holds gets back only its reasoning, for ``_hold_trace`` to
+    price.
     """
     attempts = 0
     prompt: str | None = None

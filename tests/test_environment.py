@@ -19,8 +19,9 @@ from tradefolio.agents.baselines import (
 )
 from tradefolio.agents.clients import ModelClientConfig, ScriptedClient
 from tradefolio.agents.harness import AgentDecision, LLMAgent
-from tradefolio.agents.memory import MemoryWindow
-from tradefolio.domain import Holdings, MarketKind, MarketSpec
+from tradefolio.agents.memory import MemoryEntry, MemoryWindow
+from tradefolio.agents.prompts import build_context_prompt
+from tradefolio.domain import AllocationVector, Holdings, MarketKind, MarketSpec
 from tradefolio.environment import (
     ResumePoint,
     SessionState,
@@ -347,6 +348,57 @@ def test_gated_llm_logs_the_model_exchange(stock_world):
     for record, prompt in zip(decisions, client.prompts):
         assert record.raw_response == text
         assert record.prompt_sha256 == hashlib.sha256(prompt.encode("utf-8")).hexdigest()
+
+
+def _count_renders(monkeypatch):
+    renders = []
+
+    def counting(spec, obs, memory):
+        renders.append(obs.date)
+        return build_context_prompt(spec, obs, memory)
+
+    monkeypatch.setattr("tradefolio.agents.harness.build_context_prompt", counting)
+    return renders
+
+
+def test_llm_retries_send_the_prompt_rendered_for_their_step(stock_world, monkeypatch):
+    renders = _count_renders(monkeypatch)
+    spec, store, feed, dates = stock_world
+    good = _render({"AAPL": 0.5, "MSFT": 0.0, "NVDA": 0.0, "CASH": 0.5})
+    # step 0 retries once, step 1 exhausts its retries, steps 2-3 validate
+    client, agent = _gated_llm(["junk", good, "junk", "junk", "junk", good])
+    state, records = run_episode(spec, agent, feed, dates[:5], 1000.0, max_retries=2)
+
+    assert [r.attempts for r in records] == [2, 3, 1, 1]
+    assert renders == dates[:4]
+    sent = iter(client.prompts)
+    step_prompts = []
+    for record in records:
+        attempts = [next(sent) for _ in range(record.attempts)]
+        assert len(set(attempts)) == 1
+        assert record.prompt_sha256 == hashlib.sha256(attempts[0].encode("utf-8")).hexdigest()
+        step_prompts.append(attempts[0])
+    assert len(set(step_prompts)) == len(records)
+
+
+def test_llm_agent_renders_again_for_a_new_observation_or_memory(stock_world, monkeypatch):
+    renders = _count_renders(monkeypatch)
+    spec, store, feed, dates = stock_world
+    state = SessionState.initial(spec, 1000.0)
+    obs = build_observation(state, feed, dates[4])
+    client, agent = _gated_llm(["junk"])
+    memory = MemoryWindow(3)
+
+    agent.decide(spec, obs, memory)
+    agent.decide(spec, obs, memory)
+    assert len(renders) == 1
+    # an equal observation in a new object is another step
+    obs = build_observation(state, feed, dates[4])
+    agent.decide(spec, obs, memory)
+    assert len(renders) == 2
+    memory.remember(MemoryEntry(dates[3], AllocationVector({spec.cash: 1.0}), 0.0))
+    agent.decide(spec, obs, memory)
+    assert len(renders) == 3
 
 
 # -- halting ----------------------------------------------------------------------

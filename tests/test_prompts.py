@@ -2,10 +2,13 @@ import datetime as dt
 from dataclasses import replace
 
 from conftest import assert_golden, make_observation
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tradefolio.agents.memory import MemoryEntry, MemoryWindow
 from tradefolio.agents.prompts import (
     SNIPPET_MAX_CHARS,
+    _history_lines,
     build_context_prompt,
     build_decision_prompt,
 )
@@ -260,3 +263,49 @@ class TestDeterminism:
         date2, obs2, memory2 = _stock_inputs()
         b = build_decision_prompt(build_context_prompt(STOCK, obs2, memory2), STOCK, date2)
         assert a == b
+
+
+def _reference_history_lines(dates_prices, price_format, prefix):
+    """The history renderer as it was before it shared ISO dates across
+    assets: newest first, each line indexing back to the one below."""
+    lines = []
+    for i in range(len(dates_prices) - 1, -1, -1):
+        date, price = dates_prices[i]
+        if i == 0:
+            change = "N/A"
+        else:
+            prev = dates_prices[i - 1][1]
+            diff = price - prev
+            change = f"{diff:+.2f} ({diff / prev * 100.0:+.2f}%)"
+        lines.append(f"{prefix}- {date.isoformat()}: {price_format.format(price)} (Change: {change})")
+    return lines
+
+
+_PRICES = st.floats(min_value=1e-4, max_value=1e6, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _series(draw):
+    days = draw(st.lists(st.integers(0, 4000), min_size=1, max_size=12, unique=True))
+    start = dt.date(2015, 1, 1).toordinal()
+    return [(dt.date.fromordinal(start + d), draw(_PRICES)) for d in sorted(days)]
+
+
+class TestHistoryRenderer:
+    @settings(max_examples=200, deadline=None)
+    @given(_series(), _series())
+    @example([(dt.date(2025, 3, 3), 101.5)], [(dt.date(2025, 3, 3), 0.42)])
+    @example([(dt.date(2025, 3, 3), 300.0), (dt.date(2025, 3, 4), 250.5),
+              (dt.date(2025, 3, 5), 0.75)],
+             [(dt.date(2025, 3, 4), 0.9), (dt.date(2025, 3, 5), 0.1)])
+    @example([(dt.date(2025, 3, 3), 10.001), (dt.date(2025, 3, 4), 10.004),
+              (dt.date(2025, 3, 5), 9.996)],
+             [(dt.date(2025, 3, 3), 0.50001), (dt.date(2025, 3, 4), 0.50004)])
+    def test_matches_the_reference(self, first, second):
+        # One ISO cache across both series, as across a prompt's assets.
+        iso = {}
+        for series in (first, second):
+            assert _history_lines(series, "close price $", ".2f", iso) == (
+                _reference_history_lines(series, "close price ${:.2f}", "  "))
+            assert _history_lines(series, "", ".4f", iso) == (
+                _reference_history_lines(series, "{:.4f}", "  "))
