@@ -23,6 +23,7 @@ from .agents.baselines import all_cash_allocation, hold_allocation
 from .agents.harness import Agent
 from .agents.memory import DEFAULT_MEMORY_HORIZON, MemoryEntry, MemoryWindow
 from .agents.parsing import parse_allocation_response, render_allocation_response
+from .dated import DatedRows
 from .domain import (
     AllocationVector,
     Holdings,
@@ -151,7 +152,7 @@ class SessionState:
 
     spec: MarketSpec
     initial_capital: float
-    records: Sequence[SessionRecord] = ()
+    records: tuple[SessionRecord, ...] | DatedRows[SessionRecord] = ()
     status: SessionStatus = SessionStatus.RUNNING
     halt_reason: str | None = None
 

@@ -16,18 +16,12 @@ Stored rows no read has decoded go back to the file as the lines they
 were read as; the rest are encoded again. Reads create nothing on disk;
 a directory is made on its first write.
 
-Reads are served from a sorted in-memory index built when a series is
-first loaded. Loading reads only each row's date, which ``_encode``
-always writes first, and checks that dates strictly increase; a row's
-value stays raw text until a read first needs it. The first read below
-what is already decoded decodes every row from there to the end of the
-series in one block, so a session, whose first read is its lowest,
-decodes each series once: all of it in a batch, only the window in a
-daily resume. A bad header or date fails at load; a bad value fails at
-its first read, and a write that does not reach it carries it over
-byte for byte. A point lookup is a binary search and a window is a
-slice. A write swaps in a whole new index, so a reader never sees half
-of one.
+Reads are served from a date index built when a series is first
+loaded, its rows decoded when a read first reaches them, as
+``tradefolio.dated`` describes; a bad header fails at load too. A write
+that does not reach a bad row carries it over byte for byte. A point
+lookup is a binary search and a window is a slice. A write swaps in a
+whole new index, so a reader never sees half of one.
 
 A store has one writer at a time. Its first write into a directory
 removes the temp files that writers killed mid-write left there.
@@ -43,10 +37,12 @@ import re
 import threading
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
+from functools import partial
 from operator import itemgetter
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
+from ..dated import DatedRows, index
 from ..domain import NewsItem, PricePoint
 from ..errors import ConflictingValue, IngestionError
 
@@ -127,86 +123,24 @@ def _decode(kind: str, key: str, date: dt.date, row: dict) -> Any:
 
 
 _DATE_PREFIX = '{"date": "'  # how ``_encode``'s rows start
-_DATE_TEXT = slice(len(_DATE_PREFIX), len(_DATE_PREFIX) + 10)  # the ISO date that follows
 
 
-class _Series:
-    """One loaded series: ``dates`` strictly increase and never change,
-    and ``values[i]`` is the row for ``dates[i]``, its raw line below
-    ``lo`` and its decoded value from ``lo`` on. ``lo`` only falls, and
-    only once the rows it passes are decoded, so a reader that finds a
-    row at or above ``lo`` reads it without the lock."""
-
-    __slots__ = ("kind", "key", "path", "lock", "dates", "values", "lines", "lo")
-
-    def __init__(self, kind: str, key: str, path: Path, lock: threading.Lock,
-                 dates: tuple[dt.date, ...], values: list[Any],
-                 lines: Sequence[int], lo: int) -> None:
-        self.kind = kind
-        self.key = key
-        self.path = path
-        self.lock = lock
-        self.dates = dates
-        self.values = values
-        self.lines = lines  # each row's line number in the file
-        self.lo = lo
-
-    def decode_from(self, i: int) -> None:
-        """Decode the rows from ``i`` up to ``lo`` with one
-        ``json.loads`` call, or line by line when that fails, so the
-        error names the line."""
-        with self.lock:
-            lo = self.lo
-            if i >= lo:
-                return
-            raw = self.values[i:lo]
-            try:
-                rows = json.loads("[" + ",".join(raw) + "]")
-                if len(rows) != len(raw):  # a bad line held a comma-separated pair
-                    raise ValueError
-            except ValueError:
-                rows = []
-                for n, line in enumerate(raw, start=i):
-                    try:
-                        rows.append(json.loads(line))
-                    except ValueError as exc:
-                        raise IngestionError(f"{self.path}:{self.lines[n]}: unreadable row") from exc
-            decoded = []
-            for n, row in enumerate(rows, start=i):
-                date = self.dates[n]
-                try:
-                    if dt.date.fromisoformat(row["date"]) != date:
-                        raise ValueError("the row's date is not the indexed one")
-                    decoded.append(_decode(self.kind, self.key, date, row))
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise IngestionError(f"{self.path}:{self.lines[n]}: unreadable row") from exc
-            self.values[i:lo] = decoded
-            self.lo = i
-
-    def find(self, date: dt.date) -> Any | None:
-        i = bisect_left(self.dates, date)
-        if i == len(self.dates) or self.dates[i] != date:
-            return None
-        if i < self.lo:
-            self.decode_from(i)
-        return self.values[i]
-
-    def window(self, start: dt.date, end: dt.date) -> list[Any]:
-        i = bisect_left(self.dates, start)
-        j = bisect_right(self.dates, end)
-        if i < self.lo and i < j:
-            self.decode_from(i)
-        return self.values[i:j]
+def _window(series: DatedRows, start: dt.date, end: dt.date) -> list[Any]:
+    i = bisect_left(series.dates, start)
+    j = bisect_right(series.dates, end)
+    if i < series.lo and i < j:
+        series.decode_from(i)
+    return series.values[i:j]
 
 
 class SnapshotStore:
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
-        self._series: dict[tuple[str, str], _Series] = {}
+        self._series: dict[tuple[str, str], DatedRows] = {}
         self._markets: dict[str, MarketCatalogEntry] | None = None
         self._swept: set[Path] = set()  # directories already cleared of stray temp files
-        # Guards building an index, decoding rows and sweeping a
-        # directory, so threads sharing the store never do any twice.
+        # Guards building an index and sweeping a directory, so threads
+        # sharing the store never do either twice.
         self._lock = threading.Lock()
 
     # -- series plumbing -------------------------------------------------
@@ -232,7 +166,7 @@ class SnapshotStore:
                     path.unlink(missing_ok=True)
             self._swept.add(directory)
 
-    def _load(self, kind: str, key: str) -> _Series:
+    def _load(self, kind: str, key: str) -> DatedRows:
         series = self._series.get((kind, key))
         if series is None:
             with self._lock:
@@ -241,19 +175,19 @@ class SnapshotStore:
                     series = self._series[(kind, key)] = self._index(kind, key)
         return series
 
-    def _index(self, kind: str, key: str) -> _Series:
+    def _index(self, kind: str, key: str) -> DatedRows:
         """Read a series file into an index of dates beside raw rows."""
         path = self._dir_for(kind) / _filename(key)
-        dates: list[dt.date] = []
-        rows: list[str] = []
-        lines: list[int] = []
+        body: list[str] = []
         if path.exists():
             with open(path, encoding="utf-8") as fh:
                 header_line = fh.readline()
-                body = fh.read()
+                body = fh.read().split("\n")
             try:
                 header = json.loads(header_line)
-            except json.JSONDecodeError as exc:
+                if not isinstance(header, dict):
+                    raise TypeError(f"expected a JSON object, got {type(header).__name__}")
+            except (TypeError, ValueError) as exc:
                 raise IngestionError(f"{path}: unreadable header") from exc
             if (
                 header.get("format") != SERIES_FORMAT
@@ -262,22 +196,8 @@ class SnapshotStore:
                 or header.get("key") != key
             ):
                 raise IngestionError(f"{path}: header does not match series ({kind}, {key!r})")
-            for n, line in enumerate(body.split("\n"), start=2):
-                try:
-                    if line.startswith(_DATE_PREFIX):
-                        date = dt.date.fromisoformat(line[_DATE_TEXT])
-                    elif line.strip():
-                        date = dt.date.fromisoformat(json.loads(line)["date"])
-                    else:
-                        continue
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise IngestionError(f"{path}:{n}: unreadable row") from exc
-                if dates and date <= dates[-1]:
-                    raise IngestionError(f"{path}:{n}: dates must be strictly increasing")
-                dates.append(date)
-                rows.append(line)
-                lines.append(n)
-        return _Series(kind, key, path, self._lock, tuple(dates), rows, lines, len(rows))
+        return index(path, body, 2, _DATE_PREFIX, partial(_decode, kind, key),
+                     IngestionError, "unreadable row")
 
     def _write(self, kind: str, key: str, rows: Iterable[tuple[dt.date, Any]]) -> int:
         """Record (date, value) rows for one series; returns how many
@@ -290,9 +210,8 @@ class SnapshotStore:
         series = self._load(kind, key)
         fresh: dict[dt.date, Any] = {}
         for date, value in rows:
-            known = series.find(date)
-            if known is None:
-                known = fresh.setdefault(date, value)
+            found = _window(series, date, date)
+            known = found[0] if found else fresh.setdefault(date, value)
             if known != value:
                 raise ConflictingValue(
                     f"({kind}, {key!r}, {date.isoformat()}) already recorded with a different value"
@@ -312,9 +231,9 @@ class SnapshotStore:
         body = [line for _, line in merged]
         self._ready_dir(series.path.parent)
         _atomic_write(series.path, [header, *body])
-        self._series[(kind, key)] = _Series(
-            kind, key, series.path, self._lock, tuple(d for d, _ in merged),
-            body, range(2, len(body) + 2), len(body))
+        self._series[(kind, key)] = DatedRows(
+            series.path, tuple(d for d, _ in merged), body, range(2, len(body) + 2),
+            len(body), partial(_decode, kind, key), IngestionError, "unreadable row")
         return len(fresh)
 
     # -- prices ------------------------------------------------------------
@@ -335,9 +254,7 @@ class SnapshotStore:
         return self.record_prices(market, key, [point]) > 0
 
     def price_series(self, market: str, key: str) -> tuple[PricePoint, ...]:
-        series = self._load(_PRICE_SERIES[market], key)
-        series.decode_from(0)
-        return tuple(series.values)
+        return tuple(self._load(_PRICE_SERIES[market], key))
 
     def price_dates(self, market: str, key: str) -> tuple[dt.date, ...]:
         """The dates a price series holds, without decoding a row."""
@@ -354,7 +271,7 @@ class SnapshotStore:
 
     def price_window(self, market: str, key: str,
                      start: dt.date, end: dt.date) -> tuple[PricePoint, ...]:
-        return tuple(self._load(_PRICE_SERIES[market], key).window(start, end))
+        return tuple(_window(self._load(_PRICE_SERIES[market], key), start, end))
 
     # -- news ----------------------------------------------------------------
 
@@ -374,7 +291,7 @@ class SnapshotStore:
         return i < len(dates) and dates[i] == date
 
     def news_window(self, tag: str, start: dt.date, end: dt.date) -> tuple[NewsItem, ...]:
-        return tuple(item for day in self._load("news", tag).window(start, end) for item in day)
+        return tuple(item for day in _window(self._load("news", tag), start, end) for item in day)
 
     # -- market catalog ---------------------------------------------------
 

@@ -6,15 +6,12 @@ wire order. Nothing in a log depends on wall-clock time, so identical
 runs produce identical bytes and a resumed run extends the file
 without rewriting a single earlier byte.
 
-Reading a log parses its header and indexes its records by date, taken
-from a fixed offset since every record starts with its date; a record
-is decoded when it is first read. A bad header, an unreadable date or
-dates out of order fail the read; any other fault in a record fails the
-first read of that record, with an error naming the file and line. A
-resume reads only the memory window and, when the window opens on a
-fallback step, the records back to the last one that validated or
-held, so a bad record further back is caught by ``report`` and ``delta``, which
-read every record, and not by ``run``.
+Reading a log parses its header, then indexes its records by date and
+decodes each when a read first reaches it, as ``tradefolio.dated``
+describes. A resume reads only the memory window and, when the window
+opens on a fallback step, the records back to the last one that
+validated or held, so a bad record further back is caught by ``report``
+and ``delta``, which read every record, and not by ``run``.
 
 An append killed mid-line leaves a final line without its newline.
 ``drop_torn_tail`` cuts that line off so the resumed run recomputes it;
@@ -28,9 +25,10 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Sequence, overload
+from typing import Any, Iterable, Sequence
 
 from .agents.memory import MemoryWindow
+from .dated import DatedRows, index
 from .domain import AllocationVector, Holdings, MarketKind, MarketSpec, PriceVector
 from .environment import ResumePoint, SessionRecord, SessionState, memory_entry
 from .errors import ConfigError, CorruptLog
@@ -41,7 +39,6 @@ __all__ = [
     "SessionLogHeader",
     "SessionLogWriter",
     "check_header",
-    "LoggedRecords",
     "read_session_log",
     "drop_torn_tail",
     "value_series",
@@ -145,104 +142,11 @@ def _read_header(path: Path) -> SessionLogHeader:
 
 
 _DATE_PREFIX = '{"date":"'  # how ``_dumps`` starts every record
-_DATE_TEXT = slice(len(_DATE_PREFIX), len(_DATE_PREFIX) + 10)  # the ISO date that follows
 
 
-class LoggedRecords(Sequence[SessionRecord]):
-    """A log's records, each decoded when it is first read.
-
-    ``dates`` come from the index built at read time. Element ``i`` is
-    held as its raw line below ``lo`` and as a decoded record from
-    ``lo`` on; reading an element below ``lo`` decodes every line from
-    it up to ``lo`` in one block, so a resume that reads the tail
-    decodes only the tail and iteration decodes the whole log at once.
-    A session's records are read by one thread only, so nothing is
-    locked. Adding records gives a new sequence and leaves this one as
-    it was, as a tuple would.
-    """
-
-    __slots__ = ("path", "dates", "_rows", "_lines", "_lo")
-
-    def __init__(self, path: Path, dates: tuple[dt.date, ...], rows: list[Any],
-                 lines: Sequence[int], lo: int) -> None:
-        self.path = path
-        self.dates = dates
-        self._rows = rows
-        self._lines = lines  # each raw row's line number in the file
-        self._lo = lo
-
-    def _decode_from(self, i: int) -> None:
-        """Decode rows ``[i, lo)``, if any, with one ``json.loads`` call,
-        or line by line when that fails, so the error names the line."""
-        lo = self._lo
-        if i >= lo:
-            return
-        raw = self._rows[i:lo]
-        try:
-            rows = json.loads("[" + ",".join(raw) + "]")
-            if len(rows) != len(raw):  # a bad line held a comma-separated pair
-                raise ValueError
-        except ValueError:
-            rows = []
-            for n, line in enumerate(raw, start=i):
-                try:
-                    rows.append(json.loads(line))
-                except ValueError as exc:
-                    raise CorruptLog(f"{self.path}:{self._lines[n]}: bad record: {exc}") from exc
-        decoded = []
-        for n, row in enumerate(rows, start=i):
-            try:
-                record = SessionRecord.from_json_dict(row)
-                if record.date != self.dates[n]:
-                    raise ValueError(f"date {record.date} is not the indexed {self.dates[n]}")
-            except (KeyError, TypeError, ValueError) as exc:
-                raise CorruptLog(f"{self.path}:{self._lines[n]}: bad record: {exc}") from exc
-            decoded.append(record)
-        self._rows[i:lo] = decoded
-        self._lo = i
-
-    def __len__(self) -> int:
-        return len(self.dates)
-
-    @overload
-    def __getitem__(self, i: int) -> SessionRecord: ...
-
-    @overload
-    def __getitem__(self, i: slice) -> list[SessionRecord]: ...
-
-    def __getitem__(self, i: int | slice) -> SessionRecord | list[SessionRecord]:
-        if isinstance(i, slice):
-            picked = range(len(self.dates))[i]
-            if picked:
-                self._decode_from(min(picked[0], picked[-1]))
-            return self._rows[i]
-        n = len(self.dates)
-        if i < 0:
-            i += n
-        if not 0 <= i < n:
-            raise IndexError("record index out of range")
-        self._decode_from(i)
-        return self._rows[i]
-
-    def __iter__(self) -> Iterator[SessionRecord]:
-        self._decode_from(0)
-        return iter(self._rows)
-
-    def __add__(self, more: Sequence[SessionRecord]) -> "LoggedRecords":
-        return LoggedRecords(self.path, self.dates + tuple(r.date for r in more),
-                             self._rows + list(more), self._lines, self._lo)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, (LoggedRecords, tuple, list)):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
-
-def read_session_log(path: str | Path) -> tuple[SessionLogHeader, LoggedRecords]:
+def read_session_log(path: str | Path) -> tuple[SessionLogHeader, DatedRows[SessionRecord]]:
     """The header, parsed, and the records, indexed by date but not
-    decoded. An unreadable header, an unreadable record date or dates
-    out of order fail here; any other fault in a record fails the read
-    that first reaches it."""
+    decoded (see ``tradefolio.dated``)."""
     path = Path(path)
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().split("\n")
@@ -250,25 +154,12 @@ def read_session_log(path: str | Path) -> tuple[SessionLogHeader, LoggedRecords]
     if first is None:
         raise CorruptLog(f"{path}: empty file")
     header = _parse_header(path, lines[first])
-    dates: list[dt.date] = []
-    rows: list[str] = []
-    numbers: list[int] = []
-    for n, line in enumerate(lines[first + 1:], start=first + 2):
-        try:
-            if line.startswith(_DATE_PREFIX):
-                date = dt.date.fromisoformat(line[_DATE_TEXT])
-            elif line.strip():
-                date = dt.date.fromisoformat(json.loads(line)["date"])
-            else:
-                continue
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CorruptLog(f"{path}:{n}: bad record: {exc}") from exc
-        if dates and date <= dates[-1]:
-            raise CorruptLog(f"{path}:{n}: dates must be strictly increasing")
-        dates.append(date)
-        rows.append(line)
-        numbers.append(n)
-    return header, LoggedRecords(path, tuple(dates), rows, numbers, len(rows))
+    return header, index(path, lines[first + 1:], first + 2, _DATE_PREFIX, _decode_record,
+                         CorruptLog, "bad record")
+
+
+def _decode_record(date: dt.date, row: dict) -> SessionRecord:
+    return SessionRecord.from_json_dict(row)
 
 
 def drop_torn_tail(path: Path) -> int | None:
@@ -359,12 +250,11 @@ def resume_point(
     Only the last ``memory_horizon`` records are read, plus, when the
     window opens on a step whose response never validated, the records
     back to the last one that validated or held: its allocation is what
-    that step re-applied. A log's ``LoggedRecords`` thus decode only
-    its tail.
+    that step re-applied. A log's records thus decode only its tail.
     """
     if tuple(header.assets) != spec.assets or header.cash != spec.cash:
         raise ConfigError("log universe does not match the configured market")
-    if not isinstance(records, LoggedRecords):
+    if not isinstance(records, DatedRows):
         records = tuple(records)
     state = SessionState(spec, header.initial_capital, records)
     memory = MemoryWindow(memory_horizon)

@@ -324,6 +324,20 @@ def test_log_with_a_non_object_header_fails_only_its_model(runner, stock_setup):
     assert ":1: bad header" in reported.output
 
 
+def test_a_series_header_of_the_wrong_shape_fails_each_model_that_reads_it(runner,
+                                                                          stock_setup):
+    tmp_path, config, dates = stock_setup
+    series = tmp_path / "store" / "prices" / "stock" / "AAPL.jsonl"
+    rows = series.read_text(encoding="utf-8").split("\n", 1)[1]
+    series.write_text("[]\n" + rows, encoding="utf-8")
+
+    result = runner.invoke(main, ["run", "--config", str(config)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit), result.exception
+    for model in ("baseline:equal-weight", "baseline:all-cash", "baseline:buy-and-hold"):
+        assert f"{model}: failed: {series}: unreadable header" in result.output
+
+
 def test_worker_threads_build_each_series_once(runner, stock_setup, monkeypatch):
     tmp_path, config, dates = stock_setup
     config.write_text(config.read_text() + "concurrency: 2\n", encoding="utf-8")

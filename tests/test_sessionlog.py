@@ -4,6 +4,7 @@ byte."""
 
 import datetime as dt
 import json
+import re
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -183,6 +184,37 @@ def test_a_line_separator_inside_a_response_stays_in_its_record(tmp_path, stock_
                              ScriptedAgent([response]))
     _, loaded = read_session_log(tmp_path / "run.jsonl")
     assert loaded == records and loaded[0].raw_response == response
+
+
+def test_a_record_in_another_key_order_loads_through_the_fallback(tmp_path, stock_world):
+    spec, feed, dates = stock_world
+    path = tmp_path / "run.jsonl"
+    _, records = _run_logged(path, spec, feed, dates[:4], ScriptedAgent(_varied_responses(3)))
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[2] = json.dumps(dict(reversed(json.loads(lines[2]).items())))  # the date last
+    lines.insert(3, "")  # a blank line is skipped
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _, loaded = read_session_log(path)
+    assert loaded.dates == tuple(r.date for r in records)
+    assert loaded[1] == records[1] and loaded == records
+
+
+@pytest.mark.parametrize("rewrite", [
+    lambda line: f"{line}, {line}",  # two records on one line
+    lambda line: line[:-1] + ',"date":"2020-01-01"}',  # disagrees with its index
+], ids=["two-on-one-line", "date-disagrees"])
+def test_a_bad_record_indexes_then_fails_at_its_first_read(tmp_path, stock_world, rewrite):
+    spec, feed, dates = stock_world
+    path = tmp_path / "run.jsonl"
+    _run_logged(path, spec, feed, dates[:4], ScriptedAgent(_varied_responses(3)))
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[2] = rewrite(lines[2])
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _, records = read_session_log(path)
+    assert records.dates == tuple(dates[:3]) and records[2].date == dates[2]
+    for _ in range(2):  # a failed decode leaves the record raw, so it fails again
+        with pytest.raises(CorruptLog, match=re.escape(f"{path}:3: bad record")):
+            list(records)
 
 
 # -- decoding on first read ---------------------------------------------------

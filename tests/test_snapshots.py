@@ -115,6 +115,15 @@ def _price_line(day: int, price: float = 110.0) -> str:
     return json.dumps({"date": D(2025, 3, day).isoformat(), "price": price, "volume": None})
 
 
+@pytest.mark.parametrize("first_line", ["[]", "null", '"x"', "3"])
+def test_a_header_of_the_wrong_shape_is_unreadable(tmp_path, first_line):
+    path = tmp_path / "prices" / "stock" / "NVDA.jsonl"
+    path.parent.mkdir(parents=True)
+    path.write_text(f"{first_line}\n{_price_line(3)}\n", encoding="utf-8")
+    with pytest.raises(IngestionError, match=re.escape(f"{path}: unreadable header")):
+        SnapshotStore(tmp_path).price_dates("stock", "NVDA")
+
+
 @pytest.mark.parametrize("bad", [
     '{"date": "2025-03-04", "price": "110", "volume": null}',
     '{"date": "2025-03-04", "price": -1.0, "volume": null}',
