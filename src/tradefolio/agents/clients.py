@@ -60,20 +60,18 @@ PROVIDER_ROUTES: dict[str, ProviderRoute] = {
 
 DEFAULT_PROVIDER = "together"
 
+_TIMEOUT_S = 120.0  # one chat completion, in seconds
 
-def resolve_provider(
-    model: str,
-    routes: dict[str, ProviderRoute] | None = None,
-    default_provider: str = DEFAULT_PROVIDER,
-) -> tuple[ProviderRoute, str]:
+
+def resolve_provider(model: str,
+                     default_provider: str = DEFAULT_PROVIDER) -> tuple[ProviderRoute, str]:
     """Split a model id into (provider route, provider-local model id)."""
-    table = PROVIDER_ROUTES if routes is None else routes
     prefix, _, rest = model.partition("/")
-    if rest and prefix in table:
-        return table[prefix], rest
-    if default_provider not in table:
+    if rest and prefix in PROVIDER_ROUTES:
+        return PROVIDER_ROUTES[prefix], rest
+    if default_provider not in PROVIDER_ROUTES:
         raise ConfigError(f"unknown default provider {default_provider!r}")
-    return table[default_provider], model
+    return PROVIDER_ROUTES[default_provider], model
 
 
 def api_key(route: ProviderRoute) -> str:
@@ -87,7 +85,8 @@ def api_key(route: ProviderRoute) -> str:
 
 @dataclass(frozen=True)
 class ModelClientConfig:
-    """Sampling settings for one model.
+    """One session's model: a model id with its sampling settings, or a
+    baseline agent's name.
 
     The structured-reasoning style never sends temperature or token
     limits; constructing such a config zeroes both fields so the
@@ -105,6 +104,10 @@ class ModelClientConfig:
         if self.style == STRUCTURED_REASONING_STYLE:
             object.__setattr__(self, "temperature", None)
             object.__setattr__(self, "max_tokens", None)
+
+    @property
+    def is_baseline(self) -> bool:
+        return self.model.startswith("baseline:")
 
     def request_payload(self, provider_model: str, prompt: str) -> dict[str, Any]:
         payload: dict[str, Any] = {
@@ -139,20 +142,11 @@ def _requests_transport(url: str, headers: dict[str, str],
 class HttpChatClient:
     """One blocking chat completion per decision."""
 
-    def __init__(
-        self,
-        routes: dict[str, ProviderRoute] | None = None,
-        default_provider: str = DEFAULT_PROVIDER,
-        timeout: float = 120.0,
-        transport: Transport | None = None,
-    ) -> None:
-        self.routes = PROVIDER_ROUTES if routes is None else routes
-        self.default_provider = default_provider
-        self.timeout = timeout
+    def __init__(self, transport: Transport | None = None) -> None:
         self._transport = transport or _requests_transport
 
     def complete(self, prompt: str, config: ModelClientConfig) -> str:
-        route, model = resolve_provider(config.model, self.routes, self.default_provider)
+        route, model = resolve_provider(config.model)
         try:
             key = api_key(route)
         except ConfigError as exc:
@@ -164,9 +158,9 @@ class HttpChatClient:
         url = f"{route.base_url}/chat/completions"
         payload = config.request_payload(model, prompt)
         try:
-            status, body = self._transport(url, headers, payload, self.timeout)
+            status, body = self._transport(url, headers, payload, _TIMEOUT_S)
         except requests.Timeout as exc:
-            raise ClientTimeout(f"{route.name} timed out after {self.timeout}s") from exc
+            raise ClientTimeout(f"{route.name} timed out after {_TIMEOUT_S}s") from exc
         except requests.RequestException as exc:
             raise ClientRejected(f"{route.name} request failed: {exc}") from exc
         if status >= 400:

@@ -5,7 +5,6 @@ from __future__ import annotations
 import datetime as dt
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable
 
 from ..domain import AllocationVector
 
@@ -28,12 +27,11 @@ class MemoryWindow:
     oldest entry.
     """
 
-    def __init__(self, horizon: int = DEFAULT_MEMORY_HORIZON,
-                 entries: Iterable[MemoryEntry] = ()) -> None:
+    def __init__(self, horizon: int = DEFAULT_MEMORY_HORIZON) -> None:
         if horizon < 1:
             raise ValueError(f"horizon must be at least 1, got {horizon}")
         self.horizon = horizon
-        self._entries: deque[MemoryEntry] = deque(entries, maxlen=horizon)
+        self._entries: deque[MemoryEntry] = deque(maxlen=horizon)
 
     def remember(self, entry: MemoryEntry) -> None:
         self._entries.append(entry)

@@ -18,7 +18,7 @@ import click
 from .agents.baselines import AllCashAgent, BuyAndHoldAgent, EqualWeightAgent
 from .agents.clients import HttpChatClient, ModelClientConfig, api_key, resolve_provider
 from .agents.harness import Agent, LLMAgent
-from .config import ModelEntry, RunConfig, load_config
+from .config import RunConfig, load_config
 from .domain import MarketKind, MarketSpec
 from .environment import SessionStatus, run_episode
 from .errors import ConfigError, FeedUnavailable, LagTooLarge, TradefolioError
@@ -54,7 +54,7 @@ def _slug(name: str) -> str:
     return out or "model"
 
 
-def _make_agent(entry: ModelEntry) -> Agent:
+def _make_agent(entry: ModelClientConfig) -> Agent:
     if entry.is_baseline:
         kind = entry.model.split(":", 1)[1]
         factory = _BASELINES.get(kind)
@@ -63,13 +63,7 @@ def _make_agent(entry: ModelEntry) -> Agent:
             raise ConfigError(f"unknown baseline {kind!r}; known: {known}")
         return factory()
     api_key(resolve_provider(entry.model)[0])  # fail the model before its log exists
-    client_config = ModelClientConfig(
-        model=entry.model,
-        temperature=entry.temperature,
-        max_tokens=entry.max_tokens,
-        style=entry.style,
-    )
-    return LLMAgent(HttpChatClient(), client_config)
+    return LLMAgent(HttpChatClient(), entry)
 
 
 def _build_spec(cfg: RunConfig, store: SnapshotStore) -> tuple[MarketSpec, dict[str, str]]:
@@ -115,7 +109,7 @@ class RunOutcome:
     dropped_line: int | None = None  # the torn final line cut off before resuming
 
 
-def _run_one(entry: ModelEntry, cfg: RunConfig, spec: MarketSpec,
+def _run_one(entry: ModelClientConfig, cfg: RunConfig, spec: MarketSpec,
              store: SnapshotStore, dates: list[dt.date],
              asset_keys: dict[str, str]) -> RunOutcome:
     log_path = cfg.out_dir / f"{cfg.market.value}-{_slug(entry.model)}.jsonl"
@@ -239,7 +233,7 @@ def run(config_path: str) -> None:
         outcomes: list[RunOutcome] = []
         workers = cfg.concurrency or min(4, len(cfg.models))
 
-        def job(entry: ModelEntry) -> RunOutcome:
+        def job(entry: ModelClientConfig) -> RunOutcome:
             try:
                 return _run_one(entry, cfg, spec, store, dates, asset_keys)
             except TradefolioError as exc:

@@ -16,7 +16,7 @@ from typing import Any
 import yaml
 
 from .accounting import RENORMALIZE_BAND
-from .agents.clients import DEFAULT_MAX_TOKENS, DEFAULT_TEMPERATURE, STANDARD_STYLE
+from .agents.clients import ModelClientConfig
 from .agents.memory import DEFAULT_MEMORY_HORIZON
 from .domain import DEFAULT_STOCK_TICKERS, MarketKind, MarketSpec
 from .environment import DEFAULT_RETRIES
@@ -30,7 +30,6 @@ __all__ = [
     "TRADING_DAYS_PER_YEAR",
     "DEFAULT_STOCK_CAPITAL",
     "DEFAULT_PREDICTION_CAPITAL",
-    "ModelEntry",
     "RunConfig",
     "load_config",
 ]
@@ -45,27 +44,13 @@ _DEFAULT_ANNUAL_RISK_FREE = 0.04
 
 
 @dataclass(frozen=True)
-class ModelEntry:
-    """One session to run: a model id or a baseline agent name."""
-
-    model: str
-    temperature: float | None = DEFAULT_TEMPERATURE
-    max_tokens: int | None = DEFAULT_MAX_TOKENS
-    style: str = STANDARD_STYLE
-
-    @property
-    def is_baseline(self) -> bool:
-        return self.model.startswith("baseline:")
-
-
-@dataclass(frozen=True)
 class RunConfig:
     market: MarketKind
     mode: str  # "replay" | "live"
     store: Path
     out_dir: Path
     dates: tuple[dt.date, ...]
-    models: tuple[ModelEntry, ...]
+    models: tuple[ModelClientConfig, ...]
     universe: tuple[str, ...]
     questions: tuple[str, ...]
     initial_capital: float
@@ -98,6 +83,25 @@ def _date(value: Any, where: str) -> dt.date:
     raise ConfigError(f"{where}: expected a YYYY-MM-DD date, got {value!r}")
 
 
+def _number(value: Any, where: str, kind: type = int) -> Any:
+    """``value`` as an ``int``, or with ``kind=float`` as a ``float``;
+    ``ConfigError`` naming ``where`` when it is some other value."""
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else int):
+        expected = "a number" if kind is float else "an integer"
+        raise ConfigError(f"{where} must be {expected}, got {value!r}")
+    return kind(value)
+
+
+def _names(raw: dict[str, Any], key: str, default: tuple[str, ...]) -> tuple[str, ...]:
+    names = raw.get(key, default)
+    if not isinstance(names, (list, tuple)) or not all(isinstance(n, str) for n in names):
+        raise ConfigError(f"{key} must be a list of names, got {names!r}")
+    if len(set(names)) < len(names):
+        twice = sorted({n for n in names if names.count(n) > 1})
+        raise ConfigError(f"{key} lists {', '.join(map(repr, twice))} more than once")
+    return tuple(names)
+
+
 def _dates(raw: Any) -> tuple[dt.date, ...]:
     if isinstance(raw, list):
         dates = tuple(_date(v, "dates[]") for v in raw)
@@ -121,26 +125,23 @@ def _dates(raw: Any) -> tuple[dt.date, ...]:
     return dates
 
 
-def _models(raw: Any) -> tuple[ModelEntry, ...]:
+def _models(raw: Any) -> tuple[ModelClientConfig, ...]:
     if not isinstance(raw, list) or not raw:
         raise ConfigError("models must be a non-empty list")
     entries = []
     for item in raw:
         if isinstance(item, str):
-            entries.append(ModelEntry(model=item))
-            continue
-        if not isinstance(item, dict) or "model" not in item:
+            item = {"model": item}
+        if not isinstance(item, dict) or not isinstance(item.get("model"), str):
             raise ConfigError(f"model entry needs a 'model' key: {item!r}")
-        known = {"model", "temperature", "max_tokens", "style"}
-        extra = set(item) - known
+        extra = set(item) - {"model", "temperature", "max_tokens", "style"}
         if extra:
             raise ConfigError(f"unknown model entry keys: {sorted(extra)}")
-        entries.append(ModelEntry(
-            model=item["model"],
-            temperature=item.get("temperature", DEFAULT_TEMPERATURE),
-            max_tokens=item.get("max_tokens", DEFAULT_MAX_TOKENS),
-            style=item.get("style", STANDARD_STYLE),
-        ))
+        settings = dict(item)
+        for key, kind in (("temperature", float), ("max_tokens", int)):
+            if settings.get(key) is not None:
+                settings[key] = _number(settings[key], f"{item['model']}: {key}", kind)
+        entries.append(ModelClientConfig(**settings))
     names = [e.model for e in entries]
     if len(set(names)) != len(names):
         raise ConfigError("duplicate model entries")
@@ -158,16 +159,16 @@ def _fetch_policy(raw: Any) -> FetchPolicy:
         raise ConfigError(f"unknown fetch keys: {sorted(extra)}")
     kwargs: dict[str, Any] = {}
     if "max_retries" in raw:
-        kwargs["max_retries"] = int(raw["max_retries"])
+        kwargs["max_retries"] = _number(raw["max_retries"], "fetch.max_retries")
     if "backoff_base" in raw:
-        kwargs["backoff_base"] = float(raw["backoff_base"])
+        kwargs["backoff_base"] = _number(raw["backoff_base"], "fetch.backoff_base", float)
     if "jitter" in raw:
         jitter = raw["jitter"]
         if not (isinstance(jitter, list) and len(jitter) == 2):
             raise ConfigError("fetch.jitter must be [low, high]")
-        kwargs["jitter_range"] = (float(jitter[0]), float(jitter[1]))
+        kwargs["jitter_range"] = tuple(_number(j, "fetch.jitter", float) for j in jitter)
     if "timeout" in raw:
-        kwargs["timeout"] = float(raw["timeout"])
+        kwargs["timeout"] = _number(raw["timeout"], "fetch.timeout", float)
     if "user_agent" in raw:
         kwargs["user_agent"] = str(raw["user_agent"])
     try:
@@ -219,23 +220,26 @@ def load_config(path: str | Path) -> RunConfig:
     if not out_dir.is_absolute():
         out_dir = path.parent / out_dir
 
+    def number(key: str, default: Any, kind: type = int) -> Any:
+        return _number(raw.get(key, default), key, kind)
+
+    universe = _names(raw, "universe", DEFAULT_STOCK_TICKERS)
+    questions = _names(raw, "questions", ())
     if market is MarketKind.STOCK:
-        universe = tuple(raw.get("universe", DEFAULT_STOCK_TICKERS))
-        questions: tuple[str, ...] = ()
+        questions = ()
         if not universe:
             raise ConfigError("stock universe must not be empty")
         default_capital = DEFAULT_STOCK_CAPITAL
-        annual = raw.get("risk_free_rate_annual", _DEFAULT_ANNUAL_RISK_FREE)
-        risk_free = float(annual) / TRADING_DAYS_PER_YEAR
+        annual = number("risk_free_rate_annual", _DEFAULT_ANNUAL_RISK_FREE, float)
+        risk_free = annual / TRADING_DAYS_PER_YEAR
     else:
         universe = ()
-        questions = tuple(raw.get("questions", ()))
         default_capital = DEFAULT_PREDICTION_CAPITAL
         if raw.get("risk_free_rate_annual") not in (None, 0, 0.0):
             raise ConfigError("prediction markets have zero risk-free rate")
         risk_free = 0.0
     if "risk_free_rate" in raw:
-        risk_free = float(raw["risk_free_rate"])
+        risk_free = number("risk_free_rate", None, float)
         if market is MarketKind.PREDICTION and risk_free != 0.0:
             raise ConfigError("prediction markets have zero risk-free rate")
 
@@ -248,25 +252,24 @@ def load_config(path: str | Path) -> RunConfig:
         models=_models(raw.get("models")),
         universe=universe,
         questions=questions,
-        initial_capital=float(raw.get("initial_capital", default_capital)),
+        initial_capital=number("initial_capital", default_capital, float),
         risk_free_rate=risk_free,
-        memory_horizon=int(raw.get("memory_horizon", DEFAULT_MEMORY_HORIZON)),
-        retries=int(raw.get("retries", DEFAULT_RETRIES)),
-        rebalance_interval=int(raw.get("rebalance_interval", 1)),
-        lookback_days=int(raw.get("lookback_days", HISTORY_LOOKBACK_DAYS)),
-        news_window_days=int(raw.get("news_window_days", NEWS_WINDOW_DAYS)),
-        renormalize_band=float(raw.get("renormalize_band", RENORMALIZE_BAND)),
-        flat_market_threshold=float(raw.get("flat_market_threshold", FLAT_SERIES_THRESHOLD)),
-        concurrency=None if raw.get("concurrency") is None else int(raw["concurrency"]),
-        discovery_limit=int(raw.get("discovery_limit", DISCOVERY_LIMIT)),
+        memory_horizon=number("memory_horizon", DEFAULT_MEMORY_HORIZON),
+        retries=number("retries", DEFAULT_RETRIES),
+        rebalance_interval=number("rebalance_interval", 1),
+        lookback_days=number("lookback_days", HISTORY_LOOKBACK_DAYS),
+        news_window_days=number("news_window_days", NEWS_WINDOW_DAYS),
+        renormalize_band=number("renormalize_band", RENORMALIZE_BAND, float),
+        flat_market_threshold=number("flat_market_threshold", FLAT_SERIES_THRESHOLD, float),
+        concurrency=None if raw.get("concurrency") is None else number("concurrency", None),
+        discovery_limit=number("discovery_limit", DISCOVERY_LIMIT),
         fetch_policy=_fetch_policy(raw.get("fetch")),
     )
     if not config.initial_capital > 0:
         raise ConfigError("initial_capital must be positive")
-    if config.memory_horizon < 1:
-        raise ConfigError("memory_horizon must be at least 1")
-    if config.retries < 0:
-        raise ConfigError("retries must be non-negative")
-    if config.rebalance_interval < 1:
-        raise ConfigError("rebalance_interval must be at least 1")
+    for key, least in (("memory_horizon", 1), ("retries", 0), ("rebalance_interval", 1),
+                       ("lookback_days", 0), ("news_window_days", 0)):
+        if getattr(config, key) < least:
+            bound = "non-negative" if least == 0 else f"at least {least}"
+            raise ConfigError(f"{key} must be {bound}")
     return config

@@ -85,20 +85,16 @@ class MarketSpec:
             raise ValueError("stock markets have no outcome pairs")
 
     @classmethod
-    def stock(
-        cls,
-        tickers: tuple[str, ...] | list[str] = DEFAULT_STOCK_TICKERS,
-        cash: str = CASH,
-    ) -> "MarketSpec":
-        return cls(MarketKind.STOCK, tuple(tickers) + (cash,), cash=cash)
+    def stock(cls, tickers: tuple[str, ...] | list[str] = DEFAULT_STOCK_TICKERS) -> "MarketSpec":
+        return cls(MarketKind.STOCK, tuple(tickers) + (CASH,))
 
     @classmethod
-    def prediction(cls, questions: tuple[str, ...] | list[str], cash: str = CASH) -> "MarketSpec":
+    def prediction(cls, questions: tuple[str, ...] | list[str]) -> "MarketSpec":
         pairs = tuple(
             PredictionPair(q, f"{q}_Yes", f"{q}_No") for q in questions
         )
-        assets = tuple(a for p in pairs for a in (p.yes, p.no)) + (cash,)
-        return cls(MarketKind.PREDICTION, assets, cash=cash, pairs=pairs)
+        assets = tuple(a for p in pairs for a in (p.yes, p.no)) + (CASH,)
+        return cls(MarketKind.PREDICTION, assets, pairs=pairs)
 
     @property
     def questions(self) -> tuple[str, ...]:

@@ -67,7 +67,6 @@ def fetch_with_policy(
     request: Callable[[], T],
     sleep: Callable[[float], None] = time.sleep,
     rng: random.Random | None = None,
-    retriable: tuple[type[Exception], ...] = (Exception,),
 ) -> T:
     """Run ``request`` under the policy's retry schedule.
 
@@ -79,7 +78,7 @@ def fetch_with_policy(
     for attempt in range(1, attempts + 1):
         try:
             return request()
-        except retriable as exc:
+        except Exception as exc:
             if attempt == attempts:
                 raise ProviderError(
                     f"request failed after {attempts} attempts: {exc}"

@@ -19,9 +19,8 @@ a directory is made on its first write.
 Reads are served from a date index built when a series is first
 loaded, its rows decoded when a read first reaches them, as
 ``tradefolio.dated`` describes; a bad header fails at load too. A write
-that does not reach a bad row carries it over byte for byte. A point
-lookup is a binary search and a window is a slice. A write swaps in a
-whole new index, so a reader never sees half of one.
+that does not reach a bad row carries it over byte for byte. A write
+swaps in a whole new index, so a reader never sees half of one.
 
 A store has one writer at a time. Its first write into a directory
 removes the temp files that writers killed mid-write left there.
@@ -35,10 +34,9 @@ import json
 import os
 import re
 import threading
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from functools import partial
-from operator import itemgetter
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
@@ -125,14 +123,6 @@ def _decode(kind: str, key: str, date: dt.date, row: dict) -> Any:
 _DATE_PREFIX = '{"date": "'  # how ``_encode``'s rows start
 
 
-def _window(series: DatedRows, start: dt.date, end: dt.date) -> list[Any]:
-    i = bisect_left(series.dates, start)
-    j = bisect_right(series.dates, end)
-    if i < series.lo and i < j:
-        series.decode_from(i)
-    return series.values[i:j]
-
-
 class SnapshotStore:
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
@@ -210,7 +200,7 @@ class SnapshotStore:
         series = self._load(kind, key)
         fresh: dict[dt.date, Any] = {}
         for date, value in rows:
-            found = _window(series, date, date)
+            found = series.window(date, date)
             known = found[0] if found else fresh.setdefault(date, value)
             if known != value:
                 raise ConflictingValue(
@@ -218,22 +208,15 @@ class SnapshotStore:
                 )
         if not fresh:
             return 0
-        with series.lock:  # a reader may be decoding rows below ``lo``
-            lo, values = series.lo, series.values[:]
-        stored = [(d, v if i < lo else _encode(kind, d, v))
-                  for i, (d, v) in enumerate(zip(series.dates, values))]
-        merged = sorted([*stored, *((d, _encode(kind, d, v)) for d, v in fresh.items())],
-                        key=itemgetter(0))
+        body, merged = series.merge(fresh, partial(_encode, kind))
         header = json.dumps(
             {"format": SERIES_FORMAT, "version": SERIES_VERSION, "series": kind, "key": key},
             ensure_ascii=False,
         )
-        body = [line for _, line in merged]
-        self._ready_dir(series.path.parent)
-        _atomic_write(series.path, [header, *body])
-        self._series[(kind, key)] = DatedRows(
-            series.path, tuple(d for d, _ in merged), body, range(2, len(body) + 2),
-            len(body), partial(_decode, kind, key), IngestionError, "unreadable row")
+        path = self._dir_for(kind) / _filename(key)
+        self._ready_dir(path.parent)
+        _atomic_write(path, [header, *body])
+        self._series[(kind, key)] = merged
         return len(fresh)
 
     # -- prices ------------------------------------------------------------
@@ -261,17 +244,11 @@ class SnapshotStore:
         return self._load(_PRICE_SERIES[market], key).dates
 
     def latest_price(self, market: str, key: str, on_or_before: dt.date) -> PricePoint | None:
-        series = self._load(_PRICE_SERIES[market], key)
-        i = bisect_right(series.dates, on_or_before) - 1
-        if i < 0:
-            return None
-        if i < series.lo:
-            series.decode_from(i)
-        return series.values[i]
+        return self._load(_PRICE_SERIES[market], key).at_or_before(on_or_before)
 
     def price_window(self, market: str, key: str,
                      start: dt.date, end: dt.date) -> tuple[PricePoint, ...]:
-        return tuple(_window(self._load(_PRICE_SERIES[market], key), start, end))
+        return tuple(self._load(_PRICE_SERIES[market], key).window(start, end))
 
     # -- news ----------------------------------------------------------------
 
@@ -291,7 +268,8 @@ class SnapshotStore:
         return i < len(dates) and dates[i] == date
 
     def news_window(self, tag: str, start: dt.date, end: dt.date) -> tuple[NewsItem, ...]:
-        return tuple(item for day in _window(self._load("news", tag), start, end) for item in day)
+        return tuple(item for day in self._load("news", tag).window(start, end)
+                     for item in day)
 
     # -- market catalog ---------------------------------------------------
 

@@ -82,9 +82,9 @@ class SessionLogHeader:
     @classmethod
     def from_json_dict(cls, row: dict[str, Any]) -> "SessionLogHeader":
         if row.get("format") != LOG_FORMAT:
-            raise CorruptLog(f"not a session log (format {row.get('format')!r})")
+            raise ValueError(f"not a session log (format {row.get('format')!r})")
         if row.get("version") != LOG_VERSION:
-            raise CorruptLog(f"unsupported log version {row.get('version')!r}")
+            raise ValueError(f"unsupported log version {row.get('version')!r}")
         return cls(
             market=MarketKind(row["market"]),
             model=row["model"],

@@ -50,12 +50,11 @@ def seed_stock_store(
     start: dt.date,
     days: int,
     seed: int = 7,
-    news_every: int = 3,
 ) -> list[dt.date]:
     """Write a stock store with ``days`` weekday closes per ticker.
 
     Prices follow a seeded lognormal walk from per-ticker levels; every
-    ``news_every``-th day each ticker gets two news items. Returns the
+    third day each ticker gets two news items. Returns the
     trading dates written.
     """
     rng = np.random.default_rng(seed)
@@ -70,7 +69,7 @@ def seed_stock_store(
             for day, price, volume in zip(dates, prices, volumes)])
         store.record_news(ticker, [
             (day, (_news_item(ticker, day, 1), _news_item(ticker, day, 2))
-             if i % news_every == 0 else ())
+             if i % 3 == 0 else ())
             for i, day in enumerate(dates)])
     return dates
 
@@ -81,7 +80,6 @@ def seed_prediction_store(
     start: dt.date,
     days: int,
     seed: int = 11,
-    news_every: int = 4,
 ) -> list[dt.date]:
     """Write a prediction store: one yes/no token pair per question.
 
@@ -116,7 +114,7 @@ def seed_prediction_store(
         store.record_prices("prediction", yes_token, yes_points)
         store.record_prices("prediction", no_token, no_points)
         store.record_news(question, [
-            (day, (_news_item(question, day, 1),) if i % news_every == 0 else ())
+            (day, (_news_item(question, day, 1),) if i % 4 == 0 else ())
             for i, day in enumerate(dates)])
     store.record_markets(markets)
     return dates

@@ -183,6 +183,19 @@ def test_fetch_policy_block(tmp_path):
         ("retries: -1", "non-negative"),
         ("rebalance_interval: 0", "at least 1"),
         ("universe: []", "universe must not be empty"),
+        ("memory_horizon: ten", "memory_horizon must be an integer"),
+        ("retries: [1]", "retries must be an integer"),
+        ("initial_capital: lots", "initial_capital must be a number"),
+        ("renormalize_band: wide", "renormalize_band must be a number"),
+        ("fetch: {max_retries: x}", "fetch.max_retries must be an integer"),
+        ("universe: AAPL", "universe must be a list of names"),
+        ("universe: [AAPL, AAPL]", "universe lists 'AAPL' more than once"),
+        ("questions: [rain, snow, rain]", "questions lists 'rain' more than once"),
+        ("models: [{model: m, temperature: hot}]", "m: temperature must be a number"),
+        ("models: [{model: m, max_tokens: lots}]", "m: max_tokens must be an integer"),
+        ("models: [{model: m, style: freeform}]", "unknown sampling style"),
+        ("lookback_days: -5", "lookback_days must be non-negative"),
+        ("news_window_days: -1", "news_window_days must be non-negative"),
     ],
 )
 def test_validation_errors(tmp_path, mutation, message):

@@ -144,7 +144,10 @@ _HEADER = SessionLogHeader.for_run(MarketSpec.stock(("AAPL", "MSFT", "NVDA")),
     '"x"',
     json.dumps({**_HEADER.to_json_dict(), "assets": 5}),
     json.dumps({**_HEADER.to_json_dict(), "initial_capital": None}),
-], ids=["list", "null", "string", "assets-number", "capital-null"])
+    '{"format":"nope","version":1}',
+    json.dumps({**_HEADER.to_json_dict(), "version": 2}),
+], ids=["list", "null", "string", "assets-number", "capital-null", "foreign-format",
+        "version-2"])
 def test_header_of_the_wrong_shape_is_a_corrupt_log(tmp_path, first_line):
     path = tmp_path / "run.jsonl"
     path.write_text(first_line + "\n", encoding="utf-8")

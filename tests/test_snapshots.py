@@ -149,6 +149,19 @@ def test_bad_price_value_loads_then_fails_at_its_first_read(tmp_path, bad):
         SnapshotStore(tmp_path).price_series("stock", "NVDA")
 
 
+def test_a_rewritten_series_names_its_bad_row_by_the_new_line(tmp_path):
+    bad = '{"date": "2025-03-05", "price": "110", "volume": null}'
+    path = _write_rows(tmp_path, "NVDA", ["", _price_line(4), bad])  # the bad row is line 4
+    store = SnapshotStore(tmp_path)
+    assert store.record_prices("stock", "NVDA", [PricePoint(D(2025, 3, 2), 108.0),
+                                                 PricePoint(D(2025, 3, 3), 109.0)]) == 2
+    assert path.read_text().splitlines()[4] == bad  # no blank line, two rows before it
+    for reader in (store, SnapshotStore(tmp_path)):
+        assert reader.price_dates("stock", "NVDA") == tuple(D(2025, 3, d) for d in (2, 3, 4, 5))
+        with pytest.raises(IngestionError, match=re.escape(f"{path}:5: unreadable row")):
+            reader.price_window("stock", "NVDA", D(2025, 3, 2), D(2025, 3, 5))
+
+
 @pytest.mark.parametrize("bad", [
     '{"date": "2025-03-04", "items": [{"title": "no other fields"}]}',
     '{"date": "2025-03-04", "items": 7}',
