@@ -177,6 +177,10 @@ def _fetch_policy(raw: Any) -> FetchPolicy:
         raise ConfigError(f"fetch policy: {exc}") from exc
 
 
+# libyaml's loader when PyYAML was built with it: the same documents, an
+# order of magnitude faster to parse.
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 _TOP_LEVEL_KEYS = {
     "market", "mode", "store", "out_dir", "dates", "models", "universe",
     "questions", "initial_capital", "risk_free_rate_annual", "risk_free_rate",
@@ -190,7 +194,7 @@ def load_config(path: str | Path) -> RunConfig:
     """Parse and cross-check one YAML run configuration."""
     path = Path(path)
     try:
-        raw = yaml.safe_load(path.read_text(encoding="utf-8"))
+        raw = yaml.load(path.read_text(encoding="utf-8"), Loader=_LOADER)
     except FileNotFoundError:
         raise ConfigError(f"no such config file: {path}")
     except yaml.YAMLError as exc:
@@ -268,8 +272,10 @@ def load_config(path: str | Path) -> RunConfig:
     if not config.initial_capital > 0:
         raise ConfigError("initial_capital must be positive")
     for key, least in (("memory_horizon", 1), ("retries", 0), ("rebalance_interval", 1),
-                       ("lookback_days", 0), ("news_window_days", 0)):
-        if getattr(config, key) < least:
+                       ("lookback_days", 0), ("news_window_days", 0), ("concurrency", 1),
+                       ("discovery_limit", 1)):
+        value = getattr(config, key)
+        if value is not None and value < least:  # a null concurrency means automatic
             bound = "non-negative" if least == 0 else f"at least {least}"
             raise ConfigError(f"{key} must be {bound}")
     return config

@@ -2,6 +2,7 @@
 
 import datetime as dt
 import json
+import re
 
 import pytest
 from click.testing import CliRunner
@@ -14,7 +15,7 @@ from tradefolio.ingestion import snapshots
 from tradefolio.cli import _slug, main
 from tradefolio.config import load_config
 from tradefolio.domain import PricePoint
-from tradefolio.errors import ClientTimeout
+from tradefolio.errors import ClientTimeout, IngestionError
 from tradefolio.ingestion.predictions import DiscoveredMarket
 from tradefolio.ingestion.snapshots import MarketCatalogEntry, SnapshotStore
 from tradefolio.sessionlog import read_session_log
@@ -590,6 +591,57 @@ def test_live_run_over_a_covered_store_decodes_only_its_windows(runner, tmp_path
     assert len([row for row in decoded if row[0] == "stock-price"]) == sum(
         len(stored.price_window("stock", t, lookback_start, dates[-1]))
         for t in ("AAPL", "MSFT", "NVDA"))
+
+
+def test_a_resume_mid_store_decodes_its_windows_and_as_many_again(runner, tmp_path,
+                                                                  monkeypatch):
+    tickers = ("AAPL", "MSFT", "NVDA")
+    seeded = seed_stock_store(tmp_path / "store", tickers, D(2025, 1, 6), 120, seed=13)
+    k = 30  # the resume starts here, 90 rows short of each series' end
+    part = _write_config(tmp_path / "part.yaml", tmp_path / "store", tmp_path / "runs",
+                         seeded[k - 4:k + 1], ["baseline:equal-weight"])
+    full = _write_config(tmp_path / "full.yaml", tmp_path / "store", tmp_path / "runs",
+                         seeded[k - 4:k + 4], ["baseline:equal-weight"])
+    assert runner.invoke(main, ["run", "--config", str(part)]).exit_code == 0
+    decoded = []
+    real_decode = snapshots._decode
+
+    def counting_decode(kind, key, date, row):
+        decoded.append((kind, key, date))
+        return real_decode(kind, key, date, row)
+
+    monkeypatch.setattr(snapshots, "_decode", counting_decode)
+    result = runner.invoke(main, ["run", "--config", str(full)])
+    assert result.exit_code == 0, result.output
+    assert "baseline:equal-weight: ended, +3 steps" in result.output
+    # each series decodes its windows and, past them, at most as many
+    # rows again, never the rest of the file
+    slack = 10 + 3 + 2  # lookback + news window + 2
+    assert {(kind, key) for kind, key, _ in decoded} == {
+        (kind, t) for kind in ("news", "stock-price") for t in tickers}
+    for series in {(kind, key) for kind, key, _ in decoded}:
+        dates = [date for *named, date in decoded if tuple(named) == series]
+        assert len(dates) == len(set(dates)) <= 2 * slack
+        assert len([d for d in dates if d > seeded[k + 3]]) <= slack
+
+
+def test_a_bad_store_row_past_every_window_fails_only_the_read_that_reaches_it(
+        runner, tmp_path):
+    seeded = seed_stock_store(tmp_path / "store", ("AAPL", "MSFT", "NVDA"),
+                              D(2025, 1, 6), 60, seed=13)
+    path = tmp_path / "store" / "prices" / "stock" / "AAPL.jsonl"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[-1] = lines[-1][:-5]  # the last row cut short
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    config = _write_config(tmp_path / "run.yaml", tmp_path / "store", tmp_path / "runs",
+                           seeded[20:25], ["baseline:equal-weight"])
+    result = runner.invoke(main, ["run", "--config", str(config)])
+    assert result.exit_code == 0, result.output
+    assert "baseline:equal-weight: ended, +4 steps" in result.output
+    store = SnapshotStore(tmp_path / "store")
+    assert store.price_window("stock", "AAPL", seeded[0], seeded[-2])[-1].date == seeded[-2]
+    with pytest.raises(IngestionError, match=re.escape(f"{path}:{len(lines)}: unreadable row")):
+        store.latest_price("stock", "AAPL", seeded[-1])
 
 
 def test_run_reports_an_unreadable_market_catalog(runner, tmp_path):

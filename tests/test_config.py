@@ -2,9 +2,12 @@
 
 import datetime as dt
 import textwrap
+from pathlib import Path
 
 import pytest
+import yaml
 
+from tradefolio import config
 from tradefolio.config import (
     DEFAULT_PREDICTION_CAPITAL,
     DEFAULT_STOCK_CAPITAL,
@@ -15,6 +18,7 @@ from tradefolio.domain import DEFAULT_STOCK_TICKERS, MarketKind
 from tradefolio.errors import ConfigError
 
 D = dt.date
+REPO = Path(__file__).resolve().parent.parent
 
 
 def _write(tmp_path, text, name="run.yaml"):
@@ -196,6 +200,10 @@ def test_fetch_policy_block(tmp_path):
         ("models: [{model: m, style: freeform}]", "unknown sampling style"),
         ("lookback_days: -5", "lookback_days must be non-negative"),
         ("news_window_days: -1", "news_window_days must be non-negative"),
+        ("concurrency: 0", "concurrency must be at least 1"),
+        ("concurrency: -3", "concurrency must be at least 1"),
+        ("discovery_limit: 0", "discovery_limit must be at least 1"),
+        ("discovery_limit: -1", "discovery_limit must be at least 1"),
     ],
 )
 def test_validation_errors(tmp_path, mutation, message):
@@ -213,6 +221,26 @@ def test_validation_errors(tmp_path, mutation, message):
         text = "\n".join(base.values()) + "\n" + mutation
     with pytest.raises(ConfigError, match=message):
         load_config(_write(tmp_path, text))
+
+
+def test_absent_or_null_concurrency_means_automatic(tmp_path):
+    base = "market: stock\nstore: data\ndates: [2025-03-03, 2025-03-04]\nmodels: [m]\n"
+    assert load_config(_write(tmp_path, base)).concurrency is None
+    assert load_config(_write(tmp_path, base + "concurrency: null\n")).concurrency is None
+    cfg = load_config(_write(tmp_path, base + "concurrency: 1\ndiscovery_limit: 1\n"))
+    assert (cfg.concurrency, cfg.discovery_limit) == (1, 1)
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+@pytest.mark.parametrize("fixture", ["stock-replay.yaml", "prediction-replay.yaml"])
+def test_libyaml_and_pure_python_loaders_agree(tmp_path, monkeypatch, fixture):
+    loaded = []
+    for loader in (yaml.SafeLoader, yaml.CSafeLoader):
+        monkeypatch.setattr(config, "_LOADER", loader)
+        loaded.append(load_config(REPO / "fixtures" / fixture))
+        with pytest.raises(ConfigError, match="invalid YAML"):
+            load_config(_write(tmp_path, "market: [unclosed\n"))
+    assert loaded[0] == loaded[1]
 
 
 def test_missing_pieces(tmp_path):

@@ -14,6 +14,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tradefolio import sessionlog
 from tradefolio.agents.baselines import ScriptedAgent
 from tradefolio.agents.clients import ModelClientConfig, ScriptedClient
 from tradefolio.agents.harness import AgentDecision, LLMAgent
@@ -239,6 +240,8 @@ _record_reads = st.lists(st.one_of(
     st.tuples(st.just("slice"), _bound, _bound, st.sampled_from([None, 1, 2, -1, -3])),
     st.tuples(st.just("iter")),
     st.tuples(st.just("add")),
+    st.tuples(st.just("walk"), st.integers(0, 8)),
+    st.tuples(st.just("merge")),
 ), max_size=8)
 
 
@@ -259,6 +262,14 @@ def test_any_read_order_matches_an_eager_decode(logged, reads):
             assert records[slice(*read[1:])] == eager[slice(*read[1:])]
         elif read[0] == "iter":
             assert list(records) == eager
+        elif read[0] == "walk":  # one record at a time, upwards, as reports read
+            assert [records[i] for i in range(read[1], len(eager))] == eager[read[1]:]
+        elif read[0] == "merge":  # a record dated before the first one
+            more = replace(eager[0], date=eager[0].date - dt.timedelta(days=1))
+            lines, merged = records.merge(
+                {more.date: more}, lambda _, r: sessionlog._dumps(r.to_json_dict()))
+            records, eager = merged, [more] + eager
+            assert lines == [sessionlog._dumps(r.to_json_dict()) for r in eager]
         else:
             more = replace(eager[-1], date=eager[-1].date + dt.timedelta(days=len(eager)))
             longer = records + (more,)

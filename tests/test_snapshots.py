@@ -3,16 +3,19 @@
 import datetime as dt
 import importlib.util
 import json
+import math
 import re
 import sys
 import tempfile
 import threading
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tradefolio import dated
 from tradefolio.errors import ConflictingValue, IngestionError
 from tradefolio.domain import NewsItem, PricePoint
 from tradefolio.ingestion import snapshots
@@ -160,6 +163,19 @@ def test_a_rewritten_series_names_its_bad_row_by_the_new_line(tmp_path):
         assert reader.price_dates("stock", "NVDA") == tuple(D(2025, 3, d) for d in (2, 3, 4, 5))
         with pytest.raises(IngestionError, match=re.escape(f"{path}:5: unreadable row")):
             reader.price_window("stock", "NVDA", D(2025, 3, 2), D(2025, 3, 5))
+
+
+def test_a_bad_row_only_the_growth_margin_reaches_stops_the_run_short(tmp_path):
+    path = _write_rows(tmp_path, "NVDA", [_price_line(d, 100.0 + d) for d in range(3, 9)]
+                       + ['{"date": "2025-03-09", "price": "109", "volume": null}',
+                          _price_line(10, 110.0)])  # the bad row is line 8
+    store = SnapshotStore(tmp_path)
+    for day in range(3, 9):  # the run grows past day 8 only to stop short of day 9
+        assert store.latest_price("stock", "NVDA", D(2025, 3, day)).price == 100.0 + day
+    for day in (9, 10):  # a read that returns the row, or must decode it, fails
+        with pytest.raises(IngestionError, match=re.escape(f"{path}:8: unreadable row")):
+            store.latest_price("stock", "NVDA", D(2025, 3, day))
+    assert SnapshotStore(tmp_path).latest_price("stock", "NVDA", D(2025, 3, 10)).price == 110.0
 
 
 @pytest.mark.parametrize("bad", [
@@ -594,7 +610,8 @@ def test_readers_never_see_a_half_written_series(tmp_path):
 
 # -- lazy decoding against an eager one --------------------------------------------
 
-_lazy_reads = st.lists(st.tuples(st.sampled_from(["latest", "prices", "news", "has_news"]),
+_lazy_reads = st.lists(st.tuples(st.sampled_from(["latest", "prices", "news", "has_news",
+                                                  "walk", "write"]),
                                  st.integers(-3, 33), st.integers(-3, 33)),
                        min_size=1, max_size=12)
 
@@ -607,6 +624,8 @@ def _read(store, op, lo, hi):
         return store.price_window("stock", "AAPL", start, end)
     if op == "news":
         return store.news_window("AAPL", start, end)
+    if op == "walk":  # one date at a time, upwards, as a session reads
+        return [store.latest_price("stock", "AAPL", _day(o)) for o in range(lo, hi + 1)]
     return store.has_news("AAPL", start)
 
 
@@ -618,16 +637,51 @@ def test_any_read_order_matches_an_eager_decode(offsets, reads):
         store = SnapshotStore(root)
         store.record_prices("stock", "AAPL", [PricePoint(_day(o), _close(o)) for o in offsets])
         store.record_news("AAPL", [(_day(o), _day_news(o)) for o in offsets])
-        eager = SnapshotStore(root)
-        eager.price_series("stock", "AAPL")
-        eager.news_window("AAPL", dt.date.min, dt.date.max)
 
-        lazy = SnapshotStore(root)  # decodes as the reads below reach down
+        def decoded():
+            eager = SnapshotStore(root)
+            eager.price_series("stock", "AAPL")
+            eager.news_window("AAPL", dt.date.min, dt.date.max)
+            return eager
+
+        eager = decoded()
+        lazy = SnapshotStore(root)  # decodes as the reads below reach its rows
         for op, lo, hi in reads:
-            assert _read(lazy, op, lo, hi) == _read(eager, op, lo, hi)
+            if op == "write":  # merges a row into a partly decoded series
+                day = lo % 31
+                new = day not in offsets
+                assert lazy.upsert_price("stock", "AAPL", _day(day), _close(day)) == new
+                assert lazy.upsert_news("AAPL", _day(day), _day_news(day)) == new
+                offsets = offsets | {day}
+                eager = decoded()
+                rows = _stored_rows(root / "prices" / "stock" / "AAPL.jsonl")
+                assert [(r["date"], r["price"]) for r in rows] == [
+                    (_day(o).isoformat(), _close(o)) for o in sorted(offsets)]
+            else:
+                assert _read(lazy, op, lo, hi) == _read(eager, op, lo, hi)
         assert lazy.price_series("stock", "AAPL") == eager.price_series("stock", "AAPL")
         assert lazy.price_series("stock", "AAPL") == tuple(
             PricePoint(_day(o), _close(o)) for o in sorted(offsets))
+        assert lazy.news_window("AAPL", dt.date.min, dt.date.max) == tuple(
+            item for o in sorted(offsets) for item in _day_news(o))
+
+
+@pytest.mark.parametrize("order", ["forward", "backward"])
+def test_a_walk_over_every_date_decodes_in_few_blocks(tmp_path, monkeypatch, order):
+    dates = seed_stock_store(tmp_path, ("AAPL",), DAY0, 100)
+    expected = SnapshotStore(tmp_path).price_series("stock", "AAPL")
+    calls = []
+
+    def counting_loads(text):
+        calls.append(text)
+        return json.loads(text)
+
+    monkeypatch.setattr(dated, "json", SimpleNamespace(loads=counting_loads))
+    store = SnapshotStore(tmp_path)
+    walk = dates if order == "forward" else dates[::-1]
+    got = [store.latest_price("stock", "AAPL", day) for day in walk]
+    assert got == list(expected if order == "forward" else expected[::-1])
+    assert len(calls) <= 2 * math.ceil(math.log2(len(dates))) + 2
 
 
 def test_threads_reading_a_fresh_store_agree(tmp_path):
@@ -643,8 +697,9 @@ def test_threads_reading_a_fresh_store_agree(tmp_path):
             for date in order for ticker in tickers)
 
     expected = read(SnapshotStore(tmp_path), dates)
-    # each thread walks the dates downwards from its own start, so the
-    # threads keep reaching below what another has just decoded
+    # each thread walks the dates downwards from its own start, then
+    # from the top, so the threads keep growing the run below and above
+    # what another has just decoded
     orders = [dates[::-1][k:] + dates[::-1][:k] for k in (0, 15, 30, 45)]
     errors: list[str] = []
 
