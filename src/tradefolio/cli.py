@@ -21,7 +21,7 @@ from .agents.harness import Agent, LLMAgent
 from .config import RunConfig, load_config
 from .domain import MarketKind, MarketSpec
 from .environment import SessionStatus, run_episode
-from .errors import ConfigError, FeedUnavailable, LagTooLarge, TradefolioError
+from .errors import ConfigError, FeedUnavailable, TradefolioError
 from .ingestion.feeds import ReplayFeed, ensure_dates, record_discovered
 from .ingestion.predictions import discover_markets
 from .ingestion.snapshots import SnapshotStore
@@ -329,8 +329,6 @@ def delta(logs: tuple[str, ...], config_path: str | None, lags: str, out_dir: st
         if out_dir is not None:
             text_path, json_path = write_delta_report(table, out_dir)
             click.echo(f"wrote {text_path} and {json_path}")
-    except LagTooLarge as exc:
-        raise click.ClickException(str(exc)) from exc
     except TradefolioError as exc:
         raise click.ClickException(str(exc)) from exc
 

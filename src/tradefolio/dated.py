@@ -5,13 +5,13 @@ Snapshot series and session logs are both such files, and both are read
 here. Indexing takes only each row's date. Writers put the date first,
 so it is the ten characters after the caller's date prefix; a row that
 does not start with the prefix has its date read by ``json.loads``.
-Blank lines are skipped, and dates must strictly increase. A row stays
-raw text until a read first reaches it. The decoded rows form one run
-of consecutive rows. A read decodes the raw rows it returns, together
-with those between them and the run, and the run, when it grows on a
-side, takes in at least as many rows again as it held, short of the
-file's ends: in one ``json.loads`` call per side, or line by line when
-that fails, so the error names the line. A reader walking forward, as a
+Blank lines are skipped, and dates must strictly increase. Each row's
+line is kept as it was read, and the decoded rows form one run of
+consecutive rows. A read decodes the rows it returns, together with
+those between them and the run, and the run, when it grows on a side,
+takes in at least as many rows again as it held, short of the file's
+ends: in one ``json.loads`` call per side, or line by line when that
+fails, so the error names the line. A reader walking forward, as a
 batch does, thus decodes a file in a few calls, and a daily resume only
 its windows and as many rows again. Each line must hold one JSON object
 whose ``date`` is the indexed one. An unreadable date or dates out of
@@ -23,14 +23,15 @@ caller's error class and noun.
 
 ``index`` returns a ``DatedRows``, read through ``dates``, the sequence
 protocol, ``at_or_before`` and ``window`` and rewritten through
-``merge``. No other module touches its run, outside which rows are raw.
+``merge``, which writes every stored row back as the line it was read
+as. Threads may share one and read it without a lock: a run that grows
+is replaced whole.
 """
 
 from __future__ import annotations
 
 import datetime as dt
 import json
-import threading
 from bisect import bisect_left, bisect_right
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
@@ -41,41 +42,41 @@ T = TypeVar("T")
 
 
 class DatedRows(Sequence[T]):
-    """The rows of one dated file, ``dates`` never changing.
+    """The rows of one dated file, ``dates`` and the rows' lines never
+    changing.
 
-    ``_rows[i]`` is row ``i``'s decoded value inside the run
-    ``_lo <= i < _hi`` and its raw line outside it. An empty run has
-    ``_lo`` at the end and ``_hi`` at 0, so the first rows it takes in
-    lower the one and raise the other. Under ``_lock``, ``_lo`` only
-    falls and ``_hi`` only rises, each once the rows it takes in are
-    decoded, so a read of a row inside the run needs no lock, in
-    whichever order it reads the two. Adding dated values gives a new
-    sequence and leaves this one as it was, as a tuple would.
+    ``_run`` is ``(lo, values)``: the values of rows ``lo`` onwards, a
+    tuple. It is the only state that changes. A read takes it once and,
+    when it lacks the rows asked for, builds a larger run from it and
+    stores that in one assignment, so every reader sees a whole run and
+    none takes a lock. When two threads grow the run at once, the last
+    stored wins, and a later read decodes the rows it lacks again.
+    Adding dated values gives a new sequence whose run ends with them
+    and leaves this one as it was, as a tuple would.
     """
 
-    __slots__ = ("dates", "_path", "_rows", "_lo", "_hi", "_lock", "_start", "_lines",
-                 "_decode", "_error", "_noun")
+    __slots__ = ("dates", "_path", "_lines", "_numbers", "_start", "_run", "_decode",
+                 "_error", "_noun")
 
-    def __init__(self, path: Path, dates: tuple[dt.date, ...], rows: list[Any],
-                 start: int, lines: Sequence[int], lo: int, hi: int,
+    def __init__(self, path: Path, dates: tuple[dt.date, ...], lines: Sequence[str],
+                 start: int, numbers: Sequence[int], run: tuple[int, tuple[T, ...]],
                  decode: Callable[[dt.date, dict], T], error: type[Exception],
                  noun: str) -> None:
         self.dates = dates
         self._path = path
-        self._rows = rows
-        self._lo = lo
-        self._hi = hi
-        self._lock = threading.Lock()
+        self._lines = lines  # each row's line as read; values added with ``+`` have none
+        self._numbers = numbers  # each of those lines' number in the file
         self._start = start  # the file's line where rows begin
-        self._lines = lines  # each raw row's line number in the file
+        self._run = run
         self._decode = decode
         self._error = error
         self._noun = noun
 
     def _values(self, a: int, b: int) -> tuple[list[Any], list[int]]:
-        """The values of raw rows ``a`` to ``b - 1`` and the offsets of
-        the rows that fail, whose places hold their errors."""
-        raw = self._rows[a:b]
+        """The values of rows ``a`` to ``b - 1``, decoded from their
+        lines, and the offsets of the rows that fail, whose places hold
+        their errors."""
+        raw = self._lines[a:b]
         try:
             rows = json.loads("[" + ",".join(raw) + "]")
             if len(rows) != len(raw):  # a bad line held a comma-separated pair
@@ -98,32 +99,28 @@ class DatedRows(Sequence[T]):
                     raise ValueError(f"date {row['date']} is not the indexed {date}")
                 values.append(self._decode(date, row))
             except (KeyError, TypeError, ValueError) as exc:
-                error = self._error(f"{self._path}:{self._lines[n]}: {self._noun}: {exc}")
+                error = self._error(f"{self._path}:{self._numbers[n]}: {self._noun}: {exc}")
                 error.__cause__ = exc
                 values.append(error)
                 bad.append(n - a)
         return values, bad
 
-    def _reach(self, i: int, j: int) -> None:
-        """Grow the run to hold rows ``i`` to ``j - 1``, ``i < j``. On each
-        side it grows, it takes in at least as many rows as it held, short
-        of the file's ends and of a bad row past the ones asked for; a bad
-        row asked for fails the read and leaves the run as it was."""
-        with self._lock:
-            self._grow(i, j)
-
-    def _grow(self, i: int, j: int) -> None:
-        """``_reach`` for a caller that holds ``_lock``."""
-        lo, hi = self._lo, self._hi
-        if hi <= lo:  # empty: the run starts at the rows asked for
-            lo = hi = i
+    def _grow(self, i: int, j: int) -> tuple[int, tuple[T, ...]]:
+        """The run, grown and stored if it lacks rows ``i`` to ``j - 1``,
+        ``i <= j``, or a row between them and it. On each side it grows,
+        it takes in at least as many rows as it held, short of the file's
+        ends and of a bad row past the ones asked for; a bad row asked for
+        fails the read and leaves the run as it was."""
+        lo, run = self._run
+        if not run:  # empty: the run starts at the rows asked for
+            lo = i
+        hi = lo + len(run)
         if lo <= i and j <= hi:
-            return
-        size = hi - lo
+            return lo, run
         below: list[Any] = []
         above: list[Any] = []
         if i < lo:
-            a = max(min(i, lo - size), 0)
+            a = max(min(i, lo - len(run)), 0)
             below, bad = self._values(a, lo)
             asked = [k for k in bad if k >= i - a]
             if asked:
@@ -131,49 +128,48 @@ class DatedRows(Sequence[T]):
             if bad:
                 below = below[bad[-1] + 1:]
         if j > hi:
-            above, bad = self._values(hi, min(max(j, hi + size), len(self._rows)))
+            above, bad = self._values(hi, min(max(j, hi + len(run)), len(self._lines)))
             if bad and bad[0] < j - hi:
                 raise above[bad[0]]
             if bad:
                 above = above[:bad[0]]
-        self._rows[lo - len(below):lo] = below
-        self._rows[hi:hi + len(above)] = above
-        self._lo = lo - len(below)
-        self._hi = hi + len(above)
+        grown = self._run = (lo - len(below), (*below, *run, *above))
+        return grown
 
     def at_or_before(self, date: dt.date) -> T | None:
         """The value of the last row dated on or before ``date``."""
         i = bisect_right(self.dates, date) - 1
         if i < 0:
             return None
-        if not self._lo <= i < self._hi:
-            self._reach(i, i + 1)
-        return self._rows[i]
+        lo, run = self._run
+        if not 0 <= i - lo < len(run):
+            lo, run = self._grow(i, i + 1)
+        return run[i - lo]
 
-    def window(self, start: dt.date, end: dt.date) -> list[T]:
+    def window(self, start: dt.date, end: dt.date) -> tuple[T, ...]:
         """The values of the rows dated ``start`` through ``end``."""
         i, j = bisect_left(self.dates, start), bisect_right(self.dates, end)
-        if i < j and not (self._lo <= i and j <= self._hi):
-            self._reach(i, j)
-        return self._rows[i:j]
+        if i >= j:
+            return ()
+        lo, run = self._run
+        if not (lo <= i and j <= lo + len(run)):
+            lo, run = self._grow(i, j)
+        return run[i - lo:j - lo]
 
     def merge(self, fresh: Mapping[dt.date, T],
               encode: Callable[[dt.date, T], str]) -> tuple[list[str], DatedRows[T]]:
         """The file's row lines with ``fresh``, of dates it lacks, merged
-        in date order, and a sequence over them with every row raw. Rows
-        outside the run keep their lines; the rest are encoded again."""
-        with self._lock:  # a reader may be growing the run
-            lo, hi, rows = self._lo, self._hi, self._rows[:]
-        if hi <= lo:
-            lo = hi = 0
-        dates = self.dates
-        merged = sorted([*zip(dates[:lo], rows[:lo]),
-                         *((d, encode(d, v)) for d, v in zip(dates[lo:hi], rows[lo:hi])),
-                         *zip(dates[hi:], rows[hi:]),
-                         *((d, encode(d, v)) for d, v in fresh.items())])
+        in date order, and a sequence over them with nothing decoded.
+        Stored rows keep their lines, decoded or not; only ``fresh`` and
+        values added with ``+`` are encoded."""
+        lo, run = self._run
+        stored = len(self._lines)
+        added = zip(self.dates[stored:], run[stored - lo:])
+        merged = sorted([*zip(self.dates, self._lines),
+                         *((d, encode(d, v)) for d, v in (*added, *fresh.items()))])
         lines = [line for _, line in merged]
         return lines, DatedRows(self._path, tuple(d for d, _ in merged), lines, self._start,
-                                range(self._start, self._start + len(lines)), len(lines), 0,
+                                range(self._start, self._start + len(lines)), (0, ()),
                                 self._decode, self._error, self._noun)
 
     def __len__(self) -> int:
@@ -182,31 +178,24 @@ class DatedRows(Sequence[T]):
     def __getitem__(self, i: int | slice) -> Any:
         picked = range(len(self.dates))[i]
         if isinstance(picked, int):
-            if not self._lo <= picked < self._hi:
-                self._reach(picked, picked + 1)
-            return self._rows[picked]
-        if picked:
-            first, last = sorted((picked[0], picked[-1]))
-            if not (self._lo <= first and last < self._hi):
-                self._reach(first, last + 1)
-        return self._rows[i]
+            lo, run = self._run
+            if not 0 <= picked - lo < len(run):
+                lo, run = self._grow(picked, picked + 1)
+            return run[picked - lo]
+        if not picked:
+            return []
+        first, last = sorted((picked[0], picked[-1]))
+        lo, run = self._grow(first, last + 1)
+        return [run[k - lo] for k in picked]
 
     def __iter__(self) -> Iterator[T]:
-        if self.dates:
-            self._reach(0, len(self.dates))
-        return iter(self._rows)
+        return iter(self._grow(0, len(self.dates))[1])
 
     def __add__(self, more: Sequence[T]) -> DatedRows[T]:
         n = len(self.dates)
-        with self._lock:
-            if self._lo < self._hi < n:  # the added values must join the run
-                self._grow(self._hi, n)
-            lo, hi, rows = self._lo, self._hi, self._rows + list(more)
-        if hi <= lo:  # the run is the added values
-            lo = n
-        end = len(rows)
-        return DatedRows(self._path, self.dates + tuple(v.date for v in more), rows,
-                         self._start, self._lines, lo, end if lo < end else 0,
+        lo, run = self._grow(n, n)  # a run up to the end, or an empty one there
+        return DatedRows(self._path, self.dates + tuple(v.date for v in more), self._lines,
+                         self._start, self._numbers, (lo, (*run, *more)),
                          self._decode, self._error, self._noun)
 
     def __eq__(self, other: object) -> bool:
@@ -239,5 +228,4 @@ def index(path: Path, lines: Iterable[str], start: int, prefix: str,
         dates.append(date)
         rows.append(line)
         numbers.append(n)
-    return DatedRows(path, tuple(dates), rows, start, numbers, len(rows), 0, decode, error,
-                     noun)
+    return DatedRows(path, tuple(dates), rows, start, numbers, (0, ()), decode, error, noun)

@@ -12,9 +12,9 @@ refused with ``ConflictingValue``, never silently applied. A check
 decodes only the stored rows a read of its date would. The new rows are
 then merged in and the series file is rewritten once, through a temp
 file of its own, so a failed write leaves the old file as it was.
-Stored rows no read has decoded go back to the file as the lines they
-were read as; the rest are encoded again. Reads create nothing on disk;
-a directory is made on its first write.
+Every stored row goes back to the file as the line it was read as,
+decoded or not; only the new rows are encoded. Reads create nothing on
+disk; a directory is made on its first write.
 
 Reads are served from a date index built when a series is first
 loaded, its rows decoded when a read first reaches them, as
@@ -248,7 +248,7 @@ class SnapshotStore:
 
     def price_window(self, market: str, key: str,
                      start: dt.date, end: dt.date) -> tuple[PricePoint, ...]:
-        return tuple(self._load(_PRICE_SERIES[market], key).window(start, end))
+        return self._load(_PRICE_SERIES[market], key).window(start, end)
 
     # -- news ----------------------------------------------------------------
 

@@ -8,7 +8,9 @@ without rewriting a single earlier byte.
 
 Reading a log parses its header, then indexes its records by date and
 decodes each when a read first reaches it, as ``tradefolio.dated``
-describes. A resume reads only the memory window and, when the window
+describes. A record whose price and holding maps do not name exactly
+the header's assets, or whose value is not finite and positive, is a
+bad record. A resume reads only the memory window and, when the window
 opens on a fallback step, the records back to the last one that
 validated or held, so a bad record further back is caught by ``report``
 and ``delta``, which read every record, and not by ``run``.
@@ -22,8 +24,10 @@ from __future__ import annotations
 
 import datetime as dt
 import json
+import math
 import os
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
@@ -154,12 +158,21 @@ def read_session_log(path: str | Path) -> tuple[SessionLogHeader, DatedRows[Sess
     if first is None:
         raise CorruptLog(f"{path}: empty file")
     header = _parse_header(path, lines[first])
-    return header, index(path, lines[first + 1:], first + 2, _DATE_PREFIX, _decode_record,
-                         CorruptLog, "bad record")
+    return header, index(path, lines[first + 1:], first + 2, _DATE_PREFIX,
+                         partial(_decode_record, frozenset(header.assets)), CorruptLog,
+                         "bad record")
 
 
-def _decode_record(date: dt.date, row: dict) -> SessionRecord:
-    return SessionRecord.from_json_dict(row)
+def _decode_record(assets: frozenset[str], date: dt.date, row: dict) -> SessionRecord:
+    record = SessionRecord.from_json_dict(row)
+    for name in ("prices", "holdings_before", "holdings_after", "prices_after"):
+        keys = getattr(record, name).keys()
+        if keys != assets:
+            raise ValueError(f"{name} does not name the header's assets: missing "
+                             f"{sorted(assets - keys)}, unknown {sorted(keys - assets)}")
+    if not 0 < record.value < math.inf:
+        raise ValueError(f"value {record.value} is not finite and positive")
+    return record
 
 
 def drop_torn_tail(path: Path) -> int | None:

@@ -737,6 +737,30 @@ def test_delta_names_the_log_it_cannot_score(runner, stock_setup, keep, error):
     assert f"Error: {log}: {error}" in result.output
 
 
+def _without(mapping, key):
+    return {k: v for k, v in mapping.items() if k != key}
+
+
+@pytest.mark.parametrize("command, tamper, error", [
+    ("report", lambda r: {**r, "value": -3.0}, "value -3.0 is not finite and positive"),
+    ("report", lambda r: {**r, "holdings_after": _without(r["holdings_after"], "CASH")},
+     "holdings_after does not name the header's assets: missing ['CASH'], unknown []"),
+    ("delta", lambda r: {**r, "prices_after": _without(r["prices_after"], "MSFT")},
+     "prices_after does not name the header's assets: missing ['MSFT'], unknown []"),
+])
+def test_a_tampered_record_fails_naming_its_line(runner, stock_setup, command, tamper, error):
+    tmp_path, config, dates = stock_setup
+    assert runner.invoke(main, ["run", "--config", str(config)]).exit_code == 0
+    log = tmp_path / "runs" / "stock-baseline-equal-weight.jsonl"
+    lines = log.read_text(encoding="utf-8").splitlines()
+    lines[2] = json.dumps(tamper(json.loads(lines[2])), separators=(",", ":"))
+    log.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    result = runner.invoke(main, [command, str(log)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert f"Error: {log}:3: bad record: {error}" in result.output
+
+
 def test_fetch_stock_snapshots_store(runner, tmp_path, monkeypatch):
     from tradefolio.domain import NewsItem
     from tradefolio.ingestion import equities, news as news_mod

@@ -222,6 +222,15 @@ def test_row_in_another_key_order_loads_through_the_fallback(tmp_path):
     )
 
 
+def test_a_write_keeps_every_stored_line_as_it_was_read(tmp_path):
+    row = '{"price": 110.0, "volume": null, "date": "2025-03-03"}'
+    path = _write_rows(tmp_path, "NVDA", [row])
+    store = SnapshotStore(tmp_path)
+    assert store.latest_price("stock", "NVDA", D(2025, 3, 3)) == PricePoint(D(2025, 3, 3), 110.0)
+    assert store.record_prices("stock", "NVDA", [PricePoint(D(2025, 3, 4), 111.0)]) == 1
+    assert path.read_text(encoding="utf-8").splitlines()[1:] == [row, _price_line(4, 111.0)]
+
+
 def test_nonpositive_price_rejected(tmp_path):
     store = SnapshotStore(tmp_path)
     with pytest.raises(IngestionError):
@@ -726,3 +735,78 @@ def test_threads_reading_a_fresh_store_agree(tmp_path):
     finally:
         sys.setswitchinterval(old_interval)
     assert errors == []
+
+
+def test_a_read_never_waits_for_another_threads_decode(tmp_path, monkeypatch):
+    dates = seed_stock_store(tmp_path, ("AAPL",), DAY0, 40)
+    expected = SnapshotStore(tmp_path).price_series("stock", "AAPL")
+    store = SnapshotStore(tmp_path)
+    store.price_dates("stock", "AAPL")  # indexed, nothing decoded
+    main = threading.current_thread()
+    decoding, other_done = threading.Event(), threading.Event()
+    waited, other_read = [], []
+
+    def pausing_loads(text):
+        if threading.current_thread() is main and not decoding.is_set():
+            decoding.set()
+            waited.append(other_done.wait(timeout=5))
+        return json.loads(text)
+
+    def other():
+        try:
+            if decoding.wait(timeout=5):
+                other_read.append(store.price_window("stock", "AAPL", dates[30], dates[35]))
+        finally:
+            other_done.set()
+
+    monkeypatch.setattr(dated, "json", SimpleNamespace(loads=pausing_loads))
+    thread = threading.Thread(target=other, daemon=True)
+    thread.start()
+    first = store.price_window("stock", "AAPL", dates[0], dates[5])
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert waited == [True]  # the other read ran to its end while this one decoded
+    assert first == expected[:6] and other_read == [expected[30:36]]
+    # the run this read stored replaced the other's, whose rows decode again
+    assert store.price_series("stock", "AAPL") == expected
+
+
+def test_a_read_keeps_the_run_it_grew_while_other_threads_replace_it(tmp_path, monkeypatch):
+    dates = seed_stock_store(tmp_path, ("AAPL",), DAY0, 40)
+    expected = SnapshotStore(tmp_path).price_series("stock", "AAPL")
+    store = SnapshotStore(tmp_path)
+    store.price_dates("stock", "AAPL")  # indexed, nothing decoded
+    main = threading.current_thread()
+    other_decoding, main_stored, other_done = (threading.Event() for _ in range(3))
+    slot = dated.DatedRows._run
+    waits, other_read = [], []
+
+    def pausing_loads(text):  # the other thread decodes from the empty run...
+        if threading.current_thread() is not main and not other_decoding.is_set():
+            other_decoding.set()
+            waits.append(main_stored.wait(timeout=5))
+        return json.loads(text)
+
+    def pausing_store(rows, run):  # ...and replaces the run this thread has just stored
+        slot.__set__(rows, run)
+        if threading.current_thread() is main and not main_stored.is_set():
+            main_stored.set()
+            waits.append(other_done.wait(timeout=5))
+
+    def other():
+        try:
+            other_read.append(store.price_window("stock", "AAPL", dates[30], dates[35]))
+        finally:
+            other_done.set()
+
+    monkeypatch.setattr(dated, "json", SimpleNamespace(loads=pausing_loads))
+    monkeypatch.setattr(dated.DatedRows, "_run", property(slot.__get__, pausing_store))
+    thread = threading.Thread(target=other, daemon=True)
+    thread.start()
+    assert other_decoding.wait(timeout=5)
+    first = store.price_window("stock", "AAPL", dates[0], dates[5])
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert waits == [True, True]
+    assert first == expected[:6] and other_read == [expected[30:36]]
+    assert store.price_series("stock", "AAPL") == expected
