@@ -13,7 +13,7 @@ from zoneinfo import ZoneInfo
 
 from ..domain import PricePoint
 from ..errors import ProviderError
-from .policy import FetchPolicy, HttpGet, fetch_with_policy, requests_get_json
+from .policy import FetchPolicy, HttpGet, get, requests_get_json, utc_midnight
 
 __all__ = [
     "CHART_URL",
@@ -86,18 +86,9 @@ def fetch_equity_history(
     http: HttpGet = requests_get_json,
 ) -> list[PricePoint]:
     """Daily bars with dates in [start, end], inclusive."""
-    period1 = int(dt.datetime.combine(start, dt.time(), tzinfo=dt.timezone.utc).timestamp())
-    period2 = int(
-        dt.datetime.combine(end + dt.timedelta(days=1), dt.time(), tzinfo=dt.timezone.utc).timestamp()
-    )
-    params = {"period1": period1, "period2": period2, "interval": "1d", "events": "div,splits"}
-    headers = {"User-Agent": policy.user_agent}
-
-    def request() -> list[PricePoint]:
-        payload = http(CHART_URL.format(symbol=ticker), params, headers, policy.timeout)
-        return parse_chart_payload(payload)
-
-    points = fetch_with_policy(policy, request)
+    params = {"period1": utc_midnight(start), "period2": utc_midnight(end + dt.timedelta(days=1)),
+              "interval": "1d", "events": "div,splits"}
+    points = get(policy, CHART_URL.format(symbol=ticker), params, parse_chart_payload, http)
     return [p for p in points if start <= p.date <= end]
 
 
@@ -108,10 +99,4 @@ def fetch_equity_quote(
 ) -> PricePoint:
     """Latest available trade for the ticker."""
     params = {"interval": "1d", "range": "1d"}
-    headers = {"User-Agent": policy.user_agent}
-
-    def request() -> PricePoint:
-        payload = http(CHART_URL.format(symbol=ticker), params, headers, policy.timeout)
-        return parse_quote_payload(payload)
-
-    return fetch_with_policy(policy, request)
+    return get(policy, CHART_URL.format(symbol=ticker), params, parse_quote_payload, http)

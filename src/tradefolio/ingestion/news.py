@@ -6,14 +6,14 @@ import datetime as dt
 import html
 import re
 import xml.etree.ElementTree as ET
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 import requests
 
 from ..domain import MarketKind, NewsItem
 from ..errors import ProviderError
 from .normalize import clean_link, parse_news_timestamp
-from .policy import FetchPolicy, fetch_with_policy
+from .policy import FetchPolicy, HttpGet, get, utc_midnight
 
 __all__ = [
     "RSS_URL",
@@ -49,10 +49,6 @@ COMPANY_NAMES: dict[str, str] = {
     "TSLA": "Tesla",
     "AMZN": "Amazon",
 }
-
-# http(url, params, headers, timeout) -> response text
-HttpGetText = Callable[[str, dict[str, Any], dict[str, str], float], str]
-
 
 def _requests_get_text(url: str, params: dict[str, Any],
                        headers: dict[str, str], timeout: float) -> str:
@@ -144,7 +140,7 @@ def rank_news(items: Sequence[NewsItem], target: dt.date | None = None) -> list[
     """Closest to the target date first; without a target, newest first."""
     if target is None:
         return sorted(items, key=lambda i: -i.published_at)
-    anchor = dt.datetime.combine(target, dt.time(), tzinfo=dt.timezone.utc).timestamp()
+    anchor = utc_midnight(target)
     return sorted(items, key=lambda i: (abs(i.published_at - anchor), -i.published_at))
 
 
@@ -156,7 +152,7 @@ def fetch_news(
     policy: FetchPolicy,
     reference: dt.datetime | None = None,
     target: dt.date | None = None,
-    http: HttpGetText = _requests_get_text,
+    http: HttpGet = _requests_get_text,
 ) -> list[NewsItem]:
     """Ranked items for one tag, publication dates within [start, end]."""
     reference = reference or dt.datetime.now(dt.timezone.utc)
@@ -167,10 +163,5 @@ def fetch_news(
         f" before:{(end + dt.timedelta(days=1)).isoformat()}"
     )
     params = {"q": q, "hl": "en-US", "gl": "US", "ceid": "US:en"}
-    headers = {"User-Agent": policy.user_agent}
-
-    def request() -> list[NewsItem]:
-        return parse_news_rss(http(RSS_URL, params, headers, policy.timeout), tag, reference)
-
-    items = fetch_with_policy(policy, request)
+    items = get(policy, RSS_URL, params, lambda text: parse_news_rss(text, tag, reference), http)
     return rank_news(filter_news_window(items, start, end), target)

@@ -1,7 +1,8 @@
-"""Retry discipline for outbound data requests."""
+"""Outbound data requests: one request shape and its retry discipline."""
 
 from __future__ import annotations
 
+import datetime as dt
 import random
 import time
 from dataclasses import dataclass
@@ -11,11 +12,12 @@ import requests
 
 from ..errors import ProviderError
 
-__all__ = ["FetchPolicy", "HttpGet", "backoff_delay", "fetch_with_policy", "requests_get_json"]
+__all__ = ["FetchPolicy", "HttpGet", "backoff_delay", "fetch_with_policy", "get",
+           "requests_get_json", "utc_midnight"]
 
 T = TypeVar("T")
 
-# http(url, params, headers, timeout) -> parsed JSON body
+# http(url, params, headers, timeout) -> response body
 HttpGet = Callable[[str, dict[str, Any], dict[str, str], float], Any]
 
 
@@ -85,3 +87,18 @@ def fetch_with_policy(
                 ) from exc
             sleep(backoff_delay(policy, attempt, rng))
     raise AssertionError("unreachable")
+
+
+def get(policy: FetchPolicy, url: str, params: dict[str, Any], parse: Callable[[Any], T],
+        http: HttpGet = requests_get_json) -> T:
+    """``parse`` of one provider response, under the policy's retries.
+
+    A body that fails to parse is retried like a failed request.
+    """
+    headers = {"User-Agent": policy.user_agent}
+    return fetch_with_policy(policy, lambda: parse(http(url, params, headers, policy.timeout)))
+
+
+def utc_midnight(date: dt.date) -> int:
+    """Epoch seconds at the start of ``date`` in UTC."""
+    return int(dt.datetime.combine(date, dt.time(), tzinfo=dt.timezone.utc).timestamp())

@@ -17,7 +17,7 @@ from typing import Any
 from ..domain import PricePoint
 from ..errors import ProviderError
 from .normalize import normalize_prediction_quote
-from .policy import FetchPolicy, HttpGet, fetch_with_policy, requests_get_json
+from .policy import FetchPolicy, HttpGet, get, requests_get_json, utc_midnight
 from .snapshots import MarketCatalogEntry
 
 __all__ = [
@@ -129,17 +129,9 @@ def fetch_prediction_history(
     http: HttpGet = requests_get_json,
 ) -> list[PricePoint]:
     """Daily closes for one outcome token, dates in [start, end]."""
-    start_ts = int(dt.datetime.combine(start, dt.time(), tzinfo=dt.timezone.utc).timestamp())
-    end_ts = int(
-        dt.datetime.combine(end + dt.timedelta(days=1), dt.time(), tzinfo=dt.timezone.utc).timestamp()
-    )
-    params = {"market": token_id, "startTs": start_ts, "endTs": end_ts, "fidelity": 1440}
-    headers = {"User-Agent": policy.user_agent}
-
-    def request() -> list[PricePoint]:
-        return parse_price_history(http(HISTORY_URL, params, headers, policy.timeout))
-
-    points = fetch_with_policy(policy, request)
+    params = {"market": token_id, "startTs": utc_midnight(start),
+              "endTs": utc_midnight(end + dt.timedelta(days=1)), "fidelity": 1440}
+    points = get(policy, HISTORY_URL, params, parse_price_history, http)
     return [p for p in points if start <= p.date <= end]
 
 
@@ -163,12 +155,7 @@ def discover_markets(
         "ascending": "false",
         "limit": max(limit * 3, limit),
     }
-    headers = {"User-Agent": policy.user_agent}
-
-    def request() -> list[MarketCatalogEntry]:
-        return parse_market_listing(http(MARKETS_URL, params, headers, policy.timeout))
-
-    candidates = fetch_with_policy(policy, request)
+    candidates = get(policy, MARKETS_URL, params, parse_market_listing, http)
 
     kept: list[DiscoveredMarket] = []
     for entry in candidates:

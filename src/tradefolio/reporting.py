@@ -7,7 +7,7 @@ same bytes, so reports can be diffed and committed as goldens.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -16,7 +16,6 @@ import numpy as np
 from .errors import CorruptLog, LagTooLarge, SeriesTooShort
 from .metrics import MetricsReport, rolling_k_delta
 from .sessionlog import (
-    SessionLogHeader,
     cash_ratio_series,
     position_histories,
     read_session_log,
@@ -81,11 +80,28 @@ def _sharpe_text(sharpe: float | None) -> str:
     return "undefined" if sharpe is None else f"{sharpe:.4f}"
 
 
+def _table(headers: list[str], rows: list[list[str]]) -> str:
+    """Left-aligned columns two spaces apart, under a rule of dashes."""
+    widths = [max([len(h)] + [len(r[i]) for r in rows]) for i, h in enumerate(headers)]
+    def fmt(parts: list[str]) -> str:
+        return "  ".join(p.ljust(w) for p, w in zip(parts, widths)).rstrip()
+    return "\n".join([fmt(headers), fmt(["-" * w for w in widths]), *map(fmt, rows)]) + "\n"
+
+
+def _write(out_dir: str | Path, stem: str, text: str, payload_json: str) -> tuple[Path, Path]:
+    """Write ``<stem>.txt`` and ``<stem>.json``; returns their paths."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    text_path, json_path = out / f"{stem}.txt", out / f"{stem}.json"
+    text_path.write_text(text, encoding="utf-8")
+    json_path.write_text(payload_json + "\n", encoding="utf-8")
+    return text_path, json_path
+
+
 def render_report_table(rows: Sequence[ReportRow]) -> str:
     """Human-readable table: CR/MDD/WR as percentages, SR and the
     per-step volatility as raw ratios."""
-    headers = ["market", "model", "steps", "CR%", "SR", "MDD%", "WR%", "vol"]
-    cells = [
+    return _table(["market", "model", "steps", "CR%", "SR", "MDD%", "WR%", "vol"], [
         [
             row.market,
             row.model,
@@ -97,16 +113,7 @@ def render_report_table(rows: Sequence[ReportRow]) -> str:
             f"{row.metrics.volatility:.6f}",
         ]
         for row in rows
-    ]
-    widths = [
-        max(len(headers[i]), *(len(r[i]) for r in cells)) if cells else len(headers[i])
-        for i in range(len(headers))
-    ]
-    def fmt(parts: list[str]) -> str:
-        return "  ".join(p.ljust(w) for p, w in zip(parts, widths)).rstrip()
-    lines = [fmt(headers), fmt(["-" * w for w in widths])]
-    lines.extend(fmt(r) for r in cells)
-    return "\n".join(lines) + "\n"
+    ])
 
 
 def report_payload(rows: Sequence[ReportRow]) -> dict:
@@ -119,13 +126,7 @@ def report_payload(rows: Sequence[ReportRow]) -> dict:
                 "market": row.market,
                 "model": row.model,
                 "steps": row.steps,
-                "metrics": {
-                    "cumulative_return": row.metrics.cumulative_return,
-                    "sharpe": row.metrics.sharpe,
-                    "max_drawdown": row.metrics.max_drawdown,
-                    "win_rate": row.metrics.win_rate,
-                    "volatility": row.metrics.volatility,
-                },
+                "metrics": asdict(row.metrics),
                 "series": {
                     "dates": row.dates,
                     "value": row.values,
@@ -139,16 +140,8 @@ def report_payload(rows: Sequence[ReportRow]) -> dict:
 
 def write_report(rows: Sequence[ReportRow], out_dir: str | Path) -> tuple[Path, Path]:
     """Write report.txt and report.json; returns their paths."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    table_path = out / "report.txt"
-    json_path = out / "report.json"
-    table_path.write_text(render_report_table(rows), encoding="utf-8")
-    json_path.write_text(
-        json.dumps(report_payload(rows), indent=2, ensure_ascii=False) + "\n",
-        encoding="utf-8",
-    )
-    return table_path, json_path
+    return _write(out_dir, "report", render_report_table(rows),
+                  json.dumps(report_payload(rows), indent=2, ensure_ascii=False))
 
 
 @dataclass(frozen=True)
@@ -195,7 +188,6 @@ def build_delta_table(paths: Sequence[str | Path], lags: Sequence[int]) -> Delta
 
 
 def render_delta_table(table: DeltaTable) -> str:
-    headers = ["model"] + [f"k={k}" for k in table.lags]
     rows = [
         [m] + [f"{table.cells[m][k] * 100.0:+.4f}" for k in table.lags]
         for m in table.models
@@ -203,20 +195,11 @@ def render_delta_table(table: DeltaTable) -> str:
     rows.append(["mean"] + [f"{table.mean[k] * 100.0:+.4f}" for k in table.lags])
     rows.append(["p25"] + [f"{table.band_low[k] * 100.0:+.4f}" for k in table.lags])
     rows.append(["p75"] + [f"{table.band_high[k] * 100.0:+.4f}" for k in table.lags])
-    widths = [max(len(headers[i]), *(len(r[i]) for r in rows)) for i in range(len(headers))]
-    def fmt(parts: list[str]) -> str:
-        return "  ".join(p.ljust(w) for p, w in zip(parts, widths)).rstrip()
-    lines = [fmt(headers), fmt(["-" * w for w in widths])]
-    lines.extend(fmt(r) for r in rows)
-    return "\n".join(lines) + "\n"
+    return _table(["model"] + [f"k={k}" for k in table.lags], rows)
 
 
 def write_delta_report(table: DeltaTable, out_dir: str | Path) -> tuple[Path, Path]:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    text_path = out / "delta.txt"
-    json_path = out / "delta.json"
-    text_path.write_text(render_delta_table(table), encoding="utf-8")
+    """Write delta.txt and delta.json; returns their paths."""
     payload = {
         "format": "tradefolio-delta",
         "version": 1,
@@ -228,5 +211,4 @@ def write_delta_report(table: DeltaTable, out_dir: str | Path) -> tuple[Path, Pa
         "p25": {str(k): table.band_low[k] for k in table.lags},
         "p75": {str(k): table.band_high[k] for k in table.lags},
     }
-    json_path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    return text_path, json_path
+    return _write(out_dir, "delta", render_delta_table(table), json.dumps(payload, indent=2))

@@ -89,13 +89,18 @@ class SessionLogHeader:
             raise ValueError(f"not a session log (format {row.get('format')!r})")
         if row.get("version") != LOG_VERSION:
             raise ValueError(f"unsupported log version {row.get('version')!r}")
-        return cls(
-            market=MarketKind(row["market"]),
-            model=row["model"],
-            initial_capital=float(row["initial_capital"]),
-            assets=tuple(row["assets"]),
-            cash=row["cash"],
-        )
+        model, assets, cash = row["model"], row["assets"], row["cash"]
+        capital = float(row["initial_capital"])
+        for key, value in (("model", model), ("cash", cash)):
+            if not isinstance(value, str):
+                raise ValueError(f"{key} {value!r} is not a string")
+        if not isinstance(assets, list) or not all(isinstance(a, str) for a in assets):
+            raise ValueError(f"assets {assets!r} is not a list of strings")
+        if cash not in assets:
+            raise ValueError(f"cash {cash!r} is not one of the assets")
+        if not 0 < capital < math.inf:
+            raise ValueError(f"initial_capital {capital} is not finite and positive")
+        return cls(MarketKind(row["market"]), model, capital, tuple(assets), cash)
 
 
 def check_header(path: Path, logged: SessionLogHeader, header: SessionLogHeader) -> None:

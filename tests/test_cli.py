@@ -325,6 +325,31 @@ def test_log_with_a_non_object_header_fails_only_its_model(runner, stock_setup):
     assert ":1: bad header" in reported.output
 
 
+@pytest.mark.parametrize("change", [
+    {"cash": "USD"},
+    {"cash": ["CASH"]},
+    {"initial_capital": -5.0},
+    {"initial_capital": float("nan")},
+    {"initial_capital": float("inf")},
+    {"model": 5},
+    {"model": ["a"]},
+    {"assets": "AAPL"},
+], ids=["cash-not-an-asset", "cash-list", "capital-negative", "capital-nan", "capital-inf",
+        "model-number", "model-list", "assets-string"])
+def test_report_and_delta_refuse_a_tampered_log_header(runner, stock_setup, change):
+    tmp_path, config, dates = stock_setup
+    assert runner.invoke(main, ["run", "--config", str(config)]).exit_code == 0
+    log = tmp_path / "runs" / "stock-baseline-equal-weight.jsonl"
+    header, rest = log.read_text(encoding="utf-8").split("\n", 1)
+    log.write_text(json.dumps({**json.loads(header), **change}) + "\n" + rest, encoding="utf-8")
+
+    for command in ("report", "delta"):
+        result = runner.invoke(main, [command, str(log)])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert f"{log}:1: bad header" in result.output
+
+
 def test_a_series_header_of_the_wrong_shape_fails_each_model_that_reads_it(runner,
                                                                           stock_setup):
     tmp_path, config, dates = stock_setup

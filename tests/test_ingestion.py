@@ -393,6 +393,38 @@ def test_fetch_policy_validation():
         FetchPolicy(backoff_base=-1.0)
 
 
+_MOVING = {"history": [{"t": _epoch(2025, 3, 3), "p": 0.4}, {"t": _epoch(2025, 3, 4), "p": 0.6}]}
+
+
+@pytest.mark.parametrize("url, bad, good, fetch", [
+    (equities.CHART_URL.format(symbol="AAPL"), {"chart": {"result": [], "error": None}},
+     _chart([_epoch(2025, 3, 3)], closes=[100.0]),
+     lambda policy, http: equities.fetch_equity_history("AAPL", D(2025, 3, 3), D(2025, 3, 3),
+                                                        policy, http=http)),
+    (equities.CHART_URL.format(symbol="AAPL"), {},
+     {"chart": {"result": [{"meta": {"regularMarketPrice": 241.84,
+                                     "regularMarketTime": _epoch(2025, 3, 3)}}]}},
+     lambda policy, http: equities.fetch_equity_quote("AAPL", policy, http=http)),
+    (predictions.HISTORY_URL, {"history": "none"}, _MOVING,
+     lambda policy, http: predictions.fetch_prediction_history(
+         "m1-yes", D(2025, 3, 3), D(2025, 3, 4), policy, http=http)),
+    (predictions.MARKETS_URL, {"markets": []}, [_listing_row("move-one", tokens='["m1-yes", "m1-no"]')],
+     lambda policy, http: predictions.discover_markets(policy, D(2025, 3, 3), D(2025, 3, 4),
+                                                       http=http)),
+    (news.RSS_URL, "<rss><unclosed>", RSS,
+     lambda policy, http: news.fetch_news("AAPL", MarketKind.STOCK, D(2025, 3, 1), D(2025, 3, 3),
+                                          policy, reference=dt.datetime(2025, 3, 5, tzinfo=UTC),
+                                          http=http)),
+], ids=["equity-history", "equity-quote", "prediction-history", "discover-markets", "news"])
+def test_a_payload_that_fails_to_parse_is_retried(url, bad, good, fetch):
+    policy = FetchPolicy(max_retries=1, backoff_base=0.0, jitter_range=(0.0, 0.0))
+    histories = {predictions.HISTORY_URL: [_MOVING]} if url == predictions.MARKETS_URL else {}
+    flaky = FakeHttp({**histories, url: [bad, good]})
+    got = fetch(policy, flaky)
+    assert got and got == fetch(policy, FakeHttp({**histories, url: [good]}))
+    assert [call["url"] for call in flaky.calls].count(url) == 2
+
+
 # -- feeds -------------------------------------------------------------------
 
 
