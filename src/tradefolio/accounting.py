@@ -93,10 +93,10 @@ def validate_allocation(
     """Turn raw model output into a canonical allocation.
 
     Checks, in order: no unknown assets, no negative weights, at most
-    one side per prediction pair, sum within ``band`` of 1.0. Missing
-    assets are imputed as zero and the result is renormalized to sum to
-    one exactly (at float precision). Already-valid allocations pass
-    through unchanged, so validation is idempotent.
+    one side per prediction pair, sum within ``band`` of 1.0 and above
+    0. Missing assets are imputed as zero and the result is renormalized
+    to sum to one exactly (at float precision). Already-valid
+    allocations pass through unchanged, so validation is idempotent.
     """
     unknown = sorted(set(raw) - set(spec.assets))
     if unknown:
@@ -113,6 +113,8 @@ def validate_allocation(
     total = math.fsum(raw.values())
     if not math.isfinite(total) or abs(total - 1.0) > band:
         raise SumOutOfBand(f"weights sum to {total!r}, outside 1 ± {band}")
+    if not total > 0:  # inside a band of 1 or more, with no proportions to keep
+        raise SumOutOfBand(f"weights sum to {total!r}, which is not positive")
     weights = {a: float(raw.get(a, 0.0)) for a in spec.assets}
     if abs(total - 1.0) > _EXACT_SUM_TOL:
         weights = {a: w / total for a, w in weights.items()}

@@ -1,1 +1,1 @@
-"""Agent-side plumbing: memory, prompts, parsing, clients."""
+"""Agent-side plumbing: the agent interface, baselines, prompts, parsing, clients."""

@@ -7,11 +7,16 @@ passes through the identical parse-and-validate path.
 
 from __future__ import annotations
 
-from typing import Iterable
-
-from ..domain import AllocationVector, Holdings, MarketKind, MarketSpec, Observation, PriceVector
+from ..domain import (
+    AllocationVector,
+    Holdings,
+    MarketKind,
+    MarketSpec,
+    MemoryEntry,
+    Observation,
+    PriceVector,
+)
 from .harness import AgentDecision
-from .memory import MemoryWindow
 from .parsing import render_allocation_response
 
 __all__ = [
@@ -21,7 +26,6 @@ __all__ = [
     "EqualWeightAgent",
     "AllCashAgent",
     "BuyAndHoldAgent",
-    "ScriptedAgent",
 ]
 
 
@@ -60,7 +64,8 @@ def hold_allocation(spec: MarketSpec, holdings: Holdings, prices: PriceVector) -
 class EqualWeightAgent:
     name = "baseline:equal-weight"
 
-    def decide(self, spec: MarketSpec, obs: Observation, memory: MemoryWindow) -> AgentDecision:
+    def decide(self, spec: MarketSpec, obs: Observation,
+               memory: tuple[MemoryEntry, ...]) -> AgentDecision:
         raw = render_allocation_response("equal weight across all assets",
                                          equal_weight_allocation(spec))
         return AgentDecision(prompt=None, raw_response=raw)
@@ -69,7 +74,8 @@ class EqualWeightAgent:
 class AllCashAgent:
     name = "baseline:all-cash"
 
-    def decide(self, spec: MarketSpec, obs: Observation, memory: MemoryWindow) -> AgentDecision:
+    def decide(self, spec: MarketSpec, obs: Observation,
+               memory: tuple[MemoryEntry, ...]) -> AgentDecision:
         raw = render_allocation_response("stay in cash", all_cash_allocation(spec))
         return AgentDecision(prompt=None, raw_response=raw)
 
@@ -80,24 +86,6 @@ class BuyAndHoldAgent:
 
     name = "baseline:buy-and-hold"
 
-    def decide(self, spec: MarketSpec, obs: Observation, memory: MemoryWindow) -> AgentDecision:
+    def decide(self, spec: MarketSpec, obs: Observation,
+               memory: tuple[MemoryEntry, ...]) -> AgentDecision:
         return AgentDecision.hold("hold current positions")
-
-
-class ScriptedAgent:
-    """Plays back canned response texts; repeats the last one when the
-    script runs out. For exercising the parse-retry-fallback path."""
-
-    name = "scripted"
-
-    def __init__(self, responses: Iterable[str], name: str = "scripted") -> None:
-        self.responses = list(responses)
-        if not self.responses:
-            raise ValueError("scripted agent needs at least one response")
-        self.name = name
-        self._cursor = 0
-
-    def decide(self, spec: MarketSpec, obs: Observation, memory: MemoryWindow) -> AgentDecision:
-        index = min(self._cursor, len(self.responses) - 1)
-        self._cursor += 1
-        return AgentDecision(prompt=None, raw_response=self.responses[index])

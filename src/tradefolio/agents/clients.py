@@ -63,15 +63,12 @@ DEFAULT_PROVIDER = "together"
 _TIMEOUT_S = 120.0  # one chat completion, in seconds
 
 
-def resolve_provider(model: str,
-                     default_provider: str = DEFAULT_PROVIDER) -> tuple[ProviderRoute, str]:
+def resolve_provider(model: str) -> tuple[ProviderRoute, str]:
     """Split a model id into (provider route, provider-local model id)."""
     prefix, _, rest = model.partition("/")
     if rest and prefix in PROVIDER_ROUTES:
         return PROVIDER_ROUTES[prefix], rest
-    if default_provider not in PROVIDER_ROUTES:
-        raise ConfigError(f"unknown default provider {default_provider!r}")
-    return PROVIDER_ROUTES[default_provider], model
+    return PROVIDER_ROUTES[DEFAULT_PROVIDER], model
 
 
 def api_key(route: ProviderRoute) -> str:

@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
+from typing import Protocol
 
-from ..domain import MarketSpec, Observation
+from ..domain import MarketSpec, MemoryEntry, Observation
 from .clients import ChatClient, ModelClientConfig
-from .memory import MemoryEntry, MemoryWindow
 from .prompts import build_context_prompt, build_decision_prompt
 
 __all__ = ["AgentDecision", "Agent", "LLMAgent"]
@@ -15,7 +14,7 @@ __all__ = ["AgentDecision", "Agent", "LLMAgent"]
 
 @dataclass(frozen=True)
 class AgentDecision:
-    """What an agent hands back: the prompt it saw (None for scripted
+    """What an agent hands back: the prompt it saw (None for rule-based
     agents that see none) and its raw response text.
 
     A decision that ``holds`` asks the environment to keep the current
@@ -32,11 +31,11 @@ class AgentDecision:
         return cls(prompt=None, raw_response=reasoning, holds=True)
 
 
-@runtime_checkable
 class Agent(Protocol):
     name: str
 
-    def decide(self, spec: MarketSpec, obs: Observation, memory: MemoryWindow) -> AgentDecision: ...
+    def decide(self, spec: MarketSpec, obs: Observation,
+               memory: tuple[MemoryEntry, ...]) -> AgentDecision: ...
 
 
 class LLMAgent:
@@ -48,20 +47,20 @@ class LLMAgent:
     ``prompt_sha256`` names the prompt of every attempt.
     """
 
-    def __init__(self, client: ChatClient, config: ModelClientConfig, name: str | None = None) -> None:
+    def __init__(self, client: ChatClient, config: ModelClientConfig) -> None:
         self.client = client
         self.config = config
-        self.name = name or config.model
+        self.name = config.model
         self._last: tuple[MarketSpec, Observation, tuple[MemoryEntry, ...], str] | None = None
 
-    def decide(self, spec: MarketSpec, obs: Observation, memory: MemoryWindow) -> AgentDecision:
-        entries = memory.entries
+    def decide(self, spec: MarketSpec, obs: Observation,
+               memory: tuple[MemoryEntry, ...]) -> AgentDecision:
         last = self._last
-        if last is not None and last[0] is spec and last[1] is obs and last[2] == entries:
+        if last is not None and last[0] is spec and last[1] is obs and last[2] == memory:
             prompt = last[3]
         else:
             context = build_context_prompt(spec, obs, memory)
             prompt = build_decision_prompt(context, spec, obs.date)
-            self._last = (spec, obs, entries, prompt)
+            self._last = (spec, obs, memory, prompt)
         raw = self.client.complete(prompt, self.config)
         return AgentDecision(prompt=prompt, raw_response=raw)

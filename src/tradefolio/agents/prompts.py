@@ -11,8 +11,7 @@ from __future__ import annotations
 import datetime as dt
 from zoneinfo import ZoneInfo
 
-from ..domain import MarketKind, MarketSpec, NewsItem, Observation
-from .memory import MemoryWindow
+from ..domain import MarketKind, MarketSpec, MemoryEntry, NewsItem, Observation
 
 __all__ = [
     "SNIPPET_MAX_CHARS",
@@ -185,10 +184,10 @@ def _allocation_literal(spec: MarketSpec, weights: dict[str, float]) -> str:
     return "{" + body + "}"
 
 
-def _account_lines(spec: MarketSpec, memory: MemoryWindow) -> list[str]:
+def _account_lines(spec: MarketSpec, memory: tuple[MemoryEntry, ...]) -> list[str]:
     indent = "  " if spec.kind is MarketKind.STOCK else ""
     lines = [f"{indent}Recent Historical Allocations under this account:"]
-    for entry in memory.entries:
+    for entry in memory:
         alloc = _allocation_literal(spec, dict(entry.allocation.weights))
         rate = entry.cumulative_return * 100.0
         lines.append(
@@ -198,7 +197,8 @@ def _account_lines(spec: MarketSpec, memory: MemoryWindow) -> list[str]:
     return lines
 
 
-def build_context_prompt(spec: MarketSpec, obs: Observation, memory: MemoryWindow) -> str:
+def build_context_prompt(spec: MarketSpec, obs: Observation,
+                         memory: tuple[MemoryEntry, ...]) -> str:
     """Market analysis, recent news, and account history as one block."""
     _, tz = _SESSION_TZ[spec.kind]
     if spec.kind is MarketKind.STOCK:
@@ -246,35 +246,25 @@ def build_decision_prompt(context: str, spec: MarketSpec, date: dt.date) -> str:
     verbatim between the role line and the management guidance.
     """
     tz_label, _ = _SESSION_TZ[spec.kind]
-    assets_line = "AVAILABLE ASSETS: " + ", ".join(spec.assets)
     if spec.kind is MarketKind.STOCK:
-        parts = [
-            f"Today is {date.isoformat()} ({tz_label}).",
-            _STOCK_ROLE_LINE,
-            context,
-            _STOCK_GUIDANCE,
-            "",
-            assets_line,
-            "",
-            "CRITICAL: Return ONLY valid JSON. No extra text.",
-            "REQUIRED JSON FORMAT:",
-            _json_format_block(spec),
-            _STOCK_RULES,
-        ]
+        role, guidance, rules, gap = _STOCK_ROLE_LINE, _STOCK_GUIDANCE, _STOCK_RULES, []
     else:
-        parts = [
-            f"Today is {date.isoformat()} ({tz_label}).",
-            _PREDICTION_ROLE_LINE,
-            context,
-            "",
-            _PREDICTION_GUIDANCE,
-            "",
-            assets_line,
-            "",
-            "CRITICAL: Return ONLY valid JSON. No extra text.",
-            "REQUIRED JSON FORMAT:",
-            _json_format_block(spec),
-            "",
-            _PREDICTION_RULES,
-        ]
+        # the prediction prompt sets its guidance and rules off by a blank line
+        role, guidance, rules, gap = (_PREDICTION_ROLE_LINE, _PREDICTION_GUIDANCE,
+                                      _PREDICTION_RULES, [""])
+    parts = [
+        f"Today is {date.isoformat()} ({tz_label}).",
+        role,
+        context,
+        *gap,
+        guidance,
+        "",
+        "AVAILABLE ASSETS: " + ", ".join(spec.assets),
+        "",
+        "CRITICAL: Return ONLY valid JSON. No extra text.",
+        "REQUIRED JSON FORMAT:",
+        _json_format_block(spec),
+        *gap,
+        rules,
+    ]
     return "\n".join(parts)

@@ -9,6 +9,7 @@ retry counts, and the concurrency cap.
 from __future__ import annotations
 
 import datetime as dt
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -17,9 +18,8 @@ import yaml
 
 from .accounting import RENORMALIZE_BAND
 from .agents.clients import ModelClientConfig
-from .agents.memory import DEFAULT_MEMORY_HORIZON
 from .domain import DEFAULT_STOCK_TICKERS, MarketKind, MarketSpec
-from .environment import DEFAULT_RETRIES
+from .environment import DEFAULT_MEMORY_HORIZON, DEFAULT_RETRIES
 from .errors import ConfigError
 from .ingestion.feeds import HISTORY_LOOKBACK_DAYS
 from .ingestion.news import NEWS_WINDOW_DAYS
@@ -84,11 +84,14 @@ def _date(value: Any, where: str) -> dt.date:
 
 
 def _number(value: Any, where: str, kind: type = int) -> Any:
-    """``value`` as an ``int``, or with ``kind=float`` as a ``float``;
+    """``value`` as an ``int``, or with ``kind=float`` as a finite ``float``;
     ``ConfigError`` naming ``where`` when it is some other value."""
     if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else int):
         expected = "a number" if kind is float else "an integer"
         raise ConfigError(f"{where} must be {expected}, got {value!r}")
+    # NaN compares false, and an int this large would overflow float()
+    if kind is float and not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{where} must be a finite number, got {value!r}")
     return kind(value)
 
 
@@ -271,6 +274,8 @@ def load_config(path: str | Path) -> RunConfig:
     )
     if not config.initial_capital > 0:
         raise ConfigError("initial_capital must be positive")
+    if not 0 <= config.renormalize_band < 1:
+        raise ConfigError(f"renormalize_band must lie in [0, 1), got {config.renormalize_band!r}")
     for key, least in (("memory_horizon", 1), ("retries", 0), ("rebalance_interval", 1),
                        ("lookback_days", 0), ("news_window_days", 0), ("concurrency", 1),
                        ("discovery_limit", 1)):

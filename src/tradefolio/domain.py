@@ -24,6 +24,7 @@ __all__ = [
     "AllocationVector",
     "NewsItem",
     "Observation",
+    "MemoryEntry",
 ]
 
 CASH = "CASH"
@@ -217,3 +218,13 @@ class Observation:
             self, "price_history",
             {a: tuple(pts) for a, pts in dict(self.price_history).items()},
         )
+
+
+@dataclass(frozen=True)
+class MemoryEntry:
+    """What an agent remembers of one executed step; a session's
+    memory is a tuple of these, oldest first."""
+
+    date: dt.date
+    allocation: AllocationVector
+    cumulative_return: float

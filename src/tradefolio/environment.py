@@ -21,13 +21,13 @@ from typing import Any, Callable, Sequence
 from .accounting import RENORMALIZE_BAND, portfolio_value, rebalance
 from .agents.baselines import all_cash_allocation, hold_allocation
 from .agents.harness import Agent
-from .agents.memory import DEFAULT_MEMORY_HORIZON, MemoryEntry, MemoryWindow
 from .agents.parsing import parse_allocation_response, render_allocation_response
 from .dated import DatedRows
 from .domain import (
     AllocationVector,
     Holdings,
     MarketSpec,
+    MemoryEntry,
     NewsItem,
     Observation,
     PriceVector,
@@ -38,8 +38,7 @@ from .ingestion.news import NEWS_WINDOW_DAYS
 
 __all__ = [
     "DEFAULT_RETRIES",
-    "HISTORY_LOOKBACK_DAYS",
-    "NEWS_WINDOW_DAYS",
+    "DEFAULT_MEMORY_HORIZON",
     "SessionStatus",
     "DecisionTrace",
     "SessionRecord",
@@ -52,6 +51,7 @@ __all__ = [
 ]
 
 DEFAULT_RETRIES = 2
+DEFAULT_MEMORY_HORIZON = 10  # the decisions an agent is shown, newest last
 
 _OFF_CADENCE_REASONING = "hold until next rebalance date"
 
@@ -186,14 +186,14 @@ class SessionState:
 class ResumePoint:
     """Mid-session state rebuilt from a log, ready to continue.
 
-    ``memory`` holds the entries built from the logged records. Its last
-    entry's allocation is the previous step's executed one, which a step
-    whose response never validates re-applies (all cash while it is
-    empty).
+    ``memory`` holds the entries built from the logged records, oldest
+    first. Its last entry's allocation is the previous step's executed
+    one, which a step whose response never validates re-applies (all
+    cash while it is empty).
     """
 
     state: SessionState
-    memory: MemoryWindow
+    memory: tuple[MemoryEntry, ...]
 
 
 def memory_entry(record: SessionRecord, allocation: AllocationVector,
@@ -286,7 +286,7 @@ def _obtain_decision(
     agent: Agent,
     spec: MarketSpec,
     obs: Observation,
-    memory: MemoryWindow,
+    memory: tuple[MemoryEntry, ...],
     max_retries: int,
     band: float,
 ) -> DecisionTrace | str:
@@ -363,6 +363,8 @@ def run_episode(
     """
     if rebalance_interval < 1:
         raise ValueError(f"rebalance_interval must be >= 1, got {rebalance_interval}")
+    if memory_horizon < 1:
+        raise ValueError(f"memory_horizon must be at least 1, got {memory_horizon}")
     dates = list(dates)
     if not dates:
         raise ValueError("need at least one date")
@@ -371,11 +373,9 @@ def run_episode(
             raise ValueError(f"dates must be strictly increasing, got {a} then {b}")
 
     if resume is not None:
-        state = resume.state
-        memory = resume.memory
+        state, memory = resume.state, resume.memory
     else:
-        state = SessionState.initial(spec, initial_capital)
-        memory = MemoryWindow(memory_horizon)
+        state, memory = SessionState.initial(spec, initial_capital), ()
 
     # One step's execution prices are the next step's observation
     # prices, so each date is resolved once and carried forward.
@@ -397,7 +397,7 @@ def run_episode(
                 action = trace.allocation
             elif memory:
                 # the previous step's allocation, so the last validated or held one
-                action = memory.entries[-1].allocation
+                action = memory[-1].allocation
             else:
                 action = all_cash_allocation(spec)
             result = rebalance(state.holdings, exec_prices.prices, action, cash=spec.cash)
@@ -419,7 +419,8 @@ def run_episode(
                 step_return=(value - state.value) / state.value,
             )
             state = replace(state, records=state.records + (record,))
-            memory.remember(memory_entry(record, action, state.initial_capital))
+            entry = memory_entry(record, action, state.initial_capital)
+            memory = (*memory, entry)[-memory_horizon:]
             if on_record is not None:
                 on_record(record)
     except ClientError as exc:

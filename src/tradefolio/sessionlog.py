@@ -31,7 +31,6 @@ from functools import partial
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
-from .agents.memory import MemoryWindow
 from .dated import DatedRows, index
 from .domain import AllocationVector, Holdings, MarketKind, MarketSpec, PriceVector
 from .environment import ResumePoint, SessionRecord, SessionState, memory_entry
@@ -270,12 +269,13 @@ def resume_point(
     back to the last one that validated or held: its allocation is what
     that step re-applied. A log's records thus decode only its tail.
     """
+    if memory_horizon < 1:
+        raise ValueError(f"memory_horizon must be at least 1, got {memory_horizon}")
     if tuple(header.assets) != spec.assets or header.cash != spec.cash:
         raise ConfigError("log universe does not match the configured market")
     if not isinstance(records, DatedRows):
         records = tuple(records)
     state = SessionState(spec, header.initial_capital, records)
-    memory = MemoryWindow(memory_horizon)
     first = max(len(records) - memory_horizon, 0)
     window = list(records[first:])
     seed: list[SessionRecord] = []
@@ -283,6 +283,5 @@ def resume_point(
         seed = next(([records[i]] for i in range(first - 1, -1, -1)
                      if records[i].allocation is not None), [])
     allocations = effective_allocations(header, seed + window)[len(seed):]
-    for r, allocation in zip(window, allocations):
-        memory.remember(memory_entry(r, allocation, header.initial_capital))
-    return ResumePoint(state, memory)
+    return ResumePoint(state, tuple(memory_entry(r, allocation, header.initial_capital)
+                                    for r, allocation in zip(window, allocations)))

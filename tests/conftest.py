@@ -6,9 +6,12 @@ import datetime as dt
 import os
 import socket
 from pathlib import Path
+from typing import Iterable
 
 import pytest
 
+from tradefolio.agents.clients import ModelClientConfig, ScriptedClient
+from tradefolio.agents.harness import LLMAgent
 from tradefolio.domain import Holdings, MarketSpec, NewsItem, Observation, PricePoint, PriceVector
 
 REPO = Path(__file__).resolve().parent.parent
@@ -32,6 +35,13 @@ def assert_golden(name: str, text: str) -> None:
         f"output no longer matches goldens/{name}; "
         "if the change is intentional, regenerate with UPDATE_GOLDENS=1"
     )
+
+
+def scripted_agent(responses: Iterable[str]) -> LLMAgent:
+    """An ``LLMAgent`` named ``test/scripted`` whose client answers with
+    ``responses`` in order, repeating the last; ``agent.client.prompts``
+    holds every prompt it was sent."""
+    return LLMAgent(ScriptedClient(responses), ModelClientConfig(model="test/scripted"))
 
 
 @pytest.fixture(autouse=True)

@@ -38,12 +38,6 @@ class TestRouting:
         assert route.name == "together"
         assert resolved == "Qwen3-235B"
 
-    def test_custom_default_provider(self):
-        route, _ = resolve_provider("plain-model", default_provider="openai")
-        assert route.name == "openai"
-        with pytest.raises(ConfigError):
-            resolve_provider("plain-model", default_provider="unlisted")
-
     def test_every_route_has_key_env_and_url(self):
         for name, route in PROVIDER_ROUTES.items():
             assert route.name == name

@@ -204,6 +204,14 @@ def test_fetch_policy_block(tmp_path):
         ("concurrency: -3", "concurrency must be at least 1"),
         ("discovery_limit: 0", "discovery_limit must be at least 1"),
         ("discovery_limit: -1", "discovery_limit must be at least 1"),
+        ("initial_capital: .inf", "initial_capital must be a finite number"),
+        ("risk_free_rate_annual: .nan", "risk_free_rate_annual must be a finite number"),
+        ("renormalize_band: .nan", "renormalize_band must be a finite number"),
+        ("flat_market_threshold: .nan", "flat_market_threshold must be a finite number"),
+        ("fetch: {timeout: .inf}", "fetch.timeout must be a finite number"),
+        ("fetch: {backoff_base: .inf}", "fetch.backoff_base must be a finite number"),
+        ("renormalize_band: 1", r"renormalize_band must lie in \[0, 1\)"),
+        ("renormalize_band: -0.5", r"renormalize_band must lie in \[0, 1\)"),
     ],
 )
 def test_validation_errors(tmp_path, mutation, message):
@@ -221,6 +229,11 @@ def test_validation_errors(tmp_path, mutation, message):
         text = "\n".join(base.values()) + "\n" + mutation
     with pytest.raises(ConfigError, match=message):
         load_config(_write(tmp_path, text))
+
+
+def test_an_integer_past_the_float_range_is_refused(tmp_path):
+    with pytest.raises(ConfigError, match="initial_capital must be a finite number"):
+        load_config(_write(tmp_path, MINIMAL_STOCK + "    initial_capital: 1" + "0" * 400 + "\n"))
 
 
 def test_absent_or_null_concurrency_means_automatic(tmp_path):

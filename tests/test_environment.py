@@ -8,20 +8,18 @@ import json
 from collections import Counter
 
 import pytest
+from conftest import scripted_agent
 
 from tradefolio.accounting import rebalance
 from tradefolio.agents.baselines import (
     AllCashAgent,
     BuyAndHoldAgent,
     EqualWeightAgent,
-    ScriptedAgent,
     equal_weight_allocation,
 )
-from tradefolio.agents.clients import ModelClientConfig, ScriptedClient
-from tradefolio.agents.harness import AgentDecision, LLMAgent
-from tradefolio.agents.memory import MemoryEntry, MemoryWindow
+from tradefolio.agents.harness import AgentDecision
 from tradefolio.agents.prompts import build_context_prompt
-from tradefolio.domain import AllocationVector, Holdings, MarketKind, MarketSpec
+from tradefolio.domain import AllocationVector, Holdings, MarketKind, MarketSpec, MemoryEntry
 from tradefolio.environment import (
     ResumePoint,
     SessionState,
@@ -112,7 +110,7 @@ def test_step_marks_then_redivides(stock_world):
     exec_prices, _ = resolve_prices(feed, spec, dates[1])
     target = {"AAPL": 0.5, "MSFT": 0.3, "NVDA": 0.0, "CASH": 0.2}
 
-    after, _ = run_episode(spec, ScriptedAgent([_render(target)]), feed, dates[:2], 1000.0)
+    after, _ = run_episode(spec, scripted_agent([_render(target)]), feed, dates[:2], 1000.0)
 
     # all cash marks to the same value, then splits at execution prices
     assert after.value == pytest.approx(1000.0, abs=TOL)
@@ -207,7 +205,7 @@ def test_episode_matches_hand_fold(stock_world):
 def test_decision_executes_at_next_prices(stock_world):
     spec, store, feed, dates = stock_world
     target = {"AAPL": 0.6, "MSFT": 0.0, "NVDA": 0.0, "CASH": 0.4}
-    agent = ScriptedAgent([_render(target)])
+    agent = scripted_agent([_render(target)])
     state, records = run_episode(spec, agent, feed, dates[:3], 1000.0)
 
     p0 = _prices_at(store, spec, dates[0])
@@ -228,7 +226,7 @@ def test_buy_and_hold_freezes_units(stock_world):
     state = SessionState(spec, 1000.0, tuple(seeded))
     seeded_units = dict(state.holdings.units)
 
-    resume = ResumePoint(state, MemoryWindow(10))
+    resume = ResumePoint(state, ())
     final, records = run_episode(spec, BuyAndHoldAgent(), feed, dates[1:], 1000.0, resume=resume)
 
     assert final.status is SessionStatus.ENDED
@@ -254,7 +252,7 @@ def test_all_cash_value_is_flat(stock_world):
 def test_bad_then_good_response_retries(stock_world):
     spec, store, feed, dates = stock_world
     good = {"AAPL": 0.5, "MSFT": 0.0, "NVDA": 0.0, "CASH": 0.5}
-    agent = ScriptedAgent(["not json at all", _render(good)])
+    agent = scripted_agent(["not json at all", _render(good)])
     state, records = run_episode(spec, agent, feed, dates[:2], 1000.0, max_retries=2)
 
     first = records[0]
@@ -267,7 +265,7 @@ def test_exhausted_retries_fall_back_to_cash_then_last_validated(stock_world):
     spec, store, feed, dates = stock_world
     good = {"AAPL": 0.5, "MSFT": 0.0, "NVDA": 0.0, "CASH": 0.5}
     # first decision never validates; second does; third fails again
-    agent = ScriptedAgent(
+    agent = scripted_agent(
         ["junk"] * 3 + [_render(good)] + ['{"allocations": {"AAPL": 9}}'] * 3
     )
     state, records = run_episode(spec, agent, feed, dates[:4], 1000.0, max_retries=2)
@@ -295,15 +293,10 @@ def test_exhausted_retries_fall_back_to_cash_then_last_validated(stock_world):
 # -- rebalance interval -----------------------------------------------------------
 
 
-def _gated_llm(responses):
-    client = ScriptedClient(responses)
-    return client, LLMAgent(client, ModelClientConfig(model="test/scripted"))
-
-
 def test_gated_llm_retries_junk_on_decision_steps(stock_world):
     spec, store, feed, dates = stock_world
     good = {"AAPL": 0.5, "MSFT": 0.0, "NVDA": 0.0, "CASH": 0.5}
-    client, agent = _gated_llm(["not json at all", _render(good)])
+    agent = scripted_agent(["not json at all", _render(good)])
     state, records = run_episode(spec, agent, feed, dates[:4], 1000.0,
                                  max_retries=2, rebalance_interval=2)
 
@@ -318,12 +311,12 @@ def test_gated_llm_retries_junk_on_decision_steps(stock_world):
     assert held.prompt_sha256 is None
     for asset, units in records[0].holdings_after.items():
         assert held.holdings_after[asset] == pytest.approx(units, rel=TOL)
-    assert len(client.prompts) == 3  # two tries at step 0, one at step 2
+    assert len(agent.client.prompts) == 3  # two tries at step 0, one at step 2
 
 
 def test_gated_llm_all_junk_falls_back(stock_world):
     spec, store, feed, dates = stock_world
-    client, agent = _gated_llm(["junk"])
+    agent = scripted_agent(["junk"])
     state, records = run_episode(spec, agent, feed, dates[:4], 1000.0,
                                  max_retries=2, rebalance_interval=2)
 
@@ -340,12 +333,12 @@ def test_gated_llm_logs_the_model_exchange(stock_world):
     spec, store, feed, dates = stock_world
     text = "Rotating into AAPL.\n" + _render({"AAPL": 0.7, "MSFT": 0.0, "NVDA": 0.0,
                                                "CASH": 0.3})
-    client, agent = _gated_llm([text])
+    agent = scripted_agent([text])
     state, records = run_episode(spec, agent, feed, dates[:4], 1000.0, rebalance_interval=2)
 
     decisions = [records[0], records[2]]
-    assert len(client.prompts) == len(decisions)
-    for record, prompt in zip(decisions, client.prompts):
+    assert len(agent.client.prompts) == len(decisions)
+    for record, prompt in zip(decisions, agent.client.prompts):
         assert record.raw_response == text
         assert record.prompt_sha256 == hashlib.sha256(prompt.encode("utf-8")).hexdigest()
 
@@ -366,12 +359,12 @@ def test_llm_retries_send_the_prompt_rendered_for_their_step(stock_world, monkey
     spec, store, feed, dates = stock_world
     good = _render({"AAPL": 0.5, "MSFT": 0.0, "NVDA": 0.0, "CASH": 0.5})
     # step 0 retries once, step 1 exhausts its retries, steps 2-3 validate
-    client, agent = _gated_llm(["junk", good, "junk", "junk", "junk", good])
+    agent = scripted_agent(["junk", good, "junk", "junk", "junk", good])
     state, records = run_episode(spec, agent, feed, dates[:5], 1000.0, max_retries=2)
 
     assert [r.attempts for r in records] == [2, 3, 1, 1]
     assert renders == dates[:4]
-    sent = iter(client.prompts)
+    sent = iter(agent.client.prompts)
     step_prompts = []
     for record in records:
         attempts = [next(sent) for _ in range(record.attempts)]
@@ -386,8 +379,8 @@ def test_llm_agent_renders_again_for_a_new_observation_or_memory(stock_world, mo
     spec, store, feed, dates = stock_world
     state = SessionState.initial(spec, 1000.0)
     obs = build_observation(state, feed, dates[4])
-    client, agent = _gated_llm(["junk"])
-    memory = MemoryWindow(3)
+    agent = scripted_agent(["junk"])
+    memory = ()
 
     agent.decide(spec, obs, memory)
     agent.decide(spec, obs, memory)
@@ -396,7 +389,7 @@ def test_llm_agent_renders_again_for_a_new_observation_or_memory(stock_world, mo
     obs = build_observation(state, feed, dates[4])
     agent.decide(spec, obs, memory)
     assert len(renders) == 2
-    memory.remember(MemoryEntry(dates[3], AllocationVector({spec.cash: 1.0}), 0.0))
+    memory = (MemoryEntry(dates[3], AllocationVector({spec.cash: 1.0}), 0.0),)
     agent.decide(spec, obs, memory)
     assert len(renders) == 3
 
@@ -501,7 +494,7 @@ class _MemorySpy:
         self.seen = []
 
     def decide(self, spec, obs, memory):
-        self.seen.append((obs, memory.entries))
+        self.seen.append((obs, memory))
         return EqualWeightAgent().decide(spec, obs, memory)
 
 
@@ -530,3 +523,11 @@ def test_memory_horizon_bounds_entries(stock_world):
     assert len(final_memory) == 2
     assert final_memory[0].date == dates[len(dates) - 4]
     assert final_memory[1].date == dates[len(dates) - 3]
+
+
+@pytest.mark.parametrize("horizon", [0, -1])
+def test_memory_horizon_below_one_is_refused(stock_world, horizon):
+    """Keeping the last 0 entries by slicing would keep them all."""
+    spec, store, feed, dates = stock_world
+    with pytest.raises(ValueError, match="horizon must be at least 1"):
+        run_episode(spec, EqualWeightAgent(), feed, dates, 1000.0, memory_horizon=horizon)

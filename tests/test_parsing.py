@@ -147,6 +147,13 @@ class TestCorpus:
         assert allocation["AAPL"] == 0.5 / total
         assert allocation["CASH"] == 0.51 / total
 
+    def test_all_zero_weights_inside_a_band_of_one_are_out_of_band(self):
+        """A band of 1 admits a sum of 0, which has no proportions to
+        renormalize to; it is refused as a typed error, not a division."""
+        with pytest.raises(SumOutOfBand, match="not positive"):
+            parse_allocation_response('{"reasoning": "x", "allocations": {"AAPL": 0}}', SPEC,
+                                      band=1.0)
+
 
 class TestRoundTrip:
     def test_render_then_parse_is_exact(self):

@@ -5,14 +5,13 @@ from conftest import assert_golden, make_observation
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tradefolio.agents.memory import MemoryEntry, MemoryWindow
 from tradefolio.agents.prompts import (
     SNIPPET_MAX_CHARS,
     _history_lines,
     build_context_prompt,
     build_decision_prompt,
 )
-from tradefolio.domain import AllocationVector, MarketSpec, NewsItem
+from tradefolio.domain import AllocationVector, MarketSpec, MemoryEntry, NewsItem
 
 STOCK = MarketSpec.stock(("AAPL", "MSFT", "NVDA"))
 PREDICTION = MarketSpec.prediction((
@@ -65,17 +64,18 @@ def _stock_inputs():
         prices={"AAPL": 262.24, "MSFT": 523.61, "NVDA": 186.26},
         history=history, news=news,
     )
-    memory = MemoryWindow(10)
-    memory.remember(MemoryEntry(
-        date=dt.date(2025, 10, 22),
-        allocation=AllocationVector({"AAPL": 0.30, "MSFT": 0.20, "NVDA": 0.0, "CASH": 0.50}),
-        cumulative_return=0.012,
-    ))
-    memory.remember(MemoryEntry(
-        date=dt.date(2025, 10, 23),
-        allocation=AllocationVector({"AAPL": 0.25, "MSFT": 0.25, "NVDA": 0.14, "CASH": 0.36}),
-        cumulative_return=0.036,
-    ))
+    memory = (
+        MemoryEntry(
+            date=dt.date(2025, 10, 22),
+            allocation=AllocationVector({"AAPL": 0.30, "MSFT": 0.20, "NVDA": 0.0, "CASH": 0.50}),
+            cumulative_return=0.012,
+        ),
+        MemoryEntry(
+            date=dt.date(2025, 10, 23),
+            allocation=AllocationVector({"AAPL": 0.25, "MSFT": 0.25, "NVDA": 0.14, "CASH": 0.36}),
+            cumulative_return=0.036,
+        ),
+    )
     return date, obs, memory
 
 
@@ -103,15 +103,14 @@ def _prediction_inputs():
                 f"{q2}_Yes": 0.105, f"{q2}_No": 0.895},
         history=history, news=news,
     )
-    memory = MemoryWindow(10)
-    memory.remember(MemoryEntry(
+    memory = (MemoryEntry(
         date=dt.date(2025, 10, 20),
         allocation=AllocationVector({
             f"{q1}_Yes": 0.40, f"{q1}_No": 0.0,
             f"{q2}_Yes": 0.0, f"{q2}_No": 0.0, "CASH": 0.60,
         }),
         cumulative_return=-0.025,
-    ))
+    ),)
     return date, obs, memory
 
 

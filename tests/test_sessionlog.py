@@ -11,17 +11,16 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from conftest import scripted_agent
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tradefolio import sessionlog
-from tradefolio.agents.baselines import ScriptedAgent
 from tradefolio.agents.clients import ModelClientConfig, ScriptedClient
 from tradefolio.agents.harness import AgentDecision, LLMAgent
-from tradefolio.agents.memory import DEFAULT_MEMORY_HORIZON
 from tradefolio.cli import main
 from tradefolio.domain import MarketKind, MarketSpec
-from tradefolio.environment import SessionRecord, SessionStatus, run_episode
+from tradefolio.environment import DEFAULT_MEMORY_HORIZON, SessionRecord, SessionStatus, run_episode
 from tradefolio.errors import ConfigError, CorruptLog
 from tradefolio.ingestion.feeds import ReplayFeed
 from tradefolio.ingestion.snapshots import SnapshotStore
@@ -73,7 +72,7 @@ def _run_logged(path, spec, feed, dates, agent, model="test/scripted", memory_ho
 
 def test_log_round_trip_and_byte_stability(tmp_path, stock_world):
     spec, feed, dates = stock_world
-    agent = ScriptedAgent(_varied_responses(len(dates) - 1))
+    agent = scripted_agent(_varied_responses(len(dates) - 1))
 
     state, records = _run_logged(tmp_path / "a.jsonl", spec, feed, dates, agent)
     header, loaded = read_session_log(tmp_path / "a.jsonl")
@@ -81,7 +80,7 @@ def test_log_round_trip_and_byte_stability(tmp_path, stock_world):
     assert header == SessionLogHeader.for_run(spec, "test/scripted", 1000.0)
     assert loaded == records
 
-    agent2 = ScriptedAgent(_varied_responses(len(dates) - 1))
+    agent2 = scripted_agent(_varied_responses(len(dates) - 1))
     _run_logged(tmp_path / "b.jsonl", spec, feed, dates, agent2)
     assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
 
@@ -161,7 +160,7 @@ def test_header_of_the_wrong_shape_is_a_corrupt_log(tmp_path, first_line):
 def test_corrupt_record_reports_line_number(tmp_path, stock_world):
     spec, feed, dates = stock_world
     path = tmp_path / "run.jsonl"
-    _run_logged(path, spec, feed, dates[:3], ScriptedAgent(_varied_responses(2)))
+    _run_logged(path, spec, feed, dates[:3], scripted_agent(_varied_responses(2)))
 
     with open(path, "a", encoding="utf-8") as fh:
         fh.write("{not json\n")
@@ -172,7 +171,7 @@ def test_corrupt_record_reports_line_number(tmp_path, stock_world):
 def test_non_increasing_dates_rejected(tmp_path, stock_world):
     spec, feed, dates = stock_world
     path = tmp_path / "run.jsonl"
-    _run_logged(path, spec, feed, dates[:3], ScriptedAgent(_varied_responses(2)))
+    _run_logged(path, spec, feed, dates[:3], scripted_agent(_varied_responses(2)))
     lines = path.read_text().splitlines()
     with open(path, "a", encoding="utf-8") as fh:
         fh.write(lines[-1] + "\n")  # replay the last step's date
@@ -185,7 +184,7 @@ def test_a_line_separator_inside_a_response_stays_in_its_record(tmp_path, stock_
     response = json.dumps({"reasoning": "calm\u2028then\x1cnot",
                            "allocations": {"AAPL": 0.5, "CASH": 0.5}}, ensure_ascii=False)
     _, records = _run_logged(tmp_path / "run.jsonl", spec, feed, dates[:3],
-                             ScriptedAgent([response]))
+                             scripted_agent([response]))
     _, loaded = read_session_log(tmp_path / "run.jsonl")
     assert loaded == records and loaded[0].raw_response == response
 
@@ -193,7 +192,7 @@ def test_a_line_separator_inside_a_response_stays_in_its_record(tmp_path, stock_
 def test_a_record_in_another_key_order_loads_through_the_fallback(tmp_path, stock_world):
     spec, feed, dates = stock_world
     path = tmp_path / "run.jsonl"
-    _, records = _run_logged(path, spec, feed, dates[:4], ScriptedAgent(_varied_responses(3)))
+    _, records = _run_logged(path, spec, feed, dates[:4], scripted_agent(_varied_responses(3)))
     lines = path.read_text(encoding="utf-8").splitlines()
     lines[2] = json.dumps(dict(reversed(json.loads(lines[2]).items())))  # the date last
     lines.insert(3, "")  # a blank line is skipped
@@ -210,7 +209,7 @@ def test_a_record_in_another_key_order_loads_through_the_fallback(tmp_path, stoc
 def test_a_bad_record_indexes_then_fails_at_its_first_read(tmp_path, stock_world, rewrite):
     spec, feed, dates = stock_world
     path = tmp_path / "run.jsonl"
-    _run_logged(path, spec, feed, dates[:4], ScriptedAgent(_varied_responses(3)))
+    _run_logged(path, spec, feed, dates[:4], scripted_agent(_varied_responses(3)))
     lines = path.read_text(encoding="utf-8").splitlines()
     lines[2] = rewrite(lines[2])
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -229,7 +228,7 @@ def logged(tmp_path_factory, shared_world):
     """A seven-step log with varied responses, and its eager decode."""
     spec, feed, dates = shared_world
     path = tmp_path_factory.mktemp("log") / "run.jsonl"
-    _run_logged(path, spec, feed, dates[:8], ScriptedAgent(["junk"] + _varied_responses(7)))
+    _run_logged(path, spec, feed, dates[:8], scripted_agent(["junk"] + _varied_responses(7)))
     lines = path.read_text(encoding="utf-8").split("\n")[1:-1]
     return path, [SessionRecord.from_json_dict(json.loads(line)) for line in lines]
 
@@ -362,7 +361,7 @@ def test_a_garbled_record_date_fails_at_read(daily_log):
 def test_value_and_cash_ratio_series(tmp_path, stock_world):
     spec, feed, dates = stock_world
     state, records = _run_logged(tmp_path / "run.jsonl", spec, feed, dates,
-                                 ScriptedAgent(_varied_responses(len(dates) - 1)))
+                                 scripted_agent(_varied_responses(len(dates) - 1)))
     header, loaded = read_session_log(tmp_path / "run.jsonl")
 
     values = value_series(header, loaded)
@@ -379,7 +378,7 @@ def test_effective_allocations_walk_fallbacks(tmp_path, stock_world):
     spec, feed, dates = stock_world
     good = {"AAPL": 0.5, "MSFT": 0.2, "NVDA": 0.0, "CASH": 0.3}
     # fail, validate, fail: the walk is cash, good, good
-    agent = ScriptedAgent(["junk"] * 3 + [_render(good)] + ["junk"] * 3)
+    agent = scripted_agent(["junk"] * 3 + [_render(good)] + ["junk"] * 3)
     _run_logged(tmp_path / "run.jsonl", spec, feed, dates[:4], agent)
     header, loaded = read_session_log(tmp_path / "run.jsonl")
 
@@ -393,7 +392,7 @@ def test_effective_allocations_walk_fallbacks(tmp_path, stock_world):
 def test_position_histories_alignment(tmp_path, stock_world):
     spec, feed, dates = stock_world
     _run_logged(tmp_path / "run.jsonl", spec, feed, dates[:4],
-                ScriptedAgent(_varied_responses(3)))
+                scripted_agent(_varied_responses(3)))
     header, loaded = read_session_log(tmp_path / "run.jsonl")
 
     holdings, prices = position_histories(header, loaded)
@@ -480,20 +479,20 @@ def test_gated_resume_from_hold_step_equals_uninterrupted_run(tmp_path, stock_wo
 def test_resume_restores_last_validated_fallback(tmp_path, stock_world):
     spec, feed, dates = stock_world
     good = {"AAPL": 0.4, "MSFT": 0.0, "NVDA": 0.0, "CASH": 0.6}
-    agent = ScriptedAgent([_render(good)] + ["junk"] * 3)
+    agent = scripted_agent([_render(good)] + ["junk"] * 3)
     _run_logged(tmp_path / "run.jsonl", spec, feed, dates[:3], agent)
 
     header, done = read_session_log(tmp_path / "run.jsonl")
     resume = resume_point(header, done, spec, memory_horizon=10)
 
     # the junk step re-applied the valid one, and memory remembers both
-    assert len(resume.memory.entries) == 2
-    assert resume.memory.entries[-1].allocation.weights == pytest.approx(good)
+    assert len(resume.memory) == 2
+    assert resume.memory[-1].allocation.weights == pytest.approx(good)
     assert resume.state.step == 2
     assert resume.state.value == done[-1].value
 
     # a failing continuation re-applies that allocation, as the live run would
-    state, records = run_episode(spec, ScriptedAgent(["junk"]), feed, dates[2:4],
+    state, records = run_episode(spec, scripted_agent(["junk"]), feed, dates[2:4],
                                  1000.0, resume=resume)
     last = records[-1]
     assert last.parse_error is not None
@@ -512,7 +511,7 @@ def test_resume_point_on_header_only_log(tmp_path, stock_world):
     resume = resume_point(loaded, records, spec, memory_horizon=10)
     assert resume.state.step == 0
     assert resume.state.value == 1000.0
-    assert resume.memory.entries == ()
+    assert resume.memory == ()
 
 
 def test_resume_rejects_universe_mismatch(tmp_path, stock_world):
@@ -521,6 +520,14 @@ def test_resume_rejects_universe_mismatch(tmp_path, stock_world):
     other = MarketSpec.stock(("AAPL", "MSFT"))
     with pytest.raises(ConfigError, match="universe"):
         resume_point(header, [], other, memory_horizon=10)
+
+
+@pytest.mark.parametrize("horizon", [0, -1])
+def test_resume_point_refuses_a_horizon_below_one(stock_world, horizon):
+    spec, feed, dates = stock_world
+    header = SessionLogHeader.for_run(spec, "test/scripted", 1000.0)
+    with pytest.raises(ValueError, match="horizon must be at least 1"):
+        resume_point(header, [], spec, memory_horizon=horizon)
 
 
 # -- derived state ---------------------------------------------------------------
@@ -540,12 +547,12 @@ class _MemorySpy:
 
     name = "test/scripted"
 
-    def __init__(self, client):
-        self.agent = LLMAgent(client, ModelClientConfig(model=self.name))
+    def __init__(self, responses):
+        self.agent = scripted_agent(responses)
         self.seen = {}
 
     def decide(self, spec, obs, memory) -> AgentDecision:
-        self.seen.setdefault(obs.step, (memory.entries, obs.positions))
+        self.seen.setdefault(obs.step, (memory, obs.positions))
         return self.agent.decide(spec, obs, memory)
 
 
@@ -566,23 +573,21 @@ def test_resume_point_equals_live_state_at_every_cut(shared_world, responses, cu
     spec, feed, dates = shared_world
     with tempfile.TemporaryDirectory() as tmp:
         full, part = Path(tmp) / "full.jsonl", Path(tmp) / "part.jsonl"
-        spy = _MemorySpy(ScriptedClient(responses))
+        spy = _MemorySpy(responses)
         _run_logged(full, spec, feed, dates, spy, memory_horizon=horizon)
-        head = ScriptedClient(responses)
-        live, _ = _run_logged(part, spec, feed, dates[:cut + 1], LLMAgent(
-            head, ModelClientConfig(model="test/scripted")), memory_horizon=horizon)
+        head = scripted_agent(responses)
+        live, _ = _run_logged(part, spec, feed, dates[:cut + 1], head, memory_horizon=horizon)
 
         header, done = read_session_log(part)
         resume = resume_point(header, done, spec, memory_horizon=horizon)
         assert resume.state.step == live.step == cut
         assert resume.state.holdings == live.holdings == spy.seen[cut][1]
         assert resume.state.value_series == live.value_series
-        assert resume.memory.entries == spy.seen[cut][0]
+        assert resume.memory == spy.seen[cut][0]
 
-        tail = ScriptedClient(responses[min(len(head.prompts), len(responses) - 1):])
+        tail = scripted_agent(responses[min(len(head.client.prompts), len(responses) - 1):])
         writer = SessionLogWriter(part, header)
-        state, _ = run_episode(spec, LLMAgent(tail, ModelClientConfig(model="test/scripted")),
-                               feed, dates[cut:], 1000.0, memory_horizon=horizon,
+        state, _ = run_episode(spec, tail, feed, dates[cut:], 1000.0, memory_horizon=horizon,
                                resume=resume, on_record=writer.append)
         assert state.status is SessionStatus.ENDED
         assert part.read_bytes() == full.read_bytes()
@@ -593,16 +598,16 @@ def test_resume_point_rebuilds_only_the_memory_window(tmp_path, shared_world):
     the live session showed the agent at that step."""
     spec, feed, dates = shared_world
     responses = _varied_responses(len(dates) - 1)
-    spy = _MemorySpy(ScriptedClient(responses))
+    spy = _MemorySpy(responses)
     run_episode(spec, spy, feed, dates, 1000.0, memory_horizon=3)
 
     cut = 6
     part = tmp_path / "part.jsonl"
     writer = SessionLogWriter(part, SessionLogHeader.for_run(spec, "test/scripted", 1000.0))
-    run_episode(spec, LLMAgent(ScriptedClient(responses), ModelClientConfig(model="test/scripted")),
-                feed, dates[:cut + 1], 1000.0, memory_horizon=3, on_record=writer.append)
+    run_episode(spec, scripted_agent(responses), feed, dates[:cut + 1], 1000.0,
+                memory_horizon=3, on_record=writer.append)
     header, done = read_session_log(part)
     resume = resume_point(header, done, spec, memory_horizon=3)
     assert len(done) == cut
     assert len(resume.memory) == 3
-    assert resume.memory.entries == spy.seen[cut][0]
+    assert resume.memory == spy.seen[cut][0]
