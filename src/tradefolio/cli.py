@@ -11,6 +11,7 @@ import datetime as dt
 import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import click
@@ -109,54 +110,61 @@ class RunOutcome:
     dropped_line: int | None = None  # the torn final line cut off before resuming
 
 
+def _log_path(cfg: RunConfig, model: str) -> Path:
+    return cfg.out_dir / f"{cfg.market.value}-{_slug(model)}.jsonl"
+
+
 def _run_one(entry: ModelClientConfig, cfg: RunConfig, spec: MarketSpec,
              store: SnapshotStore, dates: list[dt.date],
              asset_keys: dict[str, str]) -> RunOutcome:
-    log_path = cfg.out_dir / f"{cfg.market.value}-{_slug(entry.model)}.jsonl"
+    """Run or resume one model's session. A failed session is an outcome
+    too, and still names the unfinished line cut off its log."""
+    log_path = _log_path(cfg, entry.model)
+    dropped = drop_torn_tail(log_path) if log_path.exists() else None
+    outcome = partial(RunOutcome, entry.model, log_path, dropped_line=dropped)
     header = SessionLogHeader.for_run(spec, entry.model, cfg.initial_capital)
-
     resume = None
     remaining = dates
-    dropped = drop_torn_tail(log_path) if log_path.exists() else None
-    if log_path.exists():
-        existing, records = read_session_log(log_path)
-        check_header(log_path, existing, header)
-        point = resume_point(existing, records, spec, cfg.memory_horizon)
-        done = point.state.step
-        if records.dates != tuple(dates[:done]):
-            raise ConfigError(
-                f"{log_path} was recorded over different dates than the config lists"
-            )
-        if done >= len(dates) - 1:
-            return RunOutcome(entry.model, log_path, "complete", 0, point.state.value,
-                              dropped_line=dropped)
-        remaining = dates[done:]
-        resume = point
+    try:
+        if log_path.exists():
+            existing, records = read_session_log(log_path)
+            check_header(log_path, existing, header)
+            point = resume_point(existing, records, spec, cfg.memory_horizon)
+            done = point.state.step
+            if records.dates != tuple(dates[:done]):
+                raise ConfigError(
+                    f"{log_path} was recorded over different dates than the config lists"
+                )
+            if done >= len(dates) - 1:
+                return outcome("complete", 0, point.state.value)
+            remaining = dates[done:]
+            resume = point
 
-    agent = _make_agent(entry)
-    writer = SessionLogWriter(log_path, header)
-    feed = ReplayFeed(store, cfg.market, asset_keys)
-    state, _ = run_episode(
-        spec,
-        agent,
-        feed,
-        remaining,
-        cfg.initial_capital,
-        max_retries=cfg.retries,
-        memory_horizon=cfg.memory_horizon,
-        lookback_days=cfg.lookback_days,
-        news_window_days=cfg.news_window_days,
-        band=cfg.renormalize_band,
-        resume=resume,
-        on_record=writer.append,
-        rebalance_interval=cfg.rebalance_interval,
-    )
+        agent = _make_agent(entry)
+        writer = SessionLogWriter(log_path, header)
+        feed = ReplayFeed(store, cfg.market, asset_keys)
+        state, _ = run_episode(
+            spec,
+            agent,
+            feed,
+            remaining,
+            cfg.initial_capital,
+            max_retries=cfg.retries,
+            memory_horizon=cfg.memory_horizon,
+            lookback_days=cfg.lookback_days,
+            news_window_days=cfg.news_window_days,
+            band=cfg.renormalize_band,
+            resume=resume,
+            on_record=writer.append,
+            rebalance_interval=cfg.rebalance_interval,
+        )
+    except TradefolioError as exc:
+        return outcome("failed", 0, None, error=str(exc))
     new_steps = state.step - (resume.state.step if resume else 0)
     status = state.status.value
     if state.status is SessionStatus.HALTED:
         status = f"halted ({state.halt_reason})"
-    return RunOutcome(entry.model, log_path, status, new_steps, state.value,
-                      dropped_line=dropped)
+    return outcome(status, new_steps, state.value)
 
 
 @click.group()
@@ -212,6 +220,12 @@ def run(config_path: str) -> None:
     """
     try:
         cfg = load_config(config_path)
+        owners: dict[Path, str] = {}
+        for entry in cfg.models:
+            path = _log_path(cfg, entry.model)
+            if owners.setdefault(path, entry.model) != entry.model:
+                raise ConfigError(f"models {owners[path]!r} and {entry.model!r}"
+                                  f" would share the log {path}")
         if cfg.mode != "live" and not cfg.store.is_dir():
             raise ConfigError(f"no store directory at {cfg.store.resolve()};"
                               " run 'tradefolio fetch' first")
@@ -234,11 +248,7 @@ def run(config_path: str) -> None:
         workers = cfg.concurrency or min(4, len(cfg.models))
 
         def job(entry: ModelClientConfig) -> RunOutcome:
-            try:
-                return _run_one(entry, cfg, spec, store, dates, asset_keys)
-            except TradefolioError as exc:
-                log_path = cfg.out_dir / f"{cfg.market.value}-{_slug(entry.model)}.jsonl"
-                return RunOutcome(entry.model, log_path, "failed", 0, None, error=str(exc))
+            return _run_one(entry, cfg, spec, store, dates, asset_keys)
 
         if workers <= 1 or len(cfg.models) == 1:
             outcomes = [job(entry) for entry in cfg.models]
@@ -255,10 +265,9 @@ def run(config_path: str) -> None:
                 failed = True
                 click.echo(f"{outcome.model}: failed: {outcome.error}")
                 continue
-            value = f", value {outcome.final_value:.4f}" if outcome.final_value is not None else ""
             click.echo(
-                f"{outcome.model}: {outcome.status}, +{outcome.new_steps} steps{value}"
-                f" -> {outcome.log_path}"
+                f"{outcome.model}: {outcome.status}, +{outcome.new_steps} steps,"
+                f" value {outcome.final_value:.4f} -> {outcome.log_path}"
             )
         if failed:
             raise click.ClickException("one or more sessions failed")

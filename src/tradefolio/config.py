@@ -95,6 +95,14 @@ def _number(value: Any, where: str, kind: type = int) -> Any:
     return kind(value)
 
 
+def _at_least(value: Any, least: int, where: str) -> Any:
+    """``value``, or ``ConfigError`` naming ``where`` when it is below ``least``."""
+    if value < least:
+        bound = "non-negative" if least == 0 else f"at least {least}"
+        raise ConfigError(f"{where} must be {bound}")
+    return value
+
+
 def _names(raw: dict[str, Any], key: str, default: tuple[str, ...]) -> tuple[str, ...]:
     names = raw.get(key, default)
     if not isinstance(names, (list, tuple)) or not all(isinstance(n, str) for n in names):
@@ -141,9 +149,10 @@ def _models(raw: Any) -> tuple[ModelClientConfig, ...]:
         if extra:
             raise ConfigError(f"unknown model entry keys: {sorted(extra)}")
         settings = dict(item)
-        for key, kind in (("temperature", float), ("max_tokens", int)):
+        for key, kind, least in (("temperature", float, 0), ("max_tokens", int, 1)):
             if settings.get(key) is not None:
-                settings[key] = _number(settings[key], f"{item['model']}: {key}", kind)
+                where = f"{item['model']}: {key}"
+                settings[key] = _at_least(_number(settings[key], where, kind), least, where)
         entries.append(ModelClientConfig(**settings))
     names = [e.model for e in entries]
     if len(set(names)) != len(names):
@@ -280,7 +289,6 @@ def load_config(path: str | Path) -> RunConfig:
                        ("lookback_days", 0), ("news_window_days", 0), ("concurrency", 1),
                        ("discovery_limit", 1)):
         value = getattr(config, key)
-        if value is not None and value < least:  # a null concurrency means automatic
-            bound = "non-negative" if least == 0 else f"at least {least}"
-            raise ConfigError(f"{key} must be {bound}")
+        if value is not None:  # a null concurrency means automatic
+            _at_least(value, least, key)
     return config

@@ -20,7 +20,7 @@ from typing import Any, Callable, Sequence
 
 from .accounting import RENORMALIZE_BAND, portfolio_value, rebalance
 from .agents.baselines import all_cash_allocation, hold_allocation
-from .agents.harness import Agent
+from .agents.harness import Agent, AgentDecision
 from .agents.parsing import parse_allocation_response, render_allocation_response
 from .dated import DatedRows
 from .domain import (
@@ -40,7 +40,6 @@ __all__ = [
     "DEFAULT_RETRIES",
     "DEFAULT_MEMORY_HORIZON",
     "SessionStatus",
-    "DecisionTrace",
     "SessionRecord",
     "SessionState",
     "ResumePoint",
@@ -53,30 +52,13 @@ __all__ = [
 DEFAULT_RETRIES = 2
 DEFAULT_MEMORY_HORIZON = 10  # the decisions an agent is shown, newest last
 
-_OFF_CADENCE_REASONING = "hold until next rebalance date"
+_OFF_CADENCE = AgentDecision.hold("hold until next rebalance date")
 
 
 class SessionStatus(Enum):
     RUNNING = "running"
     ENDED = "ended"
     HALTED = "halted"
-
-
-@dataclass(frozen=True)
-class DecisionTrace:
-    """What happened while obtaining one allocation."""
-
-    prompt: str | None
-    raw_response: str
-    parse_error: str | None
-    allocation: AllocationVector | None
-    attempts: int
-
-    @property
-    def prompt_sha256(self) -> str | None:
-        if self.prompt is None:
-            return None
-        return hashlib.sha256(self.prompt.encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -102,22 +84,8 @@ class SessionRecord:
     step_return: float
 
     def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "date": self.date.isoformat(),
-            "prices": dict(self.prices),
-            "holdings_before": dict(self.holdings_before),
-            "news_count": self.news_count,
-            "stale": list(self.stale),
-            "prompt_sha256": self.prompt_sha256,
-            "raw_response": self.raw_response,
-            "parse_error": self.parse_error,
-            "attempts": self.attempts,
-            "allocation": None if self.allocation is None else dict(self.allocation),
-            "holdings_after": dict(self.holdings_after),
-            "prices_after": dict(self.prices_after),
-            "value": self.value,
-            "step_return": self.step_return,
-        }
+        # every field in declaration order, so the wire order is stated once
+        return {**vars(self), "date": self.date.isoformat()}
 
     @classmethod
     def from_json_dict(cls, row: dict[str, Any]) -> "SessionRecord":
@@ -228,13 +196,7 @@ def resolve_prices(feed: Feed, spec: MarketSpec, date: dt.date) -> tuple[PriceVe
     return PriceVector(date, prices), frozenset(stale)
 
 
-def build_observation(
-    state: SessionState,
-    feed: Feed,
-    date: dt.date,
-    lookback_days: int = HISTORY_LOOKBACK_DAYS,
-    news_window_days: int = NEWS_WINDOW_DAYS,
-) -> Observation:
+def build_observation(state: SessionState, feed: Feed, date: dt.date) -> Observation:
     """Assemble what the agent is allowed to see at one date.
 
     Price history spans the lookback window that ends the day before;
@@ -242,7 +204,7 @@ def build_observation(
     the decision date itself never leaks through side channels.
     """
     return _observe(state, feed, date, resolve_prices(feed, state.spec, date),
-                    lookback_days, news_window_days)
+                    HISTORY_LOOKBACK_DAYS, NEWS_WINDOW_DAYS)
 
 
 def _observe(
@@ -282,53 +244,41 @@ def _observe(
     )
 
 
-def _obtain_decision(
-    agent: Agent,
+def _decide(
+    agent: Agent | None,
     spec: MarketSpec,
     obs: Observation,
     memory: tuple[MemoryEntry, ...],
+    exec_prices: PriceVector,
     max_retries: int,
     band: float,
-) -> DecisionTrace | str:
-    """Ask until the response validates, the agent holds, or retries
-    run out.
+) -> tuple[str | None, str, str | None, AllocationVector | None, int]:
+    """The record's prompt, raw response, parse error, allocation and
+    attempts for one step; ``agent`` is None off cadence, which holds.
 
     Every attempt is a fresh agent call with the same observation and
     memory, so an ``LLMAgent`` retry sends the prompt already rendered
-    for this step, and the trace's prompt is the prompt of every
-    attempt. The trace keeps the last raw response either way. An agent
-    that holds gets back only its reasoning, for ``_hold_trace`` to
-    price.
+    for this step, and the prompt is the prompt of every attempt. A
+    decision that holds keeps the current book, its weights at execution
+    prices. Otherwise the response is parsed until it validates or the
+    retries run out; the last raw response is kept either way.
     """
     attempts = 0
-    prompt: str | None = None
-    raw = ""
-    error: str | None = None
-    while attempts <= max_retries:
+    while True:
         attempts += 1
-        decision = agent.decide(spec, obs, memory)
-        raw = decision.raw_response
-        prompt = decision.prompt
+        decision = _OFF_CADENCE if agent is None else agent.decide(spec, obs, memory)
         if decision.holds:
-            return raw
+            held = hold_allocation(spec, obs.positions, exec_prices)
+            raw = render_allocation_response(decision.raw_response, held)
+            return decision.prompt, raw, None, held, attempts
         try:
-            _, allocation = parse_allocation_response(raw, spec, band=band)
+            _, allocation = parse_allocation_response(decision.raw_response, spec, band=band)
         except (ParseError, AllocationError) as exc:
-            error = f"{type(exc).__name__}: {exc}"
-            continue
-        return DecisionTrace(prompt, raw, None, allocation, attempts)
-    return DecisionTrace(prompt, raw, error, None, attempts)
-
-
-def _hold_trace(
-    reasoning: str,
-    spec: MarketSpec,
-    holdings: Holdings,
-    exec_prices: PriceVector,
-) -> DecisionTrace:
-    """Keep the current book: its weights at execution prices."""
-    held = hold_allocation(spec, holdings, exec_prices)
-    return DecisionTrace(None, render_allocation_response(reasoning, held), None, held, 1)
+            if attempts <= max_retries:
+                continue
+            return (decision.prompt, decision.raw_response,
+                    f"{type(exc).__name__}: {exc}", None, attempts)
+        return decision.prompt, decision.raw_response, None, allocation, attempts
 
 
 def run_episode(
@@ -356,7 +306,7 @@ def run_episode(
     ``max_retries`` times, then the previous step's executed allocation
     (the last memory entry's; all cash before any) is re-applied. Each
     step's record is built here from the observation, the decision
-    trace and the rebalance at execution prices. The session halts,
+    and the rebalance at execution prices. The session halts,
     never crashes, when a model provider gives out (``ClientError``);
     the steps before it are kept. Returns the final state and its
     records.
@@ -387,14 +337,12 @@ def run_episode(
                            lookback_days, news_window_days)
             priced = resolve_prices(feed, spec, exec_date)
             exec_prices = priced[0]
-            if state.step % rebalance_interval:
-                trace = _OFF_CADENCE_REASONING
-            else:
-                trace = _obtain_decision(agent, spec, obs, memory, max_retries, band)
-            if isinstance(trace, str):
-                trace = _hold_trace(trace, spec, state.holdings, exec_prices)
-            if trace.allocation is not None:
-                action = trace.allocation
+            # an off-cadence step asks no agent and holds
+            prompt, raw, error, allocation, attempts = _decide(
+                None if state.step % rebalance_interval else agent,
+                spec, obs, memory, exec_prices, max_retries, band)
+            if allocation is not None:
+                action = allocation
             elif memory:
                 # the previous step's allocation, so the last validated or held one
                 action = memory[-1].allocation
@@ -408,11 +356,12 @@ def run_episode(
                 holdings_before=dict(obs.positions.units),
                 news_count=len(obs.news),
                 stale=tuple(sorted(obs.stale)),
-                prompt_sha256=trace.prompt_sha256,
-                raw_response=trace.raw_response,
-                parse_error=trace.parse_error,
-                attempts=trace.attempts,
-                allocation=None if trace.allocation is None else dict(trace.allocation.weights),
+                prompt_sha256=(None if prompt is None
+                               else hashlib.sha256(prompt.encode("utf-8")).hexdigest()),
+                raw_response=raw,
+                parse_error=error,
+                attempts=attempts,
+                allocation=None if allocation is None else dict(allocation.weights),
                 holdings_after=dict(result.new_holdings.units),
                 prices_after=dict(exec_prices.prices),
                 value=value,

@@ -277,6 +277,36 @@ def test_run_rejects_a_log_with_a_different_header(runner, stock_setup, cut):
     assert {log: log.read_bytes() for log in logs} == before
 
 
+def test_a_dropped_line_is_named_when_its_session_then_fails(runner, stock_setup):
+    tmp_path, config, dates = stock_setup
+    assert runner.invoke(main, ["run", "--config", str(config)]).exit_code == 0
+    logs = sorted((tmp_path / "runs").glob("*.jsonl"))
+    for log in logs:
+        log.write_bytes(log.read_bytes()[:-40])
+    config.write_text(config.read_text().replace("[AAPL, MSFT, NVDA]", "[AAPL, MSFT]"))
+
+    result = runner.invoke(main, ["run", "--config", str(config)])
+    assert result.exit_code == 1
+    for log in logs:
+        assert f"{log}:{len(dates)}: dropped an unfinished line" in result.output
+        assert f"{log} belongs to a different run" in result.output
+
+
+@pytest.mark.parametrize("concurrency", [1, 2])
+def test_models_that_would_share_a_log_are_refused_before_any_log(runner, stock_setup,
+                                                                   concurrency):
+    tmp_path, _, dates = stock_setup
+    config = _write_config(tmp_path / "clash.yaml", tmp_path / "store", tmp_path / "runs",
+                           dates, ["baseline:equal-weight", "openai/gpt-4.1", "openai:gpt-4.1"],
+                           extra=f"concurrency: {concurrency}")
+    result = runner.invoke(main, ["run", "--config", str(config)])
+    assert result.exit_code == 1
+    log = tmp_path / "runs" / "stock-openai-gpt-4.1.jsonl"
+    assert (f"models 'openai/gpt-4.1' and 'openai:gpt-4.1' would share the log {log}"
+            in result.output)
+    assert not (tmp_path / "runs").exists()
+
+
 def test_run_isolates_per_model_failures(runner, tmp_path):
     dates = seed_stock_store(tmp_path / "store", ("AAPL", "MSFT", "NVDA"),
                              D(2025, 3, 3), 4, seed=13)

@@ -197,6 +197,9 @@ def test_fetch_policy_block(tmp_path):
         ("questions: [rain, snow, rain]", "questions lists 'rain' more than once"),
         ("models: [{model: m, temperature: hot}]", "m: temperature must be a number"),
         ("models: [{model: m, max_tokens: lots}]", "m: max_tokens must be an integer"),
+        ("models: [{model: openai/x, temperature: -3}]", "openai/x: temperature must be non-neg"),
+        ("models: [{model: openai/x, max_tokens: -5}]", "openai/x: max_tokens must be at least 1"),
+        ("models: [{model: m, max_tokens: 0}]", "m: max_tokens must be at least 1"),
         ("models: [{model: m, style: freeform}]", "unknown sampling style"),
         ("lookback_days: -5", "lookback_days must be non-negative"),
         ("news_window_days: -1", "news_window_days must be non-negative"),

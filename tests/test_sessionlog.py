@@ -85,6 +85,19 @@ def test_log_round_trip_and_byte_stability(tmp_path, stock_world):
     assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
 
 
+def test_every_appended_record_starts_with_the_date_prefix(tmp_path, stock_world):
+    """``dated.index`` reads a record's date straight from a line that
+    opens with ``_DATE_PREFIX`` and parses any other line whole, so a
+    field order that moved ``date`` would slow every read without
+    failing one. Fallback, retried and validated steps are all covered."""
+    spec, feed, dates = stock_world
+    agent = scripted_agent(["junk"] * 4 + _varied_responses(len(dates)))
+    _run_logged(tmp_path / "a.jsonl", spec, feed, dates, agent)
+    lines = (tmp_path / "a.jsonl").read_text(encoding="utf-8").splitlines()[1:]
+    assert len(lines) == len(dates) - 1
+    assert all(line.startswith(sessionlog._DATE_PREFIX) for line in lines)
+
+
 def test_writer_refuses_foreign_log(tmp_path, stock_world):
     spec, feed, dates = stock_world
     header = SessionLogHeader.for_run(spec, "test/scripted", 1000.0)

@@ -39,6 +39,20 @@ def test_price_round_trip(tmp_path):
     ]
 
 
+def test_every_stored_row_starts_with_the_date_prefix(tmp_path):
+    """A series row is indexed without a ``json.loads`` only while it
+    opens with ``_DATE_PREFIX``; price, news and prediction series, and
+    a single-row upsert into an existing series, all keep it."""
+    seed_stock_store(tmp_path / "s", ("AAPL", "MSFT"), D(2025, 3, 3), 5, seed=3)
+    seed_prediction_store(tmp_path / "p", ("Rain?",), D(2025, 3, 3), 5, seed=3)
+    SnapshotStore(tmp_path / "s").upsert_price("stock", "AAPL", D(2025, 2, 3), 9.5, 10.0)
+    series = sorted(tmp_path.glob("*/prices/*/*.jsonl")) + sorted(tmp_path.glob("*/news/*.jsonl"))
+    assert {path.parent.name for path in series} == {"stock", "prediction", "news"}
+    for path in series:
+        rows = path.read_text(encoding="utf-8").splitlines()[1:]
+        assert rows and all(row.startswith(snapshots._DATE_PREFIX) for row in rows), path
+
+
 def test_upsert_same_value_is_noop(tmp_path):
     store = SnapshotStore(tmp_path)
     assert store.upsert_price("stock", "AAPL", D(2025, 3, 3), 241.5) is True
