@@ -213,7 +213,8 @@ def run(config_path: str) -> None:
 
     An existing log resumes where it stopped; replaying a finished log
     is a no-op. A log whose last line lacks its newline was cut off
-    mid-append: that line is dropped, named, and recomputed. In live
+    mid-append: that line is dropped and named, and the notice says
+    whether this run recomputed it or the session failed first. In live
     mode the dates that have already happened are backfilled first, so
     a daily invocation extends each log by one step; a provider outage
     ends the run's dates before the failing one.
@@ -259,8 +260,10 @@ def run(config_path: str) -> None:
         failed = False
         for outcome in outcomes:
             if outcome.dropped_line is not None:
+                fate = ("the session failed before recomputing it" if outcome.error is not None
+                        else "which this run recomputes")
                 click.echo(f"{outcome.log_path}:{outcome.dropped_line}: dropped an unfinished"
-                           " line, which this run recomputes")
+                           f" line, {fate}")
             if outcome.error is not None:
                 failed = True
                 click.echo(f"{outcome.model}: failed: {outcome.error}")

@@ -117,6 +117,12 @@ def _dates(raw: Any) -> tuple[dt.date, ...]:
     if isinstance(raw, list):
         dates = tuple(_date(v, "dates[]") for v in raw)
     elif isinstance(raw, dict) and {"start", "end"} <= raw.keys():
+        extra = set(raw) - {"start", "end", "weekdays_only"}
+        if extra:
+            raise ConfigError(f"unknown dates keys: {sorted(extra)}")
+        weekdays_only = raw.get("weekdays_only", False)
+        if not isinstance(weekdays_only, bool):
+            raise ConfigError(f"dates.weekdays_only must be true or false, got {weekdays_only!r}")
         start = _date(raw["start"], "dates.start")
         end = _date(raw["end"], "dates.end")
         if end < start:
@@ -124,7 +130,7 @@ def _dates(raw: Any) -> tuple[dt.date, ...]:
         dates = tuple(
             start + dt.timedelta(days=i) for i in range((end - start).days + 1)
         )
-        if raw.get("weekdays_only", False):
+        if weekdays_only:
             dates = tuple(d for d in dates if d.weekday() < 5)
     else:
         raise ConfigError("dates must be a list or a {start, end} mapping")
@@ -281,6 +287,10 @@ def load_config(path: str | Path) -> RunConfig:
         discovery_limit=number("discovery_limit", DISCOVERY_LIMIT),
         fetch_policy=_fetch_policy(raw.get("fetch")),
     )
+    try:
+        config.spec()
+    except ValueError as exc:  # only a stock universe can break MarketSpec's rules
+        raise ConfigError(f"universe {list(universe)}: {exc}") from exc
     if not config.initial_capital > 0:
         raise ConfigError("initial_capital must be positive")
     if not 0 <= config.renormalize_band < 1:

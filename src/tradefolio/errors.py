@@ -23,8 +23,6 @@ __all__ = [
     "SchemaMismatch",
     "MetricsError",
     "SeriesTooShort",
-    "NonPositiveStart",
-    "EmptySeries",
     "LagTooLarge",
     "MisalignedHistories",
     "IngestionError",
@@ -98,14 +96,6 @@ class MetricsError(TradefolioError):
 
 class SeriesTooShort(MetricsError):
     """Series has too few points for the requested statistic."""
-
-
-class NonPositiveStart(MetricsError):
-    """Value series starts at or below zero."""
-
-
-class EmptySeries(MetricsError):
-    """Series is empty."""
 
 
 class LagTooLarge(MetricsError):

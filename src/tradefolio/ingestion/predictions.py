@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from ..domain import PricePoint
-from ..errors import ProviderError
+from ..errors import NormalizationError, ProviderError
 from .normalize import normalize_prediction_quote
 from .policy import FetchPolicy, HttpGet, get, requests_get_json, utc_midnight
 from .snapshots import MarketCatalogEntry
@@ -104,7 +104,10 @@ def parse_market_listing(payload: Any) -> list[MarketCatalogEntry]:
 def parse_price_history(payload: Any) -> list[PricePoint]:
     """Normalized daily closes from one token's history payload.
 
-    Multiple samples on one UTC day collapse to the last one.
+    Multiple samples on one UTC day collapse to the last usable one. A
+    sample whose quote fits no convention (a resolved loser's 0, say) is
+    a fact of the data, not a failed request, so it is skipped; a day
+    left with no usable sample gets no bar.
     """
     try:
         history = payload["history"]
@@ -117,7 +120,10 @@ def parse_price_history(payload: Any) -> list[PricePoint]:
         if not isinstance(sample, dict) or "t" not in sample or "p" not in sample:
             raise ProviderError(f"malformed history sample: {sample!r}")
         date = dt.datetime.fromtimestamp(int(sample["t"]), dt.timezone.utc).date()
-        by_date[date] = normalize_prediction_quote(sample["p"])
+        try:
+            by_date[date] = normalize_prediction_quote(sample["p"])
+        except NormalizationError:
+            continue
     return [PricePoint(d, by_date[d]) for d in sorted(by_date)]
 
 

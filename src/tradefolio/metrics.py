@@ -6,6 +6,9 @@ Conventions, applied uniformly:
   r_t = (v_t - v_{t-1}) / v_{t-1}.
 * Nothing is annualized; the Sharpe ratio is per rebalancing step and
   its risk-free rate must be quoted per step as well.
+* Cumulative return is (v_T - v_0) / v_0, maximum drawdown the largest
+  fall from a running peak as a fraction of that peak, and win rate the
+  share of strictly positive returns.
 * Volatility is the sample standard deviation (denominator T - 1).
 * Zero volatility makes the Sharpe ratio undefined; it is reported as
   None, never coerced to 0 or infinity.
@@ -13,101 +16,15 @@ Conventions, applied uniformly:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .domain import Holdings, PriceVector
-from .errors import (
-    EmptySeries,
-    LagTooLarge,
-    MisalignedHistories,
-    NonPositiveStart,
-    SeriesTooShort,
-    ZeroValuePortfolio,
-)
+from .errors import LagTooLarge, MisalignedHistories, SeriesTooShort, ZeroValuePortfolio
 
-__all__ = [
-    "ReturnSeries",
-    "cumulative_return",
-    "max_drawdown",
-    "win_rate",
-    "volatility",
-    "sharpe_ratio",
-    "MetricsReport",
-    "rolling_k_delta",
-]
-
-
-@dataclass(frozen=True)
-class ReturnSeries:
-    """Per-step simple returns plus the per-step risk-free rate."""
-
-    returns: tuple[float, ...]
-    risk_free_rate: float = 0.0
-
-    @classmethod
-    def from_values(cls, values: Sequence[float], risk_free_rate: float = 0.0) -> "ReturnSeries":
-        if len(values) < 2:
-            raise SeriesTooShort(f"need at least 2 values, got {len(values)}")
-        for i, v in enumerate(values):
-            if not v > 0:
-                raise ValueError(f"portfolio values must be positive, got {v} at index {i}")
-        rets = tuple(
-            (values[t] - values[t - 1]) / values[t - 1] for t in range(1, len(values))
-        )
-        return cls(rets, risk_free_rate)
-
-    @property
-    def mean(self) -> float:
-        if not self.returns:
-            raise EmptySeries("no returns")
-        return float(np.mean(self.returns))
-
-
-def cumulative_return(values: Sequence[float]) -> float:
-    """Total growth over the series: (v_T - v_0) / v_0."""
-    if len(values) < 2:
-        raise SeriesTooShort(f"need at least 2 values, got {len(values)}")
-    if not values[0] > 0:
-        raise NonPositiveStart(f"series starts at {values[0]}")
-    return (values[-1] - values[0]) / values[0]
-
-
-def max_drawdown(values: Sequence[float]) -> float:
-    """Largest peak-to-trough loss as a fraction of the running peak."""
-    if len(values) == 0:
-        raise EmptySeries("no values")
-    arr = np.asarray(values, dtype=float)
-    if not (arr > 0).all():
-        raise ValueError("portfolio values must be positive")
-    peaks = np.maximum.accumulate(arr)
-    return float(((peaks - arr) / peaks).max())
-
-
-def win_rate(series: ReturnSeries) -> float:
-    """Fraction of steps with strictly positive return."""
-    if not series.returns:
-        raise EmptySeries("no returns")
-    wins = sum(1 for r in series.returns if r > 0)
-    return wins / len(series.returns)
-
-
-def volatility(series: ReturnSeries) -> float:
-    """Sample standard deviation of per-step returns (ddof = 1)."""
-    if len(series.returns) < 2:
-        raise SeriesTooShort(f"need at least 2 returns, got {len(series.returns)}")
-    return float(np.std(series.returns, ddof=1))
-
-
-def sharpe_ratio(series: ReturnSeries) -> float | None:
-    """Per-step excess return over volatility; None when volatility is 0."""
-    sigma = volatility(series)
-    if sigma == 0.0:
-        return None
-    return (series.mean - series.risk_free_rate) / sigma
+__all__ = ["MetricsReport", "rolling_k_delta"]
 
 
 @dataclass(frozen=True)
@@ -126,13 +43,24 @@ class MetricsReport:
 
     @classmethod
     def from_values(cls, values: Sequence[float], risk_free_rate: float = 0.0) -> "MetricsReport":
-        series = ReturnSeries.from_values(values, risk_free_rate)
+        """All five metrics of a value series of at least three positive
+        points; fewer raise ``SeriesTooShort``, a point that is not
+        positive ``ValueError``."""
+        v = np.asarray(values, dtype=float)
+        if len(v) < 3:
+            raise SeriesTooShort(f"need at least 2 returns, got {max(len(v) - 1, 0)}")
+        if not (v > 0).all():
+            i = int(np.argmin(v > 0))
+            raise ValueError(f"portfolio values must be positive, got {v[i]} at index {i}")
+        returns = np.diff(v) / v[:-1]
+        sigma = float(np.std(returns, ddof=1))
+        peaks = np.maximum.accumulate(v)
         return cls(
-            cumulative_return=cumulative_return(values),
-            sharpe=sharpe_ratio(series),
-            max_drawdown=max_drawdown(values),
-            win_rate=win_rate(series),
-            volatility=volatility(series),
+            cumulative_return=float((v[-1] - v[0]) / v[0]),
+            sharpe=None if sigma == 0.0 else (float(np.mean(returns)) - risk_free_rate) / sigma,
+            max_drawdown=float(((peaks - v) / peaks).max()),
+            win_rate=int(np.count_nonzero(returns > 0)) / len(returns),
+            volatility=sigma,
         )
 
 

@@ -7,15 +7,18 @@ same bytes, so reports can be diffed and committed as goldens.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import CorruptLog, LagTooLarge, SeriesTooShort
+from .environment import SessionRecord
+from .errors import CorruptLog, MetricsError
 from .metrics import MetricsReport, rolling_k_delta
 from .sessionlog import (
+    SessionLogHeader,
     cash_ratio_series,
     position_histories,
     read_session_log,
@@ -46,16 +49,25 @@ class ReportRow:
     dates: list[str]
 
 
-def _row_from_log(path: Path, risk_free_rate: float) -> ReportRow:
+@contextmanager
+def _scored(path: Path) -> Iterator[tuple[SessionLogHeader, Sequence[SessionRecord]]]:
+    """The header and records of a log with at least one record; a
+    ``MetricsError`` raised while scoring them is raised again, as the
+    same class, with the log's path in front."""
     header, records = read_session_log(path)
     if not records:
         raise CorruptLog(f"{path}: log has no records")
-    values = value_series(header, records)
-    rate = risk_free_rate if header.market.value == "stock" else 0.0
     try:
+        yield header, records
+    except MetricsError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+
+
+def _row_from_log(path: Path, risk_free_rate: float) -> ReportRow:
+    with _scored(path) as (header, records):
+        values = value_series(header, records)
+        rate = risk_free_rate if header.market.value == "stock" else 0.0
         metrics = MetricsReport.from_values(values, rate)
-    except SeriesTooShort as exc:
-        raise SeriesTooShort(f"{path}: {exc}") from exc
     dates = [records[0].date.isoformat()] + [r.date.isoformat() for r in records]
     return ReportRow(
         market=header.market.value,
@@ -161,14 +173,9 @@ def build_delta_table(paths: Sequence[str | Path], lags: Sequence[int]) -> Delta
     cells: dict[str, dict[int, float]] = {}
     models = []
     for path in paths:
-        header, records = read_session_log(Path(path))
-        if not records:
-            raise CorruptLog(f"{path}: log has no records")
-        holdings, prices = position_histories(header, records)
-        try:
+        with _scored(Path(path)) as (header, records):
+            holdings, prices = position_histories(header, records)
             row = {k: rolling_k_delta(holdings, prices, k) for k in lags}
-        except LagTooLarge as exc:
-            raise LagTooLarge(f"{path}: {exc}") from exc
         model = header.model
         suffix = 2
         while model in cells:

@@ -150,7 +150,8 @@ def test_run_drops_a_line_cut_mid_append_and_recomputes_it(runner, stock_setup, 
     assert result.exit_code == 0, result.output
     for log in logs:
         number = line % len(uninterrupted[log].splitlines()) + 1
-        assert f"{log}:{number}: dropped an unfinished line" in result.output
+        assert f"{log}:{number}: dropped an unfinished line, which this run recomputes" \
+            in result.output
         assert log.read_bytes() == uninterrupted[log]
 
 
@@ -288,8 +289,10 @@ def test_a_dropped_line_is_named_when_its_session_then_fails(runner, stock_setup
     result = runner.invoke(main, ["run", "--config", str(config)])
     assert result.exit_code == 1
     for log in logs:
-        assert f"{log}:{len(dates)}: dropped an unfinished line" in result.output
+        assert (f"{log}:{len(dates)}: dropped an unfinished line, the session failed"
+                " before recomputing it") in result.output
         assert f"{log} belongs to a different run" in result.output
+    assert "recomputes" not in result.output
 
 
 @pytest.mark.parametrize("concurrency", [1, 2])

@@ -178,6 +178,10 @@ def test_fetch_policy_block(tmp_path):
         ("dates: [2025-03-04, 2025-03-03]", "strictly increasing"),
         ("dates: [2025-03-03, not-a-date]", "expected a YYYY-MM-DD date"),
         ("dates: {start: 2025-03-05, end: 2025-03-03}", "before dates.start"),
+        ("dates: {start: 2025-03-03, end: 2025-03-09, weekday_only: true}",
+         r"unknown dates keys: \['weekday_only'\]"),
+        ("dates: {start: 2025-03-03, end: 2025-03-09, weekdays_only: 'false'}",
+         "dates.weekdays_only must be true or false, got 'false'"),
         ("models: []", "non-empty list"),
         ("models: [{temperature: 0.5}]", "'model' key"),
         ("models: [{model: m, top_p: 1}]", "unknown model entry keys"),
@@ -194,6 +198,8 @@ def test_fetch_policy_block(tmp_path):
         ("fetch: {max_retries: x}", "fetch.max_retries must be an integer"),
         ("universe: AAPL", "universe must be a list of names"),
         ("universe: [AAPL, AAPL]", "universe lists 'AAPL' more than once"),
+        ("universe: ['', AAPL]", "universe .*: asset ids must be non-empty"),
+        ("universe: [AAPL, CASH]", "universe .*: asset ids must be unique"),
         ("questions: [rain, snow, rain]", "questions lists 'rain' more than once"),
         ("models: [{model: m, temperature: hot}]", "m: temperature must be a number"),
         ("models: [{model: m, max_tokens: lots}]", "m: max_tokens must be an integer"),

@@ -5,10 +5,11 @@ oracle recomputation."""
 import datetime as dt
 import hashlib
 import json
+import shutil
 from collections import Counter
 
 import pytest
-from conftest import scripted_agent
+from conftest import FIXTURES, scripted_agent
 
 from tradefolio.accounting import rebalance
 from tradefolio.agents.baselines import (
@@ -19,6 +20,8 @@ from tradefolio.agents.baselines import (
 )
 from tradefolio.agents.harness import AgentDecision
 from tradefolio.agents.prompts import build_context_prompt
+from tradefolio.cli import _build_spec
+from tradefolio.config import load_config
 from tradefolio.domain import AllocationVector, Holdings, MarketKind, MarketSpec, MemoryEntry
 from tradefolio.environment import (
     ResumePoint,
@@ -100,6 +103,54 @@ def test_observation_windows_exclude_decision_date(stock_world):
         assert date - dt.timedelta(days=3) <= day <= date - dt.timedelta(days=1)
     # the seeded store posts news on every third weekday, so the window is nonempty
     assert obs.news
+
+
+def _later_rows_changed(store, cut):
+    """Scale every price after ``cut`` by 1.37 and prefix every later
+    news title, in place; rows up to ``cut`` keep their bytes."""
+    for series in [*(store / "prices").rglob("*.jsonl"), *(store / "news").glob("*.jsonl")]:
+        header, *rows = series.read_text(encoding="utf-8").splitlines(keepends=True)
+        for i, line in enumerate(rows):
+            row = json.loads(line)
+            if D.fromisoformat(row["date"]) > cut:
+                if "price" in row:
+                    row["price"] *= 1.37
+                else:
+                    for item in row["items"]:
+                        item["title"] = "LATER " + item["title"]
+                rows[i] = json.dumps(row) + "\n"
+        series.write_text(header + "".join(rows), encoding="utf-8")
+
+
+@pytest.mark.parametrize("config_name", ["stock-replay.yaml", "prediction-replay.yaml"])
+def test_nothing_after_the_decision_date_reaches_a_prompt_or_a_record(tmp_path, config_name):
+    cfg = load_config(FIXTURES / config_name)
+    dates = list(cfg.dates)
+
+    def session(store_dir, dates):
+        store = SnapshotStore(store_dir)
+        spec, keys = _build_spec(cfg, store)
+        risky = [p.yes for p in spec.pairs] or [a for a in spec.assets if a != spec.cash]
+        weights = {**{a: 0.2 for a in risky}, spec.cash: 1.0 - 0.2 * len(risky)}
+        agent = scripted_agent([_render(weights)])
+        _, records = run_episode(spec, agent, ReplayFeed(store, cfg.market, keys), dates,
+                                 cfg.initial_capital, memory_horizon=cfg.memory_horizon,
+                                 lookback_days=cfg.lookback_days,
+                                 news_window_days=cfg.news_window_days)
+        return agent.client.prompts, records
+
+    prompts, records = session(cfg.store, dates)
+    for cut in (len(dates) // 4, len(dates) // 2, 3 * len(dates) // 4):
+        copy = tmp_path / f"{config_name}-{cut}"
+        shutil.copytree(cfg.store, copy)
+        _later_rows_changed(copy, dates[cut])
+        # up to the first decision after the cut date
+        changed_prompts, changed_records = session(copy, dates[:cut + 3])
+        assert changed_prompts[:cut + 1] == prompts[:cut + 1]
+        assert changed_prompts[cut + 1] != prompts[cut + 1]
+        # record i executes at dates[i + 1]
+        assert changed_records[:cut] == records[:cut]
+        assert changed_records[cut] != records[cut]
 
 
 # -- one step ---------------------------------------------------------------------

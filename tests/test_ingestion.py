@@ -196,6 +196,22 @@ def test_price_history_parse_collapses_days_and_normalizes():
         predictions.parse_price_history({})
 
 
+def test_an_unusable_quote_costs_its_sample_not_the_history():
+    # A resolved losing token's price falls to 0, which no convention
+    # fits: the day keeps its last usable sample, or gets no bar.
+    http = FakeHttp({predictions.HISTORY_URL: [{"history": [
+        {"t": _epoch(2025, 3, 3), "p": 0.4},
+        {"t": _epoch(2025, 3, 4, hour=10), "p": 0.2},
+        {"t": _epoch(2025, 3, 4, hour=18), "p": 0},
+        {"t": _epoch(2025, 3, 5), "p": 0},
+    ]}]})
+    policy = FetchPolicy(max_retries=3, backoff_base=0.0, jitter_range=(0.0, 0.0))
+    points = predictions.fetch_prediction_history("m1-no", D(2025, 3, 3), D(2025, 3, 5),
+                                                  policy, http=http)
+    assert [(p.date, p.price) for p in points] == [(D(2025, 3, 3), 0.4), (D(2025, 3, 4), 0.2)]
+    assert len(http.calls) == 1
+
+
 def _history_payload(prices_by_token, token):
     samples = [
         {"t": _epoch(2025, 3, 3 + i), "p": price}

@@ -5,23 +5,8 @@ import random
 import pytest
 
 from tradefolio.domain import Holdings, PriceVector
-from tradefolio.errors import (
-    EmptySeries,
-    LagTooLarge,
-    MisalignedHistories,
-    NonPositiveStart,
-    SeriesTooShort,
-)
-from tradefolio.metrics import (
-    MetricsReport,
-    ReturnSeries,
-    cumulative_return,
-    max_drawdown,
-    rolling_k_delta,
-    sharpe_ratio,
-    volatility,
-    win_rate,
-)
+from tradefolio.errors import LagTooLarge, MisalignedHistories, SeriesTooShort
+from tradefolio.metrics import MetricsReport, rolling_k_delta
 
 
 # Brute-force re-implementations used as oracles. Written as plainly as
@@ -64,72 +49,76 @@ def oracle_sharpe(values, rate):
     return (sum(rets) / len(rets) - rate) / sigma
 
 
+def metrics(values, rate=0.0):
+    return MetricsReport.from_values(values, rate)
+
+
 class TestReturnSeries:
     def test_simple_returns(self):
-        series = ReturnSeries.from_values([100.0, 110.0, 99.0])
-        assert series.returns == pytest.approx((0.1, -0.1))
+        # Returns +10% then -10%: they cancel in the mean, not in the value.
+        report = metrics([100.0, 110.0, 99.0])
+        assert report.cumulative_return == pytest.approx(-0.01)
+        assert report.win_rate == 0.5
+        assert report.volatility == pytest.approx(math.sqrt(0.02))
+        assert report.sharpe == pytest.approx(0.0, abs=1e-12)
 
     def test_needs_two_values(self):
-        with pytest.raises(SeriesTooShort):
-            ReturnSeries.from_values([100.0])
+        for values in ([], [100.0]):
+            with pytest.raises(SeriesTooShort):
+                metrics(values)
 
     def test_rejects_non_positive_values(self):
-        with pytest.raises(ValueError):
-            ReturnSeries.from_values([100.0, 0.0])
-        with pytest.raises(ValueError):
-            ReturnSeries.from_values([-1.0, 100.0])
+        for values in ([100.0, 0.0, 100.0], [-1.0, 100.0, 100.0], [100.0, float("nan"), 1.0]):
+            with pytest.raises(ValueError, match="must be positive"):
+                metrics(values)
 
 
 class TestScalarMetrics:
     def test_cumulative_return(self):
-        assert cumulative_return([100.0, 120.0]) == pytest.approx(0.2)
-        assert cumulative_return([100.0, 80.0, 100.0]) == 0.0
+        assert metrics([100.0, 110.0, 120.0]).cumulative_return == pytest.approx(0.2)
+        assert metrics([100.0, 80.0, 100.0]).cumulative_return == 0.0
 
     def test_cumulative_return_errors(self):
         with pytest.raises(SeriesTooShort):
-            cumulative_return([100.0])
-        with pytest.raises(NonPositiveStart):
-            cumulative_return([0.0, 100.0])
+            metrics([100.0])
+        with pytest.raises(ValueError):
+            metrics([0.0, 100.0, 100.0])
 
     def test_max_drawdown_known_case(self):
         # Peak 120, trough 90: 25% down from the peak.
-        assert max_drawdown([100.0, 120.0, 90.0, 95.0, 130.0]) == pytest.approx(0.25)
+        assert metrics([100.0, 120.0, 90.0, 95.0, 130.0]).max_drawdown == pytest.approx(0.25)
 
     def test_max_drawdown_monotone_rise_is_zero(self):
-        assert max_drawdown([1.0, 2.0, 3.0]) == 0.0
+        assert metrics([1.0, 2.0, 3.0]).max_drawdown == 0.0
 
     def test_max_drawdown_errors(self):
-        with pytest.raises(EmptySeries):
-            max_drawdown([])
+        with pytest.raises(SeriesTooShort):
+            metrics([])
         with pytest.raises(ValueError):
-            max_drawdown([100.0, -1.0])
+            metrics([100.0, -1.0, 100.0])
 
     def test_win_rate_counts_strict_gains(self):
         # Returns: +10%, flat, +3/105. Flat steps are not wins.
-        series = ReturnSeries.from_values([100.0, 110.0, 110.0, 113.0])
-        assert win_rate(series) == pytest.approx(2 / 3)
-        with pytest.raises(EmptySeries):
-            win_rate(ReturnSeries(()))
+        assert metrics([100.0, 110.0, 110.0, 113.0]).win_rate == pytest.approx(2 / 3)
+        assert metrics([100.0, 100.0, 90.0]).win_rate == 0.0
 
     def test_volatility_hand_case(self):
-        series = ReturnSeries((0.01, -0.01))
-        assert volatility(series) == pytest.approx(math.sqrt(0.0002), abs=1e-15)
+        # Returns +1% and -1%.
+        report = metrics([100.0, 101.0, 99.99])
+        assert report.volatility == pytest.approx(math.sqrt(0.0002), abs=1e-15)
 
     def test_volatility_needs_two_returns(self):
-        with pytest.raises(SeriesTooShort):
-            volatility(ReturnSeries((0.01,)))
+        with pytest.raises(SeriesTooShort, match="need at least 2 returns, got 1"):
+            metrics([100.0, 101.0])
 
     def test_sharpe_undefined_at_zero_volatility(self):
-        flat = ReturnSeries.from_values([100.0, 100.0, 100.0])
-        assert sharpe_ratio(flat) is None
+        assert metrics([100.0, 100.0, 100.0]).sharpe is None
         # Constant nonzero return also has zero volatility.
-        steady = ReturnSeries((0.01, 0.01, 0.01))
-        assert sharpe_ratio(steady) is None
+        assert metrics([1.0, 2.0, 4.0, 8.0]).sharpe is None
 
     def test_sharpe_uses_excess_return(self):
-        series = ReturnSeries((0.02, 0.0), risk_free_rate=0.01)
-        # mean 0.01, excess 0.0: the ratio is exactly zero.
-        assert sharpe_ratio(series) == pytest.approx(0.0, abs=1e-15)
+        # Returns +2% and 0: mean 0.01, excess 0.0, so the ratio is exactly zero.
+        assert metrics([100.0, 102.0, 102.0], rate=0.01).sharpe == pytest.approx(0.0, abs=1e-15)
 
 
 class TestAgainstBruteForce:
@@ -141,7 +130,7 @@ class TestAgainstBruteForce:
             for _ in range(n - 1):
                 values.append(values[-1] * (1.0 + rng.uniform(-0.05, 0.05)))
             rate = rng.choice([0.0, 0.0001, 0.0004])
-            report = MetricsReport.from_values(values, rate)
+            report = metrics(values, rate)
             assert report.cumulative_return == pytest.approx(oracle_cumulative(values), abs=1e-9)
             assert report.max_drawdown == pytest.approx(oracle_max_drawdown(values), abs=1e-9)
             assert report.win_rate == pytest.approx(oracle_win_rate(values), abs=1e-9)
