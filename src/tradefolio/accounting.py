@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .domain import AllocationVector, Holdings, MarketKind, MarketSpec
+from .domain import AllocationVector, Holdings, MarketSpec
 from .errors import (
     BothSidesSet,
     KeyMismatch,
@@ -104,12 +104,9 @@ def validate_allocation(
     negative = sorted(a for a, w in raw.items() if w < 0)
     if negative:
         raise NegativeWeight(f"negative weights for: {negative}")
-    if spec.kind is MarketKind.PREDICTION:
-        for pair in spec.pairs:
-            if raw.get(pair.yes, 0.0) > 0 and raw.get(pair.no, 0.0) > 0:
-                raise BothSidesSet(
-                    f"both sides of {pair.question!r} carry weight"
-                )
+    for pair in spec.pairs:
+        if raw.get(pair.yes, 0.0) > 0 and raw.get(pair.no, 0.0) > 0:
+            raise BothSidesSet(f"both sides of {pair.question!r} carry weight")
     total = math.fsum(raw.values())
     if not math.isfinite(total) or abs(total - 1.0) > band:
         raise SumOutOfBand(f"weights sum to {total!r}, outside 1 ± {band}")

@@ -10,7 +10,6 @@ from __future__ import annotations
 from ..domain import (
     AllocationVector,
     Holdings,
-    MarketKind,
     MarketSpec,
     MemoryEntry,
     Observation,
@@ -35,13 +34,8 @@ def equal_weight_allocation(spec: MarketSpec) -> AllocationVector:
     Prediction markets forbid holding both sides of a question, so
     there the weight spreads over the yes sides plus cash only.
     """
-    if spec.kind is MarketKind.PREDICTION:
-        held = [f"{q}_Yes" for q in spec.questions] + [spec.cash]
-        return AllocationVector(
-            {a: (1.0 / len(held) if a in held else 0.0) for a in spec.assets}
-        )
-    n = len(spec.assets)
-    return AllocationVector({a: 1.0 / n for a in spec.assets})
+    held = [p.yes for p in spec.pairs] + [spec.cash] if spec.pairs else spec.assets
+    return AllocationVector({a: (1.0 / len(held) if a in held else 0.0) for a in spec.assets})
 
 
 def all_cash_allocation(spec: MarketSpec) -> AllocationVector:

@@ -224,11 +224,10 @@ def _json_format_block(spec: MarketSpec) -> str:
     else:
         hint = _PREDICTION_REASONING_HINT
         entries = []
-        questions = spec.questions
-        if len(questions) >= 1:
-            entries.append((f"{questions[0]}_Yes", "0.25"))
-        if len(questions) >= 2:
-            entries.append((f"{questions[1]}_No", "0.15"))
+        if len(spec.pairs) >= 1:
+            entries.append((spec.pairs[0].yes, "0.25"))
+        if len(spec.pairs) >= 2:
+            entries.append((spec.pairs[1].no, "0.15"))
     cash_weight = 1.0 - sum(float(w) for _, w in entries)
     entries.append((spec.cash, f"{cash_weight:.2f}"))
     lines = ["{", f' "reasoning": "{hint}",', ' "allocations": {']

@@ -79,12 +79,13 @@ def _build_spec(cfg: RunConfig, store: SnapshotStore) -> tuple[MarketSpec, dict[
         raise ConfigError(
             "no questions configured and the store catalog is empty; run 'tradefolio fetch' first"
         )
+    spec = MarketSpec.prediction(questions)
     keys: dict[str, str] = {}
-    for question in questions:
-        if question in catalog:
-            keys[f"{question}_Yes"] = catalog[question].yes_token
-            keys[f"{question}_No"] = catalog[question].no_token
-    return MarketSpec.prediction(questions), keys
+    for pair in spec.pairs:
+        if pair.question in catalog:
+            keys[pair.yes] = catalog[pair.question].yes_token
+            keys[pair.no] = catalog[pair.question].no_token
+    return spec, keys
 
 
 def _backfill(cfg: RunConfig, store: SnapshotStore, spec: MarketSpec,
@@ -193,9 +194,9 @@ def fetch(config_path: str) -> None:
                 raise ConfigError("discovery found no markets for the configured dates"
                                   " and the store catalog is empty")
         spec, asset_keys = _build_spec(cfg, store)
-        for question in spec.questions:
-            if f"{question}_Yes" not in asset_keys:
-                raise ConfigError(f"question not in the market catalog: {question!r}")
+        for pair in spec.pairs:
+            if pair.yes not in asset_keys:
+                raise ConfigError(f"question not in the market catalog: {pair.question!r}")
         dates = _backfill(cfg, store, spec, asset_keys)
         if len(dates) < 2:
             click.echo("fewer than two configured dates are ready; nothing to fetch yet")

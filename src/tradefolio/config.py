@@ -1,7 +1,7 @@
 """Run configuration: one YAML file drives fetch, run, and report.
 
 Every tunable that is a judgment call rather than a law of the system
-lives here with its default: memory horizon, per-step risk-free rate,
+lives here with its default: memory horizon, risk-free rate,
 the renormalization band, the flat-market threshold, starting capital,
 retry counts, and the concurrency cap.
 """
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import datetime as dt
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
@@ -55,16 +55,16 @@ class RunConfig:
     questions: tuple[str, ...]
     initial_capital: float
     risk_free_rate: float  # per step
-    memory_horizon: int = DEFAULT_MEMORY_HORIZON
-    retries: int = DEFAULT_RETRIES
-    rebalance_interval: int = 1
-    lookback_days: int = HISTORY_LOOKBACK_DAYS
-    news_window_days: int = NEWS_WINDOW_DAYS
-    renormalize_band: float = RENORMALIZE_BAND
-    flat_market_threshold: float = FLAT_SERIES_THRESHOLD
-    concurrency: int | None = None
-    discovery_limit: int = DISCOVERY_LIMIT
-    fetch_policy: FetchPolicy = field(default_factory=FetchPolicy)
+    memory_horizon: int
+    retries: int
+    rebalance_interval: int
+    lookback_days: int
+    news_window_days: int
+    renormalize_band: float
+    flat_market_threshold: float
+    concurrency: int | None
+    discovery_limit: int
+    fetch_policy: FetchPolicy
 
     def spec(self) -> MarketSpec:
         if self.market is MarketKind.STOCK:
@@ -201,10 +201,10 @@ _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 _TOP_LEVEL_KEYS = {
     "market", "mode", "store", "out_dir", "dates", "models", "universe",
-    "questions", "initial_capital", "risk_free_rate_annual", "risk_free_rate",
-    "memory_horizon", "retries", "rebalance_interval", "lookback_days",
-    "news_window_days", "renormalize_band", "flat_market_threshold",
-    "concurrency", "discovery_limit", "fetch",
+    "questions", "initial_capital", "risk_free_rate_annual", "memory_horizon",
+    "retries", "rebalance_interval", "lookback_days", "news_window_days",
+    "renormalize_band", "flat_market_threshold", "concurrency", "discovery_limit",
+    "fetch",
 }
 
 
@@ -260,10 +260,6 @@ def load_config(path: str | Path) -> RunConfig:
         if raw.get("risk_free_rate_annual") not in (None, 0, 0.0):
             raise ConfigError("prediction markets have zero risk-free rate")
         risk_free = 0.0
-    if "risk_free_rate" in raw:
-        risk_free = number("risk_free_rate", None, float)
-        if market is MarketKind.PREDICTION and risk_free != 0.0:
-            raise ConfigError("prediction markets have zero risk-free rate")
 
     config = RunConfig(
         market=market,

@@ -9,7 +9,7 @@ asset order and is relied on by rendering and serialization.
 from __future__ import annotations
 
 import datetime as dt
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping
 
@@ -80,8 +80,6 @@ class MarketSpec:
             paired = [a for p in self.pairs for a in (p.yes, p.no)]
             if sorted(outcomes) != sorted(paired):
                 raise ValueError("every non-cash asset must belong to exactly one pair")
-            if len(self.assets) != 2 * len(self.pairs) + 1:
-                raise ValueError("prediction universe must be 2 assets per question plus cash")
         elif self.pairs:
             raise ValueError("stock markets have no outcome pairs")
 
@@ -204,20 +202,12 @@ class Observation:
     carried forward from an earlier date.
     """
 
-    step: int
     date: dt.date
     positions: Holdings
     prices: PriceVector
     news: tuple[NewsItem, ...]
     price_history: Mapping[str, tuple[PricePoint, ...]]
-    portfolio_value: float
-    stale: frozenset[str] = field(default_factory=frozenset)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "price_history",
-            {a: tuple(pts) for a, pts in dict(self.price_history).items()},
-        )
+    stale: frozenset[str]
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Any, Callable, Sequence
 
-from .accounting import RENORMALIZE_BAND, portfolio_value, rebalance
+from .accounting import RENORMALIZE_BAND, rebalance
 from .agents.baselines import all_cash_allocation, hold_allocation
 from .agents.harness import Agent, AgentDecision
 from .agents.parsing import parse_allocation_response, render_allocation_response
@@ -28,13 +28,13 @@ from .domain import (
     Holdings,
     MarketSpec,
     MemoryEntry,
-    NewsItem,
     Observation,
     PriceVector,
 )
 from .errors import AllocationError, ClientError, NoPriceEverSeen, ParseError
 from .ingestion.feeds import HISTORY_LOOKBACK_DAYS, Feed
 from .ingestion.news import NEWS_WINDOW_DAYS
+from .ingestion.policy import utc_midnight
 
 __all__ = [
     "DEFAULT_RETRIES",
@@ -196,52 +196,41 @@ def resolve_prices(feed: Feed, spec: MarketSpec, date: dt.date) -> tuple[PriceVe
     return PriceVector(date, prices), frozenset(stale)
 
 
-def build_observation(state: SessionState, feed: Feed, date: dt.date) -> Observation:
-    """Assemble what the agent is allowed to see at one date.
-
-    Price history spans the lookback window that ends the day before;
-    news spans the trailing window ending the day before as well, so
-    the decision date itself never leaks through side channels.
-    """
-    return _observe(state, feed, date, resolve_prices(feed, state.spec, date),
-                    HISTORY_LOOKBACK_DAYS, NEWS_WINDOW_DAYS)
-
-
-def _observe(
+def build_observation(
     state: SessionState,
     feed: Feed,
     date: dt.date,
-    priced: tuple[PriceVector, frozenset[str]],
-    lookback_days: int,
-    news_window_days: int,
+    priced: tuple[PriceVector, frozenset[str]] | None = None,
+    lookback_days: int = HISTORY_LOOKBACK_DAYS,
+    news_window_days: int = NEWS_WINDOW_DAYS,
 ) -> Observation:
-    """``build_observation`` with the date's ``resolve_prices`` result
-    already in hand."""
+    """Assemble what the agent is allowed to see at one date.
+
+    ``priced`` is the date's ``resolve_prices`` result when already in
+    hand. Price history spans the lookback window that ends the day
+    before; news spans the trailing window ending the day before as
+    well, and an item published at or after the date's UTC midnight is
+    dropped whatever day it is stored under, so the decision date
+    itself never leaks through side channels.
+    """
     spec = state.spec
-    prices, stale = priced
+    prices, stale = priced or resolve_prices(feed, spec, date)
+    day = dt.timedelta(days=1)
     history = {
-        a: tuple(feed.price_window(a, date - dt.timedelta(days=lookback_days),
-                                   date - dt.timedelta(days=1)))
+        a: feed.price_window(a, date - dt.timedelta(days=lookback_days), date - day)
         for a in spec.assets
         if a != spec.cash
     }
-    news: list[NewsItem] = []
-    for tag in spec.news_tags:
-        news.extend(
-            feed.news_window(tag, date - dt.timedelta(days=news_window_days),
-                             date - dt.timedelta(days=1), target=date)
-        )
-    value = portfolio_value(state.holdings, prices.prices)
-    return Observation(
-        step=state.step,
-        date=date,
-        positions=state.holdings,
-        prices=prices,
-        news=tuple(news),
-        price_history=history,
-        portfolio_value=value,
-        stale=stale,
+    cutoff = utc_midnight(date)
+    news = tuple(
+        item
+        for tag in spec.news_tags
+        for item in feed.news_window(tag, date - dt.timedelta(days=news_window_days),
+                                     date - day, target=date)
+        if item.published_at < cutoff
     )
+    return Observation(date=date, positions=state.holdings, prices=prices, news=news,
+                       price_history=history, stale=stale)
 
 
 def _decide(
@@ -333,8 +322,7 @@ def run_episode(
     try:
         for i in range(len(dates) - 1):
             date, exec_date = dates[i], dates[i + 1]
-            obs = _observe(state, feed, date, priced or resolve_prices(feed, spec, date),
-                           lookback_days, news_window_days)
+            obs = build_observation(state, feed, date, priced, lookback_days, news_window_days)
             priced = resolve_prices(feed, spec, exec_date)
             exec_prices = priced[0]
             # an off-cadence step asks no agent and holds

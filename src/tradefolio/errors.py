@@ -29,7 +29,6 @@ __all__ = [
     "NormalizationError",
     "ConflictingValue",
     "ProviderError",
-    "FeedError",
     "FeedUnavailable",
     "NoPriceEverSeen",
     "ClientError",
@@ -126,11 +125,7 @@ class ProviderError(IngestionError):
 
 # -- environment / feeds ------------------------------------------------
 
-class FeedError(TradefolioError):
-    """Price or news lookup failed."""
-
-
-class FeedUnavailable(FeedError):
+class FeedUnavailable(TradefolioError):
     """Live data source unreachable after retries; session must halt.
     ``date`` is the first date a backfill left uncovered, when known."""
 
@@ -139,7 +134,7 @@ class FeedUnavailable(FeedError):
         self.date = date
 
 
-class NoPriceEverSeen(FeedError):
+class NoPriceEverSeen(TradefolioError):
     """Asset has no price at or before the requested date."""
 
 

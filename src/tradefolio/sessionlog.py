@@ -8,12 +8,13 @@ without rewriting a single earlier byte.
 
 Reading a log parses its header, then indexes its records by date and
 decodes each when a read first reaches it, as ``tradefolio.dated``
-describes. A record whose price and holding maps do not name exactly
-the header's assets, or whose value is not finite and positive, is a
-bad record. A resume reads only the memory window and, when the window
-opens on a fallback step, the records back to the last one that
-validated or held, so a bad record further back is caught by ``report``
-and ``delta``, which read every record, and not by ``run``.
+describes. A record is a bad record when its price and holding maps
+do not name exactly the header's assets, a price is not finite and
+positive, a holding is not finite and non-negative, or its value is not
+finite and positive. A resume reads only the memory window and, when
+the window opens on a fallback step, the records back to the last one
+that validated or held, so a bad record further back is caught by
+``report`` and ``delta``, which read every record, and not by ``run``.
 
 An append killed mid-line leaves a final line without its newline.
 ``drop_torn_tail`` cuts that line off so the resumed run recomputes it;
@@ -29,7 +30,7 @@ import os
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable
 
 from .dated import DatedRows, index
 from .domain import AllocationVector, Holdings, MarketKind, MarketSpec, PriceVector
@@ -170,10 +171,19 @@ def read_session_log(path: str | Path) -> tuple[SessionLogHeader, DatedRows[Sess
 def _decode_record(assets: frozenset[str], date: dt.date, row: dict) -> SessionRecord:
     record = SessionRecord.from_json_dict(row)
     for name in ("prices", "holdings_before", "holdings_after", "prices_after"):
-        keys = getattr(record, name).keys()
+        values = getattr(record, name)
+        keys = values.keys()
         if keys != assets:
             raise ValueError(f"{name} does not name the header's assets: missing "
                              f"{sorted(assets - keys)}, unknown {sorted(keys - assets)}")
+        # one min and one sum per map: a NaN or an infinity makes the sum not finite
+        positive = name.startswith("prices")
+        low = min(values.values())
+        if not (low > 0 or low == 0 and not positive) or not math.isfinite(sum(values.values())):
+            bad = sorted(a for a, v in values.items()
+                         if not (0 < v < math.inf or v == 0 and not positive))
+            bound = "positive" if positive else "non-negative"
+            raise ValueError(f"{name} is not finite and {bound} for {bad}")
     if not 0 < record.value < math.inf:
         raise ValueError(f"value {record.value} is not finite and positive")
     return record
@@ -258,7 +268,7 @@ def position_histories(
 
 def resume_point(
     header: SessionLogHeader,
-    records: Sequence[SessionRecord],
+    records: DatedRows[SessionRecord],
     spec: MarketSpec,
     memory_horizon: int,
 ) -> ResumePoint:
@@ -273,8 +283,6 @@ def resume_point(
         raise ValueError(f"memory_horizon must be at least 1, got {memory_horizon}")
     if tuple(header.assets) != spec.assets or header.cash != spec.cash:
         raise ConfigError("log universe does not match the configured market")
-    if not isinstance(records, DatedRows):
-        records = tuple(records)
     state = SessionState(spec, header.initial_capital, records)
     first = max(len(records) - memory_horizon, 0)
     window = list(records[first:])

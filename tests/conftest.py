@@ -88,7 +88,6 @@ def make_observation(
     history: dict[str, list[tuple[str, float]]] | None = None,
     news: tuple[NewsItem, ...] = (),
     holdings: Holdings | None = None,
-    step: int = 0,
 ) -> Observation:
     """Observation builder for prompt and feature tests."""
     if holdings is None:
@@ -99,14 +98,11 @@ def make_observation(
         asset: tuple(PricePoint(dt.date.fromisoformat(d), p) for d, p in points)
         for asset, points in (history or {}).items()
     }
-    value = sum(holdings.units[a] * full_prices[a] for a in holdings.units)
     return Observation(
-        step=step,
         date=date,
         positions=holdings,
         prices=PriceVector(date, full_prices),
         news=news,
         price_history=price_history,
-        portfolio_value=value,
         stale=frozenset(),
     )

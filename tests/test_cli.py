@@ -616,6 +616,46 @@ def test_live_backfill_of_a_fresh_store_requests_each_series_once(runner, tmp_pa
                      ("news", "MSFT", news_start, dates[-2])]
 
 
+def test_live_prediction_backfill_requests_both_tokens_once_and_replays(runner, tmp_path,
+                                                                       monkeypatch):
+    dates = [D(2025, 3, 3) + dt.timedelta(days=i) for i in range(5)]  # Monday to Friday
+    entries = [MarketCatalogEntry(slug=f"market-{n}", question=f"Will event {n} happen?",
+                                  yes_token=f"tok-{n}-yes", no_token=f"tok-{n}-no",
+                                  url=f"https://example.com/event/market-{n}")
+               for n in (1, 2)]
+    SnapshotStore(tmp_path / "store").record_markets(entries)
+    questions = 'questions: ["Will event 1 happen?", "Will event 2 happen?"]'
+    config = _write_config(tmp_path / "live.yaml", tmp_path / "store", tmp_path / "runs",
+                           dates, ["baseline:equal-weight"], market="prediction",
+                           extra=f"mode: live\n{questions}")
+    calls = _fake_provider(monkeypatch)
+    result = runner.invoke(main, ["run", "--config", str(config)])
+    assert result.exit_code == 0, result.output
+    assert "baseline:equal-weight: ended, +4 steps" in result.output
+    lookback_start, news_start = D(2025, 2, 21), D(2025, 2, 28)
+    tokens = ["tok-1-yes", "tok-1-no", "tok-2-yes", "tok-2-no"]
+    assert calls == [*(("history", t, lookback_start, dates[-1]) for t in tokens),
+                     ("news", "Will event 1 happen?", news_start, dates[-2]),
+                     ("news", "Will event 2 happen?", news_start, dates[-2])]
+    store = SnapshotStore(tmp_path / "store")
+    for token in tokens:
+        stored = store.price_dates("prediction", token)
+        assert stored[0] == D(2025, 2, 21) and stored[-1] == dates[-1]
+
+    calls.clear()
+    result = runner.invoke(main, ["run", "--config", str(config)])
+    assert result.exit_code == 0, result.output
+    assert calls == []
+
+    replay = _write_config(tmp_path / "replay.yaml", tmp_path / "store", tmp_path / "replay",
+                           dates, ["baseline:equal-weight"], market="prediction",
+                           extra=questions)
+    assert runner.invoke(main, ["run", "--config", str(replay)]).exit_code == 0
+    log_name = "prediction-baseline-equal-weight.jsonl"
+    live_log = (tmp_path / "runs" / log_name).read_bytes()
+    assert live_log == (tmp_path / "replay" / log_name).read_bytes()
+
+
 def test_live_run_over_a_covered_store_decodes_only_its_windows(runner, tmp_path,
                                                                monkeypatch):
     seeded = seed_stock_store(tmp_path / "store", ("AAPL", "MSFT", "NVDA"),
@@ -805,6 +845,10 @@ def _without(mapping, key):
      "holdings_after does not name the header's assets: missing ['CASH'], unknown []"),
     ("delta", lambda r: {**r, "prices_after": _without(r["prices_after"], "MSFT")},
      "prices_after does not name the header's assets: missing ['MSFT'], unknown []"),
+    ("delta", lambda r: {**r, "prices_after": {**r["prices_after"], "AAPL": 0}},
+     "prices_after is not finite and positive for ['AAPL']"),
+    ("report", lambda r: {**r, "holdings_before": {**r["holdings_before"], "MSFT": -1.0}},
+     "holdings_before is not finite and non-negative for ['MSFT']"),
 ])
 def test_a_tampered_record_fails_naming_its_line(runner, stock_setup, command, tamper, error):
     tmp_path, config, dates = stock_setup
@@ -817,6 +861,22 @@ def test_a_tampered_record_fails_naming_its_line(runner, stock_setup, command, t
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit), result.exception
     assert f"Error: {log}:3: bad record: {error}" in result.output
+
+
+def test_a_resumed_run_refuses_a_record_with_a_negative_holding(runner, stock_setup):
+    tmp_path, config, dates = stock_setup
+    assert runner.invoke(main, ["run", "--config", str(config)]).exit_code == 0
+    log = tmp_path / "runs" / "stock-baseline-equal-weight.jsonl"
+    lines = log.read_text(encoding="utf-8").splitlines()[:5]  # four steps, then resume
+    row = json.loads(lines[-1])
+    row["holdings_after"]["AAPL"] = -1.0
+    lines[-1] = json.dumps(row, separators=(",", ":"))
+    log.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    result = runner.invoke(main, ["run", "--config", str(config)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert (f"baseline:equal-weight: failed: {log}:5: bad record: holdings_after is not"
+            " finite and non-negative for ['AAPL']") in result.output
 
 
 def test_fetch_stock_snapshots_store(runner, tmp_path, monkeypatch):

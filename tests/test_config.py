@@ -1,6 +1,7 @@
 """YAML run configuration parsing and cross-checks."""
 
 import datetime as dt
+import re
 import textwrap
 from pathlib import Path
 
@@ -128,23 +129,24 @@ def test_prediction_defaults_and_zero_rate(tmp_path):
 
 
 def test_prediction_rejects_nonzero_rate(tmp_path):
-    for line in ("risk_free_rate_annual: 0.04", "risk_free_rate: 0.001"):
-        with pytest.raises(ConfigError, match="zero risk-free rate"):
-            load_config(_write(tmp_path, f"""
-                market: prediction
-                store: data
-                dates: [2025-03-03, 2025-03-04]
-                models: [baseline:all-cash]
-                {line}
-            """))
+    with pytest.raises(ConfigError, match="zero risk-free rate"):
+        load_config(_write(tmp_path, """
+            market: prediction
+            store: data
+            dates: [2025-03-03, 2025-03-04]
+            models: [baseline:all-cash]
+            risk_free_rate_annual: 0.04
+        """))
 
 
 def test_stock_rate_overrides(tmp_path):
     cfg = load_config(_write(tmp_path, MINIMAL_STOCK + "    risk_free_rate_annual: 0.0504\n"))
     assert cfg.risk_free_rate == pytest.approx(0.0504 / 252)
-    cfg = load_config(
-        _write(tmp_path, MINIMAL_STOCK + "    risk_free_rate: 0.0002\n", name="b.yaml"))
-    assert cfg.risk_free_rate == 0.0002
+
+
+def test_the_annual_rate_is_the_only_rate_key(tmp_path):
+    with pytest.raises(ConfigError, match=re.escape("unknown config keys: ['risk_free_rate']")):
+        load_config(_write(tmp_path, MINIMAL_STOCK + "    risk_free_rate: 0.0002\n"))
 
 
 def test_fetch_policy_block(tmp_path):

@@ -22,7 +22,14 @@ from tradefolio.agents.harness import AgentDecision
 from tradefolio.agents.prompts import build_context_prompt
 from tradefolio.cli import _build_spec
 from tradefolio.config import load_config
-from tradefolio.domain import AllocationVector, Holdings, MarketKind, MarketSpec, MemoryEntry
+from tradefolio.domain import (
+    AllocationVector,
+    Holdings,
+    MarketKind,
+    MarketSpec,
+    MemoryEntry,
+    NewsItem,
+)
 from tradefolio.environment import (
     ResumePoint,
     SessionState,
@@ -93,7 +100,6 @@ def test_observation_windows_exclude_decision_date(stock_world):
     obs = build_observation(state, feed, date)
 
     assert obs.date == date
-    assert obs.portfolio_value == 1000.0
     for asset, points in obs.price_history.items():
         assert asset != spec.cash
         assert all(date - dt.timedelta(days=10) <= p.date <= date - dt.timedelta(days=1)
@@ -103,6 +109,22 @@ def test_observation_windows_exclude_decision_date(stock_world):
         assert date - dt.timedelta(days=3) <= day <= date - dt.timedelta(days=1)
     # the seeded store posts news on every third weekday, so the window is nonempty
     assert obs.news
+
+
+def test_news_published_on_the_decision_date_is_dropped_whatever_day_holds_it(tmp_path):
+    spec = MarketSpec.stock(("AAPL",))
+    store = SnapshotStore(tmp_path)
+    for day in (D(2025, 3, 7), D(2025, 3, 10), D(2025, 3, 11)):
+        store.upsert_price("stock", "AAPL", day, 100.0)
+    late = NewsItem(title="published on the tenth", snippet="", source="wire",
+                    url="https://example.com", tagged_asset="AAPL",
+                    published_at=int(dt.datetime(2025, 3, 10, 15, tzinfo=dt.timezone.utc)
+                                     .timestamp()))
+    store.upsert_news("AAPL", D(2025, 3, 9), [late])  # stored a day early
+    feed = ReplayFeed(store, MarketKind.STOCK)
+    state = SessionState.initial(spec, 1000.0)
+    assert build_observation(state, feed, D(2025, 3, 10)).news == ()
+    assert build_observation(state, feed, D(2025, 3, 11)).news == (late,)
 
 
 def _later_rows_changed(store, cut):

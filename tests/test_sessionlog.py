@@ -215,10 +215,24 @@ def test_a_record_in_another_key_order_loads_through_the_fallback(tmp_path, stoc
     assert loaded[1] == records[1] and loaded == records
 
 
+def _set_value(name, value):
+    """A rewrite that sets the record's ``name`` map's AAPL entry."""
+    def rewrite(line):
+        row = json.loads(line)
+        row[name]["AAPL"] = value
+        return json.dumps(row)
+    return rewrite
+
+
 @pytest.mark.parametrize("rewrite", [
     lambda line: f"{line}, {line}",  # two records on one line
     lambda line: line[:-1] + ',"date":"2020-01-01"}',  # disagrees with its index
-], ids=["two-on-one-line", "date-disagrees"])
+    _set_value("prices_after", 0),
+    _set_value("prices", float("nan")),
+    _set_value("holdings_after", -1.0),
+    _set_value("holdings_before", float("inf")),
+], ids=["two-on-one-line", "date-disagrees", "zero-price", "nan-price", "negative-holding",
+        "infinite-holding"])
 def test_a_bad_record_indexes_then_fails_at_its_first_read(tmp_path, stock_world, rewrite):
     spec, feed, dates = stock_world
     path = tmp_path / "run.jsonl"
@@ -565,7 +579,7 @@ class _MemorySpy:
         self.seen = {}
 
     def decide(self, spec, obs, memory) -> AgentDecision:
-        self.seen.setdefault(obs.step, (memory, obs.positions))
+        self.seen.setdefault(obs.date, (memory, obs.positions))
         return self.agent.decide(spec, obs, memory)
 
 
@@ -594,9 +608,9 @@ def test_resume_point_equals_live_state_at_every_cut(shared_world, responses, cu
         header, done = read_session_log(part)
         resume = resume_point(header, done, spec, memory_horizon=horizon)
         assert resume.state.step == live.step == cut
-        assert resume.state.holdings == live.holdings == spy.seen[cut][1]
+        assert resume.state.holdings == live.holdings == spy.seen[dates[cut]][1]
         assert resume.state.value_series == live.value_series
-        assert resume.memory == spy.seen[cut][0]
+        assert resume.memory == spy.seen[dates[cut]][0]
 
         tail = scripted_agent(responses[min(len(head.client.prompts), len(responses) - 1):])
         writer = SessionLogWriter(part, header)
@@ -623,4 +637,4 @@ def test_resume_point_rebuilds_only_the_memory_window(tmp_path, shared_world):
     resume = resume_point(header, done, spec, memory_horizon=3)
     assert len(done) == cut
     assert len(resume.memory) == 3
-    assert resume.memory == spy.seen[cut][0]
+    assert resume.memory == spy.seen[dates[cut]][0]

@@ -191,6 +191,20 @@ def test_a_bad_row_only_the_growth_margin_reaches_stops_the_run_short(tmp_path):
             store.latest_price("stock", "NVDA", D(2025, 3, day))
     assert SnapshotStore(tmp_path).latest_price("stock", "NVDA", D(2025, 3, 10)).price == 110.0
 
+    # the same below the run: a read near the end, then a lower one whose margin alone
+    # reaches the bad row
+    below = tmp_path / "below"
+    path = _write_rows(below, "NVDA", [_price_line(3, 103.0),
+                                       '{"date": "2025-03-04", "price": "104", "volume": null}']
+                       + [_price_line(d, 100.0 + d) for d in range(5, 13)])  # bad: line 3
+    store = SnapshotStore(below)
+    window = store.price_window("stock", "NVDA", D(2025, 3, 8), D(2025, 3, 12))
+    assert [p.price for p in window] == [108.0, 109.0, 110.0, 111.0, 112.0]
+    for day in (6, 5):  # the run grows down past day 5 only to stop short of day 4
+        assert store.latest_price("stock", "NVDA", D(2025, 3, day)).price == 100.0 + day
+    with pytest.raises(IngestionError, match=re.escape(f"{path}:3: unreadable row")):
+        store.latest_price("stock", "NVDA", D(2025, 3, 4))
+
 
 @pytest.mark.parametrize("bad", [
     '{"date": "2025-03-04", "items": [{"title": "no other fields"}]}',
