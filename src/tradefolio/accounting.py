@@ -76,9 +76,8 @@ def rebalance(
     A zero-value book can only be "rebalanced" to pure cash; asking it
     for risky exposure raises ``ZeroValuePortfolio``.
     """
-    _require_same_keys("holdings", holdings.units, "prices", new_prices)
+    value = portfolio_value(holdings, new_prices)  # checks holdings against prices
     _require_same_keys("target", target.weights, "prices", new_prices)
-    value = portfolio_value(holdings, new_prices)
     if value == 0.0 and any(w > 0 for a, w in target.weights.items() if a != cash):
         raise ZeroValuePortfolio("no capital to allocate to non-cash assets")
     new_units = {a: value * target.weights[a] / new_prices[a] for a in holdings.units}

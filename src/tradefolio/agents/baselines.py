@@ -7,6 +7,7 @@ passes through the identical parse-and-validate path.
 
 from __future__ import annotations
 
+from ..accounting import portfolio_value
 from ..domain import (
     AllocationVector,
     Holdings,
@@ -47,12 +48,10 @@ def hold_allocation(spec: MarketSpec, holdings: Holdings, prices: PriceVector) -
 
     A zero-value book has no weights; it degrades to all cash.
     """
-    value = sum(holdings.units[a] * prices[a] for a in holdings.units)
+    value = portfolio_value(holdings, prices.prices)
     if value == 0.0:
         return all_cash_allocation(spec)
-    return AllocationVector(
-        {a: holdings.units[a] * prices[a] / value for a in spec.assets}
-    )
+    return AllocationVector({a: holdings.units[a] * prices[a] / value for a in spec.assets})
 
 
 class EqualWeightAgent:

@@ -16,7 +16,7 @@ import datetime as dt
 import hashlib
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Any, Callable, Sequence
+from typing import Callable, Sequence
 
 from .accounting import RENORMALIZE_BAND, rebalance
 from .agents.baselines import all_cash_allocation, hold_allocation
@@ -65,8 +65,8 @@ class SessionStatus(Enum):
 class SessionRecord:
     """One executed step: what the agent observed (prices, holdings
     before, how many news items, which prices were stale), the raw model
-    exchange, and the accounting outcome. Field order is the log's wire
-    order and must stay stable."""
+    exchange, and the accounting outcome. Field order is the wire order
+    of ``tradefolio.sessionlog``, which alone encodes records."""
 
     date: dt.date
     prices: dict[str, float]
@@ -82,29 +82,6 @@ class SessionRecord:
     prices_after: dict[str, float]
     value: float
     step_return: float
-
-    def to_json_dict(self) -> dict[str, Any]:
-        # every field in declaration order, so the wire order is stated once
-        return {**vars(self), "date": self.date.isoformat()}
-
-    @classmethod
-    def from_json_dict(cls, row: dict[str, Any]) -> "SessionRecord":
-        return cls(
-            date=dt.date.fromisoformat(row["date"]),
-            prices=dict(row["prices"]),
-            holdings_before=dict(row["holdings_before"]),
-            news_count=int(row["news_count"]),
-            stale=tuple(row["stale"]),
-            prompt_sha256=row["prompt_sha256"],
-            raw_response=row["raw_response"],
-            parse_error=row["parse_error"],
-            attempts=int(row["attempts"]),
-            allocation=None if row["allocation"] is None else dict(row["allocation"]),
-            holdings_after=dict(row["holdings_after"]),
-            prices_after=dict(row["prices_after"]),
-            value=float(row["value"]),
-            step_return=float(row["step_return"]),
-        )
 
 
 @dataclass(frozen=True)

@@ -101,11 +101,7 @@ def _encode(kind: str, date: dt.date, value: Any) -> str:
     if kind == "news":
         row = {
             "date": date.isoformat(),
-            "items": [
-                {"title": i.title, "snippet": i.snippet, "source": i.source,
-                 "url": i.url, "published_at": i.published_at}
-                for i in value
-            ],
+            "items": [{k: v for k, v in vars(i).items() if k != "tagged_asset"} for i in value],
         }
     else:
         row = {"date": date.isoformat(), "price": value.price, "volume": value.volume}
@@ -113,11 +109,19 @@ def _encode(kind: str, date: dt.date, value: Any) -> str:
 
 
 def _decode(kind: str, key: str, date: dt.date, row: dict) -> Any:
-    """The indexed value for one stored row; news items are tagged with
-    the series key, which the rows don't carry."""
+    """The indexed value for one stored row of the JSON types ``_encode``
+    writes; news items are tagged with the series key, not in the rows."""
     if kind == "news":
-        return tuple(NewsItem(tagged_asset=key, **raw) for raw in row["items"])
-    return PricePoint(date, row["price"], row["volume"])
+        items = tuple(NewsItem(tagged_asset=key, **raw) for raw in row["items"])
+        for i in items:
+            texts = (i.title, i.snippet, i.source, i.url)
+            if type(i.published_at) is not int or not all(type(t) is str for t in texts):
+                raise ValueError(f"news item {i.url!r} is not four strings and an integer")
+        return items
+    price, volume = row["price"], row["volume"]
+    if type(price) not in (int, float) or type(volume) not in (int, float, type(None)):
+        raise ValueError(f"price {price!r} or volume {volume!r} is not a number")
+    return PricePoint(date, price, volume)
 
 
 _DATE_PREFIX = '{"date": "'  # how ``_encode``'s rows start
@@ -285,6 +289,8 @@ class SnapshotStore:
                         continue
                     try:
                         entry = MarketCatalogEntry(**json.loads(line))
+                        if not all(type(v) is str for v in vars(entry).values()):
+                            raise TypeError("a field is not a string")
                     except (TypeError, ValueError) as exc:
                         raise IngestionError(f"{path}:{n}: unreadable market entry") from exc
                     markets[entry.slug] = entry

@@ -1,20 +1,24 @@
 """Session logs: append-only JSONL, one file per (market, model) run.
 
 Line 1 is a header naming the format version, market, model, universe,
-and starting capital; every following line is one executed step in
-wire order. Nothing in a log depends on wall-clock time, so identical
-runs produce identical bytes and a resumed run extends the file
-without rewriting a single earlier byte.
+and starting capital; every following line is one executed step, a
+``SessionRecord`` in wire order, which only this module encodes and
+decodes. Nothing in a log depends on wall-clock time, so identical runs
+produce identical bytes and a resumed run extends the file without
+rewriting a single earlier byte.
 
 Reading a log parses its header, then indexes its records by date and
 decodes each when a read first reaches it, as ``tradefolio.dated``
-describes. A record is a bad record when its price and holding maps
-do not name exactly the header's assets, a price is not finite and
-positive, a holding is not finite and non-negative, or its value is not
-finite and positive. A resume reads only the memory window and, when
-the window opens on a fallback step, the records back to the last one
-that validated or held, so a bad record further back is caught by
-``report`` and ``delta``, which read every record, and not by ``run``.
+describes. A record is a bad record unless the writer could have
+appended it: the record's fields, of the types their annotations name,
+``stale`` a list of the header's assets, price, holding and non-null
+``allocation`` maps that name exactly those assets, each price finite
+and positive, each holding and weight finite and non-negative, weights
+summing to 1 within ``ALLOCATION_SUM_TOL``, and a finite, positive
+value. A resume reads only the memory window and, when the window opens
+on a fallback step, the records back to the last one that validated or
+held, so a bad record further back is caught by ``report`` and
+``delta``, which read every record, and not by ``run``.
 
 An append killed mid-line leaves a final line without its newline.
 ``drop_torn_tail`` cuts that line off so the resumed run recomputes it;
@@ -27,13 +31,14 @@ import datetime as dt
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 from pathlib import Path
 from typing import Any, Iterable
 
 from .dated import DatedRows, index
-from .domain import AllocationVector, Holdings, MarketKind, MarketSpec, PriceVector
+from .domain import (ALLOCATION_SUM_TOL, AllocationVector, Holdings, MarketKind, MarketSpec,
+                     PriceVector)
 from .environment import ResumePoint, SessionRecord, SessionState, memory_entry
 from .errors import ConfigError, CorruptLog
 
@@ -58,6 +63,14 @@ LOG_VERSION = 1
 
 def _dumps(obj: Any) -> str:
     return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
+
+
+def _encode_record(record: SessionRecord) -> str:
+    """A record's line, its fields in declaration order: the wire order."""
+    return _dumps({**vars(record), "date": record.date.isoformat()})
+
+
+_DATE_PREFIX = '{"date":"'  # how ``_encode_record`` starts every line
 
 
 @dataclass(frozen=True)
@@ -90,7 +103,7 @@ class SessionLogHeader:
         if row.get("version") != LOG_VERSION:
             raise ValueError(f"unsupported log version {row.get('version')!r}")
         model, assets, cash = row["model"], row["assets"], row["cash"]
-        capital = float(row["initial_capital"])
+        capital = row["initial_capital"]
         for key, value in (("model", model), ("cash", cash)):
             if not isinstance(value, str):
                 raise ValueError(f"{key} {value!r} is not a string")
@@ -98,9 +111,9 @@ class SessionLogHeader:
             raise ValueError(f"assets {assets!r} is not a list of strings")
         if cash not in assets:
             raise ValueError(f"cash {cash!r} is not one of the assets")
-        if not 0 < capital < math.inf:
-            raise ValueError(f"initial_capital {capital} is not finite and positive")
-        return cls(MarketKind(row["market"]), model, capital, tuple(assets), cash)
+        if type(capital) not in (int, float) or not 0 < capital < math.inf:
+            raise ValueError(f"initial_capital {capital!r} is not finite and positive")
+        return cls(MarketKind(row["market"]), model, float(capital), tuple(assets), cash)
 
 
 def check_header(path: Path, logged: SessionLogHeader, header: SessionLogHeader) -> None:
@@ -128,7 +141,7 @@ class SessionLogWriter:
 
     def append(self, record: SessionRecord) -> None:
         with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(_dumps(record.to_json_dict()) + "\n")
+            fh.write(_encode_record(record) + "\n")
 
 
 def _parse_header(path: Path, line: str) -> SessionLogHeader:
@@ -150,9 +163,6 @@ def _read_header(path: Path) -> SessionLogHeader:
     raise CorruptLog(f"{path}: empty file")
 
 
-_DATE_PREFIX = '{"date":"'  # how ``_dumps`` starts every record
-
-
 def read_session_log(path: str | Path) -> tuple[SessionLogHeader, DatedRows[SessionRecord]]:
     """The header, parsed, and the records, indexed by date but not
     decoded (see ``tradefolio.dated``)."""
@@ -168,25 +178,45 @@ def read_session_log(path: str | Path) -> tuple[SessionLogHeader, DatedRows[Sess
                          "bad record")
 
 
+_FIELDS = frozenset(f.name for f in fields(SessionRecord))
+# the JSON types each scalar field's annotation admits
+_ADMITS = {"int": (int,), "float": (int, float), "str": (str,), "str | None": (str, type(None))}
+_SCALARS = {f.name: f.type for f in fields(SessionRecord) if f.type in _ADMITS}
+
+
 def _decode_record(assets: frozenset[str], date: dt.date, row: dict) -> SessionRecord:
-    record = SessionRecord.from_json_dict(row)
-    for name in ("prices", "holdings_before", "holdings_after", "prices_after"):
-        values = getattr(record, name)
-        keys = values.keys()
+    """The record a row holds, or ``ValueError`` if the writer could not have appended it."""
+    if row.keys() != _FIELDS:
+        raise ValueError(f"fields {sorted(row.keys() ^ _FIELDS)} are missing or unknown")
+    for name, kind in _SCALARS.items():
+        if type(row[name]) not in _ADMITS[kind]:
+            raise ValueError(f"{name} {row[name]!r} is not of type {kind}")
+    stale = row["stale"]
+    if type(stale) is not list or not all(type(a) is str and a in assets for a in stale):
+        raise ValueError(f"stale {stale!r} is not a list of the header's assets")
+    for name in ("prices", "holdings_before", "holdings_after", "prices_after", "allocation"):
+        values, positive = row[name], name.startswith("prices")
+        if values is None and name == "allocation":
+            continue
+        keys = values.keys() if type(values) is dict else set()
         if keys != assets:
             raise ValueError(f"{name} does not name the header's assets: missing "
                              f"{sorted(assets - keys)}, unknown {sorted(keys - assets)}")
-        # one min and one sum per map: a NaN or an infinity makes the sum not finite
-        positive = name.startswith("prices")
-        low = min(values.values())
-        if not (low > 0 or low == 0 and not positive) or not math.isfinite(sum(values.values())):
-            bad = sorted(a for a, v in values.items()
-                         if not (0 < v < math.inf or v == 0 and not positive))
+        try:  # one min and one sum per map: a NaN or an infinity makes the sum not finite
+            low, total = min(values.values()), sum(values.values())
+            ok = (low > 0 or low == 0 and not positive) and math.isfinite(total)
+        except TypeError:  # a value that is not a number
+            ok = False
+        if not ok:
+            bad = sorted(a for a, v in values.items() if type(v) not in (int, float)
+                         or not (0 < v < math.inf or v == 0 and not positive))
             bound = "positive" if positive else "non-negative"
             raise ValueError(f"{name} is not finite and {bound} for {bad}")
-    if not 0 < record.value < math.inf:
-        raise ValueError(f"value {record.value} is not finite and positive")
-    return record
+        if name == "allocation" and abs(total - 1.0) > ALLOCATION_SUM_TOL:
+            raise ValueError(f"allocation sums to {total!r}, not 1 within {ALLOCATION_SUM_TOL}")
+    if not 0 < row["value"] < math.inf:
+        raise ValueError(f"value {row['value']} is not finite and positive")
+    return SessionRecord(**{**row, "date": date, "stale": tuple(stale)})
 
 
 def drop_torn_tail(path: Path) -> int | None:
@@ -217,10 +247,7 @@ def value_series(header: SessionLogHeader, records: Iterable[SessionRecord]) -> 
 def cash_ratio_series(header: SessionLogHeader,
                       records: Iterable[SessionRecord]) -> list[float]:
     """Fraction of value parked in cash after each step (cash price is 1)."""
-    out = [1.0]
-    for r in records:
-        out.append(r.holdings_after[header.cash] / r.value)
-    return out
+    return [1.0] + [r.holdings_after[header.cash] / r.value for r in records]
 
 
 def effective_allocations(header: SessionLogHeader,
@@ -231,15 +258,11 @@ def effective_allocations(header: SessionLogHeader,
     validated allocation, all cash before any existed; that walk is
     deterministic, so it can be replayed from the records alone.
     """
-    spec_like_assets = header.assets
-    fallback = AllocationVector(
-        {a: (1.0 if a == header.cash else 0.0) for a in spec_like_assets}
-    )
+    last = AllocationVector({a: float(a == header.cash) for a in header.assets})
     out: list[AllocationVector] = []
-    last = fallback
     for r in records:
         if r.allocation is not None:
-            last = AllocationVector({a: r.allocation.get(a, 0.0) for a in spec_like_assets})
+            last = AllocationVector({a: r.allocation.get(a, 0.0) for a in header.assets})
         out.append(last)
     return out
 
@@ -255,14 +278,10 @@ def position_histories(
     """
     if not records:
         raise CorruptLog("log has no records")
-    initial = Holdings(
-        {a: (header.initial_capital if a == header.cash else 0.0) for a in header.assets}
-    )
-    holdings = [initial] + [Holdings(r.holdings_after) for r in records]
-    prices = [PriceVector(records[0].date, records[0].prices)]
-    for r in records:
-        exec_date = r.date + dt.timedelta(days=1)
-        prices.append(PriceVector(exec_date, r.prices_after))
+    initial = {a: (header.initial_capital if a == header.cash else 0.0) for a in header.assets}
+    holdings = [Holdings(initial)] + [Holdings(r.holdings_after) for r in records]
+    prices = [PriceVector(records[0].date, records[0].prices)] + [
+        PriceVector(r.date + dt.timedelta(days=1), r.prices_after) for r in records]
     return holdings, prices
 
 

@@ -849,6 +849,9 @@ def _without(mapping, key):
      "prices_after is not finite and positive for ['AAPL']"),
     ("report", lambda r: {**r, "holdings_before": {**r["holdings_before"], "MSFT": -1.0}},
      "holdings_before is not finite and non-negative for ['MSFT']"),
+    ("report", lambda r: {**r, "value": "12"}, "value '12' is not of type float"),
+    ("delta", lambda r: {**r, "stale": "AAPL"},
+     "stale 'AAPL' is not a list of the header's assets"),
 ])
 def test_a_tampered_record_fails_naming_its_line(runner, stock_setup, command, tamper, error):
     tmp_path, config, dates = stock_setup
@@ -877,6 +880,57 @@ def test_a_resumed_run_refuses_a_record_with_a_negative_holding(runner, stock_se
     assert isinstance(result.exception, SystemExit), result.exception
     assert (f"baseline:equal-weight: failed: {log}:5: bad record: holdings_after is not"
             " finite and non-negative for ['AAPL']") in result.output
+
+
+@pytest.mark.parametrize("weights, error", [
+    (lambda w: {**w, "AAPL": "0.25"}, "allocation is not finite and non-negative for ['AAPL']"),
+    (lambda w: {a: v / 2 for a, v in w.items()}, "allocation sums to 0.5, not 1 within 1e-09"),
+], ids=["string-weight", "half-sum"])
+def test_a_resumed_run_refuses_a_bad_allocation_in_its_memory_window(runner, stock_setup,
+                                                                       weights, error):
+    tmp_path, config, dates = stock_setup
+    assert runner.invoke(main, ["run", "--config", str(config)]).exit_code == 0
+    log = tmp_path / "runs" / "stock-baseline-equal-weight.jsonl"
+    lines = log.read_text(encoding="utf-8").splitlines()[:5]  # four steps, then resume
+    row = json.loads(lines[-2])
+    row["allocation"] = weights(row["allocation"])
+    lines[-2] = json.dumps(row, separators=(",", ":"))
+    log.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    result = runner.invoke(main, ["run", "--config", str(config)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert f"baseline:equal-weight: failed: {log}:4: bad record: {error}" in result.output
+
+
+def test_a_store_news_item_with_a_quoted_time_fails_its_run_naming_the_row(runner,
+                                                                            stock_setup):
+    tmp_path, config, dates = stock_setup
+    news = tmp_path / "store" / "news" / "AAPL.jsonl"
+    lines = news.read_text(encoding="utf-8").splitlines()
+    row = json.loads(lines[1])
+    row["items"][0]["published_at"] = str(row["items"][0]["published_at"])
+    lines[1] = json.dumps(row)
+    news.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    result = runner.invoke(main, ["run", "--config", str(config)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert f"baseline:all-cash: failed: {news}:2: unreadable row: news item" in result.output
+
+
+def test_a_catalog_entry_with_a_numeric_token_fails_the_run_naming_it(runner, tmp_path):
+    questions = ("Will the synthetic index close above its opening level?",
+                 "Will the sample reserve be drawn down this quarter?")
+    dates = seed_prediction_store(tmp_path / "store", questions, D(2025, 3, 3), 4, seed=4)
+    catalog = tmp_path / "store" / "markets.jsonl"
+    lines = catalog.read_text(encoding="utf-8").splitlines()
+    lines[0] = json.dumps({**json.loads(lines[0]), "yes_token": 5})
+    catalog.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    config = _write_config(tmp_path / "run.yaml", tmp_path / "store", tmp_path / "runs",
+                           dates, ["baseline:all-cash"], market="prediction")
+    result = runner.invoke(main, ["run", "--config", str(config)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert f"{catalog}:1: unreadable market entry" in result.output
 
 
 def test_fetch_stock_snapshots_store(runner, tmp_path, monkeypatch):

@@ -20,7 +20,7 @@ from tradefolio.agents.clients import ModelClientConfig, ScriptedClient
 from tradefolio.agents.harness import AgentDecision, LLMAgent
 from tradefolio.cli import main
 from tradefolio.domain import MarketKind, MarketSpec
-from tradefolio.environment import DEFAULT_MEMORY_HORIZON, SessionRecord, SessionStatus, run_episode
+from tradefolio.environment import DEFAULT_MEMORY_HORIZON, SessionStatus, run_episode
 from tradefolio.errors import ConfigError, CorruptLog
 from tradefolio.ingestion.feeds import ReplayFeed
 from tradefolio.ingestion.snapshots import SnapshotStore
@@ -157,10 +157,11 @@ _HEADER = SessionLogHeader.for_run(MarketSpec.stock(("AAPL", "MSFT", "NVDA")),
     '"x"',
     json.dumps({**_HEADER.to_json_dict(), "assets": 5}),
     json.dumps({**_HEADER.to_json_dict(), "initial_capital": None}),
+    json.dumps({**_HEADER.to_json_dict(), "initial_capital": "1000.0"}),
     '{"format":"nope","version":1}',
     json.dumps({**_HEADER.to_json_dict(), "version": 2}),
-], ids=["list", "null", "string", "assets-number", "capital-null", "foreign-format",
-        "version-2"])
+], ids=["list", "null", "string", "assets-number", "capital-null", "capital-string",
+        "foreign-format", "version-2"])
 def test_header_of_the_wrong_shape_is_a_corrupt_log(tmp_path, first_line):
     path = tmp_path / "run.jsonl"
     path.write_text(first_line + "\n", encoding="utf-8")
@@ -247,6 +248,35 @@ def test_a_bad_record_indexes_then_fails_at_its_first_read(tmp_path, stock_world
             list(records)
 
 
+@pytest.mark.parametrize("tamper, error", [
+    (lambda r: {**r, "value": "12"}, "value '12' is not of type float"),
+    (lambda r: {**r, "attempts": "1"}, "attempts '1' is not of type int"),
+    (lambda r: {**r, "stale": "AAPL"}, "stale 'AAPL' is not a list of the header's assets"),
+    (lambda r: {**r, "news_count": 2.7}, "news_count 2.7 is not of type int"),
+    (lambda r: {**r, "note": "x"}, "fields ['note'] are missing or unknown"),
+    (lambda r: {**r, "prices": list(r["prices"].items())}, "prices does not name the"
+     " header's assets: missing ['AAPL', 'CASH', 'MSFT', 'NVDA'], unknown []"),
+    (lambda r: {**r, "allocation": {**r["allocation"], "AAPL": "0.25"}},
+     "allocation is not finite and non-negative for ['AAPL']"),
+    (lambda r: {**r, "allocation": {a: float(a == "CASH") / 2 for a in r["allocation"]}},
+     "allocation sums to 0.5, not 1 within 1e-09"),
+], ids=["quoted-value", "quoted-attempts", "stale-string", "fractional-news-count",
+        "extra-field", "prices-as-pairs", "string-weight", "half-sum"])
+def test_a_row_the_writer_could_not_have_appended_is_a_bad_record(tmp_path, stock_world,
+                                                                   tamper, error):
+    spec, feed, dates = stock_world
+    path = tmp_path / "run.jsonl"
+    _run_logged(path, spec, feed, dates[:4], scripted_agent(_varied_responses(3)))
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert json.loads(lines[2])["allocation"] is not None
+    lines[2] = json.dumps(tamper(json.loads(lines[2])), separators=(",", ":"))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _, records = read_session_log(path)
+    assert records[0].date == dates[0]
+    with pytest.raises(CorruptLog, match=re.escape(f"{path}:3: bad record: {error}")):
+        records[1]
+
+
 # -- decoding on first read ---------------------------------------------------
 
 
@@ -257,7 +287,9 @@ def logged(tmp_path_factory, shared_world):
     path = tmp_path_factory.mktemp("log") / "run.jsonl"
     _run_logged(path, spec, feed, dates[:8], scripted_agent(["junk"] + _varied_responses(7)))
     lines = path.read_text(encoding="utf-8").split("\n")[1:-1]
-    return path, [SessionRecord.from_json_dict(json.loads(line)) for line in lines]
+    assets = frozenset(spec.assets)
+    return path, [sessionlog._decode_record(assets, D.fromisoformat(row["date"]), row)
+                  for row in map(json.loads, lines)]
 
 
 _bound = st.one_of(st.none(), st.integers(-9, 9))
@@ -292,10 +324,10 @@ def test_any_read_order_matches_an_eager_decode(logged, reads):
             assert [records[i] for i in range(read[1], len(eager))] == eager[read[1]:]
         elif read[0] == "merge":  # a record dated before the first one
             more = replace(eager[0], date=eager[0].date - dt.timedelta(days=1))
-            lines, merged = records.merge(
-                {more.date: more}, lambda _, r: sessionlog._dumps(r.to_json_dict()))
+            lines, merged = records.merge({more.date: more},
+                                          lambda _, r: sessionlog._encode_record(r))
             records, eager = merged, [more] + eager
-            assert lines == [sessionlog._dumps(r.to_json_dict()) for r in eager]
+            assert lines == [sessionlog._encode_record(r) for r in eager]
         else:
             more = replace(eager[-1], date=eager[-1].date + dt.timedelta(days=len(eager)))
             longer = records + (more,)
@@ -333,13 +365,13 @@ def test_a_daily_resume_decodes_only_the_memory_window(daily_log, monkeypatch):
     log.write_bytes(b"".join(lines[:-1]))
 
     decoded = []
-    real = SessionRecord.from_json_dict
+    real = sessionlog._decode_record
 
-    def counting(row):
-        decoded.append(row["date"])
-        return real(row)
+    def counting(assets, date, row):
+        decoded.append(date)
+        return real(assets, date, row)
 
-    monkeypatch.setattr(SessionRecord, "from_json_dict", counting)
+    monkeypatch.setattr(sessionlog, "_decode_record", counting)
     result = CliRunner().invoke(main, ["run", "--config", str(config)])
     assert result.exit_code == 0, result.output
     assert "+1 steps" in result.output

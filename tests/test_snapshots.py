@@ -148,6 +148,8 @@ def test_a_header_of_the_wrong_shape_is_unreadable(tmp_path, first_line):
     '{"date": "2025-03-04", "price": 110.0',
     '{"date": "2025-03-04T09:30", "price": 110.0, "volume": null}',  # disagrees with its index
     f"{_price_line(4)}, {_price_line(4)}",  # two rows on one line
+    '{"date": "2025-03-04", "price": true, "volume": null}',
+    '{"date": "2025-03-04", "price": 110.0, "volume": "9"}',
 ])
 def test_bad_price_value_loads_then_fails_at_its_first_read(tmp_path, bad):
     path = _write_rows(tmp_path, "NVDA", [_price_line(3), bad, _price_line(5, 112.0)])
@@ -206,10 +208,23 @@ def test_a_bad_row_only_the_growth_margin_reaches_stops_the_run_short(tmp_path):
         store.latest_price("stock", "NVDA", D(2025, 3, 4))
 
 
+def _news_row(**change):
+    """A stored news row for 2025-03-04 whose one item has ``change`` applied."""
+    item = {"title": "t", "snippet": "s", "source": "w", "url": "u", "published_at": 1741000000}
+    return json.dumps({"date": "2025-03-04", "items": [{**item, **change}]})
+
+
 @pytest.mark.parametrize("bad", [
     '{"date": "2025-03-04", "items": [{"title": "no other fields"}]}',
     '{"date": "2025-03-04", "items": 7}',
     '{"date": "2025-03-04"}',
+    _news_row(published_at="1741000000"),
+    _news_row(published_at=True),
+    _news_row(published_at=1741000000.0),
+    _news_row(title=5),
+    _news_row(snippet=None),
+    _news_row(source=["w"]),
+    _news_row(url={"u": 1}),
 ])
 def test_bad_news_value_loads_then_fails_at_its_first_read(tmp_path, bad):
     good = json.dumps({"date": "2025-03-05", "items": []})
@@ -342,6 +357,18 @@ def test_market_catalog_sorted_and_guarded(tmp_path):
     fresh = SnapshotStore(tmp_path)
     assert [e.slug for e in fresh.markets()] == ["alpha", "zeta"]
     assert fresh.markets()[0] == _entry("alpha")
+
+
+@pytest.mark.parametrize("field", ["slug", "question", "yes_token", "no_token", "url"])
+def test_a_catalog_entry_whose_field_is_not_a_string_is_unreadable(tmp_path, field):
+    store = SnapshotStore(tmp_path)
+    store.record_markets([_entry("alpha"), _entry("zeta")])
+    path = tmp_path / "markets.jsonl"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[1] = json.dumps({**json.loads(lines[1]), field: 5})
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(IngestionError, match=re.escape(f"{path}:2: unreadable market entry")):
+        SnapshotStore(tmp_path).markets()
 
 
 def test_filename_slugs_unsafe_keys():
