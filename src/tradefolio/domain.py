@@ -9,6 +9,7 @@ asset order and is relied on by rendering and serialization.
 from __future__ import annotations
 
 import datetime as dt
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping
@@ -117,8 +118,8 @@ class PricePoint:
     volume: float | None = None
 
     def __post_init__(self) -> None:
-        if not self.price > 0:
-            raise ValueError(f"price must be positive, got {self.price}")
+        if not 0 < self.price < math.inf:
+            raise ValueError(f"price must be finite and positive, got {self.price}")
 
 
 @dataclass(frozen=True)
@@ -131,8 +132,8 @@ class PriceVector:
     def __post_init__(self) -> None:
         object.__setattr__(self, "prices", dict(self.prices))
         for asset, price in self.prices.items():
-            if not price > 0:
-                raise ValueError(f"non-positive price for {asset}: {price}")
+            if not 0 < price < math.inf:
+                raise ValueError(f"price for {asset} is not finite and positive: {price}")
 
     def __getitem__(self, asset: str) -> float:
         return self.prices[asset]

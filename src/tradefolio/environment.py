@@ -34,7 +34,6 @@ from .domain import (
 from .errors import AllocationError, ClientError, NoPriceEverSeen, ParseError
 from .ingestion.feeds import HISTORY_LOOKBACK_DAYS, Feed
 from .ingestion.news import NEWS_WINDOW_DAYS
-from .ingestion.policy import utc_midnight
 
 __all__ = [
     "DEFAULT_RETRIES",
@@ -186,9 +185,9 @@ def build_observation(
     ``priced`` is the date's ``resolve_prices`` result when already in
     hand. Price history spans the lookback window that ends the day
     before; news spans the trailing window ending the day before as
-    well, and an item published at or after the date's UTC midnight is
-    dropped whatever day it is stored under, so the decision date
-    itself never leaks through side channels.
+    well, as the feed gives it for the date: newest first, and none
+    published at or after the date's UTC midnight, whatever day stores
+    it, so the decision date itself never leaks through side channels.
     """
     spec = state.spec
     prices, stale = priced or resolve_prices(feed, spec, date)
@@ -198,13 +197,11 @@ def build_observation(
         for a in spec.assets
         if a != spec.cash
     }
-    cutoff = utc_midnight(date)
     news = tuple(
         item
         for tag in spec.news_tags
         for item in feed.news_window(tag, date - dt.timedelta(days=news_window_days),
                                      date - day, target=date)
-        if item.published_at < cutoff
     )
     return Observation(date=date, positions=state.holdings, prices=prices, news=news,
                        price_history=history, stale=stale)

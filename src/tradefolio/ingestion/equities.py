@@ -8,6 +8,7 @@ split out so payload handling is testable without a network.
 from __future__ import annotations
 
 import datetime as dt
+import math
 from typing import Any
 from zoneinfo import ZoneInfo
 
@@ -44,7 +45,7 @@ def parse_chart_payload(payload: Any, tz: ZoneInfo = _DEFAULT_TZ) -> list[PriceP
     """Bars from one chart response, oldest first.
 
     Prefers adjusted closes, falls back to raw closes, and drops bars
-    where both are null. Bar timestamps become exchange-local dates.
+    with no finite positive price. Timestamps become exchange-local dates.
     """
     result = _chart_result(payload)
     timestamps = result.get("timestamp") or []
@@ -59,7 +60,7 @@ def parse_chart_payload(payload: Any, tz: ZoneInfo = _DEFAULT_TZ) -> list[PriceP
     points = []
     for ts, close, adj, volume in zip(timestamps, closes, adjusted, volumes):
         price = adj if adj is not None else close
-        if price is None or not price > 0:
+        if price is None or not 0 < price < math.inf:
             continue
         date = dt.datetime.fromtimestamp(ts, tz).date()
         points.append(PricePoint(date, float(price), None if volume is None else float(volume)))
@@ -73,7 +74,7 @@ def parse_quote_payload(payload: Any, tz: ZoneInfo = _DEFAULT_TZ) -> PricePoint:
     meta = result.get("meta") or {}
     price = meta.get("regularMarketPrice")
     moment = meta.get("regularMarketTime")
-    if price is None or moment is None or not price > 0:
+    if price is None or moment is None or not 0 < price < math.inf:
         raise ProviderError("quote payload lacks a usable market price")
     return PricePoint(dt.datetime.fromtimestamp(moment, tz).date(), float(price), None)
 

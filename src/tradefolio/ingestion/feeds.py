@@ -2,24 +2,26 @@
 
 A feed answers three questions for the environment: the latest price
 at or before a date, the stored closes inside a lookback window, and
-the ranked news for a tag window. ``ReplayFeed`` answers purely from
-the snapshot store, and every session reads through it, live ones
-included. Live data is a backfill: ``ensure_dates`` tops the store up
-from providers for the decision dates before any session runs, so a
-live session replays exactly the store it leaves behind. ``tradefolio
-fetch`` and a live ``tradefolio run`` both go through it.
+a tag window's news, newest first and published before the decision
+date's UTC midnight. ``ReplayFeed`` answers purely from the snapshot
+store, and every session reads through it, live ones included. Live
+data is a backfill: ``ensure_dates`` tops the store up from providers
+for the decision dates before any session runs, so a live session
+replays exactly the store it leaves behind. ``tradefolio fetch`` and a
+live ``tradefolio run`` both go through it.
 """
 
 from __future__ import annotations
 
 import datetime as dt
+import math
 from bisect import bisect_left, bisect_right
 from typing import Iterable, Mapping, Protocol, Sequence
 
 from ..domain import MarketKind, MarketSpec, NewsItem, PricePoint
 from ..errors import FeedUnavailable, ProviderError
 from . import equities, news, predictions
-from .policy import FetchPolicy
+from .policy import FetchPolicy, utc_midnight
 from .snapshots import SnapshotStore
 
 __all__ = ["Feed", "ReplayFeed", "ensure_dates", "record_discovered"]
@@ -28,6 +30,10 @@ HISTORY_LOOKBACK_DAYS = 10
 
 
 class Feed(Protocol):
+    """What a session reads. ``news_window`` gives a tag's items stored
+    under days in [start, end], newest first; given the decision date
+    ``target``, it drops those published at or after its UTC midnight."""
+
     def latest_price(self, asset: str, on_or_before: dt.date) -> PricePoint | None: ...
 
     def price_window(self, asset: str, start: dt.date, end: dt.date) -> tuple[PricePoint, ...]: ...
@@ -57,8 +63,12 @@ class ReplayFeed:
 
     def news_window(self, tag: str, start: dt.date, end: dt.date,
                     target: dt.date | None = None) -> tuple[NewsItem, ...]:
-        items = self.store.news_window(tag, start, end)
-        return tuple(news.rank_news(items, target))
+        """The stored items, newest first, cut at ``target``'s UTC
+        midnight whatever day stores them: the one rule for which news
+        a decision sees."""
+        cutoff = math.inf if target is None else utc_midnight(target)
+        return tuple(news.rank_news(i for i in self.store.news_window(tag, start, end)
+                                    if i.published_at < cutoff))
 
 
 def _record_new_prices(store: SnapshotStore, market: str, key: str,
@@ -98,8 +108,9 @@ def ensure_dates(
     than two bars; each asset gets one history request, from the first
     such date minus the lookback to the last date, then a stock whose
     last date is still unpriced gets one quote. A tag gets one news
-    request over the windows of the dates missing a news day, ranked for
-    the last date, and every missing day is recorded, empty ones too.
+    request over the windows of the dates missing a news day, and every
+    missing day is recorded, empty ones too, keeping its items newest
+    first.
     These checks read only the dates a series holds, so a covered store
     decodes no row here. Only dates a series lacks are written. A
     provider failure that survives the retry policy raises
@@ -148,7 +159,7 @@ def ensure_dates(
             if tag_dates:
                 missing = sorted({day for d in tag_dates for day in lacks_news(tag, d)})
                 items = news.fetch_news(tag, spec.kind, tag_dates[0] - window[0],
-                                        tag_dates[-1] - window[-1], policy, target=last)
+                                        tag_dates[-1] - window[-1], policy)
                 store.record_news(tag, news.news_days(items, missing))
     except ProviderError as exc:
         raise FeedUnavailable(f"live data unavailable for {first}: {exc}", first) from exc

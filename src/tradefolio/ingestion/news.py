@@ -6,14 +6,14 @@ import datetime as dt
 import html
 import re
 import xml.etree.ElementTree as ET
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable
 
 import requests
 
 from ..domain import MarketKind, NewsItem
 from ..errors import ProviderError
 from .normalize import clean_link, parse_news_timestamp
-from .policy import FetchPolicy, HttpGet, get, utc_midnight
+from .policy import FetchPolicy, HttpGet, get
 
 __all__ = [
     "RSS_URL",
@@ -136,12 +136,9 @@ def news_days(items: Iterable[NewsItem],
     return list(buckets.items())
 
 
-def rank_news(items: Sequence[NewsItem], target: dt.date | None = None) -> list[NewsItem]:
-    """Closest to the target date first; without a target, newest first."""
-    if target is None:
-        return sorted(items, key=lambda i: -i.published_at)
-    anchor = utc_midnight(target)
-    return sorted(items, key=lambda i: (abs(i.published_at - anchor), -i.published_at))
+def rank_news(items: Iterable[NewsItem]) -> list[NewsItem]:
+    """Newest first; items published in the same second keep their order."""
+    return sorted(items, key=lambda i: -i.published_at)
 
 
 def fetch_news(
@@ -151,10 +148,9 @@ def fetch_news(
     end: dt.date,
     policy: FetchPolicy,
     reference: dt.datetime | None = None,
-    target: dt.date | None = None,
     http: HttpGet = _requests_get_text,
 ) -> list[NewsItem]:
-    """Ranked items for one tag, publication dates within [start, end]."""
+    """Items for one tag published within [start, end], newest first."""
     reference = reference or dt.datetime.now(dt.timezone.utc)
     query = build_news_query(tag, kind)
     # Provider-side date operators are exclusive on both edges.
@@ -164,4 +160,4 @@ def fetch_news(
     )
     params = {"q": q, "hl": "en-US", "gl": "US", "ceid": "US:en"}
     items = get(policy, RSS_URL, params, lambda text: parse_news_rss(text, tag, reference), http)
-    return rank_news(filter_news_window(items, start, end), target)
+    return rank_news(filter_news_window(items, start, end))

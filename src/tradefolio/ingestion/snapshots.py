@@ -55,6 +55,8 @@ SERIES_FORMAT = "tradefolio-series"
 SERIES_VERSION = 1
 
 _PRICE_SERIES = {"stock": "stock-price", "prediction": "prediction-price"}
+_SERIES_DIRS = {"stock-price": "prices/stock", "prediction-price": "prices/prediction",
+                "news": "news"}
 _SAFE_KEY = re.compile(r"[A-Za-z0-9._-]{1,64}")
 _TEMP_NAME = re.compile(r"\..+\.[0-9a-f]{12}\.tmp")  # what ``_atomic_write`` names its temp files
 
@@ -76,6 +78,11 @@ def _filename(key: str) -> str:
     slug = re.sub(r"[^A-Za-z0-9]+", "-", key).strip("-").lower()[:48] or "series"
     digest = hashlib.blake2s(key.encode(), digest_size=5).hexdigest()
     return f"{slug}-{digest}.jsonl"
+
+
+def _header(kind: str, key: str) -> dict[str, Any]:
+    """The object a series file's header line holds."""
+    return {"format": SERIES_FORMAT, "version": SERIES_VERSION, "series": kind, "key": key}
 
 
 def _atomic_write(path: Path, lines: Iterable[str]) -> None:
@@ -139,13 +146,8 @@ class SnapshotStore:
 
     # -- series plumbing -------------------------------------------------
 
-    def _dir_for(self, kind: str) -> Path:
-        if kind in _PRICE_SERIES.values():
-            market = next(m for m, s in _PRICE_SERIES.items() if s == kind)
-            return self.root / "prices" / market
-        if kind == "news":
-            return self.root / "news"
-        raise IngestionError(f"unknown series kind {kind!r}")
+    def _path(self, kind: str, key: str) -> Path:
+        return self.root / _SERIES_DIRS[kind] / _filename(key)
 
     def _ready_dir(self, directory: Path) -> None:
         """Make a directory for a write; on this store's first write into
@@ -171,7 +173,7 @@ class SnapshotStore:
 
     def _index(self, kind: str, key: str) -> DatedRows:
         """Read a series file into an index of dates beside raw rows."""
-        path = self._dir_for(kind) / _filename(key)
+        path = self._path(kind, key)
         body: list[str] = []
         if path.exists():
             with open(path, encoding="utf-8") as fh:
@@ -183,12 +185,7 @@ class SnapshotStore:
                     raise TypeError(f"expected a JSON object, got {type(header).__name__}")
             except (TypeError, ValueError) as exc:
                 raise IngestionError(f"{path}: unreadable header") from exc
-            if (
-                header.get("format") != SERIES_FORMAT
-                or header.get("version") != SERIES_VERSION
-                or header.get("series") != kind
-                or header.get("key") != key
-            ):
+            if header != _header(kind, key):
                 raise IngestionError(f"{path}: header does not match series ({kind}, {key!r})")
         return index(path, body, 2, _DATE_PREFIX, partial(_decode, kind, key),
                      IngestionError, "unreadable row")
@@ -213,13 +210,9 @@ class SnapshotStore:
         if not fresh:
             return 0
         body, merged = series.merge(fresh, partial(_encode, kind))
-        header = json.dumps(
-            {"format": SERIES_FORMAT, "version": SERIES_VERSION, "series": kind, "key": key},
-            ensure_ascii=False,
-        )
-        path = self._dir_for(kind) / _filename(key)
+        path = self._path(kind, key)
         self._ready_dir(path.parent)
-        _atomic_write(path, [header, *body])
+        _atomic_write(path, [json.dumps(_header(kind, key), ensure_ascii=False), *body])
         self._series[(kind, key)] = merged
         return len(fresh)
 

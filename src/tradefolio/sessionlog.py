@@ -133,7 +133,8 @@ class SessionLogWriter:
         self.path = Path(path)
         self.header = header
         if self.path.exists() and self.path.stat().st_size > 0:
-            check_header(self.path, _read_header(self.path), header)
+            with open(self.path, encoding="utf-8") as fh:
+                check_header(self.path, _parse_header(self.path, fh.readline()), header)
         else:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             with open(self.path, "w", encoding="utf-8") as fh:
@@ -154,26 +155,16 @@ def _parse_header(path: Path, line: str) -> SessionLogHeader:
         raise CorruptLog(f"{path}:1: bad header: {exc}") from exc
 
 
-def _read_header(path: Path) -> SessionLogHeader:
-    """The header alone: the first non-blank line, nothing after it."""
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                return _parse_header(path, line)
-    raise CorruptLog(f"{path}: empty file")
-
-
 def read_session_log(path: str | Path) -> tuple[SessionLogHeader, DatedRows[SessionRecord]]:
     """The header, parsed, and the records, indexed by date but not
     decoded (see ``tradefolio.dated``)."""
     path = Path(path)
     with open(path, encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
-    first = next((n for n, line in enumerate(lines) if line.strip()), None)
-    if first is None:
+        header_line, *lines = fh.read().split("\n")
+    if not header_line and not lines:
         raise CorruptLog(f"{path}: empty file")
-    header = _parse_header(path, lines[first])
-    return header, index(path, lines[first + 1:], first + 2, _DATE_PREFIX,
+    header = _parse_header(path, header_line)
+    return header, index(path, lines, 2, _DATE_PREFIX,
                          partial(_decode_record, frozenset(header.assets)), CorruptLog,
                          "bad record")
 

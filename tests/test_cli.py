@@ -917,6 +917,36 @@ def test_a_store_news_item_with_a_quoted_time_fails_its_run_naming_the_row(runne
     assert f"baseline:all-cash: failed: {news}:2: unreadable row: news item" in result.output
 
 
+def test_a_store_price_of_infinity_fails_every_session_that_reads_it(runner, stock_setup):
+    tmp_path, config, dates = stock_setup
+    series = tmp_path / "store" / "prices" / "stock" / "AAPL.jsonl"
+    lines = series.read_text(encoding="utf-8").splitlines()
+    lines[4] = re.sub(r'"price": [^,]*', '"price": Infinity', lines[4])
+    series.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    result = runner.invoke(main, ["run", "--config", str(config)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit), result.exception
+    for model in ("baseline:equal-weight", "baseline:all-cash", "baseline:buy-and-hold"):
+        assert f"{model}: failed: {series}:5: unreadable row" in result.output
+    logs = sorted((tmp_path / "runs").glob("*.jsonl"))
+    assert len(logs) == 3
+    for log in logs:
+        _, records = read_session_log(log)
+        assert all(r.value > 0 for r in records)  # every record decodes
+
+
+def test_a_log_whose_line_1_is_blank_has_a_bad_header(runner, stock_setup):
+    tmp_path, config, dates = stock_setup
+    assert runner.invoke(main, ["run", "--config", str(config)]).exit_code == 0
+    log = tmp_path / "runs" / "stock-baseline-equal-weight.jsonl"
+    log.write_text("\n" + log.read_text(encoding="utf-8"), encoding="utf-8")
+    for args in (["report", str(log)], ["delta", str(log)], ["run", "--config", str(config)]):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert f"{log}:1: bad header" in result.output
+
+
 def test_a_catalog_entry_with_a_numeric_token_fails_the_run_naming_it(runner, tmp_path):
     questions = ("Will the synthetic index close above its opening level?",
                  "Will the sample reserve be drawn down this quarter?")

@@ -1,4 +1,5 @@
 import datetime as dt
+import math
 
 import pytest
 
@@ -66,10 +67,14 @@ class TestValueTypes:
             PricePoint(dt.date(2025, 1, 2), 0.0)
         with pytest.raises(ValueError):
             PricePoint(dt.date(2025, 1, 2), -3.0)
+        for price in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                PricePoint(dt.date(2025, 1, 2), price)
 
     def test_price_vector_rejects_non_positive(self):
-        with pytest.raises(ValueError, match="AAPL"):
-            PriceVector(dt.date(2025, 1, 2), {"AAPL": 0.0, "CASH": 1.0})
+        for price in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="AAPL"):
+                PriceVector(dt.date(2025, 1, 2), {"AAPL": price, "CASH": 1.0})
 
     def test_price_vector_copies_input(self):
         raw = {"AAPL": 10.0}

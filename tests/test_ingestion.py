@@ -5,7 +5,9 @@ test here runs against canned payloads.
 """
 
 import datetime as dt
+import math
 import random
+from dataclasses import replace
 from zoneinfo import ZoneInfo
 
 import pytest
@@ -51,11 +53,11 @@ def test_chart_prefers_adjusted_close():
 
 def test_chart_drops_null_and_nonpositive_bars():
     payload = _chart(
-        [_epoch(2025, 3, 3), _epoch(2025, 3, 4), _epoch(2025, 3, 5)],
-        closes=[None, -1.0, 102.0],
+        [_epoch(2025, 3, d) for d in (3, 4, 5, 6, 7)],
+        closes=[None, -1.0, math.inf, math.nan, 102.0],
     )
     points = equities.parse_chart_payload(payload)
-    assert [(p.date, p.price) for p in points] == [(D(2025, 3, 5), 102.0)]
+    assert [(p.date, p.price) for p in points] == [(D(2025, 3, 7), 102.0)]
 
 
 def test_chart_dates_are_exchange_local():
@@ -89,7 +91,9 @@ def test_quote_payload():
     assert (point.date, point.price, point.volume) == (D(2025, 3, 5), 241.84, None)
 
     for meta in [{}, {"regularMarketPrice": 241.84}, {"regularMarketTime": ts},
-                 {"regularMarketPrice": 0.0, "regularMarketTime": ts}]:
+                 {"regularMarketPrice": 0.0, "regularMarketTime": ts},
+                 {"regularMarketPrice": math.inf, "regularMarketTime": ts},
+                 {"regularMarketPrice": math.nan, "regularMarketTime": ts}]:
         with pytest.raises(ProviderError):
             equities.parse_quote_payload({"chart": {"result": [{"meta": meta}]}})
 
@@ -327,11 +331,10 @@ def test_news_ranking():
     newest_first = news.rank_news(items)
     assert [i.title for i in newest_first] == ["day 5", "day 3", "day 2"]
 
-    near_third = news.rank_news(items, target=D(2025, 3, 3))
-    assert [i.title for i in near_third][0] == "day 3"
-    # equidistant items break the tie toward the newer one
-    tie = news.rank_news([_dated_item(2, hour=0), _dated_item(4, hour=0)], target=D(2025, 3, 3))
-    assert [i.title for i in tie] == ["day 4", "day 2"]
+    # items published in the same second keep their input order
+    first, second = replace(_dated_item(4), title="first"), replace(_dated_item(4), title="second")
+    tie = news.rank_news([first, _dated_item(2), second, _dated_item(5)])
+    assert [i.title for i in tie] == ["day 5", "first", "second", "day 2"]
 
 
 def test_fetch_news_request_and_window():
@@ -340,7 +343,6 @@ def test_fetch_news_request_and_window():
         "AAPL", MarketKind.STOCK, D(2025, 3, 1), D(2025, 3, 3),
         FetchPolicy(max_retries=1),
         reference=dt.datetime(2025, 3, 5, tzinfo=UTC),
-        target=D(2025, 3, 4),
         http=http,
     )
     # the Mar 4 item falls outside [Mar 1, Mar 3]
@@ -452,15 +454,29 @@ def _seed_stock_days(store, key, prices_by_day):
 def test_replay_feed_reads_store(tmp_path):
     store = SnapshotStore(tmp_path)
     _seed_stock_days(store, "AAPL", {D(2025, 3, 3): 100.0, D(2025, 3, 5): 102.0})
-    store.upsert_news("AAPL", D(2025, 3, 4), [_dated_item(4), _dated_item(3)])
+    store.upsert_news("AAPL", D(2025, 3, 4),
+                      [_dated_item(2), _dated_item(4, hour=0), _dated_item(3, hour=23)])
 
     feed = ReplayFeed(store, MarketKind.STOCK)
     assert feed.latest_price("AAPL", D(2025, 3, 4)).price == 100.0
     assert feed.latest_price("AAPL", D(2025, 3, 2)) is None
     window = feed.price_window("AAPL", D(2025, 3, 3), D(2025, 3, 5))
     assert [p.price for p in window] == [100.0, 102.0]
-    ranked = feed.news_window("AAPL", D(2025, 3, 1), D(2025, 3, 6), target=D(2025, 3, 3))
-    assert [i.title for i in ranked] == ["day 3", "day 4"]
+    # an item published at the target's UTC midnight is already too late
+    cut = feed.news_window("AAPL", D(2025, 3, 1), D(2025, 3, 6), target=D(2025, 3, 4))
+    assert [i.title for i in cut] == ["day 3", "day 2"]
+    every = feed.news_window("AAPL", D(2025, 3, 1), D(2025, 3, 6))
+    assert [i.title for i in every] == ["day 4", "day 3", "day 2"]
+
+
+def test_replay_feed_drops_news_published_after_the_target_whatever_day_holds_it(tmp_path):
+    store = SnapshotStore(tmp_path)
+    store.upsert_news("AAPL", D(2025, 3, 2), [_dated_item(2), _dated_item(5)])  # day 5 stored early
+    feed = ReplayFeed(store, MarketKind.STOCK)
+    early = feed.news_window("AAPL", D(2025, 3, 1), D(2025, 3, 3), target=D(2025, 3, 4))
+    assert [i.title for i in early] == ["day 2"]
+    late = feed.news_window("AAPL", D(2025, 3, 1), D(2025, 3, 3), target=D(2025, 3, 6))
+    assert [i.title for i in late] == ["day 5", "day 2"]
 
 
 def test_replay_feed_maps_asset_keys(tmp_path):
@@ -634,8 +650,8 @@ def _counting_provider(monkeypatch, calls, last_bar=None, down=False):
         calls.append(("quote", ticker))
         return PricePoint(last_bar + dt.timedelta(days=1), 150.0)
 
-    def fake_news(tag, kind, start, end, policy, target=None, **kwargs):
-        calls.append(("news", tag, start, end, target))
+    def fake_news(tag, kind, start, end, policy, **kwargs):
+        calls.append(("news", tag, start, end))
         days = (start + dt.timedelta(days=i) for i in range((end - start).days + 1))
         return [NewsItem(title=f"{tag} {d}", snippet="", source="wire", url="https://example.com",
                          published_at=_epoch(d.year, d.month, d.day), tagged_asset=tag)
@@ -658,8 +674,8 @@ def test_backfill_of_many_dates_requests_each_asset_and_tag_once(tmp_path, monke
     assert calls == [
         ("history", "AAPL", first - dt.timedelta(days=10), last), ("quote", "AAPL"),
         ("history", "MSFT", first - dt.timedelta(days=10), last), ("quote", "MSFT"),
-        ("news", "AAPL", first - dt.timedelta(days=3), last - dt.timedelta(days=1), last),
-        ("news", "MSFT", first - dt.timedelta(days=3), last - dt.timedelta(days=1), last),
+        ("news", "AAPL", first - dt.timedelta(days=3), last - dt.timedelta(days=1)),
+        ("news", "MSFT", first - dt.timedelta(days=3), last - dt.timedelta(days=1)),
     ]
     assert store.latest_price("stock", "AAPL", last) == PricePoint(last, 150.0)
     # every window day is stored, weekends included; the last date's own day isn't
@@ -690,10 +706,8 @@ def test_backfill_requests_start_at_the_first_date_that_needs_them(tmp_path, mon
     assert calls == [
         ("history", "AAPL", dates[3] - dt.timedelta(days=10), dates[4]),
         ("history", "MSFT", dates[4] - dt.timedelta(days=10), dates[4]),
-        ("news", "AAPL", dates[3] - dt.timedelta(days=3), dates[4] - dt.timedelta(days=1),
-         dates[4]),
-        ("news", "MSFT", dates[3] - dt.timedelta(days=3), dates[4] - dt.timedelta(days=1),
-         dates[4]),
+        ("news", "AAPL", dates[3] - dt.timedelta(days=3), dates[4] - dt.timedelta(days=1)),
+        ("news", "MSFT", dates[3] - dt.timedelta(days=3), dates[4] - dt.timedelta(days=1)),
     ]
     # only the dates a series lacked were written
     assert store.latest_price("stock", "MSFT", dates[3]).price == 99.0

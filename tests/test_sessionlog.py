@@ -123,7 +123,7 @@ def test_writer_checks_only_the_header(tmp_path):
     with pytest.raises(CorruptLog, match=r":1: bad header"):
         SessionLogWriter(path, header)
     path.write_text("\n\n", encoding="utf-8")
-    with pytest.raises(CorruptLog, match="empty"):
+    with pytest.raises(CorruptLog, match=r":1: bad header"):
         SessionLogWriter(path, header)
 
 

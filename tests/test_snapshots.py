@@ -141,6 +141,14 @@ def test_a_header_of_the_wrong_shape_is_unreadable(tmp_path, first_line):
         SnapshotStore(tmp_path).price_dates("stock", "NVDA")
 
 
+def test_a_header_with_an_extra_key_does_not_match(tmp_path):
+    path = _write_rows(tmp_path, "NVDA", [_price_line(3)])
+    header, rows = path.read_text(encoding="utf-8").split("\n", 1)
+    path.write_text(json.dumps({**json.loads(header), "note": "x"}) + "\n" + rows, encoding="utf-8")
+    with pytest.raises(IngestionError, match=re.escape(f"{path}: header does not match series")):
+        SnapshotStore(tmp_path).price_dates("stock", "NVDA")
+
+
 @pytest.mark.parametrize("bad", [
     '{"date": "2025-03-04", "price": "110", "volume": null}',
     '{"date": "2025-03-04", "price": -1.0, "volume": null}',
@@ -150,6 +158,7 @@ def test_a_header_of_the_wrong_shape_is_unreadable(tmp_path, first_line):
     f"{_price_line(4)}, {_price_line(4)}",  # two rows on one line
     '{"date": "2025-03-04", "price": true, "volume": null}',
     '{"date": "2025-03-04", "price": 110.0, "volume": "9"}',
+    '{"date": "2025-03-04", "price": Infinity, "volume": null}',
 ])
 def test_bad_price_value_loads_then_fails_at_its_first_read(tmp_path, bad):
     path = _write_rows(tmp_path, "NVDA", [_price_line(3), bad, _price_line(5, 112.0)])
