@@ -12,6 +12,7 @@ exact same files. Tests and the README demo replay against these.
 from __future__ import annotations
 
 import datetime as dt
+import json
 import shutil
 import sys
 from pathlib import Path
@@ -43,7 +44,7 @@ dates:
   start: {start}
   end: {end}
   weekdays_only: true
-universe: [AAPL, MSFT, NVDA]
+universe: [{universe}]
 models:
   - baseline:equal-weight
   - baseline:buy-and-hold
@@ -60,9 +61,7 @@ dates:
   end: {end}
   weekdays_only: false
 questions:
-  - "Will the synthetic index close above its opening level?"
-  - "Will the sample reserve be drawn down this quarter?"
-models:
+{questions}models:
   - baseline:equal-weight
   - baseline:all-cash
 """
@@ -79,9 +78,11 @@ def main() -> None:
                                              PREDICTION_START, PREDICTION_DAYS)
 
     (FIXTURES / "stock-replay.yaml").write_text(
-        STOCK_CONFIG.format(start=stock_dates[0], end=stock_dates[-1]), encoding="utf-8")
+        STOCK_CONFIG.format(start=stock_dates[0], end=stock_dates[-1],
+                            universe=", ".join(STOCK_TICKERS)), encoding="utf-8")
     (FIXTURES / "prediction-replay.yaml").write_text(
-        PREDICTION_CONFIG.format(start=prediction_dates[0], end=prediction_dates[-1]),
+        PREDICTION_CONFIG.format(start=prediction_dates[0], end=prediction_dates[-1],
+                                 questions="".join(f"  - {json.dumps(q)}\n" for q in QUESTIONS)),
         encoding="utf-8")
 
     print(f"stock-50d: {len(stock_dates)} dates {stock_dates[0]} .. {stock_dates[-1]}")

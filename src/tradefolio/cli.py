@@ -69,8 +69,9 @@ def _make_agent(entry: ModelClientConfig) -> Agent:
 
 def _build_spec(cfg: RunConfig, store: SnapshotStore) -> tuple[MarketSpec, dict[str, str]]:
     """The configured market, and the store keys prediction assets'
-    prices live under. A question with no catalog entry keeps its asset
-    names as keys, which is how synthetic fixtures are keyed."""
+    prices live under: the token ids of each question's catalog entry.
+    A listed question the catalog lacks is refused, before any request
+    is sent or any log opened."""
     if cfg.market is MarketKind.STOCK:
         return cfg.spec(), {}
     catalog = {e.question: e for e in store.markets()}
@@ -82,9 +83,10 @@ def _build_spec(cfg: RunConfig, store: SnapshotStore) -> tuple[MarketSpec, dict[
     spec = MarketSpec.prediction(questions)
     keys: dict[str, str] = {}
     for pair in spec.pairs:
-        if pair.question in catalog:
-            keys[pair.yes] = catalog[pair.question].yes_token
-            keys[pair.no] = catalog[pair.question].no_token
+        if pair.question not in catalog:
+            raise ConfigError(f"question not in the market catalog: {pair.question!r}")
+        keys[pair.yes] = catalog[pair.question].yes_token
+        keys[pair.no] = catalog[pair.question].no_token
     return spec, keys
 
 
@@ -194,9 +196,6 @@ def fetch(config_path: str) -> None:
                 raise ConfigError("discovery found no markets for the configured dates"
                                   " and the store catalog is empty")
         spec, asset_keys = _build_spec(cfg, store)
-        for pair in spec.pairs:
-            if pair.yes not in asset_keys:
-                raise ConfigError(f"question not in the market catalog: {pair.question!r}")
         dates = _backfill(cfg, store, spec, asset_keys)
         if len(dates) < 2:
             click.echo("fewer than two configured dates are ready; nothing to fetch yet")

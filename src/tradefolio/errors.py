@@ -1,7 +1,9 @@
 """Typed error hierarchy.
 
-Every failure mode that callers are expected to branch on gets its own
-class; nothing in the package raises bare ValueError for a condition a
+A class exists for each failure that a caller catches by class or that
+an output names (a record's ``parse_error``, a halt reason); any other
+failure raises its category's class with a message saying what went
+wrong. Nothing in the package raises bare ValueError for a condition a
 caller might want to catch.
 """
 
@@ -22,12 +24,8 @@ __all__ = [
     "NoObjectFound",
     "SchemaMismatch",
     "MetricsError",
-    "SeriesTooShort",
-    "LagTooLarge",
-    "MisalignedHistories",
     "IngestionError",
     "NormalizationError",
-    "ConflictingValue",
     "ProviderError",
     "FeedUnavailable",
     "NoPriceEverSeen",
@@ -93,18 +91,6 @@ class MetricsError(TradefolioError):
     """A metric could not be computed from the given series."""
 
 
-class SeriesTooShort(MetricsError):
-    """Series has too few points for the requested statistic."""
-
-
-class LagTooLarge(MetricsError):
-    """Requested lag leaves no evaluation window in the series."""
-
-
-class MisalignedHistories(MetricsError):
-    """Holdings and price histories disagree in length or key sets."""
-
-
 # -- ingestion ----------------------------------------------------------
 
 class IngestionError(TradefolioError):
@@ -113,10 +99,6 @@ class IngestionError(TradefolioError):
 
 class NormalizationError(IngestionError):
     """A quoted price is outside every recognised quoting convention."""
-
-
-class ConflictingValue(IngestionError):
-    """An upsert would silently overwrite a different stored value."""
 
 
 class ProviderError(IngestionError):

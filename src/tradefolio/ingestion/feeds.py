@@ -14,7 +14,6 @@ live ``tradefolio run`` both go through it.
 from __future__ import annotations
 
 import datetime as dt
-import math
 from bisect import bisect_left, bisect_right
 from typing import Iterable, Mapping, Protocol, Sequence
 
@@ -31,15 +30,15 @@ HISTORY_LOOKBACK_DAYS = 10
 
 class Feed(Protocol):
     """What a session reads. ``news_window`` gives a tag's items stored
-    under days in [start, end], newest first; given the decision date
-    ``target``, it drops those published at or after its UTC midnight."""
+    under days in [start, end], newest first, less those published at or
+    after the UTC midnight of the decision date ``target``."""
 
     def latest_price(self, asset: str, on_or_before: dt.date) -> PricePoint | None: ...
 
     def price_window(self, asset: str, start: dt.date, end: dt.date) -> tuple[PricePoint, ...]: ...
 
     def news_window(self, tag: str, start: dt.date, end: dt.date,
-                    target: dt.date | None = None) -> tuple[NewsItem, ...]: ...
+                    target: dt.date) -> tuple[NewsItem, ...]: ...
 
 
 class ReplayFeed:
@@ -62,11 +61,11 @@ class ReplayFeed:
         return self.store.price_window(self.market, self._key(asset), start, end)
 
     def news_window(self, tag: str, start: dt.date, end: dt.date,
-                    target: dt.date | None = None) -> tuple[NewsItem, ...]:
-        """The stored items, newest first, cut at ``target``'s UTC
-        midnight whatever day stores them: the one rule for which news
-        a decision sees."""
-        cutoff = math.inf if target is None else utc_midnight(target)
+                    target: dt.date) -> tuple[NewsItem, ...]:
+        """The stored items, newest first, cut at the decision date
+        ``target``'s UTC midnight whatever day stores them: the one rule
+        for which news a decision sees."""
+        cutoff = utc_midnight(target)
         return tuple(news.rank_news(i for i in self.store.news_window(tag, start, end)
                                     if i.published_at < cutoff))
 

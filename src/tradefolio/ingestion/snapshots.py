@@ -8,7 +8,7 @@ A write is one call per series (``record_prices``, ``record_news``;
 ``record_markets`` for the catalog). Every row of the call is checked
 against what is already stored before the series changes: re-recording
 identical data is a no-op, and changing an already-recorded value is
-refused with ``ConflictingValue``, never silently applied. A check
+refused with ``IngestionError``, never silently applied. A check
 decodes only the stored rows a read of its date would. The new rows are
 then merged in and the series file is rewritten once, through a temp
 file of its own, so a failed write leaves the old file as it was.
@@ -42,7 +42,7 @@ from typing import Any, Iterable, Sequence
 
 from ..dated import DatedRows, index
 from ..domain import NewsItem, PricePoint
-from ..errors import ConflictingValue, IngestionError
+from ..errors import IngestionError
 
 __all__ = [
     "SERIES_FORMAT",
@@ -204,7 +204,7 @@ class SnapshotStore:
             found = series.window(date, date)
             known = found[0] if found else fresh.setdefault(date, value)
             if known != value:
-                raise ConflictingValue(
+                raise IngestionError(
                     f"({kind}, {key!r}, {date.isoformat()}) already recorded with a different value"
                 )
         if not fresh:
@@ -300,7 +300,7 @@ class SnapshotStore:
             if known is None:
                 known = fresh.setdefault(entry.slug, entry)
             if known != entry:
-                raise ConflictingValue(f"market {entry.slug!r} already catalogued differently")
+                raise IngestionError(f"market {entry.slug!r} already catalogued differently")
         if not fresh:
             return 0
         merged = {**markets, **fresh}

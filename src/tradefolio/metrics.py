@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .domain import Holdings, PriceVector
-from .errors import LagTooLarge, MisalignedHistories, SeriesTooShort, ZeroValuePortfolio
+from .errors import MetricsError
 
 __all__ = ["MetricsReport", "rolling_k_delta"]
 
@@ -44,11 +44,11 @@ class MetricsReport:
     @classmethod
     def from_values(cls, values: Sequence[float], risk_free_rate: float = 0.0) -> "MetricsReport":
         """All five metrics of a value series of at least three positive
-        points; fewer raise ``SeriesTooShort``, a point that is not
+        points; fewer raise ``MetricsError``, a point that is not
         positive ``ValueError``."""
         v = np.asarray(values, dtype=float)
         if len(v) < 3:
-            raise SeriesTooShort(f"need at least 2 returns, got {max(len(v) - 1, 0)}")
+            raise MetricsError(f"need at least 2 returns, got {max(len(v) - 1, 0)}")
         if not (v > 0).all():
             i = int(np.argmin(v > 0))
             raise ValueError(f"portfolio values must be positive, got {v[i]} at index {i}")
@@ -69,16 +69,16 @@ def _history_matrices(
     prices_history: Sequence[PriceVector],
 ) -> tuple[list[str], np.ndarray, np.ndarray]:
     if len(holdings_history) != len(prices_history):
-        raise MisalignedHistories(
+        raise MetricsError(
             f"{len(holdings_history)} holdings vs {len(prices_history)} price vectors"
         )
     if len(holdings_history) == 0:
-        raise MisalignedHistories("empty histories")
+        raise MetricsError("empty histories")
     assets = list(prices_history[0].prices)
     key_set = set(assets)
     for h, p in zip(holdings_history, prices_history):
         if set(h.units) != key_set or set(p.prices) != key_set:
-            raise MisalignedHistories("asset keys differ across the histories")
+            raise MetricsError("asset keys differ across the histories")
     q = np.array([[h.units[a] for a in assets] for h in holdings_history])
     p = np.array([[pv.prices[a] for a in assets] for pv in prices_history])
     return assets, q, p
@@ -96,14 +96,16 @@ def rolling_k_delta(
     at t-k would have earned. Both the lagged and the unlagged variants
     are compounded over the same window t in [k, T-k-1] (T = number of
     steps), and the delta is lagged minus unlagged. k = 0 is identically
-    zero; a window that would be empty raises ``LagTooLarge``.
+    zero. A window that would be empty, histories that disagree in
+    length or asset keys, and a position worth nothing at a step of the
+    window raise ``MetricsError``.
     """
     if k < 0:
         raise ValueError(f"lag must be non-negative, got {k}")
     _, q, p = _history_matrices(holdings_history, prices_history)
     steps = len(q) - 1
     if 2 * k + 1 > steps:
-        raise LagTooLarge(f"lag {k} leaves no window in {steps} steps")
+        raise MetricsError(f"lag {k} leaves no window in {steps} steps")
 
     def compounded(lag: int) -> float:
         growth = 1.0
@@ -111,7 +113,7 @@ def rolling_k_delta(
             held = q[t - lag]
             base = float(held @ p[t])
             if base == 0.0:
-                raise ZeroValuePortfolio(f"zero-value position at step {t}")
+                raise MetricsError(f"zero-value position at step {t}")
             step_return = float(held @ (p[t + 1] - p[t])) / base
             growth *= 1.0 + step_return
         return growth - 1.0

@@ -52,15 +52,15 @@ class ReportRow:
 @contextmanager
 def _scored(path: Path) -> Iterator[tuple[SessionLogHeader, Sequence[SessionRecord]]]:
     """The header and records of a log with at least one record; a
-    ``MetricsError`` raised while scoring them is raised again, as the
-    same class, with the log's path in front."""
+    ``MetricsError`` raised while scoring them is raised again with the
+    log's path in front."""
     header, records = read_session_log(path)
     if not records:
         raise CorruptLog(f"{path}: log has no records")
     try:
         yield header, records
     except MetricsError as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
+        raise MetricsError(f"{path}: {exc}") from exc
 
 
 def _row_from_log(path: Path, risk_free_rate: float) -> ReportRow:

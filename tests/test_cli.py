@@ -3,12 +3,15 @@
 import datetime as dt
 import json
 import re
+import shutil
 
 import pytest
+import yaml
 from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import FIXTURES
 from tradefolio import cli, sessionlog
 from tradefolio.agents.baselines import EqualWeightAgent
 from tradefolio.ingestion import snapshots
@@ -486,15 +489,21 @@ def test_replay_run_refuses_a_missing_store(runner, tmp_path, monkeypatch):
     assert "baseline:all-cash: ended, +2 steps" in result.output
 
 
-def test_live_mode_waits_for_dates(runner, tmp_path):
+def test_live_mode_waits_for_dates(runner, tmp_path, monkeypatch):
     seed_stock_store(tmp_path / "store", ("AAPL", "MSFT", "NVDA"), D(2099, 1, 4), 4)
     future = [D(2099, 1, 4 + i) for i in range(4)]
     config = _write_config(tmp_path / "run.yaml", tmp_path / "store", tmp_path / "runs",
                            future, ["baseline:all-cash"], extra="mode: live")
+    calls = _fake_provider(monkeypatch)
     result = runner.invoke(main, ["run", "--config", str(config)])
     assert result.exit_code == 0
     assert "nothing to run yet" in result.output
     assert not (tmp_path / "runs").exists() or not list((tmp_path / "runs").glob("*.jsonl"))
+
+    result = runner.invoke(main, ["fetch", "--config", str(config)])
+    assert result.exit_code == 0, result.output
+    assert "nothing to fetch yet" in result.output
+    assert calls == []
 
 
 def test_live_mode_over_covered_past_matches_replay(runner, tmp_path, monkeypatch):
@@ -818,6 +827,11 @@ def test_delta_command(runner, stock_setup):
     garbage = runner.invoke(main, ["delta", "--config", str(config), "--lags", "1,x"])
     assert garbage.exit_code == 2
     assert "comma-separated integers" in garbage.output
+
+    for lags in (",", "-1"):
+        refused = runner.invoke(main, ["delta", "--config", str(config), "--lags", lags])
+        assert refused.exit_code == 2
+        assert "--lags needs at least one non-negative integer" in refused.output
 
 
 @pytest.mark.parametrize("keep, error", [
@@ -1147,3 +1161,42 @@ def test_fetch_prediction_rejects_unknown_question(runner, tmp_path, monkeypatch
     result = runner.invoke(main, ["fetch", "--config", str(config)])
     assert result.exit_code == 1
     assert "not in the market catalog" in result.output
+
+
+UNLISTED = "Will something uncatalogued happen?"
+
+
+def test_a_live_run_refuses_an_uncatalogued_question_before_any_request(runner, tmp_path,
+                                                                        monkeypatch):
+    dates = [D(2025, 3, 3) + dt.timedelta(days=i) for i in range(5)]
+    SnapshotStore(tmp_path / "store").record_markets([_discovered(1, dates).entry])
+    config = _write_config(tmp_path / "live.yaml", tmp_path / "store", tmp_path / "runs",
+                           dates, ["baseline:equal-weight"], market="prediction",
+                           extra=f'mode: live\nquestions: ["Will event 1 happen?", "{UNLISTED}"]')
+    calls = _fake_provider(monkeypatch)
+    result = runner.invoke(main, ["run", "--config", str(config)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert f"question not in the market catalog: {UNLISTED!r}" in result.output
+    assert calls == []
+    assert not (tmp_path / "runs").exists()
+
+
+def test_a_replay_run_refuses_an_uncatalogued_question_before_any_log(runner, tmp_path):
+    shutil.copytree(FIXTURES / "prediction-12d", tmp_path / "store")
+    raw = yaml.safe_load((FIXTURES / "prediction-replay.yaml").read_text(encoding="utf-8"))
+    raw.update(store=str(tmp_path / "store"), out_dir=str(tmp_path / "runs"))
+    config = tmp_path / "run.yaml"
+    config.write_text(yaml.safe_dump({**raw, "questions": [*raw["questions"], UNLISTED]}),
+                      encoding="utf-8")
+    result = runner.invoke(main, ["run", "--config", str(config)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert f"question not in the market catalog: {UNLISTED!r}" in result.output
+    assert not (tmp_path / "runs").exists()
+
+    # with the question taken out, the same logs start afresh
+    config.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    result = runner.invoke(main, ["run", "--config", str(config)])
+    assert result.exit_code == 0, result.output
+    assert result.output.count("ended, +12 steps") == 2

@@ -121,11 +121,17 @@ class TestHttpChatClient:
         client = HttpChatClient(transport=FakeTransport(exc=requests.Timeout()))
         with pytest.raises(ClientTimeout):
             client.complete("p", ModelClientConfig(model="m"))
+        client = HttpChatClient(transport=FakeTransport(exc=requests.ConnectionError("refused")))
+        with pytest.raises(ClientRejected, match="together request failed: refused"):
+            client.complete("p", ModelClientConfig(model="m"))
 
     def test_malformed_body(self, monkeypatch):
         monkeypatch.setenv("TOGETHER_API_KEY", "t")
         client = HttpChatClient(transport=FakeTransport(body={"choices": []}))
         with pytest.raises(ClientRejected, match="shape"):
+            client.complete("p", ModelClientConfig(model="m"))
+        client = HttpChatClient(transport=FakeTransport(body={"choices": [{"message": {"content": None}}]}))
+        with pytest.raises(ClientRejected, match="non-text content"):
             client.complete("p", ModelClientConfig(model="m"))
 
 

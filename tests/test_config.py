@@ -156,11 +156,13 @@ def test_fetch_policy_block(tmp_path):
       backoff_base: 0.5
       jitter: [0.0, 0.1]
       timeout: 30
+      user_agent: research-bot/1
     """))
     assert cfg.fetch_policy.max_retries == 5
     assert cfg.fetch_policy.backoff_base == 0.5
     assert cfg.fetch_policy.jitter_range == (0.0, 0.1)
     assert cfg.fetch_policy.timeout == 30.0
+    assert cfg.fetch_policy.user_agent == "research-bot/1"
 
     with pytest.raises(ConfigError, match="unknown fetch keys"):
         load_config(_write(tmp_path, MINIMAL_STOCK + "    fetch:\n      retries: 5\n",
@@ -198,6 +200,9 @@ def test_fetch_policy_block(tmp_path):
         ("initial_capital: lots", "initial_capital must be a number"),
         ("renormalize_band: wide", "renormalize_band must be a number"),
         ("fetch: {max_retries: x}", "fetch.max_retries must be an integer"),
+        ("dates: 5", "dates must be a list or a {start, end} mapping"),
+        ("fetch: 3", "fetch must be a mapping"),
+        ("fetch: {jitter: 1}", r"fetch.jitter must be \[low, high\]"),
         ("universe: AAPL", "universe must be a list of names"),
         ("universe: [AAPL, AAPL]", "universe lists 'AAPL' more than once"),
         ("universe: ['', AAPL]", "universe .*: asset ids must be non-empty"),

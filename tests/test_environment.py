@@ -538,7 +538,7 @@ class _CountingFeed:
     def price_window(self, asset, start, end):
         return self.inner.price_window(asset, start, end)
 
-    def news_window(self, tag, start, end, target=None):
+    def news_window(self, tag, start, end, target):
         return self.inner.news_window(tag, start, end, target)
 
 

@@ -282,6 +282,10 @@ RSS = """<?xml version="1.0"?>
     <pubDate>sometime last week maybe</pubDate>
   </item>
   <item>
+    <description>An item with no title is dropped</description>
+    <pubDate>Mon, 03 Mar 2025 15:00:00 GMT</pubDate>
+  </item>
+  <item>
     <title>Sourceless item</title>
     <pubDate>Tue, 04 Mar 2025 09:30:00 GMT</pubDate>
   </item>
@@ -465,7 +469,7 @@ def test_replay_feed_reads_store(tmp_path):
     # an item published at the target's UTC midnight is already too late
     cut = feed.news_window("AAPL", D(2025, 3, 1), D(2025, 3, 6), target=D(2025, 3, 4))
     assert [i.title for i in cut] == ["day 3", "day 2"]
-    every = feed.news_window("AAPL", D(2025, 3, 1), D(2025, 3, 6))
+    every = feed.news_window("AAPL", D(2025, 3, 1), D(2025, 3, 6), target=D(2025, 3, 7))
     assert [i.title for i in every] == ["day 4", "day 3", "day 2"]
 
 

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from tradefolio.domain import Holdings, PriceVector
-from tradefolio.errors import LagTooLarge, MisalignedHistories, SeriesTooShort
+from tradefolio.errors import MetricsError
 from tradefolio.metrics import MetricsReport, rolling_k_delta
 
 
@@ -64,7 +64,7 @@ class TestReturnSeries:
 
     def test_needs_two_values(self):
         for values in ([], [100.0]):
-            with pytest.raises(SeriesTooShort):
+            with pytest.raises(MetricsError, match="need at least 2 returns"):
                 metrics(values)
 
     def test_rejects_non_positive_values(self):
@@ -79,7 +79,7 @@ class TestScalarMetrics:
         assert metrics([100.0, 80.0, 100.0]).cumulative_return == 0.0
 
     def test_cumulative_return_errors(self):
-        with pytest.raises(SeriesTooShort):
+        with pytest.raises(MetricsError, match="need at least 2 returns, got 0"):
             metrics([100.0])
         with pytest.raises(ValueError):
             metrics([0.0, 100.0, 100.0])
@@ -92,7 +92,7 @@ class TestScalarMetrics:
         assert metrics([1.0, 2.0, 3.0]).max_drawdown == 0.0
 
     def test_max_drawdown_errors(self):
-        with pytest.raises(SeriesTooShort):
+        with pytest.raises(MetricsError, match="need at least 2 returns, got 0"):
             metrics([])
         with pytest.raises(ValueError):
             metrics([100.0, -1.0, 100.0])
@@ -108,7 +108,7 @@ class TestScalarMetrics:
         assert report.volatility == pytest.approx(math.sqrt(0.0002), abs=1e-15)
 
     def test_volatility_needs_two_returns(self):
-        with pytest.raises(SeriesTooShort, match="need at least 2 returns, got 1"):
+        with pytest.raises(MetricsError, match="need at least 2 returns, got 1"):
             metrics([100.0, 101.0])
 
     def test_sharpe_undefined_at_zero_volatility(self):
@@ -193,7 +193,7 @@ class TestRollingKDelta:
         holdings, vectors, _, _ = _two_asset_world()
         # 5 steps allow k at most 2.
         rolling_k_delta(holdings, vectors, 2)
-        with pytest.raises(LagTooLarge):
+        with pytest.raises(MetricsError, match="lag 3 leaves no window in 5 steps"):
             rolling_k_delta(holdings, vectors, 3)
 
     def test_negative_lag_rejected(self):
@@ -203,13 +203,20 @@ class TestRollingKDelta:
 
     def test_misaligned_histories(self):
         holdings, vectors, _, _ = _two_asset_world()
-        with pytest.raises(MisalignedHistories):
+        with pytest.raises(MetricsError, match="5 holdings vs 6 price vectors"):
             rolling_k_delta(holdings[:-1], vectors, 1)
         bad = [PriceVector(v.date, {"Y": 1.0, "CASH": 1.0}) for v in vectors]
-        with pytest.raises(MisalignedHistories):
+        with pytest.raises(MetricsError, match="asset keys differ across the histories"):
             rolling_k_delta(holdings, bad, 1)
-        with pytest.raises(MisalignedHistories):
+        with pytest.raises(MetricsError, match="empty histories"):
             rolling_k_delta([], [], 1)
+
+    def test_a_worthless_position_is_a_metrics_error(self):
+        holdings, vectors, _, _ = _two_asset_world()
+        holdings[2] = Holdings({"X": 0.0, "CASH": 0.0})
+        # the lag-1 replay holds step 2's book over step 3
+        with pytest.raises(MetricsError, match="zero-value position at step 3"):
+            rolling_k_delta(holdings, vectors, 1)
 
     def test_constant_holdings_have_zero_delta(self):
         # A book that never trades earns the same return lagged or not.

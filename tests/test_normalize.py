@@ -1,4 +1,5 @@
 import datetime as dt
+import time
 
 import pytest
 
@@ -43,10 +44,21 @@ class TestTimestampParsing:
         ts = parse_news_timestamp("Fri, 24 Oct 2025 08:00:00 -0400", REF)
         assert ts == int(dt.datetime(2025, 10, 24, 12, tzinfo=dt.timezone.utc).timestamp())
 
-    def test_iso_with_and_without_zone(self):
-        aware = parse_news_timestamp("2025-10-24T12:00:00+00:00", REF)
-        naive = parse_news_timestamp("2025-10-24T12:00:00", REF)
-        assert aware == naive  # naive means UTC
+    def test_iso_with_and_without_zone(self, monkeypatch):
+        # a local zone five hours behind UTC, so a naive time read as
+        # local time would come out five hours late
+        monkeypatch.setenv("TZ", "EST+5")
+        time.tzset()
+        try:
+            aware = parse_news_timestamp("2025-10-24T12:00:00+00:00", REF)
+            naive = parse_news_timestamp("2025-10-24T12:00:00", REF)
+            assert aware == naive  # naive means UTC
+            assert parse_news_timestamp("Fri, 24 Oct 2025 12:00:00", REF) == aware
+            naive_ref = REF.replace(tzinfo=None)
+            assert parse_news_timestamp("3 hours ago", naive_ref) == aware
+        finally:
+            monkeypatch.undo()
+            time.tzset()
 
     def test_relative_phrases(self):
         assert parse_news_timestamp("3 hours ago", REF) == int(REF.timestamp()) - 3 * 3600

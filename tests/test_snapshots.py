@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tradefolio import dated
-from tradefolio.errors import ConflictingValue, IngestionError
+from tradefolio.errors import IngestionError
 from tradefolio.domain import NewsItem, PricePoint
 from tradefolio.ingestion import snapshots
 from tradefolio.ingestion.snapshots import MarketCatalogEntry, SnapshotStore, _filename
@@ -64,7 +64,7 @@ def test_upsert_same_value_is_noop(tmp_path):
 def test_upsert_conflicting_value_refused(tmp_path):
     store = SnapshotStore(tmp_path)
     store.upsert_price("stock", "AAPL", D(2025, 3, 3), 241.5)
-    with pytest.raises(ConflictingValue):
+    with pytest.raises(IngestionError, match="already recorded with a different value"):
         store.upsert_price("stock", "AAPL", D(2025, 3, 3), 241.51)
 
 
@@ -331,7 +331,7 @@ def test_news_round_trip_and_window(tmp_path):
 
     # idempotent rewrite of the same day
     assert fresh.upsert_news("AAPL", D(2025, 3, 3), [_item(1, "AAPL"), _item(2, "AAPL")]) is False
-    with pytest.raises(ConflictingValue):
+    with pytest.raises(IngestionError, match="already recorded with a different value"):
         fresh.upsert_news("AAPL", D(2025, 3, 3), [_item(1, "AAPL")])
 
 
@@ -358,7 +358,7 @@ def test_market_catalog_sorted_and_guarded(tmp_path):
     assert store.record_markets([_entry("zeta")]) == 1
     assert store.record_markets([_entry("alpha"), _entry("zeta")]) == 1
     assert store.record_markets([_entry("zeta")]) == 0
-    with pytest.raises(ConflictingValue):
+    with pytest.raises(IngestionError, match="already catalogued differently"):
         store.record_markets([
             MarketCatalogEntry("zeta", "different?", "y", "n", "https://example.com"),
         ])
@@ -366,6 +366,10 @@ def test_market_catalog_sorted_and_guarded(tmp_path):
     fresh = SnapshotStore(tmp_path)
     assert [e.slug for e in fresh.markets()] == ["alpha", "zeta"]
     assert fresh.markets()[0] == _entry("alpha")
+
+    path = tmp_path / "markets.jsonl"
+    path.write_text(path.read_text(encoding="utf-8").replace("\n", "\n\n", 1), encoding="utf-8")
+    assert SnapshotStore(tmp_path).markets() == fresh.markets()  # a blank line is skipped
 
 
 @pytest.mark.parametrize("field", ["slug", "question", "yes_token", "no_token", "url"])
@@ -428,7 +432,7 @@ def test_conflicting_batch_leaves_series_untouched(tmp_path, conflict):
     store.upsert_price("stock", "AAPL", D(2025, 3, 4), 241.0)
     before = _series_bytes(tmp_path)
     points = [PricePoint(D(2025, 3, 5), 242.0), PricePoint(D(2025, 3, 6), 243.0), conflict]
-    with pytest.raises(ConflictingValue):
+    with pytest.raises(IngestionError, match="already recorded with a different value"):
         store.record_prices("stock", "AAPL", points)
 
     assert _series_bytes(tmp_path) == before
