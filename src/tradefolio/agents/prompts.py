@@ -4,6 +4,17 @@ These strings are the wire protocol between the environment and a
 model: byte-identical input yields byte-identical prompts, and golden
 tests pin the exact rendering. Change anything here and the goldens
 must be regenerated on purpose.
+
+From one step to the next most lines repeat: a price history line
+(only the newest is new, and the oldest turns "N/A"), every news item
+still in its window, and each memory entry's allocation line. So
+``build_context_prompt`` takes a memo of the previous prompt's lines
+and renders only the lines it lacks. A line's key is everything the
+line shows: the market's close format, the date, the close and the
+close below it for a history line; the zone and the item's date,
+title and snippet for a news item; the cash asset and the entry object
+for an account line. A reused line is therefore the text a fresh
+render would give, so no prompt byte depends on the memo.
 """
 
 from __future__ import annotations
@@ -82,6 +93,10 @@ _PREDICTION_RULES = """RULES:
 4. Use double quotes; no trailing commas.
 Your objective is to maximize portfolio return using past allocations and performance history."""
 
+# How a history line shows a close, per market.
+_STOCK_CLOSE = "close price ${:.2f}"
+_PREDICTION_CLOSE = "{:.4f}"
+
 _STOCK_REASONING_HINT = "Brief explanation about why this allocation improves return rate"
 _PREDICTION_REASONING_HINT = "Brief explanation of the allocation"
 
@@ -97,25 +112,34 @@ def _render_snippet(snippet: str) -> str:
     return text + "..."
 
 
-def _history_lines(series: list[tuple[dt.date, float]], label: str, spec: str,
-                   iso: dict[dt.date, str]) -> list[str]:
+def _history_lines(series: list[tuple[dt.date, float]], close: str,
+                   memo: dict, used: dict) -> list[str]:
     """Newest first; each change is measured against the line below it.
 
-    ``iso`` caches each date's ISO text across the assets of one prompt,
-    which all share the same dates.
+    ``close`` formats a price (``_STOCK_CLOSE`` or ``_PREDICTION_CLOSE``).
+    A line is keyed by that format, its date, its close and the close
+    below it (None for the oldest, whose change reads "N/A"); it is
+    taken from ``memo`` when there and recorded in ``used`` either way.
     """
     lines = []
     prev = None
+    get = memo.get
     for date, price in series:
-        text = iso.get(date)
-        if text is None:
-            text = iso[date] = date.isoformat()
-        if prev is None:
-            change = "N/A"
-        else:
-            diff = price - prev
-            change = f"{diff:+.2f} ({diff / prev * 100.0:+.2f}%)"
-        lines.append(f"  - {text}: {label}{price:{spec}} (Change: {change})")
+        key = (close, date, price, prev)
+        line = get(key)
+        if line is None:
+            if prev is None:
+                change = "N/A"
+            else:
+                diff = price - prev
+                change = f"{diff:+.2f} ({diff / prev * 100.0:+.2f}%)"
+            # a date's ISO text is rendered once per prompt, kept under the date
+            iso = used.get(date)
+            if iso is None:
+                iso = used[date] = date.isoformat()
+            line = f"  - {iso}: {close.format(price)} (Change: {change})"
+        used[key] = line
+        lines.append(line)
         prev = price
     lines.reverse()
     return lines
@@ -128,33 +152,38 @@ def _series(obs: Observation, asset: str) -> list[tuple[dt.date, float]]:
     return series
 
 
-def _stock_market_lines(spec: MarketSpec, obs: Observation) -> list[str]:
+def _stock_market_lines(spec: MarketSpec, obs: Observation, memo: dict,
+                        used: dict) -> list[str]:
     lines = []
-    iso: dict[dt.date, str] = {}
     for asset in spec.assets:
         if asset == spec.cash:
             continue
         lines.append(f"{asset}: Current price is ${obs.prices[asset]:.2f}")
-        lines.extend(_history_lines(_series(obs, asset), "close price $", ".2f", iso))
+        lines.extend(_history_lines(_series(obs, asset), _STOCK_CLOSE, memo, used))
     return lines
 
 
-def _prediction_market_lines(spec: MarketSpec, obs: Observation) -> list[str]:
+def _prediction_market_lines(spec: MarketSpec, obs: Observation, memo: dict,
+                             used: dict) -> list[str]:
     lines = []
-    iso: dict[dt.date, str] = {}
     for pair in spec.pairs:
         lines.append(f"Question: {pair.question}")
         lines.append(f"  - Betting YES current price: {obs.prices[pair.yes]:.3f}")
         lines.append(f"  - Betting NO current price: {obs.prices[pair.no]:.3f}")
         for label, asset in (("YES", pair.yes), ("NO", pair.no)):
             lines.append(f"  - Betting {label} History:")
-            lines.extend(_history_lines(_series(obs, asset), "", ".4f", iso))
+            lines.extend(_history_lines(_series(obs, asset), _PREDICTION_CLOSE, memo, used))
     return lines
 
 
-def _news_lines(spec: MarketSpec, obs: Observation, tz: ZoneInfo) -> list[str]:
+def _news_lines(spec: MarketSpec, obs: Observation, tz: ZoneInfo, memo: dict,
+                used: dict) -> list[str]:
     """News grouped under each tag in universe order; tags without items
-    get no header, and items tagged outside the universe are left out."""
+    get no header, and items tagged outside the universe are left out.
+
+    An item's two lines are one entry, keyed by the zone and the item
+    fields they show, taken from ``memo`` when there and recorded in
+    ``used`` either way."""
     by_tag: dict[str, list[NewsItem]] = {}
     for item in obs.news:
         by_tag.setdefault(item.tagged_asset, []).append(item)
@@ -165,9 +194,14 @@ def _news_lines(spec: MarketSpec, obs: Observation, tz: ZoneInfo) -> list[str]:
             continue
         lines.append(f"• {tag}:")
         for item in items:
-            day = dt.datetime.fromtimestamp(item.published_at, tz).date()
-            lines.append(f"  - {_collapse_whitespace(item.title)} ({day.isoformat()})")
-            lines.append(f"    {_render_snippet(item.snippet)}")
+            key = (tz, item.published_at, item.title, item.snippet)
+            text = memo.get(key)
+            if text is None:
+                day = dt.datetime.fromtimestamp(item.published_at, tz).date()
+                text = (f"  - {_collapse_whitespace(item.title)} ({day.isoformat()})\n"
+                        f"    {_render_snippet(item.snippet)}")
+            used[key] = text
+            lines.append(text)
     return lines
 
 
@@ -184,32 +218,56 @@ def _allocation_literal(spec: MarketSpec, weights: dict[str, float]) -> str:
     return "{" + body + "}"
 
 
-def _account_lines(spec: MarketSpec, memory: tuple[MemoryEntry, ...]) -> list[str]:
+def _account_lines(spec: MarketSpec, memory: tuple[MemoryEntry, ...], memo: dict,
+                   used: dict) -> list[str]:
+    """The header, then one line per memory entry, oldest first.
+
+    An entry's line is keyed by the cash asset and the entry object,
+    which a session carries from step to step unchanged; the entry is
+    kept beside its line, so no other object can take its ``id`` while
+    the line is memoized.
+    """
     indent = "  " if spec.kind is MarketKind.STOCK else ""
     lines = [f"{indent}Recent Historical Allocations under this account:"]
     for entry in memory:
-        alloc = _allocation_literal(spec, dict(entry.allocation.weights))
-        rate = entry.cumulative_return * 100.0
-        lines.append(
-            f"    - Asset Allocation at {entry.date.isoformat()}: {alloc} "
-            f"(Accumulated return rate: {rate:.1f}%)"
-        )
+        key = (spec.cash, id(entry))
+        hit = memo.get(key)
+        if hit is not None and hit[0] is entry:
+            line = hit[1]
+        else:
+            alloc = _allocation_literal(spec, dict(entry.allocation.weights))
+            rate = entry.cumulative_return * 100.0
+            line = (f"    - Asset Allocation at {entry.date.isoformat()}: {alloc} "
+                    f"(Accumulated return rate: {rate:.1f}%)")
+        used[key] = (entry, line)
+        lines.append(line)
     return lines
 
 
 def build_context_prompt(spec: MarketSpec, obs: Observation,
-                         memory: tuple[MemoryEntry, ...]) -> str:
-    """Market analysis, recent news, and account history as one block."""
+                         memory: tuple[MemoryEntry, ...], memo: dict | None = None) -> str:
+    """Market analysis, recent news, and account history as one block.
+
+    ``memo`` holds the lines the previous call with it rendered. A line
+    found there is reused rather than rendered again; the call then
+    leaves in ``memo`` exactly the lines it used, so it never holds more
+    than one prompt's. Each key carries everything its line shows, so
+    the text is the same with a memo, without one, or with a stale one.
+    """
     _, tz = _SESSION_TZ[spec.kind]
+    memo = {} if memo is None else memo
+    used: dict = {}
     if spec.kind is MarketKind.STOCK:
-        market = _stock_market_lines(spec, obs)
+        market = _stock_market_lines(spec, obs, memo, used)
     else:
-        market = _prediction_market_lines(spec, obs)
+        market = _prediction_market_lines(spec, obs, memo, used)
     sections = [
         "MARKET ANALYSIS:\n" + "\n".join(market),
-        "RECENT NEWS:\n" + "\n".join(_news_lines(spec, obs, tz)),
-        "ACCOUNT INFO:\n" + "\n".join(_account_lines(spec, memory)),
+        "RECENT NEWS:\n" + "\n".join(_news_lines(spec, obs, tz, memo, used)),
+        "ACCOUNT INFO:\n" + "\n".join(_account_lines(spec, memory, memo, used)),
     ]
+    memo.clear()
+    memo.update(used)
     # The news header sits two blank lines under the market block, the
     # account header one blank line under the news block.
     return sections[0] + "\n\n\n" + sections[1] + "\n\n" + sections[2]

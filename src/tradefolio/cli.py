@@ -91,11 +91,11 @@ def _build_spec(cfg: RunConfig, store: SnapshotStore) -> tuple[MarketSpec, dict[
 
 
 def _backfill(cfg: RunConfig, store: SnapshotStore, spec: MarketSpec,
-              asset_keys: dict[str, str]) -> list[dt.date]:
-    """The configured dates that have happened, backfilled into the
-    store once at least two have; ``FeedUnavailable`` names the first
-    date a provider failure left uncovered."""
-    dates = [d for d in cfg.dates if d <= dt.date.today()]
+              asset_keys: dict[str, str], today: dt.date) -> list[dt.date]:
+    """The configured dates up to ``today``, backfilled into the store
+    once at least two are; ``FeedUnavailable`` names the first date a
+    provider failure left uncovered."""
+    dates = [d for d in cfg.dates if d <= today]
     if len(dates) >= 2:
         ensure_dates(store, spec, dates, cfg.fetch_policy, asset_keys,
                      cfg.lookback_days, cfg.news_window_days)
@@ -196,7 +196,7 @@ def fetch(config_path: str) -> None:
                 raise ConfigError("discovery found no markets for the configured dates"
                                   " and the store catalog is empty")
         spec, asset_keys = _build_spec(cfg, store)
-        dates = _backfill(cfg, store, spec, asset_keys)
+        dates = _backfill(cfg, store, spec, asset_keys, dt.date.today())
         if len(dates) < 2:
             click.echo("fewer than two configured dates are ready; nothing to fetch yet")
         else:
@@ -236,7 +236,7 @@ def run(config_path: str) -> None:
 
         if cfg.mode == "live":
             try:
-                dates = _backfill(cfg, store, spec, asset_keys)
+                dates = _backfill(cfg, store, spec, asset_keys, dt.date.today())
             except FeedUnavailable as exc:
                 click.echo(f"{exc}; the backfill stops there")
                 dates = [d for d in dates if d < exc.date]

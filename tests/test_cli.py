@@ -506,6 +506,39 @@ def test_live_mode_waits_for_dates(runner, tmp_path, monkeypatch):
     assert calls == []
 
 
+def test_live_commands_stop_at_an_injected_today(runner, tmp_path, monkeypatch):
+    # Monday to Friday, then the next Monday
+    dates = [D(2025, 3, 3) + dt.timedelta(days=i) for i in range(8) if i % 7 < 5]
+    models = ["baseline:equal-weight"]
+    config = _write_config(tmp_path / "live.yaml", tmp_path / "store", tmp_path / "runs",
+                           dates, models, extra="mode: live")
+    calls = _fake_provider(monkeypatch)
+    today = [D(2025, 3, 6)]
+    backfill = cli._backfill
+    monkeypatch.setattr(cli, "_backfill", lambda cfg, store, spec, keys, _: backfill(
+        cfg, store, spec, keys, today[0]))
+
+    result = runner.invoke(main, ["fetch", "--config", str(config)])
+    assert result.exit_code == 0, result.output
+    assert "backfilled 2025-03-03 to 2025-03-06" in result.output
+    assert {call[3] for call in calls if call[0] == "history"} == {D(2025, 3, 6)}
+    result = runner.invoke(main, ["run", "--config", str(config)])
+    assert result.exit_code == 0, result.output
+    assert "baseline:equal-weight: ended, +3 steps" in result.output
+    assert SnapshotStore(tmp_path / "store").price_dates("stock", "AAPL")[-1] == D(2025, 3, 6)
+
+    today[0] = D(2025, 3, 10)
+    result = runner.invoke(main, ["run", "--config", str(config)])
+    assert result.exit_code == 0, result.output
+    assert "baseline:equal-weight: ended, +2 steps" in result.output
+    replay = _write_config(tmp_path / "replay.yaml", tmp_path / "store", tmp_path / "replay",
+                           dates, models)
+    assert runner.invoke(main, ["run", "--config", str(replay)]).exit_code == 0
+    log_name = "stock-baseline-equal-weight.jsonl"
+    assert (tmp_path / "runs" / log_name).read_bytes() == (
+        tmp_path / "replay" / log_name).read_bytes()
+
+
 def test_live_mode_over_covered_past_matches_replay(runner, tmp_path, monkeypatch):
     from tradefolio.ingestion import news as news_mod
 

@@ -6,7 +6,9 @@ import datetime as dt
 import hashlib
 import json
 import shutil
+import sys
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from conftest import FIXTURES, scripted_agent
@@ -419,9 +421,9 @@ def test_gated_llm_logs_the_model_exchange(stock_world):
 def _count_renders(monkeypatch):
     renders = []
 
-    def counting(spec, obs, memory):
+    def counting(spec, obs, memory, memo):
         renders.append(obs.date)
-        return build_context_prompt(spec, obs, memory)
+        return build_context_prompt(spec, obs, memory, memo)
 
     monkeypatch.setattr("tradefolio.agents.harness.build_context_prompt", counting)
     return renders
@@ -465,6 +467,54 @@ def test_llm_agent_renders_again_for_a_new_observation_or_memory(stock_world, mo
     memory = (MemoryEntry(dates[3], AllocationVector({spec.cash: 1.0}), 0.0),)
     agent.decide(spec, obs, memory)
     assert len(renders) == 3
+
+
+def _varied_agent(shift=0):
+    """A scripted agent whose answers change from step to step, with a
+    retry among them; ``shift`` rotates the script."""
+    script = [
+        _render({"AAPL": 0.5, "MSFT": 0.0, "NVDA": 0.0, "CASH": 0.5}),
+        "junk",
+        _render({"AAPL": 0.1, "MSFT": 0.3, "NVDA": 0.2, "CASH": 0.4}),
+        _render({"AAPL": 0.0, "MSFT": 0.0, "NVDA": 0.7, "CASH": 0.3}),
+    ]
+    return scripted_agent((script[shift:] + script[:shift]) * 10)
+
+
+def test_llm_agent_memo_holds_one_prompt_at_most(tmp_path):
+    spec = MarketSpec.stock(("AAPL", "MSFT", "NVDA"))
+    dates = seed_stock_store(tmp_path, spec.assets[:-1], D(2025, 3, 3), 31, seed=5)
+    agent = _varied_agent()
+    _, records = run_episode(spec, agent, ReplayFeed(SnapshotStore(tmp_path), MarketKind.STOCK),
+                             dates, 1000.0, max_retries=1)
+    assert len(records) == 30
+    last_prompt = agent._last[3]
+    assert agent.client.prompts[-1] == last_prompt
+    assert 0 < len(agent._lines) <= len(last_prompt.splitlines())
+
+
+def test_llm_sessions_in_threads_write_the_bytes_they_write_in_turn(stock_world, tmp_path):
+    spec, store, _, dates = stock_world
+    header = SessionLogHeader.for_run(spec, "test/scripted", 1000.0)
+
+    def session(path, shift):
+        writer = SessionLogWriter(path, header)
+        run_episode(spec, _varied_agent(shift), ReplayFeed(store, MarketKind.STOCK), dates, 1000.0,
+                    max_retries=1, on_record=writer.append)
+        return path.read_bytes()
+
+    in_turn = [session(tmp_path / f"turn-{i}.jsonl", i) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(session, tmp_path / f"thread-{i}.jsonl", i) for i in range(4)]
+            threaded = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == in_turn
+    assert len(set(in_turn)) == 4
+    assert len(read_session_log(tmp_path / "thread-0.jsonl")[1]) == len(dates) - 1
 
 
 # -- halting ----------------------------------------------------------------------

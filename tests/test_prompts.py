@@ -1,17 +1,28 @@
 import datetime as dt
 from dataclasses import replace
 
-from conftest import assert_golden, make_observation
+from conftest import assert_golden, make_observation, scripted_agent
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tradefolio.agents.prompts import (
+    _PREDICTION_CLOSE,
+    _STOCK_CLOSE,
     SNIPPET_MAX_CHARS,
     _history_lines,
     build_context_prompt,
     build_decision_prompt,
 )
-from tradefolio.domain import AllocationVector, MarketSpec, MemoryEntry, NewsItem
+from tradefolio.domain import (
+    AllocationVector,
+    Holdings,
+    MarketSpec,
+    MemoryEntry,
+    NewsItem,
+    Observation,
+    PricePoint,
+    PriceVector,
+)
 
 STOCK = MarketSpec.stock(("AAPL", "MSFT", "NVDA"))
 PREDICTION = MarketSpec.prediction((
@@ -301,10 +312,115 @@ class TestHistoryRenderer:
               (dt.date(2025, 3, 5), 9.996)],
              [(dt.date(2025, 3, 3), 0.50001), (dt.date(2025, 3, 4), 0.50004)])
     def test_matches_the_reference(self, first, second):
-        # One ISO cache across both series, as across a prompt's assets.
-        iso = {}
+        # One memo across both series and both formats, as across a
+        # prompt's assets and a session's steps.
+        memo = {}
         for series in (first, second):
-            assert _history_lines(series, "close price $", ".2f", iso) == (
+            assert _history_lines(series, _STOCK_CLOSE, memo, memo) == (
                 _reference_history_lines(series, "close price ${:.2f}", "  "))
-            assert _history_lines(series, "", ".4f", iso) == (
+            assert _history_lines(series, _PREDICTION_CLOSE, memo, memo) == (
                 _reference_history_lines(series, "{:.4f}", "  "))
+
+
+# A few closes, so that equal closes and repeated lines are common.
+_CLOSES = st.sampled_from([0.25, 0.5, 0.5001, 12.5, 101.0, 101.004])
+_DAY0 = dt.date(2025, 3, 3)
+
+
+@st.composite
+def _sessions(draw):
+    """A market, a store of closes with gaps, a news pool and the
+    steps of one session: each step's date, lookback, news window and
+    memory length. Steps move forward by one to three days."""
+    spec = draw(st.sampled_from([STOCK, PREDICTION]))
+    days = draw(st.integers(3, 14))
+    risky = [a for a in spec.assets if a != spec.cash]
+    # None is a day without a close; every asset has one on day 0
+    closes = {a: [draw(_CLOSES)] + draw(st.lists(st.none() | _CLOSES,
+                                                 min_size=days - 1, max_size=days - 1))
+              for a in risky}
+    news = []
+    for i in range(draw(st.integers(0, 8))):
+        day = draw(st.integers(0, days - 1))
+        news.append(NewsItem(
+            title=draw(st.sampled_from(["Rates  hold", "Guidance\nraised"])),
+            snippet=draw(st.sampled_from(["Short.", LONG_SNIPPET])),
+            source="wire", url=f"https://example.com/{i}",
+            published_at=int(dt.datetime(2025, 3, 3, 13, 30, tzinfo=dt.timezone.utc)
+                             .timestamp()) + day * 86400 - draw(st.sampled_from([0, 36000])),
+            tagged_asset=draw(st.sampled_from(spec.news_tags)),
+        ))
+    steps, day = [], 1
+    while day < days:
+        steps.append((day, draw(st.integers(1, 5)), draw(st.integers(1, 4)),
+                      draw(st.integers(0, 4))))
+        day += draw(st.integers(1, 3))
+    return spec, closes, tuple(news), steps
+
+
+def _session_observation(spec, closes, news, day, lookback, news_days):
+    """What a replay would show on ``day``: each asset's stored closes
+    in the lookback window before it, its latest close at or before it
+    (stale when older), and the news of the window, newest first."""
+    date = _DAY0 + dt.timedelta(days=day)
+    prices, history, stale = {spec.cash: 1.0}, {}, set()
+    for asset, column in closes.items():
+        history[asset] = tuple(PricePoint(_DAY0 + dt.timedelta(days=d), column[d])
+                               for d in range(max(0, day - lookback), day)
+                               if column[d] is not None)
+        last = max(d for d in range(day + 1) if column[d] is not None)
+        prices[asset] = column[last]
+        if last < day:
+            stale.add(asset)
+    start = dt.datetime.combine(date - dt.timedelta(days=news_days), dt.time(),
+                                tzinfo=dt.timezone.utc).timestamp()
+    end = dt.datetime.combine(date, dt.time(), tzinfo=dt.timezone.utc).timestamp()
+    shown = sorted((i for i in news if start <= i.published_at < end),
+                   key=lambda i: -i.published_at)
+    return Observation(
+        date=date, positions=Holdings({a: 0.0 for a in spec.assets}),
+        prices=PriceVector(date, prices), news=tuple(shown),
+        price_history=history, stale=frozenset(stale))
+
+
+class TestLineMemo:
+    @settings(max_examples=150, deadline=None)
+    @given(_sessions())
+    def test_an_agent_held_memo_renders_what_a_fresh_prompt_does(self, session):
+        spec, closes, news, steps = session
+        agent = scripted_agent(["{}"])
+        risky = [a for a in spec.assets if a != spec.cash]
+        entries = []
+        for n, (day, lookback, news_days, remembered) in enumerate(steps):
+            obs = _session_observation(spec, closes, news, day, lookback, news_days)
+            # the window grows and shrinks over entries carried as objects
+            memory = tuple(entries[-remembered:]) if remembered else ()
+            prompt = agent.decide(spec, obs, memory).prompt
+            assert prompt == build_decision_prompt(
+                build_context_prompt(spec, obs, memory), spec, obs.date)
+            weight = 0.25 * (n % 4)
+            entries.append(MemoryEntry(obs.date, AllocationVector(
+                {risky[n % len(risky)]: weight, spec.cash: 1.0 - weight}), 0.01 * n))
+
+    def test_one_memo_over_both_markets_keeps_their_formats_and_zones(self):
+        # The same tag, date and closes on both markets: only the
+        # format and the news zone tell their lines apart.
+        stock = MarketSpec.stock(("AAPL",))
+        prediction = MarketSpec.prediction(("AAPL",))
+        date = dt.date(2025, 3, 5)
+        item = NewsItem(title="Late print", snippet="After the close.", source="wire",
+                        url="https://example.com/late",
+                        published_at=1741145400,  # 2025-03-05 03:30 UTC, the 4th in New York
+                        tagged_asset="AAPL")
+        history = [("2025-03-03", 0.5), ("2025-03-04", 0.25)]
+        memory = (MemoryEntry(dt.date(2025, 3, 4), AllocationVector({"CASH": 1.0}), 0.0),)
+        observations = [
+            (stock, make_observation(stock, date, {"AAPL": 0.5}, {"AAPL": history}, (item,))),
+            (prediction, make_observation(
+                prediction, date, {"AAPL_Yes": 0.5, "AAPL_No": 0.5},
+                {"AAPL_Yes": history, "AAPL_No": history}, (item,))),
+        ]
+        memo = {}
+        for spec, obs in observations + observations:
+            assert build_context_prompt(spec, obs, memory, memo) == (
+                build_context_prompt(spec, obs, memory))
