@@ -21,7 +21,7 @@ from .agents.clients import HttpChatClient, ModelClientConfig, api_key, resolve_
 from .agents.harness import Agent, LLMAgent
 from .config import RunConfig, load_config
 from .domain import MarketKind, MarketSpec
-from .environment import SessionStatus, run_episode
+from .environment import MarketMemo, SessionStatus, run_episode
 from .errors import ConfigError, FeedUnavailable, TradefolioError
 from .ingestion.feeds import ReplayFeed, ensure_dates, record_discovered
 from .ingestion.predictions import discover_markets
@@ -118,10 +118,10 @@ def _log_path(cfg: RunConfig, model: str) -> Path:
 
 
 def _run_one(entry: ModelClientConfig, cfg: RunConfig, spec: MarketSpec,
-             store: SnapshotStore, dates: list[dt.date],
-             asset_keys: dict[str, str]) -> RunOutcome:
-    """Run or resume one model's session. A failed session is an outcome
-    too, and still names the unfinished line cut off its log."""
+             market: MarketMemo, dates: list[dt.date]) -> RunOutcome:
+    """Run or resume one model's session over the run's shared market.
+    A failed session is an outcome too, and still names the unfinished
+    line cut off its log."""
     log_path = _log_path(cfg, entry.model)
     dropped = drop_torn_tail(log_path) if log_path.exists() else None
     outcome = partial(RunOutcome, entry.model, log_path, dropped_line=dropped)
@@ -145,11 +145,10 @@ def _run_one(entry: ModelClientConfig, cfg: RunConfig, spec: MarketSpec,
 
         agent = _make_agent(entry)
         writer = SessionLogWriter(log_path, header)
-        feed = ReplayFeed(store, cfg.market, asset_keys)
         state, _ = run_episode(
             spec,
             agent,
-            feed,
+            market,
             remaining,
             cfg.initial_capital,
             max_retries=cfg.retries,
@@ -247,9 +246,12 @@ def run(config_path: str) -> None:
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
         outcomes: list[RunOutcome] = []
         workers = cfg.concurrency or min(4, len(cfg.models))
+        # every session reads each date's market through this one memo
+        market = MarketMemo(ReplayFeed(store, cfg.market, asset_keys), spec,
+                            cfg.lookback_days, cfg.news_window_days)
 
         def job(entry: ModelClientConfig) -> RunOutcome:
-            return _run_one(entry, cfg, spec, store, dates, asset_keys)
+            return _run_one(entry, cfg, spec, market, dates)
 
         if workers <= 1 or len(cfg.models) == 1:
             outcomes = [job(entry) for entry in cfg.models]

@@ -200,7 +200,10 @@ class Observation:
     ``price_history`` maps asset id to the stored closes inside the
     lookback window that ends the day before ``date``; the current price
     itself lives in ``prices``. ``stale`` lists assets whose price was
-    carried forward from an earlier date.
+    carried forward from an earlier date. Only ``positions`` is the
+    session's own: the other fields are the date's market, which the
+    sessions of one run share as the same objects, so ``price_history``
+    is read-only.
     """
 
     date: dt.date

@@ -1,7 +1,10 @@
 """The trading session: observe, decide, rebalance, record.
 
 ``run_episode`` does all four for every step, in one loop. One session
-is single-threaded and owns its state exclusively. The decision made
+is single-threaded and owns its agent, memory and records. The market
+it reads is a ``MarketMemo``: each date's prices, windows and news,
+read once and shared by every session of a run, threads included, as
+none of it depends on a session. The decision made
 from the observation at date t executes at the next date's prices: the
 book is marked to those prices first, then redivided in the target
 proportions. Every step appends one record carrying the full audit
@@ -14,9 +17,11 @@ from __future__ import annotations
 
 import datetime as dt
 import hashlib
+import threading
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, Sequence, TypeVar
 
 from .accounting import RENORMALIZE_BAND, rebalance
 from .agents.baselines import all_cash_allocation, hold_allocation
@@ -28,7 +33,9 @@ from .domain import (
     Holdings,
     MarketSpec,
     MemoryEntry,
+    NewsItem,
     Observation,
+    PricePoint,
     PriceVector,
 )
 from .errors import AllocationError, ClientError, NoPriceEverSeen, ParseError
@@ -44,6 +51,7 @@ __all__ = [
     "ResumePoint",
     "memory_entry",
     "resolve_prices",
+    "MarketMemo",
     "build_observation",
     "run_episode",
 ]
@@ -172,39 +180,96 @@ def resolve_prices(feed: Feed, spec: MarketSpec, date: dt.date) -> tuple[PriceVe
     return PriceVector(date, prices), frozenset(stale)
 
 
+_T = TypeVar("_T")
+
+
+class MarketMemo:
+    """One run's market, date by date, read once and shared by its sessions.
+
+    For each date it keeps the ``resolve_prices`` result, and the market
+    part of an observation at that date: each asset's lookback window,
+    as a read-only mapping, and every tag's ranked news. Each is read
+    from the feed on first request and handed out again after that, so
+    sessions stepping over the same dates, in one thread or several,
+    resolve, read and rank each date once. A read that raises keeps
+    nothing, and the next request reads again. It keeps one entry per
+    date asked for, and lives as long as whoever built it keeps it.
+    """
+
+    def __init__(self, feed: Feed, spec: MarketSpec,
+                 lookback_days: int = HISTORY_LOOKBACK_DAYS,
+                 news_window_days: int = NEWS_WINDOW_DAYS) -> None:
+        self.feed = feed
+        self.spec = spec
+        self.lookback_days = lookback_days
+        self.news_window_days = news_window_days
+        self._prices: dict[dt.date, tuple[PriceVector, frozenset[str]]] = {}
+        self._markets: dict[dt.date, tuple[Mapping[str, tuple[PricePoint, ...]],
+                                           tuple[NewsItem, ...]]] = {}
+        # one builder at a time, so two threads asking for a new date read it once
+        self._lock = threading.Lock()
+
+    def _once(self, table: dict[dt.date, _T], date: dt.date,
+              build: Callable[[dt.date], _T]) -> _T:
+        got = table.get(date)
+        if got is None:
+            with self._lock:
+                got = table.get(date)
+                if got is None:
+                    got = table[date] = build(date)
+        return got
+
+    def prices(self, date: dt.date) -> tuple[PriceVector, frozenset[str]]:
+        """Every asset's price at a date and the stale set, as ``resolve_prices``."""
+        return self._once(self._prices, date,
+                          lambda d: resolve_prices(self.feed, self.spec, d))
+
+    def _market(self, date: dt.date) -> tuple[Mapping[str, tuple[PricePoint, ...]],
+                                              tuple[NewsItem, ...]]:
+        day = dt.timedelta(days=1)
+        history = MappingProxyType({
+            a: self.feed.price_window(a, date - dt.timedelta(days=self.lookback_days),
+                                      date - day)
+            for a in self.spec.assets
+            if a != self.spec.cash
+        })
+        news = tuple(
+            item
+            for tag in self.spec.news_tags
+            for item in self.feed.news_window(
+                tag, date - dt.timedelta(days=self.news_window_days), date - day,
+                target=date)
+        )
+        return history, news
+
+    def observe(self, date: dt.date, positions: Holdings) -> Observation:
+        """What an agent holding ``positions`` may see at a date.
+
+        Price history spans the lookback window that ends the day
+        before; news spans the trailing window ending the day before as
+        well, as the feed gives it for the date: newest first, and none
+        published at or after the date's UTC midnight, whatever day
+        stores it, so the decision date itself never leaks through side
+        channels. Every field but ``positions`` is this memo's, the same
+        objects for every session.
+        """
+        prices, stale = self.prices(date)
+        history, news = self._once(self._markets, date, self._market)
+        return Observation(date=date, positions=positions, prices=prices, news=news,
+                           price_history=history, stale=stale)
+
+
 def build_observation(
     state: SessionState,
     feed: Feed,
     date: dt.date,
-    priced: tuple[PriceVector, frozenset[str]] | None = None,
     lookback_days: int = HISTORY_LOOKBACK_DAYS,
     news_window_days: int = NEWS_WINDOW_DAYS,
 ) -> Observation:
-    """Assemble what the agent is allowed to see at one date.
-
-    ``priced`` is the date's ``resolve_prices`` result when already in
-    hand. Price history spans the lookback window that ends the day
-    before; news spans the trailing window ending the day before as
-    well, as the feed gives it for the date: newest first, and none
-    published at or after the date's UTC midnight, whatever day stores
-    it, so the decision date itself never leaks through side channels.
-    """
-    spec = state.spec
-    prices, stale = priced or resolve_prices(feed, spec, date)
-    day = dt.timedelta(days=1)
-    history = {
-        a: feed.price_window(a, date - dt.timedelta(days=lookback_days), date - day)
-        for a in spec.assets
-        if a != spec.cash
-    }
-    news = tuple(
-        item
-        for tag in spec.news_tags
-        for item in feed.news_window(tag, date - dt.timedelta(days=news_window_days),
-                                     date - day, target=date)
-    )
-    return Observation(date=date, positions=state.holdings, prices=prices, news=news,
-                       price_history=history, stale=stale)
+    """What the session's agent may see at one date, read afresh from
+    the feed; see ``MarketMemo.observe``."""
+    memo = MarketMemo(feed, state.spec, lookback_days, news_window_days)
+    return memo.observe(date, state.holdings)
 
 
 def _decide(
@@ -247,7 +312,7 @@ def _decide(
 def run_episode(
     spec: MarketSpec,
     agent: Agent,
-    feed: Feed,
+    feed: Feed | MarketMemo,
     dates: Sequence[dt.date],
     initial_capital: float,
     max_retries: int = DEFAULT_RETRIES,
@@ -273,6 +338,9 @@ def run_episode(
     never crashes, when a model provider gives out (``ClientError``);
     the steps before it are kept. Returns the final state and its
     records.
+
+    ``feed`` is a run's shared ``MarketMemo``, built for this market and
+    these windows, or a plain feed, which gets a memo of its own.
     """
     if rebalance_interval < 1:
         raise ValueError(f"rebalance_interval must be >= 1, got {rebalance_interval}")
@@ -285,20 +353,24 @@ def run_episode(
         if b <= a:
             raise ValueError(f"dates must be strictly increasing, got {a} then {b}")
 
+    if isinstance(feed, MarketMemo):
+        market = feed
+        if (market.spec, market.lookback_days, market.news_window_days) != (
+                spec, lookback_days, news_window_days):
+            raise ValueError("the market memo was built for another market or other windows")
+    else:
+        market = MarketMemo(feed, spec, lookback_days, news_window_days)
+
     if resume is not None:
         state, memory = resume.state, resume.memory
     else:
         state, memory = SessionState.initial(spec, initial_capital), ()
 
-    # One step's execution prices are the next step's observation
-    # prices, so each date is resolved once and carried forward.
-    priced: tuple[PriceVector, frozenset[str]] | None = None
     try:
         for i in range(len(dates) - 1):
             date, exec_date = dates[i], dates[i + 1]
-            obs = build_observation(state, feed, date, priced, lookback_days, news_window_days)
-            priced = resolve_prices(feed, spec, exec_date)
-            exec_prices = priced[0]
+            obs = market.observe(date, state.holdings)
+            exec_prices = market.prices(exec_date)[0]
             # an off-cadence step asks no agent and holds
             prompt, raw, error, allocation, attempts = _decide(
                 None if state.step % rebalance_interval else agent,

@@ -173,6 +173,7 @@ _FIELDS = frozenset(f.name for f in fields(SessionRecord))
 # the JSON types each scalar field's annotation admits
 _ADMITS = {"int": (int,), "float": (int, float), "str": (str,), "str | None": (str, type(None))}
 _SCALARS = {f.name: f.type for f in fields(SessionRecord) if f.type in _ADMITS}
+_NUMBERS = {int, float}  # a map value's types; bool, a subclass of int, is left out
 
 
 def _decode_record(assets: frozenset[str], date: dt.date, row: dict) -> SessionRecord:
@@ -193,13 +194,15 @@ def _decode_record(assets: frozenset[str], date: dt.date, row: dict) -> SessionR
         if keys != assets:
             raise ValueError(f"{name} does not name the header's assets: missing "
                              f"{sorted(assets - keys)}, unknown {sorted(keys - assets)}")
-        try:  # one min and one sum per map: a NaN or an infinity makes the sum not finite
+        # one pass over the value types refuses what is no JSON number,
+        # true and false too, then one min and one sum: a NaN or an
+        # infinity makes the sum not finite
+        ok = _NUMBERS.issuperset(map(type, values.values()))
+        if ok:
             low, total = min(values.values()), sum(values.values())
             ok = (low > 0 or low == 0 and not positive) and math.isfinite(total)
-        except TypeError:  # a value that is not a number
-            ok = False
         if not ok:
-            bad = sorted(a for a, v in values.items() if type(v) not in (int, float)
+            bad = sorted(a for a, v in values.items() if type(v) not in _NUMBERS
                          or not (0 < v < math.inf or v == 0 and not positive))
             bound = "positive" if positive else "non-negative"
             raise ValueError(f"{name} is not finite and {bound} for {bad}")

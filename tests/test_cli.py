@@ -4,6 +4,7 @@ import datetime as dt
 import json
 import re
 import shutil
+from collections import Counter
 
 import pytest
 import yaml
@@ -18,7 +19,9 @@ from tradefolio.ingestion import snapshots
 from tradefolio.cli import _slug, main
 from tradefolio.config import load_config
 from tradefolio.domain import PricePoint
+from tradefolio.environment import MarketMemo
 from tradefolio.errors import ClientTimeout, IngestionError
+from tradefolio.ingestion.feeds import ReplayFeed
 from tradefolio.ingestion.predictions import DiscoveredMarket
 from tradefolio.ingestion.snapshots import MarketCatalogEntry, SnapshotStore
 from tradefolio.sessionlog import read_session_log
@@ -170,9 +173,11 @@ def small_log(tmp_path_factory):
     cfg = load_config(config)
     store = SnapshotStore(cfg.store)
     spec, keys = cli._build_spec(cfg, store)
+    market = MarketMemo(ReplayFeed(store, cfg.market, keys), spec,
+                        cfg.lookback_days, cfg.news_window_days)
 
     def resume():
-        return cli._run_one(cfg.models[0], cfg, spec, store, list(cfg.dates), keys)
+        return cli._run_one(cfg.models[0], cfg, spec, market, list(cfg.dates))
 
     assert resume().status == "ended"
     log = root / "runs" / "stock-baseline-equal-weight.jsonl"
@@ -416,6 +421,56 @@ def test_worker_threads_build_each_series_once(runner, stock_setup, monkeypatch)
     # three price and three news series, each built once by whichever
     # worker reads it first
     assert sorted(builds) == sorted({*builds}) and len(builds) == 6
+
+
+def test_a_run_reads_each_date_once_for_all_its_sessions(runner, stock_setup, monkeypatch):
+    tmp_path, config, dates = stock_setup
+    config.write_text(config.read_text() + "concurrency: 1\n", encoding="utf-8")
+    reads = Counter()
+    for name in ("latest_price", "price_window", "news_window"):
+        def spying(self, *args, _name=name, _real=getattr(SnapshotStore, name)):
+            reads[(_name, *args)] += 1
+            return _real(self, *args)
+
+        monkeypatch.setattr(SnapshotStore, name, spying)
+    result = runner.invoke(main, ["run", "--config", str(config)])
+    assert result.exit_code == 0, result.output
+    assert result.output.count("ended, +8 steps") == 3
+    # three sessions step through the same dates, and each of a date's
+    # prices, windows and news is read from the store once
+    assert set(reads.values()) == {1}
+    tickers = ("AAPL", "MSFT", "NVDA")
+    assert {(key, date) for name, *_, key, date in reads if name == "latest_price"} == {
+        (t, d) for t in tickers for d in dates}
+    assert Counter(name for name, *_ in reads) == Counter(
+        latest_price=3 * len(dates), price_window=3 * (len(dates) - 1),
+        news_window=3 * (len(dates) - 1))
+
+
+@pytest.mark.parametrize("concurrency", [1, 2])
+def test_a_mixed_resume_writes_the_bytes_of_fresh_runs(runner, tmp_path, concurrency):
+    dates = seed_stock_store(tmp_path / "store", ("AAPL", "MSFT", "NVDA"),
+                             D(2025, 3, 3), 15, seed=13)
+    models = ["baseline:equal-weight", "baseline:all-cash", "baseline:buy-and-hold"]
+    extra = f"concurrency: {concurrency}"
+    config = _write_config(tmp_path / "run.yaml", tmp_path / "store", tmp_path / "runs",
+                           dates, models, extra=extra)
+    once = _write_config(tmp_path / "once.yaml", tmp_path / "store", tmp_path / "once",
+                         dates, models, extra=extra)
+    assert runner.invoke(main, ["run", "--config", str(once)]).exit_code == 0
+    assert runner.invoke(main, ["run", "--config", str(config)]).exit_code == 0
+    runs = tmp_path / "runs"
+    cut = runs / "stock-baseline-all-cash.jsonl"
+    cut.write_bytes(b"".join(cut.read_bytes().splitlines(keepends=True)[:-10]))
+    (runs / "stock-baseline-buy-and-hold.jsonl").unlink()
+
+    result = runner.invoke(main, ["run", "--config", str(config)])
+    assert result.exit_code == 0, result.output
+    for model, outcome in zip(models, ("complete, +0", "ended, +10", "ended, +14")):
+        assert f"{model}: {outcome} steps" in result.output
+    fresh = {p.name: p.read_bytes() for p in (tmp_path / "once").glob("*.jsonl")}
+    assert {p.name: p.read_bytes() for p in runs.glob("*.jsonl")} == fresh
+    assert len(fresh) == 3
 
 
 def test_rebalance_interval_freezes_between_decisions(runner, tmp_path):

@@ -7,6 +7,8 @@ import hashlib
 import json
 import shutil
 import sys
+import threading
+import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
@@ -33,6 +35,7 @@ from tradefolio.domain import (
     NewsItem,
 )
 from tradefolio.environment import (
+    MarketMemo,
     ResumePoint,
     SessionState,
     SessionStatus,
@@ -579,10 +582,14 @@ class _CountingFeed:
 
     def __init__(self, inner):
         self.inner = inner
-        self.lookups = Counter()
+        self.reads = []  # one append is atomic, so threads lose no count
+
+    @property
+    def lookups(self):
+        return Counter(self.reads)
 
     def latest_price(self, asset, on_or_before):
-        self.lookups[asset, on_or_before] += 1
+        self.reads.append((asset, on_or_before))
         return self.inner.latest_price(asset, on_or_before)
 
     def price_window(self, asset, start, end):
@@ -603,6 +610,68 @@ def test_each_date_is_priced_once(stock_world):
     _, plain = run_episode(spec, EqualWeightAgent(), feed, dates, 1000.0)
     assert records == plain
     assert [r.prices for r in records[1:]] == [r.prices_after for r in records[:-1]]
+
+
+def test_a_memo_hands_every_session_the_same_read_only_view(stock_world):
+    spec, store, feed, dates = stock_world
+    market = MarketMemo(feed, spec)
+    holdings = SessionState.initial(spec, 1000.0).holdings
+    first, second = market.observe(dates[4], holdings), market.observe(dates[4], holdings)
+    assert first == build_observation(SessionState.initial(spec, 1000.0), feed, dates[4])
+    assert first.price_history is second.price_history and first.news is second.news
+    with pytest.raises(TypeError):
+        first.price_history["AAPL"] = ()
+    # a memo answers only for the market and windows it was built for
+    with pytest.raises(ValueError, match="another market or other windows"):
+        run_episode(spec, EqualWeightAgent(), market, dates, 1000.0, lookback_days=20)
+
+
+def test_a_memo_keeps_no_read_that_raised(tmp_path):
+    spec = MarketSpec.stock(("AAPL",))
+    store = SnapshotStore(tmp_path)
+    market = MarketMemo(ReplayFeed(store, MarketKind.STOCK), spec)
+    with pytest.raises(NoPriceEverSeen):
+        market.prices(D(2025, 3, 4))
+    store.upsert_price("stock", "AAPL", D(2025, 3, 3), 100.0)
+    vector, stale = market.prices(D(2025, 3, 4))
+    assert vector.prices == {"AAPL": 100.0, "CASH": 1.0} and stale == {"AAPL"}
+
+
+class _SlowFeed(_CountingFeed):
+    """A counting feed whose price reads sleep, so threads meet inside them."""
+
+    def latest_price(self, asset, on_or_before):
+        time.sleep(0.001)
+        return super().latest_price(asset, on_or_before)
+
+
+def test_sessions_in_threads_share_one_memo_that_reads_each_date_once(stock_world, tmp_path):
+    spec, store, feed, dates = stock_world
+    header = SessionLogHeader.for_run(spec, "test/scripted", 1000.0)
+
+    def session(path, shift, market, start=None):
+        writer, agent = SessionLogWriter(path, header), _varied_agent(shift)
+        if start is not None:  # every thread asks for the first date at once
+            start.wait(timeout=60)
+        run_episode(spec, agent, market, dates, 1000.0, max_retries=1, on_record=writer.append)
+        return path.read_bytes()
+
+    in_turn = [session(tmp_path / f"turn-{i}.jsonl", i, feed) for i in range(4)]
+    counting = _SlowFeed(feed)
+    market = MarketMemo(counting, spec)
+    start = threading.Barrier(8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(session, tmp_path / f"thread-{i}.jsonl", i % 4, market,
+                                   start) for i in range(8)]
+            threaded = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == in_turn * 2
+    assert counting.lookups == Counter(
+        {(a, d): 1 for a in spec.assets if a != spec.cash for d in dates})
 
 
 # -- memory -----------------------------------------------------------------------

@@ -260,8 +260,14 @@ def test_a_bad_record_indexes_then_fails_at_its_first_read(tmp_path, stock_world
      "allocation is not finite and non-negative for ['AAPL']"),
     (lambda r: {**r, "allocation": {a: float(a == "CASH") / 2 for a in r["allocation"]}},
      "allocation sums to 0.5, not 1 within 1e-09"),
+    # JSON true and false are no numbers, though Python sums them as 1 and 0
+    (lambda r: {**r, "allocation": {a: a == "CASH" for a in r["allocation"]}},
+     "allocation is not finite and non-negative for ['AAPL', 'CASH', 'MSFT', 'NVDA']"),
+    (lambda r: {**r, "prices_after": {**r["prices_after"], "AAPL": True}},
+     "prices_after is not finite and positive for ['AAPL']"),
 ], ids=["quoted-value", "quoted-attempts", "stale-string", "fractional-news-count",
-        "extra-field", "prices-as-pairs", "string-weight", "half-sum"])
+        "extra-field", "prices-as-pairs", "string-weight", "half-sum", "boolean-weights",
+        "boolean-price"])
 def test_a_row_the_writer_could_not_have_appended_is_a_bad_record(tmp_path, stock_world,
                                                                    tamper, error):
     spec, feed, dates = stock_world
