@@ -8,6 +8,7 @@ data into the store, ``run`` drives trading sessions over it, and
 from __future__ import annotations
 
 import datetime as dt
+import math
 import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -301,6 +302,8 @@ def _resolve_logs(logs: tuple[str, ...], cfg: RunConfig | None) -> list[Path]:
 def report(logs: tuple[str, ...], config_path: str | None, rate: float | None,
            out_dir: str | None) -> None:
     """Tabulate session metrics from one or more logs."""
+    if rate is not None and not math.isfinite(rate):
+        raise click.UsageError(f"--rate must be a finite number, got {rate}")
     try:
         cfg = load_config(config_path) if config_path else None
         paths = _resolve_logs(logs, cfg)

@@ -195,19 +195,18 @@ class NewsItem:
 
 @dataclass(frozen=True)
 class Observation:
-    """Everything an agent may see when deciding at one date.
+    """The market an agent sees when deciding at one date.
 
     ``price_history`` maps asset id to the stored closes inside the
     lookback window that ends the day before ``date``; the current price
     itself lives in ``prices``. ``stale`` lists assets whose price was
-    carried forward from an earlier date. Only ``positions`` is the
-    session's own: the other fields are the date's market, which the
-    sessions of one run share as the same objects, so ``price_history``
-    is read-only.
+    carried forward from an earlier date. Nothing in it is a session's:
+    an agent's own past reaches it as its memory, and the sessions of
+    one run share one object per date, so ``price_history`` is
+    read-only.
     """
 
     date: dt.date
-    positions: Holdings
     prices: PriceVector
     news: tuple[NewsItem, ...]
     price_history: Mapping[str, tuple[PricePoint, ...]]

@@ -1,12 +1,12 @@
 """The trading session: observe, decide, rebalance, record.
 
 ``run_episode`` does all four for every step, in one loop. One session
-is single-threaded and owns its agent, memory and records. The market
-it reads is a ``MarketMemo``: each date's prices, windows and news,
-read once and shared by every session of a run, threads included, as
-none of it depends on a session. The decision made
-from the observation at date t executes at the next date's prices: the
-book is marked to those prices first, then redivided in the target
+is single-threaded and owns its agent, memory, book and records. What
+it observes is a ``MarketMemo``'s: one ``Observation`` per date, read
+once and shared by every session of a run, threads included, as none
+of it depends on a session. The decision made from the observation at
+date t executes at the next date's prices: the session's book is
+marked to those prices first, then redivided in the target
 proportions. Every step appends one record carrying the full audit
 trail, and a session driven twice over the same frozen data produces
 byte-identical records. A model-provider failure halts the session
@@ -21,7 +21,7 @@ import threading
 from dataclasses import dataclass, replace
 from enum import Enum
 from types import MappingProxyType
-from typing import Callable, Mapping, Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 from .accounting import RENORMALIZE_BAND, rebalance
 from .agents.baselines import all_cash_allocation, hold_allocation
@@ -33,9 +33,7 @@ from .domain import (
     Holdings,
     MarketSpec,
     MemoryEntry,
-    NewsItem,
     Observation,
-    PricePoint,
     PriceVector,
 )
 from .errors import AllocationError, ClientError, NoPriceEverSeen, ParseError
@@ -50,7 +48,6 @@ __all__ = [
     "SessionState",
     "ResumePoint",
     "memory_entry",
-    "resolve_prices",
     "MarketMemo",
     "build_observation",
     "run_episode",
@@ -158,42 +155,20 @@ def memory_entry(record: SessionRecord, allocation: AllocationVector,
     )
 
 
-def resolve_prices(feed: Feed, spec: MarketSpec, date: dt.date) -> tuple[PriceVector, frozenset[str]]:
-    """Price every asset at a date, carrying stale closes forward.
-
-    Cash is always 1.0. An asset with no price at or before the date at
-    all raises ``NoPriceEverSeen``; one whose latest close predates the
-    date is flagged stale rather than guessed at.
-    """
-    prices: dict[str, float] = {}
-    stale: set[str] = set()
-    for asset in spec.assets:
-        if asset == spec.cash:
-            prices[asset] = 1.0
-            continue
-        point = feed.latest_price(asset, date)
-        if point is None:
-            raise NoPriceEverSeen(f"no price at or before {date} for {asset!r}")
-        prices[asset] = point.price
-        if point.date < date:
-            stale.add(asset)
-    return PriceVector(date, prices), frozenset(stale)
-
-
 _T = TypeVar("_T")
 
 
 class MarketMemo:
     """One run's market, date by date, read once and shared by its sessions.
 
-    For each date it keeps the ``resolve_prices`` result, and the market
-    part of an observation at that date: each asset's lookback window,
-    as a read-only mapping, and every tag's ranked news. Each is read
-    from the feed on first request and handed out again after that, so
-    sessions stepping over the same dates, in one thread or several,
-    resolve, read and rank each date once. A read that raises keeps
-    nothing, and the next request reads again. It keeps one entry per
-    date asked for, and lives as long as whoever built it keeps it.
+    For each date it keeps every asset's price with the stale set, and
+    the ``Observation`` at that date. Each is read from the feed on
+    first request and handed out again after that, the same objects to
+    every session, so sessions stepping over the same dates, in one
+    thread or several, price, read and rank each date once. A read that
+    raises keeps nothing, and the next request reads again. It keeps one
+    entry per date asked for, and lives as long as whoever built it
+    keeps it.
     """
 
     def __init__(self, feed: Feed, spec: MarketSpec,
@@ -204,9 +179,9 @@ class MarketMemo:
         self.lookback_days = lookback_days
         self.news_window_days = news_window_days
         self._prices: dict[dt.date, tuple[PriceVector, frozenset[str]]] = {}
-        self._markets: dict[dt.date, tuple[Mapping[str, tuple[PricePoint, ...]],
-                                           tuple[NewsItem, ...]]] = {}
-        # one builder at a time, so two threads asking for a new date read it once
+        self._observations: dict[dt.date, Observation] = {}
+        # one builder at a time, so two threads asking for a new date read it once;
+        # not reentrant, so no builder may ask this memo for anything
         self._lock = threading.Lock()
 
     def _once(self, table: dict[dt.date, _T], date: dt.date,
@@ -220,12 +195,47 @@ class MarketMemo:
         return got
 
     def prices(self, date: dt.date) -> tuple[PriceVector, frozenset[str]]:
-        """Every asset's price at a date and the stale set, as ``resolve_prices``."""
-        return self._once(self._prices, date,
-                          lambda d: resolve_prices(self.feed, self.spec, d))
+        """Price every asset at a date, carrying stale closes forward,
+        and name the stale ones.
 
-    def _market(self, date: dt.date) -> tuple[Mapping[str, tuple[PricePoint, ...]],
-                                              tuple[NewsItem, ...]]:
+        Cash is always 1.0. An asset with no price at or before the date at
+        all raises ``NoPriceEverSeen``; one whose latest close predates the
+        date is flagged stale rather than guessed at.
+        """
+        return self._once(self._prices, date, self._price)
+
+    def _price(self, date: dt.date) -> tuple[PriceVector, frozenset[str]]:
+        prices: dict[str, float] = {}
+        stale: set[str] = set()
+        for asset in self.spec.assets:
+            if asset == self.spec.cash:
+                prices[asset] = 1.0
+                continue
+            point = self.feed.latest_price(asset, date)
+            if point is None:
+                raise NoPriceEverSeen(f"no price at or before {date} for {asset!r}")
+            prices[asset] = point.price
+            if point.date < date:
+                stale.add(asset)
+        return PriceVector(date, prices), frozenset(stale)
+
+    def observe(self, date: dt.date) -> Observation:
+        """What an agent may see at a date: one object per date, the
+        same for every session and every call.
+
+        Price history spans the lookback window that ends the day
+        before, as a read-only mapping; news spans the trailing window
+        ending the day before as well, as the feed gives it for the
+        date: newest first, and none published at or after the date's
+        UTC midnight, whatever day stores it, so the decision date
+        itself never leaks through side channels.
+        """
+        prices, stale = self.prices(date)  # outside _once, whose lock a builder cannot take
+        return self._once(self._observations, date,
+                          lambda d: self._observation(d, prices, stale))
+
+    def _observation(self, date: dt.date, prices: PriceVector,
+                     stale: frozenset[str]) -> Observation:
         day = dt.timedelta(days=1)
         history = MappingProxyType({
             a: self.feed.price_window(a, date - dt.timedelta(days=self.lookback_days),
@@ -240,22 +250,7 @@ class MarketMemo:
                 tag, date - dt.timedelta(days=self.news_window_days), date - day,
                 target=date)
         )
-        return history, news
-
-    def observe(self, date: dt.date, positions: Holdings) -> Observation:
-        """What an agent holding ``positions`` may see at a date.
-
-        Price history spans the lookback window that ends the day
-        before; news spans the trailing window ending the day before as
-        well, as the feed gives it for the date: newest first, and none
-        published at or after the date's UTC midnight, whatever day
-        stores it, so the decision date itself never leaks through side
-        channels. Every field but ``positions`` is this memo's, the same
-        objects for every session.
-        """
-        prices, stale = self.prices(date)
-        history, news = self._once(self._markets, date, self._market)
-        return Observation(date=date, positions=positions, prices=prices, news=news,
+        return Observation(date=date, prices=prices, news=news,
                            price_history=history, stale=stale)
 
 
@@ -266,10 +261,9 @@ def build_observation(
     lookback_days: int = HISTORY_LOOKBACK_DAYS,
     news_window_days: int = NEWS_WINDOW_DAYS,
 ) -> Observation:
-    """What the session's agent may see at one date, read afresh from
-    the feed; see ``MarketMemo.observe``."""
-    memo = MarketMemo(feed, state.spec, lookback_days, news_window_days)
-    return memo.observe(date, state.holdings)
+    """What an agent may see at one date, read afresh from the feed;
+    see ``MarketMemo.observe``. Only the state's market is read."""
+    return MarketMemo(feed, state.spec, lookback_days, news_window_days).observe(date)
 
 
 def _decide(
@@ -277,6 +271,7 @@ def _decide(
     spec: MarketSpec,
     obs: Observation,
     memory: tuple[MemoryEntry, ...],
+    book: Holdings,
     exec_prices: PriceVector,
     max_retries: int,
     band: float,
@@ -287,8 +282,8 @@ def _decide(
     Every attempt is a fresh agent call with the same observation and
     memory, so an ``LLMAgent`` retry sends the prompt already rendered
     for this step, and the prompt is the prompt of every attempt. A
-    decision that holds keeps the current book, its weights at execution
-    prices. Otherwise the response is parsed until it validates or the
+    decision that holds keeps the session's ``book``, its weights at
+    execution prices. Otherwise the response is parsed until it validates or the
     retries run out; the last raw response is kept either way.
     """
     attempts = 0
@@ -296,7 +291,7 @@ def _decide(
         attempts += 1
         decision = _OFF_CADENCE if agent is None else agent.decide(spec, obs, memory)
         if decision.holds:
-            held = hold_allocation(spec, obs.positions, exec_prices)
+            held = hold_allocation(spec, book, exec_prices)
             raw = render_allocation_response(decision.raw_response, held)
             return decision.prompt, raw, None, held, attempts
         try:
@@ -333,8 +328,8 @@ def run_episode(
     agent that decides to hold. Unusable responses are retried
     ``max_retries`` times, then the previous step's executed allocation
     (the last memory entry's; all cash before any) is re-applied. Each
-    step's record is built here from the observation, the decision
-    and the rebalance at execution prices. The session halts,
+    step's record is built here from the observation, the session's
+    book, the decision and the rebalance at execution prices. The session halts,
     never crashes, when a model provider gives out (``ClientError``);
     the steps before it are kept. Returns the final state and its
     records.
@@ -369,12 +364,12 @@ def run_episode(
     try:
         for i in range(len(dates) - 1):
             date, exec_date = dates[i], dates[i + 1]
-            obs = market.observe(date, state.holdings)
+            obs, book = market.observe(date), state.holdings
             exec_prices = market.prices(exec_date)[0]
             # an off-cadence step asks no agent and holds
             prompt, raw, error, allocation, attempts = _decide(
                 None if state.step % rebalance_interval else agent,
-                spec, obs, memory, exec_prices, max_retries, band)
+                spec, obs, memory, book, exec_prices, max_retries, band)
             if allocation is not None:
                 action = allocation
             elif memory:
@@ -382,12 +377,12 @@ def run_episode(
                 action = memory[-1].allocation
             else:
                 action = all_cash_allocation(spec)
-            result = rebalance(state.holdings, exec_prices.prices, action, cash=spec.cash)
+            result = rebalance(book, exec_prices.prices, action, cash=spec.cash)
             value = result.pre_trade_value
             record = SessionRecord(
                 date=date,
                 prices=dict(obs.prices.prices),
-                holdings_before=dict(obs.positions.units),
+                holdings_before=dict(book.units),
                 news_count=len(obs.news),
                 stale=tuple(sorted(obs.stale)),
                 prompt_sha256=(None if prompt is None

@@ -12,7 +12,7 @@ import pytest
 
 from tradefolio.agents.clients import ModelClientConfig, ScriptedClient
 from tradefolio.agents.harness import LLMAgent
-from tradefolio.domain import Holdings, MarketSpec, NewsItem, Observation, PricePoint, PriceVector
+from tradefolio.domain import MarketSpec, NewsItem, Observation, PricePoint, PriceVector
 
 REPO = Path(__file__).resolve().parent.parent
 FIXTURES = REPO / "fixtures"
@@ -87,11 +87,8 @@ def make_observation(
     prices: dict[str, float],
     history: dict[str, list[tuple[str, float]]] | None = None,
     news: tuple[NewsItem, ...] = (),
-    holdings: Holdings | None = None,
 ) -> Observation:
     """Observation builder for prompt and feature tests."""
-    if holdings is None:
-        holdings = Holdings({a: (1000.0 if a == spec.cash else 0.0) for a in spec.assets})
     full_prices = dict(prices)
     full_prices.setdefault(spec.cash, 1.0)
     price_history = {
@@ -100,7 +97,6 @@ def make_observation(
     }
     return Observation(
         date=date,
-        positions=holdings,
         prices=PriceVector(date, full_prices),
         news=news,
         price_history=price_history,

@@ -874,6 +874,17 @@ def test_report_command(runner, stock_setup):
     assert explicit.exit_code == 0
     assert "baseline:equal-weight" in explicit.output
 
+    # a NaN or infinite ratio is not JSON: refused before any log is read
+    junk = tmp_path / "junk.jsonl"
+    junk.write_text("not a session log\n", encoding="utf-8")
+    for rate in ("nan", "inf", "-inf"):
+        for source in (log, junk):
+            refused = runner.invoke(main, ["report", str(source), "--rate", rate,
+                                           "--out", str(tmp_path / "refused")])
+            assert refused.exit_code == 2
+            assert f"--rate must be a finite number, got {float(rate)}" in refused.output
+    assert not (tmp_path / "refused").exists()
+
     nothing = runner.invoke(main, ["report"])
     assert nothing.exit_code == 2
     assert "pass session logs" in nothing.output

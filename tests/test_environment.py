@@ -40,7 +40,6 @@ from tradefolio.environment import (
     SessionState,
     SessionStatus,
     build_observation,
-    resolve_prices,
     run_episode,
 )
 from tradefolio.errors import ClientError, NoPriceEverSeen
@@ -82,7 +81,7 @@ def _render(weights):
 # -- building observations -----------------------------------------------------
 
 
-def test_resolve_prices_flags_stale_and_prices_cash(tmp_path):
+def test_memo_prices_flag_stale_and_price_cash(tmp_path):
     spec = MarketSpec.stock(("AAPL", "MSFT"))
     store = SnapshotStore(tmp_path)
     store.upsert_price("stock", "AAPL", D(2025, 3, 3), 100.0)
@@ -90,12 +89,12 @@ def test_resolve_prices_flags_stale_and_prices_cash(tmp_path):
     store.upsert_price("stock", "MSFT", D(2025, 3, 3), 400.0)
     feed = ReplayFeed(store, MarketKind.STOCK)
 
-    vector, stale = resolve_prices(feed, spec, D(2025, 3, 4))
+    vector, stale = MarketMemo(feed, spec).prices(D(2025, 3, 4))
     assert vector.prices == {"AAPL": 101.0, "MSFT": 400.0, "CASH": 1.0}
     assert stale == frozenset({"MSFT"})
 
     with pytest.raises(NoPriceEverSeen):
-        resolve_prices(feed, spec, D(2025, 3, 2))
+        MarketMemo(feed, spec).prices(D(2025, 3, 2))
 
 
 def test_observation_windows_exclude_decision_date(stock_world):
@@ -185,7 +184,7 @@ def test_nothing_after_the_decision_date_reaches_a_prompt_or_a_record(tmp_path, 
 
 def test_step_marks_then_redivides(stock_world):
     spec, store, feed, dates = stock_world
-    exec_prices, _ = resolve_prices(feed, spec, dates[1])
+    exec_prices, _ = MarketMemo(feed, spec).prices(dates[1])
     target = {"AAPL": 0.5, "MSFT": 0.3, "NVDA": 0.0, "CASH": 0.2}
 
     after, _ = run_episode(spec, scripted_agent([_render(target)]), feed, dates[:2], 1000.0)
@@ -615,10 +614,10 @@ def test_each_date_is_priced_once(stock_world):
 def test_a_memo_hands_every_session_the_same_read_only_view(stock_world):
     spec, store, feed, dates = stock_world
     market = MarketMemo(feed, spec)
-    holdings = SessionState.initial(spec, 1000.0).holdings
-    first, second = market.observe(dates[4], holdings), market.observe(dates[4], holdings)
+    first = market.observe(dates[4])
+    assert market.observe(dates[4]) is first
     assert first == build_observation(SessionState.initial(spec, 1000.0), feed, dates[4])
-    assert first.price_history is second.price_history and first.news is second.news
+    assert first.prices is market.prices(dates[4])[0]
     with pytest.raises(TypeError):
         first.price_history["AAPL"] = ()
     # a memo answers only for the market and windows it was built for
@@ -637,6 +636,17 @@ def test_a_memo_keeps_no_read_that_raised(tmp_path):
     assert vector.prices == {"AAPL": 100.0, "CASH": 1.0} and stale == {"AAPL"}
 
 
+class _Watching:
+    """An agent that notes every observation it is shown, then asks ``inner``."""
+
+    def __init__(self, inner):
+        self.inner, self.name, self.seen = inner, inner.name, []
+
+    def decide(self, spec, obs, memory):
+        self.seen.append(obs)
+        return self.inner.decide(spec, obs, memory)
+
+
 class _SlowFeed(_CountingFeed):
     """A counting feed whose price reads sleep, so threads meet inside them."""
 
@@ -650,13 +660,13 @@ def test_sessions_in_threads_share_one_memo_that_reads_each_date_once(stock_worl
     header = SessionLogHeader.for_run(spec, "test/scripted", 1000.0)
 
     def session(path, shift, market, start=None):
-        writer, agent = SessionLogWriter(path, header), _varied_agent(shift)
+        writer, agent = SessionLogWriter(path, header), _Watching(_varied_agent(shift))
         if start is not None:  # every thread asks for the first date at once
             start.wait(timeout=60)
         run_episode(spec, agent, market, dates, 1000.0, max_retries=1, on_record=writer.append)
-        return path.read_bytes()
+        return path.read_bytes(), agent.seen
 
-    in_turn = [session(tmp_path / f"turn-{i}.jsonl", i, feed) for i in range(4)]
+    in_turn = [session(tmp_path / f"turn-{i}.jsonl", i, feed)[0] for i in range(4)]
     counting = _SlowFeed(feed)
     market = MarketMemo(counting, spec)
     start = threading.Barrier(8)
@@ -666,10 +676,13 @@ def test_sessions_in_threads_share_one_memo_that_reads_each_date_once(stock_worl
         with ThreadPoolExecutor(max_workers=8) as pool:
             futures = [pool.submit(session, tmp_path / f"thread-{i}.jsonl", i % 4, market,
                                    start) for i in range(8)]
-            threaded = [f.result(timeout=60) for f in futures]
+            threaded, seen = zip(*(f.result(timeout=60) for f in futures))
     finally:
         sys.setswitchinterval(interval)
-    assert threaded == in_turn * 2
+    assert list(threaded) == in_turn * 2
+    # every thread was shown the one observation the memo holds for each date
+    assert all({o.date for o in shown} == set(dates[:-1]) for shown in seen)
+    assert all(o is market.observe(o.date) for shown in seen for o in shown)
     assert counting.lookups == Counter(
         {(a, d): 1 for a in spec.assets if a != spec.cash for d in dates})
 

@@ -15,7 +15,6 @@ from tradefolio.agents.prompts import (
 )
 from tradefolio.domain import (
     AllocationVector,
-    Holdings,
     MarketSpec,
     MemoryEntry,
     NewsItem,
@@ -378,8 +377,7 @@ def _session_observation(spec, closes, news, day, lookback, news_days):
     shown = sorted((i for i in news if start <= i.published_at < end),
                    key=lambda i: -i.published_at)
     return Observation(
-        date=date, positions=Holdings({a: 0.0 for a in spec.assets}),
-        prices=PriceVector(date, prices), news=tuple(shown),
+        date=date, prices=PriceVector(date, prices), news=tuple(shown),
         price_history=history, stale=frozenset(stale))
 
 

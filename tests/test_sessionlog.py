@@ -607,8 +607,8 @@ def shared_world(tmp_path_factory):
 
 
 class _MemorySpy:
-    """An LLM agent that notes the memory and book it is shown at the
-    first call of each step: the live session's state at that step."""
+    """An LLM agent that notes the memory it is shown at the first call
+    of each step: the live session's memory at that step."""
 
     name = "test/scripted"
 
@@ -617,7 +617,7 @@ class _MemorySpy:
         self.seen = {}
 
     def decide(self, spec, obs, memory) -> AgentDecision:
-        self.seen.setdefault(obs.date, (memory, obs.positions))
+        self.seen.setdefault(obs.date, memory)
         return self.agent.decide(spec, obs, memory)
 
 
@@ -639,16 +639,17 @@ def test_resume_point_equals_live_state_at_every_cut(shared_world, responses, cu
     with tempfile.TemporaryDirectory() as tmp:
         full, part = Path(tmp) / "full.jsonl", Path(tmp) / "part.jsonl"
         spy = _MemorySpy(responses)
-        _run_logged(full, spec, feed, dates, spy, memory_horizon=horizon)
+        _, records = _run_logged(full, spec, feed, dates, spy, memory_horizon=horizon)
         head = scripted_agent(responses)
         live, _ = _run_logged(part, spec, feed, dates[:cut + 1], head, memory_horizon=horizon)
 
         header, done = read_session_log(part)
         resume = resume_point(header, done, spec, memory_horizon=horizon)
         assert resume.state.step == live.step == cut
-        assert resume.state.holdings == live.holdings == spy.seen[dates[cut]][1]
+        assert resume.state.holdings == live.holdings
+        assert resume.state.holdings.units == records[cut].holdings_before
         assert resume.state.value_series == live.value_series
-        assert resume.memory == spy.seen[dates[cut]][0]
+        assert resume.memory == spy.seen[dates[cut]]
 
         tail = scripted_agent(responses[min(len(head.client.prompts), len(responses) - 1):])
         writer = SessionLogWriter(part, header)
@@ -675,4 +676,4 @@ def test_resume_point_rebuilds_only_the_memory_window(tmp_path, shared_world):
     resume = resume_point(header, done, spec, memory_horizon=3)
     assert len(done) == cut
     assert len(resume.memory) == 3
-    assert resume.memory == spy.seen[dates[cut]][0]
+    assert resume.memory == spy.seen[dates[cut]]
