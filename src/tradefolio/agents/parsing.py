@@ -79,8 +79,6 @@ def extract_json_object(text: str) -> dict[str, Any]:
             candidate = json.loads(text[start:end])
         except (json.JSONDecodeError, RecursionError):
             continue
-        if not isinstance(candidate, dict):
-            continue
         if "allocations" in candidate:
             return candidate
         if fallback is None:

@@ -14,6 +14,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
+from typing import Callable
 
 import click
 
@@ -118,39 +119,37 @@ def _log_path(cfg: RunConfig, model: str) -> Path:
     return cfg.out_dir / f"{cfg.market.value}-{_slug(model)}.jsonl"
 
 
-def _run_one(entry: ModelClientConfig, cfg: RunConfig, spec: MarketSpec,
-             market: MarketMemo, dates: list[dt.date]) -> RunOutcome:
-    """Run or resume one model's session over the run's shared market.
-    A failed session is an outcome too, and still names the unfinished
+def _run_one(entry: ModelClientConfig, cfg: RunConfig, spec: MarketSpec, market: MarketMemo,
+             dates: list[dt.date], make_agent: Callable[[ModelClientConfig], Agent]) -> RunOutcome:
+    """Run or resume one model's session over the run's shared market,
+    with the agent ``make_agent`` builds once a step is left to run. A
+    failed session is an outcome too, and still names the unfinished
     line cut off its log."""
     log_path = _log_path(cfg, entry.model)
     dropped = drop_torn_tail(log_path) if log_path.exists() else None
     outcome = partial(RunOutcome, entry.model, log_path, dropped_line=dropped)
     header = SessionLogHeader.for_run(spec, entry.model, cfg.initial_capital)
-    resume = None
-    remaining = dates
+    resume, done = None, 0
     try:
         if log_path.exists():
             existing, records = read_session_log(log_path)
             check_header(log_path, existing, header)
-            point = resume_point(existing, records, spec, cfg.memory_horizon)
-            done = point.state.step
+            resume = resume_point(existing, records, spec, cfg.memory_horizon)
+            done = resume.state.step
             if records.dates != tuple(dates[:done]):
                 raise ConfigError(
                     f"{log_path} was recorded over different dates than the config lists"
                 )
             if done >= len(dates) - 1:
-                return outcome("complete", 0, point.state.value)
-            remaining = dates[done:]
-            resume = point
+                return outcome("complete", 0, resume.state.value)
 
-        agent = _make_agent(entry)
+        agent = make_agent(entry)
         writer = SessionLogWriter(log_path, header)
         state, _ = run_episode(
             spec,
             agent,
             market,
-            remaining,
+            dates[done:],
             cfg.initial_capital,
             max_retries=cfg.retries,
             memory_horizon=cfg.memory_horizon,
@@ -163,11 +162,10 @@ def _run_one(entry: ModelClientConfig, cfg: RunConfig, spec: MarketSpec,
         )
     except TradefolioError as exc:
         return outcome("failed", 0, None, error=str(exc))
-    new_steps = state.step - (resume.state.step if resume else 0)
     status = state.status.value
     if state.status is SessionStatus.HALTED:
         status = f"halted ({state.halt_reason})"
-    return outcome(status, new_steps, state.value)
+    return outcome(status, state.step - done, state.value)
 
 
 @click.group()
@@ -252,7 +250,7 @@ def run(config_path: str) -> None:
                             cfg.lookback_days, cfg.news_window_days)
 
         def job(entry: ModelClientConfig) -> RunOutcome:
-            return _run_one(entry, cfg, spec, market, dates)
+            return _run_one(entry, cfg, spec, market, dates, _make_agent)
 
         if workers <= 1 or len(cfg.models) == 1:
             outcomes = [job(entry) for entry in cfg.models]
@@ -336,6 +334,9 @@ def delta(logs: tuple[str, ...], config_path: str | None, lags: str, out_dir: st
         raise click.UsageError(f"--lags must be comma-separated integers, got {lags!r}")
     if not lag_values or any(k < 0 for k in lag_values):
         raise click.UsageError("--lags needs at least one non-negative integer")
+    for i, k in enumerate(lag_values):
+        if k in lag_values[:i]:
+            raise click.UsageError(f"--lags lists lag {k} more than once")
     try:
         cfg = load_config(config_path) if config_path else None
         paths = _resolve_logs(logs, cfg)

@@ -11,14 +11,16 @@ Reading a log parses its header, then indexes its records by date and
 decodes each when a read first reaches it, as ``tradefolio.dated``
 describes. A record is a bad record unless the writer could have
 appended it: the record's fields, of the types their annotations name,
-``stale`` a list of the header's assets, price, holding and non-null
-``allocation`` maps that name exactly those assets, each price finite
-and positive, each holding and weight finite and non-negative, weights
-summing to 1 within ``ALLOCATION_SUM_TOL``, and a finite, positive
-value. A resume reads only the memory window and, when the window opens
-on a fallback step, the records back to the last one that validated or
-held, so a bad record further back is caught by ``report`` and
-``delta``, which read every record, and not by ``run``.
+``attempts`` at least 1 and ``news_count`` non-negative, exactly one of
+``allocation`` and ``parse_error`` null, ``stale`` a list of the
+header's assets, price, holding and non-null ``allocation`` maps that
+name exactly those assets, each price finite and positive, each holding
+and weight finite and non-negative, weights summing to 1 within
+``ALLOCATION_SUM_TOL``, and a finite, positive value. A resume reads
+only the memory window and, when the window opens on a fallback step,
+the records back to the last one that validated or held, so a bad
+record further back is caught by ``report`` and ``delta``, which read
+every record, and not by ``run``.
 
 An append killed mid-line leaves a final line without its newline.
 ``drop_torn_tail`` cuts that line off so the resumed run recomputes it;
@@ -183,6 +185,13 @@ def _decode_record(assets: frozenset[str], date: dt.date, row: dict) -> SessionR
     for name, kind in _SCALARS.items():
         if type(row[name]) not in _ADMITS[kind]:
             raise ValueError(f"{name} {row[name]!r} is not of type {kind}")
+    if row["attempts"] < 1:
+        raise ValueError(f"attempts {row['attempts']} is less than 1")
+    if row["news_count"] < 0:
+        raise ValueError(f"news_count {row['news_count']} is negative")
+    if (row["allocation"] is None) == (row["parse_error"] is None):
+        both = "null" if row["allocation"] is None else "set"
+        raise ValueError(f"allocation and parse_error are both {both}")
     stale = row["stale"]
     if type(stale) is not list or not all(type(a) is str and a in assets for a in stale):
         raise ValueError(f"stale {stale!r} is not a list of the header's assets")

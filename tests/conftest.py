@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import datetime as dt
+import json
 import os
 import socket
 from pathlib import Path
 from typing import Iterable
 
 import pytest
+import requests
 
 from tradefolio.agents.clients import ModelClientConfig, ScriptedClient
 from tradefolio.agents.harness import LLMAgent
@@ -66,6 +68,21 @@ def no_network(monkeypatch):
 
     monkeypatch.setattr(socket.socket, "connect", refuse)
     monkeypatch.setattr(socket, "getaddrinfo", refuse_lookup)
+
+
+class FakeResponse:
+    """What the default ``requests`` transports read of a response."""
+
+    def __init__(self, status_code: int, text: str) -> None:
+        self.status_code = status_code
+        self.text = text
+
+    def json(self):
+        return json.loads(self.text)  # a ValueError when the body is not JSON
+
+    def raise_for_status(self) -> None:
+        if self.status_code >= 400:
+            raise requests.HTTPError(f"{self.status_code} error")
 
 
 @pytest.fixture

@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 from conftest import FIXTURES
 from tradefolio import cli, sessionlog
 from tradefolio.agents.baselines import EqualWeightAgent
+from tradefolio.agents.clients import HttpChatClient, ModelClientConfig, ScriptedClient
+from tradefolio.agents.harness import LLMAgent
 from tradefolio.ingestion import snapshots
 from tradefolio.cli import _slug, main
 from tradefolio.config import load_config
@@ -161,6 +163,14 @@ def test_run_drops_a_line_cut_mid_append_and_recomputes_it(runner, stock_setup, 
         assert log.read_bytes() == uninterrupted[log]
 
 
+def _shared_market(cfg):
+    """The spec and the one market memo ``tradefolio run`` builds for a config."""
+    store = SnapshotStore(cfg.store)
+    spec, keys = cli._build_spec(cfg, store)
+    return spec, MarketMemo(ReplayFeed(store, cfg.market, keys), spec,
+                            cfg.lookback_days, cfg.news_window_days)
+
+
 @pytest.fixture(scope="module")
 def small_log(tmp_path_factory):
     """A finished three-step, one-stock log, its bytes, and what
@@ -171,13 +181,11 @@ def small_log(tmp_path_factory):
                            ["baseline:equal-weight"])
     config.write_text(config.read_text().replace("[AAPL, MSFT, NVDA]", "[AAPL]"))
     cfg = load_config(config)
-    store = SnapshotStore(cfg.store)
-    spec, keys = cli._build_spec(cfg, store)
-    market = MarketMemo(ReplayFeed(store, cfg.market, keys), spec,
-                        cfg.lookback_days, cfg.news_window_days)
+    spec, market = _shared_market(cfg)
 
     def resume():
-        return cli._run_one(cfg.models[0], cfg, spec, market, list(cfg.dates))
+        return cli._run_one(cfg.models[0], cfg, spec, market, list(cfg.dates),
+                            lambda entry: EqualWeightAgent())
 
     assert resume().status == "ended"
     log = root / "runs" / "stock-baseline-equal-weight.jsonl"
@@ -343,6 +351,35 @@ def test_a_missing_api_key_fails_its_model_before_its_log(runner, stock_setup, m
     assert "baseline:equal-weight: ended, +8 steps" in result.output
     assert [p.name for p in (tmp_path / "runs").glob("*.jsonl")] == [
         "stock-baseline-equal-weight.jsonl"]
+
+
+def test_a_model_whose_key_is_set_gets_an_http_client(monkeypatch):
+    monkeypatch.setenv("OPENAI_API_KEY", "sk-test")
+    agent = cli._make_agent(ModelClientConfig("openai/gpt-5"))
+    assert isinstance(agent, LLMAgent) and isinstance(agent.client, HttpChatClient)
+    assert agent.config == ModelClientConfig("openai/gpt-5")
+
+
+def test_a_finished_model_log_replays_as_complete_without_its_api_key(runner, stock_setup,
+                                                                     monkeypatch):
+    """A session builds its agent only when a step is left to run."""
+    tmp_path, _, dates = stock_setup
+    monkeypatch.delenv("OPENAI_API_KEY", raising=False)
+    config = _write_config(tmp_path / "model.yaml", tmp_path / "store", tmp_path / "runs",
+                           dates, ["openai/gpt-5"])
+    cfg = load_config(config)
+    spec, market = _shared_market(cfg)
+    reply = json.dumps({"allocations": {"AAPL": 0.25, "MSFT": 0.25, "NVDA": 0.25, "CASH": 0.25}})
+    finished = cli._run_one(cfg.models[0], cfg, spec, market, list(cfg.dates),
+                            lambda entry: LLMAgent(ScriptedClient([reply]), entry))
+    assert (finished.status, finished.new_steps, finished.error) == ("ended", 8, None)
+    log = tmp_path / "runs" / "stock-openai-gpt-5.jsonl"
+    full = log.read_bytes()
+
+    result = runner.invoke(main, ["run", "--config", str(config)])
+    assert result.exit_code == 0, result.output
+    assert "openai/gpt-5: complete, +0 steps" in result.output
+    assert log.read_bytes() == full
 
 
 def test_log_with_a_non_object_header_fails_only_its_model(runner, stock_setup):
@@ -931,6 +968,11 @@ def test_delta_command(runner, stock_setup):
         refused = runner.invoke(main, ["delta", "--config", str(config), "--lags", lags])
         assert refused.exit_code == 2
         assert "--lags needs at least one non-negative integer" in refused.output
+
+    # a repeated lag would key one column twice in delta.json
+    repeated = runner.invoke(main, ["delta", "--config", str(config), "--lags", "2,1,2,1"])
+    assert repeated.exit_code == 2
+    assert "--lags lists lag 2 more than once" in repeated.output
 
 
 @pytest.mark.parametrize("keep, error", [

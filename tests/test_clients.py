@@ -1,4 +1,8 @@
+import json
+
 import pytest
+import requests
+from conftest import FakeResponse
 
 from tradefolio.agents.clients import (
     DEFAULT_MAX_TOKENS,
@@ -133,6 +137,24 @@ class TestHttpChatClient:
         client = HttpChatClient(transport=FakeTransport(body={"choices": [{"message": {"content": None}}]}))
         with pytest.raises(ClientRejected, match="non-text content"):
             client.complete("p", ModelClientConfig(model="m"))
+
+    def test_default_transport_posts_and_keeps_a_body_that_is_not_json(self, monkeypatch):
+        monkeypatch.setenv("TOGETHER_API_KEY", "t")
+        replies = [FakeResponse(200, json.dumps(ok_body("posted"))),
+                   FakeResponse(502, "<html>Bad Gateway</html>")]
+        posts = []
+
+        def post(url, headers, json, timeout):
+            posts.append((url, json["messages"][-1]["content"]))
+            return replies.pop(0)
+
+        monkeypatch.setattr(requests, "post", post)
+        client = HttpChatClient()
+        assert client.complete("p", ModelClientConfig(model="m")) == "posted"
+        with pytest.raises(ClientRejected, match="HTTP 502: <html>Bad Gateway</html>"):
+            client.complete("q", ModelClientConfig(model="m"))
+        url = "https://api.together.xyz/v1/chat/completions"
+        assert posts == [(url, "p"), (url, "q")]
 
 
 class TestScriptedClient:

@@ -10,6 +10,7 @@ from tradefolio.domain import (
     Holdings,
     MarketKind,
     MarketSpec,
+    PredictionPair,
     PricePoint,
     PriceVector,
 )
@@ -55,6 +56,15 @@ class TestMarketSpec:
     def test_cash_must_be_in_universe(self):
         with pytest.raises(ValueError, match="cash"):
             MarketSpec(MarketKind.STOCK, ("AAPL", "MSFT"))
+
+    def test_a_market_needs_an_asset(self):
+        with pytest.raises(ValueError, match="at least one asset"):
+            MarketSpec(MarketKind.STOCK, ())
+
+    def test_a_stock_market_has_no_pairs(self):
+        pair = PredictionPair("Q?", "Q?_Yes", "Q?_No")
+        with pytest.raises(ValueError, match="stock markets have no outcome pairs"):
+            MarketSpec(MarketKind.STOCK, ("AAPL", "CASH"), pairs=(pair,))
 
     def test_prediction_rejects_unpaired_assets(self):
         with pytest.raises(ValueError, match="pair"):

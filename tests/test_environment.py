@@ -20,7 +20,9 @@ from tradefolio.agents.baselines import (
     AllCashAgent,
     BuyAndHoldAgent,
     EqualWeightAgent,
+    all_cash_allocation,
     equal_weight_allocation,
+    hold_allocation,
 )
 from tradefolio.agents.harness import AgentDecision
 from tradefolio.agents.prompts import build_context_prompt
@@ -33,6 +35,7 @@ from tradefolio.domain import (
     MarketSpec,
     MemoryEntry,
     NewsItem,
+    PriceVector,
 )
 from tradefolio.environment import (
     MarketMemo,
@@ -315,6 +318,18 @@ def test_buy_and_hold_freezes_units(stock_world):
         for asset in spec.assets:
             assert after.holdings_after[asset] == pytest.approx(
                 before.holdings_after[asset], rel=1e-9)
+
+
+@pytest.mark.parametrize("capital", [0.0, -5.0])
+def test_a_session_needs_positive_capital(capital):
+    with pytest.raises(ValueError, match="initial capital must be positive"):
+        SessionState.initial(MarketSpec.stock(("AAPL",)), capital)
+
+
+def test_a_zero_value_book_holds_all_cash(stock_spec):
+    book = Holdings({a: 0.0 for a in stock_spec.assets})
+    prices = PriceVector(D(2025, 3, 3), {a: 2.0 for a in stock_spec.assets})
+    assert hold_allocation(stock_spec, book, prices) == all_cash_allocation(stock_spec)
 
 
 def test_all_cash_value_is_flat(stock_world):

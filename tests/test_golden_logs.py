@@ -6,6 +6,9 @@ gated to ``rebalance_interval: 2``, and of model-backed sessions over
 the stock fixture store whose scripted replies exercise retries and
 both fallbacks (all cash before any valid reply, the previous step's
 allocation after one), fresh and resumed from a cut at an odd step.
+The model sessions run through ``tradefolio run``'s session runner,
+``cli._run_one``, so a cut one resumes through the same header check,
+date check and resume as a baseline's log.
 Set UPDATE_GOLDENS=1 to rewrite it after an intentional change to the
 log bytes.
 """
@@ -14,18 +17,19 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import replace
 
 import yaml
 from click.testing import CliRunner
 
+from tradefolio import cli
 from tradefolio.agents.clients import ModelClientConfig, ScriptedClient
 from tradefolio.agents.harness import LLMAgent
 from tradefolio.cli import main
 from tradefolio.config import load_config
-from tradefolio.environment import run_episode
+from tradefolio.environment import MarketMemo
 from tradefolio.ingestion.feeds import ReplayFeed
 from tradefolio.ingestion.snapshots import SnapshotStore
-from tradefolio.sessionlog import SessionLogHeader, SessionLogWriter, read_session_log, resume_point
 
 from conftest import FIXTURES, assert_golden
 
@@ -93,31 +97,28 @@ def _script(decisions: int) -> list[str]:
 
 
 def _model_log_hashes(workdir, interval: int, cut: int | None) -> dict[str, str]:
-    workdir.mkdir()
-    cfg = load_config(FIXTURES / "stock-replay.yaml")
+    entry = ModelClientConfig(_MODEL)
+    cfg = replace(load_config(FIXTURES / "stock-replay.yaml"), out_dir=workdir,
+                  models=(entry,), rebalance_interval=interval)
     spec = cfg.spec()
     dates = list(cfg.dates)
-    feed = ReplayFeed(SnapshotStore(cfg.store), cfg.market)
-    config = ModelClientConfig(model=_MODEL)
+    market = MarketMemo(ReplayFeed(SnapshotStore(cfg.store), cfg.market), spec,
+                        cfg.lookback_days, cfg.news_window_days)
     responses = _script(len(dates))
-    path = workdir / "stock-test-scripted.jsonl"
-    header = SessionLogHeader.for_run(spec, _MODEL, cfg.initial_capital)
+    clients: list[ScriptedClient] = []
 
-    def session(dates, client, resume=None):
-        writer = SessionLogWriter(path, header)
-        return run_episode(spec, LLMAgent(client, config), feed, dates, cfg.initial_capital,
-                           resume=resume, on_record=writer.append, rebalance_interval=interval)
+    def make_agent(entry):
+        """An agent over the replies no earlier session of this log used."""
+        used = sum(len(client.prompts) for client in clients)
+        clients.append(ScriptedClient(responses[used:]))
+        return LLMAgent(clients[-1], entry)
 
-    if cut is None:
-        session(dates, ScriptedClient(responses))
-    else:
-        first = ScriptedClient(responses)
-        session(dates[:cut + 1], first)
-        loaded, records = read_session_log(path)
-        assert len(records) == cut
-        resume = resume_point(loaded, records, spec, cfg.memory_horizon)
-        state, _ = session(dates[cut:], ScriptedClient(responses[len(first.prompts):]), resume)
-        assert state.step == len(dates) - 1
+    done = 0
+    for last in ([] if cut is None else [cut]) + [len(dates) - 1]:  # each run's final step
+        outcome = cli._run_one(entry, cfg, spec, market, dates[:last + 1], make_agent)
+        assert (outcome.status, outcome.error, outcome.new_steps) == ("ended", None, last - done)
+        done = last
+    path = outcome.log_path
     return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()}
 
 

@@ -11,10 +11,12 @@ from dataclasses import replace
 from zoneinfo import ZoneInfo
 
 import pytest
+import requests
+from conftest import FakeResponse
 
 from tradefolio.domain import MarketKind, MarketSpec, NewsItem, PricePoint
 from tradefolio.errors import FeedUnavailable, ProviderError
-from tradefolio.ingestion import equities, news, predictions
+from tradefolio.ingestion import equities, news, policy, predictions
 from tradefolio.ingestion.feeds import ReplayFeed, ensure_dates
 from tradefolio.ingestion.policy import FetchPolicy, backoff_delay, fetch_with_policy
 from tradefolio.ingestion.snapshots import SnapshotStore
@@ -355,6 +357,23 @@ def test_fetch_news_request_and_window():
     q = http.calls[0]["params"]["q"]
     # provider treats both date operators as exclusive bounds
     assert q == "AAPL stock news OR Apple after:2025-02-28 before:2025-03-04"
+
+
+def test_default_gets_read_json_or_text_and_raise_on_an_error_status(monkeypatch):
+    gets = []
+
+    def get(url, params, headers, timeout):
+        gets.append((url, params, timeout))
+        return {"https://j": FakeResponse(200, '{"ok": 1}'),
+                "https://t": FakeResponse(200, "<rss/>")}.get(url, FakeResponse(503, ""))
+
+    monkeypatch.setattr(requests, "get", get)
+    assert policy.requests_get_json("https://j", {"q": "a"}, {}, 5.0) == {"ok": 1}
+    assert news._requests_get_text("https://t", {"q": "b"}, {}, 6.0) == "<rss/>"
+    for read in (policy.requests_get_json, news._requests_get_text):
+        with pytest.raises(requests.HTTPError, match="503"):
+            read("https://down", {}, {}, 7.0)
+    assert gets[:2] == [("https://j", {"q": "a"}, 5.0), ("https://t", {"q": "b"}, 6.0)]
 
 
 # -- retry policy ------------------------------------------------------------

@@ -265,9 +265,18 @@ def test_a_bad_record_indexes_then_fails_at_its_first_read(tmp_path, stock_world
      "allocation is not finite and non-negative for ['AAPL', 'CASH', 'MSFT', 'NVDA']"),
     (lambda r: {**r, "prices_after": {**r["prices_after"], "AAPL": True}},
      "prices_after is not finite and positive for ['AAPL']"),
+    # the writer counts the first call, and counts the news it was shown
+    (lambda r: {**r, "attempts": 0}, "attempts 0 is less than 1"),
+    (lambda r: {**r, "attempts": -3}, "attempts -3 is less than 1"),
+    (lambda r: {**r, "news_count": -5}, "news_count -5 is negative"),
+    # a step either validated an allocation or names why none did
+    (lambda r: {**r, "allocation": None}, "allocation and parse_error are both null"),
+    (lambda r: {**r, "parse_error": "ParseError: x"},
+     "allocation and parse_error are both set"),
 ], ids=["quoted-value", "quoted-attempts", "stale-string", "fractional-news-count",
         "extra-field", "prices-as-pairs", "string-weight", "half-sum", "boolean-weights",
-        "boolean-price"])
+        "boolean-price", "zero-attempts", "negative-attempts", "negative-news-count",
+        "neither-allocation-nor-error", "allocation-and-error"])
 def test_a_row_the_writer_could_not_have_appended_is_a_bad_record(tmp_path, stock_world,
                                                                    tamper, error):
     spec, feed, dates = stock_world
@@ -341,6 +350,13 @@ def test_any_read_order_matches_an_eager_decode(logged, reads):
             records, eager = longer, eager + [more]
             assert records.dates[-1] == more.date
     assert records == eager and len(records) == len(eager)
+
+
+def test_a_log_s_records_equal_sequences_of_the_same_records_only(logged):
+    path, eager = logged
+    _, records = read_session_log(path)
+    assert records == tuple(eager) and records != eager[:-1]
+    assert records.__eq__(eager[0]) is NotImplemented and records != eager[0]
 
 
 def _write_run_config(path, store, out_dir, dates, model):
