@@ -13,14 +13,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .domain import AllocationVector, Holdings, MarketSpec
-from .errors import (
-    BothSidesSet,
-    KeyMismatch,
-    NegativeWeight,
-    SumOutOfBand,
-    UnknownAsset,
-    ZeroValuePortfolio,
-)
+from .errors import AccountingError, BothSidesSet, NegativeWeight, SumOutOfBand, UnknownAsset
 
 __all__ = [
     "RENORMALIZE_BAND",
@@ -52,7 +45,7 @@ def _require_same_keys(label_a: str, a: Mapping[str, float],
     if a.keys() != b.keys():
         only_a = sorted(a.keys() - b.keys())
         only_b = sorted(b.keys() - a.keys())
-        raise KeyMismatch(
+        raise AccountingError(
             f"{label_a} and {label_b} disagree: "
             f"only in {label_a}: {only_a}, only in {label_b}: {only_b}"
         )
@@ -74,12 +67,13 @@ def rebalance(
 
     The new unit count for each asset is ``value * weight / price``.
     A zero-value book can only be "rebalanced" to pure cash; asking it
-    for risky exposure raises ``ZeroValuePortfolio``.
+    for risky exposure, or giving holdings, prices and target that name
+    different assets, raises ``AccountingError``.
     """
     value = portfolio_value(holdings, new_prices)  # checks holdings against prices
     _require_same_keys("target", target.weights, "prices", new_prices)
     if value == 0.0 and any(w > 0 for a, w in target.weights.items() if a != cash):
-        raise ZeroValuePortfolio("no capital to allocate to non-cash assets")
+        raise AccountingError("no capital to allocate to non-cash assets")
     new_units = {a: value * target.weights[a] / new_prices[a] for a in holdings.units}
     return RebalanceResult(value, Holdings(new_units))
 

@@ -17,8 +17,6 @@ import requests
 from ..errors import ClientRejected, ClientTimeout, ConfigError
 
 __all__ = [
-    "STANDARD_STYLE",
-    "STRUCTURED_REASONING_STYLE",
     "DEFAULT_TEMPERATURE",
     "DEFAULT_MAX_TOKENS",
     "DEFAULT_PROVIDER",
@@ -31,9 +29,6 @@ __all__ = [
     "api_key",
     "resolve_provider",
 ]
-
-STANDARD_STYLE = "standard"
-STRUCTURED_REASONING_STYLE = "structured-reasoning"
 
 DEFAULT_TEMPERATURE = 0.3
 DEFAULT_MAX_TOKENS = 16000
@@ -85,22 +80,14 @@ class ModelClientConfig:
     """One session's model: a model id with its sampling settings, or a
     baseline agent's name.
 
-    The structured-reasoning style never sends temperature or token
-    limits; constructing such a config zeroes both fields so the
-    request payload cannot carry them.
+    A ``None`` setting is left out of the request payload, so a
+    reasoning model that takes no temperature or token cap gets
+    ``temperature=None, max_tokens=None``.
     """
 
     model: str
     temperature: float | None = DEFAULT_TEMPERATURE
     max_tokens: int | None = DEFAULT_MAX_TOKENS
-    style: str = STANDARD_STYLE
-
-    def __post_init__(self) -> None:
-        if self.style not in (STANDARD_STYLE, STRUCTURED_REASONING_STYLE):
-            raise ConfigError(f"unknown sampling style {self.style!r}")
-        if self.style == STRUCTURED_REASONING_STYLE:
-            object.__setattr__(self, "temperature", None)
-            object.__setattr__(self, "max_tokens", None)
 
     @property
     def is_baseline(self) -> bool:

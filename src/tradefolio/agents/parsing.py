@@ -72,7 +72,6 @@ def extract_json_object(text: str) -> dict[str, Any]:
         pass
     spans = _balanced_spans(text)
     spans.sort(key=lambda s: (-(s[1] - s[0]), s[0]))
-    spans = spans[:_MAX_CANDIDATES]
     fallback: dict[str, Any] | None = None
     for start, end in spans:
         try:

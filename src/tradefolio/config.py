@@ -151,7 +151,7 @@ def _models(raw: Any) -> tuple[ModelClientConfig, ...]:
             item = {"model": item}
         if not isinstance(item, dict) or not isinstance(item.get("model"), str):
             raise ConfigError(f"model entry needs a 'model' key: {item!r}")
-        extra = set(item) - {"model", "temperature", "max_tokens", "style"}
+        extra = set(item) - {"model", "temperature", "max_tokens"}
         if extra:
             raise ConfigError(f"unknown model entry keys: {sorted(extra)}")
         settings = dict(item)

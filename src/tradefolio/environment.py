@@ -36,7 +36,7 @@ from .domain import (
     Observation,
     PriceVector,
 )
-from .errors import AllocationError, ClientError, NoPriceEverSeen, ParseError
+from .errors import AllocationError, ClientError, FeedUnavailable, ParseError
 from .ingestion.feeds import HISTORY_LOOKBACK_DAYS, Feed
 from .ingestion.news import NEWS_WINDOW_DAYS
 
@@ -199,8 +199,8 @@ class MarketMemo:
         and name the stale ones.
 
         Cash is always 1.0. An asset with no price at or before the date at
-        all raises ``NoPriceEverSeen``; one whose latest close predates the
-        date is flagged stale rather than guessed at.
+        all raises ``FeedUnavailable`` naming the date; one whose latest
+        close predates the date is flagged stale rather than guessed at.
         """
         return self._once(self._prices, date, self._price)
 
@@ -213,7 +213,7 @@ class MarketMemo:
                 continue
             point = self.feed.latest_price(asset, date)
             if point is None:
-                raise NoPriceEverSeen(f"no price at or before {date} for {asset!r}")
+                raise FeedUnavailable(f"no price at or before {date} for {asset!r}", date)
             prices[asset] = point.price
             if point.date < date:
                 stale.add(asset)

@@ -13,8 +13,7 @@ import datetime as dt
 
 __all__ = [
     "TradefolioError",
-    "KeyMismatch",
-    "ZeroValuePortfolio",
+    "AccountingError",
     "AllocationError",
     "UnknownAsset",
     "NegativeWeight",
@@ -28,7 +27,6 @@ __all__ = [
     "NormalizationError",
     "ProviderError",
     "FeedUnavailable",
-    "NoPriceEverSeen",
     "ClientError",
     "ClientTimeout",
     "ClientRejected",
@@ -43,12 +41,10 @@ class TradefolioError(Exception):
 
 # -- accounting ---------------------------------------------------------
 
-class KeyMismatch(TradefolioError):
-    """Two asset-keyed mappings do not share the same key set."""
-
-
-class ZeroValuePortfolio(TradefolioError):
-    """A rebalance asked for risky exposure with no capital to allocate."""
+class AccountingError(TradefolioError):
+    """A book could not be valued or rebalanced: two asset-keyed mappings
+    name different assets, or a rebalance asked for risky exposure with
+    no capital to allocate."""
 
 
 class AllocationError(TradefolioError):
@@ -108,16 +104,13 @@ class ProviderError(IngestionError):
 # -- environment / feeds ------------------------------------------------
 
 class FeedUnavailable(TradefolioError):
-    """Live data source unreachable after retries; session must halt.
-    ``date`` is the first date a backfill left uncovered, when known."""
+    """The market data a date needs cannot be had: the store holds no
+    price at or before it, or a provider still failed after retries.
+    ``date`` names that date."""
 
-    def __init__(self, message: str, date: dt.date | None = None) -> None:
+    def __init__(self, message: str, date: dt.date) -> None:
         super().__init__(message)
         self.date = date
-
-
-class NoPriceEverSeen(TradefolioError):
-    """Asset has no price at or before the requested date."""
 
 
 # -- model clients ------------------------------------------------------

@@ -12,9 +12,10 @@ decodes each when a read first reaches it, as ``tradefolio.dated``
 describes. A record is a bad record unless the writer could have
 appended it: the record's fields, of the types their annotations name,
 ``attempts`` at least 1 and ``news_count`` non-negative, exactly one of
-``allocation`` and ``parse_error`` null, ``stale`` a list of the
-header's assets, price, holding and non-null ``allocation`` maps that
-name exactly those assets, each price finite and positive, each holding
+``allocation`` and ``parse_error`` null, ``prompt_sha256`` null or 64
+lowercase hex digits, ``stale`` a sorted list of distinct header
+assets, price, holding and non-null ``allocation`` maps that name
+exactly those assets, each price finite and positive, each holding
 and weight finite and non-negative, weights summing to 1 within
 ``ALLOCATION_SUM_TOL``, and a finite, positive value. A resume reads
 only the memory window and, when the window opens on a fallback step,
@@ -33,6 +34,7 @@ import datetime as dt
 import json
 import math
 import os
+import re
 from dataclasses import dataclass, fields
 from functools import partial
 from pathlib import Path
@@ -176,6 +178,7 @@ _FIELDS = frozenset(f.name for f in fields(SessionRecord))
 _ADMITS = {"int": (int,), "float": (int, float), "str": (str,), "str | None": (str, type(None))}
 _SCALARS = {f.name: f.type for f in fields(SessionRecord) if f.type in _ADMITS}
 _NUMBERS = {int, float}  # a map value's types; bool, a subclass of int, is left out
+_SHA256 = re.compile("[0-9a-f]{64}")  # what hexdigest() writes
 
 
 def _decode_record(assets: frozenset[str], date: dt.date, row: dict) -> SessionRecord:
@@ -192,9 +195,14 @@ def _decode_record(assets: frozenset[str], date: dt.date, row: dict) -> SessionR
     if (row["allocation"] is None) == (row["parse_error"] is None):
         both = "null" if row["allocation"] is None else "set"
         raise ValueError(f"allocation and parse_error are both {both}")
+    digest = row["prompt_sha256"]
+    if digest is not None and not _SHA256.fullmatch(digest):
+        raise ValueError(f"prompt_sha256 {digest!r} is not 64 lowercase hex digits")
     stale = row["stale"]
     if type(stale) is not list or not all(type(a) is str and a in assets for a in stale):
         raise ValueError(f"stale {stale!r} is not a list of the header's assets")
+    if stale and stale != sorted(set(stale)):
+        raise ValueError(f"stale {stale!r} is not sorted without repeats")
     for name in ("prices", "holdings_before", "holdings_after", "prices_after", "allocation"):
         values, positive = row[name], name.startswith("prices")
         if values is None and name == "allocation":

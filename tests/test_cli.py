@@ -1090,6 +1090,19 @@ def test_a_store_price_of_infinity_fails_every_session_that_reads_it(runner, sto
         assert all(r.value > 0 for r in records)  # every record decodes
 
 
+def test_a_series_that_starts_after_the_first_date_fails_every_session(runner, stock_setup):
+    tmp_path, config, dates = stock_setup
+    series = tmp_path / "store" / "prices" / "stock" / "AAPL.jsonl"
+    lines = series.read_text(encoding="utf-8").splitlines()
+    assert json.loads(lines[1])["date"] == dates[0].isoformat()
+    series.write_text("\n".join(lines[:1] + lines[2:]) + "\n", encoding="utf-8")
+    result = runner.invoke(main, ["run", "--config", str(config)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit), result.exception
+    for model in ("baseline:equal-weight", "baseline:all-cash", "baseline:buy-and-hold"):
+        assert f"{model}: failed: no price at or before {dates[0]} for 'AAPL'" in result.output
+
+
 def test_a_log_whose_line_1_is_blank_has_a_bad_header(runner, stock_setup):
     tmp_path, config, dates = stock_setup
     assert runner.invoke(main, ["run", "--config", str(config)]).exit_code == 0

@@ -13,7 +13,7 @@ from tradefolio.agents.clients import (
     ScriptedClient,
     resolve_provider,
 )
-from tradefolio.errors import ClientRejected, ClientTimeout, ConfigError
+from tradefolio.errors import ClientRejected, ClientTimeout
 
 
 class TestRouting:
@@ -62,18 +62,12 @@ class TestModelClientConfig:
             "max_tokens": 16000,
         }
 
-    def test_structured_reasoning_omits_sampling_params(self):
-        config = ModelClientConfig(model="m", temperature=0.9, max_tokens=4000,
-                                   style="structured-reasoning")
-        assert config.temperature is None
-        assert config.max_tokens is None
-        payload = config.request_payload("m", "hi")
-        assert "temperature" not in payload
-        assert "max_tokens" not in payload
-
-    def test_unknown_style_rejected(self):
-        with pytest.raises(ConfigError):
-            ModelClientConfig(model="m", style="freeform")
+    def test_null_settings_send_neither_field(self):
+        config = ModelClientConfig(model="m", temperature=None, max_tokens=None)
+        assert config.request_payload("m", "hi") == {
+            "model": "m",
+            "messages": [{"role": "user", "content": "hi"}],
+        }
 
 
 class FakeTransport:

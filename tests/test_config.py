@@ -96,7 +96,8 @@ def test_model_entry_forms(tmp_path):
             temperature: 0.7
             max_tokens: 9000
           - model: deepseek/deepseek-chat-v3.1
-            style: structured-reasoning
+            temperature: null
+            max_tokens: null
     """))
     assert [m.model for m in cfg.models] == [
         "baseline:equal-weight",
@@ -107,7 +108,7 @@ def test_model_entry_forms(tmp_path):
     assert cfg.models[1].temperature == 0.3
     assert cfg.models[2].temperature == 0.7
     assert cfg.models[2].max_tokens == 9000
-    assert cfg.models[3].style == "structured-reasoning"
+    assert cfg.models[3].temperature is None and cfg.models[3].max_tokens is None
     assert not cfg.models[1].is_baseline
 
 
@@ -213,7 +214,9 @@ def test_fetch_policy_block(tmp_path):
         ("models: [{model: openai/x, temperature: -3}]", "openai/x: temperature must be non-neg"),
         ("models: [{model: openai/x, max_tokens: -5}]", "openai/x: max_tokens must be at least 1"),
         ("models: [{model: m, max_tokens: 0}]", "m: max_tokens must be at least 1"),
-        ("models: [{model: m, style: freeform}]", "unknown sampling style"),
+        # a reasoning model writes temperature: null and max_tokens: null instead
+        ("models: [{model: m, style: structured-reasoning}]",
+         r"unknown model entry keys: \['style'\]"),
         ("lookback_days: -5", "lookback_days must be non-negative"),
         ("news_window_days: -1", "news_window_days must be non-negative"),
         ("concurrency: 0", "concurrency must be at least 1"),

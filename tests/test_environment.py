@@ -45,7 +45,7 @@ from tradefolio.environment import (
     build_observation,
     run_episode,
 )
-from tradefolio.errors import ClientError, NoPriceEverSeen
+from tradefolio.errors import ClientError, FeedUnavailable
 from tradefolio.ingestion.feeds import ReplayFeed
 from tradefolio.ingestion.snapshots import SnapshotStore
 from tradefolio.sessionlog import (
@@ -96,8 +96,10 @@ def test_memo_prices_flag_stale_and_price_cash(tmp_path):
     assert vector.prices == {"AAPL": 101.0, "MSFT": 400.0, "CASH": 1.0}
     assert stale == frozenset({"MSFT"})
 
-    with pytest.raises(NoPriceEverSeen):
+    with pytest.raises(FeedUnavailable,
+                       match="no price at or before 2025-03-02 for 'AAPL'") as info:
         MarketMemo(feed, spec).prices(D(2025, 3, 2))
+    assert info.value.date == D(2025, 3, 2)
 
 
 def test_observation_windows_exclude_decision_date(stock_world):
@@ -644,7 +646,7 @@ def test_a_memo_keeps_no_read_that_raised(tmp_path):
     spec = MarketSpec.stock(("AAPL",))
     store = SnapshotStore(tmp_path)
     market = MarketMemo(ReplayFeed(store, MarketKind.STOCK), spec)
-    with pytest.raises(NoPriceEverSeen):
+    with pytest.raises(FeedUnavailable, match="no price at or before 2025-03-04 for 'AAPL'"):
         market.prices(D(2025, 3, 4))
     store.upsert_price("stock", "AAPL", D(2025, 3, 3), 100.0)
     vector, stale = market.prices(D(2025, 3, 4))

@@ -273,10 +273,21 @@ def test_a_bad_record_indexes_then_fails_at_its_first_read(tmp_path, stock_world
     (lambda r: {**r, "allocation": None}, "allocation and parse_error are both null"),
     (lambda r: {**r, "parse_error": "ParseError: x"},
      "allocation and parse_error are both set"),
+    # the writer writes a prompt's hexdigest() and the sorted stale set
+    (lambda r: {**r, "prompt_sha256": "0123456789ABCDEF" * 4},
+     f"prompt_sha256 {'0123456789ABCDEF' * 4!r} is not 64 lowercase hex digits"),
+    (lambda r: {**r, "prompt_sha256": "0" * 63},
+     f"prompt_sha256 {'0' * 63!r} is not 64 lowercase hex digits"),
+    (lambda r: {**r, "prompt_sha256": "zz"}, "prompt_sha256 'zz' is not 64 lowercase hex digits"),
+    (lambda r: {**r, "stale": ["AAPL", "AAPL"]},
+     "stale ['AAPL', 'AAPL'] is not sorted without repeats"),
+    (lambda r: {**r, "stale": ["MSFT", "AAPL"]},
+     "stale ['MSFT', 'AAPL'] is not sorted without repeats"),
 ], ids=["quoted-value", "quoted-attempts", "stale-string", "fractional-news-count",
         "extra-field", "prices-as-pairs", "string-weight", "half-sum", "boolean-weights",
         "boolean-price", "zero-attempts", "negative-attempts", "negative-news-count",
-        "neither-allocation-nor-error", "allocation-and-error"])
+        "neither-allocation-nor-error", "allocation-and-error", "uppercase-hash",
+        "short-hash", "non-hex-hash", "repeated-stale", "unsorted-stale"])
 def test_a_row_the_writer_could_not_have_appended_is_a_bad_record(tmp_path, stock_world,
                                                                    tamper, error):
     spec, feed, dates = stock_world
