@@ -22,13 +22,13 @@ __all__ = [
     "render_allocation_response",
 ]
 
-# Give up after this many candidate JSON spans; guards pathological
-# brace-heavy inputs without ever raising.
+# Parse at most this many balanced spans, the widest ones; bounds the
+# work on brace-heavy inputs, where the answer is the widest span.
 _MAX_CANDIDATES = 200
 
 
 def _balanced_spans(text: str) -> list[tuple[int, int]]:
-    """Balanced {...} spans in one pass, outermost spans last-closed."""
+    """Every balanced {...} span, found in one pass, in closing order."""
     spans: list[tuple[int, int]] = []
     stack: list[int] = []
     in_string = False
@@ -43,24 +43,22 @@ def _balanced_spans(text: str) -> list[tuple[int, int]]:
                 in_string = False
             continue
         if ch == '"':
-            # String state only trustworthy inside a span; harmless outside.
-            in_string = True
+            # a quote in prose outside every span opens no string
+            in_string = bool(stack)
         elif ch == "{":
             stack.append(i)
         elif ch == "}" and stack:
-            start = stack.pop()
-            spans.append((start, i + 1))
-            if len(spans) >= _MAX_CANDIDATES:
-                break
+            spans.append((stack.pop(), i + 1))
     return spans
 
 
 def extract_json_object(text: str) -> dict[str, Any]:
     """Find the JSON object embedded in free-form response text.
 
-    Tries the whole text first, then every balanced brace span, widest
-    first, preferring spans that mention "allocations". Raises
-    ``NoObjectFound`` when nothing parses to a dict.
+    Tries the whole text first, then the ``_MAX_CANDIDATES`` widest
+    balanced brace spans, widest first, preferring spans that mention
+    "allocations". Raises ``NoObjectFound`` when nothing parses to a
+    dict.
     """
     if not isinstance(text, str) or "{" not in text:
         raise NoObjectFound("response contains no JSON object")
@@ -73,7 +71,7 @@ def extract_json_object(text: str) -> dict[str, Any]:
     spans = _balanced_spans(text)
     spans.sort(key=lambda s: (-(s[1] - s[0]), s[0]))
     fallback: dict[str, Any] | None = None
-    for start, end in spans:
+    for start, end in spans[:_MAX_CANDIDATES]:
         try:
             candidate = json.loads(text[start:end])
         except (json.JSONDecodeError, RecursionError):

@@ -119,12 +119,13 @@ def _log_path(cfg: RunConfig, model: str) -> Path:
     return cfg.out_dir / f"{cfg.market.value}-{_slug(model)}.jsonl"
 
 
-def _run_one(entry: ModelClientConfig, cfg: RunConfig, spec: MarketSpec, market: MarketMemo,
+def _run_one(entry: ModelClientConfig, cfg: RunConfig, market: MarketMemo,
              dates: list[dt.date], make_agent: Callable[[ModelClientConfig], Agent]) -> RunOutcome:
     """Run or resume one model's session over the run's shared market,
     with the agent ``make_agent`` builds once a step is left to run. A
     failed session is an outcome too, and still names the unfinished
     line cut off its log."""
+    spec = market.spec
     log_path = _log_path(cfg, entry.model)
     dropped = drop_torn_tail(log_path) if log_path.exists() else None
     outcome = partial(RunOutcome, entry.model, log_path, dropped_line=dropped)
@@ -188,8 +189,7 @@ def fetch(config_path: str) -> None:
         if cfg.market is MarketKind.PREDICTION:
             record_discovered(store, discover_markets(
                 cfg.fetch_policy, cfg.dates[0] - dt.timedelta(days=cfg.lookback_days),
-                cfg.dates[-1], limit=cfg.discovery_limit,
-                flat_threshold=cfg.flat_market_threshold))
+                cfg.dates[-1], limit=cfg.discovery_limit))
             if not cfg.questions and not store.markets():
                 raise ConfigError("discovery found no markets for the configured dates"
                                   " and the store catalog is empty")
@@ -250,7 +250,7 @@ def run(config_path: str) -> None:
                             cfg.lookback_days, cfg.news_window_days)
 
         def job(entry: ModelClientConfig) -> RunOutcome:
-            return _run_one(entry, cfg, spec, market, dates, _make_agent)
+            return _run_one(entry, cfg, market, dates, _make_agent)
 
         if workers <= 1 or len(cfg.models) == 1:
             outcomes = [job(entry) for entry in cfg.models]

@@ -2,8 +2,8 @@
 
 Every tunable that is a judgment call rather than a law of the system
 lives here with its default: memory horizon, risk-free rate,
-the renormalization band, the flat-market threshold, starting capital,
-retry counts, and the concurrency cap.
+the renormalization band, starting capital, retry counts, and the
+concurrency cap.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .errors import ConfigError
 from .ingestion.feeds import HISTORY_LOOKBACK_DAYS
 from .ingestion.news import NEWS_WINDOW_DAYS
 from .ingestion.policy import FetchPolicy
-from .ingestion.predictions import DISCOVERY_LIMIT, FLAT_SERIES_THRESHOLD
+from .ingestion.predictions import DISCOVERY_LIMIT
 
 __all__ = [
     "TRADING_DAYS_PER_YEAR",
@@ -61,7 +61,6 @@ class RunConfig:
     lookback_days: int
     news_window_days: int
     renormalize_band: float
-    flat_market_threshold: float
     concurrency: int | None
     discovery_limit: int
     fetch_policy: FetchPolicy
@@ -203,8 +202,7 @@ _TOP_LEVEL_KEYS = {
     "market", "mode", "store", "out_dir", "dates", "models", "universe",
     "questions", "initial_capital", "risk_free_rate_annual", "memory_horizon",
     "retries", "rebalance_interval", "lookback_days", "news_window_days",
-    "renormalize_band", "flat_market_threshold", "concurrency", "discovery_limit",
-    "fetch",
+    "renormalize_band", "concurrency", "discovery_limit", "fetch",
 }
 
 
@@ -278,7 +276,6 @@ def load_config(path: str | Path) -> RunConfig:
         lookback_days=number("lookback_days", HISTORY_LOOKBACK_DAYS),
         news_window_days=number("news_window_days", NEWS_WINDOW_DAYS),
         renormalize_band=number("renormalize_band", RENORMALIZE_BAND, float),
-        flat_market_threshold=number("flat_market_threshold", FLAT_SERIES_THRESHOLD, float),
         concurrency=None if raw.get("concurrency") is None else number("concurrency", None),
         discovery_limit=number("discovery_limit", DISCOVERY_LIMIT),
         fetch_policy=_fetch_policy(raw.get("fetch")),

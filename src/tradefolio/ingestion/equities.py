@@ -26,7 +26,9 @@ __all__ = [
 
 CHART_URL = "https://query1.finance.yahoo.com/v8/finance/chart/{symbol}"
 
-_DEFAULT_TZ = ZoneInfo("America/New_York")
+# A bar's date is its trading day on the exchange's clock.
+_EXCHANGE_TZ = ZoneInfo("America/New_York")
+
 
 def _chart_result(payload: Any) -> dict:
     try:
@@ -41,7 +43,7 @@ def _chart_result(payload: Any) -> dict:
     return results[0]
 
 
-def parse_chart_payload(payload: Any, tz: ZoneInfo = _DEFAULT_TZ) -> list[PricePoint]:
+def parse_chart_payload(payload: Any) -> list[PricePoint]:
     """Bars from one chart response, oldest first.
 
     Prefers adjusted closes, falls back to raw closes, and drops bars
@@ -62,13 +64,13 @@ def parse_chart_payload(payload: Any, tz: ZoneInfo = _DEFAULT_TZ) -> list[PriceP
         price = adj if adj is not None else close
         if price is None or not 0 < price < math.inf:
             continue
-        date = dt.datetime.fromtimestamp(ts, tz).date()
+        date = dt.datetime.fromtimestamp(ts, _EXCHANGE_TZ).date()
         points.append(PricePoint(date, float(price), None if volume is None else float(volume)))
     points.sort(key=lambda p: p.date)
     return points
 
 
-def parse_quote_payload(payload: Any, tz: ZoneInfo = _DEFAULT_TZ) -> PricePoint:
+def parse_quote_payload(payload: Any) -> PricePoint:
     """Latest trade from chart metadata: the best available price today."""
     result = _chart_result(payload)
     meta = result.get("meta") or {}
@@ -76,7 +78,7 @@ def parse_quote_payload(payload: Any, tz: ZoneInfo = _DEFAULT_TZ) -> PricePoint:
     moment = meta.get("regularMarketTime")
     if price is None or moment is None or not 0 < price < math.inf:
         raise ProviderError("quote payload lacks a usable market price")
-    return PricePoint(dt.datetime.fromtimestamp(moment, tz).date(), float(price), None)
+    return PricePoint(dt.datetime.fromtimestamp(moment, _EXCHANGE_TZ).date(), float(price), None)
 
 
 def fetch_equity_history(

@@ -54,12 +54,11 @@ class DiscoveredMarket:
     no_history: tuple[PricePoint, ...]
 
 
-def is_flat_series(points: list[PricePoint] | tuple[PricePoint, ...],
-                   threshold: float = FLAT_SERIES_THRESHOLD) -> bool:
+def is_flat_series(points: list[PricePoint] | tuple[PricePoint, ...]) -> bool:
     if not points:
         return True
     prices = [p.price for p in points]
-    return max(prices) - min(prices) < threshold
+    return max(prices) - min(prices) < FLAT_SERIES_THRESHOLD
 
 
 def _token_ids(raw: Any) -> tuple[str, str] | None:
@@ -146,7 +145,6 @@ def discover_markets(
     history_start: dt.date,
     history_end: dt.date,
     limit: int = DISCOVERY_LIMIT,
-    flat_threshold: float = FLAT_SERIES_THRESHOLD,
     http: HttpGet = requests_get_json,
 ) -> list[DiscoveredMarket]:
     """Active markets worth trading, with their price histories.
@@ -169,7 +167,7 @@ def discover_markets(
             break
         yes = fetch_prediction_history(entry.yes_token, history_start, history_end,
                                        policy, http)
-        if is_flat_series(yes, flat_threshold):
+        if is_flat_series(yes):
             continue
         no = fetch_prediction_history(entry.no_token, history_start, history_end,
                                       policy, http)

@@ -17,13 +17,7 @@ import numpy as np
 from .environment import SessionRecord
 from .errors import CorruptLog, MetricsError
 from .metrics import MetricsReport, rolling_k_delta
-from .sessionlog import (
-    SessionLogHeader,
-    cash_ratio_series,
-    position_histories,
-    read_session_log,
-    value_series,
-)
+from .sessionlog import SessionLogHeader, position_histories, read_session_log
 
 __all__ = [
     "ReportRow",
@@ -65,7 +59,7 @@ def _scored(path: Path) -> Iterator[tuple[SessionLogHeader, Sequence[SessionReco
 
 def _row_from_log(path: Path, risk_free_rate: float) -> ReportRow:
     with _scored(path) as (header, records):
-        values = value_series(header, records)
+        values = [header.initial_capital] + [r.value for r in records]
         rate = risk_free_rate if header.market.value == "stock" else 0.0
         metrics = MetricsReport.from_values(values, rate)
     dates = [records[0].date.isoformat()] + [r.date.isoformat() for r in records]
@@ -75,7 +69,8 @@ def _row_from_log(path: Path, risk_free_rate: float) -> ReportRow:
         steps=len(records),
         metrics=metrics,
         values=values,
-        cash_ratio=cash_ratio_series(header, records),
+        # the share of each step's value held in cash, whose price is 1
+        cash_ratio=[1.0] + [r.holdings_after[header.cash] / r.value for r in records],
         dates=dates,
     )
 

@@ -54,8 +54,6 @@ __all__ = [
     "check_header",
     "read_session_log",
     "drop_torn_tail",
-    "value_series",
-    "cash_ratio_series",
     "effective_allocations",
     "position_histories",
     "resume_point",
@@ -248,17 +246,6 @@ def drop_torn_tail(path: Path) -> int | None:
     if keep == 0:
         path.unlink()
     return data.count(b"\n") + 1
-
-
-def value_series(header: SessionLogHeader, records: Iterable[SessionRecord]) -> list[float]:
-    """Portfolio values including the starting capital."""
-    return [header.initial_capital] + [r.value for r in records]
-
-
-def cash_ratio_series(header: SessionLogHeader,
-                      records: Iterable[SessionRecord]) -> list[float]:
-    """Fraction of value parked in cash after each step (cash price is 1)."""
-    return [1.0] + [r.holdings_after[header.cash] / r.value for r in records]
 
 
 def effective_allocations(header: SessionLogHeader,

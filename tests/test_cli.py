@@ -164,11 +164,11 @@ def test_run_drops_a_line_cut_mid_append_and_recomputes_it(runner, stock_setup, 
 
 
 def _shared_market(cfg):
-    """The spec and the one market memo ``tradefolio run`` builds for a config."""
+    """The one market memo ``tradefolio run`` builds for a config."""
     store = SnapshotStore(cfg.store)
     spec, keys = cli._build_spec(cfg, store)
-    return spec, MarketMemo(ReplayFeed(store, cfg.market, keys), spec,
-                            cfg.lookback_days, cfg.news_window_days)
+    return MarketMemo(ReplayFeed(store, cfg.market, keys), spec,
+                      cfg.lookback_days, cfg.news_window_days)
 
 
 @pytest.fixture(scope="module")
@@ -181,10 +181,10 @@ def small_log(tmp_path_factory):
                            ["baseline:equal-weight"])
     config.write_text(config.read_text().replace("[AAPL, MSFT, NVDA]", "[AAPL]"))
     cfg = load_config(config)
-    spec, market = _shared_market(cfg)
+    market = _shared_market(cfg)
 
     def resume():
-        return cli._run_one(cfg.models[0], cfg, spec, market, list(cfg.dates),
+        return cli._run_one(cfg.models[0], cfg, market, list(cfg.dates),
                             lambda entry: EqualWeightAgent())
 
     assert resume().status == "ended"
@@ -368,9 +368,9 @@ def test_a_finished_model_log_replays_as_complete_without_its_api_key(runner, st
     config = _write_config(tmp_path / "model.yaml", tmp_path / "store", tmp_path / "runs",
                            dates, ["openai/gpt-5"])
     cfg = load_config(config)
-    spec, market = _shared_market(cfg)
+    market = _shared_market(cfg)
     reply = json.dumps({"allocations": {"AAPL": 0.25, "MSFT": 0.25, "NVDA": 0.25, "CASH": 0.25}})
-    finished = cli._run_one(cfg.models[0], cfg, spec, market, list(cfg.dates),
+    finished = cli._run_one(cfg.models[0], cfg, market, list(cfg.dates),
                             lambda entry: LLMAgent(ScriptedClient([reply]), entry))
     assert (finished.status, finished.new_steps, finished.error) == ("ended", 8, None)
     log = tmp_path / "runs" / "stock-openai-gpt-5.jsonl"

@@ -226,7 +226,8 @@ def test_fetch_policy_block(tmp_path):
         ("initial_capital: .inf", "initial_capital must be a finite number"),
         ("risk_free_rate_annual: .nan", "risk_free_rate_annual must be a finite number"),
         ("renormalize_band: .nan", "renormalize_band must be a finite number"),
-        ("flat_market_threshold: .nan", "flat_market_threshold must be a finite number"),
+        # discovery always drops markets that move less than FLAT_SERIES_THRESHOLD
+        ("flat_market_threshold: 0.05", r"unknown config keys: \['flat_market_threshold'\]"),
         ("fetch: {timeout: .inf}", "fetch.timeout must be a finite number"),
         ("fetch: {backoff_base: .inf}", "fetch.backoff_base must be a finite number"),
         ("renormalize_band: 1", r"renormalize_band must lie in \[0, 1\)"),

@@ -100,9 +100,8 @@ def _model_log_hashes(workdir, interval: int, cut: int | None) -> dict[str, str]
     entry = ModelClientConfig(_MODEL)
     cfg = replace(load_config(FIXTURES / "stock-replay.yaml"), out_dir=workdir,
                   models=(entry,), rebalance_interval=interval)
-    spec = cfg.spec()
     dates = list(cfg.dates)
-    market = MarketMemo(ReplayFeed(SnapshotStore(cfg.store), cfg.market), spec,
+    market = MarketMemo(ReplayFeed(SnapshotStore(cfg.store), cfg.market), cfg.spec(),
                         cfg.lookback_days, cfg.news_window_days)
     responses = _script(len(dates))
     clients: list[ScriptedClient] = []
@@ -115,7 +114,7 @@ def _model_log_hashes(workdir, interval: int, cut: int | None) -> dict[str, str]
 
     done = 0
     for last in ([] if cut is None else [cut]) + [len(dates) - 1]:  # each run's final step
-        outcome = cli._run_one(entry, cfg, spec, market, dates[:last + 1], make_agent)
+        outcome = cli._run_one(entry, cfg, market, dates[:last + 1], make_agent)
         assert (outcome.status, outcome.error, outcome.new_steps) == ("ended", None, last - done)
         done = last
     path = outcome.log_path

@@ -8,7 +8,6 @@ import datetime as dt
 import math
 import random
 from dataclasses import replace
-from zoneinfo import ZoneInfo
 
 import pytest
 import requests
@@ -63,12 +62,13 @@ def test_chart_drops_null_and_nonpositive_bars():
 
 
 def test_chart_dates_are_exchange_local():
-    # 01:00 UTC is the previous evening in New York
-    ts = int(dt.datetime(2025, 3, 4, 1, 0, tzinfo=UTC).timestamp())
-    points = equities.parse_chart_payload(_chart([ts], closes=[100.0]))
-    assert points[0].date == D(2025, 3, 3)
-    points_utc = equities.parse_chart_payload(_chart([ts], closes=[100.0]), tz=ZoneInfo("UTC"))
-    assert points_utc[0].date == D(2025, 3, 4)
+    # 01:00 UTC is the previous evening in New York, 05:00 UTC its midnight
+    evening = _epoch(2025, 3, 4, hour=1, minute=0)
+    midnight = _epoch(2025, 3, 4, hour=5, minute=0)
+    points = equities.parse_chart_payload(_chart([evening, midnight], closes=[100.0, 101.0]))
+    assert [p.date for p in points] == [D(2025, 3, 3), D(2025, 3, 4)]
+    meta = {"regularMarketPrice": 100.0, "regularMarketTime": evening}
+    assert equities.parse_quote_payload({"chart": {"result": [{"meta": meta}]}}).date == D(2025, 3, 3)
 
 
 @pytest.mark.parametrize(
@@ -150,7 +150,7 @@ def test_flat_series_detection():
     moving = [PricePoint(D(2025, 3, 3), 0.500), PricePoint(D(2025, 3, 4), 0.510)]
     assert predictions.is_flat_series(flat)
     assert not predictions.is_flat_series(moving)
-    assert predictions.is_flat_series(moving, threshold=0.02)
+    assert predictions.is_flat_series(moving[1:])  # one point never moves
 
 
 def _listing_row(slug, question="Will it happen?", tokens='["tok-y", "tok-n"]', **extra):

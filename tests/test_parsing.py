@@ -1,6 +1,7 @@
 import json
 import random
 import string
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -75,6 +76,27 @@ class TestExtraction:
         bomb = "{}" * 5000
         obj = extract_json_object(bomb)
         assert obj == {}
+
+    @pytest.mark.parametrize("prose", [
+        'He said "hi. ',  # an unclosed quote
+        'Note: 5" screen. ',  # inches
+        'a "b" c "d ',  # a pair, then an unclosed quote
+        "{a} " * 200,  # more spans before the answer than are parsed
+    ], ids=["unclosed-quote", "inch-mark", "pair-then-unclosed", "many-small-spans"])
+    def test_answer_after_prose_is_found(self, prose):
+        answer = {"reasoning": "r", "allocations": {"CASH": 1}}
+        assert extract_json_object(prose + json.dumps(answer, separators=(",", ":"))) == answer
+
+    @pytest.mark.parametrize("bomb", [
+        "{" * 60000, "{}" * 30000, "{a}" * 20000, '{"a":' * 5000,
+    ], ids=["open-braces", "empty-spans", "junk-spans", "open-keys"])
+    def test_brace_heavy_inputs_finish_quickly(self, bomb):
+        start = time.perf_counter()
+        try:
+            assert isinstance(extract_json_object(bomb), dict)
+        except NoObjectFound:
+            pass
+        assert time.perf_counter() - start < 0.5
 
 
 CORPUS_REJECTS = [

@@ -24,15 +24,14 @@ from tradefolio.environment import DEFAULT_MEMORY_HORIZON, SessionStatus, run_ep
 from tradefolio.errors import ConfigError, CorruptLog
 from tradefolio.ingestion.feeds import ReplayFeed
 from tradefolio.ingestion.snapshots import SnapshotStore
+from tradefolio.reporting import build_report_rows
 from tradefolio.sessionlog import (
     SessionLogHeader,
     SessionLogWriter,
-    cash_ratio_series,
     effective_allocations,
     position_histories,
     read_session_log,
     resume_point,
-    value_series,
 )
 from tradefolio.synthetic import seed_stock_store
 
@@ -454,15 +453,14 @@ def test_value_and_cash_ratio_series(tmp_path, stock_world):
     spec, feed, dates = stock_world
     state, records = _run_logged(tmp_path / "run.jsonl", spec, feed, dates,
                                  scripted_agent(_varied_responses(len(dates) - 1)))
-    header, loaded = read_session_log(tmp_path / "run.jsonl")
+    _, loaded = read_session_log(tmp_path / "run.jsonl")
+    (row,) = build_report_rows([tmp_path / "run.jsonl"], risk_free_rate=0.0)
 
-    values = value_series(header, loaded)
-    assert values == list(state.value_series)
-    assert values[0] == 1000.0
+    assert row.values == list(state.value_series)
+    assert row.values[0] == 1000.0
 
-    ratios = cash_ratio_series(header, loaded)
-    assert ratios[0] == 1.0
-    for ratio, record in zip(ratios[1:], loaded):
+    assert row.cash_ratio[0] == 1.0
+    for ratio, record in zip(row.cash_ratio[1:], loaded, strict=True):
         assert ratio == record.holdings_after["CASH"] / record.value
 
 
