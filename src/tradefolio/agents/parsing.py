@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from typing import Any, Mapping
 
 from ..accounting import RENORMALIZE_BAND, validate_allocation
@@ -27,18 +28,26 @@ __all__ = [
 _MAX_CANDIDATES = 200
 
 
-def _balanced_spans(text: str) -> list[tuple[int, int]]:
-    """Every balanced {...} span, found in one pass, in closing order."""
+# The characters each scan stops at; the regex skips the rest in C.
+_QUOTE_AWARE = re.compile(r'[{}"\\]')
+_QUOTE_BLIND = re.compile(r"[{}]")
+
+
+def _balanced_spans(text: str, quotes: bool) -> list[tuple[int, int]]:
+    """Every balanced {...} span, found in one pass, in closing order;
+    with ``quotes``, braces inside a string opened within a span don't
+    count, and without, a stray quote in prose can't hide a span."""
     spans: list[tuple[int, int]] = []
     stack: list[int] = []
     in_string = False
-    escaped = False
-    for i, ch in enumerate(text):
+    escaped = -1  # the index a backslash in a string escapes
+    for match in (_QUOTE_AWARE if quotes else _QUOTE_BLIND).finditer(text):
+        i, ch = match.start(), match.group()
         if in_string:
-            if escaped:
-                escaped = False
-            elif ch == "\\":
-                escaped = True
+            if i == escaped:
+                continue
+            if ch == "\\":
+                escaped = i + 1
             elif ch == '"':
                 in_string = False
             continue
@@ -68,8 +77,9 @@ def extract_json_object(text: str) -> dict[str, Any]:
             return whole
     except (json.JSONDecodeError, RecursionError):
         pass
-    spans = _balanced_spans(text)
-    spans.sort(key=lambda s: (-(s[1] - s[0]), s[0]))
+    # json.loads validates every candidate, so both passes' spans can be tried
+    spans = sorted({*_balanced_spans(text, True), *_balanced_spans(text, False)},
+                   key=lambda s: (-(s[1] - s[0]), s[0]))
     fallback: dict[str, Any] | None = None
     for start, end in spans[:_MAX_CANDIDATES]:
         try:

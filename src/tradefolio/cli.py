@@ -209,6 +209,11 @@ def fetch(config_path: str) -> None:
 def run(config_path: str) -> None:
     """Run one session per configured model over the configured dates.
 
+    Model sessions run on worker threads, at most ``concurrency`` at
+    once, so their provider waits overlap; baseline sessions make no
+    provider call and run in the invoking thread beside them. Outcomes
+    are printed in config order.
+
     An existing log resumes where it stopped; replaying a finished log
     is a no-op. A log whose last line lacks its newline was cut off
     mid-append: that line is dropped and named, and the notice says
@@ -243,8 +248,8 @@ def run(config_path: str) -> None:
                 return
 
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
-        outcomes: list[RunOutcome] = []
-        workers = cfg.concurrency or min(4, len(cfg.models))
+        models = [entry for entry in cfg.models if not entry.is_baseline]
+        workers = cfg.concurrency or min(4, len(models)) or 1
         # every session reads each date's market through this one memo
         market = MarketMemo(ReplayFeed(store, cfg.market, asset_keys), spec,
                             cfg.lookback_days, cfg.news_window_days)
@@ -252,14 +257,15 @@ def run(config_path: str) -> None:
         def job(entry: ModelClientConfig) -> RunOutcome:
             return _run_one(entry, cfg, market, dates, _make_agent)
 
-        if workers <= 1 or len(cfg.models) == 1:
-            outcomes = [job(entry) for entry in cfg.models]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                outcomes = list(pool.map(job, cfg.models))
+        # model sessions overlap their provider waits on workers; baselines
+        # never wait, so they run here beside them rather than contend
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            waiting = {entry.model: pool.submit(job, entry) for entry in models}
+            ran = {entry.model: job(entry) for entry in cfg.models if entry.is_baseline}
 
         failed = False
-        for outcome in outcomes:
+        for entry in cfg.models:
+            outcome = ran[entry.model] if entry.is_baseline else waiting[entry.model].result()
             if outcome.dropped_line is not None:
                 fate = ("the session failed before recomputing it" if outcome.error is not None
                         else "which this run recomputes")

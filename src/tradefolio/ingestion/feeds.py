@@ -104,12 +104,14 @@ def ensure_dates(
     A date counts as priced once the series holds a bar on or after it,
     since a weekday holiday never gets a bar of its own. A date needs
     history when it isn't priced or its lookback window holds fewer
-    than two bars; each asset gets one history request, from the first
-    such date minus the lookback to the last date, then a stock whose
-    last date is still unpriced gets one quote. A tag gets one news
-    request over the windows of the dates missing a news day, and every
-    missing day is recorded, empty ones too, keeping its items newest
-    first.
+    than two bars; a window of under five days needs only one, since a
+    Monday's window back to Saturday, or back to a Good Friday, holds
+    one trading day however complete the store is. Each asset gets
+    one history request, from the first such date minus the lookback
+    to the last date, then a stock whose last date is still unpriced
+    gets one quote. A tag gets one news request over the windows of the
+    dates missing a news day, and every missing day is recorded, empty
+    ones too, keeping its items newest first.
     These checks read only the dates a series holds, so a covered store
     decodes no row here. Only dates a series lacks are written. A
     provider failure that survives the retry policy raises
@@ -118,6 +120,7 @@ def ensure_dates(
     keys = asset_keys or {}
     market = spec.kind.value
     lookback = dt.timedelta(days=lookback_days)
+    least_bars = 2 if lookback_days >= 4 else 1
     window = [dt.timedelta(days=i) for i in range(news_window_days, 0, -1)]
 
     def priced(key: str, date: dt.date) -> bool:
@@ -134,7 +137,7 @@ def ensure_dates(
     history = {}
     for key in (keys.get(a, a) for a in spec.assets if a != spec.cash):
         history[key] = next((d for d in dates if not priced(key, d)
-                             or bars(key, d - lookback, d) < 2), None)
+                             or bars(key, d - lookback, d) < least_bars), None)
     needy = {tag: [d for d in dates if lacks_news(tag, d)] for tag in spec.news_tags}
     starts = [d for d in history.values() if d] + [n[0] for n in needy.values() if n]
     if not starts:

@@ -4,6 +4,7 @@ import datetime as dt
 import json
 import re
 import shutil
+import threading
 from collections import Counter
 
 import pytest
@@ -442,9 +443,42 @@ def test_a_series_header_of_the_wrong_shape_fails_each_model_that_reads_it(runne
         assert f"{model}: failed: {series}: unreadable header" in result.output
 
 
+_REPLY = json.dumps({"reasoning": "r",
+                     "allocations": {"AAPL": 0.25, "MSFT": 0.25, "NVDA": 0.25, "CASH": 0.25}})
+
+
+class _ThreadNamingClient(ScriptedClient):
+    """One scripted reply, recording the thread of every call; with
+    ``meet``, the first call waits there for the other clients'."""
+
+    def __init__(self, threads, meet=None):
+        super().__init__([_REPLY])
+        self.threads, self.meet = threads, meet
+
+    def complete(self, prompt, config):
+        if self.meet is not None and not self.prompts:
+            self.meet.wait()
+        self.threads.append(threading.get_ident())
+        return super().complete(prompt, config)
+
+
+def _scripted_models(monkeypatch, meet=None):
+    """Model entries get scripted LLMAgents and baselines their own
+    agents; returns the threads the model calls run on."""
+    threads = []
+    real = cli._make_agent
+    monkeypatch.setattr(cli, "_make_agent", lambda entry: real(entry) if entry.is_baseline
+                        else LLMAgent(_ThreadNamingClient(threads, meet), entry))
+    return threads
+
+
 def test_worker_threads_build_each_series_once(runner, stock_setup, monkeypatch):
-    tmp_path, config, dates = stock_setup
-    config.write_text(config.read_text() + "concurrency: 2\n", encoding="utf-8")
+    tmp_path, _, dates = stock_setup
+    config = _write_config(tmp_path / "mixed.yaml", tmp_path / "store", tmp_path / "runs", dates,
+                           ["test/alpha", "baseline:equal-weight", "test/beta",
+                            "baseline:all-cash", "baseline:buy-and-hold"],
+                           extra="concurrency: 2")
+    threads = _scripted_models(monkeypatch)
     builds = []
     real_index = SnapshotStore._index
 
@@ -455,9 +489,37 @@ def test_worker_threads_build_each_series_once(runner, stock_setup, monkeypatch)
     monkeypatch.setattr(SnapshotStore, "_index", spying_index)
     result = runner.invoke(main, ["run", "--config", str(config)])
     assert result.exit_code == 0, result.output
+    assert result.output.count("ended, +8 steps") == 5
+    # the model sessions ran on workers, beside the baselines in this thread
+    assert threads and threading.get_ident() not in threads
     # three price and three news series, each built once by whichever
-    # worker reads it first
+    # thread reads it first
     assert sorted(builds) == sorted({*builds}) and len(builds) == 6
+
+
+def test_baselines_run_in_the_invoking_thread_while_models_overlap(runner, stock_setup,
+                                                                   monkeypatch):
+    tmp_path, _, dates = stock_setup
+    models = ["test/alpha", "baseline:equal-weight", "test/beta"]
+    config = _write_config(tmp_path / "mixed.yaml", tmp_path / "store", tmp_path / "runs", dates,
+                           models, extra="concurrency: 2")
+    # each model's first call waits for the other's, so two sessions run
+    # one after the other break the barrier
+    threads = _scripted_models(monkeypatch, meet=threading.Barrier(2, timeout=10))
+    baseline_threads = set()
+    real_decide = EqualWeightAgent.decide
+
+    def decide(self, *args):
+        baseline_threads.add(threading.get_ident())
+        return real_decide(self, *args)
+
+    monkeypatch.setattr(EqualWeightAgent, "decide", decide)
+    result = runner.invoke(main, ["run", "--config", str(config)])
+    assert result.exit_code == 0, result.output
+    assert baseline_threads == {threading.get_ident()}
+    assert len(set(threads)) == 2 and threading.get_ident() not in threads
+    assert [line.split(": ")[0] for line in result.output.splitlines()] == models
+    assert result.output.count("ended, +8 steps") == 3
 
 
 def test_a_run_reads_each_date_once_for_all_its_sessions(runner, stock_setup, monkeypatch):
@@ -485,10 +547,13 @@ def test_a_run_reads_each_date_once_for_all_its_sessions(runner, stock_setup, mo
 
 
 @pytest.mark.parametrize("concurrency", [1, 2])
-def test_a_mixed_resume_writes_the_bytes_of_fresh_runs(runner, tmp_path, concurrency):
+def test_a_mixed_resume_writes_the_bytes_of_fresh_runs(runner, tmp_path, monkeypatch,
+                                                       concurrency):
     dates = seed_stock_store(tmp_path / "store", ("AAPL", "MSFT", "NVDA"),
                              D(2025, 3, 3), 15, seed=13)
-    models = ["baseline:equal-weight", "baseline:all-cash", "baseline:buy-and-hold"]
+    models = ["baseline:equal-weight", "test/alpha", "baseline:all-cash", "test/beta",
+              "baseline:buy-and-hold"]
+    threads = _scripted_models(monkeypatch)
     extra = f"concurrency: {concurrency}"
     config = _write_config(tmp_path / "run.yaml", tmp_path / "store", tmp_path / "runs",
                            dates, models, extra=extra)
@@ -497,17 +562,23 @@ def test_a_mixed_resume_writes_the_bytes_of_fresh_runs(runner, tmp_path, concurr
     assert runner.invoke(main, ["run", "--config", str(once)]).exit_code == 0
     assert runner.invoke(main, ["run", "--config", str(config)]).exit_code == 0
     runs = tmp_path / "runs"
-    cut = runs / "stock-baseline-all-cash.jsonl"
-    cut.write_bytes(b"".join(cut.read_bytes().splitlines(keepends=True)[:-10]))
-    (runs / "stock-baseline-buy-and-hold.jsonl").unlink()
+    for name in ("baseline-all-cash", "test-alpha"):
+        cut = runs / f"stock-{name}.jsonl"
+        cut.write_bytes(b"".join(cut.read_bytes().splitlines(keepends=True)[:-10]))
+    for name in ("baseline-buy-and-hold", "test-beta"):
+        (runs / f"stock-{name}.jsonl").unlink()
 
+    threads.clear()
     result = runner.invoke(main, ["run", "--config", str(config)])
     assert result.exit_code == 0, result.output
-    for model, outcome in zip(models, ("complete, +0", "ended, +10", "ended, +14")):
+    for model, outcome in zip(models, ("complete, +0", "ended, +10", "ended, +10",
+                                       "ended, +14", "ended, +14")):
         assert f"{model}: {outcome} steps" in result.output
+    # the resumed model sessions ran on workers, beside the baselines
+    assert threads and threading.get_ident() not in threads
     fresh = {p.name: p.read_bytes() for p in (tmp_path / "once").glob("*.jsonl")}
     assert {p.name: p.read_bytes() for p in runs.glob("*.jsonl")} == fresh
-    assert len(fresh) == 3
+    assert len(fresh) == 5
 
 
 def test_rebalance_interval_freezes_between_decisions(runner, tmp_path):
@@ -1203,6 +1274,24 @@ def test_fetch_twice_makes_no_second_request(runner, tmp_path, monkeypatch):
     dates = [D(2025, 3, 3) + dt.timedelta(days=i) for i in range(5)]
     config = _write_config(tmp_path / "run.yaml", tmp_path / "store", tmp_path / "runs",
                            dates, ["baseline:all-cash"])
+    calls = _fake_provider(monkeypatch)
+    assert runner.invoke(main, ["fetch", "--config", str(config)]).exit_code == 0
+    assert len(calls) == 6  # one history and one news request per ticker
+
+    calls.clear()
+    result = runner.invoke(main, ["fetch", "--config", str(config)])
+    assert result.exit_code == 0, result.output
+    assert calls == []
+
+
+@pytest.mark.parametrize("lookback", [0, 1, 2, 3, 10])
+def test_a_covered_store_is_fetched_without_a_request_at_any_lookback(runner, tmp_path,
+                                                                       monkeypatch, lookback):
+    """A Monday's window back to Saturday holds one weekday however
+    complete the store is, so a short window asks for one bar."""
+    dates = [D(2025, 3, 3) + dt.timedelta(days=i) for i in range(12) if i % 7 < 5]
+    config = _write_config(tmp_path / "run.yaml", tmp_path / "store", tmp_path / "runs",
+                           dates, ["baseline:all-cash"], extra=f"lookback_days: {lookback}")
     calls = _fake_provider(monkeypatch)
     assert runner.invoke(main, ["fetch", "--config", str(config)]).exit_code == 0
     assert len(calls) == 6  # one history and one news request per ticker

@@ -656,6 +656,28 @@ def test_live_backfill_over_a_holiday_is_fetched_once(tmp_path, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("lookback", [1, 3, 4, 10])
+def test_a_short_window_after_a_holiday_is_backfilled_once(tmp_path, monkeypatch, lookback):
+    """The Monday after Good Friday (2025-04-18) holds the one trading
+    day of its window back to Friday, however complete the store is."""
+    spec = MarketSpec.stock(("AAPL",))
+    dates = [D(2025, 4, 17), D(2025, 4, 21), D(2025, 4, 22)]
+    calls = []
+
+    def fake_history(ticker, start, end, policy, **kwargs):
+        calls.append((ticker, start, end))
+        days = (start + dt.timedelta(days=i) for i in range((end - start).days + 1))
+        return [PricePoint(d, 100.0) for d in days if d.weekday() < 5 and d != D(2025, 4, 18)]
+
+    monkeypatch.setattr(equities, "fetch_equity_history", fake_history)
+    monkeypatch.setattr(news, "fetch_news", lambda *a, **k: [])
+    for expected in ([("AAPL", dates[0] - dt.timedelta(days=lookback), dates[-1])], []):
+        calls.clear()
+        ensure_dates(SnapshotStore(tmp_path), spec, dates, FetchPolicy(max_retries=1),
+                     lookback_days=lookback)
+        assert calls == expected
+
+
 def _counting_provider(monkeypatch, calls, last_bar=None, down=False):
     """Weekday bars through ``last_bar`` (default: the request's end),
     a quote for the request day after, and one news item per day; every

@@ -58,6 +58,7 @@ class TestExtraction:
         tricky = '{"reasoning": "weights {like} this \\" brace }", "allocations": {"CASH": 1.0}}'
         obj = extract_json_object(tricky)
         assert obj["allocations"] == {"CASH": 1.0}
+        assert extract_json_object(wrap(tricky)) == obj  # found by the scanner, not whole
 
     def test_no_braces(self):
         with pytest.raises(NoObjectFound):
@@ -82,7 +83,10 @@ class TestExtraction:
         'Note: 5" screen. ',  # inches
         'a "b" c "d ',  # a pair, then an unclosed quote
         "{a} " * 200,  # more spans before the answer than are parsed
-    ], ids=["unclosed-quote", "inch-mark", "pair-then-unclosed", "many-small-spans"])
+        '{5" screen} ',  # a quote inside a brace span of prose
+        '(see {note: 5" wide}) ',
+    ], ids=["unclosed-quote", "inch-mark", "pair-then-unclosed", "many-small-spans",
+            "quote-in-brace-span", "quote-in-nested-prose-span"])
     def test_answer_after_prose_is_found(self, prose):
         answer = {"reasoning": "r", "allocations": {"CASH": 1}}
         assert extract_json_object(prose + json.dumps(answer, separators=(",", ":"))) == answer
