@@ -67,7 +67,8 @@ def extract_json_object(text: str) -> dict[str, Any]:
     Tries the whole text first, then the ``_MAX_CANDIDATES`` widest
     balanced brace spans, widest first, preferring spans that mention
     "allocations". Raises ``NoObjectFound`` when nothing parses to a
-    dict.
+    dict. A candidate fails on ``ValueError``: ``JSONDecodeError`` and
+    the int-string limit an integer of over 4300 digits meets alike.
     """
     if not isinstance(text, str) or "{" not in text:
         raise NoObjectFound("response contains no JSON object")
@@ -75,7 +76,7 @@ def extract_json_object(text: str) -> dict[str, Any]:
         whole = json.loads(text)
         if isinstance(whole, dict):
             return whole
-    except (json.JSONDecodeError, RecursionError):
+    except (ValueError, RecursionError):
         pass
     # json.loads validates every candidate, so both passes' spans can be tried
     spans = sorted({*_balanced_spans(text, True), *_balanced_spans(text, False)},
@@ -84,7 +85,7 @@ def extract_json_object(text: str) -> dict[str, Any]:
     for start, end in spans[:_MAX_CANDIDATES]:
         try:
             candidate = json.loads(text[start:end])
-        except (json.JSONDecodeError, RecursionError):
+        except (ValueError, RecursionError):
             continue
         if "allocations" in candidate:
             return candidate

@@ -41,6 +41,7 @@ from .sessionlog import (
     SessionLogWriter,
     check_header,
     drop_torn_tail,
+    lock_log,
     read_session_log,
     resume_point,
 )
@@ -122,18 +123,25 @@ def _log_path(cfg: RunConfig, model: str) -> Path:
 def _run_one(entry: ModelClientConfig, cfg: RunConfig, market: MarketMemo,
              dates: list[dt.date], make_agent: Callable[[ModelClientConfig], Agent]) -> RunOutcome:
     """Run or resume one model's session over the run's shared market,
-    with the agent ``make_agent`` builds once a step is left to run. A
-    failed session is an outcome too, and still names the unfinished
-    line cut off its log."""
+    with the agent ``make_agent`` builds once a step is left to run. The
+    session cuts, reads and extends its log through one handle, locked
+    until the session ends, so a log another run holds fails the session
+    and keeps its bytes. A failed session is an outcome too, and still
+    names the unfinished line cut off its log."""
     spec = market.spec
     log_path = _log_path(cfg, entry.model)
-    dropped = drop_torn_tail(log_path) if log_path.exists() else None
-    outcome = partial(RunOutcome, entry.model, log_path, dropped_line=dropped)
+    outcome = partial(RunOutcome, entry.model, log_path)
     header = SessionLogHeader.for_run(spec, entry.model, cfg.initial_capital)
-    resume, done = None, 0
+    resume, done, dropped, log = None, 0, None, None
     try:
-        if log_path.exists():
-            existing, records = read_session_log(log_path)
+        log = lock_log(log_path)
+        if log is not None:
+            dropped = drop_torn_tail(log_path, log)
+            if dropped == 1:  # the log held only a torn header, and is gone
+                log.close()
+                log = None
+        if log is not None:
+            existing, records = read_session_log(log_path, log)
             check_header(log_path, existing, header)
             resume = resume_point(existing, records, spec, cfg.memory_horizon)
             done = resume.state.step
@@ -142,10 +150,12 @@ def _run_one(entry: ModelClientConfig, cfg: RunConfig, market: MarketMemo,
                     f"{log_path} was recorded over different dates than the config lists"
                 )
             if done >= len(dates) - 1:
-                return outcome("complete", 0, resume.state.value)
+                return outcome("complete", 0, resume.state.value, dropped_line=dropped)
 
         agent = make_agent(entry)
-        writer = SessionLogWriter(log_path, header)
+        if log is None:
+            log = lock_log(log_path, create=True)
+        writer = SessionLogWriter(log_path, header, log)
         state, _ = run_episode(
             spec,
             agent,
@@ -162,11 +172,14 @@ def _run_one(entry: ModelClientConfig, cfg: RunConfig, market: MarketMemo,
             rebalance_interval=cfg.rebalance_interval,
         )
     except TradefolioError as exc:
-        return outcome("failed", 0, None, error=str(exc))
+        return outcome("failed", 0, None, error=str(exc), dropped_line=dropped)
+    finally:
+        if log is not None:
+            log.close()
     status = state.status.value
     if state.status is SessionStatus.HALTED:
         status = f"halted ({state.halt_reason})"
-    return outcome(status, state.step - done, state.value)
+    return outcome(status, state.step - done, state.value, dropped_line=dropped)
 
 
 @click.group()
@@ -221,6 +234,10 @@ def run(config_path: str) -> None:
     mode the dates that have already happened are backfilled first, so
     a daily invocation extends each log by one step; a provider outage
     ends the run's dates before the failing one.
+
+    Each session locks its log while it runs, so a session whose log
+    another run holds fails, naming the log as in use, and leaves it
+    as it was.
     """
     try:
         cfg = load_config(config_path)

@@ -26,19 +26,25 @@ every record, and not by ``run``.
 An append killed mid-line leaves a final line without its newline.
 ``drop_torn_tail`` cuts that line off so the resumed run recomputes it;
 any other damage stays a ``CorruptLog``.
+
+A log has one writer at a time. ``lock_log`` opens it under an
+exclusive ``flock`` that lasts as long as its handle, and a session
+cuts, reads and extends its log through that one handle.
 """
 
 from __future__ import annotations
 
 import datetime as dt
+import fcntl
 import json
 import math
 import os
 import re
+import weakref
 from dataclasses import dataclass, fields
 from functools import partial
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, BinaryIO, Iterable
 
 from .dated import DatedRows, index
 from .domain import (ALLOCATION_SUM_TOL, AllocationVector, Holdings, MarketKind, MarketSpec,
@@ -52,6 +58,7 @@ __all__ = [
     "SessionLogHeader",
     "SessionLogWriter",
     "check_header",
+    "lock_log",
     "read_session_log",
     "drop_torn_tail",
     "effective_allocations",
@@ -128,23 +135,67 @@ def check_header(path: Path, logged: SessionLogHeader, header: SessionLogHeader)
             for key in new if old[key] != new[key]))
 
 
-class SessionLogWriter:
-    """Appends records as they happen; never rewrites prior lines."""
+def lock_log(path: Path, create: bool = False) -> BinaryIO | None:
+    """The log at ``path`` opened to read and extend, under an exclusive
+    ``flock`` that lasts until the handle closes, the process's death
+    included; with ``create``, a log made by this call. None when there
+    is no log and ``create`` is false. A ``ConfigError`` names the log
+    when another run holds it, made it first or removed it meanwhile."""
+    if create:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    in_use = ConfigError(f"{path} is in use by another run")
+    try:
+        fh = open(path, "xb+" if create else "rb+")
+    except FileNotFoundError:
+        if create:
+            raise
+        return None
+    except FileExistsError:
+        raise in_use from None
+    try:
+        fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        if os.fstat(fh.fileno()).st_nlink:  # no run removed it before this lock
+            return fh
+    except BlockingIOError:
+        pass
+    fh.close()
+    raise in_use
 
-    def __init__(self, path: str | Path, header: SessionLogHeader) -> None:
+
+class SessionLogWriter:
+    """Appends records through one handle; never rewrites prior lines.
+
+    Each record is written and flushed, never fsynced, so a crash tears
+    at most the final line. The handle is ``fh`` when given, as
+    ``lock_log`` opened it, or else the log at ``path`` opened (and made)
+    here; ``close`` closes it, as dropping the writer does.
+    """
+
+    def __init__(self, path: str | Path, header: SessionLogHeader,
+                 fh: BinaryIO | None = None) -> None:
         self.path = Path(path)
         self.header = header
-        if self.path.exists() and self.path.stat().st_size > 0:
-            with open(self.path, encoding="utf-8") as fh:
-                check_header(self.path, _parse_header(self.path, fh.readline()), header)
-        else:
+        if fh is None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            with open(self.path, "w", encoding="utf-8") as fh:
-                fh.write(_dumps(header.to_json_dict()) + "\n")
+            fh = open(self.path, "ab+")
+        self._fh = fh
+        self.close = weakref.finalize(self, fh.close)
+        try:
+            fh.seek(0)
+            first = fh.readline()
+            if first:
+                check_header(self.path, _parse_header(self.path, first.decode()), header)
+                fh.seek(0, os.SEEK_END)
+            else:
+                fh.write(_dumps(header.to_json_dict()).encode() + b"\n")
+                fh.flush()
+        except BaseException:
+            self.close()
+            raise
 
     def append(self, record: SessionRecord) -> None:
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(_encode_record(record) + "\n")
+        self._fh.write((_encode_record(record) + "\n").encode())
+        self._fh.flush()
 
 
 def _parse_header(path: Path, line: str) -> SessionLogHeader:
@@ -157,12 +208,19 @@ def _parse_header(path: Path, line: str) -> SessionLogHeader:
         raise CorruptLog(f"{path}:1: bad header: {exc}") from exc
 
 
-def read_session_log(path: str | Path) -> tuple[SessionLogHeader, DatedRows[SessionRecord]]:
+def read_session_log(path: str | Path, fh: BinaryIO | None = None
+                     ) -> tuple[SessionLogHeader, DatedRows[SessionRecord]]:
     """The header, parsed, and the records, indexed by date but not
-    decoded (see ``tradefolio.dated``)."""
+    decoded (see ``tradefolio.dated``); read through ``fh`` when given,
+    as ``lock_log`` opened the log at ``path``."""
     path = Path(path)
-    with open(path, encoding="utf-8") as fh:
-        header_line, *lines = fh.read().split("\n")
+    if fh is None:
+        with open(path, "rb") as own:
+            data = own.read()
+    else:
+        fh.seek(0)
+        data = fh.read()
+    header_line, *lines = data.decode().split("\n")
     if not header_line and not lines:
         raise CorruptLog(f"{path}: empty file")
     header = _parse_header(path, header_line)
@@ -228,21 +286,21 @@ def _decode_record(assets: frozenset[str], date: dt.date, row: dict) -> SessionR
     return SessionRecord(**{**row, "date": date, "stale": tuple(stale)})
 
 
-def drop_torn_tail(path: Path) -> int | None:
-    """Cut an interrupted append off a log: a final line that lacks its
-    newline. Returns that line's number, or None when the log ends on a
-    complete line. A log that was nothing but a torn header, or empty,
-    is removed, so the next run starts it afresh."""
-    with open(path, "rb+") as fh:
-        size = fh.seek(0, os.SEEK_END)
-        if size:
-            fh.seek(size - 1)
-            if fh.read(1) == b"\n":
-                return None
-        fh.seek(0)
-        data = fh.read()
-        keep = data.rfind(b"\n") + 1
-        fh.truncate(keep)
+def drop_torn_tail(path: Path, fh: BinaryIO) -> int | None:
+    """Cut an interrupted append off the log at ``path``, through its
+    handle ``fh``: a final line that lacks its newline. Returns that
+    line's number, or None when the log ends on a complete line. A log
+    that was nothing but a torn header, or empty, is removed, so the
+    session starts it afresh; line 1 is returned just then."""
+    size = fh.seek(0, os.SEEK_END)
+    if size:
+        fh.seek(size - 1)
+        if fh.read(1) == b"\n":
+            return None
+    fh.seek(0)
+    data = fh.read()
+    keep = data.rfind(b"\n") + 1
+    fh.truncate(keep)
     if keep == 0:
         path.unlink()
     return data.count(b"\n") + 1

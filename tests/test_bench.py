@@ -1,0 +1,90 @@
+"""``scripts/bench.py pairs`` against a stub perfbench in a throwaway git repository."""
+
+import json
+import shutil
+import subprocess
+import sys
+
+from conftest import REPO
+
+STUB = '''\
+import json, os, pathlib
+tree = pathlib.Path(__file__).resolve().parent.parent
+side = (tree / "side.txt").read_text().strip()
+log = pathlib.Path(os.environ["BENCH_STUB_LOG"])
+k = log.read_text().split().count(side) if log.exists() else 0
+with open(log, "a") as fh:
+    fh.write(side + "\\n")
+speed = float((tree / "speed.txt").read_text())
+print(f"stamp python=3 nproc=1 git=x src_sha256={side}")
+print("sha256 " + "0" * 64 + " stock-x.jsonl")
+print("probe median=8.5 ms n=3; times are scaled")
+metrics = {"run_steps_per_s": speed + k, "setup_s": 1.0 + k % 2, "resume_ms_p50": 5.0}
+print(json.dumps({"correct": True, "attempted": 3, "failed": 0,
+                  "metrics": {n: {"value": v, "unit": "u"} for n, v in metrics.items()}}))
+'''
+
+DECLARED = {
+    "run_seconds": 22,
+    "end_to_end": [
+        {"name": "run_steps_per_s", "unit": "steps/s", "better": "higher", "bound": 0.24},
+        {"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25},
+        {"name": "resume_ms_p50", "unit": "ms", "better": "lower", "bound": 0.24},
+    ],
+}
+
+
+def _git(repo, *args):
+    return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@example.com", *args],
+                          cwd=repo, check=True, capture_output=True, text=True).stdout
+
+
+def test_pairs_alternate_sides_and_write_the_claim(tmp_path, monkeypatch):
+    repo = tmp_path / "repo"
+    (repo / "perfbench").mkdir(parents=True)
+    (repo / "scripts").mkdir()
+    shutil.copy(REPO / "scripts" / "bench.py", repo / "scripts" / "bench.py")
+    (repo / "perfbench" / "run.py").write_text(STUB)
+    (repo / "BENCHMARK.json").write_text(json.dumps(DECLARED))
+    (repo / "side.txt").write_text("base\n")
+    (repo / "speed.txt").write_text("100\n")
+    _git(repo, "init", "-q")
+    _git(repo, "add", "-A")
+    _git(repo, "commit", "-q", "-m", "base")
+    (repo / "side.txt").write_text("change\n")
+    (repo / "speed.txt").write_text("110\n")
+    monkeypatch.setenv("BENCH_STUB_LOG", str(tmp_path / "order.log"))
+    monkeypatch.setenv("TMPDIR", str(tmp_path))
+
+    subprocess.run([sys.executable, "scripts/bench.py", "pairs", "--base", "HEAD",
+                    "--workload", "stock-long", "--pairs", "4", "--seed", "3", "--label", "t"],
+                   cwd=repo, check=True, capture_output=True, text=True)
+
+    assert (tmp_path / "order.log").read_text().split() == [
+        "base", "change", "change", "base", "base", "change", "change", "base"]
+    claim = json.loads((repo / "BENCH_t.json").read_text())
+    assert (claim["label"], claim["seed"], claim["seconds"], claim["pairs"]) == ("t", 3, 22, 4)
+    assert claim["base"] == {"rev": _git(repo, "rev-parse", "HEAD").strip()}
+    assert claim["change"]["dirty"] is True
+    assert set(claim["stamps"]) == {"python", "nproc"}
+    stock = claim["workloads"]["stock-long"]
+    assert stock["hashes_match"] is True
+    assert stock["failed"] == {"base": 0, "change": 0}
+    assert stock["src_sha256"] == {"base": ["base"], "change": ["change"]}
+    assert stock["probe_ms"] == {"base": [8.5] * 4, "change": [8.5] * 4}
+
+    steps = stock["metrics"]["run_steps_per_s"]
+    assert steps["base"] == {"median": 101.5, "q1": 100.75, "q3": 102.25,
+                             "values": [100.0, 101.0, 102.0, 103.0]}
+    assert steps["change"]["median"] == 111.5
+    assert steps["ratio"] == 111.5 / 101.5
+    assert (steps["wins"], steps["pairs"], steps["bound"]) == (4, 4, 0.24)
+    assert steps["unresolved"] is False
+    setup = stock["metrics"]["setup_s"]
+    assert (setup["wins"], setup["unresolved"]) == (0, True)  # ties win nothing
+    resume = stock["metrics"]["resume_ms_p50"]
+    assert (resume["wins"], resume["ratio"], resume["unresolved"]) == (0, 1.0, False)
+
+    # the base checkout is gone again
+    assert _git(repo, "worktree", "list", "--porcelain").count("worktree ") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["order.log", "repo"]

@@ -1,6 +1,7 @@
 """End-to-end command tests over seeded stores; no network anywhere."""
 
 import datetime as dt
+import fcntl
 import json
 import re
 import shutil
@@ -131,9 +132,9 @@ def test_resumed_run_parses_each_log_once(runner, stock_setup, monkeypatch):
     parsed = []
     real_read = sessionlog.read_session_log
 
-    def counting_read(path):
+    def counting_read(path, *handle):
         parsed.append(path.name)
-        return real_read(path)
+        return real_read(path, *handle)
 
     monkeypatch.setattr(sessionlog, "read_session_log", counting_read)
     monkeypatch.setattr(cli, "read_session_log", counting_read)
@@ -142,6 +143,32 @@ def test_resumed_run_parses_each_log_once(runner, stock_setup, monkeypatch):
     assert result.output.count("ended, +5 steps") == 3
     assert sorted(parsed) == sorted(uninterrupted)
     assert {log.name: log.read_bytes() for log in logs} == uninterrupted
+
+
+def test_a_session_opens_its_log_once(runner, stock_setup, monkeypatch):
+    """The cut, the read and every append of a session go through one
+    handle, fresh or resumed; a fresh session's look for its log opens
+    nothing."""
+    tmp_path, config, dates = stock_setup
+    opened = []
+
+    def counting_open(file, *args, **kwargs):
+        handle = open(file, *args, **kwargs)
+        opened.append(file.name)
+        return handle
+
+    monkeypatch.setattr(sessionlog, "open", counting_open, raising=False)
+    assert runner.invoke(main, ["run", "--config", str(config)]).exit_code == 0
+    logs = sorted((tmp_path / "runs").glob("*.jsonl"))
+    assert sorted(opened) == [log.name for log in logs]
+
+    opened.clear()
+    for log in logs:  # each ends mid-record
+        log.write_bytes(log.read_bytes()[:-40])
+    result = runner.invoke(main, ["run", "--config", str(config)])
+    assert result.exit_code == 0, result.output
+    assert result.output.count("ended, +1 steps") == 3
+    assert sorted(opened) == [log.name for log in logs]
 
 
 @pytest.mark.parametrize("line", [-1, 0], ids=["record", "header"])
@@ -352,6 +379,100 @@ def test_a_missing_api_key_fails_its_model_before_its_log(runner, stock_setup, m
     assert "baseline:equal-weight: ended, +8 steps" in result.output
     assert [p.name for p in (tmp_path / "runs").glob("*.jsonl")] == [
         "stock-baseline-equal-weight.jsonl"]
+
+
+@pytest.mark.parametrize("content", [b"", b'{"format":"tradefolio-sess'],
+                         ids=["empty", "torn-header"])
+def test_a_torn_header_cut_before_a_failing_session_leaves_no_log(runner, stock_setup,
+                                                                  monkeypatch, content):
+    tmp_path, _, dates = stock_setup
+    monkeypatch.delenv("OPENAI_API_KEY", raising=False)
+    config = _write_config(tmp_path / "keyless.yaml", tmp_path / "store", tmp_path / "runs",
+                           dates, ["openai/gpt-5", "baseline:equal-weight"])
+    log = tmp_path / "runs" / "stock-openai-gpt-5.jsonl"
+    log.parent.mkdir()
+    log.write_bytes(content)
+    result = runner.invoke(main, ["run", "--config", str(config)])
+    assert result.exit_code == 1
+    assert (f"{log}:1: dropped an unfinished line, the session failed before recomputing it"
+            in result.output)
+    assert "openai/gpt-5: failed: missing credential OPENAI_API_KEY for openai" in result.output
+    assert "baseline:equal-weight: ended, +8 steps" in result.output
+    assert not log.exists()
+
+
+def test_a_log_another_run_holds_fails_only_its_session_and_keeps_its_bytes(runner,
+                                                                           stock_setup):
+    """A ``flock`` belongs to an open file description, so a second
+    ``open`` in this process contends with the run as another process
+    would."""
+    tmp_path, config, dates = stock_setup
+    assert runner.invoke(main, ["run", "--config", str(config)]).exit_code == 0
+    logs = sorted((tmp_path / "runs").glob("*.jsonl"))
+    uninterrupted = {log: log.read_bytes() for log in logs}
+    for log in logs:  # each ends mid-record, which a session it reached would cut
+        log.write_bytes(uninterrupted[log][:-40])
+    held = tmp_path / "runs" / "stock-baseline-all-cash.jsonl"
+    before = held.read_bytes()
+
+    with open(held, "rb") as fh:
+        fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        result = runner.invoke(main, ["run", "--config", str(config)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert f"baseline:all-cash: failed: {held} is in use by another run" in result.output
+    assert f"{held}:" not in result.output  # nothing was cut off it
+    assert held.read_bytes() == before
+    assert "baseline:equal-weight: ended, +1 steps" in result.output
+    assert "baseline:buy-and-hold: ended, +1 steps" in result.output
+
+    # with the lock released, the next run finishes the held log
+    result = runner.invoke(main, ["run", "--config", str(config)])
+    assert result.exit_code == 0, result.output
+    assert "baseline:all-cash: ended, +1 steps" in result.output
+    assert {log: log.read_bytes() for log in logs} == uninterrupted
+
+
+def test_a_fresh_log_another_run_creates_first_fails_only_its_session(runner, stock_setup,
+                                                                      monkeypatch):
+    tmp_path, config, dates = stock_setup
+    rival = tmp_path / "runs" / "stock-baseline-all-cash.jsonl"
+    real = cli._make_agent
+
+    def make_agent(entry):
+        # another run creates the log after this session found none
+        if entry.model == "baseline:all-cash":
+            rival.write_bytes(b"another run's bytes\n")
+        return real(entry)
+
+    monkeypatch.setattr(cli, "_make_agent", make_agent)
+    result = runner.invoke(main, ["run", "--config", str(config)])
+    assert result.exit_code == 1
+    assert f"baseline:all-cash: failed: {rival} is in use by another run" in result.output
+    assert rival.read_bytes() == b"another run's bytes\n"
+    assert "baseline:equal-weight: ended, +8 steps" in result.output
+    assert "baseline:buy-and-hold: ended, +8 steps" in result.output
+
+
+def test_a_reply_with_an_overlong_integer_is_a_parse_failure(runner, stock_setup,
+                                                             monkeypatch):
+    """``json.loads`` refuses an integer of more than 4300 digits with a
+    plain ``ValueError``; the step falls back and every session runs."""
+    tmp_path, _, dates = stock_setup
+    config = _write_config(tmp_path / "huge.yaml", tmp_path / "store", tmp_path / "runs",
+                           dates, ["baseline:equal-weight", "openai/gpt-5", "baseline:all-cash"])
+    reply = 'Sure: {"reasoning": "r", "allocations": {"CASH": 1, "n": ' + "9" * 4400 + "}}"
+    real = cli._make_agent
+    monkeypatch.setattr(cli, "_make_agent", lambda entry: real(entry) if entry.is_baseline
+                        else LLMAgent(ScriptedClient([reply]), entry))
+    result = runner.invoke(main, ["run", "--config", str(config)])
+    assert result.exit_code == 0, result.output
+    for model in ("baseline:equal-weight", "openai/gpt-5", "baseline:all-cash"):
+        assert f"{model}: ended, +8 steps" in result.output
+    _, records = read_session_log(tmp_path / "runs" / "stock-openai-gpt-5.jsonl")
+    assert len(records) == 8
+    assert all(r.allocation is None and r.parse_error.startswith("NoObjectFound")
+               for r in records)
 
 
 def test_a_model_whose_key_is_set_gets_an_http_client(monkeypatch):

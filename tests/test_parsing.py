@@ -135,6 +135,10 @@ CORPUS_REJECTS = [
     ('{"reasoning": "r", "allocations": {}}', SumOutOfBand),
     ('{"reasoning": "r", "allocations": {"CASH": 0.0}}', SumOutOfBand),
     ('{"reasoning": "r", "allocations": {"AAPL": -0.2, "CASH": 1.2}}', AllocationError),
+    # an integer past the int-string limit: json.loads raises a plain ValueError
+    ('{"reasoning": "r", "allocations": {"CASH": 1, "n": ' + "9" * 4400 + "}}", NoObjectFound),
+    ('Sure: {"reasoning": "r", "allocations": {"CASH": 1, "n": ' + "9" * 4400 + "}}",
+     NoObjectFound),
 ]
 
 CORPUS_ACCEPTS = [

@@ -3,6 +3,8 @@ resume guarantee: a split run must equal the uninterrupted one byte for
 byte."""
 
 import datetime as dt
+import fcntl
+import gc
 import json
 import re
 import tempfile
@@ -124,6 +126,60 @@ def test_writer_checks_only_the_header(tmp_path):
     path.write_text("\n\n", encoding="utf-8")
     with pytest.raises(CorruptLog, match=r":1: bad header"):
         SessionLogWriter(path, header)
+
+
+def test_a_writer_appends_through_one_handle_and_closes_it_when_dropped(tmp_path, stock_world,
+                                                                      monkeypatch):
+    spec, feed, dates = stock_world
+    path = tmp_path / "run.jsonl"
+    opened = []
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(file)
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(sessionlog, "open", counting_open, raising=False)
+    writer = SessionLogWriter(path, SessionLogHeader.for_run(spec, "test/scripted", 1000.0))
+    run_episode(spec, scripted_agent(_varied_responses(len(dates) - 1)), feed, dates, 1000.0,
+                on_record=writer.append)
+    assert opened == [path]
+    assert len(path.read_bytes().splitlines()) == len(dates)  # each record flushed
+    handle = writer._fh
+    del writer
+    gc.collect()
+    assert handle.closed
+
+    closed = SessionLogWriter(path, SessionLogHeader.for_run(spec, "test/scripted", 1000.0))
+    closed.close()
+    closed.close()  # a second close does nothing
+    assert closed._fh.closed
+
+
+def test_lock_log_admits_one_handle_at_a_time(tmp_path, monkeypatch):
+    path = tmp_path / "runs" / "run.jsonl"
+    in_use = f"{re.escape(str(path))} is in use by another run"
+    assert sessionlog.lock_log(path) is None
+    assert not path.parent.exists()
+    with sessionlog.lock_log(path, create=True) as held:
+        held.write(b"line\n")
+        held.flush()
+        with pytest.raises(ConfigError, match=in_use):
+            sessionlog.lock_log(path)
+        with pytest.raises(ConfigError, match=in_use):
+            sessionlog.lock_log(path, create=True)
+    with sessionlog.lock_log(path) as again:  # the lock went with its handle
+        assert again.read() == b"line\n"
+
+    # a log another run removed between this open and this lock
+    real_flock = fcntl.flock
+
+    def flock_after_removal(fh, operation):
+        path.unlink()
+        real_flock(fh, operation)
+
+    monkeypatch.setattr(fcntl, "flock", flock_after_removal)
+    with pytest.raises(ConfigError, match=in_use):
+        sessionlog.lock_log(path)
 
 
 def test_corrupt_logs_are_typed(tmp_path):
