@@ -1,9 +1,11 @@
 """Model response protocol: extraction, schema checks, rendering.
 
 Extraction is deliberately tolerant (models wrap JSON in prose, code
-fences, or reasoning), validation is deliberately strict. Every failure
-is one of the typed parse or allocation errors; no raw exception from
-malformed text ever escapes this module.
+fences, or reasoning): the JSON decoder is tried wherever an object can
+start, so the grammar, not a guess, says where each object ends.
+Validation is deliberately strict. Every failure is one of the typed
+parse or allocation errors; no raw exception from malformed text ever
+escapes this module.
 """
 
 from __future__ import annotations
@@ -23,77 +25,61 @@ __all__ = [
     "render_allocation_response",
 ]
 
-# Parse at most this many balanced spans, the widest ones; bounds the
-# work on brace-heavy inputs, where the answer is the widest span.
-_MAX_CANDIDATES = 200
+_OBJECT_START = re.compile(r'\{\s*["}]')  # how every JSON object opens
+_DECODER = json.JSONDecoder()
+
+# Give up after this many starts fail to decode, so an answer after
+# them is not found. Each failure builds a JSONDecodeError that counts
+# the newlines before it, so unbounded failures would cost quadratic time.
+_MAX_FAILED_STARTS = 1000
 
 
-# The characters each scan stops at; the regex skips the rest in C.
-_QUOTE_AWARE = re.compile(r'[{}"\\]')
-_QUOTE_BLIND = re.compile(r"[{}]")
-
-
-def _balanced_spans(text: str, quotes: bool) -> list[tuple[int, int]]:
-    """Every balanced {...} span, found in one pass, in closing order;
-    with ``quotes``, braces inside a string opened within a span don't
-    count, and without, a stray quote in prose can't hide a span."""
-    spans: list[tuple[int, int]] = []
-    stack: list[int] = []
-    in_string = False
-    escaped = -1  # the index a backslash in a string escapes
-    for match in (_QUOTE_AWARE if quotes else _QUOTE_BLIND).finditer(text):
-        i, ch = match.start(), match.group()
-        if in_string:
-            if i == escaped:
-                continue
-            if ch == "\\":
-                escaped = i + 1
-            elif ch == '"':
-                in_string = False
-            continue
-        if ch == '"':
-            # a quote in prose outside every span opens no string
-            in_string = bool(stack)
-        elif ch == "{":
-            stack.append(i)
-        elif ch == "}" and stack:
-            spans.append((stack.pop(), i + 1))
-    return spans
+def _holding_allocations(obj: Any) -> dict[str, Any] | None:
+    """The first dict in ``obj``, itself included, that has an
+    "allocations" key, in text order and so the outermost; or None."""
+    stack = [obj]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, dict):
+            if "allocations" in item:
+                return item
+            stack.extend(reversed(item.values()))
+        elif isinstance(item, list):
+            stack.extend(reversed(item))
+    return None
 
 
 def extract_json_object(text: str) -> dict[str, Any]:
     """Find the JSON object embedded in free-form response text.
 
-    Tries the whole text first, then the ``_MAX_CANDIDATES`` widest
-    balanced brace spans, widest first, preferring spans that mention
-    "allocations". Raises ``NoObjectFound`` when nothing parses to a
-    dict. A candidate fails on ``ValueError``: ``JSONDecodeError`` and
-    the int-string limit an integer of over 4300 digits meets alike.
+    Decodes from every "{" that can open an object, skipping those
+    inside an object already decoded. Of the decoded objects, the widest
+    that holds an "allocations" key, at its top level or nested, gives
+    its outermost holder; failing that, the widest object is returned
+    (the first of equals). A start fails on ``ValueError``, which covers
+    ``JSONDecodeError`` and an integer over the int-string limit, or on
+    ``RecursionError``. Raises ``NoObjectFound`` when none decodes.
     """
+    # Both messages land in a record's parse_error: they are log bytes.
     if not isinstance(text, str) or "{" not in text:
         raise NoObjectFound("response contains no JSON object")
-    try:
-        whole = json.loads(text)
-        if isinstance(whole, dict):
-            return whole
-    except (ValueError, RecursionError):
-        pass
-    # json.loads validates every candidate, so both passes' spans can be tried
-    spans = sorted({*_balanced_spans(text, True), *_balanced_spans(text, False)},
-                   key=lambda s: (-(s[1] - s[0]), s[0]))
-    fallback: dict[str, Any] | None = None
-    for start, end in spans[:_MAX_CANDIDATES]:
+    decoded: list[tuple[int, Any]] = []  # (width, object), in text order
+    failed = 0
+    match = _OBJECT_START.search(text)
+    while match and failed < _MAX_FAILED_STARTS:
+        start = match.start()
         try:
-            candidate = json.loads(text[start:end])
+            obj, end = _DECODER.raw_decode(text, start)
         except (ValueError, RecursionError):
-            continue
-        if "allocations" in candidate:
-            return candidate
-        if fallback is None:
-            fallback = candidate
-    if fallback is not None:
-        return fallback
-    raise NoObjectFound("no balanced span parses as a JSON object")
+            failed, end = failed + 1, start + 1
+        else:
+            decoded.append((end - start, obj))
+        match = _OBJECT_START.search(text, end)
+    if not decoded:
+        raise NoObjectFound("no balanced span parses as a JSON object")
+    answers = [(width, holder) for width, obj in decoded
+               if (holder := _holding_allocations(obj)) is not None]
+    return max(answers or decoded, key=lambda pair: pair[0])[1]
 
 
 def _schema_check(obj: Mapping[str, Any]) -> tuple[str, dict[str, float]]:

@@ -36,7 +36,7 @@ from bisect import bisect_left, bisect_right
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
-__all__ = ["DatedRows", "index"]
+__all__ = ["DatedRows", "index", "utf8"]
 
 T = TypeVar("T")
 
@@ -202,6 +202,18 @@ class DatedRows(Sequence[T]):
         if not isinstance(other, (DatedRows, tuple, list)):
             return NotImplemented
         return list(self) == list(other)
+
+
+def utf8(path: Path, data: bytes, error: type[Exception], noun: str,
+         header: str | None = None) -> str:
+    """``data``, the bytes of ``path``, as text. A byte that is not
+    UTF-8 raises ``error`` naming its line, counted only then, as a bad
+    ``noun``, or on line 1 as a bad ``header`` when one is given."""
+    try:
+        return data.decode()
+    except UnicodeDecodeError as exc:
+        n = data.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}:{n}: {header if n == 1 and header else noun}: {exc}") from exc
 
 
 def index(path: Path, lines: Iterable[str], start: int, prefix: str,

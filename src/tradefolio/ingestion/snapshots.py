@@ -40,7 +40,7 @@ from functools import partial
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
-from ..dated import DatedRows, index
+from ..dated import DatedRows, index, utf8
 from ..domain import NewsItem, PricePoint
 from ..errors import IngestionError
 
@@ -176,9 +176,8 @@ class SnapshotStore:
         path = self._path(kind, key)
         body: list[str] = []
         if path.exists():
-            with open(path, encoding="utf-8") as fh:
-                header_line = fh.readline()
-                body = fh.read().split("\n")
+            header_line, *body = utf8(path, path.read_bytes(), IngestionError,
+                                      "unreadable row", "unreadable header").split("\n")
             try:
                 header = json.loads(header_line)
                 if not isinstance(header, dict):
@@ -276,17 +275,17 @@ class SnapshotStore:
         markets = {}
         path = self.root / "markets.jsonl"
         if path.exists():
-            with open(path, encoding="utf-8") as fh:
-                for n, line in enumerate(fh, start=1):
-                    if not line.strip():
-                        continue
-                    try:
-                        entry = MarketCatalogEntry(**json.loads(line))
-                        if not all(type(v) is str for v in vars(entry).values()):
-                            raise TypeError("a field is not a string")
-                    except (TypeError, ValueError) as exc:
-                        raise IngestionError(f"{path}:{n}: unreadable market entry") from exc
-                    markets[entry.slug] = entry
+            text = utf8(path, path.read_bytes(), IngestionError, "unreadable market entry")
+            for n, line in enumerate(text.split("\n"), start=1):
+                if not line.strip():
+                    continue
+                try:
+                    entry = MarketCatalogEntry(**json.loads(line))
+                    if not all(type(v) is str for v in vars(entry).values()):
+                        raise TypeError("a field is not a string")
+                except (TypeError, ValueError) as exc:
+                    raise IngestionError(f"{path}:{n}: unreadable market entry") from exc
+                markets[entry.slug] = entry
         self._markets = markets
         return markets
 

@@ -46,7 +46,7 @@ from functools import partial
 from pathlib import Path
 from typing import Any, BinaryIO, Iterable
 
-from .dated import DatedRows, index
+from .dated import DatedRows, index, utf8
 from .domain import (ALLOCATION_SUM_TOL, AllocationVector, Holdings, MarketKind, MarketSpec,
                      PriceVector)
 from .environment import ResumePoint, SessionRecord, SessionState, memory_entry
@@ -184,7 +184,7 @@ class SessionLogWriter:
             fh.seek(0)
             first = fh.readline()
             if first:
-                check_header(self.path, _parse_header(self.path, first.decode()), header)
+                check_header(self.path, _parse_header(self.path, first), header)
                 fh.seek(0, os.SEEK_END)
             else:
                 fh.write(_dumps(header.to_json_dict()).encode() + b"\n")
@@ -198,7 +198,7 @@ class SessionLogWriter:
         self._fh.flush()
 
 
-def _parse_header(path: Path, line: str) -> SessionLogHeader:
+def _parse_header(path: Path, line: str | bytes) -> SessionLogHeader:
     try:
         row = json.loads(line)
         if not isinstance(row, dict):
@@ -220,7 +220,7 @@ def read_session_log(path: str | Path, fh: BinaryIO | None = None
     else:
         fh.seek(0)
         data = fh.read()
-    header_line, *lines = data.decode().split("\n")
+    header_line, *lines = utf8(path, data, CorruptLog, "bad record", "bad header").split("\n")
     if not header_line and not lines:
         raise CorruptLog(f"{path}: empty file")
     header = _parse_header(path, header_line)

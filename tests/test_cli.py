@@ -1213,6 +1213,28 @@ def test_a_tampered_record_fails_naming_its_line(runner, stock_setup, command, t
     assert f"Error: {log}:3: bad record: {error}" in result.output
 
 
+def test_a_log_byte_that_is_not_utf8_fails_only_its_session_and_its_report(runner,
+                                                                          stock_setup):
+    tmp_path, config, dates = stock_setup
+    assert runner.invoke(main, ["run", "--config", str(config)]).exit_code == 0
+    log = tmp_path / "runs" / "stock-baseline-all-cash.jsonl"
+    lines = log.read_bytes().split(b"\n")
+    lines[3] = lines[3][:30] + b"\xff" + lines[3][30:]
+    log.write_bytes(b"\n".join(lines))
+    error = f"{log}:4: bad record: 'utf-8' codec can't decode byte 0xff"
+    result = runner.invoke(main, ["run", "--config", str(config)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert f"baseline:all-cash: failed: {error}" in result.output
+    for model in ("baseline:equal-weight", "baseline:buy-and-hold"):
+        assert f"{model}: complete, +0 steps" in result.output
+    for command in ("report", "delta"):
+        result = runner.invoke(main, [command, str(log)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert f"Error: {error}" in result.output
+
+
 def test_a_resumed_run_refuses_a_record_with_a_negative_holding(runner, stock_setup):
     tmp_path, config, dates = stock_setup
     assert runner.invoke(main, ["run", "--config", str(config)]).exit_code == 0
@@ -1280,6 +1302,21 @@ def test_a_store_price_of_infinity_fails_every_session_that_reads_it(runner, sto
     for log in logs:
         _, records = read_session_log(log)
         assert all(r.value > 0 for r in records)  # every record decodes
+
+
+def test_a_store_byte_that_is_not_utf8_fails_every_session_that_reads_it(runner,
+                                                                          stock_setup):
+    tmp_path, config, dates = stock_setup
+    series = tmp_path / "store" / "prices" / "stock" / "AAPL.jsonl"
+    lines = series.read_bytes().split(b"\n")
+    lines[4] = lines[4][:30] + b"\xff" + lines[4][30:]
+    series.write_bytes(b"\n".join(lines))
+    result = runner.invoke(main, ["run", "--config", str(config)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit), result.exception
+    for model in ("baseline:equal-weight", "baseline:all-cash", "baseline:buy-and-hold"):
+        assert (f"{model}: failed: {series}:5: unreadable row: 'utf-8' codec can't decode"
+                " byte 0xff") in result.output
 
 
 def test_a_series_that_starts_after_the_first_date_fails_every_session(runner, stock_setup):

@@ -4,7 +4,7 @@ import string
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tradefolio.agents.parsing import (
@@ -25,6 +25,10 @@ from tradefolio.errors import (
 SPEC = MarketSpec.stock(("AAPL", "MSFT", "NVDA"))
 
 GOOD = '{"reasoning": "spread it", "allocations": {"AAPL": 0.5, "CASH": 0.5}}'
+
+
+# prose made of the characters that open, close or quote a JSON object
+PROSE = st.text(alphabet='{}"\\\':,a \n', max_size=12)
 
 
 def wrap(text: str) -> str:
@@ -91,9 +95,29 @@ class TestExtraction:
         answer = {"reasoning": "r", "allocations": {"CASH": 1}}
         assert extract_json_object(prose + json.dumps(answer, separators=(",", ":"))) == answer
 
+    @pytest.mark.parametrize("text", [
+        'Decision: {"decision": ANSWER} done',
+        '{"decision": ANSWER}',
+        '{"decisions": [{"note": "x"}, ANSWER]}',
+    ], ids=["in-prose", "whole-text", "in-a-list"])
+    def test_an_answer_wrapped_in_another_object_is_found(self, text):
+        answer = {"reasoning": "r", "allocations": {"CASH": 1}}
+        assert extract_json_object(text.replace("ANSWER", json.dumps(answer))) == answer
+
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    @example(before='{"', reasoning="{", after="")
+    @given(before=PROSE, reasoning=PROSE, after=PROSE)
+    def test_an_answer_in_any_prose_is_found(self, before, reasoning, after):
+        """The decoder, not a brace count, decides where the answer
+        ends, however prose quotes and braces interleave with it."""
+        answer = {"reasoning": reasoning, "allocations": {"CASH": 1}}
+        assert extract_json_object(before + json.dumps(answer) + after) == answer
+
     @pytest.mark.parametrize("bomb", [
         "{" * 60000, "{}" * 30000, "{a}" * 20000, '{"a":' * 5000,
-    ], ids=["open-braces", "empty-spans", "junk-spans", "open-keys"])
+        '{"' * 30000, '{"a":\n' * 5000, ('{"a":' * 900 + "1" + "}" * 900) * 11,
+    ], ids=["open-braces", "empty-spans", "junk-spans", "open-keys",
+            "open-quotes", "open-keys-on-lines", "deep-objects"])
     def test_brace_heavy_inputs_finish_quickly(self, bomb):
         start = time.perf_counter()
         try:

@@ -226,6 +226,25 @@ def test_header_of_the_wrong_shape_is_a_corrupt_log(tmp_path, first_line):
         SessionLogWriter(path, _HEADER)
 
 
+@pytest.mark.parametrize("line, noun", [(1, "bad header"), (4, "bad record")])
+def test_a_byte_that_is_not_utf8_is_a_corrupt_log_naming_its_line(tmp_path, stock_world,
+                                                                  line, noun):
+    spec, feed, dates = stock_world
+    path = tmp_path / "run.jsonl"
+    _run_logged(path, spec, feed, dates[:5], scripted_agent(_varied_responses(4)))
+    lines = path.read_bytes().split(b"\n")
+    lines[line - 1] = lines[line - 1][:30] + b"\xff" + lines[line - 1][30:]
+    path.write_bytes(b"\n".join(lines))
+    error = re.escape(f"{path}:{line}: {noun}: 'utf-8' codec can't decode byte 0xff")
+    with pytest.raises(CorruptLog, match=error):
+        read_session_log(path)
+    with open(path, "rb") as fh, pytest.raises(CorruptLog, match=error):
+        read_session_log(path, fh)
+    if line == 1:
+        with pytest.raises(CorruptLog, match=error):
+            SessionLogWriter(path, _HEADER)
+
+
 def test_corrupt_record_reports_line_number(tmp_path, stock_world):
     spec, feed, dates = stock_world
     path = tmp_path / "run.jsonl"

@@ -384,6 +384,25 @@ def test_a_catalog_entry_whose_field_is_not_a_string_is_unreadable(tmp_path, fie
         SnapshotStore(tmp_path).markets()
 
 
+@pytest.mark.parametrize("line, noun", [(1, "unreadable header"), (5, "unreadable row")])
+def test_a_series_byte_that_is_not_utf8_is_unreadable_naming_its_line(tmp_path, line, noun):
+    path = _write_rows(tmp_path, "NVDA", [_price_line(day) for day in range(3, 9)])
+    lines = path.read_bytes().split(b"\n")
+    lines[line - 1] = lines[line - 1][:20] + b"\xff" + lines[line - 1][20:]
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(IngestionError, match=re.escape(
+            f"{path}:{line}: {noun}: 'utf-8' codec can't decode byte 0xff")):
+        SnapshotStore(tmp_path).price_dates("stock", "NVDA")
+
+
+def test_a_catalog_byte_that_is_not_utf8_is_an_unreadable_entry(tmp_path):
+    SnapshotStore(tmp_path).record_markets([_entry("alpha"), _entry("zeta")])
+    path = tmp_path / "markets.jsonl"
+    path.write_bytes(path.read_bytes().replace(b"zeta", b"z\xffta", 1))
+    with pytest.raises(IngestionError, match=re.escape(f"{path}:2: unreadable market entry")):
+        SnapshotStore(tmp_path).markets()
+
+
 def test_filename_slugs_unsafe_keys():
     assert _filename("AAPL") == "AAPL.jsonl"
     assert _filename("tok_1.series-A") == "tok_1.series-A.jsonl"
