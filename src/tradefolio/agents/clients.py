@@ -8,11 +8,13 @@ providers speak the OpenAI-style chat completions wire format here.
 
 from __future__ import annotations
 
+import json
 import os
 from dataclasses import dataclass
+from http.client import HTTPException
 from typing import Any, Callable, Iterable, Protocol
-
-import requests
+from urllib.error import HTTPError
+from urllib.request import Request, urlopen
 
 from ..errors import ClientRejected, ClientTimeout, ConfigError
 
@@ -113,21 +115,27 @@ class ChatClient(Protocol):
 Transport = Callable[[str, dict[str, str], dict[str, Any], float], tuple[int, Any]]
 
 
-def _requests_transport(url: str, headers: dict[str, str],
-                        payload: dict[str, Any], timeout: float) -> tuple[int, Any]:
-    response = requests.post(url, headers=headers, json=payload, timeout=timeout)
+def _post_json(url: str, headers: dict[str, str],
+               payload: dict[str, Any], timeout: float) -> tuple[int, Any]:
+    """The default ``Transport``; a body that is not JSON is kept as text."""
+    request = Request(url, data=json.dumps(payload).encode(), headers=headers, method="POST")
     try:
-        body = response.json()
+        with urlopen(request, timeout=timeout) as reply:
+            status, raw = reply.status, reply.read()
+    except HTTPError as exc:
+        with exc:  # the error holds the response and its connection
+            status, raw = exc.code, exc.read()
+    try:
+        return status, json.loads(raw)
     except ValueError:
-        body = response.text
-    return response.status_code, body
+        return status, raw.decode(errors="replace")
 
 
 class HttpChatClient:
     """One blocking chat completion per decision."""
 
     def __init__(self, transport: Transport | None = None) -> None:
-        self._transport = transport or _requests_transport
+        self._transport = transport or _post_json
 
     def complete(self, prompt: str, config: ModelClientConfig) -> str:
         route, model = resolve_provider(config.model)
@@ -143,9 +151,10 @@ class HttpChatClient:
         payload = config.request_payload(model, prompt)
         try:
             status, body = self._transport(url, headers, payload, _TIMEOUT_S)
-        except requests.Timeout as exc:
-            raise ClientTimeout(f"{route.name} timed out after {_TIMEOUT_S}s") from exc
-        except requests.RequestException as exc:
+        except (OSError, HTTPException) as exc:
+            # a read timeout is a TimeoutError; a connect timeout is a URLError's reason
+            if isinstance(getattr(exc, "reason", exc), TimeoutError):
+                raise ClientTimeout(f"{route.name} timed out after {_TIMEOUT_S}s") from exc
             raise ClientRejected(f"{route.name} request failed: {exc}") from exc
         if status >= 400:
             raise ClientRejected(f"{route.name} returned HTTP {status}: {body}")

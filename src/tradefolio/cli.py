@@ -28,14 +28,6 @@ from .errors import ConfigError, FeedUnavailable, TradefolioError
 from .ingestion.feeds import ReplayFeed, ensure_dates, record_discovered
 from .ingestion.predictions import discover_markets
 from .ingestion.snapshots import SnapshotStore
-from .reporting import (
-    build_delta_table,
-    build_report_rows,
-    render_delta_table,
-    render_report_table,
-    write_delta_report,
-    write_report,
-)
 from .sessionlog import (
     SessionLogHeader,
     SessionLogWriter,
@@ -323,6 +315,8 @@ def _resolve_logs(logs: tuple[str, ...], cfg: RunConfig | None) -> list[Path]:
 def report(logs: tuple[str, ...], config_path: str | None, rate: float | None,
            out_dir: str | None) -> None:
     """Tabulate session metrics from one or more logs."""
+    from .reporting import build_report_rows, render_report_table, write_report
+
     if rate is not None and not math.isfinite(rate):
         raise click.UsageError(f"--rate must be a finite number, got {rate}")
     try:
@@ -351,6 +345,8 @@ def report(logs: tuple[str, ...], config_path: str | None, rate: float | None,
               help="Also write delta.txt and delta.json here.")
 def delta(logs: tuple[str, ...], config_path: str | None, lags: str, out_dir: str | None) -> None:
     """Show how much delayed execution would have changed each return."""
+    from .reporting import build_delta_table, render_delta_table, write_delta_report
+
     try:
         lag_values = [int(part) for part in lags.split(",") if part.strip()]
     except ValueError:

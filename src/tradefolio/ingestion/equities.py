@@ -14,7 +14,7 @@ from zoneinfo import ZoneInfo
 
 from ..domain import PricePoint
 from ..errors import ProviderError
-from .policy import FetchPolicy, HttpGet, get, requests_get_json, utc_midnight
+from .policy import FetchPolicy, HttpGet, get, http_get_json, utc_midnight
 
 __all__ = [
     "CHART_URL",
@@ -86,7 +86,7 @@ def fetch_equity_history(
     start: dt.date,
     end: dt.date,
     policy: FetchPolicy,
-    http: HttpGet = requests_get_json,
+    http: HttpGet = http_get_json,
 ) -> list[PricePoint]:
     """Daily bars with dates in [start, end], inclusive."""
     params = {"period1": utc_midnight(start), "period2": utc_midnight(end + dt.timedelta(days=1)),
@@ -98,7 +98,7 @@ def fetch_equity_history(
 def fetch_equity_quote(
     ticker: str,
     policy: FetchPolicy,
-    http: HttpGet = requests_get_json,
+    http: HttpGet = http_get_json,
 ) -> PricePoint:
     """Latest available trade for the ticker."""
     params = {"interval": "1d", "range": "1d"}

@@ -6,14 +6,12 @@ import datetime as dt
 import html
 import re
 import xml.etree.ElementTree as ET
-from typing import Any, Iterable
-
-import requests
+from typing import Iterable
 
 from ..domain import MarketKind, NewsItem
 from ..errors import ProviderError
 from .normalize import clean_link, parse_news_timestamp
-from .policy import FetchPolicy, HttpGet, get
+from .policy import FetchPolicy, HttpGet, get, http_get
 
 __all__ = [
     "RSS_URL",
@@ -50,12 +48,6 @@ COMPANY_NAMES: dict[str, str] = {
     "AMZN": "Amazon",
 }
 
-def _requests_get_text(url: str, params: dict[str, Any],
-                       headers: dict[str, str], timeout: float) -> str:
-    response = requests.get(url, params=params, headers=headers, timeout=timeout)
-    response.raise_for_status()
-    return response.text
-
 
 def build_news_query(tag: str, kind: MarketKind) -> str:
     """Search text for one tag.
@@ -80,7 +72,7 @@ def _plain_text(fragment: str | None) -> str:
     return html.unescape(_TAG_STRIP.sub(" ", fragment)).strip()
 
 
-def parse_news_rss(xml_text: str, tag: str, reference: dt.datetime) -> list[NewsItem]:
+def parse_news_rss(xml_text: str | bytes, tag: str, reference: dt.datetime) -> list[NewsItem]:
     """Items from one RSS result page.
 
     Published times are normalized to UNIX seconds against
@@ -148,7 +140,7 @@ def fetch_news(
     end: dt.date,
     policy: FetchPolicy,
     reference: dt.datetime | None = None,
-    http: HttpGet = _requests_get_text,
+    http: HttpGet = http_get,
 ) -> list[NewsItem]:
     """Items for one tag published within [start, end], newest first."""
     reference = reference or dt.datetime.now(dt.timezone.utc)

@@ -3,30 +3,42 @@
 from __future__ import annotations
 
 import datetime as dt
+import json
 import random
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, TypeVar
-
-import requests
+from urllib.error import HTTPError
+from urllib.parse import urlencode
+from urllib.request import Request, urlopen
 
 from ..errors import ProviderError
 
 __all__ = ["FetchPolicy", "HttpGet", "backoff_delay", "fetch_with_policy", "get",
-           "requests_get_json", "utc_midnight"]
+           "http_get", "http_get_json", "utc_midnight"]
 
 T = TypeVar("T")
 
-# http(url, params, headers, timeout) -> response body
+# http(url, params, headers, timeout) -> response body: raw bytes from
+# http_get (news), decoded JSON from http_get_json (the default)
 HttpGet = Callable[[str, dict[str, Any], dict[str, str], float], Any]
 
 
-def requests_get_json(url: str, params: dict[str, Any],
-                      headers: dict[str, str], timeout: float) -> Any:
+def http_get(url: str, params: dict[str, Any], headers: dict[str, str], timeout: float) -> bytes:
+    """The body of one GET of ``url?params``; ``HTTPError`` on a status of 400 or more."""
+    request = Request(f"{url}?{urlencode(params)}", headers=headers)
+    try:
+        with urlopen(request, timeout=timeout) as reply:
+            return reply.read()
+    except HTTPError as exc:
+        exc.close()  # the error holds the response and its connection
+        raise
+
+
+def http_get_json(url: str, params: dict[str, Any],
+                  headers: dict[str, str], timeout: float) -> Any:
     """The JSON providers' default ``HttpGet``."""
-    response = requests.get(url, params=params, headers=headers, timeout=timeout)
-    response.raise_for_status()
-    return response.json()
+    return json.loads(http_get(url, params, headers, timeout))
 
 
 @dataclass(frozen=True)
@@ -90,7 +102,7 @@ def fetch_with_policy(
 
 
 def get(policy: FetchPolicy, url: str, params: dict[str, Any], parse: Callable[[Any], T],
-        http: HttpGet = requests_get_json) -> T:
+        http: HttpGet = http_get_json) -> T:
     """``parse`` of one provider response, under the policy's retries.
 
     A body that fails to parse is retried like a failed request.

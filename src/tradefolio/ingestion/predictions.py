@@ -17,7 +17,7 @@ from typing import Any
 from ..domain import PricePoint
 from ..errors import NormalizationError, ProviderError
 from .normalize import normalize_prediction_quote
-from .policy import FetchPolicy, HttpGet, get, requests_get_json, utc_midnight
+from .policy import FetchPolicy, HttpGet, get, http_get_json, utc_midnight
 from .snapshots import MarketCatalogEntry
 
 __all__ = [
@@ -131,7 +131,7 @@ def fetch_prediction_history(
     start: dt.date,
     end: dt.date,
     policy: FetchPolicy,
-    http: HttpGet = requests_get_json,
+    http: HttpGet = http_get_json,
 ) -> list[PricePoint]:
     """Daily closes for one outcome token, dates in [start, end]."""
     params = {"market": token_id, "startTs": utc_midnight(start),
@@ -145,7 +145,7 @@ def discover_markets(
     history_start: dt.date,
     history_end: dt.date,
     limit: int = DISCOVERY_LIMIT,
-    http: HttpGet = requests_get_json,
+    http: HttpGet = http_get_json,
 ) -> list[DiscoveredMarket]:
     """Active markets worth trading, with their price histories.
 

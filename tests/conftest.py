@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 import datetime as dt
-import json
+import io
 import os
 import socket
 from pathlib import Path
 from typing import Iterable
+from urllib.error import HTTPError
 
 import pytest
-import requests
 
 from tradefolio.agents.clients import ModelClientConfig, ScriptedClient
 from tradefolio.agents.harness import LLMAgent
@@ -70,19 +70,39 @@ def no_network(monkeypatch):
     monkeypatch.setattr(socket, "getaddrinfo", refuse_lookup)
 
 
-class FakeResponse:
-    """What the default ``requests`` transports read of a response."""
+class FakeReply(io.BytesIO):
+    """What the default transports read of a ``urlopen`` reply."""
 
-    def __init__(self, status_code: int, text: str) -> None:
-        self.status_code = status_code
-        self.text = text
+    def __init__(self, status: int, body: bytes) -> None:
+        super().__init__(body)
+        self.status = status
 
-    def json(self):
-        return json.loads(self.text)  # a ValueError when the body is not JSON
 
-    def raise_for_status(self) -> None:
-        if self.status_code >= 400:
-            raise requests.HTTPError(f"{self.status_code} error")
+class FakeUrlopen:
+    """Stands in for a module's ``urlopen``: records each ``(request,
+    timeout)`` and answers with the next scripted reply. A reply is an
+    exception to raise, a ready reply object, or a ``(status, text)``
+    pair; a status of 400 or more raises ``HTTPError``, as ``urlopen``
+    does, and the raised errors are kept in ``errors``."""
+
+    def __init__(self, *replies) -> None:
+        self.replies = list(replies)
+        self.calls: list = []
+        self.errors: list[HTTPError] = []
+
+    def __call__(self, request, timeout):
+        self.calls.append((request, timeout))
+        reply = self.replies.pop(0)
+        if isinstance(reply, BaseException):
+            raise reply
+        if not isinstance(reply, tuple):
+            return reply
+        status, text = reply
+        if status < 400:
+            return FakeReply(status, text.encode())
+        error = HTTPError(request.full_url, status, "error", {}, io.BytesIO(text.encode()))
+        self.errors.append(error)
+        raise error
 
 
 @pytest.fixture

@@ -1,4 +1,6 @@
-"""``scripts/bench.py pairs`` against a stub perfbench in a throwaway git repository."""
+"""``scripts/bench.py pairs`` against a stub perfbench in a throwaway git
+repository, and ``scripts/cold_resume.py`` against this checkout's own
+sources."""
 
 import json
 import shutil
@@ -88,3 +90,13 @@ def test_pairs_alternate_sides_and_write_the_claim(tmp_path, monkeypatch):
     # the base checkout is gone again
     assert _git(repo, "worktree", "list", "--porcelain").count("worktree ") == 1
     assert sorted(p.name for p in tmp_path.iterdir()) == ["order.log", "repo"]
+
+
+def test_cold_resume_alternates_two_trees_and_checks_every_resumed_log():
+    done = subprocess.run([sys.executable, "scripts/cold_resume.py", "src", "--pairs", "2"],
+                          cwd=REPO, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stdout + done.stderr
+    base, change, ratio = done.stdout.splitlines()
+    assert base.startswith("base: median ") and len(base.split("raw ")[1].split()) == 2
+    assert change.startswith("change: median ") and len(change.split("raw ")[1].split()) == 2
+    assert ratio.startswith("change/base: median ") and ratio.endswith(" of 2 pairs")

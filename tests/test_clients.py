@@ -1,9 +1,11 @@
 import json
+from http.client import IncompleteRead
+from urllib.error import URLError
 
 import pytest
-import requests
-from conftest import FakeResponse
+from conftest import FakeReply, FakeUrlopen
 
+from tradefolio.agents import clients
 from tradefolio.agents.clients import (
     DEFAULT_MAX_TOKENS,
     DEFAULT_TEMPERATURE,
@@ -88,6 +90,13 @@ def ok_body(text="fine"):
     return {"choices": [{"message": {"content": text}}]}
 
 
+class TruncatedReply(FakeReply):
+    """A reply whose connection closes before its body is whole."""
+
+    def read(self, *args):
+        raise IncompleteRead(b'{"choi', 40)
+
+
 class TestHttpChatClient:
     def test_happy_path(self, monkeypatch):
         monkeypatch.setenv("OPENAI_API_KEY", "sk-test")
@@ -113,15 +122,24 @@ class TestHttpChatClient:
             client.complete("p", ModelClientConfig(model="m"))
 
     def test_timeout_is_typed(self, monkeypatch):
-        import requests
-
         monkeypatch.setenv("TOGETHER_API_KEY", "t")
-        client = HttpChatClient(transport=FakeTransport(exc=requests.Timeout()))
-        with pytest.raises(ClientTimeout):
-            client.complete("p", ModelClientConfig(model="m"))
-        client = HttpChatClient(transport=FakeTransport(exc=requests.ConnectionError("refused")))
+        connect, read = URLError(TimeoutError("timed out")), TimeoutError("timed out")
+        for failure in (connect, read):
+            monkeypatch.setattr(clients, "urlopen", FakeUrlopen(failure))
+            with pytest.raises(ClientTimeout, match=r"together timed out after 120\.0s"):
+                HttpChatClient().complete("p", ModelClientConfig(model="m"))
+        client = HttpChatClient(transport=FakeTransport(exc=ConnectionRefusedError("refused")))
         with pytest.raises(ClientRejected, match="together request failed: refused"):
             client.complete("p", ModelClientConfig(model="m"))
+
+    def test_a_truncated_or_reset_reply_is_a_rejection(self, monkeypatch):
+        monkeypatch.setenv("TOGETHER_API_KEY", "t")
+        reset = ConnectionResetError(104, "Connection reset by peer")
+        monkeypatch.setattr(clients, "urlopen", FakeUrlopen(TruncatedReply(200, b""), reset))
+        with pytest.raises(ClientRejected, match=r"together request failed: IncompleteRead\(6 bytes"):
+            HttpChatClient().complete("p", ModelClientConfig(model="m"))
+        with pytest.raises(ClientRejected, match="together request failed: .*reset by peer"):
+            HttpChatClient().complete("p", ModelClientConfig(model="m"))
 
     def test_malformed_body(self, monkeypatch):
         monkeypatch.setenv("TOGETHER_API_KEY", "t")
@@ -134,21 +152,27 @@ class TestHttpChatClient:
 
     def test_default_transport_posts_and_keeps_a_body_that_is_not_json(self, monkeypatch):
         monkeypatch.setenv("TOGETHER_API_KEY", "t")
-        replies = [FakeResponse(200, json.dumps(ok_body("posted"))),
-                   FakeResponse(502, "<html>Bad Gateway</html>")]
-        posts = []
-
-        def post(url, headers, json, timeout):
-            posts.append((url, json["messages"][-1]["content"]))
-            return replies.pop(0)
-
-        monkeypatch.setattr(requests, "post", post)
+        urlopen = FakeUrlopen((200, json.dumps(ok_body("posted"))),
+                              (502, "<html>Bad Gateway</html>"))
+        monkeypatch.setattr(clients, "urlopen", urlopen)
         client = HttpChatClient()
-        assert client.complete("p", ModelClientConfig(model="m")) == "posted"
+        config = ModelClientConfig(model="m")
+        assert client.complete("p", config) == "posted"
         with pytest.raises(ClientRejected, match="HTTP 502: <html>Bad Gateway</html>"):
-            client.complete("q", ModelClientConfig(model="m"))
+            client.complete("q", config)
+        assert urlopen.errors[0].fp.closed
         url = "https://api.together.xyz/v1/chat/completions"
-        assert posts == [(url, "p"), (url, "q")]
+        for (request, timeout), prompt in zip(urlopen.calls, "pq", strict=True):
+            assert (request.full_url, request.get_method(), timeout) == (url, "POST", 120.0)
+            assert request.data == json.dumps(config.request_payload("m", prompt)).encode()
+            assert request.get_header("Authorization") == "Bearer t"
+            assert request.get_header("Content-type") == "application/json"
+
+    def test_default_transport_meets_the_network_guard_as_a_rejection(self, monkeypatch):
+        monkeypatch.setenv("TOGETHER_API_KEY", "t")
+        with pytest.raises(ClientRejected,
+                           match=r"together request failed: .*may not look up.*api\.together\.xyz"):
+            HttpChatClient().complete("p", ModelClientConfig(model="m"))
 
 
 class TestScriptedClient:

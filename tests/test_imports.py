@@ -2,7 +2,9 @@
 
 Names are imported from the modules that define them; the package
 ``__init__`` files export nothing, so importing one module loads only
-what that module needs.
+what that module needs. The package talks to providers through the
+standard library, and a replay ``run`` loads neither numpy nor an HTTP
+library: a daily run from cron pays for neither.
 """
 
 import os
@@ -13,8 +15,9 @@ from pathlib import Path
 import tradefolio
 
 SRC = Path(tradefolio.__file__).resolve().parent.parent
+FIXTURES = SRC.parent / "fixtures"
 
-_SCRIPT = """
+_EACH_MODULE = """
 import importlib, sys
 from pathlib import Path
 
@@ -29,13 +32,50 @@ for name in names:
     for loaded in [m for m in sys.modules if m.split(".")[0] == "tradefolio"]:
         del sys.modules[loaded]
     importlib.import_module(name)
+http = sorted({"requests", "urllib3"} & sys.modules.keys())
+assert not http, f"importing every module loaded {http}"
 print(len(names))
 """
 
+_CLI = """
+import sys
 
-def test_each_module_imports_first_and_dated_leaves_numpy_and_requests_unloaded():
-    done = subprocess.run([sys.executable, "-c", _SCRIPT, str(SRC)],
+import tradefolio.cli
+print(sorted({"numpy", "requests"} & sys.modules.keys()))
+"""
+
+_RUN = """
+import sys
+
+from tradefolio.cli import main
+try:
+    main(["run", "--config", sys.argv[1]])
+except SystemExit as exit:
+    assert not exit.code, exit.code
+print(sorted({"numpy", "requests"} & sys.modules.keys()))
+"""
+
+
+def _python(script: str, *args: str) -> str:
+    done = subprocess.run([sys.executable, "-c", script, *args],
                           env={**os.environ, "PYTHONPATH": str(SRC)},
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert int(done.stdout) == len(list((SRC / "tradefolio").rglob("*.py")))
+    return done.stdout.splitlines()[-1]
+
+
+def test_each_module_imports_first_and_none_loads_an_http_library():
+    assert int(_python(_EACH_MODULE, str(SRC))) == len(list((SRC / "tradefolio").rglob("*.py")))
+
+
+def test_importing_the_cli_loads_neither_numpy_nor_requests():
+    assert _python(_CLI) == "[]"
+
+
+def test_a_replay_run_loads_neither_numpy_nor_requests(tmp_path):
+    config = (FIXTURES / "stock-replay.yaml").read_text(encoding="utf-8")
+    config = config.replace("store: stock-50d", f"store: {FIXTURES / 'stock-50d'}")
+    config = config.replace("out_dir: ../runs/stock-demo", f"out_dir: {tmp_path / 'runs'}")
+    (tmp_path / "stock.yaml").write_text(config, encoding="utf-8")
+    assert _python(_RUN, str(tmp_path / "stock.yaml")) == "[]"
+    assert len(list((tmp_path / "runs").glob("*.jsonl"))) == 3

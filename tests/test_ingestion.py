@@ -8,10 +8,11 @@ import datetime as dt
 import math
 import random
 from dataclasses import replace
+from urllib.error import HTTPError, URLError
+from urllib.request import urlopen
 
 import pytest
-import requests
-from conftest import FakeResponse
+from conftest import FakeReply, FakeUrlopen
 
 from tradefolio.domain import MarketKind, MarketSpec, NewsItem, PricePoint
 from tradefolio.errors import FeedUnavailable, ProviderError
@@ -359,21 +360,59 @@ def test_fetch_news_request_and_window():
     assert q == "AAPL stock news OR Apple after:2025-02-28 before:2025-03-04"
 
 
-def test_default_gets_read_json_or_text_and_raise_on_an_error_status(monkeypatch):
-    gets = []
+def test_default_gets_read_json_or_bytes_and_raise_on_an_error_status(monkeypatch):
+    urlopen = FakeUrlopen((200, '{"ok": 1}'), (200, "<rss/>"), (503, ""))
+    monkeypatch.setattr(policy, "urlopen", urlopen)
+    assert policy.http_get_json("https://j", {"q": "a b"}, {"User-Agent": "ua"}, 5.0) == {"ok": 1}
+    assert policy.http_get("https://t", {"q": "b"}, {}, 6.0) == b"<rss/>"
+    with pytest.raises(HTTPError, match="503"):
+        policy.http_get("https://down", {"q": "c"}, {}, 7.0)
+    assert urlopen.errors[0].fp.closed
+    sent = [(r.full_url, r.get_method(), r.get_header("User-agent"), t) for r, t in urlopen.calls]
+    assert sent == [("https://j?q=a+b", "GET", "ua", 5.0), ("https://t?q=b", "GET", None, 6.0),
+                    ("https://down?q=c", "GET", None, 7.0)]
 
-    def get(url, params, headers, timeout):
-        gets.append((url, params, timeout))
-        return {"https://j": FakeResponse(200, '{"ok": 1}'),
-                "https://t": FakeResponse(200, "<rss/>")}.get(url, FakeResponse(503, ""))
 
-    monkeypatch.setattr(requests, "get", get)
-    assert policy.requests_get_json("https://j", {"q": "a"}, {}, 5.0) == {"ok": 1}
-    assert news._requests_get_text("https://t", {"q": "b"}, {}, 6.0) == "<rss/>"
-    for read in (policy.requests_get_json, news._requests_get_text):
-        with pytest.raises(requests.HTTPError, match="503"):
-            read("https://down", {}, {}, 7.0)
-    assert gets[:2] == [("https://j", {"q": "a"}, 5.0), ("https://t", {"q": "b"}, 6.0)]
+def test_fetch_news_reads_the_feed_in_its_declared_encoding(monkeypatch):
+    feed = ('<?xml version="1.0" encoding="ISO-8859-1"?><rss><channel><item>'
+            "<title>Caf\u00e9 chain rallies</title><pubDate>Tue, 04 Mar 2025 10:00:00 GMT</pubDate>"
+            "<link>https://x.example/a</link></item></channel></rss>").encode("latin-1")
+    monkeypatch.setattr(policy, "urlopen", FakeUrlopen(FakeReply(200, feed)))
+    items = news.fetch_news("AAPL", MarketKind.STOCK, D(2025, 3, 3), D(2025, 3, 5),
+                            FetchPolicy(max_retries=1))
+    assert [i.title for i in items] == ["Caf\u00e9 chain rallies"]
+
+
+def test_each_provider_sends_the_url_it_always_sent(monkeypatch):
+    urlopen = FakeUrlopen(*[URLError("offline")] * 10)
+    monkeypatch.setattr(policy, "urlopen", urlopen)
+    quick = FetchPolicy(max_retries=1, backoff_base=0.0, jitter_range=(0.0, 0.0))
+    start, end = D(2025, 3, 3), D(2025, 3, 7)
+    for fetch in (
+        lambda: equities.fetch_equity_history("AAPL", start, end, quick),
+        lambda: predictions.discover_markets(quick, start, end, limit=4),
+        lambda: predictions.fetch_prediction_history("123", start, end, quick),
+        lambda: news.fetch_news("JNJ", MarketKind.STOCK, start, D(2025, 3, 5), quick),
+        lambda: news.fetch_news("Will turnout exceed 60% & more?", MarketKind.PREDICTION,
+                                start, D(2025, 3, 5), quick),
+    ):
+        with pytest.raises(ProviderError, match="after 2 attempts: <urlopen error offline>"):
+            fetch()
+    # byte for byte the URLs `requests` built for these calls, so no provider sees a new one
+    assert [r.full_url for r, _ in urlopen.calls[::2]] == [
+        "https://query1.finance.yahoo.com/v8/finance/chart/AAPL"
+        "?period1=1740960000&period2=1741392000&interval=1d&events=div%2Csplits",
+        "https://gamma-api.polymarket.com/markets"
+        "?active=true&closed=false&order=volumeNum&ascending=false&limit=12",
+        "https://clob.polymarket.com/prices-history"
+        "?market=123&startTs=1740960000&endTs=1741392000&fidelity=1440",
+        "https://news.google.com/rss/search?q=JNJ+stock+news+OR+Johnson+%26+Johnson"
+        "+after%3A2025-03-02+before%3A2025-03-06&hl=en-US&gl=US&ceid=US%3Aen",
+        "https://news.google.com/rss/search?q=Will+turnout+exceed+60%25+%26+more%3F"
+        "+after%3A2025-03-02+before%3A2025-03-06&hl=en-US&gl=US&ceid=US%3Aen",
+    ]
+    assert {r.get_header("User-agent") for r, _ in urlopen.calls} == {quick.user_agent}
+    assert not urlopen.replies
 
 
 # -- retry policy ------------------------------------------------------------
@@ -774,14 +813,10 @@ def test_backfill_failure_names_the_first_date_that_needed_a_request(tmp_path, m
 
 
 def test_tests_cannot_open_network_connections():
-    import requests
-
-    with pytest.raises(requests.ConnectionError, match=r"may not open network.*127\.0\.0\.1"):
-        requests.get("http://127.0.0.1:9/", timeout=1.0)
+    with pytest.raises(URLError, match=r"may not open network.*127\.0\.0\.1"):
+        urlopen("http://127.0.0.1:9/", timeout=1.0)
 
 
 def test_tests_cannot_look_up_host_names():
-    import requests
-
-    with pytest.raises(requests.ConnectionError, match=r"may not look up.*provider\.example"):
-        requests.get("http://provider.example/", timeout=1.0)
+    with pytest.raises(URLError, match=r"may not look up.*provider\.example"):
+        urlopen("http://provider.example/", timeout=1.0)
