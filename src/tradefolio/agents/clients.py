@@ -4,6 +4,9 @@ A model id like "openai/gpt-4.1" routes to the provider named by its
 prefix; ids without a known prefix (including ids whose slash belongs
 to the model name itself) fall through to the default provider. All
 providers speak the OpenAI-style chat completions wire format here.
+``HttpChatClient`` posts through ``urllib.request``, imported at the
+first request, so a replay run never loads an HTTP library; tests fake
+the network by patching ``urllib.request.urlopen``.
 """
 
 from __future__ import annotations
@@ -11,10 +14,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from http.client import HTTPException
-from typing import Any, Callable, Iterable, Protocol
-from urllib.error import HTTPError
-from urllib.request import Request, urlopen
+from typing import Any, Iterable, Protocol
 
 from ..errors import ClientRejected, ClientTimeout, ConfigError
 
@@ -111,20 +111,30 @@ class ChatClient(Protocol):
     def complete(self, prompt: str, config: ModelClientConfig) -> str: ...
 
 
-# transport(url, headers, payload, timeout) -> (status code, response body)
-Transport = Callable[[str, dict[str, str], dict[str, Any], float], tuple[int, Any]]
+def _post_json(route: ProviderRoute, headers: dict[str, str],
+               payload: dict[str, Any]) -> tuple[int, Any]:
+    """The status and body of one POST of ``payload`` to the route's chat
+    completions; a body that is not JSON is kept as text. A request that
+    times out is ``ClientTimeout``; one that fails otherwise is
+    ``ClientRejected``."""
+    from http.client import HTTPException
+    from urllib.error import HTTPError
+    from urllib.request import Request, urlopen
 
-
-def _post_json(url: str, headers: dict[str, str],
-               payload: dict[str, Any], timeout: float) -> tuple[int, Any]:
-    """The default ``Transport``; a body that is not JSON is kept as text."""
-    request = Request(url, data=json.dumps(payload).encode(), headers=headers, method="POST")
+    request = Request(f"{route.base_url}/chat/completions", data=json.dumps(payload).encode(),
+                      headers=headers, method="POST")
     try:
-        with urlopen(request, timeout=timeout) as reply:
-            status, raw = reply.status, reply.read()
-    except HTTPError as exc:
-        with exc:  # the error holds the response and its connection
-            status, raw = exc.code, exc.read()
+        try:
+            with urlopen(request, timeout=_TIMEOUT_S) as reply:
+                status, raw = reply.status, reply.read()
+        except HTTPError as exc:
+            with exc:  # the error holds the response and its connection
+                status, raw = exc.code, exc.read()
+    except (OSError, HTTPException) as exc:
+        # a read timeout is a TimeoutError; a connect timeout is a URLError's reason
+        if isinstance(getattr(exc, "reason", exc), TimeoutError):
+            raise ClientTimeout(f"{route.name} timed out after {_TIMEOUT_S}s") from exc
+        raise ClientRejected(f"{route.name} request failed: {exc}") from exc
     try:
         return status, json.loads(raw)
     except ValueError:
@@ -133,9 +143,6 @@ def _post_json(url: str, headers: dict[str, str],
 
 class HttpChatClient:
     """One blocking chat completion per decision."""
-
-    def __init__(self, transport: Transport | None = None) -> None:
-        self._transport = transport or _post_json
 
     def complete(self, prompt: str, config: ModelClientConfig) -> str:
         route, model = resolve_provider(config.model)
@@ -147,15 +154,7 @@ class HttpChatClient:
             "Authorization": f"Bearer {key}",
             "Content-Type": "application/json",
         }
-        url = f"{route.base_url}/chat/completions"
-        payload = config.request_payload(model, prompt)
-        try:
-            status, body = self._transport(url, headers, payload, _TIMEOUT_S)
-        except (OSError, HTTPException) as exc:
-            # a read timeout is a TimeoutError; a connect timeout is a URLError's reason
-            if isinstance(getattr(exc, "reason", exc), TimeoutError):
-                raise ClientTimeout(f"{route.name} timed out after {_TIMEOUT_S}s") from exc
-            raise ClientRejected(f"{route.name} request failed: {exc}") from exc
+        status, body = _post_json(route, headers, config.request_payload(model, prompt))
         if status >= 400:
             raise ClientRejected(f"{route.name} returned HTTP {status}: {body}")
         try:

@@ -24,6 +24,7 @@ __all__ = [
     "Holdings",
     "AllocationVector",
     "NewsItem",
+    "PUBLISHED_AT_RANGE",
     "Observation",
     "MemoryEntry",
 ]
@@ -181,6 +182,12 @@ class AllocationVector:
         return self.weights[asset]
 
 
+# The UNIX seconds a news item may be published at: one day inside
+# datetime's range at each end, so every zone can show its date.
+PUBLISHED_AT_RANGE = range(int(dt.datetime(1, 1, 2, tzinfo=dt.timezone.utc).timestamp()),
+                           int(dt.datetime(9999, 12, 31, tzinfo=dt.timezone.utc).timestamp()))
+
+
 @dataclass(frozen=True)
 class NewsItem:
     """One normalized news result tagged to a ticker or question."""
@@ -189,7 +196,7 @@ class NewsItem:
     snippet: str
     source: str
     url: str
-    published_at: int  # UNIX seconds, always valid: undated items are dropped upstream
+    published_at: int  # UNIX seconds in PUBLISHED_AT_RANGE: other items are dropped upstream
     tagged_asset: str
 
 

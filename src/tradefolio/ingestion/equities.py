@@ -8,13 +8,14 @@ split out so payload handling is testable without a network.
 from __future__ import annotations
 
 import datetime as dt
+import json
 import math
 from typing import Any
 from zoneinfo import ZoneInfo
 
 from ..domain import PricePoint
 from ..errors import ProviderError
-from .policy import FetchPolicy, HttpGet, get, http_get_json, utc_midnight
+from .policy import FetchPolicy, get, utc_midnight
 
 __all__ = [
     "CHART_URL",
@@ -81,25 +82,18 @@ def parse_quote_payload(payload: Any) -> PricePoint:
     return PricePoint(dt.datetime.fromtimestamp(moment, _EXCHANGE_TZ).date(), float(price), None)
 
 
-def fetch_equity_history(
-    ticker: str,
-    start: dt.date,
-    end: dt.date,
-    policy: FetchPolicy,
-    http: HttpGet = http_get_json,
-) -> list[PricePoint]:
+def fetch_equity_history(ticker: str, start: dt.date, end: dt.date,
+                         policy: FetchPolicy) -> list[PricePoint]:
     """Daily bars with dates in [start, end], inclusive."""
     params = {"period1": utc_midnight(start), "period2": utc_midnight(end + dt.timedelta(days=1)),
               "interval": "1d", "events": "div,splits"}
-    points = get(policy, CHART_URL.format(symbol=ticker), params, parse_chart_payload, http)
+    points = get(policy, CHART_URL.format(symbol=ticker), params,
+                 lambda body: parse_chart_payload(json.loads(body)))
     return [p for p in points if start <= p.date <= end]
 
 
-def fetch_equity_quote(
-    ticker: str,
-    policy: FetchPolicy,
-    http: HttpGet = http_get_json,
-) -> PricePoint:
+def fetch_equity_quote(ticker: str, policy: FetchPolicy) -> PricePoint:
     """Latest available trade for the ticker."""
     params = {"interval": "1d", "range": "1d"}
-    return get(policy, CHART_URL.format(symbol=ticker), params, parse_quote_payload, http)
+    return get(policy, CHART_URL.format(symbol=ticker), params,
+               lambda body: parse_quote_payload(json.loads(body)))

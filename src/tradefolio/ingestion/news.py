@@ -11,7 +11,7 @@ from typing import Iterable
 from ..domain import MarketKind, NewsItem
 from ..errors import ProviderError
 from .normalize import clean_link, parse_news_timestamp
-from .policy import FetchPolicy, HttpGet, get, http_get
+from .policy import FetchPolicy, get
 
 __all__ = [
     "RSS_URL",
@@ -140,7 +140,6 @@ def fetch_news(
     end: dt.date,
     policy: FetchPolicy,
     reference: dt.datetime | None = None,
-    http: HttpGet = http_get,
 ) -> list[NewsItem]:
     """Items for one tag published within [start, end], newest first."""
     reference = reference or dt.datetime.now(dt.timezone.utc)
@@ -151,5 +150,5 @@ def fetch_news(
         f" before:{(end + dt.timedelta(days=1)).isoformat()}"
     )
     params = {"q": q, "hl": "en-US", "gl": "US", "ceid": "US:en"}
-    items = get(policy, RSS_URL, params, lambda text: parse_news_rss(text, tag, reference), http)
+    items = get(policy, RSS_URL, params, lambda body: parse_news_rss(body, tag, reference))
     return rank_news(filter_news_window(items, start, end))

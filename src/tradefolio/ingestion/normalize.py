@@ -13,6 +13,7 @@ import email.utils
 import re
 from urllib.parse import parse_qs, urlencode, urlparse, urlunparse
 
+from ..domain import PUBLISHED_AT_RANGE
 from ..errors import NormalizationError
 
 __all__ = ["normalize_prediction_quote", "parse_news_timestamp", "clean_link"]
@@ -53,7 +54,8 @@ _ABSOLUTE_FORMATS = ("%b %d, %Y", "%B %d, %Y", "%d %b %Y", "%m/%d/%Y")
 
 
 def parse_news_timestamp(text: str, reference: dt.datetime) -> int | None:
-    """Published-time text to UNIX seconds; None when unparseable.
+    """Published-time text to UNIX seconds in ``PUBLISHED_AT_RANGE``; None
+    for anything else. Never raises.
 
     Relative phrases ("3 hours ago") count back from ``reference``.
     Naive absolute times are taken as UTC. Callers drop items that
@@ -63,37 +65,36 @@ def parse_news_timestamp(text: str, reference: dt.datetime) -> int | None:
         return None
     if reference.tzinfo is None:
         reference = reference.replace(tzinfo=dt.timezone.utc)
-    text = text.strip()
+    try:
+        moment = _moment(text.strip(), reference)
+        if moment is None:
+            return None
+        if moment.tzinfo is None:
+            moment = moment.replace(tzinfo=dt.timezone.utc)
+        seconds = int(moment.timestamp())
+    except (OverflowError, ValueError):  # a count or a field too large for a datetime
+        return None
+    return seconds if seconds in PUBLISHED_AT_RANGE else None
 
+
+def _moment(text: str, reference: dt.datetime) -> dt.datetime | None:
     match = _RELATIVE.match(text)
     if match:
         amount, unit = int(match.group(1)), match.group(2).lower()
-        moment = reference - dt.timedelta(seconds=amount * _RELATIVE_SECONDS[unit])
-        return int(moment.timestamp())
+        return reference - dt.timedelta(seconds=amount * _RELATIVE_SECONDS[unit])
     if text.lower() == "yesterday":
-        return int((reference - dt.timedelta(days=1)).timestamp())
-
+        return reference - dt.timedelta(days=1)
     try:
-        moment = email.utils.parsedate_to_datetime(text)
+        return email.utils.parsedate_to_datetime(text)
     except (TypeError, ValueError):
-        moment = None
-    if moment is not None:
-        if moment.tzinfo is None:
-            moment = moment.replace(tzinfo=dt.timezone.utc)
-        return int(moment.timestamp())
-
+        pass
     try:
-        moment = dt.datetime.fromisoformat(text)
-        if moment.tzinfo is None:
-            moment = moment.replace(tzinfo=dt.timezone.utc)
-        return int(moment.timestamp())
+        return dt.datetime.fromisoformat(text)
     except ValueError:
         pass
-
     for fmt in _ABSOLUTE_FORMATS:
         try:
-            moment = dt.datetime.strptime(text, fmt).replace(tzinfo=dt.timezone.utc)
-            return int(moment.timestamp())
+            return dt.datetime.strptime(text, fmt)
         except ValueError:
             continue
     return None
@@ -106,10 +107,14 @@ _TRACKING_PARAMS = {"oc", "ved", "usg", "fbclid", "gclid"}
 
 
 def clean_link(url: str) -> str:
-    """Unwrap known redirectors and strip tracking query parameters."""
+    """Unwrap known redirectors and strip tracking query parameters; a
+    URL that cannot be parsed is returned unchanged."""
     if not url:
         return url
-    parsed = urlparse(url)
+    try:
+        parsed = urlparse(url)
+    except ValueError:  # an unbalanced IPv6 bracket, say
+        return url
     if parsed.hostname in _REDIRECT_HOSTS:
         query = parse_qs(parsed.query)
         for param in _REDIRECT_PARAMS:

@@ -1,31 +1,33 @@
-"""Outbound data requests: one request shape and its retry discipline."""
+"""Outbound data requests: one request shape and its retry discipline.
+
+Every provider GET goes through ``http_get``, which imports
+``urllib.request`` when it is first called, so a replay run never loads
+an HTTP library. Tests fake the network by patching
+``urllib.request.urlopen``.
+"""
 
 from __future__ import annotations
 
 import datetime as dt
-import json
 import random
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, TypeVar
-from urllib.error import HTTPError
 from urllib.parse import urlencode
-from urllib.request import Request, urlopen
 
 from ..errors import ProviderError
 
-__all__ = ["FetchPolicy", "HttpGet", "backoff_delay", "fetch_with_policy", "get",
-           "http_get", "http_get_json", "utc_midnight"]
+__all__ = ["FetchPolicy", "backoff_delay", "fetch_with_policy", "get", "http_get",
+           "utc_midnight"]
 
 T = TypeVar("T")
-
-# http(url, params, headers, timeout) -> response body: raw bytes from
-# http_get (news), decoded JSON from http_get_json (the default)
-HttpGet = Callable[[str, dict[str, Any], dict[str, str], float], Any]
 
 
 def http_get(url: str, params: dict[str, Any], headers: dict[str, str], timeout: float) -> bytes:
     """The body of one GET of ``url?params``; ``HTTPError`` on a status of 400 or more."""
+    from urllib.error import HTTPError
+    from urllib.request import Request, urlopen
+
     request = Request(f"{url}?{urlencode(params)}", headers=headers)
     try:
         with urlopen(request, timeout=timeout) as reply:
@@ -33,12 +35,6 @@ def http_get(url: str, params: dict[str, Any], headers: dict[str, str], timeout:
     except HTTPError as exc:
         exc.close()  # the error holds the response and its connection
         raise
-
-
-def http_get_json(url: str, params: dict[str, Any],
-                  headers: dict[str, str], timeout: float) -> Any:
-    """The JSON providers' default ``HttpGet``."""
-    return json.loads(http_get(url, params, headers, timeout))
 
 
 @dataclass(frozen=True)
@@ -101,14 +97,13 @@ def fetch_with_policy(
     raise AssertionError("unreachable")
 
 
-def get(policy: FetchPolicy, url: str, params: dict[str, Any], parse: Callable[[Any], T],
-        http: HttpGet = http_get_json) -> T:
-    """``parse`` of one provider response, under the policy's retries.
+def get(policy: FetchPolicy, url: str, params: dict[str, Any], parse: Callable[[bytes], T]) -> T:
+    """``parse`` of one provider response body, under the policy's retries.
 
     A body that fails to parse is retried like a failed request.
     """
     headers = {"User-Agent": policy.user_agent}
-    return fetch_with_policy(policy, lambda: parse(http(url, params, headers, policy.timeout)))
+    return fetch_with_policy(policy, lambda: parse(http_get(url, params, headers, policy.timeout)))
 
 
 def utc_midnight(date: dt.date) -> int:

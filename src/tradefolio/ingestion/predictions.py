@@ -17,7 +17,7 @@ from typing import Any
 from ..domain import PricePoint
 from ..errors import NormalizationError, ProviderError
 from .normalize import normalize_prediction_quote
-from .policy import FetchPolicy, HttpGet, get, http_get_json, utc_midnight
+from .policy import FetchPolicy, get, utc_midnight
 from .snapshots import MarketCatalogEntry
 
 __all__ = [
@@ -76,8 +76,9 @@ def _token_ids(raw: Any) -> tuple[str, str] | None:
 def parse_market_listing(payload: Any) -> list[MarketCatalogEntry]:
     """Catalog entries from one listing page, deduplicated by event slug.
 
-    Rows without a question or a yes/no token pair are skipped; rows
-    without a url get one constructed from the slug.
+    Rows without a question, a slug or a yes/no token pair, and rows
+    whose question, slug or url is not text, are skipped; rows without a
+    url get one constructed from the slug.
     """
     if not isinstance(payload, list):
         raise ProviderError("market listing payload must be a list")
@@ -88,13 +89,13 @@ def parse_market_listing(payload: Any) -> list[MarketCatalogEntry]:
             continue
         question = row.get("question")
         slug = row.get("slug") or row.get("eventSlug")
+        url = row.get("url") or EVENT_URL_TEMPLATE.format(slug=slug)
         tokens = _token_ids(row.get("clobTokenIds"))
-        if not question or not slug or tokens is None:
+        if not all(f and isinstance(f, str) for f in (question, slug, url)) or tokens is None:
             continue
         if slug in seen:
             continue
         seen.add(slug)
-        url = row.get("url") or EVENT_URL_TEMPLATE.format(slug=slug)
         entries.append(MarketCatalogEntry(slug=slug, question=question,
                                           yes_token=tokens[0], no_token=tokens[1], url=url))
     return entries
@@ -126,17 +127,12 @@ def parse_price_history(payload: Any) -> list[PricePoint]:
     return [PricePoint(d, by_date[d]) for d in sorted(by_date)]
 
 
-def fetch_prediction_history(
-    token_id: str,
-    start: dt.date,
-    end: dt.date,
-    policy: FetchPolicy,
-    http: HttpGet = http_get_json,
-) -> list[PricePoint]:
+def fetch_prediction_history(token_id: str, start: dt.date, end: dt.date,
+                             policy: FetchPolicy) -> list[PricePoint]:
     """Daily closes for one outcome token, dates in [start, end]."""
     params = {"market": token_id, "startTs": utc_midnight(start),
               "endTs": utc_midnight(end + dt.timedelta(days=1)), "fidelity": 1440}
-    points = get(policy, HISTORY_URL, params, parse_price_history, http)
+    points = get(policy, HISTORY_URL, params, lambda body: parse_price_history(json.loads(body)))
     return [p for p in points if start <= p.date <= end]
 
 
@@ -145,7 +141,6 @@ def discover_markets(
     history_start: dt.date,
     history_end: dt.date,
     limit: int = DISCOVERY_LIMIT,
-    http: HttpGet = http_get_json,
 ) -> list[DiscoveredMarket]:
     """Active markets worth trading, with their price histories.
 
@@ -159,17 +154,16 @@ def discover_markets(
         "ascending": "false",
         "limit": max(limit * 3, limit),
     }
-    candidates = get(policy, MARKETS_URL, params, parse_market_listing, http)
+    candidates = get(policy, MARKETS_URL, params,
+                     lambda body: parse_market_listing(json.loads(body)))
 
     kept: list[DiscoveredMarket] = []
     for entry in candidates:
         if len(kept) >= limit:
             break
-        yes = fetch_prediction_history(entry.yes_token, history_start, history_end,
-                                       policy, http)
+        yes = fetch_prediction_history(entry.yes_token, history_start, history_end, policy)
         if is_flat_series(yes):
             continue
-        no = fetch_prediction_history(entry.no_token, history_start, history_end,
-                                      policy, http)
+        no = fetch_prediction_history(entry.no_token, history_start, history_end, policy)
         kept.append(DiscoveredMarket(entry, tuple(yes), tuple(no)))
     return kept

@@ -41,7 +41,7 @@ from pathlib import Path
 from typing import Any, Iterable, Sequence
 
 from ..dated import DatedRows, index, utf8
-from ..domain import NewsItem, PricePoint
+from ..domain import PUBLISHED_AT_RANGE, NewsItem, PricePoint
 from ..errors import IngestionError
 
 __all__ = [
@@ -124,6 +124,9 @@ def _decode(kind: str, key: str, date: dt.date, row: dict) -> Any:
             texts = (i.title, i.snippet, i.source, i.url)
             if type(i.published_at) is not int or not all(type(t) is str for t in texts):
                 raise ValueError(f"news item {i.url!r} is not four strings and an integer")
+            if i.published_at not in PUBLISHED_AT_RANGE:
+                raise ValueError(f"news item {i.url!r} has published_at {i.published_at},"
+                                 " out of range")
         return items
     price, volume = row["price"], row["volume"]
     if type(price) not in (int, float) or type(volume) not in (int, float, type(None)):

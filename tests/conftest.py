@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import datetime as dt
 import io
+import json
 import os
 import socket
+import urllib.request
 from pathlib import Path
 from typing import Iterable
 from urllib.error import HTTPError
+from urllib.parse import parse_qsl, urlsplit
 
 import pytest
 
@@ -49,9 +52,10 @@ def scripted_agent(responses: Iterable[str]) -> LLMAgent:
 @pytest.fixture(autouse=True)
 def no_network(monkeypatch):
     """Refuse every internet-family connect, and every host name lookup
-    but localhost's, so a provider call that lost its injected fake
-    fails here instead of reaching the network or a name server. The
-    socket is closed first, so no unclosed-socket warning follows."""
+    but localhost's, so a provider call in a test that did not patch
+    ``urllib.request.urlopen`` fails here instead of reaching the network
+    or a name server. The socket is closed first, so no unclosed-socket
+    warning follows."""
     connect = socket.socket.connect
     getaddrinfo = socket.getaddrinfo
 
@@ -79,30 +83,61 @@ class FakeReply(io.BytesIO):
 
 
 class FakeUrlopen:
-    """Stands in for a module's ``urlopen``: records each ``(request,
-    timeout)`` and answers with the next scripted reply. A reply is an
-    exception to raise, a ready reply object, or a ``(status, text)``
-    pair; a status of 400 or more raises ``HTTPError``, as ``urlopen``
-    does, and the raised errors are kept in ``errors``."""
+    """Stands in for ``urllib.request.urlopen``, where every provider
+    request goes: patch that one name with it. ``routes`` maps a URL,
+    without its query, to its replies, served in order with the last
+    repeating; each ``(request, timeout)`` is recorded in ``calls``.
 
-    def __init__(self, *replies) -> None:
-        self.replies = list(replies)
+    A reply is an exception to raise, a ready reply object, a function
+    of the request that returns a reply, or a ``(status, body)`` pair;
+    any other value is a body sent with status 200. A body that is
+    neither bytes nor text is sent as JSON. A status of 400 or more
+    raises ``HTTPError``, as ``urlopen`` does, and the raised errors are
+    kept in ``errors``."""
+
+    def __init__(self, routes: dict[str, list]) -> None:
+        self.routes = {url: list(replies) for url, replies in routes.items()}
         self.calls: list = []
         self.errors: list[HTTPError] = []
 
     def __call__(self, request, timeout):
         self.calls.append((request, timeout))
-        reply = self.replies.pop(0)
+        replies = self.routes[request.full_url.partition("?")[0]]
+        reply = replies.pop(0) if len(replies) > 1 else replies[0]
+        if callable(reply):
+            reply = reply(request)
         if isinstance(reply, BaseException):
             raise reply
-        if not isinstance(reply, tuple):
+        if hasattr(reply, "read"):
             return reply
-        status, text = reply
+        status, body = reply if isinstance(reply, tuple) else (200, reply)
+        if not isinstance(body, (bytes, str)):
+            body = json.dumps(body)
+        if isinstance(body, str):
+            body = body.encode()
         if status < 400:
-            return FakeReply(status, text.encode())
-        error = HTTPError(request.full_url, status, "error", {}, io.BytesIO(text.encode()))
+            return FakeReply(status, body)
+        error = HTTPError(request.full_url, status, "error", {}, io.BytesIO(body))
         self.errors.append(error)
         raise error
+
+
+@pytest.fixture
+def serve(monkeypatch):
+    """``serve(routes)`` patches ``urllib.request.urlopen`` with a
+    ``FakeUrlopen`` over ``routes`` and returns the fake."""
+
+    def serve(routes: dict[str, list]) -> FakeUrlopen:
+        fake = FakeUrlopen(routes)
+        monkeypatch.setattr(urllib.request, "urlopen", fake)
+        return fake
+
+    return serve
+
+
+def query(request) -> dict[str, str]:
+    """The query parameters of a request ``FakeUrlopen`` recorded."""
+    return dict(parse_qsl(urlsplit(request.full_url).query))
 
 
 @pytest.fixture

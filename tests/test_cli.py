@@ -1286,6 +1286,29 @@ def test_a_store_news_item_with_a_quoted_time_fails_its_run_naming_the_row(runne
     assert f"baseline:all-cash: failed: {news}:2: unreadable row: news item" in result.output
 
 
+def test_a_store_news_time_no_date_can_hold_fails_its_run_naming_the_row(runner, stock_setup,
+                                                                         monkeypatch):
+    """A model session renders each item's date, which a published_at of
+    -10**12 seconds does not have; every session fails on the row."""
+    tmp_path, _, dates = stock_setup
+    config = _write_config(tmp_path / "model.yaml", tmp_path / "store", tmp_path / "runs",
+                           dates, ["openai/gpt-5", "baseline:all-cash"])
+    real = cli._make_agent
+    monkeypatch.setattr(cli, "_make_agent", lambda entry: real(entry) if entry.is_baseline
+                        else LLMAgent(ScriptedClient(["{}"]), entry))
+    news = tmp_path / "store" / "news" / "AAPL.jsonl"
+    lines = news.read_text(encoding="utf-8").splitlines()
+    row = json.loads(lines[1])
+    row["items"][0]["published_at"] = -10**12
+    lines[1] = json.dumps(row)
+    news.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    result = runner.invoke(main, ["run", "--config", str(config)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit), result.exception
+    for model in ("openai/gpt-5", "baseline:all-cash"):
+        assert f"{model}: failed: {news}:2: unreadable row: news item" in result.output
+
+
 def test_a_store_price_of_infinity_fails_every_session_that_reads_it(runner, stock_setup):
     tmp_path, config, dates = stock_setup
     series = tmp_path / "store" / "prices" / "stock" / "AAPL.jsonl"

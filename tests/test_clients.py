@@ -3,9 +3,8 @@ from http.client import IncompleteRead
 from urllib.error import URLError
 
 import pytest
-from conftest import FakeReply, FakeUrlopen
+from conftest import FakeReply
 
-from tradefolio.agents import clients
 from tradefolio.agents.clients import (
     DEFAULT_MAX_TOKENS,
     DEFAULT_TEMPERATURE,
@@ -72,20 +71,6 @@ class TestModelClientConfig:
         }
 
 
-class FakeTransport:
-    def __init__(self, status=200, body=None, exc=None):
-        self.status = status
-        self.body = body
-        self.exc = exc
-        self.calls = []
-
-    def __call__(self, url, headers, payload, timeout):
-        self.calls.append((url, headers, payload, timeout))
-        if self.exc is not None:
-            raise self.exc
-        return self.status, self.body
-
-
 def ok_body(text="fine"):
     return {"choices": [{"message": {"content": text}}]}
 
@@ -97,73 +82,72 @@ class TruncatedReply(FakeReply):
         raise IncompleteRead(b'{"choi', 40)
 
 
+TOGETHER = "https://api.together.xyz/v1/chat/completions"
+
+
 class TestHttpChatClient:
-    def test_happy_path(self, monkeypatch):
+    def test_happy_path(self, monkeypatch, serve):
         monkeypatch.setenv("OPENAI_API_KEY", "sk-test")
-        transport = FakeTransport(body=ok_body("the answer"))
-        client = HttpChatClient(transport=transport)
-        out = client.complete("prompt", ModelClientConfig(model="openai/gpt-5"))
+        urlopen = serve({"https://api.openai.com/v1/chat/completions": [ok_body("the answer")]})
+        out = HttpChatClient().complete("prompt", ModelClientConfig(model="openai/gpt-5"))
         assert out == "the answer"
-        url, headers, payload, _ = transport.calls[0]
-        assert url == "https://api.openai.com/v1/chat/completions"
-        assert headers["Authorization"] == "Bearer sk-test"
-        assert payload["model"] == "gpt-5"
+        [(request, _)] = urlopen.calls
+        assert request.full_url == "https://api.openai.com/v1/chat/completions"
+        assert request.get_header("Authorization") == "Bearer sk-test"
+        assert json.loads(request.data)["model"] == "gpt-5"
 
-    def test_missing_credential(self, monkeypatch):
+    def test_missing_credential(self, monkeypatch, serve):
         monkeypatch.delenv("OPENAI_API_KEY", raising=False)
-        client = HttpChatClient(transport=FakeTransport(body=ok_body()))
+        urlopen = serve({"https://api.openai.com/v1/chat/completions": [ok_body()]})
         with pytest.raises(ClientRejected, match="OPENAI_API_KEY"):
-            client.complete("p", ModelClientConfig(model="openai/gpt-5"))
+            HttpChatClient().complete("p", ModelClientConfig(model="openai/gpt-5"))
+        assert not urlopen.calls
 
-    def test_http_error_status(self, monkeypatch):
+    def test_http_error_status(self, monkeypatch, serve):
         monkeypatch.setenv("TOGETHER_API_KEY", "t")
-        client = HttpChatClient(transport=FakeTransport(status=429, body={"error": "slow down"}))
+        serve({TOGETHER: [(429, {"error": "slow down"})]})
         with pytest.raises(ClientRejected, match="429"):
-            client.complete("p", ModelClientConfig(model="m"))
+            HttpChatClient().complete("p", ModelClientConfig(model="m"))
 
-    def test_timeout_is_typed(self, monkeypatch):
+    def test_timeout_is_typed(self, monkeypatch, serve):
         monkeypatch.setenv("TOGETHER_API_KEY", "t")
         connect, read = URLError(TimeoutError("timed out")), TimeoutError("timed out")
-        for failure in (connect, read):
-            monkeypatch.setattr(clients, "urlopen", FakeUrlopen(failure))
+        serve({TOGETHER: [connect, read, ConnectionRefusedError("refused")]})
+        for _ in (connect, read):
             with pytest.raises(ClientTimeout, match=r"together timed out after 120\.0s"):
                 HttpChatClient().complete("p", ModelClientConfig(model="m"))
-        client = HttpChatClient(transport=FakeTransport(exc=ConnectionRefusedError("refused")))
         with pytest.raises(ClientRejected, match="together request failed: refused"):
-            client.complete("p", ModelClientConfig(model="m"))
+            HttpChatClient().complete("p", ModelClientConfig(model="m"))
 
-    def test_a_truncated_or_reset_reply_is_a_rejection(self, monkeypatch):
+    def test_a_truncated_or_reset_reply_is_a_rejection(self, monkeypatch, serve):
         monkeypatch.setenv("TOGETHER_API_KEY", "t")
         reset = ConnectionResetError(104, "Connection reset by peer")
-        monkeypatch.setattr(clients, "urlopen", FakeUrlopen(TruncatedReply(200, b""), reset))
+        serve({TOGETHER: [TruncatedReply(200, b""), reset]})
         with pytest.raises(ClientRejected, match=r"together request failed: IncompleteRead\(6 bytes"):
             HttpChatClient().complete("p", ModelClientConfig(model="m"))
         with pytest.raises(ClientRejected, match="together request failed: .*reset by peer"):
             HttpChatClient().complete("p", ModelClientConfig(model="m"))
 
-    def test_malformed_body(self, monkeypatch):
+    def test_malformed_body(self, monkeypatch, serve):
         monkeypatch.setenv("TOGETHER_API_KEY", "t")
-        client = HttpChatClient(transport=FakeTransport(body={"choices": []}))
+        serve({TOGETHER: [{"choices": []}, {"choices": [{"message": {"content": None}}]}]})
         with pytest.raises(ClientRejected, match="shape"):
-            client.complete("p", ModelClientConfig(model="m"))
-        client = HttpChatClient(transport=FakeTransport(body={"choices": [{"message": {"content": None}}]}))
+            HttpChatClient().complete("p", ModelClientConfig(model="m"))
         with pytest.raises(ClientRejected, match="non-text content"):
-            client.complete("p", ModelClientConfig(model="m"))
+            HttpChatClient().complete("p", ModelClientConfig(model="m"))
 
-    def test_default_transport_posts_and_keeps_a_body_that_is_not_json(self, monkeypatch):
+    def test_default_transport_posts_and_keeps_a_body_that_is_not_json(self, monkeypatch, serve):
         monkeypatch.setenv("TOGETHER_API_KEY", "t")
-        urlopen = FakeUrlopen((200, json.dumps(ok_body("posted"))),
-                              (502, "<html>Bad Gateway</html>"))
-        monkeypatch.setattr(clients, "urlopen", urlopen)
+        urlopen = serve({TOGETHER: [(200, json.dumps(ok_body("posted"))),
+                                    (502, "<html>Bad Gateway</html>")]})
         client = HttpChatClient()
         config = ModelClientConfig(model="m")
         assert client.complete("p", config) == "posted"
         with pytest.raises(ClientRejected, match="HTTP 502: <html>Bad Gateway</html>"):
             client.complete("q", config)
         assert urlopen.errors[0].fp.closed
-        url = "https://api.together.xyz/v1/chat/completions"
         for (request, timeout), prompt in zip(urlopen.calls, "pq", strict=True):
-            assert (request.full_url, request.get_method(), timeout) == (url, "POST", 120.0)
+            assert (request.full_url, request.get_method(), timeout) == (TOGETHER, "POST", 120.0)
             assert request.data == json.dumps(config.request_payload("m", prompt)).encode()
             assert request.get_header("Authorization") == "Bearer t"
             assert request.get_header("Content-type") == "application/json"

@@ -1,10 +1,12 @@
 """Provider payload parsing, retry policy, the replay feed and the live backfill.
 
-All network access goes through injectable http callables, so every
-test here runs against canned payloads.
+Every provider request goes through ``urllib.request.urlopen``, which
+the ``serve`` fixture patches, so every test here runs against canned
+payloads.
 """
 
 import datetime as dt
+import json
 import math
 import random
 from dataclasses import replace
@@ -12,7 +14,7 @@ from urllib.error import HTTPError, URLError
 from urllib.request import urlopen
 
 import pytest
-from conftest import FakeReply, FakeUrlopen
+from conftest import FakeReply, query
 
 from tradefolio.domain import MarketKind, MarketSpec, NewsItem, PricePoint
 from tradefolio.errors import FeedUnavailable, ProviderError
@@ -101,45 +103,27 @@ def test_quote_payload():
             equities.parse_quote_payload({"chart": {"result": [{"meta": meta}]}})
 
 
-class FakeHttp:
-    """Records calls and serves responses keyed by URL (then in order)."""
-
-    def __init__(self, responses):
-        self.responses = responses  # url -> list of payloads or callables
-        self.calls = []
-
-    def __call__(self, url, params, headers, timeout):
-        self.calls.append({"url": url, "params": dict(params), "headers": dict(headers),
-                           "timeout": timeout})
-        queue = self.responses[url]
-        answer = queue.pop(0) if len(queue) > 1 else queue[0]
-        if isinstance(answer, Exception):
-            raise answer
-        if callable(answer):
-            return answer(params)
-        return answer
-
-
-def test_fetch_equity_history_window_and_request_shape():
+def test_fetch_equity_history_window_and_request_shape(serve):
     url = equities.CHART_URL.format(symbol="AAPL")
     payload = _chart(
         [_epoch(2025, 3, 2), _epoch(2025, 3, 3), _epoch(2025, 3, 7)],
         closes=[99.0, 100.0, 104.0],
     )
-    http = FakeHttp({url: [payload]})
+    urlopen = serve({url: [payload]})
     policy = FetchPolicy(max_retries=1, timeout=5.0)
-    points = equities.fetch_equity_history("AAPL", D(2025, 3, 3), D(2025, 3, 6), policy, http=http)
+    points = equities.fetch_equity_history("AAPL", D(2025, 3, 3), D(2025, 3, 6), policy)
 
     # provider may hand back more than asked; dates outside [start, end] go
     assert [p.date for p in points] == [D(2025, 3, 3)]
 
-    call = http.calls[0]
-    assert call["params"]["interval"] == "1d"
-    assert call["params"]["period1"] == int(dt.datetime(2025, 3, 3, tzinfo=UTC).timestamp())
+    request, timeout = urlopen.calls[0]
+    params = query(request)
+    assert params["interval"] == "1d"
+    assert params["period1"] == str(int(dt.datetime(2025, 3, 3, tzinfo=UTC).timestamp()))
     # half-open upper bound: midnight after the last requested day
-    assert call["params"]["period2"] == int(dt.datetime(2025, 3, 7, tzinfo=UTC).timestamp())
-    assert call["headers"]["User-Agent"] == policy.user_agent
-    assert call["timeout"] == 5.0
+    assert params["period2"] == str(int(dt.datetime(2025, 3, 7, tzinfo=UTC).timestamp()))
+    assert request.get_header("User-agent") == policy.user_agent
+    assert timeout == 5.0
 
 
 # -- predictions -------------------------------------------------------------
@@ -181,6 +165,21 @@ def test_market_listing_parse_and_dedup():
         predictions.parse_market_listing({"markets": []})
 
 
+def test_a_listing_row_whose_question_slug_or_url_is_not_text_is_skipped(tmp_path):
+    payload = [
+        _listing_row("listed-question", question=["Q"]),
+        _listing_row("numeric-url", url=7),
+        _listing_row(5),
+        _listing_row(None, eventSlug=["e"]),
+        _listing_row("alpha", tokens='["a-yes", "a-no"]'),
+    ]
+    entries = predictions.parse_market_listing(payload)
+    assert [e.slug for e in entries] == ["alpha"]
+    # the catalog the store records from them reads back
+    SnapshotStore(tmp_path).record_markets(entries)
+    assert SnapshotStore(tmp_path).markets() == tuple(entries)
+
+
 def test_price_history_parse_collapses_days_and_normalizes():
     payload = {
         "history": [
@@ -203,20 +202,19 @@ def test_price_history_parse_collapses_days_and_normalizes():
         predictions.parse_price_history({})
 
 
-def test_an_unusable_quote_costs_its_sample_not_the_history():
+def test_an_unusable_quote_costs_its_sample_not_the_history(serve):
     # A resolved losing token's price falls to 0, which no convention
     # fits: the day keeps its last usable sample, or gets no bar.
-    http = FakeHttp({predictions.HISTORY_URL: [{"history": [
+    urlopen = serve({predictions.HISTORY_URL: [{"history": [
         {"t": _epoch(2025, 3, 3), "p": 0.4},
         {"t": _epoch(2025, 3, 4, hour=10), "p": 0.2},
         {"t": _epoch(2025, 3, 4, hour=18), "p": 0},
         {"t": _epoch(2025, 3, 5), "p": 0},
     ]}]})
     policy = FetchPolicy(max_retries=3, backoff_base=0.0, jitter_range=(0.0, 0.0))
-    points = predictions.fetch_prediction_history("m1-no", D(2025, 3, 3), D(2025, 3, 5),
-                                                  policy, http=http)
+    points = predictions.fetch_prediction_history("m1-no", D(2025, 3, 3), D(2025, 3, 5), policy)
     assert [(p.date, p.price) for p in points] == [(D(2025, 3, 3), 0.4), (D(2025, 3, 4), 0.2)]
-    assert len(http.calls) == 1
+    assert len(urlopen.calls) == 1
 
 
 def _history_payload(prices_by_token, token):
@@ -227,7 +225,7 @@ def _history_payload(prices_by_token, token):
     return {"history": samples}
 
 
-def test_discover_markets_filters_flat_and_respects_limit():
+def test_discover_markets_filters_flat_and_respects_limit(serve):
     listing = [
         _listing_row("flat-one", tokens='["f1-yes", "f1-no"]'),
         _listing_row("move-one", tokens='["m1-yes", "m1-no"]'),
@@ -240,24 +238,24 @@ def test_discover_markets_filters_flat_and_respects_limit():
         "m2-yes": [0.10, 0.25], "m2-no": [0.90, 0.75],
         "m3-yes": [0.30, 0.70], "m3-no": [0.70, 0.30],
     }
-    http = FakeHttp({
+    urlopen = serve({
         predictions.MARKETS_URL: [listing],
-        predictions.HISTORY_URL: [lambda params: _history_payload(prices, params["market"])],
+        predictions.HISTORY_URL: [lambda r: _history_payload(prices, query(r)["market"])],
     })
     found = predictions.discover_markets(
-        FetchPolicy(max_retries=1), D(2025, 3, 3), D(2025, 3, 4), limit=2, http=http,
+        FetchPolicy(max_retries=1), D(2025, 3, 3), D(2025, 3, 4), limit=2,
     )
     assert [m.entry.slug for m in found] == ["move-one", "move-two"]
     assert [p.price for p in found[0].yes_history] == [0.40, 0.55]
     assert [p.price for p in found[0].no_history] == [0.60, 0.45]
 
-    listing_call = http.calls[0]
-    assert listing_call["params"]["active"] == "true"
-    assert listing_call["params"]["closed"] == "false"
-    assert listing_call["params"]["limit"] == 6  # over-asks, then filters
+    listing_params = query(urlopen.calls[0][0])
+    assert listing_params["active"] == "true"
+    assert listing_params["closed"] == "false"
+    assert listing_params["limit"] == "6"  # over-asks, then filters
 
     # flat market's no-side never fetched; move-three never reached
-    tokens_fetched = [c["params"]["market"] for c in http.calls[1:]]
+    tokens_fetched = [query(request)["market"] for request, _ in urlopen.calls[1:]]
     assert tokens_fetched == ["f1-yes", "m1-yes", "m1-no", "m2-yes", "m2-no"]
 
 
@@ -316,6 +314,22 @@ def test_rss_parse():
         news.parse_news_rss("<rss><unclosed>", "AAPL", reference)
 
 
+def test_an_rss_item_with_a_bad_link_or_time_costs_only_itself():
+    page = """<rss><channel>
+      <item><title>Good</title><pubDate>Mon, 03 Mar 2025 14:00:00 GMT</pubDate>
+        <link>https://example.com/good?utm_source=rss</link></item>
+      <item><title>Bracket</title><pubDate>Mon, 03 Mar 2025 15:00:00 GMT</pubDate>
+        <link>http://[::1</link></item>
+      <item><title>Far back</title><pubDate>1000000 weeks ago</pubDate></item>
+      <item><title>Huge day</title><pubDate>Mar 99999999999 2025 +14:00 /</pubDate></item>
+      <item><title>Past the last day</title><pubDate>9999-12-31T23:59:59-14:00</pubDate></item>
+    </channel></rss>"""
+    items = news.parse_news_rss(page, "AAPL", dt.datetime(2025, 3, 5, tzinfo=UTC))
+    assert [(i.title, i.url) for i in items] == [("Good", "https://example.com/good"),
+                                                 ("Bracket", "http://[::1")]
+    assert news.filter_news_window(items, D(2025, 3, 3), D(2025, 3, 3)) == items
+
+
 def _dated_item(day: int, hour: int = 12) -> NewsItem:
     return NewsItem(
         title=f"day {day}",
@@ -344,26 +358,26 @@ def test_news_ranking():
     assert [i.title for i in tie] == ["day 5", "first", "second", "day 2"]
 
 
-def test_fetch_news_request_and_window():
-    http = FakeHttp({news.RSS_URL: [RSS]})
+def test_fetch_news_request_and_window(serve):
+    urlopen = serve({news.RSS_URL: [RSS]})
     items = news.fetch_news(
         "AAPL", MarketKind.STOCK, D(2025, 3, 1), D(2025, 3, 3),
         FetchPolicy(max_retries=1),
         reference=dt.datetime(2025, 3, 5, tzinfo=UTC),
-        http=http,
     )
     # the Mar 4 item falls outside [Mar 1, Mar 3]
     assert [i.title for i in items] == ["Apple & suppliers rally"]
 
-    q = http.calls[0]["params"]["q"]
+    q = query(urlopen.calls[0][0])["q"]
     # provider treats both date operators as exclusive bounds
     assert q == "AAPL stock news OR Apple after:2025-02-28 before:2025-03-04"
 
 
-def test_default_gets_read_json_or_bytes_and_raise_on_an_error_status(monkeypatch):
-    urlopen = FakeUrlopen((200, '{"ok": 1}'), (200, "<rss/>"), (503, ""))
-    monkeypatch.setattr(policy, "urlopen", urlopen)
-    assert policy.http_get_json("https://j", {"q": "a b"}, {"User-Agent": "ua"}, 5.0) == {"ok": 1}
+def test_default_gets_read_json_or_bytes_and_raise_on_an_error_status(serve):
+    urlopen = serve({"https://j": [(200, '{"ok": 1}')], "https://t": [(200, "<rss/>")],
+                     "https://down": [(503, "")]})
+    quick = FetchPolicy(max_retries=1, timeout=5.0, user_agent="ua")
+    assert policy.get(quick, "https://j", {"q": "a b"}, json.loads) == {"ok": 1}
     assert policy.http_get("https://t", {"q": "b"}, {}, 6.0) == b"<rss/>"
     with pytest.raises(HTTPError, match="503"):
         policy.http_get("https://down", {"q": "c"}, {}, 7.0)
@@ -373,19 +387,20 @@ def test_default_gets_read_json_or_bytes_and_raise_on_an_error_status(monkeypatc
                     ("https://down?q=c", "GET", None, 7.0)]
 
 
-def test_fetch_news_reads_the_feed_in_its_declared_encoding(monkeypatch):
+def test_fetch_news_reads_the_feed_in_its_declared_encoding(serve):
     feed = ('<?xml version="1.0" encoding="ISO-8859-1"?><rss><channel><item>'
             "<title>Caf\u00e9 chain rallies</title><pubDate>Tue, 04 Mar 2025 10:00:00 GMT</pubDate>"
             "<link>https://x.example/a</link></item></channel></rss>").encode("latin-1")
-    monkeypatch.setattr(policy, "urlopen", FakeUrlopen(FakeReply(200, feed)))
+    serve({news.RSS_URL: [FakeReply(200, feed)]})
     items = news.fetch_news("AAPL", MarketKind.STOCK, D(2025, 3, 3), D(2025, 3, 5),
                             FetchPolicy(max_retries=1))
     assert [i.title for i in items] == ["Caf\u00e9 chain rallies"]
 
 
-def test_each_provider_sends_the_url_it_always_sent(monkeypatch):
-    urlopen = FakeUrlopen(*[URLError("offline")] * 10)
-    monkeypatch.setattr(policy, "urlopen", urlopen)
+def test_each_provider_sends_the_url_it_always_sent(serve):
+    urlopen = serve({url: [URLError("offline")] for url in (
+        equities.CHART_URL.format(symbol="AAPL"), predictions.MARKETS_URL,
+        predictions.HISTORY_URL, news.RSS_URL)})
     quick = FetchPolicy(max_retries=1, backoff_base=0.0, jitter_range=(0.0, 0.0))
     start, end = D(2025, 3, 3), D(2025, 3, 7)
     for fetch in (
@@ -412,7 +427,7 @@ def test_each_provider_sends_the_url_it_always_sent(monkeypatch):
         "+after%3A2025-03-02+before%3A2025-03-06&hl=en-US&gl=US&ceid=US%3Aen",
     ]
     assert {r.get_header("User-agent") for r, _ in urlopen.calls} == {quick.user_agent}
-    assert not urlopen.replies
+    assert len(urlopen.calls) == 10
 
 
 # -- retry policy ------------------------------------------------------------
@@ -479,30 +494,28 @@ _MOVING = {"history": [{"t": _epoch(2025, 3, 3), "p": 0.4}, {"t": _epoch(2025, 3
 @pytest.mark.parametrize("url, bad, good, fetch", [
     (equities.CHART_URL.format(symbol="AAPL"), {"chart": {"result": [], "error": None}},
      _chart([_epoch(2025, 3, 3)], closes=[100.0]),
-     lambda policy, http: equities.fetch_equity_history("AAPL", D(2025, 3, 3), D(2025, 3, 3),
-                                                        policy, http=http)),
+     lambda policy: equities.fetch_equity_history("AAPL", D(2025, 3, 3), D(2025, 3, 3), policy)),
     (equities.CHART_URL.format(symbol="AAPL"), {},
      {"chart": {"result": [{"meta": {"regularMarketPrice": 241.84,
                                      "regularMarketTime": _epoch(2025, 3, 3)}}]}},
-     lambda policy, http: equities.fetch_equity_quote("AAPL", policy, http=http)),
+     lambda policy: equities.fetch_equity_quote("AAPL", policy)),
     (predictions.HISTORY_URL, {"history": "none"}, _MOVING,
-     lambda policy, http: predictions.fetch_prediction_history(
-         "m1-yes", D(2025, 3, 3), D(2025, 3, 4), policy, http=http)),
+     lambda policy: predictions.fetch_prediction_history(
+         "m1-yes", D(2025, 3, 3), D(2025, 3, 4), policy)),
     (predictions.MARKETS_URL, {"markets": []}, [_listing_row("move-one", tokens='["m1-yes", "m1-no"]')],
-     lambda policy, http: predictions.discover_markets(policy, D(2025, 3, 3), D(2025, 3, 4),
-                                                       http=http)),
+     lambda policy: predictions.discover_markets(policy, D(2025, 3, 3), D(2025, 3, 4))),
     (news.RSS_URL, "<rss><unclosed>", RSS,
-     lambda policy, http: news.fetch_news("AAPL", MarketKind.STOCK, D(2025, 3, 1), D(2025, 3, 3),
-                                          policy, reference=dt.datetime(2025, 3, 5, tzinfo=UTC),
-                                          http=http)),
+     lambda policy: news.fetch_news("AAPL", MarketKind.STOCK, D(2025, 3, 1), D(2025, 3, 3),
+                                    policy, reference=dt.datetime(2025, 3, 5, tzinfo=UTC))),
 ], ids=["equity-history", "equity-quote", "prediction-history", "discover-markets", "news"])
-def test_a_payload_that_fails_to_parse_is_retried(url, bad, good, fetch):
+def test_a_payload_that_fails_to_parse_is_retried(url, bad, good, fetch, serve):
     policy = FetchPolicy(max_retries=1, backoff_base=0.0, jitter_range=(0.0, 0.0))
     histories = {predictions.HISTORY_URL: [_MOVING]} if url == predictions.MARKETS_URL else {}
-    flaky = FakeHttp({**histories, url: [bad, good]})
-    got = fetch(policy, flaky)
-    assert got and got == fetch(policy, FakeHttp({**histories, url: [good]}))
-    assert [call["url"] for call in flaky.calls].count(url) == 2
+    flaky = serve({**histories, url: [bad, good]})
+    got = fetch(policy)
+    serve({**histories, url: [good]})
+    assert got and got == fetch(policy)
+    assert [r.full_url.partition("?")[0] for r, _ in flaky.calls].count(url) == 2
 
 
 # -- feeds -------------------------------------------------------------------

@@ -1,8 +1,12 @@
 import datetime as dt
 import time
+from zoneinfo import ZoneInfo
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from tradefolio.domain import PUBLISHED_AT_RANGE
 from tradefolio.errors import NormalizationError
 from tradefolio.ingestion.normalize import (
     clean_link,
@@ -79,6 +83,37 @@ class TestTimestampParsing:
     def test_unparseable_returns_none(self, bad):
         assert parse_news_timestamp(bad, REF) is None
 
+    @given(
+        text=st.one_of(
+            st.text(),
+            st.from_regex(r"\A\d{1,20} (second|minute|hour|day|week)s? ago\Z"),
+            st.from_regex(r"\A(Mon, )?\d{1,12} [A-Z][a-z]{2} \d{1,12}( \d\d:\d\d(:\d\d)?)?"
+                          r"( [+-]\d{4}| GMT)?( /)?\Z"),
+            st.builds(dt.datetime.isoformat, st.datetimes(timezones=st.builds(
+                dt.timezone, st.timedeltas(min_value=dt.timedelta(hours=-23, minutes=-59),
+                                           max_value=dt.timedelta(hours=23, minutes=59))))),
+        ),
+        reference=st.datetimes(timezones=st.just(dt.timezone.utc)),
+    )
+    @example("1000000 weeks ago", REF)
+    @example("Mar 99999999999 2025 +14:00 /", REF)
+    @example("9999-12-31T23:59:59-14:00", REF)
+    @example("0001-01-01T00:00:00+14:00", REF)
+    @example("9" * 5000 + " days ago", REF)
+    def test_never_raises_and_every_zone_can_show_the_date(self, text, reference):
+        seconds = parse_news_timestamp(text, reference)
+        assert seconds is None or seconds in PUBLISHED_AT_RANGE
+        if seconds is not None:
+            for tz in (dt.timezone.utc, ZoneInfo("America/New_York"),
+                       dt.timezone(dt.timedelta(hours=23, minutes=59)),
+                       dt.timezone(dt.timedelta(hours=-23, minutes=-59))):
+                dt.datetime.fromtimestamp(seconds, tz).date()
+
+    @pytest.mark.parametrize("text", ["1000000 weeks ago", "Mar 99999999999 2025 +14:00 /",
+                                      "9999-12-31T23:59:59-14:00", "0001-01-01T00:00:00+14:00"])
+    def test_a_time_outside_the_range_is_none(self, text):
+        assert parse_news_timestamp(text, REF) is None
+
 
 class TestLinkCleaning:
     def test_unwraps_google_redirect(self):
@@ -101,3 +136,14 @@ class TestLinkCleaning:
     def test_plain_urls_untouched(self):
         assert clean_link("https://example.com/a/b") == "https://example.com/a/b"
         assert clean_link("") == ""
+
+    def test_a_url_it_cannot_parse_is_returned_unchanged(self):
+        assert clean_link("http://[::1") == "http://[::1"
+        assert clean_link("https://news.google.com/x?url=http%3A%2F%2F%5B%3A%3A1") == "http://[::1"
+
+    @given(st.one_of(st.text(), st.builds("{}://{}/{}?{}".format, st.sampled_from(["http", "https"]),
+                                          st.text(), st.text(), st.text())))
+    @example("http://[::1")
+    @example("https://www.google.com/url?q=https://[x&utm_source=a")
+    def test_never_raises(self, url):
+        assert isinstance(clean_link(url), str)

@@ -234,6 +234,8 @@ def _news_row(**change):
     _news_row(snippet=None),
     _news_row(source=["w"]),
     _news_row(url={"u": 1}),
+    _news_row(published_at=-10**12),
+    _news_row(published_at=10**15),
 ])
 def test_bad_news_value_loads_then_fails_at_its_first_read(tmp_path, bad):
     good = json.dumps({"date": "2025-03-05", "items": []})
