@@ -15,7 +15,7 @@ from zoneinfo import ZoneInfo
 
 from ..domain import PricePoint
 from ..errors import ProviderError
-from .policy import FetchPolicy, get, utc_midnight
+from .policy import FetchPolicy, epoch_date, get, utc_midnight
 
 __all__ = [
     "CHART_URL",
@@ -48,7 +48,8 @@ def parse_chart_payload(payload: Any) -> list[PricePoint]:
     """Bars from one chart response, oldest first.
 
     Prefers adjusted closes, falls back to raw closes, and drops bars
-    with no finite positive price. Timestamps become exchange-local dates.
+    with no finite positive price or no usable timestamp (see
+    ``epoch_date``). Timestamps become exchange-local dates.
     """
     result = _chart_result(payload)
     timestamps = result.get("timestamp") or []
@@ -63,9 +64,9 @@ def parse_chart_payload(payload: Any) -> list[PricePoint]:
     points = []
     for ts, close, adj, volume in zip(timestamps, closes, adjusted, volumes):
         price = adj if adj is not None else close
-        if price is None or not 0 < price < math.inf:
+        date = epoch_date(ts, _EXCHANGE_TZ)
+        if price is None or not 0 < price < math.inf or date is None:
             continue
-        date = dt.datetime.fromtimestamp(ts, _EXCHANGE_TZ).date()
         points.append(PricePoint(date, float(price), None if volume is None else float(volume)))
     points.sort(key=lambda p: p.date)
     return points
@@ -76,10 +77,10 @@ def parse_quote_payload(payload: Any) -> PricePoint:
     result = _chart_result(payload)
     meta = result.get("meta") or {}
     price = meta.get("regularMarketPrice")
-    moment = meta.get("regularMarketTime")
-    if price is None or moment is None or not 0 < price < math.inf:
+    date = epoch_date(meta.get("regularMarketTime"), _EXCHANGE_TZ)
+    if price is None or date is None or not 0 < price < math.inf:
         raise ProviderError("quote payload lacks a usable market price")
-    return PricePoint(dt.datetime.fromtimestamp(moment, _EXCHANGE_TZ).date(), float(price), None)
+    return PricePoint(date, float(price), None)
 
 
 def fetch_equity_history(ticker: str, start: dt.date, end: dt.date,

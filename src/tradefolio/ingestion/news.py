@@ -5,7 +5,6 @@ from __future__ import annotations
 import datetime as dt
 import html
 import re
-import xml.etree.ElementTree as ET
 from typing import Iterable
 
 from ..domain import MarketKind, NewsItem
@@ -79,6 +78,8 @@ def parse_news_rss(xml_text: str | bytes, tag: str, reference: dt.datetime) -> l
     ``reference``; items whose time cannot be parsed are dropped, and
     links are unwrapped from redirectors.
     """
+    import xml.etree.ElementTree as ET  # here, so that a replay run never loads it
+
     try:
         root = ET.fromstring(xml_text)
     except ET.ParseError as exc:

@@ -9,7 +9,6 @@ links.
 from __future__ import annotations
 
 import datetime as dt
-import email.utils
 import re
 from urllib.parse import parse_qs, urlencode, urlparse, urlunparse
 
@@ -84,6 +83,8 @@ def _moment(text: str, reference: dt.datetime) -> dt.datetime | None:
         return reference - dt.timedelta(seconds=amount * _RELATIVE_SECONDS[unit])
     if text.lower() == "yesterday":
         return reference - dt.timedelta(days=1)
+    import email.utils  # here, so that a replay run never loads it
+
     try:
         return email.utils.parsedate_to_datetime(text)
     except (TypeError, ValueError):

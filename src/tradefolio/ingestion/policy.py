@@ -17,8 +17,8 @@ from urllib.parse import urlencode
 
 from ..errors import ProviderError
 
-__all__ = ["FetchPolicy", "backoff_delay", "fetch_with_policy", "get", "http_get",
-           "utc_midnight"]
+__all__ = ["FetchPolicy", "backoff_delay", "epoch_date", "fetch_with_policy", "get",
+           "http_get", "utc_midnight"]
 
 T = TypeVar("T")
 
@@ -85,16 +85,15 @@ def fetch_with_policy(
     """
     rng = rng or random.Random()
     attempts = policy.max_retries + 1
-    for attempt in range(1, attempts + 1):
+    for attempt in range(1, attempts):
         try:
             return request()
-        except Exception as exc:
-            if attempt == attempts:
-                raise ProviderError(
-                    f"request failed after {attempts} attempts: {exc}"
-                ) from exc
+        except Exception:
             sleep(backoff_delay(policy, attempt, rng))
-    raise AssertionError("unreachable")
+    try:
+        return request()
+    except Exception as exc:
+        raise ProviderError(f"request failed after {attempts} attempts: {exc}") from exc
 
 
 def get(policy: FetchPolicy, url: str, params: dict[str, Any], parse: Callable[[bytes], T]) -> T:
@@ -109,3 +108,13 @@ def get(policy: FetchPolicy, url: str, params: dict[str, Any], parse: Callable[[
 def utc_midnight(date: dt.date) -> int:
     """Epoch seconds at the start of ``date`` in UTC."""
     return int(dt.datetime.combine(date, dt.time(), tzinfo=dt.timezone.utc).timestamp())
+
+
+def epoch_date(seconds: Any, tz: dt.tzinfo) -> dt.date | None:
+    """The date in ``tz`` at the whole ``seconds`` since the epoch; None,
+    so that its sample is skipped, for a time that is not a number or
+    that no datetime holds."""
+    try:
+        return dt.datetime.fromtimestamp(int(seconds), tz).date()
+    except (OverflowError, TypeError, ValueError):
+        return None

@@ -17,7 +17,7 @@ from typing import Any
 from ..domain import PricePoint
 from ..errors import NormalizationError, ProviderError
 from .normalize import normalize_prediction_quote
-from .policy import FetchPolicy, get, utc_midnight
+from .policy import FetchPolicy, epoch_date, get, utc_midnight
 from .snapshots import MarketCatalogEntry
 
 __all__ = [
@@ -105,9 +105,10 @@ def parse_price_history(payload: Any) -> list[PricePoint]:
     """Normalized daily closes from one token's history payload.
 
     Multiple samples on one UTC day collapse to the last usable one. A
-    sample whose quote fits no convention (a resolved loser's 0, say) is
-    a fact of the data, not a failed request, so it is skipped; a day
-    left with no usable sample gets no bar.
+    sample whose quote fits no convention (a resolved loser's 0, say), or
+    whose time no datetime holds, is a fact of the data, not a failed
+    request, so it is skipped; a day left with no usable sample gets no
+    bar.
     """
     try:
         history = payload["history"]
@@ -119,7 +120,9 @@ def parse_price_history(payload: Any) -> list[PricePoint]:
     for sample in history:
         if not isinstance(sample, dict) or "t" not in sample or "p" not in sample:
             raise ProviderError(f"malformed history sample: {sample!r}")
-        date = dt.datetime.fromtimestamp(int(sample["t"]), dt.timezone.utc).date()
+        date = epoch_date(sample["t"], dt.timezone.utc)
+        if date is None:
+            continue
         try:
             by_date[date] = normalize_prediction_quote(sample["p"])
         except NormalizationError:

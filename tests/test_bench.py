@@ -1,12 +1,14 @@
-"""``scripts/bench.py pairs`` against a stub perfbench in a throwaway git
-repository, and ``scripts/cold_resume.py`` against this checkout's own
-sources."""
+"""``scripts/bench.py`` in throwaway git repositories: ``pairs`` against a
+stub perfbench, and ``cold`` against copies of this checkout's sources and
+stock fixture."""
 
+import importlib.util
 import json
 import shutil
 import subprocess
 import sys
 
+import pytest
 from conftest import REPO
 
 STUB = '''\
@@ -92,11 +94,83 @@ def test_pairs_alternate_sides_and_write_the_claim(tmp_path, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["order.log", "repo"]
 
 
-def test_cold_resume_alternates_two_trees_and_checks_every_resumed_log():
-    done = subprocess.run([sys.executable, "scripts/cold_resume.py", "src", "--pairs", "2"],
-                          cwd=REPO, capture_output=True, text=True, timeout=120)
+def _cold_repo(tmp_path, monkeypatch):
+    """A git repository holding this checkout's ``bench.py``, sources and
+    stock fixture, committed, with temporary files kept under ``tmp_path``."""
+    repo = tmp_path / "repo"
+    shutil.copytree(REPO / "src", repo / "src",
+                    ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    shutil.copytree(REPO / "fixtures" / "stock-50d", repo / "fixtures" / "stock-50d")
+    shutil.copy(REPO / "fixtures" / "stock-replay.yaml", repo / "fixtures")
+    (repo / "scripts").mkdir()
+    shutil.copy(REPO / "scripts" / "bench.py", repo / "scripts" / "bench.py")
+    _git(repo, "init", "-q")
+    _git(repo, "add", "-A")
+    _git(repo, "commit", "-q", "-m", "base")
+    monkeypatch.setenv("TMPDIR", str(tmp_path))
+    return repo
+
+
+def _cold(repo):
+    return subprocess.run([sys.executable, "scripts/bench.py", "cold", "--base", "HEAD",
+                           "--pairs", "2", "--label", "t"],
+                          cwd=repo, capture_output=True, text=True, timeout=120)
+
+
+def test_cold_resume_alternates_two_trees_and_checks_every_resumed_log(tmp_path, monkeypatch):
+    repo = _cold_repo(tmp_path, monkeypatch)
+    done = _cold(repo)
     assert done.returncode == 0, done.stdout + done.stderr
-    base, change, ratio = done.stdout.splitlines()
-    assert base.startswith("base: median ") and len(base.split("raw ")[1].split()) == 2
-    assert change.startswith("change: median ") and len(change.split("raw ")[1].split()) == 2
-    assert ratio.startswith("change/base: median ") and ratio.endswith(" of 2 pairs")
+    assert done.stderr.splitlines() == [f"bench: cold resume pair {pair}/2 {side}" for pair, side in
+                                        [(1, "base"), (1, "change"), (2, "change"), (2, "base")]]
+    claim = json.loads((repo / "BENCH_t.json").read_text())
+    head = _git(repo, "rev-parse", "HEAD").strip()
+    assert claim["base"] == {"rev": head}
+    assert claim["change"] == {"rev": head, "dirty": False}
+    assert (claim["label"], claim["pairs"], claim["logs_match"]) == ("t", 2, True)
+    assert set(claim["stamps"]) == {"python", "nproc"}
+    resume = claim["metrics"]["cold_resume_s"]
+    for side in ("base", "change"):
+        spread = resume[side]
+        assert len(spread["values"]) == 2 and all(v > 0 for v in spread["values"])
+        assert spread["q1"] <= spread["median"] <= spread["q3"]
+    assert resume["ratio"] == resume["change"]["median"] / resume["base"]["median"]
+    assert resume["pairs"] == 2 and 0 <= resume["wins"] <= 2
+    # the base checkout and every log are gone again
+    assert _git(repo, "worktree", "list", "--porcelain").count("worktree ") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["repo"]
+
+
+def test_cold_refuses_trees_that_write_different_logs(tmp_path, monkeypatch):
+    repo = _cold_repo(tmp_path, monkeypatch)
+    baselines = repo / "src" / "tradefolio" / "agents" / "baselines.py"
+    text = baselines.read_text(encoding="utf-8")
+    changed = text.replace('"equal weight across all assets"', '"one over n"')
+    assert changed != text
+    baselines.write_text(changed, encoding="utf-8")
+    done = _cold(repo)
+    assert done.returncode == 1
+    assert "the base and the working tree write different logs" in done.stderr
+    assert not (repo / "BENCH_t.json").exists()
+    assert _git(repo, "worktree", "list", "--porcelain").count("worktree ") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["repo"]
+
+
+def test_a_timed_resume_must_rewrite_each_log_to_its_uninterrupted_bytes(tmp_path):
+    spec = importlib.util.spec_from_file_location("bench", REPO / "scripts" / "bench.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    config = tmp_path / "stock.yaml"
+    text = (REPO / "fixtures" / "stock-replay.yaml").read_text(encoding="utf-8")
+    text = text.replace("store: stock-50d", f"store: {REPO / 'fixtures' / 'stock-50d'}")
+    config.write_text(text.replace("out_dir: ../runs/stock-demo", f"out_dir: {tmp_path / 'runs'}"),
+                      encoding="utf-8")
+    bench.time_daily_run(REPO / "src", config, {})
+    logs = {p: p.read_bytes() for p in sorted((tmp_path / "runs").glob("*.jsonl"))}
+    assert len(logs) == 3
+    assert bench.time_daily_run(REPO / "src", config, logs) > 0
+
+    tampered = next(iter(logs))
+    logs[tampered] = logs[tampered][:-1] + b" \n"  # a last record the run never wrote
+    with pytest.raises(SystemExit, match="a resumed log differs from the uninterrupted one"):
+        bench.time_daily_run(REPO / "src", config, logs)

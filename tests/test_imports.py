@@ -4,8 +4,9 @@ Names are imported from the modules that define them; the package
 ``__init__`` files export nothing, so importing one module loads only
 what that module needs. The package talks to providers through the
 standard library's ``urllib.request``, imported at the first request,
-and a replay ``run`` loads neither numpy nor any HTTP or TLS module: a
-daily run from cron pays for neither.
+and a replay ``run`` loads neither numpy, nor any HTTP or TLS module,
+nor the XML and email parsers that read fetched news: a daily run from
+cron pays for none of them.
 """
 
 import os
@@ -18,8 +19,9 @@ import tradefolio
 SRC = Path(tradefolio.__file__).resolve().parent.parent
 FIXTURES = SRC.parent / "fixtures"
 
-# What a replay run never uses: report's numpy and every HTTP and TLS module
-_UNUSED = {"numpy", "requests", "urllib.request", "http.client", "ssl"}
+# What a replay run never uses: report's numpy, every HTTP and TLS module,
+# and the parsers of fetched news: RSS's XML and RFC 2822's dates
+_UNUSED = {"numpy", "requests", "urllib.request", "http.client", "ssl", "email", "xml.etree"}
 
 _EACH_MODULE = """
 import importlib, sys

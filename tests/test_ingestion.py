@@ -217,6 +217,27 @@ def test_an_unusable_quote_costs_its_sample_not_the_history(serve):
     assert len(urlopen.calls) == 1
 
 
+@pytest.mark.parametrize("bad", [10**13, -10**12, math.inf, math.nan, None],
+                         ids=["year-318857", "year-minus-29719", "inf", "nan", "null"])
+def test_a_sample_time_no_date_holds_costs_its_sample_not_the_series(bad, serve):
+    good = _epoch(2025, 3, 3)
+    chart_url = equities.CHART_URL.format(symbol="AAPL")
+    urlopen = serve({
+        predictions.HISTORY_URL: [{"history": [{"t": bad, "p": 0.5}, {"t": good, "p": 0.4}]}],
+        chart_url: [_chart([bad, good], closes=[100.0, 101.0])],
+    })
+    policy = FetchPolicy(max_retries=3, backoff_base=0.0, jitter_range=(0.0, 0.0))
+    history = predictions.fetch_prediction_history("m1-yes", D(2025, 3, 3), D(2025, 3, 3), policy)
+    assert [(p.date, p.price) for p in history] == [(D(2025, 3, 3), 0.4)]
+    bars = equities.fetch_equity_history("AAPL", D(2025, 3, 3), D(2025, 3, 3), policy)
+    assert [(p.date, p.price) for p in bars] == [(D(2025, 3, 3), 101.0)]
+    assert len(urlopen.calls) == 2  # neither payload was retried
+
+    meta = {"regularMarketPrice": 100.0, "regularMarketTime": bad}
+    with pytest.raises(ProviderError, match="lacks a usable market price"):
+        equities.parse_quote_payload({"chart": {"result": [{"meta": meta}]}})
+
+
 def _history_payload(prices_by_token, token):
     samples = [
         {"t": _epoch(2025, 3, 3 + i), "p": price}

@@ -111,6 +111,37 @@ def test_writer_refuses_foreign_log(tmp_path, stock_world):
     SessionLogWriter(tmp_path / "run.jsonl", header)
 
 
+def test_a_writer_over_another_runs_log_names_each_difference_and_closes_its_handle(
+        tmp_path, stock_world, monkeypatch):
+    spec, feed, dates = stock_world
+    path = tmp_path / "run.jsonl"
+    _run_logged(path, spec, feed, dates[:4], scripted_agent(_varied_responses(3)))
+    logged = path.read_bytes()
+    opened = []
+
+    def recording_open(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(sessionlog, "open", recording_open, raising=False)
+    other = SessionLogHeader.for_run(spec, "test/other", 2000.0)
+    with pytest.raises(ConfigError, match=re.escape(
+            f"{path} belongs to a different run: "
+            "model 'test/scripted' in the log, 'test/other' in the config; "
+            "initial_capital 1000.0 in the log, 2000.0 in the config")) as refused:
+        SessionLogWriter(path, other)
+    assert path.read_bytes() == logged
+    # closed at once, while the traceback still holds the half-made writer
+    assert refused.tb is not None and len(opened) == 1 and opened[0].closed
+
+
+def test_lock_log_never_returns_none_for_a_log_it_was_to_make(tmp_path, monkeypatch):
+    # out_dir removed by another process between its mkdir and the open
+    monkeypatch.setattr(Path, "mkdir", lambda self, **kwargs: None)
+    with pytest.raises(FileNotFoundError):
+        sessionlog.lock_log(tmp_path / "gone" / "run.jsonl", create=True)
+
+
 def test_writer_checks_only_the_header(tmp_path):
     spec = MarketSpec.stock(("AAPL", "MSFT", "NVDA"))
     header = SessionLogHeader.for_run(spec, "test/scripted", 1000.0)
