@@ -24,7 +24,7 @@ import numpy as np
 from .domain import Holdings, PriceVector
 from .errors import MetricsError
 
-__all__ = ["MetricsReport", "rolling_k_delta"]
+__all__ = ["MetricsReport", "lag_deltas", "rolling_k_delta"]
 
 
 @dataclass(frozen=True)
@@ -84,38 +84,69 @@ def _history_matrices(
     return assets, q, p
 
 
+def lag_deltas(q: np.ndarray, p: np.ndarray, lags: Sequence[int]) -> dict[int, float]:
+    """Compounded cost (or gain) of acting k steps late, for each lag k.
+
+    Row t of ``q`` is the book held at the t-th session date and row t
+    of ``p`` the prices there, one column per asset. Replaying the
+    session with every position lagged by k steps, the return earned
+    over step t -> t+1 becomes the one the book held at t-k would have
+    earned. Both the lagged and the unlagged variants are compounded
+    over the same window t in [k, T-k-1] (T = number of steps), and the
+    delta is lagged minus unlagged; k = 0 is identically zero.
+
+    Every lag is checked first, in the order given: a negative one
+    raises ``ValueError``, one whose window would be empty
+    ``MetricsError``. Then each lag's lagged returns are compounded,
+    then its unlagged ones, which all lags share and which are computed
+    when first needed; a position worth nothing at a step of the window
+    raises ``MetricsError`` naming the first such step in that order.
+    """
+    steps = len(q) - 1
+    for k in lags:
+        if k < 0:
+            raise ValueError(f"lag must be non-negative, got {k}")
+        if 2 * k + 1 > steps:
+            raise MetricsError(f"lag {k} leaves no window in {steps} steps")
+    # row t of the differences is p[t + 1] - p[t], the same floats
+    books, prices, moves = list(q), list(p), list(np.diff(p, axis=0))
+
+    def step_return(held: np.ndarray, t: int) -> float:
+        base = float(held @ prices[t])
+        if base == 0.0:
+            raise MetricsError(f"zero-value position at step {t}")
+        return float(held @ moves[t]) / base
+
+    unlagged: list[float | None] = [None] * steps
+    deltas: dict[int, float] = {}
+    for k in lags:
+        lagged = growth = 1.0
+        for t in range(k, steps - k):
+            lagged *= 1.0 + step_return(books[t - k], t)
+        for t in range(k, steps - k):
+            r = unlagged[t]
+            if r is None:
+                r = unlagged[t] = step_return(books[t], t)
+            growth *= 1.0 + r
+        deltas[k] = (lagged - 1.0) - (growth - 1.0)
+    return deltas
+
+
 def rolling_k_delta(
     holdings_history: Sequence[Holdings],
     prices_history: Sequence[PriceVector],
     k: int,
 ) -> float:
-    """Compounded cost (or gain) of acting k steps late.
-
-    Replays the session with every position lagged by k steps: the
-    return earned over step t -> t+1 becomes the one the portfolio held
-    at t-k would have earned. Both the lagged and the unlagged variants
-    are compounded over the same window t in [k, T-k-1] (T = number of
-    steps), and the delta is lagged minus unlagged. k = 0 is identically
-    zero. A window that would be empty, histories that disagree in
-    length or asset keys, and a position worth nothing at a step of the
-    window raise ``MetricsError``.
+    """Compounded cost (or gain) of acting k steps late, as ``lag_deltas``
+    computes it, over aligned histories of books and price vectors. A
+    negative lag raises ``ValueError``; histories that disagree in length
+    or asset keys raise ``MetricsError``, as do the faults ``lag_deltas``
+    names. ``delta`` does not call this: it reads each log into arrays
+    and calls ``lag_deltas`` once for all lags. Acceptance check 5 and
+    perfbench's ``metrics.rolling_k_delta_ms`` call it on the lists that
+    ``position_histories`` gives.
     """
     if k < 0:
         raise ValueError(f"lag must be non-negative, got {k}")
     _, q, p = _history_matrices(holdings_history, prices_history)
-    steps = len(q) - 1
-    if 2 * k + 1 > steps:
-        raise MetricsError(f"lag {k} leaves no window in {steps} steps")
-
-    def compounded(lag: int) -> float:
-        growth = 1.0
-        for t in range(k, steps - k):
-            held = q[t - lag]
-            base = float(held @ p[t])
-            if base == 0.0:
-                raise MetricsError(f"zero-value position at step {t}")
-            step_return = float(held @ (p[t + 1] - p[t])) / base
-            growth *= 1.0 + step_return
-        return growth - 1.0
-
-    return compounded(k) - compounded(0)
+    return lag_deltas(q, p, [k])[k]

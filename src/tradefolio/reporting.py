@@ -16,8 +16,8 @@ import numpy as np
 
 from .environment import SessionRecord
 from .errors import CorruptLog, MetricsError
-from .metrics import MetricsReport, rolling_k_delta
-from .sessionlog import SessionLogHeader, position_histories, read_session_log
+from .metrics import MetricsReport, lag_deltas
+from .sessionlog import SessionLogHeader, read_session_log
 
 __all__ = [
     "ReportRow",
@@ -161,16 +161,32 @@ class DeltaTable:
     band_high: dict[int, float]  # 75th percentile
 
 
+def _position_arrays(header: SessionLogHeader, records: Sequence[SessionRecord]
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """The units and price matrices ``lag_deltas`` reads: the all-cash
+    starting book at the first record's prices, then each record's
+    book at its execution prices, one column per asset in the order of
+    the first record's prices. Decoding proved that every map names
+    exactly the header's assets, so no key is checked here."""
+    records = list(records)
+    assets = list(records[0].prices)
+    start = [header.initial_capital if a == header.cash else 0.0 for a in assets]
+    q = np.array([start] + [[r.holdings_after[a] for a in assets] for r in records])
+    p = np.array([[records[0].prices[a] for a in assets]]
+                 + [[r.prices_after[a] for a in assets] for r in records])
+    return q, p
+
+
 def build_delta_table(paths: Sequence[str | Path], lags: Sequence[int]) -> DeltaTable:
     """Lagged-execution deltas per session log plus the cross-model
-    spread per lag."""
+    spread per lag, each log read once into arrays that serve every
+    lag."""
     lags = tuple(lags)
     cells: dict[str, dict[int, float]] = {}
     models = []
     for path in paths:
         with _scored(Path(path)) as (header, records):
-            holdings, prices = position_histories(header, records)
-            row = {k: rolling_k_delta(holdings, prices, k) for k in lags}
+            row = lag_deltas(*_position_arrays(header, records), lags)
         model = header.model
         suffix = 2
         while model in cells:

@@ -326,11 +326,14 @@ def effective_allocations(header: SessionLogHeader,
 def position_histories(
     header: SessionLogHeader, records: list[SessionRecord]
 ) -> tuple[list[Holdings], list[PriceVector]]:
-    """Aligned holdings and price vectors for lag analysis.
+    """Aligned holdings and price vectors for ``rolling_k_delta``.
 
     Element i holds the book and prices at the i-th session date: the
     starting all-cash book at the first decision date's prices, then
-    each executed step at its execution prices.
+    each executed step at its execution prices. ``delta`` builds the
+    same rows as arrays straight from the records (see
+    ``reporting.build_delta_table``); acceptance check 5 and perfbench's
+    ``metrics.rolling_k_delta_ms`` still build these objects.
     """
     if not records:
         raise CorruptLog("log has no records")

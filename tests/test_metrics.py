@@ -2,11 +2,14 @@ import datetime as dt
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tradefolio.domain import Holdings, PriceVector
 from tradefolio.errors import MetricsError
-from tradefolio.metrics import MetricsReport, rolling_k_delta
+from tradefolio.metrics import MetricsReport, lag_deltas, rolling_k_delta
 
 
 # Brute-force re-implementations used as oracles. Written as plainly as
@@ -251,3 +254,55 @@ class TestRollingKDelta:
                 expected = (oracle_lagged_growth(units, prices, k, k)
                             - oracle_lagged_growth(units, prices, k, 0))
                 assert rolling_k_delta(holdings, vectors, k) == pytest.approx(expected, abs=1e-9)
+
+
+_price = st.floats(0.01, 500.0) | st.integers(1, 50)
+_units = st.floats(0.0, 100.0) | st.just(0.0)
+
+
+@st.composite
+def _histories(draw):
+    """Aligned books and prices over two or three assets, as dicts; a
+    book may be worth nothing."""
+    assets = draw(st.sampled_from([("X", "CASH"), ("X", "Y", "CASH")]))
+    n = draw(st.integers(1, 10))
+    worthless = {a: 0.0 for a in assets}
+    books = draw(st.lists(st.just(worthless) | st.fixed_dictionaries({a: _units for a in assets}),
+                          min_size=n, max_size=n))
+    prices = draw(st.lists(st.fixed_dictionaries({a: _price for a in assets}),
+                           min_size=n, max_size=n))
+    return books, prices
+
+
+def _outcome(fn):
+    """What ``fn`` returns, or the class and message of what it raised."""
+    try:
+        return fn()
+    except (ValueError, MetricsError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(histories=_histories(), lags=st.lists(st.integers(-1, 6), unique=True, max_size=5))
+def test_lag_deltas_equal_rolling_k_delta_lag_by_lag(histories, lags):
+    """The engine's delta for each lag is ``rolling_k_delta``'s exactly,
+    and where one raises the other raises the same message: a bad lag's
+    first, in the order given, else the first lag's that fails."""
+    books, prices = histories
+    assets = list(prices[0])  # the column order ``rolling_k_delta`` sums in
+    holdings = [Holdings(b) for b in books]
+    vectors = [PriceVector(dt.date(2025, 1, 1) + dt.timedelta(days=i), p)
+               for i, p in enumerate(prices)]
+    q = np.array([[b[a] for a in assets] for b in books])
+    p = np.array([[row[a] for a in assets] for row in prices])
+    singles = {k: _outcome(lambda k=k: rolling_k_delta(holdings, vectors, k)) for k in lags}
+    for k in lags:
+        assert _outcome(lambda k=k: lag_deltas(q, p, [k])) == (
+            {k: singles[k]} if isinstance(singles[k], float) else singles[k])
+    failures = [singles[k] for k in lags if isinstance(singles[k], tuple)]
+    bad_lags = [f for f in failures if "leaves no window" in f[1] or f[0] is ValueError]
+    expected = (bad_lags or failures)[0] if failures else singles
+    got = _outcome(lambda: lag_deltas(q, p, lags))
+    assert got == expected
+    if not failures:
+        assert list(got) == lags

@@ -89,8 +89,9 @@ class TestExtraction:
         "{a} " * 200,  # more spans before the answer than are parsed
         '{5" screen} ',  # a quote inside a brace span of prose
         '(see {note: 5" wide}) ',
+        '{"a":\n' * 500,  # hundreds of starts that fail to decode
     ], ids=["unclosed-quote", "inch-mark", "pair-then-unclosed", "many-small-spans",
-            "quote-in-brace-span", "quote-in-nested-prose-span"])
+            "quote-in-brace-span", "quote-in-nested-prose-span", "many-failed-starts"])
     def test_answer_after_prose_is_found(self, prose):
         answer = {"reasoning": "r", "allocations": {"CASH": 1}}
         assert extract_json_object(prose + json.dumps(answer, separators=(",", ":"))) == answer

@@ -111,9 +111,9 @@ def test_report_files(tmp_path, logged_runs):
     assert json.loads(json_path.read_text())["sessions"][1]["metrics"]["sharpe"] is None
 
 
-def test_delta_table_against_direct_recompute(logged_runs):
+@pytest.mark.parametrize("lags", [(0, 1, 2), (2, 0, 1)], ids=["ascending", "out-of-order"])
+def test_delta_table_against_direct_recompute(logged_runs, lags):
     spec, dates, paths = logged_runs
-    lags = (0, 1, 2)
     table = build_delta_table(paths, lags)
 
     assert table.lags == lags
@@ -123,6 +123,7 @@ def test_delta_table_against_direct_recompute(logged_runs):
     for path, model in zip(paths, table.models):
         header, records = read_session_log(path)
         holdings, prices = position_histories(header, records)
+        assert tuple(table.cells[model]) == lags
         for k in lags:
             assert table.cells[model][k] == rolling_k_delta(holdings, prices, k)
 
@@ -131,6 +132,7 @@ def test_delta_table_against_direct_recompute(logged_runs):
         assert table.mean[k] == pytest.approx(float(np.mean(column)))
         assert table.band_low[k] == pytest.approx(float(np.percentile(column, 25)))
         assert table.band_high[k] == pytest.approx(float(np.percentile(column, 75)))
+    assert render_delta_table(table).splitlines()[0].split()[1:] == [f"k={k}" for k in lags]
 
     # lag zero is the realized path itself: delta is exactly zero
     for m in table.models:

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 from conftest import scripted_agent
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tradefolio import sessionlog
@@ -22,7 +22,12 @@ from tradefolio.agents.clients import ModelClientConfig, ScriptedClient
 from tradefolio.agents.harness import AgentDecision, LLMAgent
 from tradefolio.cli import main
 from tradefolio.domain import MarketKind, MarketSpec
-from tradefolio.environment import DEFAULT_MEMORY_HORIZON, SessionStatus, run_episode
+from tradefolio.environment import (
+    DEFAULT_MEMORY_HORIZON,
+    DEFAULT_RETRIES,
+    SessionStatus,
+    run_episode,
+)
 from tradefolio.errors import ConfigError, CorruptLog
 from tradefolio.ingestion.feeds import ReplayFeed
 from tradefolio.ingestion.snapshots import SnapshotStore
@@ -61,11 +66,12 @@ def _varied_responses(n):
     return out
 
 
-def _run_logged(path, spec, feed, dates, agent, model="test/scripted", memory_horizon=10):
+def _run_logged(path, spec, feed, dates, agent, model="test/scripted", memory_horizon=10,
+                max_retries=DEFAULT_RETRIES):
     header = SessionLogHeader.for_run(spec, model, 1000.0)
     writer = SessionLogWriter(path, header)
     return run_episode(spec, agent, feed, dates, 1000.0, on_record=writer.append,
-                       memory_horizon=memory_horizon)
+                       memory_horizon=memory_horizon, max_retries=max_retries)
 
 
 # -- reading and writing ------------------------------------------------------
@@ -764,15 +770,22 @@ _response = st.one_of(
 
 @settings(max_examples=40, deadline=None)
 @given(responses=st.lists(_response, min_size=1, max_size=30), cut=st.integers(1, 7),
-       horizon=st.integers(1, 10))
-def test_resume_point_equals_live_state_at_every_cut(shared_world, responses, cut, horizon):
+       horizon=st.integers(1, 10), retries=st.integers(0, 2))
+# The window of one record opens on a failed step, so the resumed step
+# must fall back to the allocation validated two records earlier.
+@example(responses=[_render({"AAPL": 0.5, "MSFT": 0.2, "NVDA": 0.1, "CASH": 0.2}), "junk"],
+         cut=3, horizon=1, retries=0)
+def test_resume_point_equals_live_state_at_every_cut(shared_world, responses, cut, horizon,
+                                                     retries):
     spec, feed, dates = shared_world
     with tempfile.TemporaryDirectory() as tmp:
         full, part = Path(tmp) / "full.jsonl", Path(tmp) / "part.jsonl"
         spy = _MemorySpy(responses)
-        _, records = _run_logged(full, spec, feed, dates, spy, memory_horizon=horizon)
+        _, records = _run_logged(full, spec, feed, dates, spy, memory_horizon=horizon,
+                                 max_retries=retries)
         head = scripted_agent(responses)
-        live, _ = _run_logged(part, spec, feed, dates[:cut + 1], head, memory_horizon=horizon)
+        live, _ = _run_logged(part, spec, feed, dates[:cut + 1], head, memory_horizon=horizon,
+                              max_retries=retries)
 
         header, done = read_session_log(part)
         resume = resume_point(header, done, spec, memory_horizon=horizon)
@@ -785,7 +798,7 @@ def test_resume_point_equals_live_state_at_every_cut(shared_world, responses, cu
         tail = scripted_agent(responses[min(len(head.client.prompts), len(responses) - 1):])
         writer = SessionLogWriter(part, header)
         state, _ = run_episode(spec, tail, feed, dates[cut:], 1000.0, memory_horizon=horizon,
-                               resume=resume, on_record=writer.append)
+                               max_retries=retries, resume=resume, on_record=writer.append)
         assert state.status is SessionStatus.ENDED
         assert part.read_bytes() == full.read_bytes()
 
