@@ -1,11 +1,16 @@
 """Rule-based reference agents.
 
 These exist as measuring sticks and test oracles. They speak the same
-response protocol as the models so every decision, scripted or not,
-passes through the identical parse-and-validate path.
+response protocol as the models so every distinct answer, scripted or
+not, passes through the identical parse-and-validate path. Equal weight
+and all cash depend on the market alone, so each renders its answer
+once per ``MarketSpec``, and a session validates a repeated answer
+text once (see ``run_episode``).
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 from ..accounting import portfolio_value
 from ..domain import (
@@ -54,23 +59,37 @@ def hold_allocation(spec: MarketSpec, holdings: Holdings, prices: PriceVector) -
     return AllocationVector({a: holdings.units[a] * prices[a] / value for a in spec.assets})
 
 
-class EqualWeightAgent:
+class _ConstantAgent:
+    """An agent whose answer depends on the market alone: the decision is
+    rendered on the first step under a spec, and that same object is
+    handed back on every later step under an equal one."""
+
+    name: str
+    reasoning: str
+    allocation: Callable[[MarketSpec], AllocationVector]
+    # the last spec asked about and its decision; a class default, so a
+    # subclass needs no __init__ of its own
+    _answer: tuple[MarketSpec, AgentDecision] | None = None
+
+    def decide(self, spec: MarketSpec, obs: Observation,
+               memory: tuple[MemoryEntry, ...]) -> AgentDecision:
+        answer = self._answer
+        if answer is None or answer[0] != spec:
+            raw = render_allocation_response(self.reasoning, self.allocation(spec))
+            answer = self._answer = (spec, AgentDecision(prompt=None, raw_response=raw))
+        return answer[1]
+
+
+class EqualWeightAgent(_ConstantAgent):
     name = "baseline:equal-weight"
-
-    def decide(self, spec: MarketSpec, obs: Observation,
-               memory: tuple[MemoryEntry, ...]) -> AgentDecision:
-        raw = render_allocation_response("equal weight across all assets",
-                                         equal_weight_allocation(spec))
-        return AgentDecision(prompt=None, raw_response=raw)
+    reasoning = "equal weight across all assets"
+    allocation = staticmethod(equal_weight_allocation)
 
 
-class AllCashAgent:
+class AllCashAgent(_ConstantAgent):
     name = "baseline:all-cash"
-
-    def decide(self, spec: MarketSpec, obs: Observation,
-               memory: tuple[MemoryEntry, ...]) -> AgentDecision:
-        raw = render_allocation_response("stay in cash", all_cash_allocation(spec))
-        return AgentDecision(prompt=None, raw_response=raw)
+    reasoning = "stay in cash"
+    allocation = staticmethod(all_cash_allocation)
 
 
 class BuyAndHoldAgent:

@@ -27,6 +27,8 @@ __all__ = [
 
 _OBJECT_START = re.compile(r'\{\s*["}]')  # how every JSON object opens
 _DECODER = json.JSONDecoder()
+# built once: json.dumps builds a new encoder per call when given options
+_RENDER = json.JSONEncoder(ensure_ascii=False).encode
 
 # Give up after this many starts fail to decode, so an answer after
 # them is not found. Each failure builds a JSONDecodeError that counts
@@ -121,7 +123,4 @@ def render_allocation_response(reasoning: str, allocation: AllocationVector) -> 
     Weights keep full float precision, so rendering then parsing gives
     back the identical allocation.
     """
-    return json.dumps(
-        {"reasoning": reasoning, "allocations": dict(allocation.weights)},
-        ensure_ascii=False,
-    )
+    return _RENDER({"reasoning": reasoning, "allocations": dict(allocation.weights)})

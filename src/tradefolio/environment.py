@@ -274,7 +274,7 @@ def _decide(
     book: Holdings,
     exec_prices: PriceVector,
     max_retries: int,
-    band: float,
+    parse: Callable[[str], AllocationVector],
 ) -> tuple[str | None, str, str | None, AllocationVector | None, int]:
     """The record's prompt, raw response, parse error, allocation and
     attempts for one step; ``agent`` is None off cadence, which holds.
@@ -283,8 +283,8 @@ def _decide(
     memory, so an ``LLMAgent`` retry sends the prompt already rendered
     for this step, and the prompt is the prompt of every attempt. A
     decision that holds keeps the session's ``book``, its weights at
-    execution prices. Otherwise the response is parsed until it validates or the
-    retries run out; the last raw response is kept either way.
+    execution prices. Otherwise ``parse`` reads the response until it validates or
+    the retries run out; the last raw response is kept either way.
     """
     attempts = 0
     while True:
@@ -295,7 +295,7 @@ def _decide(
             raw = render_allocation_response(decision.raw_response, held)
             return decision.prompt, raw, None, held, attempts
         try:
-            _, allocation = parse_allocation_response(decision.raw_response, spec, band=band)
+            allocation = parse(decision.raw_response)
         except (ParseError, AllocationError) as exc:
             if attempts <= max_retries:
                 continue
@@ -336,6 +336,14 @@ def run_episode(
 
     ``feed`` is a run's shared ``MarketMemo``, built for this market and
     these windows, or a plain feed, which gets a memo of its own.
+
+    Parsing is a pure function of the response text, the spec and the
+    band, and the last two are fixed for a session, so the session keeps
+    its last text that validated with the allocation it gave: a response
+    equal to it reuses that allocation without parsing again. A text
+    that fails is never kept, so every failing attempt is parsed afresh.
+    The memo is this call's alone, so sessions share none and a resumed
+    session starts without one.
     """
     if rebalance_interval < 1:
         raise ValueError(f"rebalance_interval must be >= 1, got {rebalance_interval}")
@@ -361,6 +369,14 @@ def run_episode(
     else:
         state, memory = SessionState.initial(spec, initial_capital), ()
 
+    validated: tuple[str, AllocationVector] | None = None  # the last text that parsed
+
+    def parse(raw: str) -> AllocationVector:
+        nonlocal validated
+        if validated is None or validated[0] != raw:
+            validated = (raw, parse_allocation_response(raw, spec, band=band)[1])
+        return validated[1]
+
     try:
         for i in range(len(dates) - 1):
             date, exec_date = dates[i], dates[i + 1]
@@ -369,7 +385,7 @@ def run_episode(
             # an off-cadence step asks no agent and holds
             prompt, raw, error, allocation, attempts = _decide(
                 None if state.step % rebalance_interval else agent,
-                spec, obs, memory, book, exec_prices, max_retries, band)
+                spec, obs, memory, book, exec_prices, max_retries, parse)
             if allocation is not None:
                 action = allocation
             elif memory:

@@ -70,8 +70,8 @@ LOG_FORMAT = "tradefolio-session-log"
 LOG_VERSION = 1
 
 
-def _dumps(obj: Any) -> str:
-    return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
+# built once: json.dumps builds a new encoder per call when given options
+_dumps = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
 
 
 def _encode_record(record: SessionRecord) -> str:

@@ -25,6 +25,7 @@ from tradefolio.agents.baselines import (
     hold_allocation,
 )
 from tradefolio.agents.harness import AgentDecision
+from tradefolio.agents.parsing import parse_allocation_response, render_allocation_response
 from tradefolio.agents.prompts import build_context_prompt
 from tradefolio.cli import _build_spec
 from tradefolio.config import load_config
@@ -421,6 +422,86 @@ def test_gated_llm_all_junk_falls_back(stock_world):
     assert first.allocation is None
     assert first.holdings_after[spec.cash] == pytest.approx(1000.0, rel=TOL)
     assert records[2].parse_error is not None
+
+
+# -- answers rendered and validated once ----------------------------------------
+
+
+def _count_parses(monkeypatch):
+    parsed = []
+
+    def counting(raw, spec, band):
+        parsed.append(raw)
+        return parse_allocation_response(raw, spec, band)
+
+    monkeypatch.setattr("tradefolio.environment.parse_allocation_response", counting)
+    return parsed
+
+
+@pytest.mark.parametrize("agent_type", [EqualWeightAgent, AllCashAgent])
+def test_a_constant_baseline_renders_and_validates_its_answer_once(stock_world, monkeypatch,
+                                                                   agent_type):
+    spec, store, feed, dates = stock_world
+    parsed = _count_parses(monkeypatch)
+    renders = []
+
+    def counting(reasoning, allocation):
+        renders.append(reasoning)
+        return render_allocation_response(reasoning, allocation)
+
+    monkeypatch.setattr("tradefolio.agents.baselines.render_allocation_response", counting)
+    state, records = run_episode(spec, agent_type(), feed, dates, 1000.0)
+
+    assert len(records) == len(dates) - 1
+    assert len(renders) == 1
+    assert len(parsed) == 1
+    answer = agent_type.allocation(spec)
+    assert all(r.allocation == answer.weights and r.attempts == 1 for r in records)
+
+
+def test_each_reply_gets_its_own_allocation_when_texts_recur(stock_world, monkeypatch):
+    spec, store, feed, dates = stock_world
+    parsed = _count_parses(monkeypatch)
+    a = {"AAPL": 0.5, "MSFT": 0.0, "NVDA": 0.0, "CASH": 0.5}
+    b = {"AAPL": 0.0, "MSFT": 0.25, "NVDA": 0.25, "CASH": 0.5}
+    agent = scripted_agent([_render(a), _render(a), _render(b), _render(a)])
+    state, records = run_episode(spec, agent, feed, dates[:5], 1000.0)
+
+    assert [r.allocation for r in records] == [a, a, b, a]
+    assert [r.raw_response for r in records] == [_render(w) for w in (a, a, b, a)]
+    assert parsed.count(_render(b)) == 1
+
+
+def test_a_repeated_invalid_reply_is_parsed_on_every_attempt(stock_world, monkeypatch):
+    spec, store, feed, dates = stock_world
+    parsed = _count_parses(monkeypatch)
+    good = {"AAPL": 0.5, "MSFT": 0.0, "NVDA": 0.0, "CASH": 0.5}
+    bad = '{"allocations": {"AAPL": 9}}'
+    # step 0 validates, steps 1-2 exhaust their retries, steps 3-4 answer as step 0
+    agent = scripted_agent([_render(good)] + [bad] * 6 + [_render(good)])
+    state, records = run_episode(spec, agent, feed, dates[:6], 1000.0, max_retries=2)
+
+    assert parsed.count(bad) == 6
+    failed = records[1:3]
+    assert [(r.attempts, r.raw_response, r.allocation) for r in failed] == [(3, bad, None)] * 2
+    assert [r.parse_error for r in failed] == ['SchemaMismatch: missing "reasoning" field'] * 2
+    executed = effective_allocations(SessionLogHeader.for_run(spec, agent.name, 1000.0), records)
+    assert [e.weights for e in executed] == [good] * 5
+    for r in failed:
+        assert r.holdings_after["AAPL"] == pytest.approx(
+            r.value * 0.5 / r.prices_after["AAPL"], rel=TOL)
+    assert [r.allocation for r in records[3:]] == [good, good]
+
+
+def test_a_constant_baseline_answers_each_market_its_own(stock_spec, prediction_spec):
+    agent = EqualWeightAgent()
+    for spec in (stock_spec, prediction_spec, stock_spec):
+        decision = agent.decide(spec, None, ())
+        expected = render_allocation_response("equal weight across all assets",
+                                              equal_weight_allocation(spec))
+        assert decision.raw_response == expected
+        assert decision.prompt is None and not decision.holds
+        assert agent.decide(spec, None, ()) is decision
 
 
 def test_gated_llm_logs_the_model_exchange(stock_world):
