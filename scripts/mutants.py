@@ -3,17 +3,19 @@
 
 Run from the repository root:
 
-    python3 scripts/mutants.py             # every mutant
-    python3 scripts/mutants.py NAME ...    # only these
+    python3 scripts/mutants.py
 
 Each entry is ``(name, file, old, new, promise)``: ``old`` is a piece of
 ``file`` that occurs there exactly once, ``new`` what the mutant puts
-in its place, and ``promise`` the rule the mutant breaks. For each one
-the tree is copied into a temporary directory, the edit is applied and
-tier-1 runs there with ``-x``. The mutant is killed when tier-1 fails,
-or runs past ten minutes, and survives when it passes. One line is
-printed per mutant, and the exit status is 1 if any survived or could
-not be applied.
+in its place, and ``promise`` the rule the mutant breaks. Tier-1 first
+runs on an unmutated copy of the tree; unless it passes there, nothing
+else runs and the exit status is 1. Then, for each mutant, the tree is
+copied into a temporary directory, the edit is applied and tier-1 runs
+there with ``-x``. The mutant is killed when tests fail (pytest exit
+status 1) or the run passes ten minutes, and survives when tier-1
+passes; any other pytest status is an error. One line is printed per
+mutant, and the exit status is 1 if any survived, could not be applied
+or ended in an error.
 
 Only the standard library is used. ``tests/test_mutants.py`` checks in
 tier-1 that every ``old`` still occurs exactly once; a change that moves
@@ -22,7 +24,6 @@ a guarded line updates its entry too.
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -140,13 +141,14 @@ def apply(tree: Path, mutant: Mutant) -> None:
     path.write_text(text, encoding="utf-8")
 
 
-def run(mutant: Mutant) -> tuple[str, float]:
-    """Tier-1 against one mutant in a copy of the tree: "killed",
-    "survived" or "timed out", and the seconds it took."""
-    with tempfile.TemporaryDirectory(prefix=f"mutant-{mutant.name}-") as tmp:
+def tier1(mutant: Mutant | None) -> tuple[int | None, float]:
+    """Tier-1 in a copy of the tree, with ``mutant`` applied unless it is
+    None: pytest's exit status (None on a timeout) and the seconds it took."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         tree = Path(tmp) / "tree"
         shutil.copytree(ROOT, tree, ignore=SKIP)
-        apply(tree, mutant)
+        if mutant is not None:
+            apply(tree, mutant)
         pythonpath = os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")]))
         start = time.perf_counter()
         try:
@@ -156,30 +158,32 @@ def run(mutant: Mutant) -> tuple[str, float]:
                 cwd=tree, env={**os.environ, "PYTHONPATH": pythonpath},
                 capture_output=True, text=True, timeout=TIMEOUT_S)
         except subprocess.TimeoutExpired:
-            return "timed out", time.perf_counter() - start
-        return ("survived" if proc.returncode == 0 else "killed"), time.perf_counter() - start
+            return None, time.perf_counter() - start
+        return proc.returncode, time.perf_counter() - start
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
-    args = parser.parse_args(argv)
-    known = {m.name: m for m in CATALOG}
-    unknown = [n for n in args.names if n not in known]
-    if unknown:
-        parser.error(f"unknown mutants: {', '.join(unknown)}")
-    chosen = [known[n] for n in args.names] or CATALOG
+OUTCOMES = {0: "survived", 1: "killed", None: "timed out"}
+
+
+def main() -> int:
+    code, seconds = tier1(None)
+    if code != 0:
+        print(f"tier-1 does not pass on an unmutated copy (pytest status {code}, "
+              f"{seconds:.1f} s); no mutant was run", flush=True)
+        return 1
+    print(f"unmutated copy passes tier-1 in {seconds:.1f} s", flush=True)
     failed = 0
-    for mutant in chosen:
+    for mutant in CATALOG:
         try:
-            outcome, seconds = run(mutant)
+            code, seconds = tier1(mutant)
+            outcome = OUTCOMES.get(code, f"error (pytest status {code})")
         except ValueError as exc:
             outcome, seconds = f"not applied ({exc})", 0.0
         print(f"{outcome:<10} {mutant.name:<32} {seconds:6.1f} s", flush=True)
         if outcome not in ("killed", "timed out"):
             failed += 1
             print(f"  unguarded: {mutant.promise}", flush=True)
-    print(f"{len(chosen) - failed} of {len(chosen)} mutants killed")
+    print(f"{len(CATALOG) - failed} of {len(CATALOG)} mutants killed")
     return 1 if failed else 0
 
 
