@@ -122,6 +122,10 @@ CATALOG = [
     Mutant("answer-memo-ignores-text", SRC + "environment.py",
            "if validated is None or validated[0] != raw:", "if validated is None:",
            "a session reuses a validated allocation only for an equal response text"),
+    Mutant("retry-re-renders", SRC + "agents/harness.py",
+           "if last is not None and last[0] is spec and last[1] is obs and last[2] == memory:",
+           "if False:",
+           "a retry sends the prompt already rendered for its step"),
 ]
 
 

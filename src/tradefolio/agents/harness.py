@@ -45,14 +45,6 @@ class LLMAgent:
     called again with the same observation and spec objects and equal
     memory entries reuses the last prompt, so a record's
     ``prompt_sha256`` names the prompt of every attempt.
-
-    A new step renders through the agent's own line memo: the history,
-    news and account lines of its previous prompt, each keyed by all it
-    shows (see ``prompts``), so only the lines that changed are
-    rendered and the bytes equal a fresh render. The memo holds one
-    prompt's lines at most and belongs to this agent alone, so sessions
-    in threads share nothing, and a new agent, as on resume, starts
-    with an empty one.
     """
 
     def __init__(self, client: ChatClient, config: ModelClientConfig) -> None:
@@ -60,7 +52,6 @@ class LLMAgent:
         self.config = config
         self.name = config.model
         self._last: tuple[MarketSpec, Observation, tuple[MemoryEntry, ...], str] | None = None
-        self._lines: dict = {}
 
     def decide(self, spec: MarketSpec, obs: Observation,
                memory: tuple[MemoryEntry, ...]) -> AgentDecision:
@@ -68,7 +59,7 @@ class LLMAgent:
         if last is not None and last[0] is spec and last[1] is obs and last[2] == memory:
             prompt = last[3]
         else:
-            context = build_context_prompt(spec, obs, memory, self._lines)
+            context = build_context_prompt(spec, obs, memory)
             prompt = build_decision_prompt(context, spec, obs.date)
             self._last = (spec, obs, memory, prompt)
         raw = self.client.complete(prompt, self.config)

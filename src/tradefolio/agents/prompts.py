@@ -5,32 +5,31 @@ model: byte-identical input yields byte-identical prompts, and golden
 tests pin the exact rendering. Change anything here and the goldens
 must be regenerated on purpose.
 
-From one step to the next most lines repeat: a price history line
-(only the newest is new, and the oldest turns "N/A"), every news item
-still in its window, and each memory entry's allocation line. So
-``build_context_prompt`` takes a memo of the previous prompt's lines
-and renders only the lines it lacks. A line's key is everything the
-line shows: the market's close format, the date, the close and the
-close below it for a history line; the zone and the item's date,
-title and snippet for a news item; the cash asset and the entry object
-for an account line. A reused line is therefore the text a fresh
-render would give, so no prompt byte depends on the memo.
+A history line and a news item's text are pure functions of what they
+show, cached process-wide, so the sessions of a run that see one date
+render its market lines once between them.
 """
 
 from __future__ import annotations
 
 import datetime as dt
+import functools
 from zoneinfo import ZoneInfo
 
 from ..domain import MarketKind, MarketSpec, MemoryEntry, NewsItem, Observation
 
 __all__ = [
+    "LINE_CACHE_SIZE",
     "SNIPPET_MAX_CHARS",
     "build_context_prompt",
     "build_decision_prompt",
 ]
 
 SNIPPET_MAX_CHARS = 500
+
+# Lines each line cache keeps, least recently used first out: a
+# 100-asset market's history lines and news over several dozen dates.
+LINE_CACHE_SIZE = 1 << 14
 
 _SESSION_TZ = {
     MarketKind.STOCK: ("US Eastern Time", ZoneInfo("America/New_York")),
@@ -112,34 +111,25 @@ def _render_snippet(snippet: str) -> str:
     return text + "..."
 
 
-def _history_lines(series: list[tuple[dt.date, float]], close: str,
-                   memo: dict, used: dict) -> list[str]:
-    """Newest first; each change is measured against the line below it.
+@functools.lru_cache(maxsize=LINE_CACHE_SIZE)
+def _history_line(close: str, date: dt.date, price: float, prev: float | None) -> str:
+    """One history line: ``close`` formats the price (``_STOCK_CLOSE``
+    or ``_PREDICTION_CLOSE``), and its change is measured against
+    ``prev``, the close below it (None for the oldest, which reads "N/A")."""
+    if prev is None:
+        change = "N/A"
+    else:
+        diff = price - prev
+        change = f"{diff:+.2f} ({diff / prev * 100.0:+.2f}%)"
+    return f"  - {date.isoformat()}: {close.format(price)} (Change: {change})"
 
-    ``close`` formats a price (``_STOCK_CLOSE`` or ``_PREDICTION_CLOSE``).
-    A line is keyed by that format, its date, its close and the close
-    below it (None for the oldest, whose change reads "N/A"); it is
-    taken from ``memo`` when there and recorded in ``used`` either way.
-    """
+
+def _history_lines(series: list[tuple[dt.date, float]], close: str) -> list[str]:
+    """Newest first; each change is measured against the line below it."""
     lines = []
     prev = None
-    get = memo.get
     for date, price in series:
-        key = (close, date, price, prev)
-        line = get(key)
-        if line is None:
-            if prev is None:
-                change = "N/A"
-            else:
-                diff = price - prev
-                change = f"{diff:+.2f} ({diff / prev * 100.0:+.2f}%)"
-            # a date's ISO text is rendered once per prompt, kept under the date
-            iso = used.get(date)
-            if iso is None:
-                iso = used[date] = date.isoformat()
-            line = f"  - {iso}: {close.format(price)} (Change: {change})"
-        used[key] = line
-        lines.append(line)
+        lines.append(_history_line(close, date, price, prev))
         prev = price
     lines.reverse()
     return lines
@@ -152,19 +142,17 @@ def _series(obs: Observation, asset: str) -> list[tuple[dt.date, float]]:
     return series
 
 
-def _stock_market_lines(spec: MarketSpec, obs: Observation, memo: dict,
-                        used: dict) -> list[str]:
+def _stock_market_lines(spec: MarketSpec, obs: Observation) -> list[str]:
     lines = []
     for asset in spec.assets:
         if asset == spec.cash:
             continue
         lines.append(f"{asset}: Current price is ${obs.prices[asset]:.2f}")
-        lines.extend(_history_lines(_series(obs, asset), _STOCK_CLOSE, memo, used))
+        lines.extend(_history_lines(_series(obs, asset), _STOCK_CLOSE))
     return lines
 
 
-def _prediction_market_lines(spec: MarketSpec, obs: Observation, memo: dict,
-                             used: dict) -> list[str]:
+def _prediction_market_lines(spec: MarketSpec, obs: Observation) -> list[str]:
     lines = []
     for pair in spec.pairs:
         lines.append(f"Question: {pair.question}")
@@ -172,18 +160,21 @@ def _prediction_market_lines(spec: MarketSpec, obs: Observation, memo: dict,
         lines.append(f"  - Betting NO current price: {obs.prices[pair.no]:.3f}")
         for label, asset in (("YES", pair.yes), ("NO", pair.no)):
             lines.append(f"  - Betting {label} History:")
-            lines.extend(_history_lines(_series(obs, asset), _PREDICTION_CLOSE, memo, used))
+            lines.extend(_history_lines(_series(obs, asset), _PREDICTION_CLOSE))
     return lines
 
 
-def _news_lines(spec: MarketSpec, obs: Observation, tz: ZoneInfo, memo: dict,
-                used: dict) -> list[str]:
-    """News grouped under each tag in universe order; tags without items
-    get no header, and items tagged outside the universe are left out.
+@functools.lru_cache(maxsize=LINE_CACHE_SIZE)
+def _news_text(tz: ZoneInfo, published_at: int, title: str, snippet: str) -> str:
+    """An item's two lines, dated in the market's zone."""
+    day = dt.datetime.fromtimestamp(published_at, tz).date()
+    return (f"  - {_collapse_whitespace(title)} ({day.isoformat()})\n"
+            f"    {_render_snippet(snippet)}")
 
-    An item's two lines are one entry, keyed by the zone and the item
-    fields they show, taken from ``memo`` when there and recorded in
-    ``used`` either way."""
+
+def _news_lines(spec: MarketSpec, obs: Observation, tz: ZoneInfo) -> list[str]:
+    """News grouped under each tag in universe order; tags without items
+    get no header, and items tagged outside the universe are left out."""
     by_tag: dict[str, list[NewsItem]] = {}
     for item in obs.news:
         by_tag.setdefault(item.tagged_asset, []).append(item)
@@ -194,14 +185,7 @@ def _news_lines(spec: MarketSpec, obs: Observation, tz: ZoneInfo, memo: dict,
             continue
         lines.append(f"• {tag}:")
         for item in items:
-            key = (tz, item.published_at, item.title, item.snippet)
-            text = memo.get(key)
-            if text is None:
-                day = dt.datetime.fromtimestamp(item.published_at, tz).date()
-                text = (f"  - {_collapse_whitespace(item.title)} ({day.isoformat()})\n"
-                        f"    {_render_snippet(item.snippet)}")
-            used[key] = text
-            lines.append(text)
+            lines.append(_news_text(tz, item.published_at, item.title, item.snippet))
     return lines
 
 
@@ -218,56 +202,34 @@ def _allocation_literal(spec: MarketSpec, weights: dict[str, float]) -> str:
     return "{" + body + "}"
 
 
-def _account_lines(spec: MarketSpec, memory: tuple[MemoryEntry, ...], memo: dict,
-                   used: dict) -> list[str]:
+def _account_lines(spec: MarketSpec, memory: tuple[MemoryEntry, ...]) -> list[str]:
     """The header, then one line per memory entry, oldest first.
 
-    An entry's line is keyed by the cash asset and the entry object,
-    which a session carries from step to step unchanged; the entry is
-    kept beside its line, so no other object can take its ``id`` while
-    the line is memoized.
-    """
+    Rendered fresh, not cached: a key of the values shown would take a
+    cash weight of -0.0 for 0.0, which render apart."""
     indent = "  " if spec.kind is MarketKind.STOCK else ""
     lines = [f"{indent}Recent Historical Allocations under this account:"]
     for entry in memory:
-        key = (spec.cash, id(entry))
-        hit = memo.get(key)
-        if hit is not None and hit[0] is entry:
-            line = hit[1]
-        else:
-            alloc = _allocation_literal(spec, dict(entry.allocation.weights))
-            rate = entry.cumulative_return * 100.0
-            line = (f"    - Asset Allocation at {entry.date.isoformat()}: {alloc} "
-                    f"(Accumulated return rate: {rate:.1f}%)")
-        used[key] = (entry, line)
-        lines.append(line)
+        alloc = _allocation_literal(spec, dict(entry.allocation.weights))
+        rate = entry.cumulative_return * 100.0
+        lines.append(f"    - Asset Allocation at {entry.date.isoformat()}: {alloc} "
+                     f"(Accumulated return rate: {rate:.1f}%)")
     return lines
 
 
 def build_context_prompt(spec: MarketSpec, obs: Observation,
-                         memory: tuple[MemoryEntry, ...], memo: dict | None = None) -> str:
-    """Market analysis, recent news, and account history as one block.
-
-    ``memo`` holds the lines the previous call with it rendered. A line
-    found there is reused rather than rendered again; the call then
-    leaves in ``memo`` exactly the lines it used, so it never holds more
-    than one prompt's. Each key carries everything its line shows, so
-    the text is the same with a memo, without one, or with a stale one.
-    """
+                         memory: tuple[MemoryEntry, ...]) -> str:
+    """Market analysis, recent news, and account history as one block."""
     _, tz = _SESSION_TZ[spec.kind]
-    memo = {} if memo is None else memo
-    used: dict = {}
     if spec.kind is MarketKind.STOCK:
-        market = _stock_market_lines(spec, obs, memo, used)
+        market = _stock_market_lines(spec, obs)
     else:
-        market = _prediction_market_lines(spec, obs, memo, used)
+        market = _prediction_market_lines(spec, obs)
     sections = [
         "MARKET ANALYSIS:\n" + "\n".join(market),
-        "RECENT NEWS:\n" + "\n".join(_news_lines(spec, obs, tz, memo, used)),
-        "ACCOUNT INFO:\n" + "\n".join(_account_lines(spec, memory, memo, used)),
+        "RECENT NEWS:\n" + "\n".join(_news_lines(spec, obs, tz)),
+        "ACCOUNT INFO:\n" + "\n".join(_account_lines(spec, memory)),
     ]
-    memo.clear()
-    memo.update(used)
     # The news header sits two blank lines under the market block, the
     # account header one blank line under the news block.
     return sections[0] + "\n\n\n" + sections[1] + "\n\n" + sections[2]

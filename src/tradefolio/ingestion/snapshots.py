@@ -59,6 +59,8 @@ _SERIES_DIRS = {"stock-price": "prices/stock", "prediction-price": "prices/predi
                 "news": "news"}
 _SAFE_KEY = re.compile(r"[A-Za-z0-9._-]{1,64}")
 _TEMP_NAME = re.compile(r"\..+\.[0-9a-f]{12}\.tmp")  # what ``_atomic_write`` names its temp files
+# built once: json.dumps builds a new encoder per call when given options
+_dumps = json.JSONEncoder(ensure_ascii=False).encode
 
 
 @dataclass(frozen=True)
@@ -112,7 +114,7 @@ def _encode(kind: str, date: dt.date, value: Any) -> str:
         }
     else:
         row = {"date": date.isoformat(), "price": value.price, "volume": value.volume}
-    return json.dumps(row, ensure_ascii=False)
+    return _dumps(row)
 
 
 def _decode(kind: str, key: str, date: dt.date, row: dict) -> Any:
@@ -214,7 +216,7 @@ class SnapshotStore:
         body, merged = series.merge(fresh, partial(_encode, kind))
         path = self._path(kind, key)
         self._ready_dir(path.parent)
-        _atomic_write(path, [json.dumps(_header(kind, key), ensure_ascii=False), *body])
+        _atomic_write(path, [_dumps(_header(kind, key)), *body])
         self._series[(kind, key)] = merged
         return len(fresh)
 
@@ -309,7 +311,7 @@ class SnapshotStore:
         self._ready_dir(self.root)
         _atomic_write(
             self.root / "markets.jsonl",
-            [json.dumps(vars(merged[slug]), ensure_ascii=False) for slug in sorted(merged)],
+            [_dumps(vars(merged[slug])) for slug in sorted(merged)],
         )
         self._markets = merged
         return len(fresh)

@@ -11,6 +11,7 @@ import threading
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from zoneinfo import ZoneInfo
 
 import pytest
 from conftest import FIXTURES, scripted_agent
@@ -26,7 +27,13 @@ from tradefolio.agents.baselines import (
 )
 from tradefolio.agents.harness import AgentDecision
 from tradefolio.agents.parsing import parse_allocation_response, render_allocation_response
-from tradefolio.agents.prompts import build_context_prompt
+from tradefolio.agents.prompts import (
+    LINE_CACHE_SIZE,
+    _history_line,
+    _news_text,
+    build_context_prompt,
+    build_decision_prompt,
+)
 from tradefolio.cli import _build_spec
 from tradefolio.config import load_config
 from tradefolio.domain import (
@@ -521,9 +528,9 @@ def test_gated_llm_logs_the_model_exchange(stock_world):
 def _count_renders(monkeypatch):
     renders = []
 
-    def counting(spec, obs, memory, memo):
+    def counting(spec, obs, memory):
         renders.append(obs.date)
-        return build_context_prompt(spec, obs, memory, memo)
+        return build_context_prompt(spec, obs, memory)
 
     monkeypatch.setattr("tradefolio.agents.harness.build_context_prompt", counting)
     return renders
@@ -581,16 +588,23 @@ def _varied_agent(shift=0):
     return scripted_agent((script[shift:] + script[:shift]) * 10)
 
 
-def test_llm_agent_memo_holds_one_prompt_at_most(tmp_path):
+def test_llm_agent_line_caches_stay_within_their_bound(tmp_path):
     spec = MarketSpec.stock(("AAPL", "MSFT", "NVDA"))
     dates = seed_stock_store(tmp_path, spec.assets[:-1], D(2025, 3, 3), 31, seed=5)
+    for i in range(LINE_CACHE_SIZE + 10):
+        _history_line("{:.2f}", D(2000, 1, 1) + dt.timedelta(days=i), 1.0 + i, None)
+        _news_text(ZoneInfo("UTC"), 946684800 + 60 * i, "Title", "Snippet.")
     agent = _varied_agent()
     _, records = run_episode(spec, agent, ReplayFeed(SnapshotStore(tmp_path), MarketKind.STOCK),
                              dates, 1000.0, max_retries=1)
     assert len(records) == 30
-    last_prompt = agent._last[3]
-    assert agent.client.prompts[-1] == last_prompt
-    assert 0 < len(agent._lines) <= len(last_prompt.splitlines())
+    for cached in (_history_line, _news_text):
+        assert cached.cache_info().currsize <= LINE_CACHE_SIZE
+    spec, obs, memory, prompt = agent._last
+    assert agent.client.prompts[-1] == prompt
+    _history_line.cache_clear()
+    _news_text.cache_clear()
+    assert prompt == build_decision_prompt(build_context_prompt(spec, obs, memory), spec, obs.date)
 
 
 def test_llm_sessions_in_threads_write_the_bytes_they_write_in_turn(stock_world, tmp_path):

@@ -9,7 +9,9 @@ from tradefolio.agents.prompts import (
     _PREDICTION_CLOSE,
     _STOCK_CLOSE,
     SNIPPET_MAX_CHARS,
+    _history_line,
     _history_lines,
+    _news_text,
     build_context_prompt,
     build_decision_prompt,
 )
@@ -311,13 +313,12 @@ class TestHistoryRenderer:
               (dt.date(2025, 3, 5), 9.996)],
              [(dt.date(2025, 3, 3), 0.50001), (dt.date(2025, 3, 4), 0.50004)])
     def test_matches_the_reference(self, first, second):
-        # One memo across both series and both formats, as across a
-        # prompt's assets and a session's steps.
-        memo = {}
+        # One line cache across both series and both formats, as across
+        # a prompt's assets, a session's steps and a run's sessions.
         for series in (first, second):
-            assert _history_lines(series, _STOCK_CLOSE, memo, memo) == (
+            assert _history_lines(series, _STOCK_CLOSE) == (
                 _reference_history_lines(series, "close price ${:.2f}", "  "))
-            assert _history_lines(series, _PREDICTION_CLOSE, memo, memo) == (
+            assert _history_lines(series, _PREDICTION_CLOSE) == (
                 _reference_history_lines(series, "{:.4f}", "  "))
 
 
@@ -381,10 +382,25 @@ def _session_observation(spec, closes, news, day, lookback, news_days):
         price_history=history, stale=frozenset(stale))
 
 
-class TestLineMemo:
+def _clear_line_caches():
+    _history_line.cache_clear()
+    _news_text.cache_clear()
+
+
+def _fresh_context(spec, obs, memory):
+    """The context block rendered with both line caches emptied first."""
+    _clear_line_caches()
+    return build_context_prompt(spec, obs, memory)
+
+
+def _line_misses():
+    return _history_line.cache_info().misses + _news_text.cache_info().misses
+
+
+class TestLineCache:
     @settings(max_examples=150, deadline=None)
     @given(_sessions())
-    def test_an_agent_held_memo_renders_what_a_fresh_prompt_does(self, session):
+    def test_an_agent_renders_what_a_fresh_prompt_does(self, session):
         spec, closes, news, steps = session
         agent = scripted_agent(["{}"])
         risky = [a for a in spec.assets if a != spec.cash]
@@ -395,12 +411,12 @@ class TestLineMemo:
             memory = tuple(entries[-remembered:]) if remembered else ()
             prompt = agent.decide(spec, obs, memory).prompt
             assert prompt == build_decision_prompt(
-                build_context_prompt(spec, obs, memory), spec, obs.date)
+                _fresh_context(spec, obs, memory), spec, obs.date)
             weight = 0.25 * (n % 4)
             entries.append(MemoryEntry(obs.date, AllocationVector(
                 {risky[n % len(risky)]: weight, spec.cash: 1.0 - weight}), 0.01 * n))
 
-    def test_one_memo_over_both_markets_keeps_their_formats_and_zones(self):
+    def test_one_cache_over_both_markets_keeps_their_formats_and_zones(self):
         # The same tag, date and closes on both markets: only the
         # format and the news zone tell their lines apart.
         stock = MarketSpec.stock(("AAPL",))
@@ -418,7 +434,30 @@ class TestLineMemo:
                 prediction, date, {"AAPL_Yes": 0.5, "AAPL_No": 0.5},
                 {"AAPL_Yes": history, "AAPL_No": history}, (item,))),
         ]
-        memo = {}
-        for spec, obs in observations + observations:
-            assert build_context_prompt(spec, obs, memory, memo) == (
-                build_context_prompt(spec, obs, memory))
+        fresh = [_fresh_context(spec, obs, memory) for spec, obs in observations]
+        assert "(2025-03-04)" in fresh[0] and "(2025-03-05)" in fresh[1]
+        _clear_line_caches()
+        for n, (spec, obs) in enumerate(observations + observations):
+            assert build_context_prompt(spec, obs, memory) == fresh[n % 2]
+
+    def test_a_second_session_on_a_rendered_date_renders_no_line(self):
+        _, obs, memory = _stock_inputs()
+        first = scripted_agent(["{}"]).decide(STOCK, obs, memory).prompt
+        misses = _line_misses()
+        # another session's agent, shown an equal observation of its own
+        _, again, memory = _stock_inputs()
+        assert scripted_agent(["{}"]).decide(STOCK, again, memory).prompt == first
+        assert _line_misses() == misses
+
+    def test_a_negative_zero_cash_weight_renders_apart_from_zero(self):
+        _, obs, _ = _stock_inputs()
+
+        def entry(cash):
+            return (MemoryEntry(dt.date(2025, 10, 23),
+                                AllocationVector({"AAPL": 1.0, "CASH": cash}), 0.0),)
+
+        cases = [(-0.0, "{'AAPL': '1.00', 'CASH': '-0.00'}"),
+                 (0.0, "{'AAPL': '1.00', 'CASH': '0.00'}")]
+        for order in (cases, cases[::-1]):
+            for cash, shown in order:
+                assert shown in build_context_prompt(STOCK, obs, entry(cash))
