@@ -6,8 +6,9 @@ tests pin the exact rendering. Change anything here and the goldens
 must be regenerated on purpose.
 
 A history line and a news item's text are pure functions of what they
-show, cached process-wide, so the sessions of a run that see one date
-render its market lines once between them.
+show, cached process-wide, so sessions that render a date while its
+lines are cached render them once between them. Each cache is kept
+within ``LINE_CACHE_PROMPTS`` prompts of the size being rendered.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from zoneinfo import ZoneInfo
 from ..domain import MarketKind, MarketSpec, MemoryEntry, NewsItem, Observation
 
 __all__ = [
-    "LINE_CACHE_SIZE",
+    "LINE_CACHE_PROMPTS",
     "SNIPPET_MAX_CHARS",
     "build_context_prompt",
     "build_decision_prompt",
@@ -27,9 +28,11 @@ __all__ = [
 
 SNIPPET_MAX_CHARS = 500
 
-# Lines each line cache keeps, least recently used first out: a
-# 100-asset market's history lines and news over several dozen dates.
-LINE_CACHE_SIZE = 1 << 14
+# Before a prompt renders, a line cache holding more than this many
+# prompts of its lines is emptied: room for the current and next date
+# of each of the four sessions `tradefolio run` keeps on threads by
+# default, and the caches never outgrow nine prompts.
+LINE_CACHE_PROMPTS = 8
 
 _SESSION_TZ = {
     MarketKind.STOCK: ("US Eastern Time", ZoneInfo("America/New_York")),
@@ -111,7 +114,7 @@ def _render_snippet(snippet: str) -> str:
     return text + "..."
 
 
-@functools.lru_cache(maxsize=LINE_CACHE_SIZE)
+@functools.cache
 def _history_line(close: str, date: dt.date, price: float, prev: float | None) -> str:
     """One history line: ``close`` formats the price (``_STOCK_CLOSE``
     or ``_PREDICTION_CLOSE``), and its change is measured against
@@ -164,7 +167,7 @@ def _prediction_market_lines(spec: MarketSpec, obs: Observation) -> list[str]:
     return lines
 
 
-@functools.lru_cache(maxsize=LINE_CACHE_SIZE)
+@functools.cache
 def _news_text(tz: ZoneInfo, published_at: int, title: str, snippet: str) -> str:
     """An item's two lines, dated in the market's zone."""
     day = dt.datetime.fromtimestamp(published_at, tz).date()
@@ -187,6 +190,13 @@ def _news_lines(spec: MarketSpec, obs: Observation, tz: ZoneInfo) -> list[str]:
         for item in items:
             lines.append(_news_text(tz, item.published_at, item.title, item.snippet))
     return lines
+
+
+def _make_room(cache, lines: int) -> None:
+    """Before a prompt adds up to ``lines`` lines to ``cache``, empty it
+    if it holds more than ``LINE_CACHE_PROMPTS`` prompts of as many."""
+    if lines and cache.cache_info().currsize > LINE_CACHE_PROMPTS * lines:
+        cache.cache_clear()
 
 
 def _allocation_literal(spec: MarketSpec, weights: dict[str, float]) -> str:
@@ -221,6 +231,8 @@ def build_context_prompt(spec: MarketSpec, obs: Observation,
                          memory: tuple[MemoryEntry, ...]) -> str:
     """Market analysis, recent news, and account history as one block."""
     _, tz = _SESSION_TZ[spec.kind]
+    _make_room(_history_line, len(spec.assets) + sum(map(len, obs.price_history.values())))
+    _make_room(_news_text, len(obs.news))
     if spec.kind is MarketKind.STOCK:
         market = _stock_market_lines(spec, obs)
     else:

@@ -28,7 +28,7 @@ from tradefolio.agents.baselines import (
 from tradefolio.agents.harness import AgentDecision
 from tradefolio.agents.parsing import parse_allocation_response, render_allocation_response
 from tradefolio.agents.prompts import (
-    LINE_CACHE_SIZE,
+    LINE_CACHE_PROMPTS,
     _history_line,
     _news_text,
     build_context_prompt,
@@ -588,18 +588,36 @@ def _varied_agent(shift=0):
     return scripted_agent((script[shift:] + script[:shift]) * 10)
 
 
-def test_llm_agent_line_caches_stay_within_their_bound(tmp_path):
+def test_llm_agent_line_caches_stay_within_their_bound(tmp_path, monkeypatch):
     spec = MarketSpec.stock(("AAPL", "MSFT", "NVDA"))
     dates = seed_stock_store(tmp_path, spec.assets[:-1], D(2025, 3, 3), 31, seed=5)
-    for i in range(LINE_CACHE_SIZE + 10):
+    for i in range(10_000):
         _history_line("{:.2f}", D(2000, 1, 1) + dt.timedelta(days=i), 1.0 + i, None)
         _news_text(ZoneInfo("UTC"), 946684800 + 60 * i, "Title", "Snippet.")
+    held = []
+
+    def measured(spec, obs, memory):
+        context = build_context_prompt(spec, obs, memory)
+        lines = len(spec.assets) + sum(map(len, obs.price_history.values()))
+        held.append((_history_line.cache_info().currsize, lines,
+                     _news_text.cache_info().currsize, len(obs.news)))
+        return context
+
+    monkeypatch.setattr("tradefolio.agents.harness.build_context_prompt", measured)
     agent = _varied_agent()
     _, records = run_episode(spec, agent, ReplayFeed(SnapshotStore(tmp_path), MarketKind.STOCK),
                              dates, 1000.0, max_retries=1)
-    assert len(records) == 30
-    for cached in (_history_line, _news_text):
-        assert cached.cache_info().currsize <= LINE_CACHE_SIZE
+    assert len(records) == 30 and len(held) == 30
+    # each cache holds at most one prompt past its bound, counted on the
+    # prompt just rendered, so the lines filled in before are gone; a
+    # prompt showing no news leaves the news cache as it was
+    assert any(items for *_, items in held)
+    for history, lines, news, items in held:
+        assert history <= (LINE_CACHE_PROMPTS + 1) * lines
+        assert news <= (LINE_CACHE_PROMPTS + 1) * items or not items
+    # and a session still reuses its lines from step to step (emptying a
+    # cache also zeroes its counts)
+    assert _history_line.cache_info().hits > 0 and _news_text.cache_info().hits > 0
     spec, obs, memory, prompt = agent._last
     assert agent.client.prompts[-1] == prompt
     _history_line.cache_clear()
