@@ -8,7 +8,7 @@ must be regenerated on purpose.
 A history line and a news item's text are pure functions of what they
 show, cached process-wide, so sessions that render a date while its
 lines are cached render them once between them. Each cache is kept
-within ``LINE_CACHE_PROMPTS`` prompts of the size being rendered.
+within ``LINE_CACHE_PROMPTS`` of the largest prompts rendered.
 """
 
 from __future__ import annotations
@@ -29,9 +29,10 @@ __all__ = [
 SNIPPET_MAX_CHARS = 500
 
 # Before a prompt renders, a line cache holding more than this many
-# prompts of its lines is emptied: room for the current and next date
-# of each of the four sessions `tradefolio run` keeps on threads by
-# default, and the caches never outgrow nine prompts.
+# prompts of lines (counted on the largest rendered) is emptied: room
+# for the current and next date of each of the four sessions
+# `tradefolio run` keeps on threads by default, and the caches never
+# outgrow nine prompts.
 LINE_CACHE_PROMPTS = 8
 
 _SESSION_TZ = {
@@ -192,10 +193,17 @@ def _news_lines(spec: MarketSpec, obs: Observation, tz: ZoneInfo) -> list[str]:
     return lines
 
 
+# The most lines one prompt has added to each line cache.
+_PROMPT_LINES: dict = {}
+
+
 def _make_room(cache, lines: int) -> None:
     """Before a prompt adds up to ``lines`` lines to ``cache``, empty it
-    if it holds more than ``LINE_CACHE_PROMPTS`` prompts of as many."""
-    if lines and cache.cache_info().currsize > LINE_CACHE_PROMPTS * lines:
+    if it holds more than ``LINE_CACHE_PROMPTS`` of the largest prompts
+    rendered, so a small prompt (a first date, a day without news) does
+    not empty the lines of larger ones."""
+    most = _PROMPT_LINES[cache] = max(lines, _PROMPT_LINES.get(cache, 0))
+    if cache.cache_info().currsize > LINE_CACHE_PROMPTS * most:
         cache.cache_clear()
 
 

@@ -27,6 +27,7 @@ from tradefolio.agents.baselines import (
 )
 from tradefolio.agents.harness import AgentDecision
 from tradefolio.agents.parsing import parse_allocation_response, render_allocation_response
+from tradefolio.agents import prompts
 from tradefolio.agents.prompts import (
     LINE_CACHE_PROMPTS,
     _history_line,
@@ -588,9 +589,17 @@ def _varied_agent(shift=0):
     return scripted_agent((script[shift:] + script[:shift]) * 10)
 
 
+def _fresh_line_caches(monkeypatch):
+    """Both line caches emptied, and no prompt size recorded yet."""
+    monkeypatch.setattr(prompts, "_PROMPT_LINES", {})
+    _history_line.cache_clear()
+    _news_text.cache_clear()
+
+
 def test_llm_agent_line_caches_stay_within_their_bound(tmp_path, monkeypatch):
     spec = MarketSpec.stock(("AAPL", "MSFT", "NVDA"))
     dates = seed_stock_store(tmp_path, spec.assets[:-1], D(2025, 3, 3), 31, seed=5)
+    _fresh_line_caches(monkeypatch)
     for i in range(10_000):
         _history_line("{:.2f}", D(2000, 1, 1) + dt.timedelta(days=i), 1.0 + i, None)
         _news_text(ZoneInfo("UTC"), 946684800 + 60 * i, "Title", "Snippet.")
@@ -608,13 +617,15 @@ def test_llm_agent_line_caches_stay_within_their_bound(tmp_path, monkeypatch):
     _, records = run_episode(spec, agent, ReplayFeed(SnapshotStore(tmp_path), MarketKind.STOCK),
                              dates, 1000.0, max_retries=1)
     assert len(records) == 30 and len(held) == 30
-    # each cache holds at most one prompt past its bound, counted on the
-    # prompt just rendered, so the lines filled in before are gone; a
-    # prompt showing no news leaves the news cache as it was
-    assert any(items for *_, items in held)
+    # after each render a cache holds at most one prompt past its bound,
+    # counted on the largest prompt so far, so the lines filled in
+    # before are gone
+    most_lines = most_items = 0
     for history, lines, news, items in held:
-        assert history <= (LINE_CACHE_PROMPTS + 1) * lines
-        assert news <= (LINE_CACHE_PROMPTS + 1) * items or not items
+        most_lines, most_items = max(most_lines, lines), max(most_items, items)
+        assert history <= (LINE_CACHE_PROMPTS + 1) * most_lines
+        assert news <= (LINE_CACHE_PROMPTS + 1) * most_items
+    assert most_items > 0
     # and a session still reuses its lines from step to step (emptying a
     # cache also zeroes its counts)
     assert _history_line.cache_info().hits > 0 and _news_text.cache_info().hits > 0
@@ -623,6 +634,22 @@ def test_llm_agent_line_caches_stay_within_their_bound(tmp_path, monkeypatch):
     _history_line.cache_clear()
     _news_text.cache_clear()
     assert prompt == build_decision_prompt(build_context_prompt(spec, obs, memory), spec, obs.date)
+
+
+def test_a_session_run_after_another_renders_none_of_its_lines(stock_world, monkeypatch):
+    # The second session's first prompt, with no stored closes yet, is
+    # smaller than the ones before it and must not empty their lines.
+    spec, store, _, dates = stock_world
+    _fresh_line_caches(monkeypatch)
+    counts = []
+    for shift in range(2):
+        run_episode(spec, _varied_agent(shift), ReplayFeed(store, MarketKind.STOCK), dates,
+                    1000.0, max_retries=1)
+        counts.append([cache.cache_info()[:2] for cache in (_history_line, _news_text)])
+    # the second session looked up what the first did, and every lookup
+    # hit (emptying a cache would have zeroed its counts)
+    for (hits, misses), again in zip(*counts):
+        assert misses and again == (2 * hits + misses, misses)
 
 
 def test_llm_sessions_in_threads_write_the_bytes_they_write_in_turn(stock_world, tmp_path):
