@@ -65,6 +65,9 @@ CATALOG = [
     Mutant("header-check-off", SRC + "sessionlog.py",
            "    if logged != header:", "    if False:",
            "a run refuses to extend a log whose header is another run's"),
+    Mutant("config-bound-off", SRC + "config.py",
+           "return value if least is None else _at_least(value, least, key)", "return value",
+           "a config key below its least value is refused, naming the key"),
     Mutant("date-prefix-check-off", SRC + "cli.py",
            "if records.dates != tuple(dates[:done]):", "if False:",
            "a run refuses to extend a log recorded over other dates"),

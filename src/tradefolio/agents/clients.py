@@ -4,9 +4,10 @@ A model id like "openai/gpt-4.1" routes to the provider named by its
 prefix; ids without a known prefix (including ids whose slash belongs
 to the model name itself) fall through to the default provider. All
 providers speak the OpenAI-style chat completions wire format here.
-``HttpChatClient`` posts through ``urllib.request``, imported at the
-first request, so a replay run never loads an HTTP library; tests fake
-the network by patching ``urllib.request.urlopen``.
+``HttpChatClient`` posts through ``ingestion.policy.send``, the one
+request function, which imports ``urllib.request`` at the first
+request, so a replay run never loads an HTTP library; tests fake the
+network by patching ``urllib.request.urlopen``.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Protocol
 
 from ..errors import ClientRejected, ClientTimeout, ConfigError
+from ..ingestion.policy import send
 
 __all__ = [
     "DEFAULT_TEMPERATURE",
@@ -118,18 +120,10 @@ def _post_json(route: ProviderRoute, headers: dict[str, str],
     times out is ``ClientTimeout``; one that fails otherwise is
     ``ClientRejected``."""
     from http.client import HTTPException
-    from urllib.error import HTTPError
-    from urllib.request import Request, urlopen
 
-    request = Request(f"{route.base_url}/chat/completions", data=json.dumps(payload).encode(),
-                      headers=headers, method="POST")
     try:
-        try:
-            with urlopen(request, timeout=_TIMEOUT_S) as reply:
-                status, raw = reply.status, reply.read()
-        except HTTPError as exc:
-            with exc:  # the error holds the response and its connection
-                status, raw = exc.code, exc.read()
+        status, raw = send(f"{route.base_url}/chat/completions", headers, _TIMEOUT_S,
+                           json.dumps(payload).encode())
     except (OSError, HTTPException) as exc:
         # a read timeout is a TimeoutError; a connect timeout is a URLError's reason
         if isinstance(getattr(exc, "reason", exc), TimeoutError):

@@ -240,8 +240,9 @@ def load_config(path: str | Path) -> RunConfig:
     if not out_dir.is_absolute():
         out_dir = path.parent / out_dir
 
-    def number(key: str, default: Any, kind: type = int) -> Any:
-        return _number(raw.get(key, default), key, kind)
+    def number(key: str, default: Any, kind: type = int, least: int | None = None) -> Any:
+        value = _number(raw.get(key, default), key, kind)
+        return value if least is None else _at_least(value, least, key)
 
     universe = _names(raw, "universe", DEFAULT_STOCK_TICKERS)
     questions = _names(raw, "questions", ())
@@ -270,14 +271,15 @@ def load_config(path: str | Path) -> RunConfig:
         questions=questions,
         initial_capital=number("initial_capital", default_capital, float),
         risk_free_rate=risk_free,
-        memory_horizon=number("memory_horizon", DEFAULT_MEMORY_HORIZON),
-        retries=number("retries", DEFAULT_RETRIES),
-        rebalance_interval=number("rebalance_interval", 1),
-        lookback_days=number("lookback_days", HISTORY_LOOKBACK_DAYS),
-        news_window_days=number("news_window_days", NEWS_WINDOW_DAYS),
+        memory_horizon=number("memory_horizon", DEFAULT_MEMORY_HORIZON, least=1),
+        retries=number("retries", DEFAULT_RETRIES, least=0),
+        rebalance_interval=number("rebalance_interval", 1, least=1),
+        lookback_days=number("lookback_days", HISTORY_LOOKBACK_DAYS, least=0),
+        news_window_days=number("news_window_days", NEWS_WINDOW_DAYS, least=0),
         renormalize_band=number("renormalize_band", RENORMALIZE_BAND, float),
-        concurrency=None if raw.get("concurrency") is None else number("concurrency", None),
-        discovery_limit=number("discovery_limit", DISCOVERY_LIMIT),
+        concurrency=(None if raw.get("concurrency") is None  # null means automatic
+                     else number("concurrency", None, least=1)),
+        discovery_limit=number("discovery_limit", DISCOVERY_LIMIT, least=1),
         fetch_policy=_fetch_policy(raw.get("fetch")),
     )
     try:
@@ -288,10 +290,4 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError("initial_capital must be positive")
     if not 0 <= config.renormalize_band < 1:
         raise ConfigError(f"renormalize_band must lie in [0, 1), got {config.renormalize_band!r}")
-    for key, least in (("memory_horizon", 1), ("retries", 0), ("rebalance_interval", 1),
-                       ("lookback_days", 0), ("news_window_days", 0), ("concurrency", 1),
-                       ("discovery_limit", 1)):
-        value = getattr(config, key)
-        if value is not None:  # a null concurrency means automatic
-            _at_least(value, least, key)
     return config

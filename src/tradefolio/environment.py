@@ -166,9 +166,10 @@ class MarketMemo:
     first request and handed out again after that, the same objects to
     every session, so sessions stepping over the same dates, in one
     thread or several, price, read and rank each date once. A read that
-    raises keeps nothing, and the next request reads again. It keeps one
-    entry per date asked for, and lives as long as whoever built it
-    keeps it.
+    raises keeps nothing, and the next request reads again. A builder
+    may ask the memo for what it needs, as an observation asks for its
+    date's prices. It keeps one entry per date asked for, and lives as
+    long as whoever built it keeps it.
     """
 
     def __init__(self, feed: Feed, spec: MarketSpec,
@@ -180,9 +181,8 @@ class MarketMemo:
         self.news_window_days = news_window_days
         self._prices: dict[dt.date, tuple[PriceVector, frozenset[str]]] = {}
         self._observations: dict[dt.date, Observation] = {}
-        # one builder at a time, so two threads asking for a new date read it once;
-        # not reentrant, so no builder may ask this memo for anything
-        self._lock = threading.Lock()
+        # one builder at a time, so two threads asking for a new date read it once
+        self._lock = threading.RLock()
 
     def _once(self, table: dict[dt.date, _T], date: dt.date,
               build: Callable[[dt.date], _T]) -> _T:
@@ -230,12 +230,10 @@ class MarketMemo:
         UTC midnight, whatever day stores it, so the decision date
         itself never leaks through side channels.
         """
-        prices, stale = self.prices(date)  # outside _once, whose lock a builder cannot take
-        return self._once(self._observations, date,
-                          lambda d: self._observation(d, prices, stale))
+        return self._once(self._observations, date, self._observation)
 
-    def _observation(self, date: dt.date, prices: PriceVector,
-                     stale: frozenset[str]) -> Observation:
+    def _observation(self, date: dt.date) -> Observation:
+        prices, stale = self.prices(date)
         day = dt.timedelta(days=1)
         history = MappingProxyType({
             a: self.feed.price_window(a, date - dt.timedelta(days=self.lookback_days),

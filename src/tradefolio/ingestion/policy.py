@@ -1,9 +1,9 @@
-"""Outbound data requests: one request shape and its retry discipline.
+"""Outbound requests: one request function and the data feeds' retries.
 
-Every provider GET goes through ``http_get``, which imports
-``urllib.request`` when it is first called, so a replay run never loads
-an HTTP library. Tests fake the network by patching
-``urllib.request.urlopen``.
+Every provider request, a data feed's GET and a model's POST alike,
+goes through ``send``, which imports ``urllib.request`` when it is
+first called, so a replay run never loads an HTTP library. Tests fake
+the network by patching ``urllib.request.urlopen``.
 """
 
 from __future__ import annotations
@@ -17,24 +17,26 @@ from urllib.parse import urlencode
 
 from ..errors import ProviderError
 
-__all__ = ["FetchPolicy", "backoff_delay", "epoch_date", "fetch_with_policy", "get",
-           "http_get", "utc_midnight"]
+__all__ = ["FetchPolicy", "backoff_delay", "epoch_date", "fetch_with_policy", "get", "send",
+           "utc_midnight"]
 
 T = TypeVar("T")
 
 
-def http_get(url: str, params: dict[str, Any], headers: dict[str, str], timeout: float) -> bytes:
-    """The body of one GET of ``url?params``; ``HTTPError`` on a status of 400 or more."""
+def send(url: str, headers: dict[str, str], timeout: float,
+         data: bytes | None = None) -> tuple[int, bytes]:
+    """The status and body of one GET of ``url``, or POST of ``data``,
+    whatever the status; a request that gets no status raises
+    ``OSError`` or ``http.client.HTTPException``."""
     from urllib.error import HTTPError
     from urllib.request import Request, urlopen
 
-    request = Request(f"{url}?{urlencode(params)}", headers=headers)
     try:
-        with urlopen(request, timeout=timeout) as reply:
-            return reply.read()
+        with urlopen(Request(url, data, headers), timeout=timeout) as reply:
+            return reply.status, reply.read()
     except HTTPError as exc:
-        exc.close()  # the error holds the response and its connection
-        raise
+        with exc:  # the error holds the response and its connection
+            return exc.code, exc.read()
 
 
 @dataclass(frozen=True)
@@ -99,10 +101,18 @@ def fetch_with_policy(
 def get(policy: FetchPolicy, url: str, params: dict[str, Any], parse: Callable[[bytes], T]) -> T:
     """``parse`` of one provider response body, under the policy's retries.
 
-    A body that fails to parse is retried like a failed request.
+    A status of 400 or more, or a body that fails to parse, is retried
+    like a failed request.
     """
     headers = {"User-Agent": policy.user_agent}
-    return fetch_with_policy(policy, lambda: parse(http_get(url, params, headers, policy.timeout)))
+
+    def request() -> T:
+        status, body = send(f"{url}?{urlencode(params)}", headers, policy.timeout)
+        if status >= 400:
+            raise ProviderError(f"HTTP {status}")
+        return parse(body)
+
+    return fetch_with_policy(policy, request)
 
 
 def utc_midnight(date: dt.date) -> int:

@@ -184,13 +184,10 @@ class SnapshotStore:
             header_line, *body = utf8(path, path.read_bytes(), IngestionError,
                                       "unreadable row", "unreadable header").split("\n")
             try:
-                header = json.loads(header_line)
-                if not isinstance(header, dict):
-                    raise TypeError(f"expected a JSON object, got {type(header).__name__}")
-            except (TypeError, ValueError) as exc:
-                raise IngestionError(f"{path}: unreadable header") from exc
-            if header != _header(kind, key):
-                raise IngestionError(f"{path}: header does not match series ({kind}, {key!r})")
+                if json.loads(header_line) != _header(kind, key):
+                    raise ValueError(f"not the header of series ({kind}, {key!r})")
+            except ValueError as exc:
+                raise IngestionError(f"{path}:1: unreadable header: {exc}") from exc
         return index(path, body, 2, _DATE_PREFIX, partial(_decode, kind, key),
                      IngestionError, "unreadable row")
 

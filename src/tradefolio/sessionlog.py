@@ -356,11 +356,9 @@ def resume_point(
     window opens on a step whose response never validated, the records
     back to the last one that validated or held: its allocation is what
     that step re-applied. A log's records thus decode only its tail.
+    ``check_header`` refuses a log of another universe, and ``run_episode``
+    a horizon below 1, before any step is taken.
     """
-    if memory_horizon < 1:
-        raise ValueError(f"memory_horizon must be at least 1, got {memory_horizon}")
-    if tuple(header.assets) != spec.assets or header.cash != spec.cash:
-        raise ConfigError("log universe does not match the configured market")
     state = SessionState(spec, header.initial_capital, records)
     first = max(len(records) - memory_horizon, 0)
     window = list(records[first:])

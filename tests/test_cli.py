@@ -301,8 +301,14 @@ def test_provider_failure_halts_and_the_next_run_resumes(runner, tmp_path, monke
     assert (tmp_path / "runs" / name).read_bytes() == (tmp_path / "once" / name).read_bytes()
 
 
+@pytest.mark.parametrize("change, differs", [
+    (lambda text: text + "initial_capital: 2000\n",
+     "initial_capital 1000.0 in the log, 2000.0 in the config"),
+    (lambda text: text.replace("[AAPL, MSFT, NVDA]", "[AAPL, MSFT]"),
+     "assets ['AAPL', 'MSFT', 'NVDA', 'CASH'] in the log, ['AAPL', 'MSFT', 'CASH'] in the config"),
+], ids=["capital", "universe"])
 @pytest.mark.parametrize("cut", [0, 1], ids=["complete", "cut"])
-def test_run_rejects_a_log_with_a_different_header(runner, stock_setup, cut):
+def test_run_rejects_a_log_with_a_different_header(runner, stock_setup, cut, change, differs):
     tmp_path, config, dates = stock_setup
     assert runner.invoke(main, ["run", "--config", str(config)]).exit_code == 0
     logs = sorted((tmp_path / "runs").glob("*.jsonl"))
@@ -310,15 +316,14 @@ def test_run_rejects_a_log_with_a_different_header(runner, stock_setup, cut):
         lines = log.read_bytes().splitlines(keepends=True)
         log.write_bytes(b"".join(lines[:len(lines) - cut]))
     before = {log: log.read_bytes() for log in logs}
-    config.write_text(config.read_text() + "initial_capital: 2000\n", encoding="utf-8")
+    config.write_text(change(config.read_text()), encoding="utf-8")
 
     # a finished log is checked too, not reported complete
     result = runner.invoke(main, ["run", "--config", str(config)])
     assert result.exit_code == 1
     assert "complete" not in result.output
     for log in logs:
-        assert (f"{log} belongs to a different run: initial_capital 1000.0 in the log,"
-                f" 2000.0 in the config") in result.output
+        assert f"{log} belongs to a different run: {differs}" in result.output
     assert {log: log.read_bytes() for log in logs} == before
 
 
@@ -561,7 +566,7 @@ def test_a_series_header_of_the_wrong_shape_fails_each_model_that_reads_it(runne
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit), result.exception
     for model in ("baseline:equal-weight", "baseline:all-cash", "baseline:buy-and-hold"):
-        assert f"{model}: failed: {series}: unreadable header" in result.output
+        assert f"{model}: failed: {series}:1: unreadable header" in result.output
 
 
 _REPLY = json.dumps({"reasoning": "r",

@@ -10,7 +10,7 @@ import json
 import math
 import random
 from dataclasses import replace
-from urllib.error import HTTPError, URLError
+from urllib.error import URLError
 from urllib.request import urlopen
 
 import pytest
@@ -394,18 +394,22 @@ def test_fetch_news_request_and_window(serve):
     assert q == "AAPL stock news OR Apple after:2025-02-28 before:2025-03-04"
 
 
-def test_default_gets_read_json_or_bytes_and_raise_on_an_error_status(serve):
+def test_send_returns_an_error_status_and_get_retries_it(serve):
     urlopen = serve({"https://j": [(200, '{"ok": 1}')], "https://t": [(200, "<rss/>")],
-                     "https://down": [(503, "")]})
-    quick = FetchPolicy(max_retries=1, timeout=5.0, user_agent="ua")
+                     "https://down": [(503, "busy")]})
+    quick = FetchPolicy(max_retries=1, backoff_base=0.0, jitter_range=(0.0, 0.0), timeout=5.0,
+                        user_agent="ua")
     assert policy.get(quick, "https://j", {"q": "a b"}, json.loads) == {"ok": 1}
-    assert policy.http_get("https://t", {"q": "b"}, {}, 6.0) == b"<rss/>"
-    with pytest.raises(HTTPError, match="503"):
-        policy.http_get("https://down", {"q": "c"}, {}, 7.0)
+    assert policy.send("https://t?q=b", {}, 6.0) == (200, b"<rss/>")
+    assert policy.send("https://down?q=c", {}, 7.0) == (503, b"busy")
     assert urlopen.errors[0].fp.closed
+    with pytest.raises(ProviderError, match="after 2 attempts: HTTP 503$"):
+        policy.get(quick, "https://down", {"q": "d"}, json.loads)
+    assert len(urlopen.errors) == 3 and all(error.fp.closed for error in urlopen.errors)
     sent = [(r.full_url, r.get_method(), r.get_header("User-agent"), t) for r, t in urlopen.calls]
     assert sent == [("https://j?q=a+b", "GET", "ua", 5.0), ("https://t?q=b", "GET", None, 6.0),
-                    ("https://down?q=c", "GET", None, 7.0)]
+                    ("https://down?q=c", "GET", None, 7.0),
+                    *[("https://down?q=d", "GET", "ua", 5.0)] * 2]
 
 
 def test_fetch_news_reads_the_feed_in_its_declared_encoding(serve):

@@ -717,19 +717,31 @@ def test_resume_point_on_header_only_log(tmp_path, stock_world):
 
 
 def test_resume_rejects_universe_mismatch(tmp_path, stock_world):
+    # the resume point first, then the writer, as perfbench orders them:
+    # the writer's header check refuses a log of another universe
     spec, feed, dates = stock_world
-    header = SessionLogHeader.for_run(spec, "test/scripted", 1000.0)
+    path = tmp_path / "s.jsonl"
+    _run_logged(path, spec, feed, dates[:4], scripted_agent(_varied_responses(3)))
+    before = path.read_bytes()
     other = MarketSpec.stock(("AAPL", "MSFT"))
-    with pytest.raises(ConfigError, match="universe"):
-        resume_point(header, [], other, memory_horizon=10)
+    header, records = read_session_log(path)
+    resume_point(header, records, other, memory_horizon=10)
+    with pytest.raises(ConfigError, match="assets"):
+        SessionLogWriter(path, SessionLogHeader.for_run(other, "test/scripted", 1000.0))
+    assert path.read_bytes() == before
 
 
 @pytest.mark.parametrize("horizon", [0, -1])
-def test_resume_point_refuses_a_horizon_below_one(stock_world, horizon):
+def test_a_resumed_session_refuses_a_horizon_below_one(tmp_path, stock_world, horizon):
     spec, feed, dates = stock_world
-    header = SessionLogHeader.for_run(spec, "test/scripted", 1000.0)
+    path = tmp_path / "s.jsonl"
+    _run_logged(path, spec, feed, dates[:3], scripted_agent(_varied_responses(2)))
+    resume = resume_point(*read_session_log(path), spec, memory_horizon=horizon)
+    appended = []
     with pytest.raises(ValueError, match="horizon must be at least 1"):
-        resume_point(header, [], spec, memory_horizon=horizon)
+        run_episode(spec, scripted_agent(_varied_responses(3)), feed, dates[2:], 1000.0,
+                    memory_horizon=horizon, resume=resume, on_record=appended.append)
+    assert appended == []
 
 
 # -- derived state ---------------------------------------------------------------

@@ -106,7 +106,8 @@ def test_load_rejects_wrong_header(tmp_path):
     path.parent.mkdir(parents=True)
     header = {"format": "tradefolio-series", "version": 1, "series": "stock-price", "key": "AAPL"}
     path.write_text(json.dumps(header) + "\n")
-    with pytest.raises(IngestionError, match="header"):
+    with pytest.raises(IngestionError, match=re.escape(
+            f"{path}:1: unreadable header: not the header of series (stock-price, 'NVDA')")):
         SnapshotStore(tmp_path).price_series("stock", "NVDA")
 
 
@@ -114,7 +115,8 @@ def test_load_rejects_garbage_header(tmp_path):
     path = tmp_path / "prices" / "stock" / "NVDA.jsonl"
     path.parent.mkdir(parents=True)
     path.write_text("not json\n")
-    with pytest.raises(IngestionError, match="header"):
+    with pytest.raises(IngestionError, match=re.escape(
+            f"{path}:1: unreadable header: Expecting value: line 1 column 1")):
         SnapshotStore(tmp_path).price_series("stock", "NVDA")
 
 
@@ -137,7 +139,8 @@ def test_a_header_of_the_wrong_shape_is_unreadable(tmp_path, first_line):
     path = tmp_path / "prices" / "stock" / "NVDA.jsonl"
     path.parent.mkdir(parents=True)
     path.write_text(f"{first_line}\n{_price_line(3)}\n", encoding="utf-8")
-    with pytest.raises(IngestionError, match=re.escape(f"{path}: unreadable header")):
+    with pytest.raises(IngestionError, match=re.escape(
+            f"{path}:1: unreadable header: not the header of series (stock-price, 'NVDA')")):
         SnapshotStore(tmp_path).price_dates("stock", "NVDA")
 
 
@@ -145,7 +148,8 @@ def test_a_header_with_an_extra_key_does_not_match(tmp_path):
     path = _write_rows(tmp_path, "NVDA", [_price_line(3)])
     header, rows = path.read_text(encoding="utf-8").split("\n", 1)
     path.write_text(json.dumps({**json.loads(header), "note": "x"}) + "\n" + rows, encoding="utf-8")
-    with pytest.raises(IngestionError, match=re.escape(f"{path}: header does not match series")):
+    with pytest.raises(IngestionError, match=re.escape(
+            f"{path}:1: unreadable header: not the header of series (stock-price, 'NVDA')")):
         SnapshotStore(tmp_path).price_dates("stock", "NVDA")
 
 
